@@ -34,9 +34,9 @@ dilute the linear-layer batching under measurement.  Two ungated
 ``memory/mlp_*`` context rows run the MLP used by the serve tests so the
 GC-bound shape is still on record.
 
-The link is calibrated from a dry unshaped run (same idiom as
-``bench_parallel.py``): bandwidth is sized so per-session transfer time
-is ``B_FRAC * C_dry`` and RTT so per-session propagation is
+The link is calibrated from a dry unshaped run: bandwidth is sized so
+per-session transfer time is ``B_FRAC * C_dry`` and RTT so per-session
+propagation is
 ``R_FRAC * C_dry`` — with ``R_FRAC >> 1`` and an absolute RTT floor of
 ``MIN_RTT_S``, the regime is latency-dominated WAN and the gate
 measures scheduling, not the runner's CPU.  Each client gets its own

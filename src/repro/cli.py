@@ -88,12 +88,10 @@ def cmd_meta(args) -> int:
 def cmd_serve(args) -> int:
     import os
 
+    from repro.crypto.fastro import kernel_active
     from repro.serve import PredictionServer, ShardedTripletBank, TripletBank
 
-    from repro.crypto.hash_ro import default_ro, get_ro
-
     executor = args.executor or os.environ.get("ABNN2_EXECUTOR", "thread")
-    ro_name = args.ro or os.environ.get("ABNN2_RO")
     qmodel = load_model(args.model)
     bank_cls = TripletBank
     bank_kwargs = {}
@@ -108,7 +106,6 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         workers=args.workers,
         executor=executor,
-        ro=get_ro(ro_name) if ro_name else default_ro,
         **bank_kwargs,
     )
     # A sharded bank persists to <path>.shard<i>, one bundle per shard.
@@ -153,7 +150,7 @@ def cmd_serve(args) -> int:
         f"listening on {server.host}:{server.port} "
         f"(batch={args.batch}, max_sessions={args.max_sessions}, "
         f"bank depth={bank.depth}, shards={args.bank_shards}, "
-        f"batching={batching})..."
+        f"batching={batching}, ro_kernel={kernel_active()})..."
     )
     try:
         server.serve_forever(max_total_sessions=args.exit_after)
@@ -193,12 +190,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import os
-
-    from repro.crypto.hash_ro import default_ro, get_ro
     from repro.serve import PredictionClient
 
-    ro_name = args.ro or os.environ.get("ABNN2_RO")
     meta = load_meta(args.meta)
     if args.demo is not None:
         data = synthetic_mnist()
@@ -223,7 +216,6 @@ def cmd_predict(args) -> int:
         relu_variant=args.relu,
         timeout_s=args.timeout,
         seed=args.seed,
-        ro=get_ro(ro_name) if ro_name else default_ro,
     )
     try:
         print(f"connected (session {client.session_id}, mode={args.mode})...")
@@ -394,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "process (default: $ABNN2_EXECUTOR or thread)",
     )
     p.add_argument(
-        "--ro", default=None, choices=("sha256", "siphash", "fast"),
-        help="random-oracle backend for offline generation; 'fast' is "
-        "byte-identical to 'siphash' with a GIL-releasing execution "
-        "profile (default: $ABNN2_RO or the library default)",
-    )
-    p.add_argument(
         "--batch-window-ms", type=float, default=None,
         help="enable cross-session batching: hold granted rounds up to "
         "this long and run them as one wide online round "
@@ -445,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=600.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace-out", help="write this party's trace JSON after the run")
-    p.add_argument(
-        "--ro", default=None, choices=("sha256", "siphash", "fast"),
-        help="random-oracle backend; must be mask-compatible with the "
-        "server's ('fast' and 'siphash' are interchangeable; default: "
-        "$ABNN2_RO or the library default)",
-    )
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser(

@@ -2,8 +2,9 @@
 
 Layers, bottom to top:
 
-* :mod:`repro.crypto.hash_ro` / :mod:`repro.crypto.siphash` — random-oracle
-  backends (reference SHA-256; numpy-vectorized SipHash for bulk masking).
+* :mod:`repro.crypto.hash_ro` — the random oracle: fixed-key SipHash-2-4
+  through the compiled kernel of :mod:`repro.crypto.fastro`, with the numpy
+  reference :mod:`repro.crypto.siphash` as its fallback; SHA-256 for base OT.
 * :mod:`repro.crypto.prg` — seed expansion.
 * :mod:`repro.crypto.group` / :mod:`repro.crypto.baseot` — public-key base
   oblivious transfers (Naor–Pinkas style over a MODP group).

@@ -1,67 +1,46 @@
-"""Fast random-oracle backend: the SipHash oracle, engineered for parallelism.
+"""The compiled fixed-key SipHash-2-4 kernel behind the random oracle.
 
-:data:`fast_ro` computes the **same function** as
-:data:`repro.crypto.hash_ro.siphash_ro` — every output word is bit-for-bit
-``SipHash-2-4(FIXED_KEY, row || domain<<32 | counter)`` — so the two
-backends are interchangeable mid-protocol and produce byte-identical
-shares and transcripts (pinned by ``tests/test_exec_process.py``).  What
-changes is the execution profile, which is what the parallel executors
-need:
+ABY, the paper's substrate, hashes OT-extension pads and garbled-gate
+labels with fixed-key AES-NI: one compiled function.  This module is the
+stand-in: a small C kernel, built once per user and machine, that
+computes bit-for-bit what :func:`repro.crypto.siphash.prf_expand`
+computes — output word ``j`` of a row is
+``SipHash-2-4(FIXED_KEY, row || domain << 32 | j)`` — with the row prefix
+absorbed once instead of once per output word, and through ``ctypes``.
+A block of real size releases the GIL for the call, so shard threads
+overlap; a small one (a garbled-gate level is ~1k words, ~20 us) keeps
+it, because handing the GIL over a thousand times per prediction makes
+latency depend on what the process's other sessions happen to be doing.
 
-* **Shared-prefix absorption.**  ``prf_expand`` appends a distinct
-  counter word per output word and re-hashes the whole row each time;
-  here the row prefix is absorbed once and only the counter/finalization
-  stage runs per output word — ~2x fewer SipRounds at the triplet
-  workload's widths (W=16 for o=64 at 16 bits).
-* **In-place rounds.**  The round function runs in six preallocated
-  state/scratch buffers instead of allocating ~14 temporaries per round,
-  which keeps the numpy glue (the GIL-holding part) short.
-* **Row chunking.**  Requests are processed in bounded row blocks, so a
-  huge ``pads()`` call becomes a sequence of medium-sized kernel calls
-  between which the GIL can rotate to other shard threads, and scratch
-  memory stays flat.
-* **Native kernel hook.**  If a C compiler is available (or a prebuilt
-  shared object is supplied via ``ABNN2_RO_KERNEL``), a tiny embedded
-  SipHash kernel is compiled once per machine and invoked through
-  ``ctypes`` — foreign calls release the GIL for their entire duration,
-  which is what lets *thread* executors overlap hashing for real.  The
-  kernel computes the identical function; when compilation fails or
-  ``ABNN2_RO_NATIVE=0`` is set, the pure-numpy path above is used and
-  nothing else changes.
+:func:`expand` works in bounded row blocks: scratch stays flat and a
+huge request becomes a sequence of medium-sized calls.  When the kernel
+cannot be built or loaded (no C compiler, untrusted cache) each block
+goes through ``prf_expand`` instead — same bytes, about 20x slower — and
+one ``RuntimeWarning`` per process says so.
 
-The backend registry (:func:`repro.crypto.hash_ro.get_ro`) exposes this
-module as ``"fast"``.
+The shared object is cached in ``<tempfile.gettempdir()>/abnn2-<uid>/``,
+created ``0o700``; a directory or ``.so`` that is not owned by the
+current user, or that group/other can write, is never loaded.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
+import math
 import threading
+import warnings
 
 import numpy as np
 
-from repro.crypto.hash_ro import RandomOracle
-from repro.crypto.siphash import FIXED_KEY
+from repro.crypto.siphash import FIXED_KEY, prf_expand
 
-_U64 = np.uint64
-
-#: Soft cap on (rows * out_words) per internal block: bounds scratch to a
-#: few MiB and keeps individual GIL-holding numpy ops short.
+#: Soft cap on (rows * out_words) per block: bounds the reference path's
+#: scratch to a few MiB per message word and keeps each call short.
 _ROW_BLOCK_WORDS = 1 << 19
 
-_V0 = _U64(0x736F6D6570736575)
-_V1 = _U64(0x646F72616E646F6D)
-_V2 = _U64(0x6C7967656E657261)
-_V3 = _U64(0x7465646279746573)
+#: Blocks of fewer (input + output) words than this hash with the GIL
+#: held: ~0.2 ms at most, less than one big-int ``pow`` of the base OTs.
+_GIL_HELD_WORDS = 1 << 14
 
-
-# --------------------------------------------------------------------- #
-# native kernel (optional)
-# --------------------------------------------------------------------- #
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
@@ -104,183 +83,109 @@ void siphash24_expand(const uint64_t *rows, size_t n_rows, size_t words,
 """
 
 _kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None | bool" = None  # None = not probed, False = unusable
+# None = not probed, False = unusable, else the kernel entry point twice:
+# (GIL released for the call, GIL held)
+_kernel = None
 
 
-def _compile_kernel() -> str | None:
-    """Build the embedded kernel into a cached .so; returns its path."""
-    tag = hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]
-    so_path = os.path.join(tempfile.gettempdir(), f"abnn2-sipkern-{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    src_path = so_path[:-3] + ".c"
-    tmp_so = f"{so_path}.{os.getpid()}.tmp"
+def _build_kernel():
+    """Build (or find cached) and load the kernel; ``None`` if impossible."""
+    import ctypes
+    import hashlib
+    import os
+    import stat
+    import subprocess
+    import tempfile
+
+    def private(path: str, is_kind) -> bool:
+        st = os.lstat(path)
+        return is_kind(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
     try:
-        with open(src_path, "w") as fh:
-            fh.write(_KERNEL_SOURCE)
-        for cc in ("cc", "gcc", "clang"):
-            try:
-                proc = subprocess.run(
-                    [cc, "-O3", "-shared", "-fPIC", "-o", tmp_so, src_path],
-                    capture_output=True, timeout=60.0,
-                )
-            except (OSError, subprocess.TimeoutExpired):
-                continue
-            if proc.returncode == 0:
-                os.replace(tmp_so, so_path)  # atomic vs concurrent builders
-                return so_path
-    except OSError:
-        pass
-    finally:
-        if os.path.exists(tmp_so):
-            try:
-                os.remove(tmp_so)
-            except OSError:
-                pass
-    return None
+        cache = os.path.join(tempfile.gettempdir(), f"abnn2-{os.getuid()}")
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        if not private(cache, stat.S_ISDIR):
+            return None
+        tag = hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]
+        so_path = os.path.join(cache, f"sipkern-{tag}.so")
+        if not os.path.exists(so_path):
+            with tempfile.TemporaryDirectory(dir=cache) as build:
+                src, built = os.path.join(build, "k.c"), os.path.join(build, "k.so")
+                with open(src, "w") as fh:
+                    fh.write(_KERNEL_SOURCE)
+                for cc in ("cc", "gcc", "clang"):
+                    try:
+                        proc = subprocess.run(
+                            [cc, "-O3", "-shared", "-fPIC", "-o", built, src],
+                            capture_output=True, timeout=60.0,
+                        )
+                    except (OSError, subprocess.TimeoutExpired):
+                        continue
+                    if proc.returncode == 0:
+                        os.chmod(built, 0o700)
+                        os.replace(built, so_path)  # atomic vs concurrent builders
+                        break
+        if not private(so_path, stat.S_ISREG):
+            return None
+        entries = tuple(
+            dll(so_path).siphash24_expand for dll in (ctypes.CDLL, ctypes.PyDLL)
+        )
+    except (OSError, AttributeError):  # AttributeError: no os.getuid (non-POSIX)
+        return None
+    for entry in entries:
+        entry.argtypes = [
+            ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+            ctypes.c_void_p, ctypes.c_size_t,
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
+        ]
+        entry.restype = None
+    return entries
 
 
-def _load_kernel() -> "ctypes.CDLL | bool":
-    """Probe for the native kernel once per process (thread-safe)."""
+def _load_kernel():
+    """Probe for the kernel once per process (thread-safe)."""
     global _kernel
-    with _kernel_lock:
-        if _kernel is not None:
-            return _kernel
-        if os.environ.get("ABNN2_RO_NATIVE", "1") == "0":
-            _kernel = False
-            return _kernel
-        path = os.environ.get("ABNN2_RO_KERNEL") or _compile_kernel()
-        lib: "ctypes.CDLL | bool" = False
-        if path:
-            try:
-                lib = ctypes.CDLL(path)
-                lib.siphash24_expand.argtypes = [
-                    ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                    ctypes.c_void_p, ctypes.c_size_t,
-                    ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
-                ]
-                lib.siphash24_expand.restype = None
-            except OSError:
-                lib = False
-        _kernel = lib
-        return _kernel
+    if _kernel is None:
+        with _kernel_lock:
+            if _kernel is None:
+                _kernel = _build_kernel() or False
+                if not _kernel:
+                    warnings.warn(
+                        "SipHash kernel unavailable (no C compiler, or an "
+                        "untrusted cache directory); hashing falls back to the "
+                        "numpy reference, about 20x slower",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+    return _kernel
 
 
 def kernel_active() -> bool:
-    """Whether the compiled GIL-releasing kernel is in use."""
+    """Whether hashing runs through the compiled kernel (else the reference)."""
     return bool(_load_kernel())
 
 
-# --------------------------------------------------------------------- #
-# pure-numpy fallback: shared-prefix absorption, in-place rounds
-# --------------------------------------------------------------------- #
-def _rotl_io(v: np.ndarray, bits: int, t: np.ndarray) -> None:
-    np.left_shift(v, _U64(bits), out=t)
-    v >>= _U64(64 - bits)
-    v |= t
+def expand(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
+    """Hash ``(..., words)`` uint64 rows to ``(..., out_words)`` words.
 
-
-def _sipround_io(v0, v1, v2, v3, t) -> None:
-    v0 += v1
-    _rotl_io(v1, 13, t)
-    v1 ^= v0
-    _rotl_io(v0, 32, t)
-    v2 += v3
-    _rotl_io(v3, 16, t)
-    v3 ^= v2
-    v0 += v3
-    _rotl_io(v3, 21, t)
-    v3 ^= v0
-    v2 += v1
-    _rotl_io(v1, 17, t)
-    v1 ^= v2
-    _rotl_io(v2, 32, t)
-
-
-def _numpy_expand(flat: np.ndarray, out_words: int, domain: int) -> np.ndarray:
-    """(R, words) rows -> (R, out_words), identical to siphash.prf_expand."""
-    n_rows, words = flat.shape
-    k0, k1 = _U64(FIXED_KEY[0]), _U64(FIXED_KEY[1])
-    counters = np.arange(out_words, dtype=_U64) | (_U64(domain) << _U64(32))
-    final = _U64((8 * (words + 1)) % 256 << 56)
-    shape = (n_rows, out_words)
-    v0 = np.empty(n_rows, dtype=_U64)
-    v1 = np.empty(n_rows, dtype=_U64)
-    v2 = np.empty(n_rows, dtype=_U64)
-    v3 = np.empty(n_rows, dtype=_U64)
-    v0[:] = _V0 ^ k0
-    v1[:] = _V1 ^ k1
-    v2[:] = _V2 ^ k0
-    v3[:] = _V3 ^ k1
-    t = np.empty(n_rows, dtype=_U64)
-    with np.errstate(over="ignore"):
-        # Absorb the row prefix once; prf_expand redoes it per output word.
-        for i in range(words):
-            m = flat[:, i]
-            v3 ^= m
-            _sipround_io(v0, v1, v2, v3, t)
-            _sipround_io(v0, v1, v2, v3, t)
-            v0 ^= m
-        # Broadcast the prefix state across the counter axis, then run the
-        # per-output-word tail (counter absorb + finalization) in place.
-        w0 = np.repeat(v0[:, None], out_words, axis=1)
-        w1 = np.repeat(v1[:, None], out_words, axis=1)
-        w2 = np.repeat(v2[:, None], out_words, axis=1)
-        w3 = v3[:, None] ^ counters
-        ts = np.empty(shape, dtype=_U64)
-        _sipround_io(w0, w1, w2, w3, ts)
-        _sipround_io(w0, w1, w2, w3, ts)
-        w0 ^= counters
-        w3 ^= final
-        _sipround_io(w0, w1, w2, w3, ts)
-        _sipround_io(w0, w1, w2, w3, ts)
-        w0 ^= final
-        w2 ^= _U64(0xFF)
-        for _ in range(4):
-            _sipround_io(w0, w1, w2, w3, ts)
-        w0 ^= w1
-        w0 ^= w2
-        w0 ^= w3
-        return w0
-
-
-# --------------------------------------------------------------------- #
-# the backend
-# --------------------------------------------------------------------- #
-def prf_expand_fast(
-    message_words: np.ndarray, out_words: int, domain: int = 0
-) -> np.ndarray:
-    """Drop-in :func:`repro.crypto.siphash.prf_expand` (fixed key only).
-
-    Work is processed in bounded row blocks; each block is one native
-    kernel call (GIL released) or one in-place numpy pass.
+    Identical to ``prf_expand(rows, out_words, domain)``; ``out_words >= 1``
+    and ``domain`` in ``[0, 2**32)`` are :meth:`RandomOracle.mask`'s checks.
     """
-    msg = np.atleast_2d(np.asarray(message_words, dtype=_U64))
-    lead = msg.shape[:-1]
-    words = msg.shape[-1]
-    flat = np.ascontiguousarray(msg.reshape(-1, words))
-    n_rows = flat.shape[0]
-    out = np.empty((n_rows, out_words), dtype=_U64)
-    block = max(1, _ROW_BLOCK_WORDS // max(1, out_words))
-    lib = _load_kernel()
+    lead, words = rows.shape[:-1], rows.shape[-1]
+    n_rows = math.prod(lead)
+    flat = np.ascontiguousarray(rows.reshape(n_rows, words), dtype=np.uint64)
+    out = np.empty((n_rows, out_words), dtype=np.uint64)
+    block = max(1, _ROW_BLOCK_WORDS // out_words)
+    kernel = _load_kernel()
     for lo in range(0, n_rows, block):
         hi = min(n_rows, lo + block)
-        if lib:
-            rows = flat[lo:hi]
-            lib.siphash24_expand(
-                rows.ctypes.data, hi - lo, words,
+        if kernel:
+            held = (hi - lo) * (words + out_words) < _GIL_HELD_WORDS
+            kernel[held](
+                flat[lo:hi].ctypes.data, hi - lo, words,
                 out[lo:hi].ctypes.data, out_words,
                 domain, FIXED_KEY[0], FIXED_KEY[1],
             )
         else:
-            out[lo:hi] = _numpy_expand(flat[lo:hi], out_words, domain)
+            out[lo:hi] = prf_expand(flat[lo:hi], out_words, domain)
     return out.reshape(lead + (out_words,))
-
-
-def _fast_mask(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
-    return prf_expand_fast(rows, out_words, domain=domain)
-
-
-#: Same oracle function as :data:`repro.crypto.hash_ro.siphash_ro`, fast
-#: execution profile (chunked, in-place, optional GIL-releasing kernel).
-fast_ro = RandomOracle("siphash24-fast", _fast_mask)

@@ -1,12 +1,13 @@
-"""Random-oracle backends shared by the OT protocols.
+"""The random oracle shared by the OT protocols and the garbling scheme.
 
-Two interchangeable implementations of the same interface:
-
-* :data:`sha256_ro` — per-row SHA-256; the conservative reference used for
-  base OTs and in cross-checking tests.
-* :data:`siphash_ro` — numpy-vectorized fixed-key SipHash-2-4
-  (:mod:`repro.crypto.siphash`); the default for bulk OT-extension masking,
-  mirroring the fixed-key AES hashing used by production OT stacks.
+* :data:`siphash_ro` (= :data:`default_ro`) — fixed-key SipHash-2-4, the
+  stand-in for the fixed-key AES hashing of production OT stacks.  It
+  runs through the compiled kernel of :mod:`repro.crypto.fastro`, and
+  through the numpy reference :func:`repro.crypto.siphash.prf_expand`
+  when that kernel cannot be built; the two produce identical bytes.
+* :data:`sha256_ro` — per-row SHA-256; the conservative oracle of the
+  base OTs (``hash_bytes``) and of the cross-checking tests, which pass
+  it through the library's ``ro=`` keyword.
 
 Both expose ``mask(rows, out_words, domain)``: hash each u64 row of
 ``rows`` into ``out_words`` uint64 output words, with ``domain`` giving
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.crypto import siphash
+from repro.crypto import fastro
 from repro.errors import CryptoError
 
 _U64 = np.uint64
@@ -43,6 +44,8 @@ class RandomOracle:
         rows = np.atleast_2d(np.asarray(rows, dtype=_U64))
         if out_words < 1:
             raise CryptoError(f"out_words must be >= 1, got {out_words}")
+        if not 0 <= domain < 1 << 32:
+            raise CryptoError(f"domain must be in [0, 2**32), got {domain}")
         return self._mask_fn(rows, out_words, domain)
 
     def hash_bytes(self, data: bytes, out_len: int, domain: int = 0) -> bytes:
@@ -87,40 +90,14 @@ def _sha256_mask(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
     return np.ascontiguousarray(out[:, :out_words]).reshape(lead + (out_words,))
 
 
-def _siphash_mask(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
-    return siphash.prf_expand(rows, out_words, domain=domain)
-
-
-#: Reference backend: counter-mode SHA-256 per row.
+#: Conservative oracle: counter-mode SHA-256 per row.
 sha256_ro = RandomOracle("sha256", _sha256_mask)
 
-#: Fast backend: vectorized fixed-key SipHash-2-4 (default for OT extension).
-siphash_ro = RandomOracle("siphash24", _siphash_mask)
+#: The SipHash oracle: compiled kernel, numpy reference as its fallback.
+siphash_ro = RandomOracle("siphash24", fastro.expand)
 
-#: The backend protocol code uses unless told otherwise.
+#: The oracle protocol code uses unless handed another through ``ro=``.
 default_ro = siphash_ro
 
-
-def get_ro(name: str) -> RandomOracle:
-    """Resolve a backend by registry name.
-
-    ``"fast"`` is the execution-optimized SipHash implementation in
-    :mod:`repro.crypto.fastro` — the *same function* as ``"siphash"``
-    (byte-identical masks, hence byte-identical shares and transcripts),
-    so the two may even differ between the parties; ``"sha256"`` is the
-    conservative reference and is **not** mask-compatible with them.
-    """
-    if name in ("sha256", "sha-256"):
-        return sha256_ro
-    if name in ("siphash", "siphash24"):
-        return siphash_ro
-    if name in ("fast", "siphash24-fast"):
-        from repro.crypto.fastro import fast_ro
-
-        return fast_ro
-    if name == "default":
-        return default_ro
-    raise CryptoError(
-        f"unknown random-oracle backend {name!r} "
-        "(expected sha256 | siphash | fast | default)"
-    )
+# The frozen benchmarks/e2e harness resolves this name; it is its only caller.
+fastro.fast_ro = siphash_ro

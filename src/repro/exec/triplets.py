@@ -19,7 +19,7 @@ execution knobs: any worker count yields byte-identical shares and
 per-stream transcripts, only the frame interleaving on the underlying
 channel changes.  ``workers=1`` runs the shard schedule synchronously on
 the calling thread (no mux writer thread, sends block) — the sequential
-baseline that ``benchmarks/bench_parallel.py`` measures speedup against.
+baseline of ``exec.triplets.wall_s.w1`` / ``.w2`` in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations

@@ -332,7 +332,11 @@ def render_report(
 ) -> str:
     """The ``python -m repro report`` table, as one printable string."""
     nets = tuple(networks)
-    out = [f"trace: schema={trace.get('schema')} party={trace.get('party') or '?'}"]
+    ro_kernel = trace.get("root", {}).get("attrs", {}).get("ro_kernel", "?")
+    out = [
+        f"trace: schema={trace.get('schema')} party={trace.get('party') or '?'}"
+        f" ro_kernel={ro_kernel}"
+    ]
 
     out.append("")
     out.append("phases (measured compute + projected links):")

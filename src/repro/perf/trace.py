@@ -56,6 +56,7 @@ import tracemalloc
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
+from repro.crypto.fastro import kernel_active
 from repro.errors import ConfigError
 
 #: Version tag stamped into exported trace documents.
@@ -388,9 +389,12 @@ class Tracer:
         segment into every still-open span and stamps the process peak
         RSS (``VmHWM``) onto the root attributes, so the document is a
         complete memory record without requiring the caller to close
-        the root explicitly.
+        the root explicitly.  Every export says which random-oracle
+        path the process hashes through (``ro_kernel``: compiled kernel
+        or, when ``False``, the ~20x slower numpy reference).
         """
         self._fold_alloc_peak()
+        self.root.attrs["ro_kernel"] = kernel_active()
         if self.memory:
             self.root.attrs["peak_rss_bytes"] = peak_rss_bytes()
         return {

@@ -1,11 +1,10 @@
-"""Process executor: cross-executor determinism, fault isolation, fast RO.
+"""Process executor: cross-executor determinism, fault isolation.
 
 The contract under test (docs/PROTOCOLS.md §13): ``executor`` is a local
 knob like ``workers`` — sequential, thread-pool and process-pool
 execution must produce byte-identical shares and identical per-stream
-transcript totals, over in-memory channels and TCP, traced and untraced,
-and with either mask-compatible RO backend (``siphash`` / ``fast``).  A
-worker process dying mid-round must fail that round cleanly with
+transcript totals, over in-memory channels and TCP, traced and untraced.
+A worker process dying mid-round must fail that round cleanly with
 ``ProtocolError`` and leave no orphaned processes.
 """
 
@@ -21,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.triplets import TripletConfig
-from repro.crypto.hash_ro import get_ro, sha256_ro, siphash_ro
-from repro.errors import ChannelError, ConfigError, CryptoError, ProtocolError
+from repro.crypto.hash_ro import siphash_ro
+from repro.errors import ChannelError, ConfigError, ProtocolError
 from repro.exec import (
     ShardPlan,
     ShmBundle,
@@ -215,82 +214,6 @@ class TestCrossExecutorDeterminism:
     def test_executor_validated(self):
         with pytest.raises(ConfigError, match="executor"):
             ShardPlan(executor="gpu")
-
-
-# --------------------------------------------------------------------- #
-# RO backend equivalence: fast == siphash, byte for byte
-# --------------------------------------------------------------------- #
-class TestFastRoBackend:
-    @pytest.mark.parametrize("shape,width", [
-        ((7, 3), 1), ((5, 4, 5), 16), ((1, 1), 4), ((33, 2, 6), 3),
-    ])
-    def test_fast_matches_siphash(self, shape, width):
-        rows = np.random.default_rng(9).integers(
-            0, 1 << 63, size=shape, dtype=np.uint64
-        )
-        fast_ro = get_ro("fast")
-        for domain in (0, 1, 77):
-            assert np.array_equal(
-                fast_ro.mask(rows, width, domain),
-                siphash_ro.mask(rows, width, domain),
-            )
-
-    def test_numpy_fallback_matches_native(self):
-        from repro.crypto import fastro
-
-        rows = np.random.default_rng(3).integers(
-            0, 1 << 63, size=(19, 5), dtype=np.uint64
-        )
-        want = fastro._numpy_expand(
-            np.ascontiguousarray(rows), 8, 2
-        )
-        assert np.array_equal(fastro.prf_expand_fast(rows, 8, 2), want)
-
-    def test_registry_resolves_and_rejects(self):
-        assert get_ro("sha256") is sha256_ro
-        assert get_ro("siphash") is siphash_ro
-        assert get_ro("fast").name == "siphash24-fast"
-        assert get_ro("default") is siphash_ro
-        with pytest.raises(CryptoError, match="unknown random-oracle"):
-            get_ro("md5")
-
-    def test_protocol_identical_across_ro_backends(self, test_group):
-        """siphash one side, fast the other: same shares, same transcripts."""
-        w, r = _triplet_inputs(_triplet_config(test_group, m=6, n=5, o=2))
-        results = {}
-        for name in ("siphash", "fast"):
-            config = _triplet_config(test_group, ro=get_ro(name), m=6, n=5, o=2)
-            plan = ShardPlan(shards=2, workers=2, chunk_ots=64)
-            results[name] = _run_parallel(
-                config, w, r, plan, make_channel_pair(timeout_s=60.0)
-            )
-        u_a, v_a, stats_a = results["siphash"]
-        u_b, v_b, stats_b = results["fast"]
-        assert (u_a == u_b).all() and (v_a == v_b).all()
-        for side in ("server", "client"):
-            assert stats_a[side]["stream_totals"] == stats_b[side]["stream_totals"]
-
-    def test_sha256_backend_still_reference(self):
-        """The batched sha256 backend matches the per-row reference loop."""
-        import hashlib
-
-        rows = np.random.default_rng(4).integers(
-            0, 1 << 63, size=(6, 3), dtype=np.uint64
-        )
-        out_words, domain = 5, 9
-        got = sha256_ro.mask(rows, out_words, domain)
-        for i, row in enumerate(rows):
-            stream = b""
-            counter = 0
-            while len(stream) < out_words * 8:
-                h = hashlib.sha256()
-                h.update(domain.to_bytes(8, "little"))
-                h.update(counter.to_bytes(8, "little"))
-                h.update(row.tobytes())
-                stream += h.digest()
-                counter += 1
-            want = np.frombuffer(stream[: out_words * 8], dtype=np.uint64)
-            assert np.array_equal(got[i], want)
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,27 @@
-"""Random-oracle backends and the PRG."""
+"""The random oracles and the PRG."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.crypto.hash_ro import sha256_ro, siphash_ro
+from repro import mnist_mlp, quantize_model, secure_predict
+from repro.core.triplets import TripletConfig
+from repro.crypto import fastro
+from repro.crypto.hash_ro import RandomOracle, default_ro, sha256_ro, siphash_ro
 from repro.crypto.prg import BatchPrg, Prg, expand_to_bits
+from repro.crypto.siphash import prf_expand
 from repro.errors import CryptoError
+from repro.exec import ShardPlan, parallel_triplets_client, parallel_triplets_server
+from repro.net.channel import make_channel_pair
+from repro.quant.fragments import FragmentScheme
 from repro.utils.bits import pack_bits_to_words
+from repro.utils.ring import Ring
+
+from tests.test_exec_parallel import _both
+
+#: The numpy reference as an oracle of its own, for a party without the kernel.
+reference_ro = RandomOracle("siphash24-ref", prf_expand)
 
 
 class TestRandomOracles:
@@ -36,6 +51,16 @@ class TestRandomOracles:
         with pytest.raises(CryptoError):
             siphash_ro.mask(np.zeros((1, 2), dtype=np.uint64), 0)
 
+    @pytest.mark.parametrize("domain", [-1, 2**32, 2**32 + 3])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "reference"])
+    def test_invalid_domain(self, domain, kernel, monkeypatch):
+        # The counter word is j | domain << 32: a wider domain would alias.
+        if not kernel:
+            monkeypatch.setattr(fastro, "_kernel", False)
+        for ro in (siphash_ro, sha256_ro):
+            with pytest.raises(CryptoError, match="domain"):
+                ro.mask(np.zeros((1, 2), dtype=np.uint64), 2, domain)
+
     def test_hash_bytes_lengths(self):
         out = sha256_ro.hash_bytes(b"seed", 100)
         assert len(out) == 100
@@ -48,6 +73,77 @@ class TestRandomOracles:
         # Sanity: the two backends are different functions.
         rows = rng.integers(0, 1 << 63, size=(2, 2), dtype=np.uint64)
         assert (sha256_ro.mask(rows, 2) != siphash_ro.mask(rows, 2)).any()
+
+    def test_sha256_backend_still_reference(self):
+        """The batched sha256 backend matches the per-row reference loop."""
+        rows = np.random.default_rng(4).integers(0, 1 << 63, size=(6, 3), dtype=np.uint64)
+        out_words, domain = 5, 9
+        got = sha256_ro.mask(rows, out_words, domain)
+        for i, row in enumerate(rows):
+            stream = b""
+            counter = 0
+            while len(stream) < out_words * 8:
+                h = hashlib.sha256()
+                h.update(domain.to_bytes(8, "little"))
+                h.update(counter.to_bytes(8, "little"))
+                h.update(row.tobytes())
+                stream += h.digest()
+                counter += 1
+            want = np.frombuffer(stream[: out_words * 8], dtype=np.uint64)
+            assert np.array_equal(got[i], want)
+
+
+class TestOneSipHashOracle:
+    """Kernel and numpy reference are one function: parties may differ."""
+
+    def test_one_object_under_every_name(self):
+        assert fastro.fast_ro is siphash_ro is default_ro
+        assert default_ro.name == "siphash24"
+
+    def test_protocol_identical_across_ro_backends(self, test_group):
+        """Kernel on the server, reference on the client: the shares and
+        per-stream totals of the run where both hash through the kernel."""
+        ring, scheme = Ring(16), FragmentScheme.from_bits((2, 2))
+        rng = np.random.default_rng(5)
+        w = rng.integers(*scheme.weight_range, size=(6, 5), dtype=np.int64, endpoint=True)
+        r = ring.sample(rng, (5, 2))
+        plan = ShardPlan(shards=2, workers=2, chunk_ots=64)
+
+        def run(client_ro):
+            def config(ro):
+                return TripletConfig(
+                    ring=ring, scheme=scheme, m=6, n=5, o=2, group=test_group, ro=ro
+                )
+
+            stats = {"server": {}, "client": {}}
+            u, v = _both(
+                lambda chan: parallel_triplets_server(
+                    chan, w, config(siphash_ro), plan, seed=21, stats_out=stats["server"]
+                ),
+                lambda chan: parallel_triplets_client(
+                    chan, r, config(client_ro), plan, seed=22, stats_out=stats["client"]
+                ),
+                make_channel_pair(timeout_s=60.0),
+            )
+            return u, v, stats
+
+        u_a, v_a, stats_a = run(siphash_ro)
+        u_b, v_b, stats_b = run(reference_ro)
+        assert (u_a == u_b).all() and (v_a == v_b).all()
+        assert (ring.add(u_a, v_a) == ring.matmul(ring.reduce(w), r)).all()
+        for side in ("server", "client"):
+            assert stats_a[side]["stream_totals"] == stats_b[side]["stream_totals"]
+
+    def test_secure_predict_identical_under_forced_fallback(self, test_group, monkeypatch):
+        model = mnist_mlp(hidden=8, input_dim=16, classes=4)
+        qmodel = quantize_model(model, FragmentScheme.from_bits((2, 2)), Ring(32))
+        x = np.random.default_rng(0).random((2, 16))
+        kernel = secure_predict(qmodel, x, group=test_group, seed=0)
+        monkeypatch.setattr(fastro, "_kernel", False)
+        fallback = secure_predict(qmodel, x, group=test_group, seed=0)
+        assert (kernel.logits_int == fallback.logits_int).all()
+        assert (kernel.total_bytes, kernel.rounds) == (fallback.total_bytes, fallback.rounds)
+        assert fallback.client_trace["root"]["attrs"]["ro_kernel"] is False
 
 
 class TestPrg:

@@ -1,10 +1,18 @@
-"""Vectorized SipHash-2-4 against an independent scalar reference."""
+"""Vectorized SipHash-2-4 against an independent scalar reference, and
+the compiled kernel against the vectorized code."""
+
+import os
+import shutil
+import stat
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.crypto import fastro
 from repro.crypto.siphash import FIXED_KEY, prf_expand, siphash24
 from repro.errors import CryptoError
+from repro.perf.trace import Tracer
 
 MASK = (1 << 64) - 1
 
@@ -110,3 +118,99 @@ class TestPrfExpand:
     def test_invalid_out_words(self):
         with pytest.raises(CryptoError):
             prf_expand(np.zeros((1, 1), dtype=np.uint64), 0)
+
+
+# --------------------------------------------------------------------- #
+# the compiled kernel (repro.crypto.fastro) against this reference
+# --------------------------------------------------------------------- #
+needs_compiler = pytest.mark.skipif(
+    not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")),
+    reason="no C compiler: the kernel cannot be built here",
+)
+
+_ROWS = np.random.default_rng(9).integers(0, 1 << 63, size=4096 * 17, dtype=np.uint64)
+
+
+def _rows(*shape):
+    return _ROWS[: int(np.prod(shape))].reshape(shape)
+
+
+@pytest.fixture
+def fresh_probe(monkeypatch, tmp_path):
+    """Re-run the once-per-process kernel probe against an empty cache."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(fastro, "_kernel", None)
+    return tmp_path / f"abnn2-{os.getuid()}"
+
+
+class TestKernel:
+    @needs_compiler
+    @pytest.mark.parametrize("domain", [0, 1, 2**32 - 1])
+    @pytest.mark.parametrize("shape,width", [
+        ((7, 3), 1), ((5, 4, 5), 16), ((1, 1), 4), ((33, 2, 6), 3),  # ragged leads
+        ((0, 3), 2), ((2, 0, 3), 2),  # no rows
+        ((9, 1), 17), ((4, 2, 1), 5),  # one-word rows
+        ((4096, 3), 2),  # past _GIL_HELD_WORDS: the GIL-releasing entry point
+    ])
+    def test_kernel_matches_reference(self, shape, width, domain):
+        assert fastro.kernel_active()
+        rows = _rows(*shape)
+        got = fastro.expand(rows, width, domain)
+        assert got.shape == shape[:-1] + (width,)
+        assert np.array_equal(got, prf_expand(rows, width, domain))
+
+    @needs_compiler
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_kernel_matches_reference_across_a_row_block(self, width, monkeypatch):
+        """Row counts one short of, at, and one past a block boundary."""
+        assert fastro.kernel_active()
+        monkeypatch.setattr(fastro, "_ROW_BLOCK_WORDS", 64 * width)
+        for n_rows in (63, 64, 65, 129):
+            rows = _rows(n_rows, 5)
+            assert np.array_equal(fastro.expand(rows, width, 3), prf_expand(rows, width, 3))
+
+    @needs_compiler
+    def test_forced_fallback_matches_kernel(self, monkeypatch):
+        rows = _rows(19, 4, 5)
+        monkeypatch.setattr(fastro, "_ROW_BLOCK_WORDS", 8 * 30)  # several blocks
+        kernel = fastro.expand(rows, 8, 2)
+        monkeypatch.setattr(fastro, "_kernel", False)
+        assert not fastro.kernel_active()
+        assert np.array_equal(fastro.expand(rows, 8, 2), kernel)
+
+    @needs_compiler
+    def test_cache_is_private_and_reused(self, fresh_probe):
+        assert fastro.kernel_active()
+        assert stat.S_IMODE(fresh_probe.stat().st_mode) == 0o700
+        (so_path,) = fresh_probe.iterdir()  # no .c / .tmp left behind
+        built = so_path.stat().st_mtime_ns
+        fastro._kernel = None
+        assert fastro.kernel_active() and so_path.stat().st_mtime_ns == built
+
+    @needs_compiler
+    @pytest.mark.parametrize("planted", ["directory", "so"])
+    def test_untrusted_cache_is_not_loaded(self, fresh_probe, planted):
+        """A cache anyone else could have written falls back to the reference."""
+        rows = _rows(11, 5)
+        want = fastro.expand(rows, 4, 1)
+        assert fastro.kernel_active()
+        (so_path,) = fresh_probe.iterdir()
+        (fresh_probe if planted == "directory" else so_path).chmod(0o777)
+        fastro._kernel = None
+        with pytest.warns(RuntimeWarning, match="SipHash kernel unavailable"):
+            assert not fastro.kernel_active()
+        assert np.array_equal(fastro.expand(rows, 4, 1), want)
+
+    def test_fallback_warns_once_and_the_trace_says_so(self, fresh_probe, monkeypatch):
+        """No compiler on PATH: one warning per process, ``ro_kernel: false``."""
+        monkeypatch.setenv("PATH", str(fresh_probe))
+        rows = _rows(6, 2)
+        with pytest.warns(RuntimeWarning) as caught:
+            got = fastro.expand(rows, 3, 0)
+            fastro.expand(rows, 3, 0)
+            assert Tracer().to_dict()["root"]["attrs"]["ro_kernel"] is False
+        assert len(caught) == 1
+        assert np.array_equal(got, prf_expand(rows, 3, 0))
+
+    def test_trace_header_names_the_active_path(self):
+        assert Tracer().to_dict()["root"]["attrs"]["ro_kernel"] is fastro.kernel_active()
