@@ -17,8 +17,8 @@ Two parts, one gate set:
 
 * **Part B — per-layer RSS ceilings.**  Every conv layer of the
   full-size network runs its server-side linear pass twice in a fresh
-  child process (:func:`repro.exec.procpool.run_in_process`): once
-  materializing the whole lowered patch matrix, once streaming it in
+  child process (:func:`_run_in_fresh_child`): once materializing the
+  whole lowered patch matrix, once streaming it in
   ``CHUNK``-column blocks against a blocked ``U``
   (:class:`repro.core.triplets.BlockedShare`).  The child resets the
   kernel RSS high-water mark (:func:`repro.perf.trace.reset_peak_rss`)
@@ -47,8 +47,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,6 @@ from repro.core.matmul import SecureMatmulServer
 from repro.core.protocol import secure_predict
 from repro.core.triplets import BlockedShare, TripletConfig
 from repro.crypto.group import MODP_TEST
-from repro.exec.procpool import run_in_process
 from repro.net.netsim import LAN, WAN_QUOTIENT, WAN_SECUREML
 from repro.nn.lowering import Im2colSpec, column_blocks, lower_shares, lower_shares_block
 from repro.nn.model import vgg_imagenet
@@ -203,13 +204,21 @@ def layer_comm_rows(trace: dict) -> list[dict]:
 # --------------------------------------------------------------------- #
 # Part B: per-layer RSS legs (child process workers)
 # --------------------------------------------------------------------- #
-def _layer_rss_worker(chan, payload):
+def _run_in_fresh_child(worker, payload):
+    """``worker(payload)`` in its own process, so each leg starts from a
+    clean RSS history and one leg's peak cannot hide in another's."""
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        return pool.submit(worker, payload).result()
+
+
+def _layer_rss_worker(payload):
     """Run one conv layer's server linear pass and report its RSS delta.
 
-    Self-contained (the channel is never touched): builds the weights,
-    activation share and banked ``U`` first, resets the kernel RSS
-    high-water mark, then runs the pass — so the measured peak is the
-    transient working set of lowering + matmul alone.
+    Self-contained: builds the weights, activation share and banked
+    ``U`` first, resets the kernel RSS high-water mark, then runs the
+    pass — so the measured peak is the transient working set of
+    lowering + matmul alone.
     """
     ring = Ring(payload["ring_bits"])
     spec = Im2colSpec(
@@ -234,7 +243,7 @@ def _layer_rss_worker(chan, payload):
         o=total,
         group=MODP_TEST,
     )
-    engine = SecureMatmulServer(chan, w, config)
+    engine = SecureMatmulServer(None, w, config)  # preloaded U: no channel use
     # Both legs must consume the *same* U so their outputs are
     # byte-comparable; the chunked leg re-slices it into bank blocks
     # (all of this is pre-reset baseline, not measured working set).
@@ -299,7 +308,7 @@ def run_memory_legs(geom: dict, chunk: int, slack: int) -> tuple[list[dict], lis
                 chunk_cols=leg_chunk,
                 seed=SEED + 9,
             )
-            legs[leg_name] = run_in_process(_layer_rss_worker, payload)
+            legs[leg_name] = _run_in_fresh_child(_layer_rss_worker, payload)
 
         row = {
             "layer": layer["name"],

@@ -89,29 +89,18 @@ def cmd_serve(args) -> int:
     import os
 
     from repro.crypto.fastro import kernel_active
-    from repro.serve import PredictionServer, ShardedTripletBank, TripletBank
+    from repro.serve import PredictionServer, TripletBank
 
-    executor = args.executor or os.environ.get("ABNN2_EXECUTOR", "thread")
     qmodel = load_model(args.model)
-    bank_cls = TripletBank
-    bank_kwargs = {}
-    if args.bank_shards > 1:
-        bank_cls = ShardedTripletBank
-        bank_kwargs["shards"] = args.bank_shards
-    bank = bank_cls(
+    bank = TripletBank(
         qmodel,
         args.batch,
         capacity=max(args.rounds, 1),
         auto_replenish=args.replenish,
         seed=args.seed,
         workers=args.workers,
-        executor=executor,
-        **bank_kwargs,
     )
-    # A sharded bank persists to <path>.shard<i>, one bundle per shard.
-    if args.bank and (
-        os.path.exists(args.bank) or os.path.exists(f"{args.bank}.shard0")
-    ):
+    if args.bank and os.path.exists(args.bank):
         loaded = bank.load(args.bank)
         print(f"loaded {loaded} banked round(s) from {args.bank} (offline phase skipped)")
     deficit = args.rounds - bank.depth
@@ -136,21 +125,11 @@ def cmd_serve(args) -> int:
         session_timeout_s=args.timeout,
         trace_dir=args.trace_dir,
         seed=args.seed,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
-        max_queued=args.max_queued,
-        min_bank_depth=args.min_bank_depth,
-    )
-    batching = (
-        f"batch_window={args.batch_window_ms}ms batch_max={args.batch_max}"
-        if server.scheduler is not None
-        else "off"
     )
     print(
         f"listening on {server.host}:{server.port} "
         f"(batch={args.batch}, max_sessions={args.max_sessions}, "
-        f"bank depth={bank.depth}, shards={args.bank_shards}, "
-        f"batching={batching}, ro_kernel={kernel_active()})..."
+        f"bank depth={bank.depth}, ro_kernel={kernel_active()})..."
     )
     try:
         server.serve_forever(max_total_sessions=args.exit_after)
@@ -175,16 +154,10 @@ def cmd_serve(args) -> int:
         f"{metrics['predictions']} prediction(s).  The predictions belong "
         "to the clients; this side saw only shares."
     )
-    sched = metrics.get("scheduler")
-    if sched is not None:
+    if metrics["bank"]["replenish_errors"]:
         print(
-            f"batching: {sched['batched']} session-round(s) in "
-            f"{sched['batched_rounds']} wide round(s), "
-            f"max width {sched['batch_width_max']}, "
-            f"p95 wait {sched['p95_wait_ms']:.1f} ms, "
-            f"denied (queue/bank/exhausted)="
-            f"{sched['denied_queue_depth']}/{sched['denied_bank_depth']}/"
-            f"{sched['denied_exhausted']}"
+            f"replenisher: {metrics['bank']['replenish_errors']} failed "
+            f"generation(s), last: {metrics['bank']['last_replenish_error']}"
         )
     return 0
 
@@ -378,37 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="offline generation workers (round material is worker-count "
         "independent for a fixed --seed)",
-    )
-    p.add_argument(
-        "--executor", default=None, choices=("thread", "process"),
-        help="offline generation executor: 'thread' shares the serving "
-        "process's GIL, 'process' runs each round's self-play in a worker "
-        "process (default: $ABNN2_EXECUTOR or thread)",
-    )
-    p.add_argument(
-        "--batch-window-ms", type=float, default=None,
-        help="enable cross-session batching: hold granted rounds up to "
-        "this long and run them as one wide online round "
-        "(default: off, or 10 ms when $ABNN2_SERVE_BATCH is set)",
-    )
-    p.add_argument(
-        "--batch-max", type=int, default=8,
-        help="maximum sessions coalesced into one wide round",
-    )
-    p.add_argument(
-        "--bank-shards", type=int, default=1,
-        help="stripe the triplet bank across this many independently "
-        "replenished shards (each gets its own replenisher thread)",
-    )
-    p.add_argument(
-        "--max-queued", type=int, default=64,
-        help="admission control: deny a round (clean ctrl-plane deny) "
-        "when this many requests are already queued for batching",
-    )
-    p.add_argument(
-        "--min-bank-depth", type=int, default=0,
-        help="admission control: deny new rounds while the bank holds "
-        "fewer than this many offline rounds",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -12,18 +12,13 @@ the sequential round structure (``streamable``).
 Both parties walk the same plan in declaration order (the chain is its
 own topological order; :meth:`LayerGraphPlan.validate` pins that every
 dependency is produced by an earlier node), dispatching per node kind.
-The payoff of the explicit form:
-
-* **Pipelining** — a ``streamable`` ReLU node's garbled tables depend
-  only on *offline* material (the client's ``V`` share and its fresh
-  ``z1``), so a background garbler can stream them on the node's own
-  :class:`~repro.net.mux.ChannelMux` stream while earlier layers are
-  still in flight on the main stream.  Only the per-layer label OT —
-  whose choice bits are online data — stays on the sequential path.
-* **Scheduling** — the serving layer's wide rounds
-  (:class:`~repro.core.protocol.WideServerRound`) iterate the same
-  plan's linear nodes, so batching and pipelining agree on layer
-  structure by construction.
+The payoff of the explicit form is **pipelining**: a ``streamable`` ReLU
+node's garbled tables depend only on *offline* material (the client's
+``V`` share and its fresh ``z1``), so a background garbler can stream
+them on the node's own :class:`~repro.net.mux.ChannelMux` stream while
+earlier layers are still in flight on the main stream.  Only the
+per-layer label OT — whose choice bits are online data — stays on the
+sequential path.
 
 Sequential mode (``pipelined=False``) produces a plan whose every node
 runs on the main channel in today's order — the executor then emits a
@@ -63,9 +58,9 @@ class PlanNode:
     garbled and transferred ahead of the round structure.
 
     ``backend`` (linear nodes) records which lowering the layer's secure
-    product uses — ``"im2col"`` or ``"winograd"`` — so every executor
-    (sequential, pipelined, wide) resolves the same choice from the plan
-    rather than re-deriving it.
+    product uses — ``"im2col"`` or ``"winograd"`` — so both drivers
+    (sequential, pipelined) resolve the same choice from the plan rather
+    than re-deriving it.
     """
 
     name: str

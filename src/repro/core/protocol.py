@@ -34,7 +34,7 @@ from repro.core.pipeline import (
 from repro.core.plan import MAIN_STREAM, LayerGraphPlan, build_plan
 from repro.core.pooling import avgpool_share, maxpool_client, maxpool_server
 from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
-from repro.core.triplets import BlockedShare, TripletConfig
+from repro.core.triplets import TripletConfig
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ChannelError, ConfigError, ProtocolError
@@ -179,9 +179,9 @@ def layer_triplet_config(
 ) -> TripletConfig:
     """The offline triplet configuration for one linear layer.
 
-    Shared by the per-party executors and :class:`WideServerRound` so
-    the grouped winograd shape (``groups=16``, transformed-weight OT
-    scheme) can never diverge between the solo and batched paths.
+    One definition for both parties and the dealer, so the grouped
+    winograd shape (``groups=16``, transformed-weight OT scheme) can
+    never diverge between them.
     """
     return TripletConfig(
         ring=ring,
@@ -364,12 +364,11 @@ def server_linear_share(ring, layer, meta: LayerMeta, engine, share0) -> np.ndar
     """The server's linear-node math: ``W <z>_0 + U + b`` with lowering,
     lifting, and (winograd) the exact share-local division by 4.
 
-    Shared by the sequential/pipelined executors
-    (:meth:`Abnn2Server._linear_layer`) and the batched
-    :meth:`WideServerRound.linear` so the chunked im2col loop — driven by
-    the conv spec's ``chunk_cols`` — can never diverge between paths.
-    ``share0``'s column count is the effective batch (wide rounds pass
-    the stacked multi-client operand).  Truncation stays with the caller.
+    Shared by the sequential and pipelined drivers
+    (:meth:`Abnn2Server._linear_layer`) so the chunked im2col loop —
+    driven by the conv spec's ``chunk_cols`` — can never diverge between
+    them.  ``share0``'s column count is the batch.  Truncation stays with
+    the caller.
     """
     if meta.backend == "winograd":
         wspec = meta.wino
@@ -969,185 +968,6 @@ class Abnn2Client(_PartyBase):
                 worker.join(timeout=mux.timeout_s + 1.0)
             main.tracer = None
             self.chan.tracer = saved_tracer
-
-
-# --------------------------------------------------------------------- #
-# wide rounds: one server-side compute over many clients' columns
-# --------------------------------------------------------------------- #
-def stack_columns(blocks: list) -> np.ndarray:
-    """Concatenate per-client column blocks into one wide operand.
-
-    Accepts plain arrays or :class:`~repro.core.triplets.BlockedShare`
-    entries (dealer-banked material) — the wide round's stacked ``U`` is
-    one allocation either way, which is the batching trade: a wide round
-    holds ``width`` clients' material at once by design.
-    """
-    if not blocks:
-        raise ConfigError("cannot stack zero column blocks")
-    return np.concatenate(
-        [
-            np.asarray(b.materialize() if isinstance(b, BlockedShare) else b)
-            for b in blocks
-        ],
-        axis=1,
-    )
-
-
-def split_columns(wide: np.ndarray, widths: list[int]) -> list[np.ndarray]:
-    """Inverse of :func:`stack_columns` for the given per-block widths."""
-    if wide.shape[1] != sum(widths):
-        raise ConfigError(
-            f"wide array has {wide.shape[1]} columns, blocks claim {sum(widths)}"
-        )
-    out = []
-    start = 0
-    for width in widths:
-        out.append(wide[:, start : start + width])
-        start += width
-    return out
-
-
-class WideServerRound:
-    """Server-side compute of one *batched* online round over ``width``
-    clients' columns.
-
-    Every column-local step of :meth:`Abnn2Server.online` — the linear
-    layers (``W <Z>_0 + U + b``), im2col lowering/lifting, share-local
-    truncation, and average pooling — commutes with stacking per-client
-    batches as extra columns, because ``lower_shares``/``lift_output``
-    order columns image-major (each client's images stay a contiguous
-    column block).  So one wide matmul over the concatenation of ``width``
-    banked rounds produces, per client, *bit-identical* shares to the solo
-    round it would have run with the same material.
-
-    What does **not** commute is anything interactive per client: the GC
-    ReLU (each client garbles with its own keys) and max-pool resharing.
-    The caller (:class:`repro.serve.scheduler.BatchScheduler`) therefore
-    runs those on per-client session threads and only funnels the
-    column-local math through this class:
-
-    * :meth:`start` with each client's input share ``<x>_0``;
-    * :meth:`linear` computes the next linear layer wide (plus truncation
-      on hidden layers) and returns per-client blocks;
-    * after the per-client ReLU (and any max-pool reshare), feed the
-      per-client activation shares back via :meth:`resume` — average
-      pooling, being share-local, is applied wide in here;
-    * when :attr:`complete`, the last :meth:`linear` blocks are each
-      client's logit share, ready to send on its own channel.
-
-    No channel is touched: this class is pure local compute, which is
-    what makes it safe to run under a scheduler barrier while the session
-    threads own all per-client I/O.
-    """
-
-    def __init__(
-        self,
-        model: QuantizedModel,
-        us_per_client: list[list[np.ndarray]],
-        batch: int,
-        *,
-        group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
-    ) -> None:
-        if not us_per_client:
-            raise ConfigError("a wide round needs at least one client")
-        if batch < 1:
-            raise ConfigError("batch must be positive")
-        self.model = model
-        self.meta = ModelMeta.from_model(model)
-        self.ring = Ring(self.meta.ring_bits)
-        self.batch = batch
-        self.width = len(us_per_client)
-        self.wide_batch = batch * self.width
-        self.n_layers = len(model.layers)
-        # The same layer-graph plan the per-client executors walk: the
-        # wide round advances one linear node per :meth:`linear` call, so
-        # batching and pipelining agree on layer structure by construction.
-        self.plan = build_plan(self.meta, pipelined=False)
-        self._linear_nodes = self.plan.linear_nodes
-        self._matmuls: list[SecureMatmulServer] = []
-        for idx, layer in enumerate(model.layers):
-            meta = self.meta.layers[idx]
-            config = layer_triplet_config(
-                self.ring, meta, self.wide_batch, group=group, ro=ro
-            )
-            engine = SecureMatmulServer(None, _matmul_weights(layer, meta), config)
-            # A client's U covers batch*multiplier columns; clients'
-            # images are contiguous in the image-major wide layout, so
-            # concatenation in client order *is* the wide U.
-            engine.preload(
-                stack_columns([us[idx] for us in us_per_client])
-            )
-            self._matmuls.append(engine)
-        self._operand: np.ndarray | None = None
-        self._layer = 0
-
-    @property
-    def complete(self) -> bool:
-        """True once the final linear layer has been computed."""
-        return self._layer >= len(self._linear_nodes)
-
-    def _split(self, wide: np.ndarray) -> list[np.ndarray]:
-        return split_columns(wide, [self.batch] * self.width)
-
-    def start(self, x0_blocks: list[np.ndarray]) -> None:
-        """Install each client's input share ``<x>_0`` (features, batch)."""
-        if len(x0_blocks) != self.width:
-            raise ConfigError(
-                f"wide round spans {self.width} clients, got {len(x0_blocks)} inputs"
-            )
-        expected = (self.meta.layers[0].in_features, self.batch)
-        for block in x0_blocks:
-            if np.asarray(block).shape != expected:
-                raise ConfigError(
-                    f"expected input share of shape {expected}, "
-                    f"got {np.asarray(block).shape}"
-                )
-        self._operand = self.ring.reduce(stack_columns(x0_blocks))
-        self._layer = 0
-
-    def linear(self) -> list[np.ndarray]:
-        """Compute the next linear layer wide; returns per-client blocks.
-
-        Hidden layers come back truncated (ready for the per-client
-        ReLU); the final layer's blocks are the untruncated logit shares,
-        exactly as :meth:`Abnn2Server.online` would send them.
-        """
-        if self._operand is None:
-            raise ProtocolError("wide round has no pending operand")
-        if self.complete:
-            raise ProtocolError("wide round already computed all layers")
-        idx = self._linear_nodes[self._layer].layer
-        layer = self.model.layers[idx]
-        meta = self.meta.layers[idx]
-        share0, self._operand = self._operand, None
-        # Lowering/lifting orders columns image-major, and the wide
-        # layout keeps each client's images contiguous, so the shared
-        # (chunked) linear math is bit-identical to the solo rounds
-        # (same banked U).
-        y0 = server_linear_share(self.ring, layer, meta, self._matmuls[idx], share0)
-        if idx < self.n_layers - 1:
-            y0 = truncate_share(self.ring, y0, layer.truncate_bits, party=0)
-        self._layer += 1
-        return self._split(y0)
-
-    def resume(self, z0_blocks: list[np.ndarray]) -> None:
-        """Feed back per-client activation shares after the interactive
-        steps: post-ReLU shares (or post-reshare blocks where the layer
-        max-pools).  Share-local average pooling is applied wide here."""
-        if self.complete:
-            raise ProtocolError("wide round already computed all layers")
-        if self._layer == 0:
-            raise ProtocolError("resume before the first linear layer")
-        if len(z0_blocks) != self.width:
-            raise ConfigError(
-                f"wide round spans {self.width} clients, got {len(z0_blocks)} blocks"
-            )
-        layer = self.model.layers[self._linear_nodes[self._layer - 1].layer]
-        share0 = self.ring.reduce(stack_columns(z0_blocks))
-        if layer.pool is not None and layer.pool.kind == "avg":
-            share0 = avgpool_share(self.ring, layer.pool, share0, party=0)
-        self._operand = share0
 
 
 # --------------------------------------------------------------------- #

@@ -37,8 +37,3 @@ class HandshakeError(ChannelError):
 class QuantizationError(ReproError, ValueError):
     """A value or model cannot be represented in the requested quantized form."""
 
-
-class AdmissionDenied(ProtocolError):
-    """The serving layer refused a round before any protocol bytes flowed
-    (queue backpressure, bank-depth threshold, or exhaustion) — the peer
-    receives a structured deny on the control plane, never a desync."""

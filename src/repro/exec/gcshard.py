@@ -8,11 +8,6 @@ independent executions.  Shard ``s`` garbles/evaluates instance block
 (fresh IKNP session, seed spawned per shard, ``session_tag=s``) over mux
 stream ``s``; the evaluator reassembles output bits by concatenating the
 shard blocks in shard order, so results are worker-count independent.
-
-Both executors of :class:`repro.exec.triplets.ShardPlan` apply here:
-``"thread"`` runs shard bodies on pool threads, ``"process"`` ships the
-circuit template + the full input-bit matrix (one shared-memory bundle)
-to worker processes that each slice out their own block.
 """
 
 from __future__ import annotations
@@ -39,71 +34,23 @@ def _shard_blocks(n_inst: int, plan: ShardPlan) -> list[tuple[int, int, int]]:
     return blocks
 
 
-# --------------------------------------------------------------------- #
-# shard bodies: module-level so the process executor can ship them
-# --------------------------------------------------------------------- #
-def _garbler_shard(stream, s, lo, hi, circuit, bits, group, ro, ot_seed, rng):
-    sessions = GcSessions(
-        stream, "garbler", group=group, ro=ro, seed=ot_seed, session_tag=s
-    )
-    run_garbler(stream, circuit, bits[:, lo:hi], hi - lo, sessions, rng, ro)
+def _run_gc_shards(chan, plan: ShardPlan, n_inst: int, shard_body) -> list:
+    """Shared scaffolding: mux + pool + cleanup.
 
-
-def _evaluator_shard(stream, s, lo, hi, circuit, bits, group, ro, ot_seed):
-    sessions = GcSessions(
-        stream, "evaluator", group=group, ro=ro, seed=ot_seed, session_tag=s
-    )
-    return run_evaluator(stream, circuit, bits[:, lo:hi], hi - lo, sessions, ro)
-
-
-def _garbler_shard_entry(chan, payload):
-    from repro.exec.shm import ShmBundle
-
-    bundle = ShmBundle.open(payload["arrays"])
-    try:
-        _garbler_shard(
-            chan, payload["shard"], payload["lo"], payload["hi"],
-            payload["circuit"], bundle.arrays["bits"], payload["group"],
-            payload["ro"], payload["ot_seed"], payload["rng"],
-        )
-    finally:
-        bundle.close()
-
-
-def _evaluator_shard_entry(chan, payload):
-    from repro.exec.shm import ShmBundle
-
-    bundle = ShmBundle.open(payload["arrays"])
-    try:
-        return _evaluator_shard(
-            chan, payload["shard"], payload["lo"], payload["hi"],
-            payload["circuit"], bundle.arrays["bits"], payload["group"],
-            payload["ro"], payload["ot_seed"],
-        )
-    finally:
-        bundle.close()
-
-
-def _run_gc_shards(chan, plan, thread_tasks_of, proc_specs_of, bits):
-    """Shared scaffolding: mux + executor dispatch + cleanup."""
+    ``shard_body(stream, s, lo, hi)`` runs each non-empty instance block
+    over its own mux stream; results come back in shard order.
+    """
     use_async = plan.workers > 1 and plan.async_depth > 0
     mux = ChannelMux(chan, async_depth=plan.async_depth if use_async else 0)
-    bundle = None
+    tasks = [
+        lambda s=s, lo=lo, hi=hi: shard_body(mux.stream(s), s, lo, hi)
+        for s, lo, hi in _shard_blocks(n_inst, plan)
+    ]
     try:
-        if plan.executor == "process":
-            from repro.exec.procpool import run_mux_shards
-            from repro.exec.shm import ShmBundle
-
-            bundle = ShmBundle.create({"bits": bits})
-            parts = run_mux_shards(mux, proc_specs_of(mux, bundle), plan.workers)
-        else:
-            parts = run_sharded(thread_tasks_of(mux), plan.workers, on_error=mux.abort)
+        parts = run_sharded(tasks, plan.workers, on_error=mux.abort)
         mux.flush()
     finally:
         mux.close()
-        if bundle is not None:
-            bundle.close()
-            bundle.unlink()
     return parts
 
 
@@ -125,32 +72,15 @@ def run_garbler_sharded(
             f"{(len(circuit.garbler_inputs), n_inst)}, got {bits.shape}"
         )
     entropy = shard_entropy(seed, plan.shards)
-    blocks = _shard_blocks(n_inst, plan)
 
-    def thread_tasks_of(mux):
-        def make_task(s, lo, hi):
-            def task():
-                ot_seed, rng = entropy[s]
-                _garbler_shard(
-                    mux.stream(s), s, lo, hi, circuit, bits, group, ro, ot_seed, rng
-                )
+    def shard_body(stream, s, lo, hi):
+        ot_seed, rng = entropy[s]
+        sessions = GcSessions(
+            stream, "garbler", group=group, ro=ro, seed=ot_seed, session_tag=s
+        )
+        run_garbler(stream, circuit, bits[:, lo:hi], hi - lo, sessions, rng, ro)
 
-            return task
-
-        return [make_task(s, lo, hi) for s, lo, hi in blocks]
-
-    def proc_specs_of(mux, bundle):
-        return [
-            (s, _garbler_shard_entry, {
-                "shard": s, "lo": lo, "hi": hi, "circuit": circuit,
-                "group": group, "ro": ro,
-                "ot_seed": entropy[s][0], "rng": entropy[s][1],
-                "arrays": bundle.handle(),
-            })
-            for s, lo, hi in blocks
-        ]
-
-    _run_gc_shards(chan, plan, thread_tasks_of, proc_specs_of, bits)
+    _run_gc_shards(chan, plan, n_inst, shard_body)
 
 
 def run_evaluator_sharded(
@@ -166,7 +96,7 @@ def run_evaluator_sharded(
     """Sharded :func:`repro.gc.protocol.run_evaluator` (server side).
 
     Returns ``(n_outputs, n_inst)`` cleartext bits, identical for any
-    worker count and either executor on either side.
+    worker count on either side.
     """
     bits = np.asarray(evaluator_bits, dtype=np.uint8)
     if bits.shape != (len(circuit.evaluator_inputs), n_inst):
@@ -175,29 +105,12 @@ def run_evaluator_sharded(
             f"{(len(circuit.evaluator_inputs), n_inst)}, got {bits.shape}"
         )
     entropy = shard_entropy(seed, plan.shards)
-    blocks = _shard_blocks(n_inst, plan)
 
-    def thread_tasks_of(mux):
-        def make_task(s, lo, hi):
-            def task():
-                ot_seed, _ = entropy[s]
-                return _evaluator_shard(
-                    mux.stream(s), s, lo, hi, circuit, bits, group, ro, ot_seed
-                )
+    def shard_body(stream, s, lo, hi):
+        sessions = GcSessions(
+            stream, "evaluator", group=group, ro=ro, seed=entropy[s][0], session_tag=s
+        )
+        return run_evaluator(stream, circuit, bits[:, lo:hi], hi - lo, sessions, ro)
 
-            return task
-
-        return [make_task(s, lo, hi) for s, lo, hi in blocks]
-
-    def proc_specs_of(mux, bundle):
-        return [
-            (s, _evaluator_shard_entry, {
-                "shard": s, "lo": lo, "hi": hi, "circuit": circuit,
-                "group": group, "ro": ro, "ot_seed": entropy[s][0],
-                "arrays": bundle.handle(),
-            })
-            for s, lo, hi in blocks
-        ]
-
-    parts = _run_gc_shards(chan, plan, thread_tasks_of, proc_specs_of, bits)
+    parts = _run_gc_shards(chan, plan, n_inst, shard_body)
     return np.concatenate(parts, axis=1)

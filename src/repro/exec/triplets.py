@@ -43,30 +43,19 @@ from repro.perf.trace import Tracer
 _U64 = np.uint64
 
 
-#: Executor kinds a :class:`ShardPlan` accepts.
-EXECUTORS = ("thread", "process")
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """How one offline execution is split and scheduled.
 
     ``shards``/``chunk_ots`` are public (both parties must agree);
-    ``workers``/``async_depth``/``executor`` are local.  ``chunk_ots=None``
-    keeps the per-radix chunk size of :meth:`TripletConfig.chunk_size`.
-
-    ``executor="thread"`` runs shard bodies on pool threads in this
-    process (PR 5 behaviour); ``executor="process"`` ships each shard to
-    a worker process via :mod:`repro.exec.procpool`, proxying its mux
-    stream through the parent — same wire bytes, no GIL sharing.  The
-    two parties may pick different executors.
+    ``workers``/``async_depth`` are local.  ``chunk_ots=None`` keeps the
+    per-radix chunk size of :meth:`TripletConfig.chunk_size`.
     """
 
     shards: int = 8
     workers: int = 1
     chunk_ots: int | None = None
     async_depth: int = 2
-    executor: str = "thread"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -77,38 +66,25 @@ class ShardPlan:
             raise ConfigError("chunk_ots must be positive")
         if self.async_depth < 0:
             raise ConfigError("async_depth cannot be negative")
-        if self.executor not in EXECUTORS:
-            raise ConfigError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
 
     def span_bounds(self, total: int, shard: int) -> tuple[int, int]:
         """Contiguous flat-index span of ``shard`` within ``total`` items."""
         return shard * total // self.shards, (shard + 1) * total // self.shards
 
 
-def _run_engine(chan, config: TripletConfig, plan: ShardPlan, shard_body, stats_out,
-                proc_specs=None):
+def _run_engine(chan, plan: ShardPlan, shard_body, stats_out):
     """Common scaffolding: mux, shard tracers, pool, adoption, stats.
 
-    ``shard_body(s, stream)`` drives the thread/sequential path;
-    ``proc_specs`` — ``(tag, worker, payload)`` triples for
-    :func:`repro.exec.procpool.run_mux_shards` — drives the process
-    path when ``plan.executor == "process"``.  Either path produces the
-    same per-stream transcripts and (when traced) the same adopted
-    ``shard{s}`` span trees: process-mode children build their tracer
-    locally and ship it back through the result pipe.
+    ``shard_body(s, stream)`` runs shard ``s`` over its mux stream; when
+    the channel is traced each shard records into its own tracer, adopted
+    as a ``shard{s}`` span tree once the pool has joined.
     """
     use_async = plan.workers > 1 and plan.async_depth > 0
     mux = ChannelMux(chan, async_depth=plan.async_depth if use_async else 0)
     parent_tracer = getattr(chan, "tracer", None)
     trace = parent_tracer is not None
     busy = [0.0] * plan.shards
-    use_process = plan.executor == "process" and proc_specs is not None
-    if use_process:
-        tracers: list = [None] * plan.shards
-    else:
-        tracers = [Tracer(f"shard{s}") if trace else None for s in range(plan.shards)]
+    tracers = [Tracer(f"shard{s}") if trace else None for s in range(plan.shards)]
 
     def make_task(s):
         def task():
@@ -125,24 +101,15 @@ def _run_engine(chan, config: TripletConfig, plan: ShardPlan, shard_body, stats_
     engine_span = None
     if trace:
         engine_span = parent_tracer.start_span(
-            "parallel-offline",
-            shards=plan.shards, workers=plan.workers, executor=plan.executor,
+            "parallel-offline", shards=plan.shards, workers=plan.workers
         )
     t_wall = time.perf_counter()
     try:
-        if use_process:
-            from repro.exec.procpool import run_mux_shards
-
-            results = run_mux_shards(
-                mux, proc_specs, plan.workers,
-                trace=trace, busy_out=busy, tracers_out=tracers,
-            )
-        else:
-            results = run_sharded(
-                [make_task(s) for s in range(plan.shards)],
-                plan.workers,
-                on_error=mux.abort,
-            )
+        results = run_sharded(
+            [make_task(s) for s in range(plan.shards)],
+            plan.workers,
+            on_error=mux.abort,
+        )
         mux.flush()
     finally:
         mux.close()
@@ -150,14 +117,12 @@ def _run_engine(chan, config: TripletConfig, plan: ShardPlan, shard_body, stats_
         occupancy = sum(busy) / (plan.workers * wall) if wall > 0 else 0.0
         if trace:
             for s in range(plan.shards):
-                if tracers[s] is not None:
-                    parent_tracer.adopt(tracers[s], f"shard{s}")
+                parent_tracer.adopt(tracers[s], f"shard{s}")
             engine_span.attrs["pipeline_occupancy"] = round(occupancy, 4)
             parent_tracer.end_span(engine_span)
         if stats_out is not None:
             stats_out.update(
                 wall_s=wall,
-                executor=plan.executor,
                 shard_busy_s=list(busy),
                 pipeline_occupancy=occupancy,
                 stream_totals=mux.stream_totals(),
@@ -166,7 +131,7 @@ def _run_engine(chan, config: TripletConfig, plan: ShardPlan, shard_body, stats_
 
 
 # --------------------------------------------------------------------- #
-# shard bodies: module-level so the process executor can ship them
+# shard bodies
 # --------------------------------------------------------------------- #
 def _server_shard(stream, s, config, plan, ot_seed, groups):
     """Server-side shard body; ``groups`` is ``(n_values, k_count, choices)``."""
@@ -217,39 +182,6 @@ def _client_shard(stream, s, config, plan, ot_seed, rng, groups, r):
     return v_s
 
 
-def _server_shard_entry(chan, payload):
-    """Process-executor entry: attach shared arrays, run the server shard."""
-    from repro.exec.shm import ShmBundle
-
-    bundle = ShmBundle.open(payload["arrays"])
-    try:
-        groups = [
-            (n_values, k_count, bundle.arrays[f"choices{gi}"])
-            for gi, (n_values, k_count) in enumerate(payload["groups"])
-        ]
-        return _server_shard(
-            chan, payload["shard"], payload["config"], payload["plan"],
-            payload["ot_seed"], groups,
-        )
-    finally:
-        bundle.close()
-
-
-def _client_shard_entry(chan, payload):
-    """Process-executor entry: attach shared arrays, run the client shard."""
-    from repro.exec.shm import ShmBundle
-
-    bundle = ShmBundle.open(payload["arrays"])
-    try:
-        return _client_shard(
-            chan, payload["shard"], payload["config"], payload["plan"],
-            payload["ot_seed"], payload["rng"], payload["groups"],
-            bundle.arrays["r"],
-        )
-    finally:
-        bundle.close()
-
-
 def parallel_triplets_server(
     chan,
     w_int: np.ndarray,
@@ -261,8 +193,7 @@ def parallel_triplets_server(
     """Sharded :func:`repro.core.triplets.generate_triplets_server`.
 
     Returns ``U`` of shape ``(m, o)``; byte-identical for any
-    ``plan.workers`` and either ``plan.executor`` given fixed
-    ``seed``/``shards``/``chunk_ots``.
+    ``plan.workers`` given fixed ``seed``/``shards``/``chunk_ots``.
     """
     w = np.asarray(w_int, dtype=np.int64)
     if w.shape != config.w_shape:
@@ -278,29 +209,7 @@ def parallel_triplets_server(
     def shard_body(s, stream):
         return _server_shard(stream, s, config, plan, entropy[s][0], groups)
 
-    bundle = None
-    proc_specs = None
-    if plan.executor == "process":
-        from repro.exec.shm import ShmBundle
-
-        bundle = ShmBundle.create(
-            {f"choices{gi}": arr for gi, (_, _, arr) in enumerate(groups)}
-        )
-        meta = [(n_values, k_count) for n_values, k_count, _ in groups]
-        proc_specs = [
-            (s, _server_shard_entry, {
-                "shard": s, "config": config, "plan": plan,
-                "ot_seed": entropy[s][0], "groups": meta,
-                "arrays": bundle.handle(),
-            })
-            for s in range(plan.shards)
-        ]
-    try:
-        parts = _run_engine(chan, config, plan, shard_body, stats_out, proc_specs)
-    finally:
-        if bundle is not None:
-            bundle.close()
-            bundle.unlink()
+    parts = _run_engine(chan, plan, shard_body, stats_out)
     u = ring.zeros(config.out_shape)
     for part in parts:
         u = ring.add(u, part)
@@ -340,26 +249,7 @@ def parallel_triplets_client(
         ot_seed, rng = entropy[s]
         return _client_shard(stream, s, config, plan, ot_seed, rng, groups, r)
 
-    bundle = None
-    proc_specs = None
-    if plan.executor == "process":
-        from repro.exec.shm import ShmBundle
-
-        bundle = ShmBundle.create({"r": r})
-        proc_specs = [
-            (s, _client_shard_entry, {
-                "shard": s, "config": config, "plan": plan,
-                "ot_seed": entropy[s][0], "rng": entropy[s][1],
-                "groups": groups, "arrays": bundle.handle(),
-            })
-            for s in range(plan.shards)
-        ]
-    try:
-        parts = _run_engine(chan, config, plan, shard_body, stats_out, proc_specs)
-    finally:
-        if bundle is not None:
-            bundle.close()
-            bundle.unlink()
+    parts = _run_engine(chan, plan, shard_body, stats_out)
     v = ring.zeros(config.out_shape)
     for part in parts:
         v = ring.add(v, part)

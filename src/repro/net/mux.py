@@ -314,7 +314,7 @@ class ChannelMux:
     def abort(self, exc: BaseException) -> None:
         """Poison the mux: every pending/future send or recv raises.
 
-        Used by the executors' fail-fast path — when one shard fails,
+        Used by the shard engine's fail-fast path — when one shard fails,
         the surviving shards' recv loops are parked waiting for frames
         that will never arrive, and this is what wakes them: every
         reader *waiting on the recv lock* re-checks ``_error`` each

@@ -238,9 +238,8 @@ def lift_output(spec: Im2colSpec, out_channels: int, product: np.ndarray) -> np.
     """
     prod = np.asarray(product)
     if prod.ndim != 2 or prod.shape[1] == 0:
-        # A zero-width product (a batched round sliced down to no client
-        # columns after an admission deny) must surface as a typed error,
-        # not as a bare reshape failure downstream.
+        # A zero-width product must surface as a typed error, not as a
+        # bare reshape failure downstream.
         raise ConfigError(f"conv product has no columns to lift (shape {prod.shape})")
     if prod.shape[0] != out_channels or prod.shape[1] % spec.n_positions:
         raise ConfigError(f"unexpected conv product shape {prod.shape}")

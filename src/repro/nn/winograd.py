@@ -163,7 +163,7 @@ def lower_tiles(spec: WinogradSpec, activation: np.ndarray, ring: Ring) -> np.nd
     ``(16 * in_channels, batch * n_tiles)``: row ``p * C_in + ci`` holds
     tile position ``p = 4a + b`` of channel ``ci`` (the grouped-triplet
     operand block layout), columns are image-major (all tiles of image 0
-    first) so per-client column blocks stay contiguous for wide rounds.
+    first), matching :func:`repro.nn.lowering.lower_shares`.
 
     All arithmetic is in-ring (uint64 wraparound then mask), so the map
     commutes with additive sharing exactly.

@@ -32,7 +32,6 @@ from repro.net.tcp import Listener, TcpChannel
 from repro.nn.quantize import QuantizedModel
 from repro.perf.trace import Tracer
 from repro.serve.bank import TripletBank
-from repro.serve.scheduler import BatchScheduler
 from repro.serve.session import ServerSession
 
 #: Session ids are assigned from this counter; 0 is reserved for the
@@ -92,10 +91,6 @@ class PredictionServer:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        batch_window_ms: float | None = None,
-        batch_max: int = 8,
-        max_queued: int = 64,
-        min_bank_depth: int = 0,
         channel_wrap=None,
         backlog: int = 16,
     ) -> None:
@@ -117,23 +112,6 @@ class PredictionServer:
         #: (e.g. a :class:`repro.net.netsim.ShapedChannel` for shaped-link
         #: benchmarking, or a fault injector).
         self.channel_wrap = channel_wrap
-        # Cross-session batching: opt in per server, or fleet-wide via
-        # ABNN2_SERVE_BATCH=1 (the CI soak leg) with a default window.
-        if batch_window_ms is None and os.environ.get("ABNN2_SERVE_BATCH"):
-            batch_window_ms = 10.0
-        self.scheduler = (
-            BatchScheduler(
-                bank,
-                window_ms=batch_window_ms,
-                batch_max=batch_max,
-                max_queued=max_queued,
-                min_bank_depth=min_bank_depth,
-                exhaustion_wait_s=exhaustion_wait_s,
-                round_timeout_s=session_timeout_s,
-            )
-            if batch_window_ms is not None
-            else None
-        )
 
         self.listener = Listener(port, host=host, backlog=backlog)
         self.host = self.listener.host
@@ -214,6 +192,13 @@ class PredictionServer:
                     target=self._run_session, args=(sock, record),
                     name=f"abnn2-session-{session_id}", daemon=True,
                 )
+                # Every listed thread was started under this lock, so one
+                # that is not alive has finished: forget it here, or a
+                # long-running server keeps one Thread per session ever
+                # served and stop() walks them all.
+                self._session_threads = [
+                    t for t in self._session_threads if t.is_alive()
+                ]
                 self._session_threads.append(thread)
                 thread.start()
 
@@ -250,7 +235,6 @@ class PredictionServer:
                 group=self.group, ro=self.ro,
                 seed=self._session_seed(record.session_id),
                 tracer=tracer,
-                scheduler=self.scheduler,
             )
             result = session.run()
             record.predictions = result.predictions
@@ -314,9 +298,6 @@ class PredictionServer:
                 "max_sessions": self.max_sessions,
             }
         out["bank"] = self.bank.metrics()
-        out["scheduler"] = (
-            self.scheduler.metrics() if self.scheduler is not None else None
-        )
         return out
 
     def wait_idle(self, timeout_s: float = 30.0) -> None:
@@ -351,10 +332,6 @@ class PredictionServer:
         with self._threads_lock:
             self._stop.set()
         self.listener.close()
-        if self.scheduler is not None:
-            # Release any sessions parked in a batching window so the
-            # join below cannot wait out a whole window per group.
-            self.scheduler.stop()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10.0)
             self._accept_thread = None

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.errors import AdmissionDenied, ChannelError, ConfigError, ProtocolError
+from repro.errors import ChannelError, ConfigError, ProtocolError
 from repro.perf.trace import Tracer
 
 #: Version of the session-layer message flow (independent of the wire
@@ -182,7 +182,6 @@ class ServerSession:
         ro: RandomOracle = default_ro,
         seed: int | None = None,
         tracer: Tracer | None = None,
-        scheduler=None,
     ) -> None:
         self.chan = chan
         self.model = model
@@ -197,10 +196,6 @@ class ServerSession:
         self.ro = ro
         self.seed = seed
         self.tracer = tracer if tracer is not None else Tracer(party="server")
-        #: optional :class:`repro.serve.scheduler.BatchScheduler`; when
-        #: set, bank-mode rounds go through the cross-session batching
-        #: path instead of the solo take+online path.
-        self.scheduler = scheduler
 
     def _deny_hello(self, error: str) -> SessionResult:
         send_ctrl(self.chan, ok=False, error=error)
@@ -283,18 +278,6 @@ class ServerSession:
                     if not self.keep_alive
                     else "session round limit reached",
                 )
-                continue
-            if mode == "bank" and self.scheduler is not None:
-                try:
-                    self.scheduler.serve_round(
-                        party, round_idx=result.predictions
-                    )
-                except AdmissionDenied as exc:
-                    # Same typed grant/deny plane as the solo path: the
-                    # round was refused before any protocol bytes flowed.
-                    send_ctrl(self.chan, ok=False, error=str(exc))
-                    continue
-                result.predictions += 1
                 continue
             if mode == "bank":
                 try:

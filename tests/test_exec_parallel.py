@@ -413,6 +413,97 @@ class TestPool:
 
 
 # --------------------------------------------------------------------- #
+# pool cancellation semantics
+# --------------------------------------------------------------------- #
+class TestPoolCancellation:
+    def test_error_drains_queue_and_attaches_index(self):
+        started = []
+        gate = threading.Event()
+
+        def make(idx):
+            def task():
+                started.append(idx)
+                if idx == 0:
+                    gate.wait(timeout=5.0)
+                    raise ValueError("shard exploded")
+                if idx == 1:
+                    # Let task 0 fail while this one is still in flight.
+                    gate.set()
+                    time.sleep(0.2)
+                return idx
+
+            return task
+
+        with _no_thread_leak(), pytest.raises(ValueError, match="shard exploded") as ei:
+            run_sharded([make(i) for i in range(8)], 2)
+        # The shard index rides on the exception as a note.
+        assert any("shard task 0" in note for note in ei.value.__notes__)
+        # Tasks queued behind the failure never started: the queue was
+        # drained the moment task 0 raised, while task 1 was in flight.
+        assert set(started) <= {0, 1, 2}
+
+    def test_on_error_hook_fires_once_with_original_exception(self):
+        seen = []
+
+        def boom():
+            raise RuntimeError("pow")
+
+        with pytest.raises(RuntimeError, match="pow"):
+            run_sharded([boom, lambda: 1], 2, on_error=seen.append)
+        assert len(seen) == 1 and str(seen[0]) == "pow"
+        # Sequential path fires the hook too.
+        seen.clear()
+        with pytest.raises(RuntimeError, match="pow"):
+            run_sharded([boom], 1, on_error=seen.append)
+        assert len(seen) == 1
+
+    def test_engine_aborts_mux_so_siblings_fail_fast(self):
+        """A poisoned mux wakes parked stream readers within a poll tick.
+
+        Of two concurrent readers, one holds the recv lock and blocks
+        inside the underlying ``chan.recv`` (it surfaces the poison at
+        its next frame or the channel timeout); the *parked* reader
+        polls ``_error`` every 50 ms and must fail fast — far below the
+        30 s stream timeout.  New sends fail immediately.
+        """
+        a, b = make_channel_pair(timeout_s=30.0)
+        mux = ChannelMux(a)
+        box = {}
+
+        def reader(tag):
+            t0 = time.monotonic()
+            try:
+                mux.stream(tag).recv()
+            except ChannelError as exc:
+                box[tag] = (exc, time.monotonic() - t0)
+
+        threads = [
+            threading.Thread(target=reader, args=(tag,), daemon=True)
+            for tag in (0, 1)
+        ]
+        for t in threads:
+            t.start()
+        time.sleep(0.15)
+        mux.abort(RuntimeError("sibling shard failed"))
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not box:
+            time.sleep(0.01)
+        assert box, "no parked reader observed the abort"
+        exc, waited = next(iter(box.values()))
+        assert "sibling shard failed" in str(exc)
+        assert waited < 5.0  # far below the 30 s stream timeout
+        with pytest.raises(ChannelError, match="sibling shard failed"):
+            mux.stream(2).send("x")
+        # Release the lock-holding pumper (blocked in the underlying
+        # recv) by dropping the peer endpoint, then join both readers.
+        b.abort()
+        for t in threads:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in threads), "reader hung"
+        assert len(box) == 2
+
+
+# --------------------------------------------------------------------- #
 # shaped link
 # --------------------------------------------------------------------- #
 class TestShapedChannel:

@@ -1,6 +1,6 @@
 """Pipelined online execution: the layer-graph planner's contract.
 
-The equivalence matrix under test (docs/PROTOCOLS.md §15): pipelining
+The equivalence matrix under test (docs/PROTOCOLS.md §14): pipelining
 with streamed garbling is a *local* execution strategy — for a fixed
 seed the logit shares must be byte-identical to the sequential executor
 across every cell of {in-memory, TCP} x {traced, untraced} x batch

@@ -84,11 +84,9 @@ def x2(qmodel):
 def _bank(qmodel, test_group, *, rounds=0, batch=2, **kwargs):
     kwargs.setdefault("auto_replenish", False)
     kwargs.setdefault("seed", 11)
-    # CI's serve-soak job sets these (workers=2, and a process-executor
-    # leg) so the whole serving suite runs against a parallel replenisher;
-    # material is identical either way.
+    # CI's serve-soak job sets this (workers=2) so the whole serving suite
+    # runs against a parallel replenisher; material is identical either way.
     kwargs.setdefault("workers", int(os.environ.get("ABNN2_SERVE_WORKERS", "1")))
-    kwargs.setdefault("executor", os.environ.get("ABNN2_EXECUTOR", "thread"))
     bank = TripletBank(qmodel, batch, group=test_group, **kwargs)
     if rounds:
         bank.fill(rounds)
@@ -223,17 +221,46 @@ class TestBank:
             assert _deep_equal(one.client_material, two.client_material)
         _assert_no_leaked_serve_threads()
 
-    def test_take_many_partial_grant_and_exhaustion(self, qmodel, test_group):
-        """take_many claims atomically, grants partially from a low bank,
-        and raises the standard typed exhaustion error only when empty."""
+    def test_take_single_use_order_and_exhaustion(self, qmodel, test_group):
+        """take() hands rounds out once each in banking order and raises
+        the standard typed exhaustion error only when empty."""
         bank = _bank(qmodel, test_group, rounds=3)
-        got = bank.take_many(2)
-        assert [r.round_id for r in got] == [0, 1]
-        got = bank.take_many(5)  # partial grant: the bank gives what it has
-        assert [r.round_id for r in got] == [2]
+        assert [bank.take().round_id for _ in range(3)] == [0, 1, 2]
         with pytest.raises(ProtocolError, match="offline material exhausted"):
-            bank.take_many(1)
-        assert bank.metrics()["rounds_served"] == 3
+            bank.take()
+        metrics = bank.metrics()
+        assert metrics["rounds_served"] == 3
+        assert metrics["exhausted_errors"] == 1
+
+    def test_replenisher_failures_are_counted_and_retried(self, qmodel, test_group):
+        """A failing generator must not be silent: the replenisher keeps
+        retrying, and metrics() says how often it failed and why."""
+        bank = TripletBank(
+            qmodel, 2, capacity=2, auto_replenish=True, replenish_chunk=2,
+            group=test_group, seed=5,
+        )
+        assert bank.metrics()["replenish_errors"] == 0
+        assert bank.metrics()["last_replenish_error"] is None
+        real_generate = bank._generate
+        calls = []
+
+        def flaky_generate(rounds):
+            calls.append(rounds)
+            if len(calls) <= 2:
+                raise RuntimeError(f"dealer down #{len(calls)}")
+            return real_generate(rounds)
+
+        bank._generate = flaky_generate
+        with bank:
+            deadline = time.monotonic() + 30.0
+            while bank.depth < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert bank.depth == 2
+        metrics = bank.metrics()
+        assert metrics["replenish_errors"] == 2
+        assert metrics["last_replenish_error"] == "RuntimeError: dealer down #2"
+        assert metrics["rounds_generated"] == 2
+        _assert_no_leaked_serve_threads()
 
     def test_replenisher_exact_counts_when_fill_races_threshold(
         self, qmodel, test_group
@@ -704,6 +731,21 @@ class TestPredictionServerTcp:
                 socket.create_connection(("127.0.0.1", srv.port), timeout=1)
             _assert_no_leaked_serve_threads()
 
+    def test_finished_session_threads_are_forgotten(self, qmodel, meta, test_group):
+        """A long-running server must not keep one Thread object per
+        session ever served: finished ones are dropped at spawn time."""
+        bank = _bank(qmodel, test_group)
+        with PredictionServer(
+            qmodel, bank, port=0, max_sessions=2, group=test_group
+        ) as srv:
+            for _ in range(6):
+                with PredictionClient(meta, 2, port=srv.port, group=test_group):
+                    pass  # hello -> welcome -> done: a whole (empty) session
+                srv.wait_idle()
+                assert len(srv._session_threads) <= srv.max_sessions + 1
+            assert srv.metrics()["sessions_served"] == 6
+        _assert_no_leaked_serve_threads()
+
     def test_max_sessions_bounds_concurrency(self, qmodel, meta, x2, test_group):
         """With max_sessions=1, two concurrent clients are serialized —
         both succeed, never more than one session thread at work."""
@@ -752,7 +794,6 @@ class TestServeSoak:
             qmodel, 2, capacity=4, low_water=3, auto_replenish=True,
             replenish_chunk=2, group=test_group, seed=17,
             workers=int(os.environ.get("ABNN2_SERVE_WORKERS", "1")),
-            executor=os.environ.get("ABNN2_EXECUTOR", "thread"),
         )
         with PredictionServer(
             qmodel, bank, port=0, max_sessions=4, group=test_group,

@@ -20,12 +20,7 @@ import pytest
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer, grouped_product
 from repro.core.pipeline import PipelineConfig
-from repro.core.protocol import (
-    ModelMeta,
-    WideServerRound,
-    layer_triplet_config,
-    secure_predict,
-)
+from repro.core.protocol import ModelMeta, secure_predict
 from repro.core.triplets import BlockedShare
 from repro.errors import ConfigError, ProtocolError
 from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
@@ -290,33 +285,6 @@ class TestSecureEquivalence:
             _quantize(backend, 7), x, group=test_group, seed=23, pipeline=pipeline
         )
         assert (seq.logits_int == piped.logits_int).all()
-
-    @pytest.mark.parametrize("backend", ["im2col", "winograd"])
-    def test_wide_round_chunked_byte_identical(self, backend, test_group, rng):
-        """The wide (cross-session batched) server path chunks per layer
-        too; same U material => identical linear output blocks."""
-        qm = _quantize(backend, None)
-        qc = set_chunk_cols(qm, 7)
-        meta = ModelMeta.from_model(qm)
-        ring = qm.ring
-        batch, width = 2, 2
-        us_per_client = [
-            [
-                ring.sample(rng, layer_triplet_config(ring, meta.layers[i], batch).out_shape)
-                for i in range(len(qm.layers))
-            ]
-            for _ in range(width)
-        ]
-        x0_blocks = [
-            ring.sample(rng, (meta.layers[0].in_features, batch)) for _ in range(width)
-        ]
-        outs = []
-        for model in (qm, qc):
-            wide = WideServerRound(model, us_per_client, batch, group=test_group)
-            wide.start(list(x0_blocks))
-            outs.append(wide.linear())
-        for a, b in zip(*outs):
-            assert (a == b).all()
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Winograd F(2x2,3x3) backend: transforms, grouped triplets, protocol.
 
-The contract under test (docs/PROTOCOLS.md §16): the tile backend is a
+The contract under test (docs/PROTOCOLS.md §15): the tile backend is a
 per-layer-selectable drop-in next to im2col — byte-identical logits on
 the same quantized model across the sequential, pipelined, and batched
 serving paths — while drawing 2.25x fewer triplet elements for stride-1
@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
-from repro.core.protocol import (
-    ModelMeta,
-    WideServerRound,
-    layer_triplet_config,
-    secure_predict,
-)
+from repro.core.protocol import ModelMeta, layer_triplet_config, secure_predict
 from repro.core.plan import PlanNode, build_plan
 from repro.core.triplets import TripletConfig
 from repro.errors import ConfigError, QuantizationError
@@ -394,72 +389,6 @@ class TestSecureWinograd:
             pipeline=PipelineConfig(chunk=64, window=4),
         )
         assert (seq.logits_int == piped.logits_int).all()
-
-    def test_wide_round_matches_solo_shares(self, wino_net, test_group, rng):
-        """One wide matmul over stacked banked rounds == per-client solo."""
-        from repro.net.channel import make_channel_pair
-
-        qw = _quantize(wino_net, "winograd")
-        meta = ModelMeta.from_model(qw)
-        ring = qw.ring
-        batch, width = 2, 3
-        us_per_client = []
-        solo_engines = []
-        for c in range(width):
-            us = []
-            engines = []
-            for idx, layer in enumerate(qw.layers):
-                config = layer_triplet_config(ring, meta.layers[idx], batch)
-                u = ring.sample(rng, config.out_shape)
-                us.append(u)
-                w = layer.w_int
-                if meta.layers[idx].backend == "winograd":
-                    w = transform_weights(meta.layers[idx].wino, w)
-                engine = SecureMatmulServer(None, w, config)
-                engine.preload(u)
-                engines.append(engine)
-            us_per_client.append(us)
-            solo_engines.append(engines)
-
-        wide = WideServerRound(qw, us_per_client, batch, group=test_group)
-        x0_blocks = [
-            ring.sample(rng, (meta.layers[0].in_features, batch))
-            for _ in range(width)
-        ]
-        wide.start(x0_blocks)
-        wide_blocks = wide.linear()
-
-        # solo layer-0 references, same U material
-        from repro.core.relu import truncate_share
-        from repro.nn.lowering import conv_bias_vector
-
-        layer = qw.layers[0]
-        wspec = meta.layers[0].wino
-        for c in range(width):
-            operand = lower_tiles(wspec, x0_blocks[c], ring)
-            y0 = solo_engines[c][0].online(operand)
-            y0 = lift_tiles(wspec, layer.shape[0], y0, ring)
-            y0 = divide_share_by4(ring, y0, party=0)
-            bias = conv_bias_vector(layer.conv, layer.bias_int, layer.shape[0])
-            y0 = ring.add(y0, ring.reduce(bias)[:, None])
-            y0 = truncate_share(ring, y0, layer.truncate_bits, party=0)
-            assert (wide_blocks[c] == y0).all()
-
-    def test_wide_round_zero_width_slice_is_typed(self, wino_net, test_group, rng):
-        """A wide operand sliced to zero client columns must raise a
-        ConfigError from the lift guard, not a bare reshape failure."""
-        qw = _quantize(wino_net, "winograd")
-        meta = ModelMeta.from_model(qw)
-        ring = qw.ring
-        us = [
-            ring.sample(rng, layer_triplet_config(ring, meta.layers[i], 1).out_shape)
-            for i in range(len(qw.layers))
-        ]
-        wide = WideServerRound(qw, [us], 1, group=test_group)
-        wide.start([ring.sample(rng, (meta.layers[0].in_features, 1))])
-        wide._operand = wide._operand[:, :0]  # admission denied every client
-        with pytest.raises(ConfigError):  # typed, not a bare reshape error
-            wide.linear()
 
 
 class TestPersistence:
