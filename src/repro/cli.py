@@ -207,7 +207,6 @@ def cmd_predict(args) -> int:
 
 def _demo_trace(args) -> dict:
     """Run a small in-process secure prediction and return its client trace."""
-    from repro.core.pipeline import PipelineConfig
     from repro.core.protocol import secure_predict
     from repro.crypto.group import MODP_TEST
 
@@ -239,13 +238,8 @@ def _demo_trace(args) -> dict:
         qmodel = quantize_model(model, scheme, Ring(args.ring))
     rng = np.random.default_rng(0)
     x = rng.random((args.batch, qmodel.layers[0].in_features))
-    pipeline = None
-    if args.pipeline:
-        pipeline = PipelineConfig(
-            chunk=args.gc_stream_chunk, window=args.gc_stream_window
-        )
     print("running demo secure prediction to produce a trace...", file=sys.stderr)
-    report = secure_predict(qmodel, x, group=MODP_TEST, seed=0, pipeline=pipeline)
+    report = secure_predict(qmodel, x, group=MODP_TEST, seed=0)
     return report.client_trace
 
 
@@ -314,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_meta)
 
-    p = sub.add_parser("serve", help="run the multi-session prediction server")
+    serve_help = (
+        "run the multi-session prediction server (bank mode is "
+        "dealer-trusted: the server can unmask the client's input)"
+    )
+    p = sub.add_parser("serve", help=serve_help, description=serve_help)
     p.add_argument("--model", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
@@ -367,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mode", default="bank", choices=("bank", "interactive"),
-        help="bank: server deals precomputed material; interactive: joint offline phase",
+        help="bank: server deals precomputed material (dealer-trusted: the "
+        "server can unmask the client's input); interactive: joint offline "
+        "phase, input private from the server",
     )
     p.add_argument("--relu", default="oblivious", choices=("oblivious", "optimized"))
     p.add_argument("--timeout", type=float, default=600.0)
@@ -404,20 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=int, default=32, choices=(16, 32, 64))
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--batch", type=int, default=2)
-    p.add_argument(
-        "--pipeline", action="store_true",
-        help="run the demo with the layer-pipelined online phase "
-        "(streamed garbling over per-layer mux streams)",
-    )
-    p.add_argument(
-        "--gc-stream-chunk", type=int, default=None,
-        help="AND gates per streamed garbled-table block "
-        "(bounds peak GC memory; default: whole circuit in one block)",
-    )
-    p.add_argument(
-        "--gc-stream-window", type=int, default=8,
-        help="max unacked table chunks in flight on each GC stream",
-    )
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("cost", help="rank fragment schemes by Table-1 cost")

@@ -9,8 +9,7 @@
 * :mod:`repro.core.relu` — the GC-based non-linear layer (Algorithm 2)
   and the paper's optimized two-stage ReLU.
 * :mod:`repro.core.protocol` — end-to-end two-party QNN prediction.
-* :mod:`repro.core.plan` — the layer-graph plan both executors walk.
-* :mod:`repro.core.pipeline` — streamed-garbling pipelined execution.
+* :mod:`repro.core.plan` — the layer-graph plan both parties walk online.
 * :mod:`repro.core.params` — (N, gamma) fragment-scheme selection.
 """
 
@@ -33,14 +32,7 @@ from repro.core.relu import (
     sigmoid_layer_client,
     truncate_share,
 )
-from repro.core.plan import (
-    GC_STREAM_BASE,
-    MAIN_STREAM,
-    LayerGraphPlan,
-    PlanNode,
-    build_plan,
-)
-from repro.core.pipeline import PipelineConfig
+from repro.core.plan import LayerGraphPlan, PlanNode, build_plan
 from repro.core.protocol import (
     Abnn2Server,
     Abnn2Client,
@@ -49,12 +41,9 @@ from repro.core.protocol import (
 )
 
 __all__ = [
-    "GC_STREAM_BASE",
-    "MAIN_STREAM",
     "LayerGraphPlan",
     "PlanNode",
     "build_plan",
-    "PipelineConfig",
     "optimal_scheme",
     "scheme_for",
     "TripletConfig",

@@ -24,23 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
-from repro.core.pipeline import (
-    GarbleStreamWorker,
-    PipelineConfig,
-    build_stream_jobs,
-    send_label_pairs,
-    streamed_relu_server,
-)
-from repro.core.plan import MAIN_STREAM, LayerGraphPlan, build_plan
+from repro.core.plan import LayerGraphPlan, build_plan
 from repro.core.pooling import avgpool_share, maxpool_client, maxpool_server
 from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
 from repro.core.triplets import TripletConfig
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.errors import ChannelError, ConfigError, ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.gc.protocol import GcSessions
 from repro.net.channel import Channel
-from repro.net.mux import ChannelMux
 from repro.net.runner import run_protocol
 from repro.perf.trace import Tracer
 from repro.nn.quantize import QuantizedModel
@@ -221,7 +213,6 @@ class _PartyBase:
         ro: RandomOracle = default_ro,
         seed: int | None = None,
         tracer: Tracer | None = None,
-        pipeline: PipelineConfig | None = None,
     ) -> None:
         if batch < 1:
             raise ConfigError("batch must be positive")
@@ -234,9 +225,6 @@ class _PartyBase:
         self.ring = Ring(meta.ring_bits)
         self.rng = make_rng(seed)
         self._seed = seed
-        self.pipeline = pipeline
-        self._mux: ChannelMux | None = None
-        self._gc_mux: GcSessions | None = None
         self.tracer = tracer if tracer is not None else Tracer(
             party="server" if chan.party == 0 else "client"
         )
@@ -247,45 +235,9 @@ class _PartyBase:
 
     @property
     def plan(self) -> LayerGraphPlan:
-        """The sequential layer-graph plan for this party's architecture."""
-        return build_plan(self.meta, self.relu_variant, pipelined=False)
-
-    def _pipelined_plan(self) -> LayerGraphPlan | None:
-        """The pipelined plan, or ``None`` when pipelining cannot run.
-
-        Degrades gracefully: no :class:`PipelineConfig`, a transport that
-        opts out of mux framing (``chan.supports_mux = False`` — a
-        *transport* property, so both endpoints agree), or an
-        architecture/variant with nothing streamable (e.g. the optimized
-        ReLU, whose stage-2 tables depend on online-revealed signs) all
-        fall back to the sequential executor over the raw channel.
-        """
-        if self.pipeline is None:
-            return None
-        if not getattr(self.chan, "supports_mux", True):
-            return None
-        plan = build_plan(self.meta, self.relu_variant, pipelined=True)
-        if not plan.streamed:
-            return None
-        return plan
-
-    def _ensure_mux(self, role: str) -> ChannelMux:
-        """The persistent mux + main-stream GC session for this party.
-
-        Created once and reused across online rounds so the per-stream
-        sequence numbers and the amortized base OTs survive round
-        boundaries, mirroring how the raw-channel ``_gc`` session does.
-        """
-        if self._mux is None:
-            self._mux = ChannelMux(self.chan)
-            self._gc_mux = GcSessions(
-                self._mux.stream(MAIN_STREAM),
-                role,
-                group=self.group,
-                ro=self.ro,
-                seed=self._seed,
-            )
-        return self._mux
+        """The layer-graph plan the online phase walks for this party's
+        architecture."""
+        return build_plan(self.meta)
 
     def _layer_config(self, layer: LayerMeta) -> TripletConfig:
         return layer_triplet_config(
@@ -364,11 +316,9 @@ def server_linear_share(ring, layer, meta: LayerMeta, engine, share0) -> np.ndar
     """The server's linear-node math: ``W <z>_0 + U + b`` with lowering,
     lifting, and (winograd) the exact share-local division by 4.
 
-    Shared by the sequential and pipelined drivers
-    (:meth:`Abnn2Server._linear_layer`) so the chunked im2col loop —
-    driven by the conv spec's ``chunk_cols`` — can never diverge between
-    them.  ``share0``'s column count is the batch.  Truncation stays with
-    the caller.
+    ``share0``'s column count is the batch; conv layers run the chunked
+    im2col loop driven by the conv spec's ``chunk_cols``.  Truncation
+    stays with the caller (:meth:`Abnn2Server._linear_layer`).
     """
     if meta.backend == "winograd":
         wspec = meta.wino
@@ -495,13 +445,7 @@ class Abnn2Server(_PartyBase):
                 "(checked before any bytes cross the wire)"
             )
         matmuls = self._pending[0]
-        plan = self._pipelined_plan()
-        if plan is not None:
-            run = lambda: self._online_pipelined(matmuls, plan)  # noqa: E731
-        else:
-            seq_plan = self.plan
-            run = lambda: self._online_sequential(matmuls, seq_plan)  # noqa: E731
-        y0 = self._track_phase("online", run)
+        y0 = self._track_phase("online", lambda: self._online_sequential(matmuls))
         self._pending.pop(0)
         return y0
 
@@ -521,17 +465,17 @@ class Abnn2Server(_PartyBase):
             y0 = truncate_share(self.ring, y0, layer.truncate_bits, party=0)
         return y0
 
-    def _pool_layer(self, chan, sessions, idx: int, share0: np.ndarray) -> np.ndarray:
+    def _pool_layer(self, idx: int, share0: np.ndarray) -> np.ndarray:
         layer = self.model.layers[idx]
         with self.tracer.span(f"layer{idx}/pool", kind=layer.pool.kind):
             if layer.pool.kind == "avg":
                 return avgpool_share(self.ring, layer.pool, share0, party=0)
-            return maxpool_server(chan, layer.pool, share0, sessions, self.ring)
+            return maxpool_server(self.chan, layer.pool, share0, self._gc, self.ring)
 
-    def _online_sequential(self, matmuls, plan: LayerGraphPlan) -> np.ndarray:
-        """Plan-driven walk emitting the historical sequential transcript."""
+    def _online_sequential(self, matmuls) -> np.ndarray:
+        """Walk the plan node by node on the raw channel (paper Fig. 2)."""
         share0 = y0 = None
-        for node in plan:
+        for node in self.plan:
             if node.kind == "input":
                 with self.tracer.span("input-share"):
                     share0 = self.ring.reduce(self.chan.recv())  # <x>_0
@@ -548,69 +492,11 @@ class Abnn2Server(_PartyBase):
                         self.chan, y0, self._gc, self.ring, self.relu_variant
                     )
             elif node.kind == "pool":
-                share0 = self._pool_layer(self.chan, self._gc, node.layer, share0)
+                share0 = self._pool_layer(node.layer, share0)
             else:  # logits
                 with self.tracer.span("logits-share"):
                     self.chan.send(y0)
         return y0
-
-    def _online_pipelined(self, matmuls, plan: LayerGraphPlan) -> np.ndarray:
-        """Evaluator side of the pipelined plan.
-
-        Single-threaded: the sequential round structure (input share,
-        label OTs, pooling, logits) runs on the mux main stream while
-        each streamable ReLU's chunked tables are consumed from that
-        node's own stream — frames the client streamed ahead while this
-        side was still busy with earlier layers.
-        """
-        mux = self._ensure_mux("evaluator")
-        main = mux.stream(MAIN_STREAM)
-        saved_tracer = getattr(self.chan, "tracer", None)
-        self.chan.tracer = None  # bytes are attributed per stream instead
-        main.tracer = self.tracer
-        try:
-            share0 = y0 = None
-            for node in plan:
-                if node.kind == "input":
-                    with self.tracer.span("input-share"):
-                        share0 = self.ring.reduce(main.recv())
-                elif node.kind == "linear":
-                    y0 = self._linear_layer(matmuls, node.layer, share0)
-                elif node.kind == "relu":
-                    meta = self.meta.layers[node.layer]
-                    with self.tracer.span(
-                        f"layer{node.layer}/relu", variant=self.relu_variant,
-                        n_relus=meta.relu_features * self.batch,
-                        ring_bits=self.ring.bits, streamed=node.streamable,
-                    ) as span:
-                        if node.streamable:
-                            gstream = mux.stream(node.stream)
-                            gstream.tracer = self.tracer
-                            share0, info = streamed_relu_server(
-                                gstream, y0, self._gc_mux, self.ring,
-                                ro=self.ro, tracer=self.tracer,
-                            )
-                            span.attrs["stream_chunks"] = info["chunks"]
-                            span.attrs["peak_table_bytes"] = info["peak_table_bytes"]
-                        else:
-                            share0 = relu_layer_server(
-                                main, y0, self._gc_mux, self.ring, self.relu_variant
-                            )
-                elif node.kind == "pool":
-                    share0 = self._pool_layer(main, self._gc_mux, node.layer, share0)
-                else:  # logits
-                    with self.tracer.span("logits-share"):
-                        main.send(y0)
-            return y0
-        except ChannelError as exc:
-            mux.abort(exc)
-            raise ProtocolError(f"pipelined online round failed: {exc}") from exc
-        except BaseException as exc:
-            mux.abort(exc)
-            raise
-        finally:
-            main.tracer = None
-            self.chan.tracer = saved_tracer
 
 
 class Abnn2Client(_PartyBase):
@@ -797,13 +683,9 @@ class Abnn2Client(_PartyBase):
         if x.shape != expected:
             raise ConfigError(f"expected input of shape {expected}, got {x.shape}")
         material = self._pending[0]
-        plan = self._pipelined_plan()
-        if plan is not None:
-            run = lambda: self._online_pipelined(material, plan, x)  # noqa: E731
-        else:
-            seq_plan = self.plan
-            run = lambda: self._online_sequential(material, seq_plan, x)  # noqa: E731
-        logits = self._track_phase("online", run)
+        logits = self._track_phase(
+            "online", lambda: self._online_sequential(material, x)
+        )
         # Only a completed round consumes the bank (mirrors the server).
         self._pending.pop(0)
         return logits
@@ -827,10 +709,10 @@ class Abnn2Client(_PartyBase):
             y1 = truncate_share(self.ring, y1, layer.truncate_bits, party=1)
         return y1
 
-    def _online_sequential(self, material, plan: LayerGraphPlan, x) -> np.ndarray:
-        """Plan-driven walk emitting the historical sequential transcript."""
+    def _online_sequential(self, material, x) -> np.ndarray:
+        """Walk the plan node by node on the raw channel (paper Fig. 2)."""
         logits = y1 = z1_relu = None
-        for node in plan:
+        for node in self.plan:
             if node.kind == "input":
                 # <x>_0 = x - r travels in flat form; each party lowers its
                 # own share locally where a conv layer needs it.
@@ -875,100 +757,6 @@ class Abnn2Client(_PartyBase):
                 logits = self.ring.add(y0, y1)
         return logits
 
-    def _online_pipelined(self, material, plan: LayerGraphPlan, x) -> np.ndarray:
-        """Garbler side of the pipelined plan.
-
-        Every linear share ``y1`` is offline-known (the banked ``V``), so
-        all of them — and from them every streamable ReLU's garbler input
-        bits — are computed up front; a background
-        :class:`~repro.core.pipeline.GarbleStreamWorker` then garbles and
-        streams each layer's tables on its own stream while this thread
-        walks the sequential round structure on the main stream.  Per
-        layer only the label OT (the server's online ``y0`` bits) stays
-        on the critical path.
-        """
-        mux = self._ensure_mux("garbler")
-        main = mux.stream(MAIN_STREAM)
-        saved_tracer = getattr(self.chan, "tracer", None)
-        self.chan.tracer = None  # bytes are attributed per stream instead
-        main.tracer = self.tracer
-        worker = None
-        try:
-            y1s = {
-                node.layer: self._linear_layer(material, node.layer)
-                for node in plan.linear_nodes
-            }
-            worker = GarbleStreamWorker(
-                mux,
-                build_stream_jobs(
-                    plan, material["relu_shares"], y1s, self.ring, self._seed
-                ),
-                self.pipeline,
-                ro=self.ro,
-            )
-            worker.start()
-            logits = None
-            for node in plan:
-                if node.kind == "input":
-                    with self.tracer.span("input-share"):
-                        main.send(self.ring.sub(x, material["input_mask"]))
-                elif node.kind == "linear":
-                    pass  # computed up front
-                elif node.kind == "relu":
-                    layer = self.meta.layers[node.layer]
-                    with self.tracer.span(
-                        f"layer{node.layer}/relu", variant=self.relu_variant,
-                        n_relus=layer.relu_features * self.batch,
-                        ring_bits=self.ring.bits, streamed=node.streamable,
-                    ) as span:
-                        if node.streamable:
-                            send_label_pairs(
-                                self._gc_mux,
-                                worker.pairs(node.name, mux.timeout_s),
-                            )
-                            info, wtracer = worker.result(node.name, mux.timeout_s)
-                            span.attrs["stream_chunks"] = info["chunks"]
-                            span.attrs["peak_table_bytes"] = info["peak_table_bytes"]
-                            self.tracer.adopt(
-                                wtracer, "gc-stream",
-                                layer=node.layer, stream=node.stream,
-                                chunks=info["chunks"],
-                                peak_unacked_chunks=info["peak_unacked_chunks"],
-                            )
-                        else:
-                            relu_layer_client(
-                                main, y1s[node.layer],
-                                material["relu_shares"][node.layer],
-                                self._gc_mux, self.ring, self.rng,
-                                self.relu_variant,
-                            )
-                elif node.kind == "pool":
-                    layer = self.meta.layers[node.layer]
-                    if layer.pool.kind == "max":
-                        with self.tracer.span(f"layer{node.layer}/pool", kind="max"):
-                            maxpool_client(
-                                main, layer.pool,
-                                self.ring.reduce(material["relu_shares"][node.layer]),
-                                material["pool_shares"][node.layer],
-                                self._gc_mux, self.ring, self.rng,
-                            )
-                else:  # logits
-                    with self.tracer.span("logits-share"):
-                        y0 = self.ring.reduce(main.recv())
-                    logits = self.ring.add(y0, y1s[len(self.meta.layers) - 1])
-            return logits
-        except ChannelError as exc:
-            mux.abort(exc)
-            raise ProtocolError(f"pipelined online round failed: {exc}") from exc
-        except BaseException as exc:
-            mux.abort(exc)
-            raise
-        finally:
-            if worker is not None:
-                worker.join(timeout=mux.timeout_s + 1.0)
-            main.tracer = None
-            self.chan.tracer = saved_tracer
-
 
 # --------------------------------------------------------------------- #
 # one-call convenience API
@@ -1010,7 +798,6 @@ def _joint_predict(
     seed: int | None = 0,
     timeout_s: float = 600.0,
     channels=None,
-    pipeline: PipelineConfig | None = None,
 ) -> PredictionReport:
     """Shared driver for ABNN2 and the baseline predictors."""
     x = np.atleast_2d(np.asarray(x_float, dtype=np.float64))
@@ -1021,7 +808,7 @@ def _joint_predict(
     def server_fn(chan: Channel):
         server = server_cls(
             chan, model, batch, relu_variant=relu_variant, group=group, ro=ro,
-            seed=None if seed is None else seed + 1, pipeline=pipeline,
+            seed=None if seed is None else seed + 1,
         )
         server.offline()
         server.online()
@@ -1030,7 +817,7 @@ def _joint_predict(
     def client_fn(chan: Channel):
         client = client_cls(
             chan, meta, batch, relu_variant=relu_variant, group=group, ro=ro,
-            seed=None if seed is None else seed + 2, pipeline=pipeline,
+            seed=None if seed is None else seed + 2,
         )
         client.offline()
         logits = client.online(x_ring)
@@ -1065,7 +852,6 @@ def secure_predict(
     seed: int | None = 0,
     timeout_s: float = 600.0,
     channels=None,
-    pipeline: PipelineConfig | None = None,
 ) -> PredictionReport:
     """Run the complete two-party prediction on one machine (two threads).
 
@@ -1074,8 +860,6 @@ def secure_predict(
     split a deployment would see.  ``channels`` overrides the default
     in-memory pair with explicit (server, client) endpoints — e.g. TCP
     channels or :class:`~repro.net.faults.FaultyChannel` wrappers.
-    ``pipeline`` turns on the layer-pipelined online phase with streamed
-    garbling (see :mod:`repro.core.pipeline`) on both parties.
     """
     return _joint_predict(
         Abnn2Server,
@@ -1088,5 +872,4 @@ def secure_predict(
         seed=seed,
         timeout_s=timeout_s,
         channels=channels,
-        pipeline=pipeline,
     )

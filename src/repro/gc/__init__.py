@@ -19,12 +19,8 @@ from repro.gc.builder import (
 from repro.gc.garble import garble
 from repro.gc.evaluate import evaluate, decode_outputs
 from repro.gc.protocol import run_garbler, run_evaluator, GcSessions
-from repro.gc.stream import DEFAULT_WINDOW, evaluate_stream, garble_stream
 
 __all__ = [
-    "DEFAULT_WINDOW",
-    "garble_stream",
-    "evaluate_stream",
     "Circuit",
     "Gate",
     "GateOp",

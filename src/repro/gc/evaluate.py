@@ -25,11 +25,7 @@ def _evaluate_and(
     t_g: np.ndarray,
     t_e: np.ndarray,
 ) -> None:
-    """Evaluate one AND gate in place (mirror of ``garble._garble_and``).
-
-    Shared by the one-shot :func:`evaluate` and the chunked streamer
-    (:mod:`repro.gc.stream`) so the two paths cannot drift.
-    """
+    """Evaluate one AND gate in place (mirror of ``garble._garble_and``)."""
     w_a = active[gate.a]
     w_b = active[gate.b]
     s_a = (w_a[:, 0] & _U64(1)).astype(bool)

@@ -128,9 +128,7 @@ def _sample_input_labels(
     """Fresh ``(label0, offset)`` with every input wire's label sampled.
 
     The RNG call sequence is part of the transcript-determinism contract:
-    both :func:`garble` and the chunked streamer
-    (:mod:`repro.gc.stream`) draw labels through this one helper, so a
-    fixed seed yields the same labels regardless of chunking.
+    a fixed seed yields the same labels, hence the same tables.
     """
     if n_inst < 1:
         raise CryptoError("need at least one instance")
@@ -155,11 +153,7 @@ def _garble_and(
     g_idx: int,
     hasher: _LabelHasher,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Garble one AND gate: writes ``label0[gate.out]``, returns (T_G, T_E).
-
-    Shared by the one-shot :func:`garble` and the chunked streamer so the
-    two paths cannot drift gate-math-wise.
-    """
+    """Garble one AND gate: writes ``label0[gate.out]``, returns (T_G, T_E)."""
     a0 = label0[gate.a]
     b0 = label0[gate.b]
     a1 = a0 ^ offset

@@ -102,6 +102,35 @@ def run_garbler(
             sessions.ot.send_chosen(pairs, domain=_OT_DOMAIN_GC_INPUTS)
 
 
+def _check_garbler_frame(
+    frame, circuit: Circuit, n_inst: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the garbler's ``(tables, labels, decode_bits)`` message.
+
+    The frame comes from the peer, so its structure is checked before the
+    evaluator answers with a single label-OT byte.
+    """
+    if not (
+        isinstance(frame, tuple)
+        and len(frame) == 3
+        and all(isinstance(part, np.ndarray) for part in frame)
+    ):
+        raise ProtocolError("malformed garbled-circuit frame: expected 3 arrays")
+    tables, garbler_labels, decode_bits = frame
+    for what, arr, shape in (
+        ("tables", tables, (circuit.and_count, n_inst, 2, LABEL_WORDS)),
+        ("garbler labels", garbler_labels, (len(circuit.garbler_inputs), n_inst, LABEL_WORDS)),
+        ("decode bits", decode_bits, (len(circuit.outputs), n_inst)),
+    ):
+        if arr.shape != shape:
+            raise ProtocolError(
+                f"garbled-circuit {what}: expected shape {shape}, got {arr.shape}"
+            )
+    if tables.dtype != _U64 or garbler_labels.dtype != _U64:
+        raise ProtocolError("garbled-circuit tables and labels must be uint64")
+    return tables, garbler_labels, decode_bits
+
+
 def run_evaluator(
     chan: Channel,
     circuit: Circuit,
@@ -121,7 +150,9 @@ def run_evaluator(
             f"expected evaluator bits of shape {(n_eval_bits, n_inst)}, got {bits.shape}"
         )
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
-        tables, garbler_labels, decode_bits = chan.recv()
+        tables, garbler_labels, decode_bits = _check_garbler_frame(
+            chan.recv(), circuit, n_inst
+        )
         if n_eval_bits:
             my_labels = sessions.ot.recv_chosen(
                 bits.reshape(-1), LABEL_WORDS, domain=_OT_DOMAIN_GC_INPUTS

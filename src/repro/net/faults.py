@@ -158,7 +158,7 @@ class FaultyChannel:
     @property
     def timeout_s(self) -> float:
         # The mux sizes its recv deadline from the transport's timeout;
-        # without this delegation a faulted pipelined run would stall
+        # without this delegation a faulted sharded run would stall
         # for the mux default instead of the configured bound.
         return self._inner.timeout_s
 

@@ -29,7 +29,7 @@ are complementary — ``u mod 4 = (4 - v mod 4) mod 4`` deterministically.
 Hence ``floor(u/4) + ceil(v/4) = (4Y)/4 + c * 2^(l-2) (mod 2^l)`` where
 the carry ``c`` is 1 unless the value wraps; party 0 subtracts the
 constant ``2^(l-2)`` and both parties end with exact shares of ``Y``
-except with probability ``~4|Y|/2^l`` (see PROTOCOLS.md section 16).
+except with probability ``~4|Y|/2^l`` (see PROTOCOLS.md section 14).
 No interaction, no leakage: each party only touches its own share.
 """
 

@@ -282,24 +282,6 @@ def gc_relu_wire_bits(ring_bits: int, n_relus: int, kappa: int = KAPPA) -> int:
     return gc_relu_comm_bits(ring_bits, n_relus, kappa) + 7 * ring_bits * n_relus
 
 
-def gc_stream_overhead_bits(n_chunks: int) -> int:
-    """Exact per-party framing overhead of the chunked GC table stream.
-
-    Relative to the one-shot transfer, the stream
-    (:mod:`repro.gc.stream`) adds: a header with two ints (``n_chunks``,
-    ``chunk`` — 16 bytes), one int chunk index per table block
-    (``8 n_chunks`` bytes), and one int ack per block flowing the other
-    way (``8 n_chunks`` bytes).  Each party both sends and receives one
-    of the two per-chunk directions, so the *per-party* sent+received
-    overhead is identical on both sides.  Mux frame headers are excluded
-    — per-stream accounting counts inner payloads only
-    (:data:`repro.net.mux.MUX_FRAME_OVERHEAD_BYTES`).
-    """
-    if n_chunks < 0:
-        raise ConfigError("n_chunks must be non-negative")
-    return 8 * (16 + 16 * n_chunks)
-
-
 # --------------------------------------------------------------------- #
 # MiniONN (Table 4 anchor model)
 # --------------------------------------------------------------------- #

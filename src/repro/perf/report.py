@@ -33,7 +33,6 @@ from repro.net.netsim import LAN, WAN_QUOTIENT, WAN_SECUREML, NetworkModel
 from repro.perf.costmodel import (
     abnn2_comm_bits_radices,
     gc_relu_wire_bits,
-    gc_stream_overhead_bits,
     linear_working_set_bytes,
     lowered_operand_bytes,
 )
@@ -156,24 +155,15 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
             n_relus = attrs.get("n_relus")
             bits = attrs.get("ring_bits")
             variant = attrs.get("variant", "?")
-            chunks = attrs.get("stream_chunks")
             if variant == "oblivious" and n_relus is not None and bits is not None:
                 predicted = gc_relu_wire_bits(bits, n_relus)
-                if chunks is not None:
-                    # Streamed execution: same payload plus the exact
-                    # chunk-framing overhead — still asserted to equality,
-                    # so pipelining cannot mask an accounting regression.
-                    predicted += gc_stream_overhead_bits(chunks)
             else:
                 predicted = None  # the optimized ReLU's sign path is unmodeled
-            detail = f"{variant} n={n_relus} l={bits}"
-            if chunks is not None:
-                detail += f" streamed chunks={chunks}"
             rows.append(
                 ConformanceRow(
                     path,
                     "relu",
-                    detail,
+                    f"{variant} n={n_relus} l={bits}",
                     span_total_bits(span),
                     base_ot_bits(span),
                     predicted,

@@ -51,9 +51,11 @@ class TestSecurePredict:
         assert (report.predictions == qmodel_ternary.predict(x)).all()
 
     def test_batch_sizes(self, qmodel_ternary, small_dataset, test_group):
-        for batch in (1, 5):
+        for batch in (1, 2, 4):
             x = small_dataset.test_x[:batch]
             report = secure_predict(qmodel_ternary, x, group=test_group)
+            expect = qmodel_ternary.forward_int(qmodel_ternary.encoder.encode(x.T))
+            assert (report.logits_int == expect).all(), f"batch={batch}"
             assert report.predictions.shape == (batch,)
             assert (report.predictions == qmodel_ternary.predict(x)).all()
 

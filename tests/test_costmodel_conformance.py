@@ -404,14 +404,20 @@ class TestEndToEndTraceConformance:
         qmodel = quantize_model(
             trained_model, FragmentScheme.ternary(), Ring(32), frac_bits=6
         )
-        x = small_dataset.test_x[:2]
+        batch = 2
+        x = small_dataset.test_x[:batch]
         report = secure_predict(qmodel, x, group=test_group, seed=11)
+        hidden = [layer.out_features for layer in qmodel.layers[:-1]]
         for trace in (report.server_trace, report.client_trace):
             assert trace is not None
             rows = conformance_rows(trace)
             # one triplets row and one oblivious-relu row per hidden layer,
             # plus a triplets row for the output layer
             assert sum(row.kind == "triplets" for row in rows) == len(qmodel.layers)
-            assert sum(row.kind == "relu" for row in rows) == len(qmodel.layers) - 1
             assert all(row.ok is True for row in rows if row.predicted_bits is not None)
+            # each layer's ReLU span is the closed form to the byte
+            relu_rows = [row for row in rows if row.kind == "relu"]
+            assert [row.core_bits for row in relu_rows] == [
+                gc_relu_wire_bits(32, width * batch) for width in hidden
+            ]
             assert check_conformance(trace) == []

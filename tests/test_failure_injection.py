@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
 from repro.core.triplets import (
     TripletConfig,
@@ -177,15 +176,14 @@ class TestShapeConfusion:
 
 
 # --------------------------------------------------------------------- #
-# streamed-GC fault fuzz (pipelined online over FaultyChannel)
+# online fault fuzz (the plan walk over FaultyChannel)
 # --------------------------------------------------------------------- #
 FUZZ_TIMEOUT_S = 3.0
 FUZZ_DEADLINE_S = 25.0
-FUZZ_CHUNK = 4  # 94 AND gates at l=32 -> 24 table-block frames per layer
 
 
-class _StreamFuzzEnv:
-    """Small pipelined workload + fault-free reference send counts."""
+class _FuzzEnv:
+    """Small two-ReLU workload + fault-free reference send counts."""
 
     def __init__(self):
         model = mnist_mlp(seed=5, hidden=6, input_dim=8, classes=3)
@@ -216,27 +214,20 @@ class _StreamFuzzEnv:
         self.ref_logits = result.client
         self.client_offline_sends = marks["offline_sends"]
         self.client_online_sends = marks["total_sends"] - marks["offline_sends"]
-        assert self.client_online_sends > 20  # the stream really is chunked
 
-    def _server(self, chan, pipelined=True):
-        return Abnn2Server(
-            chan, self.qmodel, 1, group=MODP_TEST, seed=31,
-            pipeline=PipelineConfig(chunk=FUZZ_CHUNK) if pipelined else None,
-        )
+    def _server(self, chan):
+        return Abnn2Server(chan, self.qmodel, 1, group=MODP_TEST, seed=31)
 
-    def _client(self, chan, pipelined=True):
-        return Abnn2Client(
-            chan, self.meta, 1, group=MODP_TEST, seed=32,
-            pipeline=PipelineConfig(chunk=FUZZ_CHUNK) if pipelined else None,
-        )
+    def _client(self, chan):
+        return Abnn2Client(chan, self.meta, 1, group=MODP_TEST, seed=32)
 
 
 @pytest.fixture(scope="module")
 def fuzz_env():
-    return _StreamFuzzEnv()
+    return _FuzzEnv()
 
 
-def _run_faulted_online(env, fault_plan, pipelined=True):
+def _run_faulted_online(env, fault_plan):
     """Fault-free offline, then one online round with the client's sends
     routed through ``FaultyChannel``.  Returns (server, client, errors)
     where ``errors[name]`` is the exception that party raised (if any).
@@ -246,17 +237,17 @@ def _run_faulted_online(env, fault_plan, pipelined=True):
     errors: dict = {}
 
     def server_fn():
-        server = parties["server"] = env._server(server_chan, pipelined)
+        server = parties["server"] = env._server(server_chan)
         try:
             server.offline(rounds=1)
             server.online()
         except BaseException as exc:  # noqa: BLE001
             errors["server"] = exc
-            server_chan.close()  # wake a peer parked on a dead stream
+            server_chan.close()  # wake a peer parked in recv
 
     def client_fn():
         client = parties["client"] = env._client(
-            FaultyChannel(client_chan, fault_plan), pipelined
+            FaultyChannel(client_chan, fault_plan)
         )
         try:
             client.offline(rounds=1)
@@ -277,61 +268,61 @@ def _run_faulted_online(env, fault_plan, pipelined=True):
     return parties["server"], parties["client"], errors
 
 
-class TestStreamedGcFaultFuzz:
-    """FaultPlan mid-chunk on the GC table stream: typed failure on both
-    parties, no leaked worker threads, no consumed bank round."""
+class TestOnlineFaultFuzz:
+    """A fault at any client send of the online phase: typed failure on
+    both parties within the deadline, no leaked thread, no consumed bank
+    round."""
 
     @pytest.mark.parametrize("kind", ["drop", "truncate", "corrupt", "stall"])
-    @pytest.mark.parametrize("offset", [2, 9, 17])
-    def test_fault_mid_stream_fails_typed_on_both_parties(
-        self, fuzz_env, kind, offset
-    ):
-        assert offset < fuzz_env.client_online_sends
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    kind=kind,
-                    message_index=fuzz_env.client_offline_sends + offset,
-                    seed=offset,
-                )
-            ]
-        )
-        before = set(threading.enumerate())
-        start = time.monotonic()
-        server, client, errors = _run_faulted_online(fuzz_env, plan)
-        assert time.monotonic() - start < FUZZ_DEADLINE_S
-        assert client.chan.fired, "the scheduled fault never fired"
-        # Both parties surface ProtocolError (the pipelined executor and
-        # the stream wrap transport faults into the protocol taxonomy).
-        assert isinstance(errors.get("server"), ProtocolError), errors.get("server")
-        assert isinstance(errors.get("client"), ProtocolError), errors.get("client")
-        # The aborted round was not consumed on either side.
-        assert server.rounds_available == 1
-        assert client.rounds_available == 1
-        # The garbler worker thread exited with the abort.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            leaked = [
-                t for t in threading.enumerate()
-                if t not in before and t.is_alive()
-            ]
-            if not leaked:
-                break
-            time.sleep(0.01)
-        assert not leaked, f"leaked threads: {[t.name for t in leaked]}"
+    def test_every_online_send_fails_typed(self, fuzz_env, kind):
+        assert fuzz_env.client_online_sends > 5  # input share, GC frames, OTs
+        for offset in range(fuzz_env.client_online_sends):
+            plan = FaultPlan(
+                [
+                    FaultSpec(
+                        kind=kind,
+                        message_index=fuzz_env.client_offline_sends + offset,
+                        seed=offset,
+                    )
+                ]
+            )
+            before = set(threading.enumerate())
+            start = time.monotonic()
+            server, client, errors = _run_faulted_online(fuzz_env, plan)
+            where = f"{kind} at online send #{offset}"
+            assert time.monotonic() - start < FUZZ_DEADLINE_S, where
+            assert client.chan.fired, f"{where}: the fault never fired"
+            for party in ("server", "client"):
+                assert isinstance(
+                    errors.get(party), (ChannelError, ProtocolError)
+                ), f"{where}: {party} raised {errors.get(party)!r}"
+            assert server.rounds_available == 1, where
+            assert client.rounds_available == 1, where
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                leaked = [
+                    t for t in threading.enumerate()
+                    if t not in before and t.is_alive()
+                ]
+                if not leaked:
+                    break
+                time.sleep(0.01)
+            assert not leaked, f"{where}: leaked {[t.name for t in leaked]}"
 
 
 class TestBankDepthAfterAbort:
     """Regression for the online() consume-on-entry bug: a round aborted
-    mid-flight must stay banked and remain genuinely re-runnable."""
+    mid-flight must stay banked and remain genuinely re-runnable, whether
+    the abort comes early in the online phase or at its last client send."""
 
-    @pytest.mark.parametrize("pipelined", [False, True])
-    def test_aborted_round_stays_banked_and_reruns(self, fuzz_env, pipelined):
+    @pytest.mark.parametrize("late", [False, True])
+    def test_aborted_round_stays_banked_and_reruns(self, fuzz_env, late):
         env = fuzz_env
+        offset = env.client_online_sends - 1 if late else 2
         plan = FaultPlan(
-            [FaultSpec(kind="drop", message_index=env.client_offline_sends + 2)]
+            [FaultSpec(kind="drop", message_index=env.client_offline_sends + offset)]
         )
-        server, client, errors = _run_faulted_online(env, plan, pipelined)
+        server, client, errors = _run_faulted_online(env, plan)
         assert isinstance(
             errors.get("server"), (ChannelError, ProtocolError)
         ), errors.get("server")
@@ -349,12 +340,12 @@ class TestBankDepthAfterAbort:
         assert client.rounds_available == 0
 
         def retry_server(chan):
-            fresh = env._server(chan, pipelined)
+            fresh = env._server(chan)
             fresh.load_offline_round(server_material)
             fresh.online()
 
         def retry_client(chan):
-            fresh = env._client(chan, pipelined)
+            fresh = env._client(chan)
             fresh.load_offline_round(client_material)
             return fresh.online(env.x_ring)
 

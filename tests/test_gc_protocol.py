@@ -6,8 +6,10 @@ import pytest
 from repro.errors import ProtocolError
 from repro.gc.builder import relu_template, sign_template
 from repro.gc.circuit import Circuit
+from repro.gc.garble import LABEL_WORDS
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net import run_protocol
+from repro.net.channel import make_channel_pair
 from repro.utils.bits import bits_to_int, int_to_bits
 from repro.utils.ring import Ring
 
@@ -91,8 +93,6 @@ class TestGcProtocol:
             run_protocol(garbler_fn, evaluator_fn, timeout_s=5)
 
     def test_invalid_role(self, test_group):
-        from repro.net.channel import make_channel_pair
-
         chan, _ = make_channel_pair()
         with pytest.raises(ProtocolError):
             GcSessions(chan, "banana", group=test_group)
@@ -115,3 +115,35 @@ class TestGcProtocol:
             big, np.concatenate([int_to_bits(y1, 8), int_to_bits(z1, 8)], axis=1).T.copy()
         )
         assert big_bytes > small_bytes
+
+
+def _garbler_frame(circ, n_inst, words=LABEL_WORDS):
+    """A zero-filled frame with the shapes ``run_garbler`` sends."""
+    return (
+        np.zeros((circ.and_count, n_inst, 2, words), dtype=np.uint64),
+        np.zeros((len(circ.garbler_inputs), n_inst, words), dtype=np.uint64),
+        np.zeros((len(circ.outputs), n_inst), dtype=np.uint8),
+    )
+
+
+class TestMalformedGarblerFrame:
+    """The evaluator validates the garbler's frame before the label OT."""
+
+    @pytest.mark.parametrize(
+        "kind", ["two-tuple", "bare-array", "instance-count", "label-words"]
+    )
+    def test_rejected_before_label_ot(self, test_group, kind):
+        circ, n_inst = relu_template(8), 2
+        frame = {
+            "two-tuple": _garbler_frame(circ, n_inst)[:2],
+            "bare-array": np.zeros((3, n_inst), dtype=np.uint64),
+            "instance-count": _garbler_frame(circ, n_inst + 1),
+            "label-words": _garbler_frame(circ, n_inst, words=LABEL_WORDS + 1),
+        }[kind]
+        evaluator_chan, garbler_chan = make_channel_pair(timeout_s=2.0)
+        garbler_chan.send(frame)
+        sessions = GcSessions(evaluator_chan, "evaluator", group=test_group, seed=4)
+        e_bits = np.zeros((len(circ.evaluator_inputs), n_inst), dtype=np.uint8)
+        with pytest.raises(ProtocolError, match="garbled-circuit"):
+            run_evaluator(evaluator_chan, circ, e_bits, n_inst, sessions)
+        assert evaluator_chan.stats.messages_sent[evaluator_chan.party] == 0

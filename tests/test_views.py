@@ -1,0 +1,104 @@
+"""What a party's view of a run determines (docs/PROTOCOLS.md §8, §11).
+
+A recording channel keeps every frame one party sends and receives; a
+check then asks what that view alone reveals.  Bank mode is
+dealer-trusted: the serving process deals the client's offline half,
+``input_mask`` included, and then receives ``x - input_mask`` as the
+first online message, so the server can unmask the client's input.
+The test below pins that leak exactly; splitting the dealer into its own
+role is what turns it around.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+
+from repro.core.protocol import ModelMeta
+from repro.net.channel import make_channel_pair
+from repro.nn.model import mnist_mlp
+from repro.nn.quantize import quantize_model
+from repro.quant.fragments import FragmentScheme
+from repro.serve import ClientSession, ServerSession, TripletBank
+from repro.serve.session import decode_client_round
+from repro.utils.ring import Ring
+
+
+class _RecordingChannel:
+    """Channel wrapper that keeps every frame its party sends and receives."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.sent: list = []
+        self.received: list = []
+
+    @property
+    def tracer(self):
+        return self._inner.tracer
+
+    @tracer.setter
+    def tracer(self, value) -> None:
+        self._inner.tracer = value
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def send(self, obj) -> None:
+        self.sent.append(obj)
+        self._inner.send(obj)
+
+    def recv(self):
+        obj = self._inner.recv()
+        self.received.append(obj)
+        return obj
+
+    def exchange(self, obj):
+        self.send(obj)
+        return self.recv()
+
+
+class TestBankModeView:
+    def test_server_view_reconstructs_client_input(self, test_group):
+        """The dealt ``input_mask`` plus the first online message is ``x``."""
+        qmodel = quantize_model(
+            mnist_mlp(seed=7, hidden=4, input_dim=16),
+            FragmentScheme.ternary(), Ring(32), frac_bits=6,
+        )
+        ring = qmodel.ring
+        x_ring = qmodel.encoder.encode(
+            np.random.default_rng(3).normal(scale=0.25, size=(2, 16)).T
+        )
+        bank = TripletBank(
+            qmodel, 2, group=test_group, seed=11, auto_replenish=False
+        )
+        bank.fill(1)
+        server_chan, client_chan = make_channel_pair(timeout_s=30.0)
+        view = _RecordingChannel(server_chan)
+        box = {}
+
+        def _serve():
+            session = ServerSession(
+                view, qmodel, bank, session_id=1, group=test_group
+            )
+            box["result"] = session.run()
+
+        thread = threading.Thread(target=_serve, daemon=True)
+        thread.start()
+        client = ClientSession(
+            client_chan, ModelMeta.from_model(qmodel), 2, group=test_group, seed=9
+        )
+        logits = client.predict_encoded(x_ring)
+        client.close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert box["result"].predictions == 1
+        assert (logits == qmodel.forward_int(x_ring)).all()
+
+        dealt = [m for m in view.sent if isinstance(m, tuple)]
+        assert len(dealt) == 1  # the client half of the one banked round
+        input_mask = decode_client_round(dealt[0])["input_mask"]
+        # Control frames arrive as bytes; the first array is <x>_0.
+        first_online = next(m for m in view.received if isinstance(m, np.ndarray))
+        recovered = ring.add(ring.reduce(first_online), ring.reduce(input_mask))
+        assert (recovered == x_ring).all()

@@ -1,10 +1,9 @@
 """Winograd F(2x2,3x3) backend: transforms, grouped triplets, protocol.
 
-The contract under test (docs/PROTOCOLS.md §15): the tile backend is a
+The contract under test (docs/PROTOCOLS.md §14): the tile backend is a
 per-layer-selectable drop-in next to im2col — byte-identical logits on
-the same quantized model across the sequential, pipelined, and batched
-serving paths — while drawing 2.25x fewer triplet elements for stride-1
-3x3 convolutions.
+the same quantized model — while drawing 2.25x fewer triplet elements
+for stride-1 3x3 convolutions.
 """
 
 from __future__ import annotations
@@ -378,17 +377,6 @@ class TestSecureWinograd:
         expect = qw.forward_int(qw.encoder.encode(np.asarray(wino_inputs).T))
         assert (rep_w.logits_int == expect).all()
         assert (rep_w.logits_int == rep_i.logits_int).all()
-
-    def test_pipelined_byte_identical(self, wino_net, wino_inputs, test_group):
-        from repro.core.pipeline import PipelineConfig
-
-        qw = _quantize(wino_net, "winograd")
-        seq = secure_predict(qw, wino_inputs, group=test_group, seed=13)
-        piped = secure_predict(
-            qw, wino_inputs, group=test_group, seed=13,
-            pipeline=PipelineConfig(chunk=64, window=4),
-        )
-        assert (seq.logits_int == piped.logits_int).all()
 
 
 class TestPersistence:
