@@ -8,6 +8,8 @@ Layers, bottom to top:
 * :mod:`repro.crypto.prg` — seed expansion.
 * :mod:`repro.crypto.group` / :mod:`repro.crypto.baseot` — public-key base
   oblivious transfers (Naor–Pinkas style over a MODP group).
+* :mod:`repro.crypto.otsetup` — one base-OT set-up per channel endpoint;
+  every extension session derives its seeds from it.
 * :mod:`repro.crypto.iknp` — IKNP 1-out-of-2 OT extension, plus correlated
   and random OT variants.
 * :mod:`repro.crypto.codes` / :mod:`repro.crypto.kk13` — Kolesnikov–Kumaresan

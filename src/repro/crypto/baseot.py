@@ -11,17 +11,18 @@ OT extension bootstraps from ``kappa`` public-key OTs.  We implement the
   receiver: ``k_{i,c_i} = H(i, A^{b_i})`` —
   and the sender masks its two messages with the two keys.
 
+The sender pays one exponentiation per OT, not two:
+``(B_i * A^{-1})^a = B_i^a * (A^{-1})^a``, and ``C = (A^{-1})^a`` is
+computed once per batch.
+
 The random-OT variants (:func:`random_send`, :func:`random_receive`)
-return the derived keys themselves, which is exactly what IKNP consumes
-as PRG seeds.
+return the derived keys themselves: the channel's base keys, from which
+:mod:`repro.crypto.otsetup` derives every extension session's PRG seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import sha256_ro
@@ -31,14 +32,6 @@ from repro.utils.bits import xor_bytes
 
 KEY_BYTES = 16
 _DOMAIN_BASEOT = 0x42415345  # "BASE"
-
-
-@dataclass
-class _SenderState:
-    group: ModpGroup
-    a: int
-    big_a: int
-    inv_big_a: int
 
 
 def _derive_key(group: ModpGroup, index: int, shared: int) -> bytes:
@@ -58,7 +51,8 @@ def random_send(
     a = group.sample_exponent(randbelow)
     big_a = group.gpow(a)
     chan.send(group.encode(big_a))
-    inv_big_a = group.invert(big_a)
+    # (B * A^-1)^a = B^a * C with C = (A^-1)^a: one exponentiation per OT.
+    c = group.power(group.invert(big_a), a)
 
     blob = chan.recv()
     if len(blob) != count * group.element_bytes:
@@ -68,7 +62,7 @@ def random_send(
     for i in range(count):
         b_elem = group.decode(blob[i * size : (i + 1) * size])
         shared0 = group.power(b_elem, a)
-        shared1 = group.power(group.mul(b_elem, inv_big_a), a)
+        shared1 = group.mul(shared0, c)
         keys.append((_derive_key(group, i, shared0), _derive_key(group, i, shared1)))
     return keys
 

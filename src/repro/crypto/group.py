@@ -91,7 +91,7 @@ class ModpGroup:
     def invert(self, a: int) -> int:
         if a % self.p == 0:
             raise CryptoError("cannot invert zero in Z_p^*")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def encode(self, element: int) -> bytes:
         return element.to_bytes(self.element_bytes, "little")

@@ -1,16 +1,19 @@
 """IKNP 1-out-of-2 OT extension, with chosen-message and correlated variants.
 
 One public-key *setup* of ``kappa`` base OTs bootstraps an unbounded
-stream of symmetric-key OTs (Ishai–Kilian–Nissim–Petrank).  Sessions keep
-the base-OT PRG streams open, so repeated extension batches over one
-channel amortize the setup exactly like production OT stacks.
+stream of symmetric-key OTs (Ishai–Kilian–Nissim–Petrank).  The base OTs
+belong to the channel, not to the session: every session derives its
+column seeds from the channel's :class:`~repro.crypto.otsetup.OtSetup`,
+which handshakes once per channel and direction, and keeps its PRG
+streams open across extension batches.
 
 Roles follow the classic description:
 
-* The **extension sender** (who inputs message pairs) samples a secret
-  ``s in {0,1}^kappa`` and plays base-OT *receiver* with choices ``s``.
-* The **extension receiver** (who inputs choice bits) plays base-OT
-  *sender*, expands both base keys per column into ``m``-bit streams
+* The **extension sender** (who inputs message pairs) holds a secret
+  ``s in {0,1}^kappa``, its base-OT *receiver* choices (the set-up's
+  first ``kappa`` choice bits, shared by every session on the channel).
+* The **extension receiver** (who inputs choice bits) is base-OT
+  *sender*, expands both derived column seeds into ``m``-bit streams
   ``t^0_j, t^1_j``, keeps ``T = [t^0]``, and transmits
   ``u_j = t^0_j xor t^1_j xor c``.
 * The sender reconstructs ``Q`` with rows ``q_i = t_i xor c_i * s`` and
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import baseot
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.otsetup import channel_setup, session_base_index
 from repro.crypto.prg import BatchPrg
 from repro.errors import CryptoError, ProtocolError
 from repro.net.channel import Channel
@@ -45,29 +48,12 @@ from repro.utils.bits import (
     unpack_ring_words,
 )
 from repro.utils.ring import Ring
-from repro.utils.rng import make_rng, randbelow_from_rng
+from repro.utils.rng import make_rng
 
 _U64 = np.uint64
 _ALL_ONES = _U64(0xFFFFFFFFFFFFFFFF)
 
 KAPPA = 128
-_KAPPA_WORDS = KAPPA // 64
-
-#: Sub-session tags get the top 16 bits of the 64-bit OT-index tweak, so
-#: concurrent sharded sessions (see :mod:`repro.exec`) can never collide
-#: in the random-oracle tweak space even if they were (mis)configured
-#: with identical base-OT keys.  48 bits of per-session OT counter is
-#: far beyond any batch this stack will run.
-MAX_SESSION_TAG = (1 << 16) - 1
-_SESSION_TAG_SHIFT = 48
-
-
-def _session_base_index(session_tag: int) -> int:
-    """Starting ``_ot_index`` for a sub-session tag (0 = the default domain)."""
-    tag = int(session_tag)
-    if not 0 <= tag <= MAX_SESSION_TAG:
-        raise CryptoError(f"session_tag must be in [0, {MAX_SESSION_TAG}], got {tag}")
-    return tag << _SESSION_TAG_SHIFT
 
 
 def _rows_with_index(packed_rows: np.ndarray, start_index: int) -> np.ndarray:
@@ -104,39 +90,34 @@ class OtExtSender:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        session_tag: int = 0,
     ) -> None:
         if kappa % 64 != 0:
             raise CryptoError("kappa must be a multiple of 64")
         self.chan = chan
         self.kappa = kappa
-        self.group = group
         self.ro = ro
         self._rng = make_rng(seed)
         self._s_bits: np.ndarray | None = None
         self._prg: BatchPrg | None = None
-        self._ot_index = _session_base_index(session_tag)
+        self._setup = channel_setup(chan, group)
+        self._tag = self._setup.next_tag()
+        self._ot_index = session_base_index(self._tag)
 
     # ------------------------------------------------------------------ #
-    def _ensure_setup(self) -> None:
+    def ensure_seeds(self) -> None:
+        """Derive this session's column seeds from the channel's set-up.
+
+        Runs the set-up handshake first if the channel lacks ``kappa``
+        base OTs; the first extension batch calls this lazily.
+        """
         if self._s_bits is not None:
             return
-        s = self._rng.integers(0, 2, size=self.kappa, dtype=np.uint8)
-        with channel_span(
-            self.chan, "base-ot", kind="iknp", count=self.kappa,
-            element_bytes=self.group.element_bytes,
-        ):
-            keys = baseot.random_receive(
-                self.chan, s.tolist(), self.group, randbelow=self._randbelow
-            )
+        s, seeds = self._setup.receiver_seeds(self._tag, self.kappa, self._rng)
         self._s_bits = s
-        self._prg = BatchPrg(keys)
+        self._prg = BatchPrg(seeds)
         self._s_words = pack_bits_to_words(s)
         # Per-column select mask: all-ones where s_j = 1, zero otherwise.
         self._s_colmask = (s.astype(_U64) * _ALL_ONES)[:, None]
-
-    def _randbelow(self, bound: int) -> int:
-        return randbelow_from_rng(self._rng, bound)
 
     def _extend(self, m: int) -> np.ndarray:
         """Run one extension batch; returns Q packed as (m, kappa/64) words.
@@ -147,7 +128,7 @@ class OtExtSender:
         of the packed 64x64-block transpose — the ``(kappa, m)`` uint8
         expansion of the per-column loop never exists.
         """
-        self._ensure_setup()
+        self.ensure_seeds()
         with channel_span(self.chan, "extension", m=m):
             u_blob = _checked_u_blob(self.chan.recv(), self.kappa, m)
             u_cols = split_packed_rows(u_blob, self.kappa, m)
@@ -213,34 +194,26 @@ class OtExtReceiver:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        session_tag: int = 0,
     ) -> None:
         if kappa % 64 != 0:
             raise CryptoError("kappa must be a multiple of 64")
         self.chan = chan
         self.kappa = kappa
-        self.group = group
         self.ro = ro
         self._rng = make_rng(seed)
         self._prg0: BatchPrg | None = None
         self._prg1: BatchPrg | None = None
-        self._ot_index = _session_base_index(session_tag)
+        self._setup = channel_setup(chan, group)
+        self._tag = self._setup.next_tag()
+        self._ot_index = session_base_index(self._tag)
 
-    def _randbelow(self, bound: int) -> int:
-        return randbelow_from_rng(self._rng, bound)
-
-    def _ensure_setup(self) -> None:
+    def ensure_seeds(self) -> None:
+        """Derive both column-seed sets (see :meth:`OtExtSender.ensure_seeds`)."""
         if self._prg0 is not None:
             return
-        with channel_span(
-            self.chan, "base-ot", kind="iknp", count=self.kappa,
-            element_bytes=self.group.element_bytes,
-        ):
-            key_pairs = baseot.random_send(
-                self.chan, self.kappa, self.group, randbelow=self._randbelow
-            )
-        self._prg0 = BatchPrg([k0 for k0, _ in key_pairs])
-        self._prg1 = BatchPrg([k1 for _, k1 in key_pairs])
+        seeds0, seeds1 = self._setup.sender_seeds(self._tag, self.kappa, self._rng)
+        self._prg0 = BatchPrg(seeds0)
+        self._prg1 = BatchPrg(seeds1)
 
     def _extend(self, choices: np.ndarray) -> np.ndarray:
         """Run one extension batch; returns T packed as (m, kappa/64).
@@ -251,7 +224,7 @@ class OtExtReceiver:
         serialized straight from packed rows (byte-identical to packing
         the uint8 column matrix).
         """
-        self._ensure_setup()
+        self.ensure_seeds()
         c = np.asarray(choices, dtype=np.uint8)
         if c.ndim != 1 or not np.isin(c, (0, 1)).all():
             raise CryptoError("choices must be a 1-D bit vector")

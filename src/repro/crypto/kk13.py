@@ -12,17 +12,20 @@ primitive (its Figure 1 ideal functionality).  Structure mirrors IKNP
 
 Both the *random-OT* form (each side learns pads; the ABNN2 one-batch
 optimization needs raw pads) and the *chosen-message* form are provided.
-Sessions amortize their 256 base OTs across arbitrarily many batches.
+A session runs no base OTs of its own: it derives its 256 column seeds
+from the channel's :class:`~repro.crypto.otsetup.OtSetup`, whose one
+handshake serves every KK13 and IKNP session on that channel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import baseot, codes
+from repro.crypto import codes
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.crypto.iknp import _checked_u_blob, _rows_with_index, _session_base_index
+from repro.crypto.iknp import _checked_u_blob, _rows_with_index
+from repro.crypto.otsetup import channel_setup, session_base_index
 from repro.crypto.prg import BatchPrg
 from repro.errors import CryptoError
 from repro.net.channel import Channel
@@ -34,7 +37,7 @@ from repro.utils.bits import (
     transpose_packed,
     unpack_words_to_bits,
 )
-from repro.utils.rng import make_rng, randbelow_from_rng
+from repro.utils.rng import make_rng
 
 _U64 = np.uint64
 _ALL_ONES = _U64(0xFFFFFFFFFFFFFFFF)
@@ -53,36 +56,31 @@ class Kk13Sender:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        session_tag: int = 0,
     ) -> None:
         if not 2 <= n_values <= codes.MAX_N:
             raise CryptoError(f"N must be in [2, {codes.MAX_N}], got {n_values}")
         self.chan = chan
         self.n_values = n_values
-        self.group = group
         self.ro = ro
         self._rng = make_rng(seed)
         self._code_words = codes.codeword_words(n_values)
         self._s_bits: np.ndarray | None = None
         self._prg: BatchPrg | None = None
-        self._ot_index = _session_base_index(session_tag)
+        self._setup = channel_setup(chan, group)
+        self._tag = self._setup.next_tag()
+        self._ot_index = session_base_index(self._tag)
 
-    def _randbelow(self, bound: int) -> int:
-        return randbelow_from_rng(self._rng, bound)
+    def ensure_seeds(self) -> None:
+        """Derive this session's 256 column seeds from the channel's set-up.
 
-    def _ensure_setup(self) -> None:
+        Runs the set-up handshake first if the channel lacks 256 base
+        OTs; the first extension batch calls this lazily.
+        """
         if self._s_bits is not None:
             return
-        s = self._rng.integers(0, 2, size=CODE_WIDTH, dtype=np.uint8)
-        with channel_span(
-            self.chan, "base-ot", kind="kk13", count=CODE_WIDTH,
-            element_bytes=self.group.element_bytes,
-        ):
-            keys = baseot.random_receive(
-                self.chan, s.tolist(), self.group, randbelow=self._randbelow
-            )
+        s, seeds = self._setup.receiver_seeds(self._tag, CODE_WIDTH, self._rng)
         self._s_bits = s
-        self._prg = BatchPrg(keys)
+        self._prg = BatchPrg(seeds)
         self._s_words = pack_bits_to_words(s)
         self._s_colmask = (s.astype(_U64) * _ALL_ONES)[:, None]
         # (C(j) & s) pre-masked once per codeword.
@@ -95,7 +93,7 @@ class Kk13Sender:
         :mod:`repro.crypto.iknp`): batched PRG block, one masked XOR,
         packed 64x64-block transpose — no ``(256, m)`` uint8 expansion.
         """
-        self._ensure_setup()
+        self.ensure_seeds()
         with channel_span(self.chan, "extension", m=m):
             u_blob = _checked_u_blob(self.chan.recv(), CODE_WIDTH, m)
             u_cols = split_packed_rows(u_blob, CODE_WIDTH, m)
@@ -144,13 +142,11 @@ class Kk13Receiver:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        session_tag: int = 0,
     ) -> None:
         if not 2 <= n_values <= codes.MAX_N:
             raise CryptoError(f"N must be in [2, {codes.MAX_N}], got {n_values}")
         self.chan = chan
         self.n_values = n_values
-        self.group = group
         self.ro = ro
         self._rng = make_rng(seed)
         self._code_words = codes.codeword_words(n_values)
@@ -161,23 +157,17 @@ class Kk13Receiver:
         self._code_col_idx = [np.nonzero(code_bits[v])[0] for v in range(n_values)]
         self._prg0: BatchPrg | None = None
         self._prg1: BatchPrg | None = None
-        self._ot_index = _session_base_index(session_tag)
+        self._setup = channel_setup(chan, group)
+        self._tag = self._setup.next_tag()
+        self._ot_index = session_base_index(self._tag)
 
-    def _randbelow(self, bound: int) -> int:
-        return randbelow_from_rng(self._rng, bound)
-
-    def _ensure_setup(self) -> None:
+    def ensure_seeds(self) -> None:
+        """Derive both column-seed sets (see :meth:`Kk13Sender.ensure_seeds`)."""
         if self._prg0 is not None:
             return
-        with channel_span(
-            self.chan, "base-ot", kind="kk13", count=CODE_WIDTH,
-            element_bytes=self.group.element_bytes,
-        ):
-            key_pairs = baseot.random_send(
-                self.chan, CODE_WIDTH, self.group, randbelow=self._randbelow
-            )
-        self._prg0 = BatchPrg([k0 for k0, _ in key_pairs])
-        self._prg1 = BatchPrg([k1 for _, k1 in key_pairs])
+        seeds0, seeds1 = self._setup.sender_seeds(self._tag, CODE_WIDTH, self._rng)
+        self._prg0 = BatchPrg(seeds0)
+        self._prg1 = BatchPrg(seeds1)
 
     def _extend(self, choices: np.ndarray) -> np.ndarray:
         """Send the U matrix; return T rows (m, 4 words).
@@ -188,7 +178,7 @@ class Kk13Receiver:
         ``[b == v]`` over the values ``v`` whose codeword has bit ``j``
         set, so ``N`` packed masks replace an ``(m, 4)``-word transpose.
         """
-        self._ensure_setup()
+        self.ensure_seeds()
         b = np.asarray(choices, dtype=np.int64)
         if b.ndim != 1 or (b < 0).any() or (b >= self.n_values).any():
             raise CryptoError(f"choices must lie in [0, {self.n_values})")

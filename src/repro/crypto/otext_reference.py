@@ -12,10 +12,11 @@ original per-column implementation: expand each base-OT seed with
 * ``benchmarks/bench_otext.py`` can measure the speedup against the real
   seed algorithm rather than a synthetic stand-in.
 
-They reuse the session setup (base OTs, secrets, OT index bookkeeping)
-and rebuild per-column :class:`Prg` streams from the session's
-:class:`BatchPrg` seeds — valid because ``BatchPrg`` streams are
-byte-identical to independently driven ``Prg`` objects.
+They reuse the session's seed derivation (the channel's shared base-OT
+set-up, the secret ``s``, OT index bookkeeping) and rebuild per-column
+:class:`Prg` streams from the session's derived :class:`BatchPrg` seeds —
+valid because ``BatchPrg`` streams are byte-identical to independently
+driven ``Prg`` objects.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class ReferenceOtExtSender(OtExtSender):
         return self._ref_prgs
 
     def _extend(self, m: int) -> np.ndarray:
-        self._ensure_setup()
+        self.ensure_seeds()
         u_blob = self.chan.recv()
         return _column_loop_receive(self._columns(), self._s_bits, u_blob, self.kappa, m)
 
@@ -89,7 +90,7 @@ class ReferenceOtExtReceiver(OtExtReceiver):
         return self._ref_pairs
 
     def _extend(self, choices: np.ndarray) -> np.ndarray:
-        self._ensure_setup()
+        self.ensure_seeds()
         c = np.asarray(choices, dtype=np.uint8)
         if c.ndim != 1 or not np.isin(c, (0, 1)).all():
             raise CryptoError("choices must be a 1-D bit vector")
@@ -107,7 +108,7 @@ class ReferenceKk13Sender(Kk13Sender):
         return self._ref_prgs
 
     def _extend(self, m: int) -> np.ndarray:
-        self._ensure_setup()
+        self.ensure_seeds()
         u_blob = self.chan.recv()
         return _column_loop_receive(self._columns(), self._s_bits, u_blob, CODE_WIDTH, m)
 
@@ -124,7 +125,7 @@ class ReferenceKk13Receiver(Kk13Receiver):
         return self._ref_pairs
 
     def _extend(self, choices: np.ndarray) -> np.ndarray:
-        self._ensure_setup()
+        self.ensure_seeds()
         b = np.asarray(choices, dtype=np.int64)
         if b.ndim != 1 or (b < 0).any() or (b >= self.n_values).any():
             raise CryptoError(f"choices must lie in [0, {self.n_values})")

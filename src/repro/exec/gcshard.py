@@ -4,10 +4,12 @@ A batched GC layer garbles one template circuit for ``n_inst``
 independent instances (one per neuron/element); given the shared
 free-XOR offset is *per garbling*, disjoint instance blocks are fully
 independent executions.  Shard ``s`` garbles/evaluates instance block
-``[lo_s, hi_s)`` as its own :class:`repro.gc.protocol.GcSessions`
-(fresh IKNP session, seed spawned per shard, ``session_tag=s``) over mux
-stream ``s``; the evaluator reassembles output bits by concatenating the
-shard blocks in shard order, so results are worker-count independent.
+``[lo_s, hi_s)`` as its own :class:`repro.gc.protocol.GcSessions` over
+mux stream ``s``.  Its IKNP session is built on the calling thread before
+dispatch and derives its seeds from the parent channel's OT set-up, as in
+:mod:`repro.exec.triplets`.  The evaluator reassembles output bits by
+concatenating the shard blocks in shard order, so results are
+worker-count independent.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ConfigError
 from repro.exec.pool import run_sharded, shard_entropy
-from repro.exec.triplets import ShardPlan
+from repro.exec.triplets import ShardPlan, shard_stream
 from repro.gc.circuit import Circuit
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net.mux import ChannelMux
@@ -34,24 +36,33 @@ def _shard_blocks(n_inst: int, plan: ShardPlan) -> list[tuple[int, int, int]]:
     return blocks
 
 
-def _run_gc_shards(chan, plan: ShardPlan, n_inst: int, shard_body) -> list:
+def _run_gc_shards(chan, plan: ShardPlan, n_inst: int, group: ModpGroup, make_shard) -> list:
     """Shared scaffolding: mux + pool + cleanup.
 
-    ``shard_body(stream, s, lo, hi)`` runs each non-empty instance block
-    over its own mux stream; results come back in shard order.
+    ``make_shard(stream, s, lo, hi)`` runs on the calling thread for each
+    non-empty instance block: it builds the block's :class:`GcSessions`
+    on its mux stream and returns the body the pool runs.  Results come
+    back in shard order.
     """
     use_async = plan.workers > 1 and plan.async_depth > 0
     mux = ChannelMux(chan, async_depth=plan.async_depth if use_async else 0)
-    tasks = [
-        lambda s=s, lo=lo, hi=hi: shard_body(mux.stream(s), s, lo, hi)
-        for s, lo, hi in _shard_blocks(n_inst, plan)
-    ]
     try:
+        tasks = [
+            make_shard(shard_stream(mux, s, group), s, lo, hi)
+            for s, lo, hi in _shard_blocks(n_inst, plan)
+        ]
         parts = run_sharded(tasks, plan.workers, on_error=mux.abort)
         mux.flush()
     finally:
         mux.close()
     return parts
+
+
+def _derived_sessions(stream, role: str, group, ro, seed) -> GcSessions:
+    """A shard's GC sessions with the label-OT seeds derived now."""
+    sessions = GcSessions(stream, role, group=group, ro=ro, seed=seed)
+    sessions.ot.ensure_seeds()
+    return sessions
 
 
 def run_garbler_sharded(
@@ -73,14 +84,14 @@ def run_garbler_sharded(
         )
     entropy = shard_entropy(seed, plan.shards)
 
-    def shard_body(stream, s, lo, hi):
+    def make_shard(stream, s, lo, hi):
         ot_seed, rng = entropy[s]
-        sessions = GcSessions(
-            stream, "garbler", group=group, ro=ro, seed=ot_seed, session_tag=s
+        sessions = _derived_sessions(stream, "garbler", group, ro, ot_seed)
+        return lambda: run_garbler(
+            stream, circuit, bits[:, lo:hi], hi - lo, sessions, rng, ro
         )
-        run_garbler(stream, circuit, bits[:, lo:hi], hi - lo, sessions, rng, ro)
 
-    _run_gc_shards(chan, plan, n_inst, shard_body)
+    _run_gc_shards(chan, plan, n_inst, group, make_shard)
 
 
 def run_evaluator_sharded(
@@ -106,11 +117,11 @@ def run_evaluator_sharded(
         )
     entropy = shard_entropy(seed, plan.shards)
 
-    def shard_body(stream, s, lo, hi):
-        sessions = GcSessions(
-            stream, "evaluator", group=group, ro=ro, seed=entropy[s][0], session_tag=s
+    def make_shard(stream, s, lo, hi):
+        sessions = _derived_sessions(stream, "evaluator", group, ro, entropy[s][0])
+        return lambda: run_evaluator(
+            stream, circuit, bits[:, lo:hi], hi - lo, sessions, ro
         )
-        return run_evaluator(stream, circuit, bits[:, lo:hi], hi - lo, sessions, ro)
 
-    parts = _run_gc_shards(chan, plan, n_inst, shard_body)
+    parts = _run_gc_shards(chan, plan, n_inst, group, make_shard)
     return np.concatenate(parts, axis=1)

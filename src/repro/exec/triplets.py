@@ -2,11 +2,14 @@
 
 Partitions each radix group's flat (row, column, fragment) OT index
 space into ``plan.shards`` contiguous spans.  Shard ``s`` runs its own
-KK13 session (fresh base OTs, seed spawned per shard, random-oracle
-tweaks separated by ``session_tag=s``) over mux stream ``s`` and
-produces the partial share of its span via the span workers factored
-out of :mod:`repro.core.triplets`; the full shares are the shard sums
-in shard order:
+KK13 session over mux stream ``s`` and produces the partial share of its
+span via the span workers factored out of :mod:`repro.core.triplets`.
+Every shard session is built on the calling thread before dispatch: it
+takes its tag from the *parent* channel's
+:class:`~repro.crypto.otsetup.OtSetup` and derives its seeds there, so
+the whole engine pays at most one base-OT handshake (on the parent
+channel) and the tags do not depend on thread scheduling.  The full
+shares are the shard sums in shard order:
 
     U = sum_s U_s,   V = sum_s V_s,   U + V = W_signed @ R (mod 2^l)
 
@@ -34,10 +37,12 @@ from repro.core.triplets import (
     client_group_span,
     server_group_span,
 )
+from repro.crypto.group import ModpGroup
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
+from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError
 from repro.exec.pool import run_sharded, shard_entropy
-from repro.net.mux import ChannelMux
+from repro.net.mux import ChannelMux, MuxChannel
 from repro.perf.trace import Tracer
 
 _U64 = np.uint64
@@ -72,12 +77,21 @@ class ShardPlan:
         return shard * total // self.shards, (shard + 1) * total // self.shards
 
 
-def _run_engine(chan, plan: ShardPlan, shard_body, stats_out):
+def shard_stream(mux: ChannelMux, s: int, group: ModpGroup) -> MuxChannel:
+    """Mux stream ``s``, sharing the parent channel's OT set-up."""
+    stream = mux.stream(s)
+    stream.ot_setup = channel_setup(mux.chan, group)
+    return stream
+
+
+def _run_engine(chan, plan: ShardPlan, group: ModpGroup, make_shard, stats_out):
     """Common scaffolding: mux, shard tracers, pool, adoption, stats.
 
-    ``shard_body(s, stream)`` runs shard ``s`` over its mux stream; when
-    the channel is traced each shard records into its own tracer, adopted
-    as a ``shard{s}`` span tree once the pool has joined.
+    ``make_shard(s, stream)`` runs on the calling thread for every shard
+    before dispatch: it builds the shard's OT sessions on its mux stream
+    and returns the body the pool runs.  When the channel is traced each
+    shard records into its own tracer, adopted as a ``shard{s}`` span
+    tree once the pool has joined.
     """
     use_async = plan.workers > 1 and plan.async_depth > 0
     mux = ChannelMux(chan, async_depth=plan.async_depth if use_async else 0)
@@ -87,12 +101,14 @@ def _run_engine(chan, plan: ShardPlan, shard_body, stats_out):
     tracers = [Tracer(f"shard{s}") if trace else None for s in range(plan.shards)]
 
     def make_task(s):
+        stream = shard_stream(mux, s, group)
+        stream.tracer = tracers[s]
+        body = make_shard(s, stream)
+
         def task():
             t0 = time.perf_counter()
-            stream = mux.stream(s)
-            stream.tracer = tracers[s]
             try:
-                return shard_body(s, stream)
+                return body()
             finally:
                 busy[s] = time.perf_counter() - t0
 
@@ -133,53 +149,67 @@ def _run_engine(chan, plan: ShardPlan, shard_body, stats_out):
 # --------------------------------------------------------------------- #
 # shard bodies
 # --------------------------------------------------------------------- #
-def _server_shard(stream, s, config, plan, ot_seed, groups):
-    """Server-side shard body; ``groups`` is ``(n_values, k_count, choices)``."""
-    ring = config.ring
-    u_s = ring.zeros(config.out_shape)
-    for n_values, k_count, choices in groups:
-        lo, hi = plan.span_bounds(choices.shape[0], s)
+def _shard_sessions(stream, s, config, plan, ot_seed, groups, session_cls):
+    """Shard ``s``'s ``(session, radix_row, lo, hi)`` spans, seeds derived now.
+
+    ``groups`` rows start ``(n_values, k_count, ...)``; the sessions take
+    their tags and seeds on the calling thread.
+    """
+    spans = []
+    for row in groups:
+        n_values, k_count = row[:2]
+        lo, hi = plan.span_bounds(config.rows * config.n * k_count, s)
         if lo >= hi:
             continue
-        receiver = Kk13Receiver(
+        session = session_cls(
             stream, n_values, group=config.group, ro=config.ro,
             seed=None if ot_seed is None else ot_seed + n_values,
-            session_tag=s,
         )
-        chunk = plan.chunk_ots or config.chunk_size(n_values)
-        u_s = ring.add(
-            u_s,
-            server_group_span(
-                stream, receiver, choices, config, n_values, k_count,
-                lo, hi, chunk,
-            ),
-        )
-    return u_s
+        session.ensure_seeds()
+        spans.append((session, row, lo, hi))
+    return spans
+
+
+def _server_shard(stream, s, config, plan, ot_seed, groups):
+    """Server-side shard body; ``groups`` is ``(n_values, k_count, choices)``."""
+    spans = _shard_sessions(stream, s, config, plan, ot_seed, groups, Kk13Receiver)
+
+    def body():
+        ring = config.ring
+        u_s = ring.zeros(config.out_shape)
+        for receiver, (n_values, k_count, choices), lo, hi in spans:
+            chunk = plan.chunk_ots or config.chunk_size(n_values)
+            u_s = ring.add(
+                u_s,
+                server_group_span(
+                    stream, receiver, choices, config, n_values, k_count,
+                    lo, hi, chunk,
+                ),
+            )
+        return u_s
+
+    return body
 
 
 def _client_shard(stream, s, config, plan, ot_seed, rng, groups, r):
     """Client-side shard body; ``groups`` is ``(n_values, k_count, value_table)``."""
-    ring = config.ring
-    v_s = ring.zeros(config.out_shape)
-    for n_values, k_count, value_table in groups:
-        total = config.rows * config.n * k_count
-        lo, hi = plan.span_bounds(total, s)
-        if lo >= hi:
-            continue
-        sender = Kk13Sender(
-            stream, n_values, group=config.group, ro=config.ro,
-            seed=None if ot_seed is None else ot_seed + n_values,
-            session_tag=s,
-        )
-        chunk = plan.chunk_ots or config.chunk_size(n_values)
-        v_s = ring.add(
-            v_s,
-            client_group_span(
-                stream, sender, value_table, r, config, n_values, k_count,
-                lo, hi, chunk, rng,
-            ),
-        )
-    return v_s
+    spans = _shard_sessions(stream, s, config, plan, ot_seed, groups, Kk13Sender)
+
+    def body():
+        ring = config.ring
+        v_s = ring.zeros(config.out_shape)
+        for sender, (n_values, k_count, value_table), lo, hi in spans:
+            chunk = plan.chunk_ots or config.chunk_size(n_values)
+            v_s = ring.add(
+                v_s,
+                client_group_span(
+                    stream, sender, value_table, r, config, n_values, k_count,
+                    lo, hi, chunk, rng,
+                ),
+            )
+        return v_s
+
+    return body
 
 
 def parallel_triplets_server(
@@ -206,10 +236,10 @@ def parallel_triplets_server(
     ]
     entropy = shard_entropy(seed, plan.shards)
 
-    def shard_body(s, stream):
+    def make_shard(s, stream):
         return _server_shard(stream, s, config, plan, entropy[s][0], groups)
 
-    parts = _run_engine(chan, plan, shard_body, stats_out)
+    parts = _run_engine(chan, plan, config.group, make_shard, stats_out)
     u = ring.zeros(config.out_shape)
     for part in parts:
         u = ring.add(u, part)
@@ -245,11 +275,11 @@ def parallel_triplets_client(
     ]
     entropy = shard_entropy(seed, plan.shards)
 
-    def shard_body(s, stream):
+    def make_shard(s, stream):
         ot_seed, rng = entropy[s]
         return _client_shard(stream, s, config, plan, ot_seed, rng, groups, r)
 
-    parts = _run_engine(chan, plan, shard_body, stats_out)
+    parts = _run_engine(chan, plan, config.group, make_shard, stats_out)
     v = ring.zeros(config.out_shape)
     for part in parts:
         v = ring.add(v, part)

@@ -3,7 +3,7 @@
 Roles follow ABNN2's non-linear layer: the **client garbles** and the
 **server evaluates** (the server's share ``z0`` is the circuit's output,
 so the evaluator is the output party).  The server's input bits enter via
-1-out-of-2 OT on wire labels (IKNP sessions, amortized across layers).
+1-out-of-2 OT on wire labels (one IKNP session, reused across layers).
 
 Message flow per execution:
 
@@ -13,8 +13,10 @@ Message flow per execution:
    bits (label pairs are the OT messages);
 3. evaluator computes locally and decodes its outputs.
 
-:class:`GcSessions` bundles the OT session so callers that run many GC
-layers over one channel pay the 128 base OTs once.
+:class:`GcSessions` bundles that OT session.  It runs no base OTs of its
+own: its seeds derive from the channel's
+:class:`~repro.crypto.otsetup.OtSetup`, so after a KK13 offline phase on
+the same channel the label OT costs no public-key work at all.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class GcSessions:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        session_tag: int = 0,
     ) -> None:
         if role not in ("garbler", "evaluator"):
             raise ProtocolError(f"unknown GC role {role!r}")
@@ -54,22 +55,14 @@ class GcSessions:
         self.group = group
         self.ro = ro
         self._seed = seed
-        self._session_tag = session_tag
         self._ot = None
 
     @property
     def ot(self):
+        """The label-OT session, created (taking its tag) on first use."""
         if self._ot is None:
-            if self.role == "garbler":
-                self._ot = OtExtSender(
-                    self.chan, group=self.group, ro=self.ro, seed=self._seed,
-                    session_tag=self._session_tag,
-                )
-            else:
-                self._ot = OtExtReceiver(
-                    self.chan, group=self.group, ro=self.ro, seed=self._seed,
-                    session_tag=self._session_tag,
-                )
+            cls = OtExtSender if self.role == "garbler" else OtExtReceiver
+            self._ot = cls(self.chan, group=self.group, ro=self.ro, seed=self._seed)
         return self._ot
 
 

@@ -107,6 +107,9 @@ class Channel:
         #: optional per-party :class:`repro.perf.trace.Tracer`; when set,
         #: every successful send/recv is attributed to its innermost span.
         self.tracer = None
+        #: this endpoint's :class:`repro.crypto.otsetup.OtSetup`, created by
+        #: the first OT-extension session; later sessions derive from it.
+        self.ot_setup = None
         self.timeout_s = timeout_s
         self._closed = False
         self._send_seq = 0

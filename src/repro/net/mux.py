@@ -76,6 +76,9 @@ class MuxChannel:
         self._mux = mux
         self.tag = tag
         self.tracer = None
+        #: OT set-up; shard streams share the parent channel's
+        #: (:func:`repro.exec.triplets.shard_stream`).
+        self.ot_setup = None
         self._closed = False
         #: Per-stream payload-byte/message accounting (what the fuzz and
         #: determinism tests compare across worker counts).

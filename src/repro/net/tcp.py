@@ -88,6 +88,8 @@ class TcpChannel:
         #: optional per-party :class:`repro.perf.trace.Tracer`; when set,
         #: every successful send/recv is attributed to its innermost span.
         self.tracer = None
+        #: this endpoint's :class:`repro.crypto.otsetup.OtSetup` (see Channel).
+        self.ot_setup = None
         self._closed = False
         self._peer_closed = False
         self._send_seq = 0

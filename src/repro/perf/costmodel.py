@@ -12,7 +12,9 @@ M-Batch    ``gamma * m * n``                      ``gamma*m*n*(o*l*N + 2k)``
 =========  =====================================  ================================
 
 Mixed-radix schemes replace the uniform ``gamma * (... N ...)`` by a sum
-over fragments with their individual ``N_i``.
+over fragments with their individual ``N_i``.  The base-OT set-up is not
+in these per-layer forms: it is one handshake per channel and direction
+(:func:`base_ot_setup_bits`), counted once per prediction.
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ def secureml_ot_count(m: int, n: int, o: int, ring_bits: int, kappa: int = KAPPA
 def secureml_comm_bits(m: int, n: int, o: int, ring_bits: int, kappa: int = KAPPA) -> float:
     """``m*n*o * l(l+1) * (1 + kappa/64)`` bits."""
     return m * n * o * ring_bits * (ring_bits + 1) * (1 + kappa / 64)
+
+
+# --------------------------------------------------------------------- #
+# base-OT set-up (repro.crypto.otsetup)
+# --------------------------------------------------------------------- #
+def base_ot_setup_bits(columns: int, element_bits: int) -> int:
+    """One set-up handshake: the sender's ``A`` plus one ``B_j`` per column.
+
+    ``(columns + 1) * element_bits``.  A one-shot prediction runs exactly
+    one, of 256 columns (KK13's width; the GC label OT reuses the first
+    128), and a served bank session one of 128 columns.
+    """
+    return (columns + 1) * element_bits
 
 
 # --------------------------------------------------------------------- #

@@ -19,9 +19,11 @@ Tolerances are *derived*, not hand-waved: the wire formats pad to
 * **GC ReLU** is byte-exact against ``gc_relu_wire_bits`` (which
   documents the one constant delta: decode bits travel as bytes).
 
-Base-OT setup traffic (``base-ot`` spans, amortized across the session)
-is measured separately per span subtree and subtracted before the
-comparison — the closed forms cost the *extension* phase only.
+The base-OT set-up (``base-ot`` spans) runs once per channel and
+direction, inside whichever layer span first needs it.  It is subtracted
+from that layer's row — the layer closed forms cost the *extension*
+phase only — and reported as its own set-up row, byte-exact against
+:func:`~repro.perf.costmodel.base_ot_setup_bits`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Any, Iterable
 from repro.net.netsim import LAN, WAN_QUOTIENT, WAN_SECUREML, NetworkModel
 from repro.perf.costmodel import (
     abnn2_comm_bits_radices,
+    base_ot_setup_bits,
     gc_relu_wire_bits,
     linear_working_set_bytes,
     lowered_operand_bytes,
@@ -97,7 +100,7 @@ class ConformanceRow:
     """One measured-vs-predicted comparison (a layer-phase span)."""
 
     path: str
-    kind: str  # "triplets" | "relu"
+    kind: str  # "triplets" | "relu" | "base-ot"
     detail: str
     measured_bits: int
     base_ot_bits: int
@@ -172,10 +175,32 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
     return rows
 
 
+def setup_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
+    """One row per base-OT set-up handshake, against its closed form."""
+    rows = []
+    for path, span in iter_spans(trace):
+        if span["name"] != "base-ot":
+            continue
+        attrs = span.get("attrs", {})
+        columns, element_bytes = attrs.get("columns"), attrs.get("element_bytes")
+        rows.append(
+            ConformanceRow(
+                path,
+                "base-ot",
+                f"{attrs.get('role', '?')} columns={columns} element={element_bytes} B",
+                span_total_bits(span),
+                0,
+                None if columns is None or element_bytes is None
+                else base_ot_setup_bits(columns, 8 * element_bytes),
+            )
+        )
+    return rows
+
+
 def check_conformance(trace: dict[str, Any]) -> list[str]:
     """Conformance failures, empty when every modeled span is in tolerance."""
     failures = []
-    for row in conformance_rows(trace):
+    for row in conformance_rows(trace) + setup_rows(trace):
         if row.ok is False:
             lo = (row.predicted_bits or 0) + row.slack_min_bits
             hi = (row.predicted_bits or 0) + row.slack_max_bits
@@ -341,23 +366,26 @@ def render_report(
         line += "".join(f" {row.projections[net.name]:>17.3f}s" for net in nets)
         out.append(line)
 
-    out.append("")
-    out.append("measured vs predicted (base-OT setup subtracted):")
-    out.append(
+    header = (
         f"  {'span':<28} {'measured':>12} {'base-OT':>10} {'core':>12}"
         f" {'predicted':>12} {'slack':>14} {'status':>7}"
     )
-    for row in conformance_rows(trace):
-        if row.predicted_bits is None:
-            predicted, slack, status = "-", "-", "n/a"
-        else:
-            predicted = _fmt_bytes(row.predicted_bits)
-            slack = f"+[{row.slack_min_bits}, {row.slack_max_bits}] bit"
-            status = "OK" if row.ok else "FAIL"
-        out.append(
-            f"  {row.path:<28} {_fmt_bytes(row.measured_bits):>12}"
-            f" {_fmt_bytes(row.base_ot_bits):>10} {_fmt_bytes(row.core_bits):>12}"
-            f" {predicted:>12} {slack:>14} {status:>7}"
-        )
-        out.append(f"      {row.detail}")
+    for title, rows in (
+        ("measured vs predicted (base-OT set-up subtracted):", conformance_rows(trace)),
+        ("set-up (base OTs, once per channel and direction):", setup_rows(trace)),
+    ):
+        out += ["", title, header]
+        for row in rows:
+            if row.predicted_bits is None:
+                predicted, slack, status = "-", "-", "n/a"
+            else:
+                predicted = _fmt_bytes(row.predicted_bits)
+                slack = f"+[{row.slack_min_bits}, {row.slack_max_bits}] bit"
+                status = "OK" if row.ok else "FAIL"
+            out.append(
+                f"  {row.path:<28} {_fmt_bytes(row.measured_bits):>12}"
+                f" {_fmt_bytes(row.base_ot_bits):>10} {_fmt_bytes(row.core_bits):>12}"
+                f" {predicted:>12} {slack:>14} {status:>7}"
+            )
+            out.append(f"      {row.detail}")
     return "\n".join(out)

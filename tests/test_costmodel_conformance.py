@@ -11,8 +11,9 @@ documented in ``repro/perf/report.py``:
 * one-batch triplets: within one 64-bit word per transmitted chunk;
 * oblivious GC ReLU: byte-exact against ``gc_relu_wire_bits``.
 
-Base-OT setup traffic is isolated in ``base-ot`` spans by the OT engines
-and subtracted by the checker before comparing.
+Base-OT set-up traffic is isolated in ``base-ot`` spans by the channel's
+OT set-up and subtracted by the checker before comparing; the set-up
+itself is one zero-slack row per handshake against ``base_ot_setup_bits``.
 """
 
 import numpy as np
@@ -26,8 +27,17 @@ from repro.core.triplets import (
 )
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
-from repro.perf.costmodel import abnn2_comm_bits_radices, gc_relu_wire_bits
-from repro.perf.report import check_conformance, conformance_rows, triplet_slack_bits
+from repro.perf.costmodel import (
+    abnn2_comm_bits_radices,
+    base_ot_setup_bits,
+    gc_relu_wire_bits,
+)
+from repro.perf.report import (
+    check_conformance,
+    conformance_rows,
+    setup_rows,
+    triplet_slack_bits,
+)
 from repro.perf.trace import Tracer
 from repro.quant.fragments import TABLE2_SCHEMES
 from repro.utils.ring import Ring
@@ -421,3 +431,67 @@ class TestEndToEndTraceConformance:
                 gc_relu_wire_bits(32, width * batch) for width in hidden
             ]
             assert check_conformance(trace) == []
+
+
+def _assert_one_setup(trace, columns: int, group) -> None:
+    """Exactly one ``base-ot`` span, ``columns`` wide, at zero slack."""
+    rows = setup_rows(trace)
+    assert len(rows) == 1, [row.path for row in rows]
+    row = rows[0]
+    assert f"columns={columns} " in row.detail
+    assert row.core_bits == row.predicted_bits == base_ot_setup_bits(
+        columns, 8 * group.element_bytes
+    )
+    assert check_conformance(trace) == []
+
+
+class TestSetupConformance:
+    """One set-up per channel and direction, priced once (Table 1's way)."""
+
+    def test_secure_predict_runs_one_256_column_setup_per_party(
+        self, trained_model, small_dataset, test_group
+    ):
+        from repro.core.protocol import secure_predict
+        from repro.nn.quantize import quantize_model
+        from repro.quant.fragments import FragmentScheme
+
+        qmodel = quantize_model(
+            trained_model, FragmentScheme.ternary(), Ring(32), frac_bits=6
+        )
+        report = secure_predict(qmodel, small_dataset.test_x[:1], group=test_group, seed=3)
+        for trace in (report.server_trace, report.client_trace):
+            _assert_one_setup(trace, 256, test_group)
+
+    def test_served_bank_session_runs_one_128_column_setup(self, test_group):
+        import threading
+
+        from repro.core.protocol import ModelMeta
+        from repro.net.channel import make_channel_pair
+        from repro.nn.model import mnist_mlp
+        from repro.nn.quantize import quantize_model
+        from repro.quant.fragments import FragmentScheme
+        from repro.serve import ClientSession, ServerSession, TripletBank
+
+        qmodel = quantize_model(
+            mnist_mlp(seed=7, hidden=8, input_dim=16), FragmentScheme.ternary(),
+            Ring(32), frac_bits=6,
+        )
+        bank = TripletBank(
+            qmodel, 1, capacity=2, generator="dealer", auto_replenish=False,
+            group=test_group, seed=11,
+        )
+        bank.fill(2)
+        server_chan, client_chan = make_channel_pair(timeout_s=30.0)
+        session = ServerSession(server_chan, qmodel, bank, session_id=1, group=test_group)
+        thread = threading.Thread(target=session.run, daemon=True)
+        thread.start()
+        client = ClientSession(
+            client_chan, ModelMeta.from_model(qmodel), 1, group=test_group, seed=9
+        )
+        for x in np.random.default_rng(6).uniform(0, 1, size=(2, 16)):
+            client.predict_encoded(qmodel.encoder.encode(x[:, None]))
+        client.close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        for tracer in (session.tracer, client.tracer):
+            _assert_one_setup(tracer.to_dict(), 128, test_group)

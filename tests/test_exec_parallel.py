@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.crypto.iknp import MAX_SESSION_TAG, _session_base_index
+from repro.crypto.otsetup import MAX_SESSION_TAG, session_base_index
 from repro.core.triplets import TripletConfig
 from repro.errors import ChannelError, CryptoError
 from repro.exec import (
@@ -220,14 +220,14 @@ class TestChannelMux:
 # --------------------------------------------------------------------- #
 class TestSessionTag:
     def test_base_index_layout(self):
-        assert _session_base_index(0) == 0
-        assert _session_base_index(3) == 3 << 48
-        assert _session_base_index(MAX_SESSION_TAG) == MAX_SESSION_TAG << 48
+        assert session_base_index(0) == 0
+        assert session_base_index(3) == 3 << 48
+        assert session_base_index(MAX_SESSION_TAG) == MAX_SESSION_TAG << 48
 
     def test_out_of_range_rejected(self):
         for bad in (-1, MAX_SESSION_TAG + 1):
             with pytest.raises(CryptoError):
-                _session_base_index(bad)
+                session_base_index(bad)
 
 
 # --------------------------------------------------------------------- #

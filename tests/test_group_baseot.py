@@ -98,6 +98,44 @@ class TestBaseOt:
         with pytest.raises(CryptoError):
             baseot.random_send(server, 0, test_group)
 
+    @pytest.mark.parametrize(
+        "group,count", [(MODP_TEST, 64), (MODP_1536, 4)], ids=["test-64", "1536-4"]
+    )
+    def test_sender_keys_match_two_exponentiation_formula(self, group, count):
+        """``k1`` from ``B^a * (A^-1)^a`` is byte-identical to ``(B * A^-1)^a``."""
+        from repro.utils.rng import randbelow_from_rng
+
+        draws = np.random.default_rng(8)
+        exponents, blobs = [], []
+
+        def draw(bound):
+            exponents.append(randbelow_from_rng(draws, bound))
+            return exponents[-1]
+
+        class _Tap:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def send(self, obj):
+                self._inner.send(obj)
+
+            def recv(self):
+                blobs.append(self._inner.recv())
+                return blobs[-1]
+
+        choices = [i % 2 for i in range(count)]
+        result = run_protocol(
+            lambda ch: baseot.random_send(_Tap(ch), count, group, randbelow=draw),
+            lambda ch: baseot.random_receive(ch, choices, group),
+        )
+        a, p, size = exponents[-1], group.p, group.element_bytes
+        inv_big_a = pow(pow(group.g, a, p), p - 2, p)  # Fermat, as before
+        for i, (k0, k1) in enumerate(result.server):
+            b = group.decode(blobs[0][i * size : (i + 1) * size])
+            assert k0 == baseot._derive_key(group, i, pow(b, a, p))
+            assert k1 == baseot._derive_key(group, i, pow(b * inv_big_a % p, a, p))
+            assert result.client[i] == (k0, k1)[choices[i]]
+
     def test_deterministic_with_seeded_randbelow(self, test_group, rng):
         from repro.utils.rng import randbelow_from_rng
 

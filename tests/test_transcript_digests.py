@@ -1,0 +1,203 @@
+"""Transcript digests: "byte-identical transcripts" as one assertion.
+
+``wire_bytes`` and ``rounds`` are counts: a reordered or altered frame of
+the same size passes them.  :class:`DigestChannel` keeps a running
+SHA-256 over every payload frame one party sends and receives, in order
+and tagged with its direction, so two runs with equal digests exchanged
+the same frames in the same order.  Frames are hashed in the canonical
+encoding of :mod:`repro.utils.serialization`, which makes a digest the
+same over the in-memory pair and over TCP.
+
+The table pins fixed-seed runs on ``MODP_TEST``.  Re-pinning is a
+one-line edit per run, and a change that moves a digest on purpose names
+its reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.protocol import ModelMeta, secure_predict
+from repro.crypto.group import MODP_TEST
+from repro.net import run_protocol, tcp
+from repro.net.channel import make_channel_pair
+from repro.nn.model import mnist_mlp, vgg_cifar
+from repro.nn.quantize import quantize_model
+from repro.quant.fragments import FragmentScheme
+from repro.serve import ClientSession, ServerSession, TripletBank
+from repro.utils import serialization
+from repro.utils.ring import Ring
+
+
+class DigestChannel:
+    """Channel wrapper keeping a running SHA-256 of its party's view."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._sha = hashlib.sha256()
+
+    @property
+    def tracer(self):
+        return self._inner.tracer
+
+    @tracer.setter
+    def tracer(self, value) -> None:
+        self._inner.tracer = value
+
+    def __getattr__(self, name):
+        # party, stats, timeout_s, close, drain, abort, ...
+        return getattr(self._inner, name)
+
+    def _absorb(self, direction: bytes, obj) -> None:
+        data = serialization.encode(obj)
+        self._sha.update(direction + len(data).to_bytes(8, "little") + data)
+
+    def send(self, obj) -> None:
+        self._inner.send(obj)
+        self._absorb(b"S", obj)
+
+    def recv(self):
+        obj = self._inner.recv()
+        self._absorb(b"R", obj)
+        return obj
+
+    def exchange(self, obj):
+        self.send(obj)
+        return self.recv()
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+#: (server, client) digest prefixes of each pinned run.
+PINNED = {
+    "fig4_b1": ("20a5610acf1e3986", "00348bd12bb50a68"),
+    "fig4_b8": ("16f39f0c097f18f3", "e79b1a02218fea75"),
+    "vgg_cifar_side12": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
+    "served_bank_keepalive": ("4464f093a59de5e4", "7d0f86abc743295b"),
+}
+
+
+def _fig4():
+    return quantize_model(mnist_mlp(), FragmentScheme.from_bits((2, 2, 2, 2)), Ring(32))
+
+
+def _inputs(features: int, batch: int) -> np.ndarray:
+    return np.random.default_rng(3).uniform(0, 1, size=(batch, features))
+
+
+def _predict_digests(qmodel, x, channels) -> tuple[str, str]:
+    wrapped = tuple(DigestChannel(chan) for chan in channels)
+    secure_predict(qmodel, x, group=MODP_TEST, seed=0, channels=wrapped)
+    return tuple(chan.hexdigest()[:16] for chan in wrapped)
+
+
+def _fig4_b1(channels=None) -> tuple[str, str]:
+    return _predict_digests(
+        _fig4(), _inputs(784, 1), channels or make_channel_pair(timeout_s=60.0)
+    )
+
+
+def _served_bank_digests() -> tuple[str, str]:
+    qmodel = quantize_model(
+        mnist_mlp(seed=7, hidden=8, input_dim=16), FragmentScheme.ternary(),
+        Ring(32), frac_bits=6,
+    )
+    bank = TripletBank(
+        qmodel, 1, capacity=2, generator="dealer", auto_replenish=False,
+        group=MODP_TEST, seed=11,
+    )
+    bank.fill(2)
+    server_chan, client_chan = (
+        DigestChannel(chan) for chan in make_channel_pair(timeout_s=30.0)
+    )
+    thread = threading.Thread(
+        target=ServerSession(
+            server_chan, qmodel, bank, session_id=1, group=MODP_TEST, seed=5
+        ).run,
+        daemon=True,
+    )
+    thread.start()
+    client = ClientSession(
+        client_chan, ModelMeta.from_model(qmodel), 1, group=MODP_TEST, seed=9
+    )
+    for x in _inputs(16, 2):
+        client.predict_encoded(qmodel.encoder.encode(x[:, None]))
+    client.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return server_chan.hexdigest()[:16], client_chan.hexdigest()[:16]
+
+
+RUNS = {
+    "fig4_b8": lambda: _predict_digests(
+        _fig4(), _inputs(784, 8), make_channel_pair(timeout_s=60.0)
+    ),
+    "vgg_cifar_side12": lambda: _predict_digests(
+        quantize_model(
+            vgg_cifar(base=2, side=12), FragmentScheme.from_bits((2, 2)), Ring(32),
+            input_shape=(3, 12, 12),
+        ),
+        _inputs(3 * 12 * 12, 1),
+        make_channel_pair(timeout_s=60.0),
+    ),
+    "served_bank_keepalive": _served_bank_digests,
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_digest_is_pinned(self, name):
+        assert RUNS[name]() == PINNED[name]
+
+    def test_fig4_b1_stable_across_three_runs(self):
+        assert [_fig4_b1() for _ in range(3)] == [PINNED["fig4_b1"]] * 3
+
+    def test_fig4_b1_same_over_tcp(self):
+        listener = tcp.Listener(0)
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(chan=listener.accept(30.0)), daemon=True
+        )
+        thread.start()
+        client = tcp.connect("127.0.0.1", listener.port)
+        thread.join(timeout=30)
+        listener.close()
+        try:
+            assert _fig4_b1((box["chan"], client)) == PINNED["fig4_b1"]
+        finally:
+            box["chan"].close()
+            client.close()
+
+
+class TestDigestSensitivity:
+    def test_swapping_equal_size_sends_moves_digest_not_counts(self):
+        """Counts cannot see a reordering; the digest does."""
+        first, second = np.arange(4, dtype=np.uint64), np.arange(4, 8, dtype=np.uint64)
+
+        def run(order):
+            channels = tuple(DigestChannel(c) for c in make_channel_pair(timeout_s=10.0))
+
+            def sender(chan):
+                for frame in order:
+                    chan.send(frame)
+                return chan.recv()
+
+            def receiver(chan):
+                got = [chan.recv() for _ in order]
+                chan.send(b"ack")
+                return got
+
+            result = run_protocol(sender, receiver, channels=channels)
+            stats = result.stats
+            counts = (stats.total_bytes, stats.rounds, stats.total_messages)
+            return counts, tuple(chan.hexdigest() for chan in channels)
+
+        counts, digests = run((first, second))
+        swapped_counts, swapped_digests = run((second, first))
+        assert swapped_counts == counts
+        assert all(a != b for a, b in zip(digests, swapped_digests))
