@@ -11,9 +11,13 @@ OT extension bootstraps from ``kappa`` public-key OTs.  We implement the
   receiver: ``k_{i,c_i} = H(i, A^{b_i})`` —
   and the sender masks its two messages with the two keys.
 
-The sender pays one exponentiation per OT, not two:
+Cost per OT.  Both receiver exponentiations have a fixed base, so both
+come from a :class:`~repro.crypto.group.FixedBaseTable` (≤ 43 modular
+multiplications each): ``g^{b_i}`` from the group's per-process ``g``
+table, ``A^{b_i}`` from one table per handshake over the sender's ``A``.
+The sender pays one variable-base ``pow`` per OT, not two:
 ``(B_i * A^{-1})^a = B_i^a * (A^{-1})^a``, and ``C = (A^{-1})^a`` is
-computed once per batch.
+computed once per batch (``A = g^a`` itself comes from the ``g`` table).
 
 The random-OT variants (:func:`random_send`, :func:`random_receive`)
 return the derived keys themselves: the channel's base keys, from which
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.group import DEFAULT_GROUP, ModpGroup
+from repro.crypto.group import DEFAULT_GROUP, FixedBaseTable, ModpGroup
 from repro.crypto.hash_ro import sha256_ro
 from repro.errors import CryptoError
 from repro.net.channel import Channel
@@ -90,9 +94,9 @@ def random_receive(
         parts.append(group.encode(elem))
     chan.send(b"".join(parts))
 
-    return [
-        _derive_key(group, i, group.power(big_a, b)) for i, b in enumerate(exponents)
-    ]
+    # Every A^{b_i} shares the base A: one table for this handshake only.
+    a_table = FixedBaseTable(big_a, group.p)
+    return [_derive_key(group, i, a_table.power(b)) for i, b in enumerate(exponents)]
 
 
 def send(

@@ -5,14 +5,65 @@ agreement in a classic MODP group.  We ship the RFC 3526 1536-bit and
 2048-bit groups (safe primes, generator 2) plus a small 256-bit safe prime
 for fast unit tests — the small group is clearly labelled *insecure* and
 never selected by default.
+
+Powers of a base used many times — the generator ``g`` everywhere, the
+sender's ``A`` within one base-OT handshake — come from a
+:class:`FixedBaseTable` instead of :func:`pow`.
 """
 
 from __future__ import annotations
 
 import secrets
+import threading
 from dataclasses import dataclass
 
 from repro.errors import CryptoError
+
+#: Width of the exponents :meth:`ModpGroup.sample_exponent` draws (2·kappa)
+#: and the exponent width a :class:`FixedBaseTable` covers.
+EXPONENT_BITS = 256
+#: Comb radix ``2^w`` of a :class:`FixedBaseTable`: ceil(256 / 6) = 43 rows
+#: of 63 elements (≈0.6 MiB at 1536 bits), ≤ 43 multiplications per power.
+_WINDOW_BITS = 6
+
+
+class FixedBaseTable:
+    """``base^e mod p`` for ``0 <= e < 2^(43·6)`` from precomputed powers.
+
+    A radix-``2^w`` comb: row ``i`` holds ``base^(d·2^(w·i))`` for every
+    digit ``d < 2^w``, so a power is one modular multiplication per
+    nonzero base-``2^w`` digit of ``e`` (≤ 43 for a 256-bit exponent)
+    instead of ~300 squarings and multiplications.  Any other exponent
+    falls back to :func:`pow`.  Like ``pow``, neither path is
+    constant-time.
+    """
+
+    def __init__(self, base: int, p: int) -> None:
+        self.base = base
+        self.p = p
+        rows = []
+        step = base % p
+        for _ in range(-(-EXPONENT_BITS // _WINDOW_BITS)):
+            row = [1]
+            for _ in range((1 << _WINDOW_BITS) - 1):
+                row.append(row[-1] * step % p)
+            rows.append(row)
+            step = row[-1] * step % p  # base^(2^(w·(i+1)))
+        self._rows = rows
+        self._limit = 1 << (len(rows) * _WINDOW_BITS)
+
+    def power(self, exponent: int) -> int:
+        if not 0 <= exponent < self._limit:
+            return pow(self.base, exponent, self.p)
+        p, mask, rows = self.p, (1 << _WINDOW_BITS) - 1, self._rows
+        result, i = 1, 0
+        while exponent:
+            digit = exponent & mask
+            if digit:
+                result = result * rows[i][digit] % p
+            exponent >>= _WINDOW_BITS
+            i += 1
+        return result
 
 # RFC 3526, group 5 (1536-bit MODP).
 _P_1536 = int(
@@ -65,15 +116,17 @@ class ModpGroup:
         return (self.p.bit_length() + 7) // 8
 
     def sample_exponent(self, randbelow=None) -> int:
-        """A random nonzero exponent.
+        """A random nonzero exponent below ``2^256`` (and below ``q``).
 
-        Uses the standard short-exponent optimization for large groups:
-        in a safe-prime group, 2*kappa-bit exponents are believed as hard
-        to recover as full-width ones (short-exponent DLOG), and they cut
-        the base-OT exponentiation cost by ~6x at 1536 bits.
+        Short exponents: the best known attack on a 2·kappa-bit exponent
+        in a safe-prime group is Pollard's kangaroo, ≈2^128 group
+        operations (docs/PROTOCOLS.md §1).  The width sets the cost of
+        every base-OT power: a 256-bit ``pow`` at 1536 bits is ≈6x cheaper
+        than a full-width one, and a :class:`FixedBaseTable` covers it in
+        43 rows.
         """
         draw = randbelow or secrets.randbelow
-        bound = min(self.order, 1 << 256)
+        bound = min(self.order, 1 << EXPONENT_BITS)
         value = 0
         while value == 0:
             value = draw(bound)
@@ -83,7 +136,8 @@ class ModpGroup:
         return pow(base, exponent, self.p)
 
     def gpow(self, exponent: int) -> int:
-        return pow(self.g, exponent, self.p)
+        """``g^exponent``, from the group's cached :class:`FixedBaseTable`."""
+        return _generator_table(self).power(exponent)
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -97,10 +151,34 @@ class ModpGroup:
         return element.to_bytes(self.element_bytes, "little")
 
     def decode(self, data: bytes) -> int:
+        """A peer's element: exactly ``element_bytes`` long, in ``(1, p - 1)``.
+
+        ``1`` and ``p - 1`` have order ≤ 2; a sender's ``A = 1`` would make
+        both base-OT keys equal.
+        """
+        if not isinstance(data, (bytes, bytearray)) or len(data) != self.element_bytes:
+            raise CryptoError(
+                f"group element must be {self.element_bytes} bytes"
+            )
         element = int.from_bytes(data, "little")
-        if not 1 <= element < self.p:
-            raise CryptoError("group element out of range")
+        if not 1 < element < self.p - 1:
+            raise CryptoError("group element out of range or of order <= 2")
         return element
+
+
+_GENERATOR_TABLES: dict[ModpGroup, FixedBaseTable] = {}
+_GENERATOR_TABLES_LOCK = threading.Lock()
+
+
+def _generator_table(group: ModpGroup) -> FixedBaseTable:
+    """The group's ``g`` table, built on first use once per process."""
+    table = _GENERATOR_TABLES.get(group)
+    if table is None:
+        with _GENERATOR_TABLES_LOCK:
+            table = _GENERATOR_TABLES.get(group)
+            if table is None:
+                table = _GENERATOR_TABLES[group] = FixedBaseTable(group.g, group.p)
+    return table
 
 
 MODP_1536 = ModpGroup("modp-1536", _P_1536, 2, secure=True)

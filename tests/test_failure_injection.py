@@ -179,6 +179,9 @@ class TestShapeConfusion:
 # online fault fuzz (the plan walk over FaultyChannel)
 # --------------------------------------------------------------------- #
 FUZZ_TIMEOUT_S = 3.0
+#: recv deadline of the faulted online phase: five offsets per fault kind
+#: end in a recv timeout, and this tiny model's online phase needs far less.
+FUZZ_ONLINE_TIMEOUT_S = 0.5
 FUZZ_DEADLINE_S = 25.0
 
 
@@ -229,20 +232,29 @@ def fuzz_env():
 
 def _run_faulted_online(env, fault_plan):
     """Fault-free offline, then one online round with the client's sends
-    routed through ``FaultyChannel``.  Returns (server, client, errors)
+    routed through ``FaultyChannel``.  Both parties finish the offline
+    phase before either starts the online one, whose recv deadline is the
+    shorter ``FUZZ_ONLINE_TIMEOUT_S``.  Returns (server, client, errors)
     where ``errors[name]`` is the exception that party raised (if any).
     """
     server_chan, client_chan = make_channel_pair(timeout_s=FUZZ_TIMEOUT_S)
+    offline_done = threading.Barrier(2, timeout=FUZZ_DEADLINE_S)
     parties: dict = {}
     errors: dict = {}
+
+    def go_online(chan):
+        offline_done.wait()
+        chan.timeout_s = FUZZ_ONLINE_TIMEOUT_S
 
     def server_fn():
         server = parties["server"] = env._server(server_chan)
         try:
             server.offline(rounds=1)
+            go_online(server_chan)
             server.online()
         except BaseException as exc:  # noqa: BLE001
             errors["server"] = exc
+            offline_done.abort()
             server_chan.close()  # wake a peer parked in recv
 
     def client_fn():
@@ -251,9 +263,11 @@ def _run_faulted_online(env, fault_plan):
         )
         try:
             client.offline(rounds=1)
+            go_online(client_chan)
             client.online(env.x_ring)
         except BaseException as exc:  # noqa: BLE001
             errors["client"] = exc
+            offline_done.abort()
             client_chan.close()
 
     threads = [

@@ -1,12 +1,50 @@
-"""MODP groups and the Chou-Orlandi style base OT."""
+"""MODP groups, fixed-base tables and the Chou-Orlandi style base OT."""
+
+import random
+import threading
 
 import numpy as np
 import pytest
 
 from repro.crypto import baseot
-from repro.crypto.group import MODP_1536, MODP_2048, MODP_TEST
+from repro.crypto import group as group_module
+from repro.crypto.group import MODP_1536, MODP_2048, MODP_TEST, FixedBaseTable
 from repro.errors import CryptoError
 from repro.net import run_protocol
+from repro.net.channel import make_channel_pair
+from repro.utils.rng import randbelow_from_rng
+
+GROUPS = pytest.mark.parametrize(
+    "group", [MODP_TEST, MODP_1536, MODP_2048], ids=lambda g: g.name
+)
+WINDOW = group_module._WINDOW_BITS
+
+
+class _Tap:
+    """Channel wrapper recording every frame its party sends and receives."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.sent, self.received = [], []
+
+    def send(self, obj):
+        self._inner.send(obj)
+        self.sent.append(obj)
+
+    def recv(self):
+        self.received.append(self._inner.recv())
+        return self.received[-1]
+
+
+def _recording_draw(seed):
+    """A seeded ``randbelow`` and the list of values it returned."""
+    draws, values = np.random.default_rng(seed), []
+
+    def draw(bound):
+        values.append(randbelow_from_rng(draws, bound))
+        return values[-1]
+
+    return draw, values
 
 
 class TestGroups:
@@ -47,10 +85,83 @@ class TestGroups:
         with pytest.raises(CryptoError):
             MODP_TEST.decode(b"\x00" * MODP_TEST.element_bytes)
 
+    @GROUPS
+    def test_decode_refuses_wrong_length(self, group):
+        frame = group.encode(group.gpow(5))
+        for bad in (frame[:-1], frame + b"\x00", b""):
+            with pytest.raises(CryptoError, match="bytes"):
+                group.decode(bad)
+
+    @GROUPS
+    def test_decode_refuses_order_two_elements(self, group):
+        for element in (1, group.p - 1):
+            with pytest.raises(CryptoError, match="order"):
+                group.decode(group.encode(element))
+        assert group.decode(group.encode(group.p - 2)) == group.p - 2
+
     def test_sample_exponent_nonzero(self):
         draws = {MODP_TEST.sample_exponent() for _ in range(20)}
         assert 0 not in draws
         assert len(draws) > 1
+
+
+class TestFixedBaseTable:
+    EDGES = [0, 1, 2**WINDOW - 1, 2**WINDOW, 2**256 - 1]
+
+    @GROUPS
+    def test_matches_pow(self, group):
+        rng = random.Random(group.p.bit_length())
+        exponents = self.EDGES + [rng.getrandbits(256) for _ in range(6)]
+        base = pow(group.g, rng.getrandbits(256), group.p)
+        table = FixedBaseTable(base, group.p)
+        for e in exponents:
+            assert group.gpow(e) == pow(group.g, e, group.p), e
+            assert table.power(e) == pow(base, e, group.p), e
+
+    def test_wider_exponent_takes_pow_path(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(group_module, "pow", spy, raising=False)
+        p = MODP_1536.p
+        table = FixedBaseTable(12345, p)
+        table.power(2**256 - 1)
+        assert calls == []
+        for e in (2**258, 2**512 + 3):
+            assert table.power(e) == pow(12345, e, p)
+            assert MODP_1536.gpow(e) == pow(2, e, p)
+        assert calls == [(12345, 2**258, p), (2, 2**258, p),
+                         (12345, 2**512 + 3, p), (2, 2**512 + 3, p)]
+
+    def test_cold_generator_table_two_threads(self, monkeypatch):
+        built = []
+
+        class CountingTable(FixedBaseTable):
+            def __init__(self, base, p):
+                built.append(base)
+                super().__init__(base, p)
+
+        monkeypatch.setattr(group_module, "_GENERATOR_TABLES", {})
+        monkeypatch.setattr(group_module, "FixedBaseTable", CountingTable)
+        rng = random.Random(4)
+        exponents = [[rng.getrandbits(256) for _ in range(8)] for _ in range(2)]
+        barrier, results = threading.Barrier(2), {}
+
+        def work(k):
+            barrier.wait()
+            results[k] = [MODP_2048.gpow(e) for e in exponents[k]]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        for k in range(2):
+            assert results[k] == [pow(2, e, MODP_2048.p) for e in exponents[k]]
+        assert built == [2]
 
 
 class TestBaseOt:
@@ -103,42 +214,69 @@ class TestBaseOt:
     )
     def test_sender_keys_match_two_exponentiation_formula(self, group, count):
         """``k1`` from ``B^a * (A^-1)^a`` is byte-identical to ``(B * A^-1)^a``."""
-        from repro.utils.rng import randbelow_from_rng
-
-        draws = np.random.default_rng(8)
-        exponents, blobs = [], []
-
-        def draw(bound):
-            exponents.append(randbelow_from_rng(draws, bound))
-            return exponents[-1]
-
-        class _Tap:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def send(self, obj):
-                self._inner.send(obj)
-
-            def recv(self):
-                blobs.append(self._inner.recv())
-                return blobs[-1]
-
+        draw, exponents = _recording_draw(8)
         choices = [i % 2 for i in range(count)]
+        tap = None
+
+        def sender(ch):
+            nonlocal tap
+            tap = _Tap(ch)
+            return baseot.random_send(tap, count, group, randbelow=draw)
+
         result = run_protocol(
-            lambda ch: baseot.random_send(_Tap(ch), count, group, randbelow=draw),
-            lambda ch: baseot.random_receive(ch, choices, group),
+            sender, lambda ch: baseot.random_receive(ch, choices, group)
         )
         a, p, size = exponents[-1], group.p, group.element_bytes
         inv_big_a = pow(pow(group.g, a, p), p - 2, p)  # Fermat, as before
         for i, (k0, k1) in enumerate(result.server):
-            b = group.decode(blobs[0][i * size : (i + 1) * size])
+            b = group.decode(tap.received[0][i * size : (i + 1) * size])
             assert k0 == baseot._derive_key(group, i, pow(b, a, p))
             assert k1 == baseot._derive_key(group, i, pow(b * inv_big_a % p, a, p))
             assert result.client[i] == (k0, k1)[choices[i]]
 
-    def test_deterministic_with_seeded_randbelow(self, test_group, rng):
-        from repro.utils.rng import randbelow_from_rng
+    @pytest.mark.parametrize(
+        "group,count", [(MODP_TEST, 64), (MODP_1536, 4)], ids=["test-64", "1536-4"]
+    )
+    def test_receiver_keys_match_pow_formula(self, group, count):
+        """Table-driven ``B = g^b * A^c`` and ``k_c = H(i, A^b)`` equal ``pow``'s."""
+        draw, exponents = _recording_draw(9)
+        choices = [(i // 2) % 2 for i in range(count)]
+        tap = None
 
+        def receiver(ch):
+            nonlocal tap
+            tap = _Tap(ch)
+            return baseot.random_receive(tap, choices, group, randbelow=draw)
+
+        result = run_protocol(
+            lambda ch: baseot.random_send(ch, count, group), receiver
+        )
+        p, size = group.p, group.element_bytes
+        big_a = int.from_bytes(tap.received[0], "little")
+        assert len(exponents) == count
+        for i, b in enumerate(exponents):
+            elem = int.from_bytes(tap.sent[0][i * size : (i + 1) * size], "little")
+            assert elem == pow(group.g, b, p) * pow(big_a, choices[i], p) % p
+            assert result.client[i] == baseot._derive_key(group, i, pow(big_a, b, p))
+            assert result.client[i] == result.server[i][choices[i]]
+
+    @pytest.mark.parametrize("group", [MODP_TEST, MODP_1536], ids=lambda g: g.name)
+    @pytest.mark.parametrize("frame", ["short", "long", "one", "minus-one"])
+    def test_receiver_refuses_bad_sender_element_before_sending(self, group, frame):
+        good = group.encode(group.gpow(5))
+        bad = {
+            "short": good[:-1],
+            "long": good + b"\x00",
+            "one": group.encode(1),
+            "minus-one": group.encode(group.p - 1),
+        }[frame]
+        server, client = make_channel_pair(timeout_s=5.0)
+        server.send(bad)
+        with pytest.raises(CryptoError):
+            baseot.random_receive(client, [0, 1, 1], group)
+        assert client.stats.messages_sent[1] == 0
+
+    def test_deterministic_with_seeded_randbelow(self, test_group, rng):
         def draw(bound):
             return randbelow_from_rng(rng, bound)
 

@@ -73,11 +73,14 @@ class DigestChannel:
         return self._sha.hexdigest()
 
 
-#: (server, client) digest prefixes of each pinned run.
+#: (server, client) digest prefixes of each pinned run.  Chunking is a
+#: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
     "fig4_b1": ("20a5610acf1e3986", "00348bd12bb50a68"),
     "fig4_b8": ("16f39f0c097f18f3", "e79b1a02218fea75"),
     "vgg_cifar_side12": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
+    "vgg_cifar_side12_chunk7": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
+    "vgg_cifar_side12_winograd": ("4f39248c64bff2b6", "70745c072620d4dc"),
     "served_bank_keepalive": ("4464f093a59de5e4", "7d0f86abc743295b"),
 }
 
@@ -99,6 +102,16 @@ def _predict_digests(qmodel, x, channels) -> tuple[str, str]:
 def _fig4_b1(channels=None) -> tuple[str, str]:
     return _predict_digests(
         _fig4(), _inputs(784, 1), channels or make_channel_pair(timeout_s=60.0)
+    )
+
+
+def _vgg_side12(**options) -> tuple[str, str]:
+    qmodel = quantize_model(
+        vgg_cifar(base=2, side=12), FragmentScheme.from_bits((2, 2)), Ring(32),
+        input_shape=(3, 12, 12), **options,
+    )
+    return _predict_digests(
+        qmodel, _inputs(3 * 12 * 12, 1), make_channel_pair(timeout_s=60.0)
     )
 
 
@@ -137,14 +150,9 @@ RUNS = {
     "fig4_b8": lambda: _predict_digests(
         _fig4(), _inputs(784, 8), make_channel_pair(timeout_s=60.0)
     ),
-    "vgg_cifar_side12": lambda: _predict_digests(
-        quantize_model(
-            vgg_cifar(base=2, side=12), FragmentScheme.from_bits((2, 2)), Ring(32),
-            input_shape=(3, 12, 12),
-        ),
-        _inputs(3 * 12 * 12, 1),
-        make_channel_pair(timeout_s=60.0),
-    ),
+    "vgg_cifar_side12": _vgg_side12,
+    "vgg_cifar_side12_chunk7": lambda: _vgg_side12(chunk_cols=7),
+    "vgg_cifar_side12_winograd": lambda: _vgg_side12(linear_backend="winograd"),
     "served_bank_keepalive": _served_bank_digests,
 }
 
