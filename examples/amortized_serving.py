@@ -10,7 +10,7 @@ rounds ahead of time and many clients draw from that bank.  This demo:
 3. serves 3 sequential reconnecting clients and 2 concurrent clients
    over real TCP sockets from the same process — no restarts;
 4. "restarts" the server against the persisted bank and shows the
-   offline phase is skipped entirely (zero generation traffic);
+   offline phase is skipped entirely (no round is regenerated);
 5. prints the amortized-throughput arithmetic.
 
 Run:  python examples/amortized_serving.py [--rounds K] [--batch N]
@@ -39,8 +39,6 @@ from repro.crypto.group import MODP_TEST
 from repro.errors import ProtocolError
 from repro.serve import PredictionClient, PredictionServer, TripletBank
 
-MB = 1024 * 1024
-
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -64,8 +62,7 @@ def main() -> None:
     t0 = time.perf_counter()
     bank.fill(args.rounds)
     offline_s = time.perf_counter() - t0
-    gen_mb = bank.metrics()["generation_payload_bytes"] / MB
-    print(f"banked {bank.depth} rounds in {offline_s:.2f}s ({gen_mb:.2f} MB of OT traffic)")
+    print(f"banked {bank.depth} rounds in {offline_s:.2f}s (dealt in closed form, no OT traffic)")
     bank_path = os.path.join(tempfile.mkdtemp(), "bank.npz")
     bank.save(bank_path)
     print(f"persisted bank to {bank_path}")
@@ -125,9 +122,9 @@ def main() -> None:
             print(f"  post-restart prediction: {labels.tolist()}")
         srv.wait_idle()
     m = restarted.metrics()
-    assert m["generation_payload_bytes"] == 0, "restart must not regenerate triplets"
-    print(f"  loaded {n} rounds from disk; generation traffic after restart: "
-          f"{m['generation_payload_bytes']} bytes (offline phase skipped)")
+    assert m["rounds_generated"] == 0, "restart must not regenerate triplets"
+    print(f"  loaded {n} rounds from disk; rounds generated after restart: "
+          f"{m['rounds_generated']} (offline phase skipped)")
 
     print("\n== 5. amortization arithmetic ==")
     n_served = len(predictions) * args.batch

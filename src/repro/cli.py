@@ -44,8 +44,6 @@ from repro.nn.train import TrainConfig, train_classifier
 from repro.quant.fragments import TABLE2_SCHEMES
 from repro.utils.ring import Ring
 
-MB = 1024 * 1024
-
 
 def _parse_scheme(text: str):
     if text in TABLE2_SCHEMES:
@@ -98,17 +96,16 @@ def cmd_serve(args) -> int:
         capacity=max(args.rounds, 1),
         auto_replenish=args.replenish,
         seed=args.seed,
-        workers=args.workers,
     )
     if args.bank and os.path.exists(args.bank):
         loaded = bank.load(args.bank)
         print(f"loaded {loaded} banked round(s) from {args.bank} (offline phase skipped)")
     deficit = args.rounds - bank.depth
     if deficit > 0:
-        print(f"banking {deficit} offline round(s) (OT triplets, batch={args.batch})...")
+        print(f"dealing {deficit} offline round(s) (closed form, batch={args.batch})...")
         bank.fill(deficit)
-        gen_mb = bank.metrics()["generation_payload_bytes"] / MB
-        print(f"offline done: {bank.depth} round(s) banked, {gen_mb:.2f} MB of triplet traffic")
+        gen_s = bank.metrics()["last_generation_s"]
+        print(f"offline done: {bank.depth} round(s) banked in {gen_s:.2f}s, no OT traffic")
         if args.bank:
             bank.save(args.bank)
             print(f"wrote bank bundle: {args.bank}")
@@ -345,11 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=600.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace-dir", help="write one trace JSON per session here")
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="offline generation workers (round material is worker-count "
-        "independent for a fixed --seed)",
-    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("predict", help="run the client party over TCP")

@@ -71,9 +71,9 @@ class SecureMatmulServer:
     def preload(self, u: np.ndarray | BlockedShare) -> None:
         """Adopt a precomputed ``U`` share instead of running :meth:`offline`.
 
-        The serving layer's triplet bank generates material ahead of time
-        (see :mod:`repro.serve.bank`); this installs one banked share after
-        shape validation, so no OT traffic happens on this channel.  A
+        The online phase installs each layer's ``U`` from the round's
+        :class:`~repro.core.offline.ServerHalf` this way, after shape
+        validation, so no OT traffic happens on this channel.  A
         :class:`BlockedShare` is kept blocked so the chunked online path
         never forces the full matrix into one allocation.
         """
@@ -174,66 +174,22 @@ class SecureMatmulClient:
             raise ConfigError(
                 f"R shape {self.r.shape} disagrees with config {config.r_shape}"
             )
-        self._v: np.ndarray | BlockedShare | None = None
-
-    @classmethod
-    def for_preload(cls, chan: Channel, config: TripletConfig) -> "SecureMatmulClient":
-        """An engine that will only ever serve a banked ``V`` share.
-
-        A dealt round's ``V`` already embeds ``R`` and the online path
-        never calls :meth:`mask_input` on hidden layers, so no ``R`` is
-        sampled or allocated — at conv scale a placeholder ``R`` would
-        itself be a patch-matrix-sized array.
-        """
-        engine = cls.__new__(cls)
-        engine.chan = chan
-        engine.config = config
-        engine._rng = None
-        engine._seed = None
-        engine.r = None
-        engine._v = None
-        return engine
+        self._v: np.ndarray | None = None
 
     def offline(self) -> None:
         """Run the OT-based triplet generation (interactive)."""
-        if self.r is None:
-            raise ProtocolError("preload-only engine has no R to run offline with")
         self._v = generate_triplets_client(
             self.chan, self.r, self.config, self._rng, seed=self._seed
         )
-
-    def preload(self, v: np.ndarray | BlockedShare) -> None:
-        """Adopt a precomputed ``V`` share instead of running :meth:`offline`.
-
-        Counterpart of :meth:`SecureMatmulServer.preload` for banked
-        offline rounds dealt to a session by the serving layer.
-        """
-        if isinstance(v, BlockedShare):
-            if v.shape != self.config.out_shape:
-                raise ConfigError(
-                    f"expected V of shape {self.config.out_shape}, got {v.shape}"
-                )
-            self._v = v
-            return
-        v_arr = self.config.ring.reduce(v)
-        if v_arr.shape != self.config.out_shape:
-            raise ConfigError(
-                f"expected V of shape {self.config.out_shape}, got {v_arr.shape}"
-            )
-        self._v = v_arr
 
     @property
     def v(self) -> np.ndarray:
         if self._v is None:
             raise ProtocolError("offline phase has not run yet")
-        if isinstance(self._v, BlockedShare):
-            return self._v.materialize()
         return self._v
 
     def mask_input(self, z: np.ndarray) -> np.ndarray:
         """``<Z>_0 = Z - R``: the share the client transmits to the server."""
-        if self.r is None:
-            raise ProtocolError("preload-only engine has no R to mask with")
         ring = self.config.ring
         z_arr = ring.reduce(z)
         if z_arr.shape != self.r.shape:

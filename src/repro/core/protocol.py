@@ -20,10 +20,12 @@ additionally reveals the activation sign pattern — see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
+from repro.core.offline import ClientHalf, ServerHalf, chain_operands, materialize
 from repro.core.plan import LayerGraphPlan, build_plan
 from repro.core.pooling import avgpool_share, maxpool_client, maxpool_server
 from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
@@ -360,8 +362,17 @@ class Abnn2Server(_PartyBase):
     def __init__(self, chan: Channel, model: QuantizedModel, batch: int, **kwargs) -> None:
         super().__init__(chan, ModelMeta.from_model(model), batch, **kwargs)
         self.model = model
-        self._pending: list[list[SecureMatmulServer]] = []
+        self._weights = [
+            _matmul_weights(layer, meta) for layer, meta in zip(model.layers, self.meta.layers)
+        ]
+        self._pending: list[ServerHalf] = []
         self._gc = GcSessions(chan, "evaluator", group=self.group, ro=self.ro, seed=self._seed)
+
+    def _engine(self, idx: int, seed: int | None = None) -> SecureMatmulServer:
+        return self.matmul_server_cls(
+            self.chan, self._weights[idx], self._layer_config(self.meta.layers[idx]),
+            seed=seed,
+        )
 
     def offline(self, rounds: int = 1) -> None:
         """Precompute triplet material for ``rounds`` prediction batches.
@@ -376,20 +387,18 @@ class Abnn2Server(_PartyBase):
 
         def _run():
             for round_idx in range(rounds):
-                matmuls = []
-                for idx, layer in enumerate(self.model.layers):
-                    server = self.matmul_server_cls(
-                        self.chan,
-                        _matmul_weights(layer, self.meta.layers[idx]),
-                        self._layer_config(self.meta.layers[idx]),
+                us = []
+                for idx, layer in enumerate(self.meta.layers):
+                    engine = self._engine(
+                        idx,
                         seed=None
                         if self._seed is None
                         else self._seed + 101 * idx + 10007 * round_idx,
                     )
-                    with self._triplet_span(idx, self.meta.layers[idx], round_idx):
-                        server.offline()
-                    matmuls.append(server)
-                self._pending.append(matmuls)
+                    with self._triplet_span(idx, layer, round_idx):
+                        engine.offline()
+                    us.append(engine.u)
+                self._pending.append(ServerHalf(us))
 
         self._track_phase("offline", _run)
 
@@ -398,69 +407,52 @@ class Abnn2Server(_PartyBase):
         """Prediction batches the precomputed material still covers."""
         return len(self._pending)
 
-    def export_offline_round(self) -> list[np.ndarray]:
-        """Pop one precomputed round as raw per-layer ``U`` shares.
-
-        This is the bank-side extraction hook (:mod:`repro.serve.bank`):
-        the arrays round-trip through :meth:`load_offline_round` on a
-        *different* server instance without touching any channel.
-        """
+    def export_offline_round(self) -> ServerHalf:
+        """Pop one precomputed round's :class:`ServerHalf` (no channel use)."""
         if not self._pending:
             raise ProtocolError(
                 "offline material exhausted: call offline(rounds=...) first"
             )
-        return [matmul.u for matmul in self._pending.pop(0)]
+        return self._pending.pop(0)
 
-    def load_offline_round(self, us: list[np.ndarray]) -> None:
-        """Append one banked round (per-layer ``U`` shares) to the queue.
-
-        No communication happens: the matmul engines are constructed with
-        their triplet shares preloaded, so the next :meth:`online` call can
-        run with zero offline traffic on this channel.
-        """
-        if len(us) != len(self.model.layers):
-            raise ConfigError(
-                f"banked round has {len(us)} layers, model has {len(self.model.layers)}"
-            )
-        matmuls = []
-        for idx, (layer, u) in enumerate(zip(self.model.layers, us)):
-            server = self.matmul_server_cls(
-                self.chan,
-                _matmul_weights(layer, self.meta.layers[idx]),
-                self._layer_config(self.meta.layers[idx]),
-            )
-            server.preload(u)
-            matmuls.append(server)
-        self._pending.append(matmuls)
+    def load_offline_round(self, half: ServerHalf) -> None:
+        """Queue one round produced elsewhere (a bank, a dealer, another
+        party's :meth:`export_offline_round`).  It is shape-checked
+        against the model (:class:`ConfigError`); no communication
+        happens, so the next :meth:`online` runs with zero offline
+        traffic on this channel."""
+        self._pending.append(half.validate(self.meta, self.batch))
 
     def online(self) -> np.ndarray:
         """Run one prediction batch; returns the server's logit share
         (already transmitted to the client).  Consumes one offline round
         — but only a round that *completed*: a fault mid-round leaves the
-        banked material queued, so the round is genuinely re-runnable
-        (the linear engines never mutate their triplet shares)."""
+        round queued, so it is genuinely re-runnable (the linear engines
+        never mutate their triplet shares)."""
         if not self._pending:
             raise ProtocolError(
                 "offline material exhausted: call offline(rounds=...) first "
                 "(checked before any bytes cross the wire)"
             )
-        matmuls = self._pending[0]
-        y0 = self._track_phase("online", lambda: self._online_sequential(matmuls))
+        half = self._pending[0]
+        y0 = self._track_phase("online", lambda: self._online_sequential(half))
         self._pending.pop(0)
         return y0
 
-    def _linear_layer(self, matmuls, idx: int, share0: np.ndarray) -> np.ndarray:
+    def _linear_layer(self, half: ServerHalf, idx: int, share0: np.ndarray) -> np.ndarray:
         """One linear node: ``W <z>_0 + U + b`` plus conv lowering/lifting
         inside the layer's matmul span, then (hidden layers) truncation."""
         layer = self.model.layers[idx]
         meta = self.meta.layers[idx]
+        engine = self._engine(idx)
+        engine.preload(half.u[idx])
         with self.tracer.span(
             f"layer{idx}/matmul", m=meta.matmul_rows, n=meta.matmul_cols,
             o=self.batch * meta.batch_multiplier(),
             groups=meta.matmul_groups, backend=meta.backend,
             chunk_cols=layer.conv.chunk_cols if layer.conv else None,
         ):
-            y0 = server_linear_share(self.ring, layer, meta, matmuls[idx], share0)
+            y0 = server_linear_share(self.ring, layer, meta, engine, share0)
         if idx < len(self.model.layers) - 1:
             y0 = truncate_share(self.ring, y0, layer.truncate_bits, party=0)
         return y0
@@ -472,7 +464,7 @@ class Abnn2Server(_PartyBase):
                 return avgpool_share(self.ring, layer.pool, share0, party=0)
             return maxpool_server(self.chan, layer.pool, share0, self._gc, self.ring)
 
-    def _online_sequential(self, matmuls) -> np.ndarray:
+    def _online_sequential(self, half: ServerHalf) -> np.ndarray:
         """Walk the plan node by node on the raw channel (paper Fig. 2)."""
         share0 = y0 = None
         for node in self.plan:
@@ -480,7 +472,7 @@ class Abnn2Server(_PartyBase):
                 with self.tracer.span("input-share"):
                     share0 = self.ring.reduce(self.chan.recv())  # <x>_0
             elif node.kind == "linear":
-                y0 = self._linear_layer(matmuls, node.layer, share0)
+                y0 = self._linear_layer(half, node.layer, share0)
             elif node.kind == "relu":
                 meta = self.meta.layers[node.layer]
                 with self.tracer.span(
@@ -508,7 +500,7 @@ class Abnn2Client(_PartyBase):
 
     def __init__(self, chan: Channel, meta: ModelMeta, batch: int, **kwargs) -> None:
         super().__init__(chan, meta, batch, **kwargs)
-        self._pending: list[dict] = []
+        self._pending: list[ClientHalf] = []
         self._gc = GcSessions(chan, "garbler", group=self.group, ro=self.ro, seed=self._seed)
 
     def offline(self, rounds: int = 1) -> None:
@@ -522,152 +514,55 @@ class Abnn2Client(_PartyBase):
 
         def _run():
             for round_idx in range(rounds):
-                matmuls = []
-                relu_shares = []
-                pool_shares = []
-                operand = self.ring.sample(
-                    self.rng, (self.meta.layers[0].in_features, self.batch)
-                )
-                input_mask = operand
-                for idx, layer in enumerate(self.meta.layers):
-                    if layer.backend == "winograd":
-                        r_mat = lower_tiles(layer.wino, operand, self.ring)
-                    elif layer.conv:
-                        r_mat = lower_shares(layer.conv, operand)
-                    else:
-                        r_mat = operand
-                    client = self.matmul_client_cls(
-                        self.chan,
-                        self._layer_config(layer),
-                        self.rng,
-                        r_mat=r_mat,
-                        seed=None
-                        if self._seed is None
-                        else self._seed + 101 * idx + 10007 * round_idx,
-                    )
-                    with self._triplet_span(idx, layer, round_idx):
-                        client.offline()
-                    matmuls.append(client)
-                    if idx < len(self.meta.layers) - 1:
-                        # The ReLU output share z1 doubles as the next R —
-                        # after any pooling is applied to it.
-                        z1_relu = self.ring.sample(
-                            self.rng, (layer.relu_features, self.batch)
-                        )
-                        relu_shares.append(z1_relu)
-                        if layer.pool is None:
-                            operand = z1_relu
-                            pool_shares.append(None)
-                        elif layer.pool.kind == "avg":
-                            # Average pooling is share-local and deterministic,
-                            # so the next operand is derivable offline.
-                            operand = avgpool_share(
-                                self.ring, layer.pool, z1_relu, party=1
-                            )
-                            pool_shares.append(None)
-                        else:
-                            # Max pooling reshares: pick the fresh share now.
-                            operand = self.ring.sample(
-                                self.rng, (layer.pool.out_features, self.batch)
-                            )
-                            pool_shares.append(operand)
                 self._pending.append(
-                    {
-                        "matmuls": matmuls,
-                        "relu_shares": relu_shares,
-                        "pool_shares": pool_shares,
-                        "input_mask": input_mask,
-                    }
+                    chain_operands(
+                        self.ring, self.meta, self.batch, self.rng,
+                        partial(self._triplet_step, round_idx),
+                    )
                 )
 
         self._track_phase("offline", _run)
+
+    def _triplet_step(self, round_idx: int, idx: int, layer: LayerMeta, operand) -> np.ndarray:
+        """The OT linear step of the offline walk: lower the operand to
+        ``R`` and run the layer's KK13 triplet generation; returns ``V``."""
+        if layer.backend == "winograd":
+            r_mat = lower_tiles(layer.wino, operand, self.ring)
+        elif layer.conv:
+            r_mat = lower_shares(layer.conv, operand)
+        else:
+            r_mat = operand
+        engine = self.matmul_client_cls(
+            self.chan,
+            self._layer_config(layer),
+            self.rng,
+            r_mat=r_mat,
+            seed=None if self._seed is None else self._seed + 101 * idx + 10007 * round_idx,
+        )
+        with self._triplet_span(idx, layer, round_idx):
+            engine.offline()
+        return engine.v
 
     @property
     def rounds_available(self) -> int:
         """Prediction batches the precomputed material still covers."""
         return len(self._pending)
 
-    def export_offline_round(self) -> dict:
-        """Pop one precomputed round as plain arrays (bank extraction hook).
-
-        The returned dict holds exactly what :meth:`online` consumes:
-        per-layer ``V`` matmul shares, the fresh ReLU output shares, the
-        max-pool reshares (``None`` where a layer has no max pool), and
-        the input mask.  Round-trips through :meth:`load_offline_round`.
-        """
+    def export_offline_round(self) -> ClientHalf:
+        """Pop one precomputed round's :class:`ClientHalf` (no channel use)."""
         if not self._pending:
             raise ProtocolError(
                 "offline material exhausted: call offline(rounds=...) first"
             )
-        material = self._pending.pop(0)
-        return {
-            "v": [matmul.v for matmul in material["matmuls"]],
-            "relu_shares": list(material["relu_shares"]),
-            "pool_shares": list(material["pool_shares"]),
-            "input_mask": material["input_mask"],
-        }
+        return self._pending.pop(0)
 
-    def load_offline_round(self, material: dict) -> None:
-        """Append one banked round (see :meth:`export_offline_round`).
-
-        Shapes are validated against the architecture metadata so a
-        malformed or mismatched bank surfaces as a :class:`ConfigError`
-        here, not as a desynchronized online phase.  No communication
-        happens.
-        """
-        n_layers = len(self.meta.layers)
-        vs = material["v"]
-        relu_shares = material["relu_shares"]
-        pool_shares = material["pool_shares"]
-        input_mask = self.ring.reduce(material["input_mask"])
-        if len(vs) != n_layers:
-            raise ConfigError(f"banked round has {len(vs)} layers, meta has {n_layers}")
-        if len(relu_shares) != n_layers - 1 or len(pool_shares) != n_layers - 1:
-            raise ConfigError(
-                "banked round must carry one ReLU/pool share per hidden layer"
-            )
-        expected_mask = (self.meta.layers[0].in_features, self.batch)
-        if input_mask.shape != expected_mask:
-            raise ConfigError(
-                f"expected input mask of shape {expected_mask}, got {input_mask.shape}"
-            )
-        matmuls = []
-        checked_relu = []
-        checked_pool = []
-        for idx, layer in enumerate(self.meta.layers):
-            config = self._layer_config(layer)
-            # The banked V already embeds R; the online path never needs R
-            # again, so the engine skips allocating one entirely.
-            client = self.matmul_client_cls.for_preload(self.chan, config)
-            client.preload(vs[idx])
-            matmuls.append(client)
-            if idx < n_layers - 1:
-                z1 = self.ring.reduce(relu_shares[idx])
-                if z1.shape != (layer.relu_features, self.batch):
-                    raise ConfigError(
-                        f"layer {idx}: expected ReLU share of shape "
-                        f"{(layer.relu_features, self.batch)}, got {z1.shape}"
-                    )
-                checked_relu.append(z1)
-                pool = pool_shares[idx]
-                if layer.pool is not None and layer.pool.kind == "max":
-                    if pool is None:
-                        raise ConfigError(f"layer {idx}: missing max-pool reshare")
-                    pool = self.ring.reduce(pool)
-                    if pool.shape != (layer.pool.out_features, self.batch):
-                        raise ConfigError(
-                            f"layer {idx}: expected pool share of shape "
-                            f"{(layer.pool.out_features, self.batch)}, got {pool.shape}"
-                        )
-                checked_pool.append(pool)
-        self._pending.append(
-            {
-                "matmuls": matmuls,
-                "relu_shares": checked_relu,
-                "pool_shares": checked_pool,
-                "input_mask": input_mask,
-            }
-        )
+    def load_offline_round(self, half: ClientHalf) -> None:
+        """Queue one round produced elsewhere (see
+        :meth:`Abnn2Server.load_offline_round`).  Shapes are checked
+        against the architecture metadata, so a malformed or mismatched
+        round surfaces as a :class:`ConfigError` here, not as a
+        desynchronized online phase."""
+        self._pending.append(half.validate(self.meta, self.batch))
 
     def online(self, x_ring: np.ndarray) -> np.ndarray:
         """Run one prediction batch on fixed-point inputs shaped
@@ -682,15 +577,15 @@ class Abnn2Client(_PartyBase):
         expected = (self.meta.layers[0].in_features, self.batch)
         if x.shape != expected:
             raise ConfigError(f"expected input of shape {expected}, got {x.shape}")
-        material = self._pending[0]
+        half = self._pending[0]
         logits = self._track_phase(
-            "online", lambda: self._online_sequential(material, x)
+            "online", lambda: self._online_sequential(half, x)
         )
-        # Only a completed round consumes the bank (mirrors the server).
+        # Only a completed round consumes the material (mirrors the server).
         self._pending.pop(0)
         return logits
 
-    def _linear_layer(self, material, idx: int) -> np.ndarray:
+    def _linear_layer(self, half: ClientHalf, idx: int) -> np.ndarray:
         """One linear node: ``y1 = V`` (wire-free) plus conv lifting inside
         the matmul span, then (hidden layers) truncation."""
         layer = self.meta.layers[idx]
@@ -699,7 +594,7 @@ class Abnn2Client(_PartyBase):
             o=self.batch * layer.batch_multiplier(),
             groups=layer.matmul_groups, backend=layer.backend,
         ):
-            y1 = material["matmuls"][idx].online()
+            y1 = materialize(half.v[idx])
             if layer.backend == "winograd":
                 y1 = lift_tiles(layer.wino, layer.matmul_rows, y1, self.ring)
                 y1 = divide_share_by4(self.ring, y1, party=1)
@@ -709,7 +604,7 @@ class Abnn2Client(_PartyBase):
             y1 = truncate_share(self.ring, y1, layer.truncate_bits, party=1)
         return y1
 
-    def _online_sequential(self, material, x) -> np.ndarray:
+    def _online_sequential(self, half: ClientHalf, x) -> np.ndarray:
         """Walk the plan node by node on the raw channel (paper Fig. 2)."""
         logits = y1 = z1_relu = None
         for node in self.plan:
@@ -717,9 +612,9 @@ class Abnn2Client(_PartyBase):
                 # <x>_0 = x - r travels in flat form; each party lowers its
                 # own share locally where a conv layer needs it.
                 with self.tracer.span("input-share"):
-                    self.chan.send(self.ring.sub(x, material["input_mask"]))
+                    self.chan.send(self.ring.sub(x, half.input_mask))
             elif node.kind == "linear":
-                y1 = self._linear_layer(material, node.layer)
+                y1 = self._linear_layer(half, node.layer)
             elif node.kind == "relu":
                 layer = self.meta.layers[node.layer]
                 with self.tracer.span(
@@ -730,7 +625,7 @@ class Abnn2Client(_PartyBase):
                     z1_relu = relu_layer_client(
                         self.chan,
                         y1,
-                        material["relu_shares"][node.layer],
+                        half.relu[node.layer],
                         self._gc,
                         self.ring,
                         self.rng,
@@ -744,7 +639,7 @@ class Abnn2Client(_PartyBase):
                             self.chan,
                             layer.pool,
                             z1_relu,
-                            material["pool_shares"][node.layer],
+                            half.pool[node.layer],
                             self._gc,
                             self.ring,
                             self.rng,

@@ -17,13 +17,15 @@ provides exactly that:
   session protocol the above are built on (and that in-memory tests
   drive directly).
 
-Security model: banked rounds are generated by the server playing both
-protocol parties (trusted dealer) — see ``docs/PROTOCOLS.md`` §11.
+Security model: banked rounds are dealt in closed form by the serving
+process (:mod:`repro.serve.dealer`), which therefore acts as a trusted
+dealer — see ``docs/PROTOCOLS.md`` §11.
 ``interactive`` mode keeps the paper's original two-party offline phase
 at the cost of per-round OT traffic.
 """
 
-from repro.serve.bank import OfflineRound, TripletBank
+from repro.core.offline import OfflineRound
+from repro.serve.bank import TripletBank
 from repro.serve.client import PredictionClient
 from repro.serve.persist import BANK_FORMAT_VERSION, load_bank, model_fingerprint, save_bank
 from repro.serve.server import PredictionServer, SessionRecord

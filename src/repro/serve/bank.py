@@ -1,25 +1,21 @@
 """A bank of precomputed offline rounds, decoupled from connections.
 
-The paper's cost split puts all OT traffic in a data-independent offline
-phase; this module makes that amortization real for a serving process.
-A :class:`TripletBank` holds ready-to-use **offline rounds** for one
-``(model, batch)`` key.  Each round carries both halves of the triplet
-material one prediction batch consumes:
+The paper's cost split puts all correlated randomness in a
+data-independent offline phase; this module makes that amortization real
+for a serving process.  A :class:`TripletBank` holds ready-to-use
+offline rounds (:class:`~repro.core.offline.OfflineRound`) for one
+``(model, batch)`` key — the server half (per-layer ``U``) and the client
+half (input mask, per-layer ``V``, ReLU shares, max-pool reshares) one
+prediction batch consumes.
 
-* the server half — per-layer ``U`` dot-product triplet shares;
-* the client half — per-layer ``V`` shares, fresh ReLU output shares,
-  max-pool reshares, and the input mask
-  (:meth:`repro.core.protocol.Abnn2Client.export_offline_round`).
-
-Rounds are generated by running the real two-party offline protocol in
-self-play over an in-memory channel pair — the server process plays both
-roles, i.e. it acts as the *trusted dealer* of the correlated
-randomness.  This is the standard dealer-assisted deployment model
-(SecureML's offline third-party variant); its security implications are
-documented in ``docs/PROTOCOLS.md`` §11.  The payoff is operational:
-sessions start with **zero** offline OT traffic, and a persisted bank
-(:mod:`repro.serve.persist`) lets a restarted server skip generation
-entirely.
+Rounds are dealt in closed form by :mod:`repro.serve.dealer`: the
+serving process knows both halves, i.e. it acts as the *trusted dealer*
+of the correlated randomness.  This is the standard dealer-assisted
+deployment model (SecureML's offline third-party variant); its security
+implications are documented in ``docs/PROTOCOLS.md`` §11.  The payoff is
+operational: sessions start with **zero** offline OT traffic, and a
+persisted bank (:mod:`repro.serve.persist`) lets a restarted server skip
+generation entirely.
 
 Concurrency contract: :meth:`take` hands out each round exactly once
 under a lock (triplet material is strictly single-use — reuse leaks
@@ -30,19 +26,15 @@ input differences), blocks up to its timeout when the bank runs dry
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
+from repro.core.offline import OfflineRound
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.exec.pool import run_sharded
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ConfigError, ProtocolError
-from repro.net.runner import run_protocol
 from repro.nn.quantize import QuantizedModel
 from repro.serve.dealer import dealer_offline_round
 from repro.serve.persist import load_bank, model_fingerprint, save_bank
@@ -50,15 +42,6 @@ from repro.serve.persist import load_bank, model_fingerprint, save_bank
 #: Distinct-prime stride separating per-generation seed derivations, so a
 #: deterministic bank never reissues the same masks across generations.
 _GENERATION_SEED_STRIDE = 7919
-
-
-@dataclass
-class OfflineRound:
-    """One single-use unit of precomputed offline material."""
-
-    round_id: int
-    server_us: list[np.ndarray]
-    client_material: dict = field(repr=False)
 
 
 class TripletBank:
@@ -71,19 +54,12 @@ class TripletBank:
     the mode the single-use accounting tests (and a strict
     ``offline rounds=K`` deployment) rely on.
 
-    ``workers`` parallelizes generation across rounds on pool threads
-    (each round is an independent self-play session with its own derived
-    seed); the material produced for a given seed is identical for any
-    worker count.
-
-    ``generator`` picks how rounds are produced: ``"selfplay"`` (default)
-    runs the real two-party OT protocol against itself; ``"dealer"``
-    deals the correlated randomness in closed form block-by-block
-    (:mod:`repro.serve.dealer`) — same trust model (PROTOCOLS.md §11),
-    zero generation traffic, and conv-layer shares arrive as
-    :class:`~repro.core.triplets.BlockedShare` bounded by
-    ``stream_chunk_cols`` columns so big-model material is never held
-    whole during generation, persistence, or the chunked online phase.
+    ``generator`` names how rounds are produced; ``"dealer"`` (the
+    closed-form dealer of :mod:`repro.serve.dealer`) is the only one.
+    Conv-layer shares arrive as :class:`~repro.core.triplets.BlockedShare`
+    on each conv spec's ``chunk_cols`` grid, so big-model material is
+    never held whole during generation, persistence, or the chunked
+    online phase.
     """
 
     def __init__(
@@ -98,10 +74,7 @@ class TripletBank:
         group: ModpGroup = DEFAULT_GROUP,
         ro: RandomOracle = default_ro,
         seed: int | None = None,
-        generation_timeout_s: float = 600.0,
-        workers: int = 1,
-        generator: str = "selfplay",
-        stream_chunk_cols: int | None = None,
+        generator: str = "dealer",
     ) -> None:
         if batch < 1:
             raise ConfigError("batch must be positive")
@@ -109,16 +82,9 @@ class TripletBank:
             raise ConfigError("capacity must be positive")
         if replenish_chunk < 1:
             raise ConfigError("replenish_chunk must be positive")
-        if workers < 1:
-            raise ConfigError("workers must be positive")
-        if generator not in ("selfplay", "dealer"):
-            raise ConfigError(
-                f"generator must be 'selfplay' or 'dealer', got {generator!r}"
-            )
-        if stream_chunk_cols is not None and stream_chunk_cols < 1:
-            raise ConfigError("stream_chunk_cols must be positive (or None)")
+        if generator != "dealer":
+            raise ConfigError(f"generator must be 'dealer', got {generator!r}")
         self.model = model
-        self.meta = ModelMeta.from_model(model)
         self.batch = batch
         self.capacity = capacity
         self.low_water = capacity // 2 if low_water is None else low_water
@@ -128,10 +94,7 @@ class TripletBank:
         self.ro = ro
         self.fingerprint = model_fingerprint(model)
         self._seed = seed
-        self._generation_timeout_s = generation_timeout_s
-        self.workers = workers
         self.generator = generator
-        self.stream_chunk_cols = stream_chunk_cols
         self._last_generation_s: float | None = None
 
         self._rounds: deque[OfflineRound] = deque()
@@ -156,7 +119,6 @@ class TripletBank:
             "take_wait_s": 0.0,
             "replenish_runs": 0,
             "replenish_s": 0.0,
-            "generation_payload_bytes": 0,
             "replenish_errors": 0,
         }
         self._last_replenish_error: str | None = None
@@ -177,7 +139,6 @@ class TripletBank:
             out["depth"] = len(self._rounds)
         out["capacity"] = self.capacity
         out["low_water"] = self.low_water
-        out["workers"] = self.workers
         out["generator"] = self.generator
         # Wall-clock of the most recent generation batch (None until the
         # first one lands).
@@ -190,81 +151,38 @@ class TripletBank:
         return out
 
     # ------------------------------------------------------------------ #
-    # generation (trusted-dealer self-play)
+    # generation (trusted dealer)
     # ------------------------------------------------------------------ #
-    def _selfplay_round(self, base: int | None):
-        """One self-play offline round: both parties over an in-memory pair."""
-
-        def server_fn(chan):
-            party = Abnn2Server(
-                chan, self.model, self.batch, group=self.group, ro=self.ro,
-                seed=None if base is None else base + 1,
-            )
-            party.offline(rounds=1)
-            return party.export_offline_round()
-
-        def client_fn(chan):
-            party = Abnn2Client(
-                chan, self.meta, self.batch, group=self.group, ro=self.ro,
-                seed=None if base is None else base + 2,
-            )
-            party.offline(rounds=1)
-            return party.export_offline_round()
-
-        result = run_protocol(
-            server_fn, client_fn, timeout_s=self._generation_timeout_s
-        )
-        return result.server, result.client, result.total_bytes
-
     def _generate(self, rounds: int) -> list[OfflineRound]:
-        """Produce ``rounds`` offline rounds with the bank's generator.
+        """Deal ``rounds`` offline rounds.
 
         Each round's seed derives from a globally claimed *generation
         index*, so the material of round ``g`` is a pure function of
-        ``(model, batch, seed, g)`` — the same rounds come out whether
-        one worker generates them serially or ``workers`` threads
-        generate them concurrently (pinned by
-        ``tests/test_exec_parallel.py``).  Rounds being independent
-        sessions is what makes the replenisher shardable at all.
+        ``(model, batch, seed, g)`` whichever of :meth:`fill` and the
+        replenisher deals it.
         """
         with self._gen_lock:
             first = self._generations
             self._generations += rounds
-
-        def gen_one(generation: int):
-            base = (
-                None
-                if self._seed is None
-                else self._seed + _GENERATION_SEED_STRIDE * generation
-            )
-            if self.generator == "selfplay":
-                return self._selfplay_round(base)
-            # Closed-form dealing touches no channel: zero generation bytes.
-            server_us, client_material = dealer_offline_round(
+        t0 = time.monotonic()
+        dealt = [
+            dealer_offline_round(
                 self.model, self.batch,
-                seed=None if base is None else base + 1,
-                stream_chunk_cols=self.stream_chunk_cols,
+                seed=None
+                if self._seed is None
+                else self._seed + _GENERATION_SEED_STRIDE * generation + 1,
                 group=self.group, ro=self.ro,
             )
-            return server_us, client_material, 0
-
-        t0 = time.monotonic()
-        results = run_sharded(
-            [lambda g=g: gen_one(g) for g in range(first, first + rounds)],
-            min(self.workers, rounds),
-        )
+            for generation in range(first, first + rounds)
+        ]
         self._last_generation_s = time.monotonic() - t0
-        with self._cond:
-            self._counters["generation_payload_bytes"] += sum(
-                total for _, _, total in results
-            )
-        return [self._wrap_round(server, client) for server, client, _ in results]
+        return [self._number(rnd) for rnd in dealt]
 
-    def _wrap_round(self, server_us, client_material) -> OfflineRound:
+    def _number(self, rnd: OfflineRound) -> OfflineRound:
         with self._cond:
             round_id = self._next_round_id
             self._next_round_id += 1
-        return OfflineRound(round_id, server_us, client_material)
+        return dataclasses.replace(rnd, round_id=round_id)
 
     def fill(self, rounds: int) -> int:
         """Synchronously generate and bank ``rounds``; returns new depth."""
@@ -390,7 +308,7 @@ class TripletBank:
             self._cond.notify_all()
         self._wake.set()
         if self._thread is not None:
-            self._thread.join(timeout=self._generation_timeout_s + 10.0)
+            self._thread.join()
             self._thread = None
 
     # ------------------------------------------------------------------ #
@@ -399,27 +317,24 @@ class TripletBank:
     def save(self, path) -> int:
         """Persist all unclaimed rounds; returns how many were written."""
         with self._cond:
-            snapshot = [
-                {"server_us": r.server_us, "client": r.client_material}
-                for r in self._rounds
-            ]
+            snapshot = list(self._rounds)
         save_bank(path, fingerprint=self.fingerprint, batch=self.batch, rounds=snapshot)
         return len(snapshot)
 
     def load(self, path) -> int:
         """Load persisted rounds (fingerprint-checked); returns the count.
 
-        Loaded rounds involve no triplet generation — the whole point of
-        persistence: ``generation_payload_bytes`` stays untouched, which
-        the restart acceptance test pins.
+        Loaded rounds involve no generation — the whole point of
+        persistence: ``rounds_generated`` stays untouched, which the
+        restart acceptance test pins.
         """
         rounds = load_bank(path, fingerprint=self.fingerprint, batch=self.batch)
-        wrapped = [self._wrap_round(r["server_us"], r["client"]) for r in rounds]
+        numbered = [self._number(rnd) for rnd in rounds]
         with self._cond:
-            self._rounds.extend(wrapped)
-            self._counters["rounds_loaded"] += len(wrapped)
+            self._rounds.extend(numbered)
+            self._counters["rounds_loaded"] += len(numbered)
             self._cond.notify_all()
-        return len(wrapped)
+        return len(numbered)
 
     def __enter__(self) -> "TripletBank":
         return self.start()

@@ -1,16 +1,9 @@
-"""Streamed trusted-dealer generation of offline rounds.
+"""Trusted-dealer generation of offline rounds, block by block.
 
-The self-play generator (:mod:`repro.serve.bank`) runs the real
-two-party OT protocol against itself — faithful, but it materializes
-every conv layer's lowered ``R`` (the full patch matrix) and holds each
-layer's whole ``U``/``V`` while the OT chunks fill them in.  For
-ImageNet-class geometries that working set alone breaks a bounded-RSS
-deployment.
-
-This module exploits what the bank already is — a **trusted dealer**
-(PROTOCOLS.md §11: the serving process plays both parties, so it knows
-``W`` and ``R`` outright) — to generate the identical *kind* of material
-in closed form, block by block:
+The bank is a **trusted dealer** (PROTOCOLS.md §11: the serving process
+deals both halves, so it knows ``W`` and ``R`` outright).  It therefore
+generates the material the two-party OT offline phase would produce in
+closed form, with no OT traffic:
 
     for each column block [lo, hi) of the lowered operand:
         R_blk = lower_shares_block(operand, lo, hi)   # never whole
@@ -18,19 +11,18 @@ in closed form, block by block:
         U_blk = W @ R_blk - V_blk                      # server share
 
 ``U + V = W @ R (mod 2^l)`` holds per block by construction, so the
-dealt round is a valid offline round for the exact same online phase;
-the per-layer shares come out as :class:`~repro.core.triplets.BlockedShare`
-so the chunked online path (and persistence) can keep them blocked
-end to end.  Peak working set per conv layer drops from the full patch
-matrix to one column block.
+dealt round drops into the unchanged online phase.  The operands chain
+exactly as in :meth:`repro.core.protocol.Abnn2Client.offline` — both run
+:func:`repro.core.offline.chain_operands`, and only this linear step
+differs.  A conv layer is dealt on its spec's ``chunk_cols`` grid, and
+its shares come out as :class:`~repro.core.triplets.BlockedShare`, so
+the chunked online path (and persistence) keep them blocked end to end.
+Peak working set per conv layer is one column block of ``R``.
 
-Determinism caveat: the dealt material is a pure function of
-``(model, batch, seed, stream_chunk_cols)`` — the per-block ``V`` draws
-consume the RNG in block order, so changing the *generation* chunking
-changes the material (changing the online ``chunk_cols`` never does).
-Dealer material also differs from self-play material at the same seed
-(different RNG consumption), which shifts only the probabilistic
-truncation noise, never correctness.
+Determinism: the dealt material is a pure function of ``(model, batch,
+seed)`` *including* each conv spec's ``chunk_cols`` — the per-block
+``V`` draws consume the RNG in block order, so another chunk grid deals
+other (equally valid) material.
 """
 
 from __future__ import annotations
@@ -38,12 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matmul import grouped_product
-from repro.core.protocol import (
-    ModelMeta,
-    _matmul_weights,
-    layer_triplet_config,
-)
-from repro.core.pooling import avgpool_share
+from repro.core.offline import OfflineRound, ServerHalf, chain_operands
+from repro.core.protocol import ModelMeta, _matmul_weights, layer_triplet_config
 from repro.core.triplets import BlockedShare
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
@@ -51,26 +39,7 @@ from repro.errors import ConfigError
 from repro.nn.lowering import column_blocks, lower_shares_block
 from repro.nn.quantize import QuantizedModel
 from repro.nn.winograd import lower_tiles_block
-from repro.utils.ring import Ring
 from repro.utils.rng import make_rng
-
-
-def _deal_linear_shares(
-    ring: Ring, w: np.ndarray, config, lower_block, total: int,
-    chunk: int | None, rng: np.random.Generator,
-) -> tuple[BlockedShare | np.ndarray, BlockedShare | np.ndarray]:
-    """One layer's ``(U, V)`` with ``U + V = W @ R``, dealt per block."""
-    u_parts: list[np.ndarray] = []
-    v_parts: list[np.ndarray] = []
-    for lo, hi in column_blocks(total, chunk):
-        r_blk = lower_block(lo, hi)
-        v_blk = ring.sample(rng, (config.rows, hi - lo))
-        prod = grouped_product(ring, w, r_blk, config.m, config.n, config.groups)
-        u_parts.append(ring.sub(prod, v_blk))
-        v_parts.append(v_blk)
-    if chunk is None or len(u_parts) == 1:
-        return u_parts[0], v_parts[0]
-    return BlockedShare(u_parts), BlockedShare(v_parts)
 
 
 def dealer_offline_round(
@@ -78,82 +47,53 @@ def dealer_offline_round(
     batch: int,
     *,
     seed: int | None,
-    stream_chunk_cols: int | None = None,
     group: ModpGroup = DEFAULT_GROUP,
     ro: RandomOracle = default_ro,
-) -> tuple[list, dict]:
-    """Deal one offline round without OT traffic or whole-layer buffers.
-
-    Returns ``(server_us, client_material)`` in exactly the shapes
-    :meth:`Abnn2Server.load_offline_round` /
-    :meth:`Abnn2Client.load_offline_round` consume (conv-layer shares as
-    :class:`BlockedShare` when ``stream_chunk_cols`` splits them).
-    ``stream_chunk_cols`` bounds the dealt column blocks; ``None`` falls
-    back to each conv spec's own ``chunk_cols``.
-
-    The operand chaining mirrors :meth:`Abnn2Client.offline` verbatim:
-    layer 0's ``R`` is the input mask, each hidden layer's ``R`` is the
-    fresh ReLU output share (post-pooling), so the dealt round drops into
-    the unchanged online phase.
-    """
+) -> OfflineRound:
+    """Deal one offline round without OT traffic or whole-layer buffers."""
     if batch < 1:
         raise ConfigError("batch must be positive")
     meta = ModelMeta.from_model(model)
     ring = model.ring
     rng = make_rng(seed)
-    server_us: list = []
-    vs: list = []
-    relu_shares: list[np.ndarray] = []
-    pool_shares: list = []
-    operand = ring.sample(rng, (meta.layers[0].in_features, batch))
-    input_mask = operand
-    for idx, layer_meta in enumerate(meta.layers):
+    us: list = []
+
+    def deal_linear(idx, layer_meta, operand):
         layer = model.layers[idx]
         config = layer_triplet_config(ring, layer_meta, batch, group=group, ro=ro)
         w = ring.reduce(_matmul_weights(layer, layer_meta))
-        chunk = stream_chunk_cols
-        if chunk is None and layer.conv is not None:
-            chunk = layer.conv.chunk_cols
         if layer_meta.backend == "winograd":
             wspec = layer_meta.wino
-            src = operand
-            u, v = _deal_linear_shares(
-                ring, w, config,
-                lambda lo, hi, s=src, ws=wspec: lower_tiles_block(ws, s, ring, lo, hi),
-                batch * wspec.n_tiles, chunk, rng,
-            )
+            total, chunk = batch * wspec.n_tiles, layer.conv.chunk_cols
+
+            def lower_block(lo, hi):
+                return lower_tiles_block(wspec, operand, ring, lo, hi)
         elif layer_meta.conv is not None:
             spec = layer_meta.conv
-            src = operand
-            u, v = _deal_linear_shares(
-                ring, w, config,
-                lambda lo, hi, s=src, sp=spec: lower_shares_block(sp, s, lo, hi),
-                batch * spec.n_positions, chunk, rng,
-            )
+            total, chunk = batch * spec.n_positions, layer.conv.chunk_cols
+
+            def lower_block(lo, hi):
+                return lower_shares_block(spec, operand, lo, hi)
         else:
-            src = operand
-            u, v = _deal_linear_shares(
-                ring, w, config, lambda lo, hi, s=src: s[:, lo:hi],
-                batch, None, rng,
+            total, chunk = batch, None
+
+            def lower_block(lo, hi):
+                return operand[:, lo:hi]
+
+        u_parts: list[np.ndarray] = []
+        v_parts: list[np.ndarray] = []
+        for lo, hi in column_blocks(total, chunk):
+            v_blk = ring.sample(rng, (config.rows, hi - lo))
+            prod = grouped_product(
+                ring, w, lower_block(lo, hi), config.m, config.n, config.groups
             )
-        server_us.append(u)
-        vs.append(v)
-        if idx < len(meta.layers) - 1:
-            z1_relu = ring.sample(rng, (layer_meta.relu_features, batch))
-            relu_shares.append(z1_relu)
-            if layer_meta.pool is None:
-                operand = z1_relu
-                pool_shares.append(None)
-            elif layer_meta.pool.kind == "avg":
-                operand = avgpool_share(ring, layer_meta.pool, z1_relu, party=1)
-                pool_shares.append(None)
-            else:
-                operand = ring.sample(rng, (layer_meta.pool.out_features, batch))
-                pool_shares.append(operand)
-    client_material = {
-        "v": vs,
-        "relu_shares": relu_shares,
-        "pool_shares": pool_shares,
-        "input_mask": input_mask,
-    }
-    return server_us, client_material
+            u_parts.append(ring.sub(prod, v_blk))
+            v_parts.append(v_blk)
+        if len(u_parts) == 1:
+            us.append(u_parts[0])
+            return v_parts[0]
+        us.append(BlockedShare(u_parts))
+        return BlockedShare(v_parts)
+
+    client = chain_operands(ring, meta, batch, rng, deal_linear)
+    return OfflineRound(ServerHalf(us), client)

@@ -1,11 +1,11 @@
 """Triplet-bank persistence: offline material that survives a restart.
 
 The deployment story the paper (and MiniONN/SecureML before it) sells is
-*amortization*: the expensive OT-based offline phase runs ahead of time
-and many online predictions draw from it.  For that to survive a server
-restart, banked rounds must live on disk.  This module stores them the
-same way :mod:`repro.nn.persist` stores models — an ``.npz`` of arrays
-plus a JSON manifest — so bundles stay inspectable and diffable.
+*amortization*: the offline phase runs ahead of time and many online
+predictions draw from it.  For that to survive a server restart, banked
+rounds must live on disk.  This module stores them the same way
+:mod:`repro.nn.persist` stores models — an ``.npz`` of arrays plus a
+JSON manifest — so bundles stay inspectable and diffable.
 
 A bank bundle is only valid for the exact model (weights included), ring,
 and batch it was generated for: reusing triplets against different
@@ -13,20 +13,12 @@ weights silently breaks correctness, and reusing them twice breaks
 security.  The manifest therefore records a :func:`model_fingerprint`
 and the loader refuses anything that does not match.
 
-Round layout inside the ``.npz`` (round ``r``, layer ``i``):
-
-* ``r{r}_u{i}`` — the server's per-layer ``U`` triplet share,
-* ``r{r}_v{i}`` — the client's per-layer ``V`` triplet share,
-* ``r{r}_relu{i}`` — the client's fresh ReLU output share (hidden layers),
-* ``r{r}_pool{i}`` — the client's max-pool reshare (only where present),
-* ``r{r}_mask`` — the client's input mask.
-
-A share the streamed dealer produced in column blocks
-(:class:`repro.core.triplets.BlockedShare`) is stored block-by-block as
-``r{r}_u{i}_b{j}`` / ``r{r}_v{i}_b{j}`` with the per-layer block counts
-recorded in the manifest (``u_blocks`` / ``v_blocks``; absent or 0 means
-the historical single-array key).  Bundles holding only plain arrays are
-byte-compatible with pre-streaming readers.
+Layout (format 2): each round's two halves are stored in the codec of
+:mod:`repro.core.offline` — the manifest's ``rounds`` list holds the
+``{"server", "client"}`` JSON headers of every round, and round ``r``'s
+arrays are ``r{r}_server{k}`` / ``r{r}_client{k}`` in codec order.  A
+bundle that is not a readable format-2 bank raises :class:`ConfigError`
+naming its path.
 
 Writes are **atomic**: the bundle is staged to a temp file in the target
 directory and :func:`os.replace`'d into place, so a crash mid-save leaves
@@ -40,15 +32,18 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 
-from repro.core.triplets import BlockedShare
-from repro.errors import ConfigError
+from repro.core.offline import ClientHalf, OfflineRound, ServerHalf
+from repro.errors import ConfigError, ProtocolError
 from repro.nn.quantize import QuantizedModel
 
 #: Bumped whenever the bank bundle layout changes.
-BANK_FORMAT_VERSION = 1
+BANK_FORMAT_VERSION = 2
+
+_HALVES = (("server", ServerHalf), ("client", ClientHalf))
 
 
 def model_fingerprint(model: QuantizedModel) -> str:
@@ -71,59 +66,25 @@ def model_fingerprint(model: QuantizedModel) -> str:
     return h.hexdigest()
 
 
-def _store_share(arrays: dict, key: str, share) -> int:
-    """Stash one U/V share; returns its block count (0 = plain array)."""
-    if isinstance(share, BlockedShare):
-        for j, block in enumerate(share.blocks()):
-            arrays[f"{key}_b{j}"] = np.asarray(block, dtype=np.uint64)
-        return share.n_blocks
-    arrays[key] = np.asarray(share, dtype=np.uint64)
-    return 0
-
-
-def save_bank(path, *, fingerprint: str, batch: int, rounds: list[dict]) -> None:
-    """Atomically write banked offline rounds to an ``.npz`` bundle.
-
-    ``rounds`` entries are dicts with ``server_us`` (list of arrays or
-    :class:`BlockedShare`) and ``client`` (the
-    :meth:`Abnn2Client.export_offline_round` dict).
-    """
-    pool_present: list[list[bool]] = []
-    u_blocks: list[list[int]] = []
-    v_blocks: list[list[int]] = []
+def save_bank(path, *, fingerprint: str, batch: int, rounds: list[OfflineRound]) -> None:
+    """Atomically write banked offline rounds to an ``.npz`` bundle."""
+    headers = []
     arrays: dict[str, np.ndarray] = {}
     for r, rnd in enumerate(rounds):
-        client = rnd["client"]
-        u_blocks.append(
-            [_store_share(arrays, f"r{r}_u{i}", u) for i, u in enumerate(rnd["server_us"])]
-        )
-        v_blocks.append(
-            [_store_share(arrays, f"r{r}_v{i}", v) for i, v in enumerate(client["v"])]
-        )
-        for i, z1 in enumerate(client["relu_shares"]):
-            arrays[f"r{r}_relu{i}"] = np.asarray(z1, dtype=np.uint64)
-        present = []
-        for i, pool in enumerate(client["pool_shares"]):
-            present.append(pool is not None)
-            if pool is not None:
-                arrays[f"r{r}_pool{i}"] = np.asarray(pool, dtype=np.uint64)
-        pool_present.append(present)
-        arrays[f"r{r}_mask"] = np.asarray(client["input_mask"], dtype=np.uint64)
-    n_layers = len(rounds[0]["server_us"]) if rounds else 0
+        round_headers = {}
+        for name, _ in _HALVES:
+            header, parts = getattr(rnd, name).to_parts()
+            round_headers[name] = header
+            for k, arr in enumerate(parts):
+                arrays[f"r{r}_{name}{k}"] = arr
+        headers.append(round_headers)
     manifest = {
         "format_version": BANK_FORMAT_VERSION,
         "fingerprint": fingerprint,
         "batch": batch,
         "n_rounds": len(rounds),
-        "n_layers": n_layers,
-        "pool_present": pool_present,
+        "rounds": headers,
     }
-    # Blocked-share counts are recorded only when present, keeping
-    # all-plain bundles byte-identical to the historical layout.
-    if any(any(counts) for counts in u_blocks):
-        manifest["u_blocks"] = u_blocks
-    if any(any(counts) for counts in v_blocks):
-        manifest["v_blocks"] = v_blocks
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
     # Stage next to the target so os.replace stays a same-filesystem
     # atomic rename: a crash anywhere before the replace leaves the old
@@ -147,59 +108,58 @@ def save_bank(path, *, fingerprint: str, batch: int, rounds: list[dict]) -> None
         raise
 
 
-def load_bank(path, *, fingerprint: str, batch: int) -> list[dict]:
+def load_bank(path, *, fingerprint: str, batch: int) -> list[OfflineRound]:
     """Inverse of :func:`save_bank`; refuses mismatched model or batch.
 
-    Shape validation is deliberately left to
-    :meth:`repro.core.protocol.Abnn2Client.load_offline_round` — the
-    fingerprint pins the semantic identity, the loader only restores
-    structure.
+    Shape validation against the model is left to the parties'
+    ``load_offline_round`` — the fingerprint pins the semantic identity,
+    the loader only restores structure.
     """
-    with np.load(path) as bundle:
-        manifest = json.loads(bytes(bundle["manifest"]).decode())
-        if manifest.get("format_version") != BANK_FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported bank format {manifest.get('format_version')}"
-            )
-        if manifest["fingerprint"] != fingerprint:
-            raise ConfigError(
-                "bank fingerprint mismatch: this bundle was generated for a "
-                "different model (or model revision); regenerate the bank"
-            )
-        if manifest["batch"] != batch:
-            raise ConfigError(
-                f"bank was generated for batch={manifest['batch']}, "
-                f"server is configured for batch={batch}"
-            )
-        n_layers = manifest["n_layers"]
-        u_blocks = manifest.get("u_blocks")
-        v_blocks = manifest.get("v_blocks")
+    try:
+        with np.load(path) as bundle:
+            return _read_bundle(bundle, fingerprint, batch)
+    except ConfigError as exc:
+        raise ConfigError(f"bank bundle {os.fspath(path)}: {exc}") from exc
+    except (
+        OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, ProtocolError
+    ) as exc:
+        raise ConfigError(
+            f"bank bundle {os.fspath(path)} is not a readable format-"
+            f"{BANK_FORMAT_VERSION} bank ({type(exc).__name__}: {exc})"
+        ) from exc
 
-        def _load_share(key: str, n_b: int):
-            if n_b:
-                return BlockedShare([bundle[f"{key}_b{j}"] for j in range(n_b)])
-            return bundle[key]
 
-        rounds = []
-        for r in range(manifest["n_rounds"]):
-            present = manifest["pool_present"][r]
-            u_counts = u_blocks[r] if u_blocks else [0] * n_layers
-            v_counts = v_blocks[r] if v_blocks else [0] * n_layers
-            client = {
-                "v": [_load_share(f"r{r}_v{i}", v_counts[i]) for i in range(n_layers)],
-                "relu_shares": [bundle[f"r{r}_relu{i}"] for i in range(n_layers - 1)],
-                "pool_shares": [
-                    bundle[f"r{r}_pool{i}"] if present[i] else None
-                    for i in range(n_layers - 1)
-                ],
-                "input_mask": bundle[f"r{r}_mask"],
-            }
-            rounds.append(
-                {
-                    "server_us": [
-                        _load_share(f"r{r}_u{i}", u_counts[i]) for i in range(n_layers)
-                    ],
-                    "client": client,
-                }
-            )
+def _read_bundle(bundle, fingerprint: str, batch: int) -> list[OfflineRound]:
+    manifest = json.loads(bytes(bundle["manifest"]).decode())
+    version = manifest.get("format_version")
+    if version != BANK_FORMAT_VERSION:
+        raise ConfigError(
+            f"bank format {version}, this build reads {BANK_FORMAT_VERSION}; "
+            "regenerate the bank"
+        )
+    if manifest["fingerprint"] != fingerprint:
+        raise ConfigError(
+            "bank fingerprint mismatch: this bundle was generated for a "
+            "different model (or model revision); regenerate the bank"
+        )
+    if manifest["batch"] != batch:
+        raise ConfigError(
+            f"bank was generated for batch={manifest['batch']}, "
+            f"server is configured for batch={batch}"
+        )
+    headers = manifest["rounds"]
+    if len(headers) != manifest["n_rounds"]:
+        raise ConfigError(
+            f"manifest claims {manifest['n_rounds']} rounds but describes {len(headers)}"
+        )
+    stored = set(bundle.files)
+    rounds = []
+    for r, round_headers in enumerate(headers):
+        halves = {}
+        for name, cls in _HALVES:
+            parts = []
+            while f"r{r}_{name}{len(parts)}" in stored:
+                parts.append(bundle[f"r{r}_{name}{len(parts)}"])
+            halves[name] = cls.from_parts(round_headers[name], parts)
+        rounds.append(OfflineRound(**halves))
     return rounds

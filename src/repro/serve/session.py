@@ -3,8 +3,8 @@
 Runs on top of any established channel (TCP or in-memory), which is what
 lets the concurrency tests drive the exact production session logic over
 :func:`repro.net.channel.make_channel_pair`.  Control messages are JSON
-objects carried as ``bytes`` payloads; bulk offline material travels as
-a tuple of arrays (:func:`encode_client_round`).
+objects carried as ``bytes`` payloads; the dealt client half travels in
+the offline-material codec (:meth:`repro.core.offline.ClientHalf.encode`).
 
 Message flow (client to the left, server to the right)::
 
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.offline import ClientHalf
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
@@ -56,7 +57,7 @@ MAX_CTRL_BYTES = 64 * 1024
 
 
 # --------------------------------------------------------------------- #
-# control + material codecs
+# control codec
 # --------------------------------------------------------------------- #
 def send_ctrl(chan, **fields) -> None:
     """Send one JSON control message as a bytes payload."""
@@ -82,66 +83,6 @@ def recv_ctrl(chan) -> dict:
     if not isinstance(doc, dict):
         raise ProtocolError("control message must be a JSON object")
     return doc
-
-
-def encode_client_round(material: dict) -> tuple:
-    """Flatten a client-half offline round into one wire message.
-
-    Layout: a JSON header (layer counts, which pool reshares exist)
-    followed by the input mask, the per-layer ``V`` shares, the ReLU
-    shares, and the present pool reshares, all as ring-element arrays.
-    """
-    pool_present = [p is not None for p in material["pool_shares"]]
-    header = {
-        "n_layers": len(material["v"]),
-        "pool_present": pool_present,
-    }
-    parts = [json.dumps(header, sort_keys=True).encode()]
-    parts.append(np.asarray(material["input_mask"], dtype=np.uint64))
-    parts.extend(np.asarray(v, dtype=np.uint64) for v in material["v"])
-    parts.extend(np.asarray(z, dtype=np.uint64) for z in material["relu_shares"])
-    parts.extend(
-        np.asarray(p, dtype=np.uint64)
-        for p in material["pool_shares"]
-        if p is not None
-    )
-    return tuple(parts)
-
-
-def decode_client_round(obj) -> dict:
-    """Inverse of :func:`encode_client_round`; structural checks only.
-
-    Shape/semantic validation happens in
-    :meth:`repro.core.protocol.Abnn2Client.load_offline_round`.
-    """
-    if not isinstance(obj, tuple) or not obj or not isinstance(obj[0], (bytes, bytearray)):
-        raise ProtocolError("malformed offline-round message")
-    try:
-        header = json.loads(bytes(obj[0]).decode())
-        n_layers = int(header["n_layers"])
-        pool_present = [bool(p) for p in header["pool_present"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ProtocolError(f"malformed offline-round header: {exc}") from exc
-    if n_layers < 1 or len(pool_present) != n_layers - 1:
-        raise ProtocolError("inconsistent offline-round header")
-    expected = 2 + n_layers + (n_layers - 1) + sum(pool_present)
-    if len(obj) != expected:
-        raise ProtocolError(
-            f"offline-round message has {len(obj)} parts, expected {expected}"
-        )
-    arrays = list(obj[1:])
-    if not all(isinstance(a, np.ndarray) for a in arrays):
-        raise ProtocolError("offline-round parts must be arrays")
-    input_mask = arrays.pop(0)
-    vs = [arrays.pop(0) for _ in range(n_layers)]
-    relu_shares = [arrays.pop(0) for _ in range(n_layers - 1)]
-    pool_shares = [arrays.pop(0) if present else None for present in pool_present]
-    return {
-        "v": vs,
-        "relu_shares": relu_shares,
-        "pool_shares": pool_shares,
-        "input_mask": input_mask,
-    }
 
 
 # --------------------------------------------------------------------- #
@@ -288,13 +229,13 @@ class ServerSession:
                     # finish, so exhaustion never desyncs the channel.
                     send_ctrl(self.chan, ok=False, error=str(exc))
                     continue
-                party.load_offline_round(rnd.server_us)
+                party.load_offline_round(rnd.server)
                 send_ctrl(self.chan, ok=True, round_id=rnd.round_id)
                 with self.tracer.span(
                     f"round{result.predictions}", round_id=rnd.round_id, mode=mode
                 ):
                     with self.tracer.span("deal"):
-                        self.chan.send(encode_client_round(rnd.client_material))
+                        self.chan.send(rnd.client.encode())
                     party.online()
             else:
                 send_ctrl(self.chan, ok=True)
@@ -362,8 +303,8 @@ class ClientSession:
         ):
             if self.mode == "bank":
                 with self.tracer.span("deal"):
-                    material = decode_client_round(self.chan.recv())
-                self.party.load_offline_round(material)
+                    half = ClientHalf.decode(self.chan.recv())
+                self.party.load_offline_round(half)
             else:
                 self.party.offline(rounds=1)
             logits = self.party.online(x_ring)

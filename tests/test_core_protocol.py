@@ -1,8 +1,11 @@
 """End-to-end two-party prediction vs the plaintext integer reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.offline import ClientHalf, ServerHalf
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta, secure_predict
 from repro.errors import ConfigError, ProtocolError
 from repro.net import make_channel_pair
@@ -161,7 +164,7 @@ class TestPartyApis:
             meta = ModelMeta.from_model(qmodel_ternary)
             client = Abnn2Client(chan, meta, 1, group=test_group, seed=12)
             client.offline(rounds=2)
-            masks = [m["input_mask"] for m in client._pending]
+            masks = [half.input_mask for half in client._pending]
             assert (masks[0] != masks[1]).any()
 
         run_protocol(server_fn, client_fn)
@@ -237,8 +240,9 @@ class TestExhaustionGating:
 
 
 class TestOfflineExportLoad:
-    """export_offline_round()/load_offline_round(): the serving bank's
-    contract with the protocol parties."""
+    """export_offline_round()/load_offline_round(): each party's typed
+    offline half (:mod:`repro.core.offline`), the contract the serving
+    bank and the dealer share with the protocol parties."""
 
     def test_export_empty_raises_typed(self, qmodel_ternary, test_group):
         server_chan, client_chan = make_channel_pair()
@@ -270,16 +274,21 @@ class TestOfflineExportLoad:
             return client.export_offline_round()
 
         material = run_protocol(gen_server, gen_client)
+        assert isinstance(material.server, ServerHalf)
+        assert isinstance(material.client, ClientHalf)
+        # The halves survive their codec unchanged (wire and bank file).
+        server_half = ServerHalf.decode(material.server.encode())
+        client_half = ClientHalf.decode(material.client.encode())
 
         def use_server(chan):
             server = Abnn2Server(chan, qmodel_ternary, 2, group=test_group)
-            server.load_offline_round(material.server)
+            server.load_offline_round(server_half)
             assert server.rounds_available == 1
             server.online()
 
         def use_client(chan):
             client = Abnn2Client(chan, meta, 2, group=test_group)
-            client.load_offline_round(material.client)
+            client.load_offline_round(client_half)
             return client.online(enc.encode(x.T))
 
         result = run_protocol(use_server, use_client)
@@ -303,16 +312,26 @@ class TestOfflineExportLoad:
         material = run_protocol(gen_server, gen_client)
         _, client_chan = make_channel_pair()
         client = Abnn2Client(client_chan, meta, 1, group=test_group)
+        half = material.client
         with pytest.raises(ConfigError):
-            client.load_offline_round({**material.client, "v": material.client["v"][:-1]})
-        bad_mask = dict(material.client)
-        bad_mask["input_mask"] = np.zeros((3, 1), dtype=np.uint64)
+            client.load_offline_round(replace(half, v=half.v[:-1]))
         with pytest.raises(ConfigError):
-            client.load_offline_round(bad_mask)
+            client.load_offline_round(
+                replace(half, input_mask=np.zeros((3, 1), dtype=np.uint64))
+            )
+        with pytest.raises(ConfigError):
+            client.load_offline_round(replace(half, relu=[r.T for r in half.relu]))
+        with pytest.raises(ConfigError):
+            client.load_offline_round(replace(half, pool=[half.relu[0]] + half.pool[1:]))
         server_chan, _ = make_channel_pair()
         server = Abnn2Server(server_chan, qmodel_ternary, 1, group=test_group)
         with pytest.raises(ConfigError):
-            server.load_offline_round(material.server[:-1])
+            server.load_offline_round(replace(material.server, u=material.server.u[:-1]))
+        with pytest.raises(ConfigError):
+            server.load_offline_round(
+                replace(material.server, u=[u[:, :0] for u in material.server.u])
+            )
+        assert server.rounds_available == 0 and client.rounds_available == 0
 
 
 class TestRing64:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.offline import ClientHalf, ServerHalf
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
 from repro.core.triplets import (
     TripletConfig,
@@ -348,21 +349,22 @@ class TestBankDepthAfterAbort:
         assert server.rounds_available == 1
         assert client.rounds_available == 1
 
-        # Re-runnable, not merely counted: the surviving material predicts
-        # correctly when exported into fresh parties on a fresh channel.
-        server_material = server.export_offline_round()
-        client_material = client.export_offline_round()
+        # Re-runnable, not merely counted: the surviving halves predict
+        # correctly when exported, framed through their codec, and loaded
+        # into fresh parties on a fresh channel.
+        server_half = ServerHalf.decode(server.export_offline_round().encode())
+        client_half = ClientHalf.decode(client.export_offline_round().encode())
         assert server.rounds_available == 0
         assert client.rounds_available == 0
 
         def retry_server(chan):
             fresh = env._server(chan)
-            fresh.load_offline_round(server_material)
+            fresh.load_offline_round(server_half)
             fresh.online()
 
         def retry_client(chan):
             fresh = env._client(chan)
-            fresh.load_offline_round(client_material)
+            fresh.load_offline_round(client_half)
             return fresh.online(env.x_ring)
 
         result = run_protocol(retry_server, retry_client, timeout_s=30.0)

@@ -12,6 +12,7 @@ Set ``ABNN2_SERVE_SOAK=1`` to also run the multi-client soak (CI does).
 
 import json
 import os
+import re
 import socket
 import struct
 import threading
@@ -20,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.offline import ClientHalf
 from repro.core.protocol import ModelMeta
 from repro.errors import ChannelError, ConfigError, ProtocolError
 from repro.net import tcp
@@ -39,12 +41,7 @@ from repro.serve import (
     model_fingerprint,
     save_bank,
 )
-from repro.serve.session import (
-    MAX_CTRL_BYTES,
-    decode_client_round,
-    encode_client_round,
-    recv_ctrl,
-)
+from repro.serve.session import MAX_CTRL_BYTES, recv_ctrl
 from repro.utils.ring import Ring
 
 #: Thread-name prefixes owned by the serving stack; none may outlive it.
@@ -84,9 +81,6 @@ def x2(qmodel):
 def _bank(qmodel, test_group, *, rounds=0, batch=2, **kwargs):
     kwargs.setdefault("auto_replenish", False)
     kwargs.setdefault("seed", 11)
-    # CI's serve-soak job sets this (workers=2) so the whole serving suite
-    # runs against a parallel replenisher; material is identical either way.
-    kwargs.setdefault("workers", int(os.environ.get("ABNN2_SERVE_WORKERS", "1")))
     bank = TripletBank(qmodel, batch, group=test_group, **kwargs)
     if rounds:
         bank.fill(rounds)
@@ -128,7 +122,7 @@ class TestBank:
         assert m["rounds_generated"] == 3
         assert m["rounds_served"] == 3
         assert m["exhausted_errors"] == 1
-        assert m["generation_payload_bytes"] > 0
+        assert m["generator"] == "dealer"
 
     def test_take_blocks_until_fill(self, qmodel, test_group):
         bank = _bank(qmodel, test_group)
@@ -190,36 +184,7 @@ class TestBank:
         bank.fill(1)
         bank.fill(1)
         first, second = bank.take(), bank.take()
-        assert (
-            first.client_material["input_mask"]
-            != second.client_material["input_mask"]
-        ).any()
-
-    def test_worker_count_independent_material(self, qmodel, test_group):
-        """workers is a local knob: the banked material for a fixed seed
-        is byte-identical whether rounds are generated serially or by a
-        thread pool (per-round seeds derive from claimed generation
-        indices, not from scheduling)."""
-
-        def _deep_equal(a, b):
-            if isinstance(a, np.ndarray):
-                return isinstance(b, np.ndarray) and a.dtype == b.dtype and (a == b).all()
-            if isinstance(a, dict):
-                return set(a) == set(b) and all(_deep_equal(a[k], b[k]) for k in a)
-            if isinstance(a, (list, tuple)):
-                return len(a) == len(b) and all(
-                    _deep_equal(x, y) for x, y in zip(a, b)
-                )
-            return a == b
-
-        serial = _bank(qmodel, test_group, rounds=3, workers=1)
-        pooled = _bank(qmodel, test_group, rounds=3, workers=2)
-        for _ in range(3):
-            one, two = serial.take(), pooled.take()
-            assert one.round_id == two.round_id
-            assert _deep_equal(one.server_us, two.server_us)
-            assert _deep_equal(one.client_material, two.client_material)
-        _assert_no_leaked_serve_threads()
+        assert (first.client.input_mask != second.client.input_mask).any()
 
     def test_take_single_use_order_and_exhaustion(self, qmodel, test_group):
         """take() hands rounds out once each in banking order and raises
@@ -313,6 +278,8 @@ class TestBank:
             TripletBank(qmodel, 1, capacity=0, group=test_group)
         with pytest.raises(ConfigError):
             _bank(qmodel, test_group).fill(0)
+        with pytest.raises(ConfigError, match="dealer"):
+            TripletBank(qmodel, 1, generator="selfplay", group=test_group)
 
 
 class TestBankPersistence:
@@ -326,15 +293,12 @@ class TestBankPersistence:
         # The whole point of persistence: a restart performs *zero*
         # triplet generation.
         assert m["rounds_generated"] == 0
-        assert m["generation_payload_bytes"] == 0
         assert m["rounds_loaded"] == 2
         a, b = bank.take(), reloaded.take()
-        for u_orig, u_loaded in zip(a.server_us, b.server_us):
+        for u_orig, u_loaded in zip(a.server.u, b.server.u):
             assert (u_orig == u_loaded).all()
-        assert (
-            a.client_material["input_mask"] == b.client_material["input_mask"]
-        ).all()
-        for v_orig, v_loaded in zip(a.client_material["v"], b.client_material["v"]):
+        assert (a.client.input_mask == b.client.input_mask).all()
+        for v_orig, v_loaded in zip(a.client.v, b.client.v):
             assert (v_orig == v_loaded).all()
 
     def test_fingerprint_pins_exact_model(self, qmodel, test_group, tmp_path):
@@ -367,25 +331,105 @@ class TestBankPersistence:
         with pytest.raises(ConfigError, match="format"):
             load_bank(path, fingerprint=fp, batch=2)
 
+    @staticmethod
+    def _rewrite(path, edit):
+        """Apply ``edit(manifest, arrays)`` to a saved bundle in place."""
+        with np.load(path) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        manifest = json.loads(bytes(arrays["manifest"]).decode())
+        edit(manifest, arrays)
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["more_rounds", "extra_round_header", "missing_key", "not_npz", "version_1"],
+    )
+    def test_malformed_bundle_names_the_path(self, qmodel, test_group, tmp_path, case):
+        """Every malformed bundle fails as one typed ConfigError naming
+        the file, never as a raw IndexError/KeyError/ValueError."""
+        path = tmp_path / "bank.npz"
+        _bank(qmodel, test_group, rounds=2).save(path)
+        if case == "more_rounds":
+            self._rewrite(path, lambda m, a: m.update(n_rounds=m["n_rounds"] + 1))
+        elif case == "extra_round_header":
+            self._rewrite(path, lambda m, a: m["rounds"].append(m["rounds"][0]))
+        elif case == "missing_key":
+            self._rewrite(path, lambda m, a: a.pop("r1_client2"))
+        elif case == "not_npz":
+            path.write_bytes(b"this is not a bank bundle")
+        else:
+            self._rewrite(path, lambda m, a: m.update(format_version=1))
+        with pytest.raises(ConfigError, match=re.escape(str(path))) as info:
+            _bank(qmodel, test_group).load(path)
+        if case == "version_1":
+            assert "bank format 1, this build reads 2; regenerate the bank" in str(
+                info.value
+            )
+
 
 class TestRoundCodec:
+    """The client half's wire codec: structural checks before any online
+    byte, so a malformed dealt frame fails typed."""
+
+    @pytest.fixture
+    def frame(self, qmodel, test_group):
+        return _bank(qmodel, test_group, rounds=1).take().client.encode()
+
     def test_encode_decode_roundtrip(self, qmodel, test_group):
         rnd = _bank(qmodel, test_group, rounds=1).take()
-        decoded = decode_client_round(encode_client_round(rnd.client_material))
-        assert (decoded["input_mask"] == rnd.client_material["input_mask"]).all()
-        for a, b in zip(decoded["v"], rnd.client_material["v"]):
+        decoded = ClientHalf.decode(rnd.client.encode())
+        assert (decoded.input_mask == rnd.client.input_mask).all()
+        for a, b in zip(decoded.v, rnd.client.v):
             assert (a == b).all()
-        for a, b in zip(decoded["relu_shares"], rnd.client_material["relu_shares"]):
+        for a, b in zip(decoded.relu, rnd.client.relu):
             assert (a == b).all()
+        assert decoded.pool == rnd.client.pool
 
     def test_malformed_messages_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_client_round(b"not a tuple")
+            ClientHalf.decode(b"not a tuple")
         with pytest.raises(ProtocolError):
-            decode_client_round((b"not json", np.zeros(1, dtype=np.uint64)))
+            ClientHalf.decode((b"not json", np.zeros((1, 1), dtype=np.uint64)))
         with pytest.raises(ProtocolError):
-            decode_client_round(
+            ClientHalf.decode(
                 (json.dumps({"n_layers": 2, "pool_present": [False]}).encode(),)
+            )
+
+    def test_wrong_part_count_rejected(self, frame):
+        with pytest.raises(ProtocolError, match="expected"):
+            ClientHalf.decode(frame[:-1])
+        with pytest.raises(ProtocolError, match="expected"):
+            ClientHalf.decode(frame + (frame[-1],))
+
+    def test_non_array_part_rejected(self, frame):
+        with pytest.raises(ProtocolError, match="2-D uint64"):
+            ClientHalf.decode(frame[:-1] + (b"junk",))
+
+    @pytest.mark.parametrize("index", [1, 2, -1])  # the input mask, a V, a ReLU share
+    def test_non_uint64_or_non_2d_rejected(self, frame, index):
+        part = frame[index]
+        for bad in (part.astype(np.int64), part.reshape(-1), part[None]):
+            tampered = list(frame)
+            tampered[index] = bad
+            with pytest.raises(ProtocolError, match="2-D uint64"):
+                ClientHalf.decode(tuple(tampered))
+
+    def test_block_counts_must_match_parts(self, frame):
+        header = json.loads(frame[0])
+        rest = [0] * (header["n_layers"] - 1)
+        for blocks in ([2, *rest], [0, 0, *rest], [-1, *rest], [0.5, *rest], "2"):
+            tampered = dict(header, blocks=blocks)
+            with pytest.raises(ProtocolError):
+                ClientHalf.decode((json.dumps(tampered).encode(),) + frame[1:])
+        # A blocked share whose blocks disagree on the row count.
+        mask, v0 = frame[1], frame[2]
+        tampered = dict(header, blocks=[2, *rest])
+        bad_blocks = (v0, np.zeros((v0.shape[0] + 1, 1), dtype=np.uint64))
+        with pytest.raises(ProtocolError, match="blocked share"):
+            ClientHalf.decode(
+                (json.dumps(tampered).encode(), mask, *bad_blocks) + frame[3:]
             )
 
 
@@ -617,7 +661,6 @@ class TestPredictionServerTcp:
         )
         assert (labels == expect).all()
         m = restarted.metrics()
-        assert m["generation_payload_bytes"] == 0
         assert m["rounds_generated"] == 0
         _assert_no_leaked_serve_threads()
 
@@ -710,9 +753,12 @@ class TestPredictionServerTcp:
             ).start()
 
             def _connect():
+                # A client whose connect lands after the listener closed
+                # retries until its deadline (min(timeout_s, 30 s)); keep
+                # that within the join below.
                 try:
                     with PredictionClient(
-                        meta, 2, port=srv.port, group=test_group
+                        meta, 2, port=srv.port, group=test_group, timeout_s=2.0
                     ) as client:
                         client.predict(x2)
                 except (ProtocolError, ChannelError, OSError):
@@ -793,7 +839,6 @@ class TestServeSoak:
         bank = TripletBank(
             qmodel, 2, capacity=4, low_water=3, auto_replenish=True,
             replenish_chunk=2, group=test_group, seed=17,
-            workers=int(os.environ.get("ABNN2_SERVE_WORKERS", "1")),
         )
         with PredictionServer(
             qmodel, bank, port=0, max_sessions=4, group=test_group,

@@ -17,10 +17,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.matmul import SecureMatmulClient, SecureMatmulServer, grouped_product
+from repro.core.matmul import SecureMatmulServer, grouped_product
 from repro.core.protocol import ModelMeta, secure_predict
 from repro.core.triplets import BlockedShare
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
 from repro.nn.lowering import (
     Im2colSpec,
@@ -226,26 +226,6 @@ class TestEngineBlocks:
         engine.preload(blocked)
         assert (engine.u == u).all()
         assert (engine.u_columns(2, 7) == u[:, 2:7]).all()
-
-    def test_client_for_preload_guards_offline(self, ring32):
-        from repro.core.triplets import TripletConfig
-
-        config = TripletConfig(
-            ring=ring32,
-            scheme=FragmentScheme.ternary(),
-            m=2,
-            n=3,
-            o=4,
-            group=None,
-        )
-        client = SecureMatmulClient.for_preload(None, config)
-        with pytest.raises(ProtocolError):
-            client.offline()
-        with pytest.raises(ProtocolError):
-            client.mask_input(ring32.zeros(config.r_shape))
-        v = ring32.zeros(config.out_shape)
-        client.preload(BlockedShare.from_array(v, chunk=2))
-        assert (client.v == v).all()
 
 
 # --------------------------------------------------------------------- #

@@ -15,13 +15,13 @@ import threading
 
 import numpy as np
 
+from repro.core.offline import ClientHalf
 from repro.core.protocol import ModelMeta
 from repro.net.channel import make_channel_pair
 from repro.nn.model import mnist_mlp
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import FragmentScheme
 from repro.serve import ClientSession, ServerSession, TripletBank
-from repro.serve.session import decode_client_round
 from repro.utils.ring import Ring
 
 
@@ -97,7 +97,7 @@ class TestBankModeView:
 
         dealt = [m for m in view.sent if isinstance(m, tuple)]
         assert len(dealt) == 1  # the client half of the one banked round
-        input_mask = decode_client_round(dealt[0])["input_mask"]
+        input_mask = ClientHalf.decode(dealt[0]).input_mask
         # Control frames arrive as bytes; the first array is <x>_0.
         first_online = next(m for m in view.received if isinstance(m, np.ndarray))
         recovered = ring.add(ring.reduce(first_online), ring.reduce(input_mask))
