@@ -8,8 +8,11 @@
   multiplication built on those triplets.
 * :mod:`repro.core.relu` — the GC-based non-linear layer (Algorithm 2)
   and the paper's optimized two-stage ReLU.
-* :mod:`repro.core.protocol` — end-to-end two-party QNN prediction.
-* :mod:`repro.core.plan` — the layer-graph plan both parties walk online.
+* :mod:`repro.core.protocol` — end-to-end two-party QNN prediction: one
+  layer walk per party, with each layer's dense/im2col/winograd form
+  decided on :class:`~repro.core.protocol.LayerMeta`.
+* :mod:`repro.core.offline` — the typed offline round both parties and
+  the dealer produce.
 * :mod:`repro.core.params` — (N, gamma) fragment-scheme selection.
 """
 
@@ -32,7 +35,6 @@ from repro.core.relu import (
     sigmoid_layer_client,
     truncate_share,
 )
-from repro.core.plan import LayerGraphPlan, PlanNode, build_plan
 from repro.core.protocol import (
     Abnn2Server,
     Abnn2Client,
@@ -41,9 +43,6 @@ from repro.core.protocol import (
 )
 
 __all__ = [
-    "LayerGraphPlan",
-    "PlanNode",
-    "build_plan",
     "optimal_scheme",
     "scheme_for",
     "TripletConfig",

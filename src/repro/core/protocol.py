@@ -20,13 +20,11 @@ additionally reveals the activation sign pattern — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.offline import ClientHalf, ServerHalf, chain_operands, materialize
-from repro.core.plan import LayerGraphPlan, build_plan
 from repro.core.pooling import avgpool_share, maxpool_client, maxpool_server
 from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
 from repro.core.triplets import TripletConfig
@@ -77,6 +75,11 @@ class LayerMeta:
     :mod:`repro.nn.winograd`), and its triplet/OT scheme is the
     *transformed-weight* scheme (public, derived from the layer scheme's
     weight range).
+
+    The layer also owns the one choice of how its product lowers,
+    multiplies and lifts (dense, im2col or winograd): :meth:`lower`,
+    :meth:`lift`, :meth:`weights` and :meth:`bias`.  Both parties and
+    the dealer call these instead of branching on the form themselves.
     """
 
     out_features: int
@@ -136,6 +139,56 @@ class LayerMeta:
         if self.backend == "winograd":
             return self.wino.n_tiles
         return self.conv.n_positions if self.conv else 1
+
+    @property
+    def chunk_cols(self) -> int | None:
+        """Bound on the lowered operand columns held at once (``None``:
+        one block).  A local memory policy; results never depend on it."""
+        return self.conv.chunk_cols if self.conv else None
+
+    def lower(
+        self, ring: Ring, operand: np.ndarray, lo: int | None = None, hi: int | None = None
+    ) -> np.ndarray:
+        """The product operand of a flat ``(in_features, batch)`` share:
+        all ``batch * batch_multiplier()`` columns, or only ``[lo, hi)``
+        without materializing the rest.  Share-local and exact."""
+        wino = self.wino
+        if wino is not None:
+            if lo is None:
+                return lower_tiles(wino, operand, ring)
+            return lower_tiles_block(wino, operand, ring, lo, hi)
+        if self.conv:
+            if lo is None:
+                return lower_shares(self.conv, operand)
+            return lower_shares_block(self.conv, operand, lo, hi)
+        return operand if lo is None else operand[:, lo:hi]
+
+    def lift(self, ring: Ring, y: np.ndarray, party: int) -> np.ndarray:
+        """A product share back in flat ``(relu_features, batch)`` form.
+
+        The lifted winograd product reconstructs to exactly ``4 * (W z)``,
+        so each party divides its share locally (exact w.h.p., see
+        :func:`repro.nn.winograd.divide_share_by4`).
+        """
+        wino = self.wino
+        if wino is not None:
+            return divide_share_by4(ring, lift_tiles(wino, self.matmul_rows, y, ring), party)
+        if self.conv:
+            return lift_output(self.conv, self.matmul_rows, y)
+        return y
+
+    def weights(self, w_int: np.ndarray) -> np.ndarray:
+        """The matrix the secure product multiplies: the stored (im2col)
+        form, or its winograd transform ``G2 g G2^T`` stacked per tile
+        point (public structure; the values stay secret)."""
+        wino = self.wino
+        return w_int if wino is None else transform_weights(wino, w_int)
+
+    def bias(self, bias_int: np.ndarray) -> np.ndarray:
+        """The bias in flat-feature order (a conv bias is per channel)."""
+        if self.conv:
+            return conv_bias_vector(self.conv, bias_int, self.matmul_rows)
+        return bias_int
 
 
 @dataclass(frozen=True)
@@ -205,6 +258,13 @@ class PhaseStats:
 
 
 class _PartyBase:
+    """What both parties share: the queue of offline rounds, the per-layer
+    OT seeds, and the span and truncation conventions of the layer walk.
+    A party supplies ``_party`` (0 = server, 1 = client), the
+    ``_offline_round`` it produces and the ``online`` walk it runs."""
+
+    _party: int
+
     def __init__(
         self,
         chan: Channel,
@@ -234,17 +294,80 @@ class _PartyBase:
         chan.tracer = self.tracer
         self.offline_stats: PhaseStats | None = None
         self.online_stats: PhaseStats | None = None
+        self._pending: list = []  # ServerHalf / ClientHalf rounds, oldest first
+
+    # ------------------------------------------------------------------ #
+    # offline material
+    # ------------------------------------------------------------------ #
+    def offline(self, rounds: int = 1) -> None:
+        """Precompute offline material for ``rounds`` prediction batches.
+
+        Material is strictly single-use (reusing the client's masks would
+        leak input differences), so each future :meth:`online` call
+        consumes one precomputed round.  Both parties must make the same
+        ``offline(rounds=...)`` calls.  Callable again later to top up.
+        """
+        if rounds < 1:
+            raise ConfigError("rounds must be positive")
+
+        def _run():
+            for round_idx in range(rounds):
+                self._pending.append(self._offline_round(round_idx))
+
+        self._track_phase("offline", _run)
 
     @property
-    def plan(self) -> LayerGraphPlan:
-        """The layer-graph plan the online phase walks for this party's
-        architecture."""
-        return build_plan(self.meta)
+    def rounds_available(self) -> int:
+        """Prediction batches the precomputed material still covers."""
+        return len(self._pending)
 
+    def _next_round(self):
+        """The round the next online call consumes; refused before any
+        bytes cross the wire when none is queued."""
+        if not self._pending:
+            raise ProtocolError(
+                "offline material exhausted: call offline(rounds=...) first"
+            )
+        return self._pending[0]
+
+    def export_offline_round(self):
+        """Pop one precomputed round's half (no channel use)."""
+        half = self._next_round()
+        self._pending.pop(0)
+        return half
+
+    def load_offline_round(self, half) -> None:
+        """Queue one round produced elsewhere (a bank, a dealer, another
+        party's :meth:`export_offline_round`).  It is shape-checked
+        against the architecture, so a malformed or mismatched round
+        surfaces as a :class:`ConfigError` here, not as a desynchronized
+        online phase; no communication happens, so the next
+        :meth:`online` runs with zero offline traffic on this channel."""
+        self._pending.append(half.validate(self.meta, self.batch))
+
+    def _run_online(self, walk):
+        """Run ``walk(half)`` on the next round as the online phase.  Only
+        a round that *completed* is consumed: a fault mid-round leaves it
+        queued, so it is genuinely re-runnable (the linear engines never
+        mutate their triplet shares)."""
+        half = self._next_round()
+        result = self._track_phase("online", lambda: walk(half))
+        self._pending.pop(0)
+        return result
+
+    # ------------------------------------------------------------------ #
+    # helpers of the layer walk
+    # ------------------------------------------------------------------ #
     def _layer_config(self, layer: LayerMeta) -> TripletConfig:
         return layer_triplet_config(
             self.ring, layer, self.batch, group=self.group, ro=self.ro
         )
+
+    def _layer_seed(self, idx: int, round_idx: int) -> int | None:
+        """The OT seed of layer ``idx`` in offline round ``round_idx``."""
+        if self._seed is None:
+            return None
+        return self._seed + 101 * idx + 10007 * round_idx
 
     def _track_phase(self, label: str, fn):
         span = self.tracer.start_span(label)
@@ -284,78 +407,36 @@ class _PartyBase:
             round=round_idx,
         )
 
-
-def _matmul_weights(layer, meta: LayerMeta) -> np.ndarray:
-    """The weight matrix the secure product actually multiplies: the
-    stored im2col form, or its winograd transform ``G2 g G2^T`` stacked
-    per tile point (both are public structure; values stay secret)."""
-    if meta.backend == "winograd":
-        return transform_weights(meta.wino, layer.w_int)
-    return layer.w_int
-
-
-def _chunked_online(ring, engine, total, chunk, lower_block, lower_full):
-    """Run one linear layer's online step over a bounded-column loop.
-
-    ``lower_block(lo, hi)`` materializes operand columns ``[lo, hi)``
-    only; each block goes straight through the engine so at most one
-    chunk of the lowered operand exists at a time.  Purely local compute
-    (no channel), and byte-identical for every chunk grid because matmul
-    columns are independent and ring arithmetic is exact.  ``chunk=None``
-    (or >= ``total``) keeps the historical single-allocation path via
-    ``lower_full()`` (the whole-operand lowering is cheaper than a
-    full-width gather through the block index math).
-    """
-    if chunk is None or chunk >= total:
-        return engine.online(lower_full())
-    out = ring.zeros(engine.config.out_shape)
-    for lo, hi in column_blocks(total, chunk):
-        out[:, lo:hi] = engine.online_block(lower_block(lo, hi), lo, hi)
-    return out
-
-
-def server_linear_share(ring, layer, meta: LayerMeta, engine, share0) -> np.ndarray:
-    """The server's linear-node math: ``W <z>_0 + U + b`` with lowering,
-    lifting, and (winograd) the exact share-local division by 4.
-
-    ``share0``'s column count is the batch; conv layers run the chunked
-    im2col loop driven by the conv spec's ``chunk_cols``.  Truncation
-    stays with the caller (:meth:`Abnn2Server._linear_layer`).
-    """
-    if meta.backend == "winograd":
-        wspec = meta.wino
-        total = share0.shape[1] * wspec.n_tiles
-        y0 = _chunked_online(
-            ring, engine, total, layer.conv.chunk_cols,
-            lambda lo, hi: lower_tiles_block(wspec, share0, ring, lo, hi),
-            lambda: lower_tiles(wspec, share0, ring),
+    def _matmul_span(self, idx: int, **extra):
+        """Span for one layer's online linear step (lowering, local
+        product and lifting all run inside it)."""
+        layer = self.meta.layers[idx]
+        return self.tracer.span(
+            f"layer{idx}/matmul", m=layer.matmul_rows, n=layer.matmul_cols,
+            o=self.batch * layer.batch_multiplier(),
+            groups=layer.matmul_groups, backend=layer.backend, **extra,
         )
-        y0 = lift_tiles(wspec, layer.shape[0], y0, ring)
-        # The reconstructed lifted value is exactly 4 * (W * z); both
-        # parties divide their share locally (exact w.h.p., see
-        # repro.nn.winograd.divide_share_by4).
-        y0 = divide_share_by4(ring, y0, party=0)
-        bias = conv_bias_vector(layer.conv, layer.bias_int, layer.shape[0])
-        return ring.add(y0, ring.reduce(bias)[:, None])
-    if layer.conv:
-        spec = layer.conv
-        total = share0.shape[1] * spec.n_positions
-        y0 = _chunked_online(
-            ring, engine, total, spec.chunk_cols,
-            lambda lo, hi: lower_shares_block(spec, share0, lo, hi),
-            lambda: lower_shares(spec, share0),
+
+    def _relu_span(self, idx: int):
+        return self.tracer.span(
+            f"layer{idx}/relu", variant=self.relu_variant,
+            n_relus=self.meta.layers[idx].relu_features * self.batch,
+            ring_bits=self.ring.bits,
         )
-        y0 = lift_output(spec, layer.shape[0], y0)
-        bias = conv_bias_vector(spec, layer.bias_int, layer.shape[0])
-        return ring.add(y0, ring.reduce(bias)[:, None])
-    y0 = engine.online(share0)
-    return ring.add(y0, ring.reduce(layer.bias_int)[:, None])
+
+    def _truncate(self, idx: int, y: np.ndarray) -> np.ndarray:
+        """Hidden layers truncate their share locally; the logits do not."""
+        if idx == len(self.meta.layers) - 1:
+            return y
+        bits = self.meta.layers[idx].truncate_bits
+        return truncate_share(self.ring, y, bits, party=self._party)
 
 
 class Abnn2Server(_PartyBase):
     """The model owner.  Construct, then call :meth:`offline`, then
     :meth:`online` once per prediction batch."""
 
+    _party = 0
     #: Hook for baselines that swap the offline triplet generation.
     matmul_server_cls = SecureMatmulServer
 
@@ -363,9 +444,8 @@ class Abnn2Server(_PartyBase):
         super().__init__(chan, ModelMeta.from_model(model), batch, **kwargs)
         self.model = model
         self._weights = [
-            _matmul_weights(layer, meta) for layer, meta in zip(model.layers, self.meta.layers)
+            meta.weights(layer.w_int) for layer, meta in zip(model.layers, self.meta.layers)
         ]
-        self._pending: list[ServerHalf] = []
         self._gc = GcSessions(chan, "evaluator", group=self.group, ro=self.ro, seed=self._seed)
 
     def _engine(self, idx: int, seed: int | None = None) -> SecureMatmulServer:
@@ -374,120 +454,70 @@ class Abnn2Server(_PartyBase):
             seed=seed,
         )
 
-    def offline(self, rounds: int = 1) -> None:
-        """Precompute triplet material for ``rounds`` prediction batches.
-
-        Triplet material is strictly single-use (reusing the client's
-        masks would leak input differences), so each future :meth:`online`
-        call consumes one precomputed round.  Callable again later to
-        top up.
-        """
-        if rounds < 1:
-            raise ConfigError("rounds must be positive")
-
-        def _run():
-            for round_idx in range(rounds):
-                us = []
-                for idx, layer in enumerate(self.meta.layers):
-                    engine = self._engine(
-                        idx,
-                        seed=None
-                        if self._seed is None
-                        else self._seed + 101 * idx + 10007 * round_idx,
-                    )
-                    with self._triplet_span(idx, layer, round_idx):
-                        engine.offline()
-                    us.append(engine.u)
-                self._pending.append(ServerHalf(us))
-
-        self._track_phase("offline", _run)
-
-    @property
-    def rounds_available(self) -> int:
-        """Prediction batches the precomputed material still covers."""
-        return len(self._pending)
-
-    def export_offline_round(self) -> ServerHalf:
-        """Pop one precomputed round's :class:`ServerHalf` (no channel use)."""
-        if not self._pending:
-            raise ProtocolError(
-                "offline material exhausted: call offline(rounds=...) first"
-            )
-        return self._pending.pop(0)
-
-    def load_offline_round(self, half: ServerHalf) -> None:
-        """Queue one round produced elsewhere (a bank, a dealer, another
-        party's :meth:`export_offline_round`).  It is shape-checked
-        against the model (:class:`ConfigError`); no communication
-        happens, so the next :meth:`online` runs with zero offline
-        traffic on this channel."""
-        self._pending.append(half.validate(self.meta, self.batch))
+    def _offline_round(self, round_idx: int) -> ServerHalf:
+        """One round of the OT offline phase: every layer's ``U``."""
+        us = []
+        for idx, layer in enumerate(self.meta.layers):
+            engine = self._engine(idx, seed=self._layer_seed(idx, round_idx))
+            with self._triplet_span(idx, layer, round_idx):
+                engine.offline()
+            us.append(engine.u)
+        return ServerHalf(us)
 
     def online(self) -> np.ndarray:
         """Run one prediction batch; returns the server's logit share
-        (already transmitted to the client).  Consumes one offline round
-        — but only a round that *completed*: a fault mid-round leaves the
-        round queued, so it is genuinely re-runnable (the linear engines
-        never mutate their triplet shares)."""
-        if not self._pending:
-            raise ProtocolError(
-                "offline material exhausted: call offline(rounds=...) first "
-                "(checked before any bytes cross the wire)"
-            )
-        half = self._pending[0]
-        y0 = self._track_phase("online", lambda: self._online_sequential(half))
-        self._pending.pop(0)
-        return y0
+        (already transmitted to the client).  Consumes one offline round."""
+        return self._run_online(self._online_sequential)
 
     def _linear_layer(self, half: ServerHalf, idx: int, share0: np.ndarray) -> np.ndarray:
-        """One linear node: ``W <z>_0 + U + b`` plus conv lowering/lifting
-        inside the layer's matmul span, then (hidden layers) truncation."""
-        layer = self.model.layers[idx]
-        meta = self.meta.layers[idx]
+        """One linear layer: ``W <z>_0 + U + b`` on the lowered share,
+        lifted back to flat features, then (hidden layers) truncated.
+
+        A chunked layer runs the product one column block of the lowered
+        operand at a time, so at most one block is ever materialized.
+        Byte-identical for every chunk grid: matmul columns are
+        independent and ring arithmetic is exact.
+        """
+        layer = self.meta.layers[idx]
         engine = self._engine(idx)
         engine.preload(half.u[idx])
-        with self.tracer.span(
-            f"layer{idx}/matmul", m=meta.matmul_rows, n=meta.matmul_cols,
-            o=self.batch * meta.batch_multiplier(),
-            groups=meta.matmul_groups, backend=meta.backend,
-            chunk_cols=layer.conv.chunk_cols if layer.conv else None,
-        ):
-            y0 = server_linear_share(self.ring, layer, meta, engine, share0)
-        if idx < len(self.model.layers) - 1:
-            y0 = truncate_share(self.ring, y0, layer.truncate_bits, party=0)
-        return y0
-
-    def _pool_layer(self, idx: int, share0: np.ndarray) -> np.ndarray:
-        layer = self.model.layers[idx]
-        with self.tracer.span(f"layer{idx}/pool", kind=layer.pool.kind):
-            if layer.pool.kind == "avg":
-                return avgpool_share(self.ring, layer.pool, share0, party=0)
-            return maxpool_server(self.chan, layer.pool, share0, self._gc, self.ring)
+        total, chunk = engine.config.o, layer.chunk_cols
+        with self._matmul_span(idx, chunk_cols=chunk):
+            if chunk is None or chunk >= total:
+                y0 = engine.online(layer.lower(self.ring, share0))
+            else:
+                y0 = self.ring.zeros(engine.config.out_shape)
+                for lo, hi in column_blocks(total, chunk):
+                    block = layer.lower(self.ring, share0, lo, hi)
+                    y0[:, lo:hi] = engine.online_block(block, lo, hi)
+            y0 = layer.lift(self.ring, y0, party=0)
+            bias = layer.bias(self.model.layers[idx].bias_int)
+            y0 = self.ring.add(y0, self.ring.reduce(bias)[:, None])
+        return self._truncate(idx, y0)
 
     def _online_sequential(self, half: ServerHalf) -> np.ndarray:
-        """Walk the plan node by node on the raw channel (paper Fig. 2)."""
-        share0 = y0 = None
-        for node in self.plan:
-            if node.kind == "input":
-                with self.tracer.span("input-share"):
-                    share0 = self.ring.reduce(self.chan.recv())  # <x>_0
-            elif node.kind == "linear":
-                y0 = self._linear_layer(half, node.layer, share0)
-            elif node.kind == "relu":
-                meta = self.meta.layers[node.layer]
-                with self.tracer.span(
-                    f"layer{node.layer}/relu", variant=self.relu_variant,
-                    n_relus=meta.relu_features * self.batch,
-                    ring_bits=self.ring.bits,
-                ):
-                    share0 = relu_layer_server(
-                        self.chan, y0, self._gc, self.ring, self.relu_variant
-                    )
-            elif node.kind == "pool":
-                share0 = self._pool_layer(node.layer, share0)
-            else:  # logits
-                with self.tracer.span("logits-share"):
-                    self.chan.send(y0)
+        """The layer walk on the raw channel (paper Fig. 2): input share,
+        then per layer linear, (hidden) ReLU and pool, then the logits."""
+        with self.tracer.span("input-share"):
+            share0 = self.ring.reduce(self.chan.recv())  # <x>_0
+        last = len(self.meta.layers) - 1
+        for idx, layer in enumerate(self.meta.layers):
+            y0 = self._linear_layer(half, idx, share0)
+            if idx == last:
+                break
+            with self._relu_span(idx):
+                share0 = relu_layer_server(
+                    self.chan, y0, self._gc, self.ring, self.relu_variant
+                )
+            pool = layer.pool
+            if pool is not None:
+                with self.tracer.span(f"layer{idx}/pool", kind=pool.kind):
+                    if pool.kind == "avg":
+                        share0 = avgpool_share(self.ring, pool, share0, party=0)
+                    else:
+                        share0 = maxpool_server(self.chan, pool, share0, self._gc, self.ring)
+        with self.tracer.span("logits-share"):
+            self.chan.send(y0)
         return y0
 
 
@@ -495,162 +525,73 @@ class Abnn2Client(_PartyBase):
     """The data owner.  Knows the architecture (:class:`ModelMeta`) but
     never the weights; learns the prediction."""
 
+    _party = 1
     #: Hook for baselines that swap the offline triplet generation.
     matmul_client_cls = SecureMatmulClient
 
     def __init__(self, chan: Channel, meta: ModelMeta, batch: int, **kwargs) -> None:
         super().__init__(chan, meta, batch, **kwargs)
-        self._pending: list[ClientHalf] = []
         self._gc = GcSessions(chan, "garbler", group=self.group, ro=self.ro, seed=self._seed)
 
-    def offline(self, rounds: int = 1) -> None:
-        """Precompute triplets and fresh shares for ``rounds`` batches.
+    def _offline_round(self, round_idx: int) -> ClientHalf:
+        """One round of the OT offline phase: the operand walk of
+        :func:`chain_operands`, whose linear step lowers the operand to
+        ``R`` and runs the layer's KK13 triplet generation for ``V``."""
 
-        Must mirror the server's ``offline(rounds=...)`` call; material
-        is single-use (see :meth:`Abnn2Server.offline`).
-        """
-        if rounds < 1:
-            raise ConfigError("rounds must be positive")
-
-        def _run():
-            for round_idx in range(rounds):
-                self._pending.append(
-                    chain_operands(
-                        self.ring, self.meta, self.batch, self.rng,
-                        partial(self._triplet_step, round_idx),
-                    )
-                )
-
-        self._track_phase("offline", _run)
-
-    def _triplet_step(self, round_idx: int, idx: int, layer: LayerMeta, operand) -> np.ndarray:
-        """The OT linear step of the offline walk: lower the operand to
-        ``R`` and run the layer's KK13 triplet generation; returns ``V``."""
-        if layer.backend == "winograd":
-            r_mat = lower_tiles(layer.wino, operand, self.ring)
-        elif layer.conv:
-            r_mat = lower_shares(layer.conv, operand)
-        else:
-            r_mat = operand
-        engine = self.matmul_client_cls(
-            self.chan,
-            self._layer_config(layer),
-            self.rng,
-            r_mat=r_mat,
-            seed=None if self._seed is None else self._seed + 101 * idx + 10007 * round_idx,
-        )
-        with self._triplet_span(idx, layer, round_idx):
-            engine.offline()
-        return engine.v
-
-    @property
-    def rounds_available(self) -> int:
-        """Prediction batches the precomputed material still covers."""
-        return len(self._pending)
-
-    def export_offline_round(self) -> ClientHalf:
-        """Pop one precomputed round's :class:`ClientHalf` (no channel use)."""
-        if not self._pending:
-            raise ProtocolError(
-                "offline material exhausted: call offline(rounds=...) first"
+        def triplet_step(idx: int, layer: LayerMeta, operand) -> np.ndarray:
+            engine = self.matmul_client_cls(
+                self.chan,
+                self._layer_config(layer),
+                self.rng,
+                r_mat=layer.lower(self.ring, operand),
+                seed=self._layer_seed(idx, round_idx),
             )
-        return self._pending.pop(0)
+            with self._triplet_span(idx, layer, round_idx):
+                engine.offline()
+            return engine.v
 
-    def load_offline_round(self, half: ClientHalf) -> None:
-        """Queue one round produced elsewhere (see
-        :meth:`Abnn2Server.load_offline_round`).  Shapes are checked
-        against the architecture metadata, so a malformed or mismatched
-        round surfaces as a :class:`ConfigError` here, not as a
-        desynchronized online phase."""
-        self._pending.append(half.validate(self.meta, self.batch))
+        return chain_operands(self.ring, self.meta, self.batch, self.rng, triplet_step)
 
     def online(self, x_ring: np.ndarray) -> np.ndarray:
         """Run one prediction batch on fixed-point inputs shaped
         ``(features, batch)``; returns the reconstructed integer logits.
         Consumes one offline round."""
-        if not self._pending:
-            raise ProtocolError(
-                "offline material exhausted: call offline(rounds=...) first "
-                "(checked before any bytes cross the wire)"
-            )
         x = self.ring.reduce(x_ring)
         expected = (self.meta.layers[0].in_features, self.batch)
         if x.shape != expected:
             raise ConfigError(f"expected input of shape {expected}, got {x.shape}")
-        half = self._pending[0]
-        logits = self._track_phase(
-            "online", lambda: self._online_sequential(half, x)
-        )
-        # Only a completed round consumes the material (mirrors the server).
-        self._pending.pop(0)
-        return logits
-
-    def _linear_layer(self, half: ClientHalf, idx: int) -> np.ndarray:
-        """One linear node: ``y1 = V`` (wire-free) plus conv lifting inside
-        the matmul span, then (hidden layers) truncation."""
-        layer = self.meta.layers[idx]
-        with self.tracer.span(
-            f"layer{idx}/matmul", m=layer.matmul_rows, n=layer.matmul_cols,
-            o=self.batch * layer.batch_multiplier(),
-            groups=layer.matmul_groups, backend=layer.backend,
-        ):
-            y1 = materialize(half.v[idx])
-            if layer.backend == "winograd":
-                y1 = lift_tiles(layer.wino, layer.matmul_rows, y1, self.ring)
-                y1 = divide_share_by4(self.ring, y1, party=1)
-            elif layer.conv:
-                y1 = lift_output(layer.conv, layer.matmul_rows, y1)
-        if idx < len(self.meta.layers) - 1:
-            y1 = truncate_share(self.ring, y1, layer.truncate_bits, party=1)
-        return y1
+        return self._run_online(lambda half: self._online_sequential(half, x))
 
     def _online_sequential(self, half: ClientHalf, x) -> np.ndarray:
-        """Walk the plan node by node on the raw channel (paper Fig. 2)."""
-        logits = y1 = z1_relu = None
-        for node in self.plan:
-            if node.kind == "input":
-                # <x>_0 = x - r travels in flat form; each party lowers its
-                # own share locally where a conv layer needs it.
-                with self.tracer.span("input-share"):
-                    self.chan.send(self.ring.sub(x, half.input_mask))
-            elif node.kind == "linear":
-                y1 = self._linear_layer(half, node.layer)
-            elif node.kind == "relu":
-                layer = self.meta.layers[node.layer]
-                with self.tracer.span(
-                    f"layer{node.layer}/relu", variant=self.relu_variant,
-                    n_relus=layer.relu_features * self.batch,
-                    ring_bits=self.ring.bits,
-                ):
-                    z1_relu = relu_layer_client(
-                        self.chan,
-                        y1,
-                        half.relu[node.layer],
-                        self._gc,
-                        self.ring,
-                        self.rng,
-                        self.relu_variant,
+        """The layer walk on the raw channel (paper Fig. 2); the client's
+        linear steps are wire-free (``y1 = V``, lifted)."""
+        # <x>_0 = x - r travels in flat form; each party lowers its own
+        # share locally where a conv layer needs it.
+        with self.tracer.span("input-share"):
+            self.chan.send(self.ring.sub(x, half.input_mask))
+        last = len(self.meta.layers) - 1
+        for idx, layer in enumerate(self.meta.layers):
+            with self._matmul_span(idx):
+                y1 = layer.lift(self.ring, materialize(half.v[idx]), party=1)
+            y1 = self._truncate(idx, y1)
+            if idx == last:
+                break
+            with self._relu_span(idx):
+                z1 = relu_layer_client(
+                    self.chan, y1, half.relu[idx], self._gc, self.ring, self.rng,
+                    self.relu_variant,
+                )
+            if layer.pool is not None and layer.pool.kind == "max":
+                with self.tracer.span(f"layer{idx}/pool", kind="max"):
+                    maxpool_client(
+                        self.chan, layer.pool, z1, half.pool[idx], self._gc,
+                        self.ring, self.rng,
                     )
-            elif node.kind == "pool":
-                layer = self.meta.layers[node.layer]
-                if layer.pool.kind == "max":
-                    with self.tracer.span(f"layer{node.layer}/pool", kind="max"):
-                        maxpool_client(
-                            self.chan,
-                            layer.pool,
-                            z1_relu,
-                            half.pool[node.layer],
-                            self._gc,
-                            self.ring,
-                            self.rng,
-                        )
-                # avg pooling is share-local and applied to the *next*
-                # operand offline; the client does nothing here.
-            else:  # logits
-                with self.tracer.span("logits-share"):
-                    y0 = self.ring.reduce(self.chan.recv())
-                logits = self.ring.add(y0, y1)
-        return logits
+            # avg pooling is share-local and applied to the *next*
+            # operand offline; the client does nothing here.
+        with self.tracer.span("logits-share"):
+            y0 = self.ring.reduce(self.chan.recv())
+        return self.ring.add(y0, y1)
 
 
 # --------------------------------------------------------------------- #

@@ -315,10 +315,19 @@ class TripletBank:
     # persistence
     # ------------------------------------------------------------------ #
     def save(self, path) -> int:
-        """Persist all unclaimed rounds; returns how many were written."""
+        """Persist all unclaimed rounds; returns how many were written.
+
+        The bundle also records the next generation index, so a bank
+        that loads it never re-deals material this one already dealt.
+        """
         with self._cond:
             snapshot = list(self._rounds)
-        save_bank(path, fingerprint=self.fingerprint, batch=self.batch, rounds=snapshot)
+        with self._gen_lock:
+            next_generation = self._generations
+        save_bank(
+            path, fingerprint=self.fingerprint, batch=self.batch, rounds=snapshot,
+            next_generation=next_generation,
+        )
         return len(snapshot)
 
     def load(self, path) -> int:
@@ -326,9 +335,16 @@ class TripletBank:
 
         Loaded rounds involve no generation — the whole point of
         persistence: ``rounds_generated`` stays untouched, which the
-        restart acceptance test pins.
+        restart acceptance test pins.  Generation resumes past the
+        saving bank's last index, so later fills deal fresh material
+        (load before the first fill: earlier fills already used the
+        low indices).
         """
-        rounds = load_bank(path, fingerprint=self.fingerprint, batch=self.batch)
+        rounds, next_generation = load_bank(
+            path, fingerprint=self.fingerprint, batch=self.batch
+        )
+        with self._gen_lock:
+            self._generations = max(self._generations, next_generation)
         numbered = [self._number(rnd) for rnd in rounds]
         with self._cond:
             self._rounds.extend(numbered)

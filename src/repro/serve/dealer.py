@@ -6,9 +6,9 @@ generates the material the two-party OT offline phase would produce in
 closed form, with no OT traffic:
 
     for each column block [lo, hi) of the lowered operand:
-        R_blk = lower_shares_block(operand, lo, hi)   # never whole
-        V_blk = uniform sample                         # client share
-        U_blk = W @ R_blk - V_blk                      # server share
+        R_blk = layer.lower(ring, operand, lo, hi)   # never whole
+        V_blk = uniform sample                        # client share
+        U_blk = W @ R_blk - V_blk                     # server share
 
 ``U + V = W @ R (mod 2^l)`` holds per block by construction, so the
 dealt round drops into the unchanged online phase.  The operands chain
@@ -31,14 +31,13 @@ import numpy as np
 
 from repro.core.matmul import grouped_product
 from repro.core.offline import OfflineRound, ServerHalf, chain_operands
-from repro.core.protocol import ModelMeta, _matmul_weights, layer_triplet_config
+from repro.core.protocol import ModelMeta, layer_triplet_config
 from repro.core.triplets import BlockedShare
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ConfigError
-from repro.nn.lowering import column_blocks, lower_shares_block
+from repro.nn.lowering import column_blocks
 from repro.nn.quantize import QuantizedModel
-from repro.nn.winograd import lower_tiles_block
 from repro.utils.rng import make_rng
 
 
@@ -58,34 +57,15 @@ def dealer_offline_round(
     rng = make_rng(seed)
     us: list = []
 
-    def deal_linear(idx, layer_meta, operand):
-        layer = model.layers[idx]
-        config = layer_triplet_config(ring, layer_meta, batch, group=group, ro=ro)
-        w = ring.reduce(_matmul_weights(layer, layer_meta))
-        if layer_meta.backend == "winograd":
-            wspec = layer_meta.wino
-            total, chunk = batch * wspec.n_tiles, layer.conv.chunk_cols
-
-            def lower_block(lo, hi):
-                return lower_tiles_block(wspec, operand, ring, lo, hi)
-        elif layer_meta.conv is not None:
-            spec = layer_meta.conv
-            total, chunk = batch * spec.n_positions, layer.conv.chunk_cols
-
-            def lower_block(lo, hi):
-                return lower_shares_block(spec, operand, lo, hi)
-        else:
-            total, chunk = batch, None
-
-            def lower_block(lo, hi):
-                return operand[:, lo:hi]
-
+    def deal_linear(idx, layer, operand):
+        config = layer_triplet_config(ring, layer, batch, group=group, ro=ro)
+        w = ring.reduce(layer.weights(model.layers[idx].w_int))
         u_parts: list[np.ndarray] = []
         v_parts: list[np.ndarray] = []
-        for lo, hi in column_blocks(total, chunk):
+        for lo, hi in column_blocks(config.o, layer.chunk_cols):
             v_blk = ring.sample(rng, (config.rows, hi - lo))
             prod = grouped_product(
-                ring, w, lower_block(lo, hi), config.m, config.n, config.groups
+                ring, w, layer.lower(ring, operand, lo, hi), config.m, config.n, config.groups
             )
             u_parts.append(ring.sub(prod, v_blk))
             v_parts.append(v_blk)

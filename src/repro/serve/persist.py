@@ -13,12 +13,14 @@ weights silently breaks correctness, and reusing them twice breaks
 security.  The manifest therefore records a :func:`model_fingerprint`
 and the loader refuses anything that does not match.
 
-Layout (format 2): each round's two halves are stored in the codec of
+Layout (format 3): each round's two halves are stored in the codec of
 :mod:`repro.core.offline` — the manifest's ``rounds`` list holds the
 ``{"server", "client"}`` JSON headers of every round, and round ``r``'s
-arrays are ``r{r}_server{k}`` / ``r{r}_client{k}`` in codec order.  A
-bundle that is not a readable format-2 bank raises :class:`ConfigError`
-naming its path.
+arrays are ``r{r}_server{k}`` / ``r{r}_client{k}`` in codec order.  The
+manifest's ``next_generation`` is the saving bank's next generation
+index, from which a loading bank resumes, so a seeded bank never deals
+the same material twice across a restart.  A bundle that is not a
+readable format-3 bank raises :class:`ConfigError` naming its path.
 
 Writes are **atomic**: the bundle is staged to a temp file in the target
 directory and :func:`os.replace`'d into place, so a crash mid-save leaves
@@ -41,7 +43,7 @@ from repro.errors import ConfigError, ProtocolError
 from repro.nn.quantize import QuantizedModel
 
 #: Bumped whenever the bank bundle layout changes.
-BANK_FORMAT_VERSION = 2
+BANK_FORMAT_VERSION = 3
 
 _HALVES = (("server", ServerHalf), ("client", ClientHalf))
 
@@ -66,7 +68,10 @@ def model_fingerprint(model: QuantizedModel) -> str:
     return h.hexdigest()
 
 
-def save_bank(path, *, fingerprint: str, batch: int, rounds: list[OfflineRound]) -> None:
+def save_bank(
+    path, *, fingerprint: str, batch: int, rounds: list[OfflineRound],
+    next_generation: int = 0,
+) -> None:
     """Atomically write banked offline rounds to an ``.npz`` bundle."""
     headers = []
     arrays: dict[str, np.ndarray] = {}
@@ -84,6 +89,7 @@ def save_bank(path, *, fingerprint: str, batch: int, rounds: list[OfflineRound])
         "batch": batch,
         "n_rounds": len(rounds),
         "rounds": headers,
+        "next_generation": next_generation,
     }
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
     # Stage next to the target so os.replace stays a same-filesystem
@@ -108,8 +114,9 @@ def save_bank(path, *, fingerprint: str, batch: int, rounds: list[OfflineRound])
         raise
 
 
-def load_bank(path, *, fingerprint: str, batch: int) -> list[OfflineRound]:
-    """Inverse of :func:`save_bank`; refuses mismatched model or batch.
+def load_bank(path, *, fingerprint: str, batch: int) -> tuple[list[OfflineRound], int]:
+    """Inverse of :func:`save_bank`: the rounds and the next generation
+    index.  Refuses a mismatched model or batch.
 
     Shape validation against the model is left to the parties'
     ``load_offline_round`` — the fingerprint pins the semantic identity,
@@ -129,7 +136,7 @@ def load_bank(path, *, fingerprint: str, batch: int) -> list[OfflineRound]:
         ) from exc
 
 
-def _read_bundle(bundle, fingerprint: str, batch: int) -> list[OfflineRound]:
+def _read_bundle(bundle, fingerprint: str, batch: int) -> tuple[list[OfflineRound], int]:
     manifest = json.loads(bytes(bundle["manifest"]).decode())
     version = manifest.get("format_version")
     if version != BANK_FORMAT_VERSION:
@@ -147,6 +154,9 @@ def _read_bundle(bundle, fingerprint: str, batch: int) -> list[OfflineRound]:
             f"bank was generated for batch={manifest['batch']}, "
             f"server is configured for batch={batch}"
         )
+    next_generation = manifest["next_generation"]
+    if type(next_generation) is not int or next_generation < 0:
+        raise ConfigError(f"manifest has next_generation={next_generation!r}")
     headers = manifest["rounds"]
     if len(headers) != manifest["n_rounds"]:
         raise ConfigError(
@@ -162,4 +172,4 @@ def _read_bundle(bundle, fingerprint: str, batch: int) -> list[OfflineRound]:
                 parts.append(bundle[f"r{r}_{name}{len(parts)}"])
             halves[name] = cls.from_parts(round_headers[name], parts)
         rounds.append(OfflineRound(**halves))
-    return rounds
+    return rounds, next_generation

@@ -301,6 +301,22 @@ class TestBankPersistence:
         for v_orig, v_loaded in zip(a.client.v, b.client.v):
             assert (v_orig == v_loaded).all()
 
+    def test_restart_never_redeals_a_mask(self, qmodel, test_group, tmp_path):
+        """A seeded bank resumes its generation index from the bundle: a
+        restarted process deals no input mask the first one dealt, served
+        or saved (reuse would leak input differences)."""
+        path = tmp_path / "bank.npz"
+        first = _bank(qmodel, test_group, seed=7)
+        first.fill(3)
+        dealt = [first.take()]
+        first.save(path)
+        second = _bank(qmodel, test_group, seed=7)
+        assert second.load(path) == 2
+        second.fill(2)
+        dealt += [second.take() for _ in range(4)]
+        masks = {rnd.client.input_mask.tobytes() for rnd in dealt}
+        assert len(masks) == 5
+
     def test_fingerprint_pins_exact_model(self, qmodel, test_group, tmp_path):
         path = tmp_path / "bank.npz"
         _bank(qmodel, test_group, rounds=1).save(path)
@@ -344,7 +360,8 @@ class TestBankPersistence:
 
     @pytest.mark.parametrize(
         "case",
-        ["more_rounds", "extra_round_header", "missing_key", "not_npz", "version_1"],
+        ["more_rounds", "extra_round_header", "missing_key", "not_npz", "version_1",
+         "version_2"],
     )
     def test_malformed_bundle_names_the_path(self, qmodel, test_group, tmp_path, case):
         """Every malformed bundle fails as one typed ConfigError naming
@@ -360,11 +377,12 @@ class TestBankPersistence:
         elif case == "not_npz":
             path.write_bytes(b"this is not a bank bundle")
         else:
-            self._rewrite(path, lambda m, a: m.update(format_version=1))
+            old = int(case[-1])
+            self._rewrite(path, lambda m, a: m.update(format_version=old))
         with pytest.raises(ConfigError, match=re.escape(str(path))) as info:
             _bank(qmodel, test_group).load(path)
-        if case == "version_1":
-            assert "bank format 1, this build reads 2; regenerate the bank" in str(
+        if case.startswith("version_"):
+            assert f"bank format {case[-1]}, this build reads 3; regenerate the bank" in str(
                 info.value
             )
 

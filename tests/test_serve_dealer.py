@@ -203,7 +203,7 @@ class TestBankPersistence:
         fp = model_fingerprint(qmodel)
         rounds = self._rounds(qmodel, 7)
         save_bank(path, fingerprint=fp, batch=BATCH, rounds=rounds)
-        loaded = load_bank(path, fingerprint=fp, batch=BATCH)
+        loaded, _ = load_bank(path, fingerprint=fp, batch=BATCH)
         assert len(loaded) == 1
         orig_u = rounds[0].server.u[0]
         back_u = loaded[0].server.u[0]
@@ -253,5 +253,5 @@ class TestBankPersistence:
         monkeypatch.undo()
         assert path.read_bytes() == before  # old bundle untouched
         assert os.listdir(tmp_path) == ["bank.npz"]  # no tmp leftovers
-        loaded = load_bank(path, fingerprint=fp, batch=BATCH)
+        loaded, _ = load_bank(path, fingerprint=fp, batch=BATCH)
         assert len(loaded) == 1

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.protocol import ModelMeta, layer_triplet_config, secure_predict
-from repro.core.plan import PlanNode, build_plan
 from repro.core.triplets import TripletConfig
 from repro.errors import ConfigError, QuantizationError
 from repro.net import run_protocol
@@ -343,13 +342,17 @@ class TestQuantizedBackend:
         x_ring = qi.encoder.encode(np.asarray(wino_inputs).T)
         assert (qi.forward_int(x_ring) == qw.forward_int(x_ring)).all()
 
-    def test_plan_carries_backend(self, wino_net):
+    def test_meta_carries_backend(self, wino_net):
         meta = ModelMeta.from_model(_quantize(wino_net, "winograd"))
-        plan = build_plan(meta)
-        backends = [n.backend for n in plan.linear_nodes]
-        assert backends == ["winograd", "winograd", "im2col"]
-        with pytest.raises(ConfigError):
-            PlanNode("linear0", "linear", 0, (), backend="fft")
+        assert [layer.backend for layer in meta.layers] == ["winograd", "winograd", "im2col"]
+
+    def test_layer_refuses_unknown_backend(self, rng):
+        tensor = quantize_for_scheme(rng.normal(size=(3, 4)), FragmentScheme.ternary())
+        with pytest.raises(QuantizationError, match="unknown linear backend"):
+            QuantizedDense(
+                weights=tensor, bias_int=np.zeros(3, dtype=np.int64),
+                truncate_bits=0, backend="fft",
+            )
 
     def test_meta_grouped_dimensions(self, wino_net):
         meta = ModelMeta.from_model(_quantize(wino_net, "winograd"))
