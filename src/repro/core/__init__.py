@@ -6,8 +6,8 @@
   optimization (Section 4.1.3).
 * :mod:`repro.core.matmul` — the offline+online secure matrix
   multiplication built on those triplets.
-* :mod:`repro.core.relu` — the GC-based non-linear layer (Algorithm 2)
-  and the paper's optimized two-stage ReLU.
+* :mod:`repro.core.relu` — the protocol's one non-linear layer: the GC
+  ReLU of Algorithm 2 and the paper's optimized two-stage variant.
 * :mod:`repro.core.protocol` — end-to-end two-party QNN prediction: one
   layer walk per party, with each layer's dense/im2col/winograd form
   decided on :class:`~repro.core.protocol.LayerMeta`.
@@ -31,8 +31,6 @@ from repro.core.pooling import (
 from repro.core.relu import (
     relu_layer_server,
     relu_layer_client,
-    sigmoid_layer_server,
-    sigmoid_layer_client,
     truncate_share,
 )
 from repro.core.protocol import (
@@ -52,8 +50,6 @@ __all__ = [
     "SecureMatmulClient",
     "relu_layer_server",
     "relu_layer_client",
-    "sigmoid_layer_server",
-    "sigmoid_layer_client",
     "truncate_share",
     "avgpool_share",
     "maxpool_server",

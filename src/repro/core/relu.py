@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.builder import (
-    piecewise_sigmoid_template,
     reconstruct_sub_template,
     relu_template,
     sign_template,
@@ -53,7 +52,6 @@ def _template(kind: str, bits: int):
             "relu": relu_template,
             "sign": sign_template,
             "reconstruct_sub": reconstruct_sub_template,
-            "sigmoid": piecewise_sigmoid_template,
         }
         _TEMPLATE_CACHE[key] = builders[kind](bits)
     return _TEMPLATE_CACHE[key]
@@ -176,68 +174,4 @@ def relu_layer_client(
         )
     # Negative neurons: ReLU(y) = 0, so z0 must equal -z1.
     chan.send(ring.neg(flat_z1[~positive]))
-    return flat_z1.reshape(shape)
-
-
-# --------------------------------------------------------------------- #
-# piecewise-sigmoid activation (Algorithm 2 with a different f)
-# --------------------------------------------------------------------- #
-def sigmoid_layer_server(
-    chan: Channel,
-    y0: np.ndarray,
-    sessions: GcSessions,
-    ring: Ring,
-    frac_bits: int,
-) -> np.ndarray:
-    """Server side of the 3-piece sigmoid layer; returns ``z0``.
-
-    Shares of ``f(y0 + y1)`` in the same ``2^frac_bits`` fixed-point
-    encoding as the inputs; see
-    :func:`repro.gc.builder.piecewise_sigmoid_template`.
-    """
-    shape = np.shape(y0)
-    flat = ring.reduce(y0).reshape(-1)
-    n_inst = flat.shape[0]
-    out_bits = run_evaluator(
-        chan, _template("sigmoid", ring.bits), _to_bit_rows(ring, flat), n_inst, sessions
-    )
-    return _from_bit_rows(ring, out_bits).reshape(shape)
-
-
-def sigmoid_layer_client(
-    chan: Channel,
-    y1: np.ndarray,
-    z1: np.ndarray,
-    sessions: GcSessions,
-    ring: Ring,
-    frac_bits: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Client (garbler) side of the sigmoid layer; returns ``z1``.
-
-    The public constants 1/2 and 1 enter the circuit as garbler inputs,
-    encoded at the caller's fixed-point scale.
-    """
-    if not 0 < frac_bits < ring.bits:
-        raise ConfigError(f"frac_bits must be in (0, {ring.bits}), got {frac_bits}")
-    shape = np.shape(y1)
-    flat_y1 = ring.reduce(y1).reshape(-1)
-    flat_z1 = ring.reduce(z1).reshape(-1)
-    if flat_z1.shape != flat_y1.shape:
-        raise ConfigError("z1 must match y1's shape")
-    n_inst = flat_y1.shape[0]
-    half = np.full(n_inst, 1 << (frac_bits - 1), dtype=np.uint64)
-    one = np.full(n_inst, 1 << frac_bits, dtype=np.uint64)
-    garbler_bits = np.concatenate(
-        [
-            _to_bit_rows(ring, flat_y1),
-            _to_bit_rows(ring, flat_z1),
-            _to_bit_rows(ring, half),
-            _to_bit_rows(ring, one),
-        ],
-        axis=0,
-    )
-    run_garbler(
-        chan, _template("sigmoid", ring.bits), garbler_bits, n_inst, sessions, rng
-    )
     return flat_z1.reshape(shape)

@@ -1,8 +1,7 @@
-"""Sharded, pipelined execution of the offline phase.
+"""Sharded, pipelined execution of the offline triplet OT sessions.
 
-The offline workload — triplet OT batches, GC garbling/evaluation — is
-embarrassingly parallel across OT instances / circuit instances.  This
-package splits it into **shards**, each an independent protocol session
+The triplet workload is embarrassingly parallel across OT instances.
+This package splits it into **shards**, each an independent KK13 session
 over its own stream of a :class:`repro.net.mux.ChannelMux`, and runs the
 shards on a bounded pool of threads (:mod:`repro.exec.pool`) so one
 shard's PRG/hash compute overlaps another shard's bytes on the wire.
@@ -14,7 +13,6 @@ knob.  Per-shard randomness is spawned from the caller's seed via
 worker count — pinned by ``tests/test_exec_parallel.py``.
 """
 
-from repro.exec.gcshard import run_evaluator_sharded, run_garbler_sharded
 from repro.exec.pool import run_sharded, shard_entropy
 from repro.exec.triplets import (
     ShardPlan,
@@ -26,8 +24,6 @@ __all__ = [
     "ShardPlan",
     "parallel_triplets_client",
     "parallel_triplets_server",
-    "run_evaluator_sharded",
-    "run_garbler_sharded",
     "run_sharded",
     "shard_entropy",
 ]

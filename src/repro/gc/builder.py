@@ -281,55 +281,3 @@ def maxpool_template(bits: int, window: int) -> Circuit:
     circ.mark_outputs(z0)
     circ.validate()
     return circ
-
-
-def piecewise_sigmoid_template(bits: int) -> Circuit:
-    """SecureML's 3-piece sigmoid approximation as an Algorithm-2 circuit.
-
-    ``f(y) = 0`` for ``y < -1/2``; ``y + 1/2`` for ``|y| <= 1/2``; ``1``
-    for ``y > 1/2`` — all in the caller's fixed-point encoding, so the
-    constants ``1/2`` and ``1`` enter as (public) *garbler-supplied input
-    words* rather than baked-in wires; the garbler must feed the encoded
-    constants (see :func:`repro.core.relu.sigmoid_layer_client`).
-
-    Garbler inputs, in order: ``y1``, ``z1``, ``half``, ``one``.
-    AND count: ``6l - 4``.
-    """
-    circ = Circuit()
-    y0 = circ.evaluator_input(bits)
-    y1 = circ.garbler_input(bits)
-    z1 = circ.garbler_input(bits)
-    half = circ.garbler_input(bits)
-    one = circ.garbler_input(bits)
-    y = add_words(circ, y0, y1)
-    shifted = add_words(circ, y, half)  # y + 1/2
-    above_lo = circ.inv(shifted[-1])  # y >= -1/2
-    upper = sub_words(circ, y, half)  # y - 1/2
-    above_hi = circ.inv(upper[-1])  # y >= 1/2
-    mid = and_broadcast(circ, above_lo, shifted)  # 0 or y + 1/2
-    clamped = mux_words(circ, above_hi, one, mid)
-    z0 = sub_words(circ, clamped, z1)
-    circ.mark_outputs(z0)
-    circ.validate()
-    return circ
-
-
-def generic_activation_template(bits: int, f_builder) -> Circuit:
-    """Algorithm 2 for an arbitrary activation.
-
-    ``f_builder(circ, y_wires) -> f_wires`` implements the non-linear
-    function on reconstructed ``y``; the template wraps it with the
-    reconstruction adder and the ``- z1`` reshare.
-    """
-    circ = Circuit()
-    y0 = circ.evaluator_input(bits)
-    y1 = circ.garbler_input(bits)
-    z1 = circ.garbler_input(bits)
-    y = add_words(circ, y0, y1)
-    f_y = f_builder(circ, y)
-    if len(f_y) != bits:
-        raise ConfigError("activation builder must preserve word width")
-    z0 = sub_words(circ, f_y, z1)
-    circ.mark_outputs(z0)
-    circ.validate()
-    return circ

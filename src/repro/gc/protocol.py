@@ -13,10 +13,11 @@ Message flow per execution:
    bits (label pairs are the OT messages);
 3. evaluator computes locally and decodes its outputs.
 
-:class:`GcSessions` bundles that OT session.  It runs no base OTs of its
-own: its seeds derive from the channel's
-:class:`~repro.crypto.otsetup.OtSetup`, so after a KK13 offline phase on
-the same channel the label OT costs no public-key work at all.
+:class:`GcSessions` bundles that OT session and the random oracle the
+garbled tables hash with.  It runs no base OTs of its own: its seeds
+derive from the channel's :class:`~repro.crypto.otsetup.OtSetup`, so
+after a KK13 offline phase on the same channel the label OT costs no
+public-key work at all.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _OT_DOMAIN_GC_INPUTS = 11
 
 
 class GcSessions:
-    """Per-channel lazy OT session reused across GC executions."""
+    """Per-channel lazy OT session and oracle reused across GC executions."""
 
     def __init__(
         self,
@@ -73,14 +74,14 @@ def run_garbler(
     n_inst: int,
     sessions: GcSessions,
     rng: np.random.Generator,
-    ro: RandomOracle = default_ro,
 ) -> None:
     """Garble ``circuit`` and drive the garbler side of one execution.
 
-    ``garbler_bits`` has shape ``(n_garbler_inputs, n_inst)``.
+    ``garbler_bits`` has shape ``(n_garbler_inputs, n_inst)``; the tables
+    hash with ``sessions.ro``.
     """
     with channel_span(chan, "garble", n_inst=n_inst, and_gates=circuit.and_count):
-        gc = garble(circuit, n_inst, rng, ro)
+        gc = garble(circuit, n_inst, rng, sessions.ro)
         own_labels = gc.encode(circuit.garbler_inputs, garbler_bits)
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
         chan.send((gc.tables, own_labels, gc.output_decode_bits()))
@@ -130,11 +131,11 @@ def run_evaluator(
     evaluator_bits: np.ndarray,
     n_inst: int,
     sessions: GcSessions,
-    ro: RandomOracle = default_ro,
 ) -> np.ndarray:
     """Evaluate one garbled execution; returns ``(n_outputs, n_inst)`` bits.
 
-    ``evaluator_bits`` has shape ``(n_evaluator_inputs, n_inst)``.
+    ``evaluator_bits`` has shape ``(n_evaluator_inputs, n_inst)``; the
+    tables hash with ``sessions.ro``.
     """
     bits = np.asarray(evaluator_bits, dtype=np.uint8)
     n_eval_bits = len(circuit.evaluator_inputs)
@@ -154,5 +155,5 @@ def run_evaluator(
             my_labels = np.zeros((0, n_inst, LABEL_WORDS), dtype=_U64)
 
     with channel_span(chan, "evaluate", n_inst=n_inst):
-        out_labels = evaluate(circuit, tables, garbler_labels, my_labels, ro)
+        out_labels = evaluate(circuit, tables, garbler_labels, my_labels, sessions.ro)
         return decode_outputs(out_labels, decode_bits)

@@ -1,7 +1,7 @@
 """Tagged channel multiplexer: thread-safe sub-channels over one channel.
 
 The execution engine (:mod:`repro.exec`) runs several independent
-protocol sessions — one OT/GC session per shard — concurrently between
+protocol sessions — one OT session per shard — concurrently between
 the same two parties.  Opening one socket per shard would change the
 deployment footprint (and the TCP handshake/session accounting), so
 instead a :class:`ChannelMux` multiplexes *streams* over a single

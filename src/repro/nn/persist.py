@@ -11,18 +11,23 @@ A deployment has three artifacts:
 * the code, which is shared.
 
 The formats are deliberately plain (npz + json) so they can be inspected
-and diffed; they are versioned for forward compatibility.
+and diffed; they are versioned for forward compatibility.  A file that is
+not a readable bundle of its kind raises one :class:`ConfigError` naming
+its path (:func:`load_errors`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import pathlib
+import zipfile
 
 import numpy as np
 
 from repro.core.protocol import LayerMeta, ModelMeta
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.nn.lowering import Im2colSpec, PoolSpec
 from repro.nn.quantize import QuantizedDense, QuantizedModel
 from repro.quant.fragments import FragmentScheme, FragmentSpec
@@ -30,6 +35,24 @@ from repro.quant.schemes import QuantizedTensor
 from repro.utils.ring import Ring
 
 FORMAT_VERSION = 1
+
+
+@contextlib.contextmanager
+def load_errors(path, what: str, kind: str):
+    """Turn whatever a malformed ``what`` file at ``path`` raises into one
+    :class:`ConfigError` naming the path; ``kind`` is what it should be."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {os.fspath(path)}: {exc}") from exc
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError,
+        zipfile.BadZipFile, ProtocolError,
+    ) as exc:
+        raise ConfigError(
+            f"{what} {os.fspath(path)} is not a readable {kind} "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # --------------------------------------------------------------------- #
@@ -123,6 +146,11 @@ def save_model(path, model: QuantizedModel) -> None:
 
 def load_model(path) -> QuantizedModel:
     """Inverse of :func:`save_model`."""
+    with load_errors(path, "model bundle", f"format-{FORMAT_VERSION} model"):
+        return _read_model(path)
+
+
+def _read_model(path) -> QuantizedModel:
     with np.load(path) as bundle:
         manifest = json.loads(bytes(bundle["manifest"]).decode())
         if manifest.get("format_version") != FORMAT_VERSION:
@@ -182,6 +210,11 @@ def save_meta(path, meta: ModelMeta) -> None:
 
 def load_meta(path) -> ModelMeta:
     """Inverse of :func:`save_meta`."""
+    with load_errors(path, "model meta", f"format-{FORMAT_VERSION} meta file"):
+        return _read_meta(path)
+
+
+def _read_meta(path) -> ModelMeta:
     doc = json.loads(pathlib.Path(path).read_text())
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported meta format {doc.get('format_version')}")

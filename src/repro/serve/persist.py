@@ -34,12 +34,12 @@ import hashlib
 import json
 import os
 import tempfile
-import zipfile
 
 import numpy as np
 
 from repro.core.offline import ClientHalf, OfflineRound, ServerHalf
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
+from repro.nn.persist import load_errors
 from repro.nn.quantize import QuantizedModel
 
 #: Bumped whenever the bank bundle layout changes.
@@ -122,18 +122,9 @@ def load_bank(path, *, fingerprint: str, batch: int) -> tuple[list[OfflineRound]
     ``load_offline_round`` — the fingerprint pins the semantic identity,
     the loader only restores structure.
     """
-    try:
+    with load_errors(path, "bank bundle", f"format-{BANK_FORMAT_VERSION} bank"):
         with np.load(path) as bundle:
             return _read_bundle(bundle, fingerprint, batch)
-    except ConfigError as exc:
-        raise ConfigError(f"bank bundle {os.fspath(path)}: {exc}") from exc
-    except (
-        OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, ProtocolError
-    ) as exc:
-        raise ConfigError(
-            f"bank bundle {os.fspath(path)} is not a readable format-"
-            f"{BANK_FORMAT_VERSION} bank ({type(exc).__name__}: {exc})"
-        ) from exc
 
 
 def _read_bundle(bundle, fingerprint: str, batch: int) -> tuple[list[OfflineRound], int]:

@@ -72,6 +72,14 @@ class TestTrainMeta:
         assert main(["meta", "--model", str(model_path), "--out", str(meta_path)]) == 0
         assert meta_path.exists()
 
+    def test_malformed_model_is_one_error_line(self, tmp_path, capsys):
+        model_path = tmp_path / "m.npz"
+        model_path.write_text("not a model bundle")
+        code = main(["meta", "--model", str(model_path), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: model bundle ")
+
 
 @pytest.mark.slow
 class TestReport:

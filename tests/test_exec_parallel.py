@@ -23,19 +23,15 @@ from repro.exec import (
     ShardPlan,
     parallel_triplets_client,
     parallel_triplets_server,
-    run_evaluator_sharded,
-    run_garbler_sharded,
     shard_entropy,
 )
 from repro.exec.pool import run_sharded
-from repro.gc.builder import relu_template
 from repro.net import tcp
 from repro.net.channel import make_channel_pair
 from repro.net.mux import MUX_FRAME_OVERHEAD_BYTES, ChannelMux
 from repro.net.netsim import NetworkModel, shaped_channel_pair
 from repro.perf.trace import Tracer
 from repro.quant.fragments import FragmentScheme
-from repro.utils.bits import bits_to_int, int_to_bits
 from repro.utils.ring import Ring
 
 
@@ -347,41 +343,6 @@ class TestShardedTriplets:
             assert (config.ring.add(u, v) == expected).all()
             shares[shards] = (u, v)
         assert not (shares[2][0] == shares[3][0]).all()
-
-
-# --------------------------------------------------------------------- #
-# sharded GC
-# --------------------------------------------------------------------- #
-class TestShardedGc:
-    def test_relu_sharded_matches_and_is_worker_independent(self, test_group, rng):
-        ring = Ring(16)
-        circ = relu_template(16)
-        n = 23  # not divisible by shards: exercises uneven instance blocks
-        y, y1, z1 = ring.sample(rng, n), ring.sample(rng, n), ring.sample(rng, n)
-        y0 = ring.sub(y, y1)
-        g_bits = np.concatenate(
-            [int_to_bits(y1, 16), int_to_bits(z1, 16)], axis=1
-        ).T.copy()
-        e_bits = int_to_bits(y0, 16).T.copy()
-
-        outs = {}
-        for workers in (1, 3):
-            plan = ShardPlan(shards=3, workers=workers)
-            with _no_thread_leak():
-                _, outs[workers] = _both(
-                    lambda chan: run_garbler_sharded(
-                        chan, circ, g_bits, n, plan, seed=31, group=test_group
-                    ),
-                    lambda chan: run_evaluator_sharded(
-                        chan, circ, e_bits, n, plan, seed=32, group=test_group
-                    ),
-                    # garbler is the client role in ABNN2's ReLU layer
-                    tuple(reversed(make_channel_pair(timeout_s=30.0))),
-                )
-        got = ring.reduce(bits_to_int(outs[1].T))
-        relu = np.where(ring.to_signed(y) > 0, y, 0).astype(np.uint64)
-        assert (got == ring.sub(relu, z1)).all()
-        assert (outs[1] == outs[3]).all()
 
 
 # --------------------------------------------------------------------- #

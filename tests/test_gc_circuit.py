@@ -9,7 +9,6 @@ from repro.errors import ConfigError
 from repro.gc.builder import (
     add_words,
     and_broadcast,
-    generic_activation_template,
     mux_words,
     neg_words,
     reconstruct_sub_template,
@@ -178,17 +177,3 @@ class TestTemplates:
         g = np.concatenate([int_to_bits(y1, 16), int_to_bits(z1, 16)], axis=1)
         out = ring.reduce(bits_to_int(circ.eval_plain(g, int_to_bits(ring.sub(y, y1), 16))))
         assert (out == ring.sub(y, z1)).all()
-
-    def test_generic_activation_identity(self, rng):
-        ring = Ring(8)
-        circ = generic_activation_template(8, lambda c, y: y)
-        y = ring.sample(rng, 6)
-        y1 = ring.sample(rng, 6)
-        z1 = ring.sample(rng, 6)
-        g = np.concatenate([int_to_bits(y1, 8), int_to_bits(z1, 8)], axis=1)
-        out = ring.reduce(bits_to_int(circ.eval_plain(g, int_to_bits(ring.sub(y, y1), 8))))
-        assert (out == ring.sub(y, z1)).all()
-
-    def test_generic_activation_width_check(self):
-        with pytest.raises(ConfigError):
-            generic_activation_template(8, lambda c, y: y[:-1])

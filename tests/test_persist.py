@@ -1,6 +1,7 @@
 """Model/metadata persistence roundtrips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,4 +114,40 @@ class TestMetaFile:
         path = tmp_path / "meta.json"
         path.write_text(json.dumps({"format_version": 999}))
         with pytest.raises(ConfigError):
+            load_meta(path)
+
+
+def _rewrite_bundle(path, edit) -> None:
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestMalformedFiles:
+    """A malformed model bundle or meta file fails as one ConfigError
+    naming its path, never as numpy's or json's raw exception."""
+
+    @pytest.mark.parametrize("case", ["not_npz", "missing_manifest", "missing_weights"])
+    def test_model_bundle(self, trained_model, tmp_path, case):
+        path = tmp_path / "model.npz"
+        save_model(path, quantize_model(trained_model, FragmentScheme.ternary(), Ring(32)))
+        if case == "not_npz":
+            path.write_text("this is not a model bundle")
+        else:
+            key = "manifest" if case == "missing_manifest" else "w1"
+            _rewrite_bundle(path, lambda arrays: arrays.pop(key))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[]", json.dumps({"format_version": 1, "ring_bits": 32, "frac_bits": 6})],
+        ids=["not_json", "not_an_object", "missing_layers"],
+    )
+    def test_meta_file(self, tmp_path, text):
+        path = tmp_path / "meta.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_meta(path)

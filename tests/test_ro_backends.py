@@ -19,6 +19,8 @@ from repro.core.triplets import (
 from repro.crypto.hash_ro import sha256_ro
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
+from repro.gc.builder import relu_template
+from repro.gc.garble import garble
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
 from repro.quant.fragments import FragmentScheme
@@ -83,6 +85,31 @@ class TestSha256Backend:
         )
         relu = np.where(ring.to_signed(y) > 0, y, 0).astype(np.uint64)
         assert (ring.add(result.server, result.client) == relu).all()
+
+    def test_gc_tables_hash_with_the_session_oracle(self, test_group, rng):
+        """The garbler's tables are built with ``GcSessions.ro``: they equal
+        a SHA-256 garbling from the same generator."""
+        ring, n = Ring(8), 10
+        y0, y1, z1 = (ring.sample(rng, n) for _ in range(3))
+        received = []
+
+        def server(ch):
+            recv = ch.recv
+            ch.recv = lambda: received.append(recv()) or received[-1]
+            sessions = GcSessions(ch, "evaluator", group=test_group, ro=sha256_ro, seed=1)
+            return relu_layer_server(ch, y0, sessions, ring)
+
+        run_protocol(
+            server,
+            lambda ch: relu_layer_client(
+                ch, y1, z1,
+                GcSessions(ch, "garbler", group=test_group, ro=sha256_ro, seed=2),
+                ring, np.random.default_rng(7),
+            ),
+        )
+        tables, _, _ = received[0]
+        expected = garble(relu_template(8), n, np.random.default_rng(7), sha256_ro)
+        assert (tables == expected.tables).all()
 
     def test_mixed_backends_fail_loudly(self, test_group, rng):
         """Parties on different backends must not silently produce shares
