@@ -41,20 +41,14 @@ from repro.nn.model import mnist_mlp
 from repro.nn.persist import load_meta, load_model, save_meta, save_model
 from repro.nn.quantize import quantize_model
 from repro.nn.train import TrainConfig, train_classifier
-from repro.quant.fragments import TABLE2_SCHEMES
 from repro.utils.ring import Ring
-
-
-def _parse_scheme(text: str):
-    if text in TABLE2_SCHEMES:
-        return TABLE2_SCHEMES[text]
-    return scheme_for(text)
 
 
 # --------------------------------------------------------------------- #
 # subcommands
 # --------------------------------------------------------------------- #
 def cmd_train(args) -> int:
+    scheme = scheme_for(args.scheme)  # refuse a bad scheme before training
     print(f"training on synthetic MNIST ({args.epochs} epochs)...")
     data = synthetic_mnist(n_train=args.samples, n_test=max(200, args.samples // 5))
     model = mnist_mlp(seed=args.seed, hidden=args.hidden)
@@ -63,7 +57,6 @@ def cmd_train(args) -> int:
     )
     print(f"float accuracy: {model.accuracy(data.test_x, data.test_y):.3f}")
 
-    scheme = _parse_scheme(args.scheme)
     qmodel = quantize_model(model, scheme, Ring(args.ring), frac_bits=args.frac_bits)
     qmodel.check_range(data.test_x)
     print(f"quantized ({scheme.name}) accuracy: {qmodel.accuracy(data.test_x, data.test_y):.3f}")
@@ -207,7 +200,7 @@ def _demo_trace(args) -> dict:
     from repro.core.protocol import secure_predict
     from repro.crypto.group import MODP_TEST
 
-    scheme = _parse_scheme(args.scheme)
+    scheme = scheme_for(args.scheme)
     backend = getattr(args, "linear_backend", "im2col")
     if backend == "winograd":
         # The MLP demo has no convolution; trace a small conv net so the
@@ -267,10 +260,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    rows = enumerate_costs(args.eta, ring_bits=args.ring, batch=args.batch)
     print(
         f"fragment decompositions for eta={args.eta}, l={args.ring}, batch={args.batch}"
     )
-    rows = enumerate_costs(args.eta, ring_bits=args.ring, batch=args.batch)
     print(f"{'scheme':>16} {'gamma':>6} {'max N':>6} {'bits/weight':>12}")
     for row in rows[: args.top]:
         label = "(" + ",".join(str(b) for b in row["bit_widths"]) + ")"

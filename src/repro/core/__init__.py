@@ -8,6 +8,8 @@
   multiplication built on those triplets.
 * :mod:`repro.core.relu` — the protocol's one non-linear layer: the GC
   ReLU of Algorithm 2 and the paper's optimized two-stage variant.
+* :mod:`repro.core.pooling` — share-local average pooling, the only
+  pooling (no garbled circuit, no communication).
 * :mod:`repro.core.protocol` — end-to-end two-party QNN prediction: one
   layer walk per party, with each layer's dense/im2col/winograd form
   decided on :class:`~repro.core.protocol.LayerMeta`.
@@ -23,11 +25,7 @@ from repro.core.triplets import (
     generate_triplets_client,
 )
 from repro.core.matmul import SecureMatmulServer, SecureMatmulClient
-from repro.core.pooling import (
-    avgpool_share,
-    maxpool_client,
-    maxpool_server,
-)
+from repro.core.pooling import avgpool_share
 from repro.core.relu import (
     relu_layer_server,
     relu_layer_client,
@@ -52,8 +50,6 @@ __all__ = [
     "relu_layer_client",
     "truncate_share",
     "avgpool_share",
-    "maxpool_server",
-    "maxpool_client",
     "Abnn2Server",
     "Abnn2Client",
     "secure_predict",

@@ -5,14 +5,14 @@ the correlated randomness one prediction batch consumes online:
 
 * the **server half** — per-layer ``U`` triplet shares;
 * the **client half** — the input mask ``r``, per-layer ``V`` triplet
-  shares, the fresh ReLU output share of every hidden layer, and the
-  max-pool reshare where a hidden layer max-pools.
+  shares, and the fresh ReLU output share of every hidden layer.
 
 ``U + V = W @ R`` per layer, where ``R`` is the (lowered) operand the
 client's walk chains from the mask: layer 0's ``R`` is the mask, each
-later ``R`` is the previous ReLU share after pooling.  Both producers —
-the two-party OT offline phase (:meth:`repro.core.protocol.Abnn2Client.offline`)
-and the closed-form dealer (:mod:`repro.serve.dealer`) — run that walk in
+later ``R`` is the previous ReLU share after (share-local average)
+pooling.  Both producers — the two-party OT offline phase
+(:meth:`repro.core.protocol.Abnn2Client.offline`) and the closed-form
+dealer (:mod:`repro.serve.dealer`) — run that walk in
 :func:`chain_operands` and differ only in the linear step.
 
 A ``U``/``V`` share is a plain ``(rows, cols)`` array or a
@@ -20,13 +20,11 @@ A ``U``/``V`` share is a plain ``(rows, cols)`` array or a
 share is a plain array.
 
 Codec: a half encodes as ``(JSON header, uint64 arrays...)``.  The
-client header is ``{"n_layers", "pool_present"}`` and the server header
-``{"n_layers"}``.  A ``"blocks"`` list of per-layer block counts (0 for a
-plain share) is added only when some share is blocked, so an all-plain
-half has one layout.  The array order is:
+header of either half is ``{"n_layers"}``.  A ``"blocks"`` list of
+per-layer block counts (0 for a plain share) is added only when some
+share is blocked, so an all-plain half has one layout.  The array order is:
 
-* client: input mask, ``V`` per layer, ReLU share per hidden layer,
-  then the max-pool reshares that are present;
+* client: input mask, ``V`` per layer, ReLU share per hidden layer;
 * server: ``U`` per layer.
 
 A blocked share contributes its blocks in order.  The same parts are the
@@ -101,17 +99,20 @@ def _u64(arr) -> np.ndarray:
     return np.asarray(arr, dtype=np.uint64)
 
 
-def _header_list(header: dict, key: str, length: int, kind: type, optional=False) -> list:
-    if optional and key not in header:
-        return [kind()] * length
-    values = header.get(key)
+def _block_counts(header: dict, n_layers: int) -> list[int]:
+    """The header's per-layer block counts; all 0 when ``"blocks"`` is absent."""
+    if "blocks" not in header:
+        return [0] * n_layers
+    counts = header["blocks"]
     if (
-        not isinstance(values, list)
-        or len(values) != length
-        or any(type(v) is not kind for v in values)
+        not isinstance(counts, list)
+        or len(counts) != n_layers
+        or any(type(c) is not int for c in counts)
     ):
-        raise ProtocolError(f"offline-material header field {key!r} is malformed")
-    return values
+        raise ProtocolError("offline-material header field 'blocks' is malformed")
+    if any(c < 0 for c in counts):
+        raise ProtocolError("offline-material block counts must be non-negative")
+    return counts
 
 
 def _unflatten(arrays: list, counts: list[int]) -> list[Share]:
@@ -131,8 +132,8 @@ def _unflatten(arrays: list, counts: list[int]) -> list[Share]:
 
 class _Half:
     """Codec shared by both halves.  A subclass supplies ``to_parts``,
-    ``_plain_count`` (its arrays besides the linear shares) and
-    ``_from_arrays``."""
+    ``_plain_count`` (its arrays besides the linear shares, given the
+    layer count) and ``_from_arrays``."""
 
     def encode(self) -> tuple:
         """One wire frame: ``(JSON header bytes, uint64 arrays...)``."""
@@ -167,10 +168,8 @@ class _Half:
         n_layers = header.get("n_layers")
         if type(n_layers) is not int or n_layers < 1:
             raise ProtocolError(f"offline-material header has n_layers={n_layers!r}")
-        counts = _header_list(header, "blocks", n_layers, int, optional=True)
-        if any(c < 0 for c in counts):
-            raise ProtocolError("offline-material block counts must be non-negative")
-        expected = cls._plain_count(header, n_layers) + sum(max(c, 1) for c in counts)
+        counts = _block_counts(header, n_layers)
+        expected = cls._plain_count(n_layers) + sum(max(c, 1) for c in counts)
         if len(arrays) != expected:
             raise ProtocolError(
                 f"offline-material frame has {len(arrays)} arrays, expected {expected}"
@@ -182,7 +181,7 @@ class _Half:
                     f"{type(arr).__name__} {getattr(arr, 'dtype', '')}"
                     f"{getattr(arr, 'shape', '')}"
                 )
-        return cls._from_arrays(header, n_layers, counts, list(arrays))
+        return cls._from_arrays(n_layers, counts, list(arrays))
 
 
 def _with_blocks(header: dict, counts: list[int]) -> dict:
@@ -207,11 +206,11 @@ class ServerHalf(_Half):
         return _with_blocks({"n_layers": len(self.u)}, counts), arrays
 
     @classmethod
-    def _plain_count(cls, header, n_layers) -> int:
+    def _plain_count(cls, n_layers) -> int:
         return 0
 
     @classmethod
-    def _from_arrays(cls, header, n_layers, counts, arrays) -> "ServerHalf":
+    def _from_arrays(cls, n_layers, counts, arrays) -> "ServerHalf":
         return cls(_unflatten(arrays, counts))
 
 
@@ -219,61 +218,42 @@ class ServerHalf(_Half):
 class ClientHalf(_Half):
     """The client's offline material (see the module docstring).
 
-    ``relu`` and ``pool`` have one entry per hidden layer; ``pool`` holds
-    ``None`` where that layer has no max pool.
+    ``relu`` has one entry per hidden layer.
     """
 
     input_mask: np.ndarray
     v: list
     relu: list
-    pool: list
 
     def validate(self, meta: "ModelMeta", batch: int) -> "ClientHalf":
         """Shape-check against the model; returns the ring-reduced half."""
         ring = Ring(meta.ring_bits)
         v = _check_linear(ring, meta, batch, list(self.v), "V")
         hidden = meta.layers[:-1]
-        if len(self.relu) != len(hidden) or len(self.pool) != len(hidden):
-            raise ConfigError(
-                "offline round must carry one ReLU and one pool entry per hidden layer"
-            )
+        if len(self.relu) != len(hidden):
+            raise ConfigError("offline round must carry one ReLU share per hidden layer")
         _check_shape("input mask", self.input_mask, (meta.layers[0].in_features, batch))
-        relu, pool = [], []
-        for idx, (layer, z1, reshare) in enumerate(zip(hidden, self.relu, self.pool)):
+        relu = []
+        for idx, (layer, z1) in enumerate(zip(hidden, self.relu)):
             _check_shape(f"layer {idx} ReLU share", z1, (layer.relu_features, batch))
             relu.append(ring.reduce(z1))
-            if layer.pool is not None and layer.pool.kind == "max":
-                if reshare is None:
-                    raise ConfigError(f"layer {idx}: missing max-pool reshare")
-                _check_shape(
-                    f"layer {idx} pool share", reshare, (layer.pool.out_features, batch)
-                )
-                reshare = ring.reduce(reshare)
-            elif reshare is not None:
-                raise ConfigError(f"layer {idx}: pool share but no max pool")
-            pool.append(reshare)
-        return ClientHalf(ring.reduce(self.input_mask), v, relu, pool)
+        return ClientHalf(ring.reduce(self.input_mask), v, relu)
 
     def to_parts(self) -> tuple[dict, list[np.ndarray]]:
         counts, v_arrays = _flatten(self.v)
-        present = [p is not None for p in self.pool]
-        header = {"n_layers": len(self.v), "pool_present": present}
         arrays = [_u64(self.input_mask), *v_arrays, *map(_u64, self.relu)]
-        arrays.extend(_u64(p) for p in self.pool if p is not None)
-        return _with_blocks(header, counts), arrays
+        return _with_blocks({"n_layers": len(self.v)}, counts), arrays
 
     @classmethod
-    def _plain_count(cls, header, n_layers) -> int:
-        present = _header_list(header, "pool_present", n_layers - 1, bool)
-        return 1 + (n_layers - 1) + sum(present)
+    def _plain_count(cls, n_layers) -> int:
+        return n_layers  # the input mask and one ReLU share per hidden layer
 
     @classmethod
-    def _from_arrays(cls, header, n_layers, counts, arrays) -> "ClientHalf":
+    def _from_arrays(cls, n_layers, counts, arrays) -> "ClientHalf":
         input_mask = arrays.pop(0)
         v = _unflatten(arrays, counts)
         relu = [arrays.pop(0) for _ in range(n_layers - 1)]
-        pool = [arrays.pop(0) if p else None for p in header["pool_present"]]
-        return cls(input_mask, v, relu, pool)
+        return cls(input_mask, v, relu)
 
 
 @dataclass(frozen=True)
@@ -300,11 +280,11 @@ def chain_operands(
     ``linear_step(idx, layer, operand)`` turns layer ``idx``'s flat
     operand into its ``V`` (lowering it as the layer needs).  The walk
     draws, in this order: the input mask, then per layer whatever the
-    step draws, the ReLU output share, and a max pool's fresh reshare.
+    step draws and the ReLU output share.
     """
     operand = ring.sample(rng, (meta.layers[0].in_features, batch))
     input_mask = operand
-    v, relu, pool = [], [], []
+    v, relu = [], []
     last = len(meta.layers) - 1
     for idx, layer in enumerate(meta.layers):
         v.append(linear_step(idx, layer, operand))
@@ -313,15 +293,9 @@ def chain_operands(
         # The ReLU output share z1 doubles as the next R, after pooling.
         z1 = ring.sample(rng, (layer.relu_features, batch))
         relu.append(z1)
-        if layer.pool is not None and layer.pool.kind == "max":
-            # Max pooling reshares: pick the fresh share now.
-            operand = ring.sample(rng, (layer.pool.out_features, batch))
-            pool.append(operand)
-            continue
         if layer.pool is not None:
             # Average pooling is share-local and deterministic, so the
             # next operand is derivable offline.
             z1 = avgpool_share(ring, layer.pool, z1, party=1)
         operand = z1
-        pool.append(None)
-    return ClientHalf(input_mask, v, relu, pool)
+    return ClientHalf(input_mask, v, relu)

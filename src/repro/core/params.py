@@ -27,6 +27,13 @@ KAPPA = 128
 MAX_FRAGMENT_BITS = 4  # the paper caps N at 16 = 2^4
 
 
+def _check_eta(eta: int) -> None:
+    """The weight bitwidths both searches accept; the composition count
+    grows about 1.9x per bit, so this also bounds their work."""
+    if not 1 <= eta <= 16:
+        raise ConfigError(f"eta must be in [1, 16], got {eta}")
+
+
 def scheme_for(name: str) -> FragmentScheme:
     """Look up a scheme by Table 2 notation (e.g. ``"8(2,2,2,2)"``)."""
     if name in TABLE2_SCHEMES:
@@ -81,8 +88,7 @@ def optimal_scheme(
     communication).  The search space is every composition of eta into
     fragments of at most :data:`MAX_FRAGMENT_BITS` bits.
     """
-    if not 1 <= eta <= 16:
-        raise ConfigError(f"eta must be in [1, 16], got {eta}")
+    _check_eta(eta)
     if objective not in ("comm", "ots"):
         raise ConfigError(f"unknown objective {objective!r}")
     candidates = _compositions(eta, MAX_FRAGMENT_BITS)
@@ -100,6 +106,7 @@ def enumerate_costs(
     eta: int, ring_bits: int = 32, batch: int = 1, kappa: int = KAPPA
 ) -> list[dict]:
     """Cost table over all compositions — the data behind the ablation bench."""
+    _check_eta(eta)
     rows = []
     for widths in _compositions(eta, MAX_FRAGMENT_BITS):
         rows.append(

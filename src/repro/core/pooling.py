@@ -1,50 +1,26 @@
-"""Secure pooling on additively shared feature maps.
+"""Secure average pooling on additively shared feature maps.
 
-Two kinds, with very different costs (see
-:class:`repro.nn.lowering.PoolSpec`):
+Average pooling over a power-of-two window is *free*: summation
+distributes over additive shares, and dividing by ``k^2`` is the same
+SecureML share-local truncation used after linear layers.  No
+communication, no rounds — so the GC ReLU stays the protocol's only
+garbled circuit.
 
-* **Average pooling** (power-of-two windows) is *free*: summation
-  distributes over additive shares, and dividing by ``k^2`` is the same
-  SecureML share-local truncation used after linear layers.  No
-  communication, no rounds.
-* **Max pooling** cannot be taken share-locally; each window runs a
-  garbled-circuit comparison tree (:func:`repro.gc.builder.maxpool_template`)
-  with the same garbler/evaluator roles as the ReLU layer, producing
-  fresh additive shares of the window maxima.
-
-Both operate on the flat ``(features, batch)`` activation layout used
-throughout the pipeline.
+Both functions operate on the flat ``(features, batch)`` activation
+layout used throughout the pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.relu import _from_bit_rows, _to_bit_rows, truncate_share
-from repro.errors import ConfigError
-from repro.gc.builder import maxpool_template
-from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
-from repro.net.channel import Channel
+from repro.core.relu import truncate_share
 from repro.nn.lowering import PoolSpec, gather_windows
 from repro.utils.ring import Ring
 
-_MAXPOOL_CACHE: dict[tuple[int, int], object] = {}
 
-
-def _maxpool_circuit(bits: int, window: int):
-    key = (bits, window)
-    if key not in _MAXPOOL_CACHE:
-        _MAXPOOL_CACHE[key] = maxpool_template(bits, window)
-    return _MAXPOOL_CACHE[key]
-
-
-# --------------------------------------------------------------------- #
-# average pooling: share-local
-# --------------------------------------------------------------------- #
 def avgpool_share(ring: Ring, spec: PoolSpec, share: np.ndarray, party: int) -> np.ndarray:
     """One party's pooled share: window-sum then truncate by 2*log2(k)."""
-    if spec.kind != "avg":
-        raise ConfigError(f"avgpool_share called with kind={spec.kind!r}")
     windows = gather_windows(spec, ring.reduce(share))  # (out, win, batch)
     summed = ring.sum(windows, axis=1)
     return truncate_share(ring, summed, spec.avg_shift_bits, party)
@@ -55,70 +31,3 @@ def avgpool_exact(ring: Ring, spec: PoolSpec, values: np.ndarray) -> np.ndarray:
     windows = gather_windows(spec, ring.reduce(values))
     summed = ring.to_signed(ring.sum(windows, axis=1))
     return ring.reduce(summed >> np.int64(spec.avg_shift_bits))
-
-
-# --------------------------------------------------------------------- #
-# max pooling: garbled comparison trees
-# --------------------------------------------------------------------- #
-def _window_bits(ring: Ring, spec: PoolSpec, share: np.ndarray) -> np.ndarray:
-    """(in_features, batch) share -> (window * l, out * batch) bit rows.
-
-    Wire order matches :func:`repro.gc.builder.maxpool_template`: all l
-    bits of window element 0, then element 1, ...; instances are
-    (out_feature, batch) pairs flattened feature-major.
-    """
-    windows = gather_windows(spec, ring.reduce(share))  # (out, win, batch)
-    per_elem = windows.transpose(1, 0, 2).reshape(spec.window, -1)  # (win, inst)
-    return np.concatenate([_to_bit_rows(ring, row) for row in per_elem], axis=0)
-
-
-def maxpool_server(
-    chan: Channel,
-    spec: PoolSpec,
-    share0: np.ndarray,
-    sessions: GcSessions,
-    ring: Ring,
-) -> np.ndarray:
-    """Server (evaluator) side; returns its share of the pooled map."""
-    if spec.kind != "max":
-        raise ConfigError(f"maxpool_server called with kind={spec.kind!r}")
-    batch = np.asarray(share0).shape[1]
-    n_inst = spec.out_features * batch
-    circuit = _maxpool_circuit(ring.bits, spec.window)
-    out_bits = run_evaluator(
-        chan, circuit, _window_bits(ring, spec, share0), n_inst, sessions
-    )
-    return _from_bit_rows(ring, out_bits).reshape(spec.out_features, batch)
-
-
-def maxpool_client(
-    chan: Channel,
-    spec: PoolSpec,
-    share1: np.ndarray,
-    z1: np.ndarray,
-    sessions: GcSessions,
-    ring: Ring,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Client (garbler) side; ``z1`` is its fresh output share."""
-    if spec.kind != "max":
-        raise ConfigError(f"maxpool_client called with kind={spec.kind!r}")
-    batch = np.asarray(share1).shape[1]
-    z1_flat = ring.reduce(z1).reshape(-1)
-    if z1_flat.shape[0] != spec.out_features * batch:
-        raise ConfigError(
-            f"z1 must hold {spec.out_features * batch} elements, got {z1_flat.shape[0]}"
-        )
-    n_inst = spec.out_features * batch
-    circuit = _maxpool_circuit(ring.bits, spec.window)
-    garbler_bits = np.concatenate(
-        [_window_bits(ring, spec, share1), _to_bit_rows(ring, z1_flat)], axis=0
-    )
-    run_garbler(chan, circuit, garbler_bits, n_inst, sessions, rng)
-    return ring.reduce(z1)
-
-
-def maxpool_exact(ring: Ring, spec: PoolSpec, values: np.ndarray) -> np.ndarray:
-    """Plaintext reference: exact signed max per window."""
-    windows = gather_windows(spec, ring.reduce(values))
-    return ring.reduce(ring.to_signed(windows).max(axis=1))

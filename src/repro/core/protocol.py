@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.offline import ClientHalf, ServerHalf, chain_operands, materialize
-from repro.core.pooling import avgpool_share, maxpool_client, maxpool_server
+from repro.core.pooling import avgpool_share
 from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
 from repro.core.triplets import TripletConfig
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
@@ -509,13 +509,9 @@ class Abnn2Server(_PartyBase):
                 share0 = relu_layer_server(
                     self.chan, y0, self._gc, self.ring, self.relu_variant
                 )
-            pool = layer.pool
-            if pool is not None:
-                with self.tracer.span(f"layer{idx}/pool", kind=pool.kind):
-                    if pool.kind == "avg":
-                        share0 = avgpool_share(self.ring, pool, share0, party=0)
-                    else:
-                        share0 = maxpool_server(self.chan, pool, share0, self._gc, self.ring)
+            if layer.pool is not None:
+                with self.tracer.span(f"layer{idx}/pool"):
+                    share0 = avgpool_share(self.ring, layer.pool, share0, party=0)
         with self.tracer.span("logits-share"):
             self.chan.send(y0)
         return y0
@@ -576,19 +572,13 @@ class Abnn2Client(_PartyBase):
             y1 = self._truncate(idx, y1)
             if idx == last:
                 break
+            # The ReLU output share was fixed offline; average pooling is
+            # share-local and already applied to the *next* operand there.
             with self._relu_span(idx):
-                z1 = relu_layer_client(
+                relu_layer_client(
                     self.chan, y1, half.relu[idx], self._gc, self.ring, self.rng,
                     self.relu_variant,
                 )
-            if layer.pool is not None and layer.pool.kind == "max":
-                with self.tracer.span(f"layer{idx}/pool", kind="max"):
-                    maxpool_client(
-                        self.chan, layer.pool, z1, half.pool[idx], self._gc,
-                        self.ring, self.rng,
-                    )
-            # avg pooling is share-local and applied to the *next*
-            # operand offline; the client does nothing here.
         with self.tracer.span("logits-share"):
             y0 = self.ring.reduce(self.chan.recv())
         return self.ring.add(y0, y1)

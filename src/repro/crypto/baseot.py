@@ -8,8 +8,10 @@ OT extension bootstraps from ``kappa`` public-key OTs.  We implement the
   ``B_i = g^{b_i} * A^{c_i}``;
 * both sides derive symmetric keys —
   sender: ``k_{i,j} = H(i, (B_i * A^{-j})^a)``,
-  receiver: ``k_{i,c_i} = H(i, A^{b_i})`` —
-  and the sender masks its two messages with the two keys.
+  receiver: ``k_{i,c_i} = H(i, A^{b_i})``.
+
+These are random OTs: the sender learns both keys, the receiver only the
+key of its choice, and no chosen message is ever sent.
 
 Cost per OT.  Both receiver exponentiations have a fixed base, so both
 come from a :class:`~repro.crypto.group.FixedBaseTable` (≤ 43 modular
@@ -19,8 +21,8 @@ The sender pays one variable-base ``pow`` per OT, not two:
 ``(B_i * A^{-1})^a = B_i^a * (A^{-1})^a``, and ``C = (A^{-1})^a`` is
 computed once per batch (``A = g^a`` itself comes from the ``g`` table).
 
-The random-OT variants (:func:`random_send`, :func:`random_receive`)
-return the derived keys themselves: the channel's base keys, from which
+:func:`random_send` and :func:`random_receive` return the derived keys
+themselves: the channel's base keys, from which
 :mod:`repro.crypto.otsetup` derives every extension session's PRG seeds.
 """
 
@@ -32,7 +34,6 @@ from repro.crypto.group import DEFAULT_GROUP, FixedBaseTable, ModpGroup
 from repro.crypto.hash_ro import sha256_ro
 from repro.errors import CryptoError
 from repro.net.channel import Channel
-from repro.utils.bits import xor_bytes
 
 KEY_BYTES = 16
 _DOMAIN_BASEOT = 0x42415345  # "BASE"
@@ -98,45 +99,3 @@ def random_receive(
     a_table = FixedBaseTable(big_a, group.p)
     return [_derive_key(group, i, a_table.power(b)) for i, b in enumerate(exponents)]
 
-
-def send(
-    chan: Channel,
-    message_pairs: Sequence[tuple[bytes, bytes]],
-    group: ModpGroup = DEFAULT_GROUP,
-    randbelow=None,
-) -> None:
-    """Chosen-message 1-out-of-2 OT sender for fixed-length messages."""
-    if not message_pairs:
-        raise CryptoError("no messages to send")
-    length = len(message_pairs[0][0])
-    for m0, m1 in message_pairs:
-        if len(m0) != length or len(m1) != length:
-            raise CryptoError("all OT messages must share one length")
-    keys = random_send(chan, len(message_pairs), group, randbelow)
-    payload = bytearray()
-    for i, ((m0, m1), (k0, k1)) in enumerate(zip(message_pairs, keys)):
-        pad0 = sha256_ro.hash_bytes(k0, length, domain=_DOMAIN_BASEOT + 1)
-        pad1 = sha256_ro.hash_bytes(k1, length, domain=_DOMAIN_BASEOT + 1)
-        payload += xor_bytes(m0, pad0)
-        payload += xor_bytes(m1, pad1)
-    chan.send(bytes(payload))
-
-
-def receive(
-    chan: Channel,
-    choices: Sequence[int],
-    length: int,
-    group: ModpGroup = DEFAULT_GROUP,
-    randbelow=None,
-) -> list[bytes]:
-    """Chosen-message 1-out-of-2 OT receiver; returns ``m_{c_i}`` per OT."""
-    keys = random_receive(chan, choices, group, randbelow)
-    blob = chan.recv()
-    if len(blob) != 2 * length * len(choices):
-        raise CryptoError("unexpected OT ciphertext size")
-    out = []
-    for i, (c, key) in enumerate(zip(choices, keys)):
-        offset = (2 * i + int(c)) * length
-        pad = sha256_ro.hash_bytes(key, length, domain=_DOMAIN_BASEOT + 1)
-        out.append(xor_bytes(blob[offset : offset + length], pad))
-    return out

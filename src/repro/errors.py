@@ -4,9 +4,17 @@ Every error raised by this library derives from :class:`ReproError`, so
 callers can catch one base class at an API boundary.  The subclasses mirror
 the major subsystems: protocol-level failures, cryptographic misuse,
 configuration mistakes, and network/channel problems.
+
+:func:`load_errors` is the one contract every file loader (model bundle,
+client meta, bank bundle, trace) keeps: a malformed file raises one
+:class:`ConfigError` naming its path.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import zipfile
 
 
 class ReproError(Exception):
@@ -37,3 +45,20 @@ class HandshakeError(ChannelError):
 class QuantizationError(ReproError, ValueError):
     """A value or model cannot be represented in the requested quantized form."""
 
+
+@contextlib.contextmanager
+def load_errors(path, what: str, kind: str):
+    """Turn whatever a malformed ``what`` file at ``path`` raises into one
+    :class:`ConfigError` naming the path; ``kind`` is what it should be."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {os.fspath(path)}: {exc}") from exc
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError,
+        zipfile.BadZipFile, ProtocolError,
+    ) as exc:
+        raise ConfigError(
+            f"{what} {os.fspath(path)} is not a readable {kind} "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc

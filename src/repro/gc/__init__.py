@@ -11,7 +11,6 @@ from repro.gc.circuit import Circuit, Gate, GateOp
 from repro.gc.builder import (
     add_words,
     sub_words,
-    mux_words,
     relu_template,
     sign_template,
     reconstruct_sub_template,
@@ -26,7 +25,6 @@ __all__ = [
     "GateOp",
     "add_words",
     "sub_words",
-    "mux_words",
     "relu_template",
     "sign_template",
     "reconstruct_sub_template",

@@ -1,4 +1,4 @@
-"""Word-level circuit builders: adders, subtractors, muxes, ReLU templates.
+"""Word-level circuit builders: adders, subtractors, ReLU templates.
 
 All word encodings are LSB-first lists of wire ids over Z_{2^l}.  Because
 operands live in the ring, the ripple-carry adder simply drops its final
@@ -9,7 +9,6 @@ operation".
 AND-gate budgets (l-bit words):
 
 * :func:`add_words` / :func:`sub_words` — ``l - 1`` ANDs (no carry out).
-* :func:`mux_words` — ``l`` ANDs.
 * :func:`relu_template` — reconstruct + sign + mask + reshare:
   ``3l - 2`` ANDs.
 * :func:`sign_template` — reconstruct + sign only: ``l - 1`` ANDs (stage 1
@@ -53,27 +52,6 @@ def add_words(circ: Circuit, x: list[int], y: list[int]) -> list[int]:
     return out
 
 
-def neg_words(circ: Circuit, x: list[int]) -> list[int]:
-    """Two's-complement negation: ``-x = ~x + 1`` (l - 1 ANDs)."""
-    inverted = [circ.inv(w) for w in x]
-    return _add_const_one(circ, inverted)
-
-
-def _add_const_one(circ: Circuit, x: list[int]) -> list[int]:
-    """x + 1 via an increment chain (carry starts at constant 1)."""
-    out = []
-    carry = None  # None encodes "carry == 1" for the first position
-    for i, a in enumerate(x):
-        if carry is None:
-            out.append(circ.inv(a))
-            carry = a  # carry-out of (a + 1) is a itself
-        else:
-            out.append(circ.xor(a, carry))
-            if i < len(x) - 1:
-                carry = circ.and_(a, carry)
-    return out
-
-
 def sub_words(circ: Circuit, x: list[int], y: list[int]) -> list[int]:
     """x - y mod 2^l as ``x + ~y + 1`` — a borrow-style ripple (l-1 ANDs)."""
     _check_same_width(x, y)
@@ -93,16 +71,6 @@ def sub_words(circ: Circuit, x: list[int], y: list[int]) -> list[int]:
             out.append(circ.xor(axc, b))
             if i < len(x) - 1:
                 carry = circ.xor(circ.and_(axc, bxc), carry)
-    return out
-
-
-def mux_words(circ: Circuit, sel: int, when_true: list[int], when_false: list[int]) -> list[int]:
-    """Per-bit select: ``sel ? when_true : when_false`` (l ANDs)."""
-    _check_same_width(when_true, when_false)
-    out = []
-    for t, f in zip(when_true, when_false):
-        diff = circ.xor(t, f)
-        out.append(circ.xor(circ.and_(sel, diff), f))
     return out
 
 
@@ -240,44 +208,3 @@ def geq_words(circ: Circuit, x: list[int], y: list[int]) -> int:
             bxc = circ.xor(nb, carry)
             carry = circ.xor(circ.and_(axc, bxc), carry)
     return carry
-
-
-def max_words(circ: Circuit, a: list[int], b: list[int]) -> list[int]:
-    """max(a, b) for signed ring words with |a - b| < 2^(l-1).
-
-    ``a < b`` iff the sign bit of ``a - b`` is set; one subtract plus one
-    mux: ``2l - 1`` ANDs.
-    """
-    diff = sub_words(circ, a, b)
-    return mux_words(circ, diff[-1], b, a)
-
-
-def maxpool_template(bits: int, window: int) -> Circuit:
-    """Secure max pooling over one window of additively shared values.
-
-    Inputs: evaluator holds the ``window`` share words ``y0``; garbler
-    holds ``y1`` plus its fresh output share ``z1``.  The circuit
-    reconstructs each element, takes the tree maximum, and reshapes:
-    ``z0 = max_i(y0_i + y1_i) - z1``.
-
-    AND count: ``window * (l-1)`` adders + ``(window-1) * (2l-1)`` maxes
-    + ``(l-1)`` reshare.
-    """
-    if window < 1:
-        raise ConfigError("pool window must be positive")
-    circ = Circuit()
-    y0 = [circ.evaluator_input(bits) for _ in range(window)]
-    y1 = [circ.garbler_input(bits) for _ in range(window)]
-    z1 = circ.garbler_input(bits)
-    elems = [add_words(circ, a, b) for a, b in zip(y0, y1)]
-    while len(elems) > 1:
-        paired = []
-        for i in range(0, len(elems) - 1, 2):
-            paired.append(max_words(circ, elems[i], elems[i + 1]))
-        if len(elems) % 2:
-            paired.append(elems[-1])
-        elems = paired
-    z0 = sub_words(circ, elems[0], z1)
-    circ.mark_outputs(z0)
-    circ.validate()
-    return circ

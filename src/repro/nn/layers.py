@@ -177,41 +177,6 @@ class Conv2d(Layer):
         return [self.grad_weight, self.grad_bias]
 
 
-class MaxPool2d(Layer):
-    """Non-overlapping max pooling.
-
-    On the secure path this costs a garbled-circuit tree per window (see
-    :mod:`repro.core.pooling`) — unlike average pooling, a maximum cannot
-    be taken share-locally.
-    """
-
-    def __init__(self, kernel_size: int) -> None:
-        if kernel_size < 1:
-            raise ConfigError("pool size must be positive")
-        self.kernel_size = kernel_size
-        self._mask: np.ndarray | None = None
-        self._in_shape: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ConfigError(f"input {h}x{w} not divisible by pool {k}")
-        self._in_shape = x.shape
-        windows = x.reshape(b, c, h // k, k, w // k, k)
-        out = windows.max(axis=(3, 5))
-        self._mask = windows == out[:, :, :, None, :, None]
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ConfigError("backward called before forward")
-        # Route the gradient to each window's argmax and fold the window
-        # axes back (the exact inverse of the forward reshape).
-        grad_windows = grad[:, :, :, None, :, None] * self._mask
-        return grad_windows.reshape(self._in_shape)
-
-
 class AvgPool2d(Layer):
     """Non-overlapping average pooling — a public linear map, free to
     evaluate on additive shares (each party averages its own share)."""

@@ -274,34 +274,28 @@ def conv_bias_vector(
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PoolSpec:
-    """Geometry of a non-overlapping pooling step on flat activations.
+    """Geometry of a non-overlapping average-pooling step on flat
+    activations.
 
-    ``kind`` is ``"avg"`` or ``"max"``.  Secure realization differs
-    sharply (which is the point of supporting both):
-
-    * **avg** with a power-of-two window is share-local — each party
-      sums its own share per window and runs SecureML truncation by
-      ``2 * log2(k)`` bits; zero communication.
-    * **max** needs a garbled-circuit comparison tree per window
-      (:mod:`repro.core.pooling`).
+    The window must be a power of two: each party sums its own share per
+    window and runs SecureML truncation by ``2 * log2(k)`` bits, so the
+    step is share-local with zero communication
+    (:mod:`repro.core.pooling`).
     """
 
-    kind: str
     channels: int
     height: int
     width: int
     kernel: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("avg", "max"):
-            raise ConfigError(f"unknown pool kind {self.kind!r}")
         if min(self.channels, self.height, self.width, self.kernel) < 1:
             raise ConfigError("pool geometry must be positive")
         if self.height % self.kernel or self.width % self.kernel:
             raise ConfigError(
                 f"pool {self.kernel} does not tile a {self.height}x{self.width} map"
             )
-        if self.kind == "avg" and (self.kernel & (self.kernel - 1)):
+        if self.kernel & (self.kernel - 1):
             raise ConfigError(
                 "secure average pooling needs a power-of-two window "
                 "(division becomes share-local truncation)"
@@ -337,7 +331,7 @@ class PoolSpec:
 
     @property
     def avg_shift_bits(self) -> int:
-        """Division by k^2 as a right shift (avg pooling only)."""
+        """Division by k^2 as a right shift."""
         return 2 * (self.kernel.bit_length() - 1)
 
     def gather_indices(self) -> np.ndarray:

@@ -13,21 +13,18 @@ A deployment has three artifacts:
 The formats are deliberately plain (npz + json) so they can be inspected
 and diffed; they are versioned for forward compatibility.  A file that is
 not a readable bundle of its kind raises one :class:`ConfigError` naming
-its path (:func:`load_errors`).
+its path (:func:`repro.errors.load_errors`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import pathlib
-import zipfile
 
 import numpy as np
 
 from repro.core.protocol import LayerMeta, ModelMeta
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError, load_errors
 from repro.nn.lowering import Im2colSpec, PoolSpec
 from repro.nn.quantize import QuantizedDense, QuantizedModel
 from repro.quant.fragments import FragmentScheme, FragmentSpec
@@ -35,24 +32,6 @@ from repro.quant.schemes import QuantizedTensor
 from repro.utils.ring import Ring
 
 FORMAT_VERSION = 1
-
-
-@contextlib.contextmanager
-def load_errors(path, what: str, kind: str):
-    """Turn whatever a malformed ``what`` file at ``path`` raises into one
-    :class:`ConfigError` naming the path; ``kind`` is what it should be."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{what} {os.fspath(path)}: {exc}") from exc
-    except (
-        OSError, ValueError, KeyError, TypeError, AttributeError,
-        zipfile.BadZipFile, ProtocolError,
-    ) as exc:
-        raise ConfigError(
-            f"{what} {os.fspath(path)} is not a readable {kind} "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
 
 
 # --------------------------------------------------------------------- #
@@ -101,7 +80,6 @@ def _pool_to_dict(pool: PoolSpec | None) -> dict | None:
     if pool is None:
         return None
     return {
-        "kind": pool.kind,
         "channels": pool.channels,
         "height": pool.height,
         "width": pool.width,
@@ -110,7 +88,15 @@ def _pool_to_dict(pool: PoolSpec | None) -> dict | None:
 
 
 def _pool_from_dict(data: dict | None) -> PoolSpec | None:
-    return PoolSpec(**data) if data else None
+    if not data:
+        return None
+    # Older files carry a pool "kind"; a max pool must never load as an
+    # average, which would silently give wrong predictions.
+    fields = dict(data)
+    kind = fields.pop("kind", "avg")
+    if kind != "avg":
+        raise ConfigError(f"{kind!r} pooling is not supported; only average pooling ships")
+    return PoolSpec(**fields)
 
 
 # --------------------------------------------------------------------- #

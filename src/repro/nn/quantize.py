@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import QuantizationError
-from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, ReLU
+from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
 from repro.nn.lowering import (
     Im2colSpec,
     PoolSpec,
@@ -168,13 +168,11 @@ class QuantizedModel:
         return self.ring.reduce(signed >> np.int64(bits))
 
     def _pool_exact(self, spec: PoolSpec, acts: np.ndarray) -> np.ndarray:
-        """Plaintext pooling reference (see repro.core.pooling for the
-        secure realizations this mirrors)."""
+        """Plaintext average-pooling reference (see repro.core.pooling for
+        the share-local realization this mirrors)."""
         windows = gather_windows(spec, acts)  # (out, window, batch)
-        if spec.kind == "avg":
-            summed = self.ring.to_signed(self.ring.sum(windows, axis=1))
-            return self.ring.reduce(summed >> np.int64(spec.avg_shift_bits))
-        return self.ring.reduce(self.ring.to_signed(windows).max(axis=1))
+        summed = self.ring.to_signed(self.ring.sum(windows, axis=1))
+        return self.ring.reduce(summed >> np.int64(spec.avg_shift_bits))
 
     def forward_int(self, x_ring: np.ndarray) -> np.ndarray:
         """The plaintext integer reference of the secure computation.
@@ -269,12 +267,7 @@ class QuantizedModel:
                 acts = np.maximum(acts, 0.0)
                 if layer.pool:
                     windows = gather_windows(layer.pool, acts)
-                    if layer.pool.kind == "avg":
-                        acts = np.floor(
-                            windows.sum(axis=1) / 2.0**layer.pool.avg_shift_bits
-                        )
-                    else:
-                        acts = windows.max(axis=1)
+                    acts = np.floor(windows.sum(axis=1) / 2.0**layer.pool.avg_shift_bits)
         return worst
 
     def check_range(self, x_float: np.ndarray) -> None:
@@ -329,7 +322,7 @@ def _collect_linear_layers(
             collected.append([layer, spec, None])
             geometry = (layer.out_channels, spec.out_h, spec.out_w)
             seen_relu_since_linear = False
-        elif isinstance(layer, (AvgPool2d, MaxPool2d)):
+        elif isinstance(layer, AvgPool2d):
             if geometry is None or not collected:
                 raise QuantizationError(
                     "pooling needs a preceding Conv2d (known geometry)"
@@ -342,7 +335,6 @@ def _collect_linear_layers(
             if collected[-1][2] is not None:
                 raise QuantizationError("two pooling layers in a row")
             pool = PoolSpec(
-                kind="avg" if isinstance(layer, AvgPool2d) else "max",
                 channels=geometry[0],
                 height=geometry[1],
                 width=geometry[2],
@@ -355,7 +347,7 @@ def _collect_linear_layers(
         elif not isinstance(layer, Flatten):
             raise QuantizationError(
                 f"cannot quantize layer {type(layer).__name__}; "
-                "supported: Dense, Conv2d, ReLU, Flatten, AvgPool2d, MaxPool2d"
+                "supported: Dense, Conv2d, ReLU, Flatten, AvgPool2d"
             )
     if collected and collected[-1][2] is not None:
         raise QuantizationError("pooling after the final linear layer is unsupported")

@@ -57,7 +57,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
 from repro.crypto.fastro import kernel_active
-from repro.errors import ConfigError
+from repro.errors import ConfigError, load_errors
 
 #: Version tag stamped into exported trace documents.
 TRACE_SCHEMA = "abnn2-trace/1"
@@ -413,15 +413,20 @@ class Tracer:
 
 
 def load_trace(path: str) -> dict[str, Any]:
-    """Load and schema-check a trace document written by :meth:`Tracer.save`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ConfigError(
-            f"unsupported trace schema {schema!r} (this build reads {TRACE_SCHEMA!r})"
-        )
-    return doc
+    """Load and schema-check a trace document written by :meth:`Tracer.save`.
+
+    A file that is not a readable trace raises one :class:`ConfigError`
+    naming its path.
+    """
+    with load_errors(path, "trace", f"{TRACE_SCHEMA} trace"):
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        schema = doc.get("schema")
+        if schema != TRACE_SCHEMA:
+            raise ConfigError(
+                f"unsupported trace schema {schema!r} (this build reads {TRACE_SCHEMA!r})"
+            )
+        return doc
 
 
 def channel_span(chan: Any, name: str, **attrs: Any):

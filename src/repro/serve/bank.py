@@ -5,8 +5,8 @@ data-independent offline phase; this module makes that amortization real
 for a serving process.  A :class:`TripletBank` holds ready-to-use
 offline rounds (:class:`~repro.core.offline.OfflineRound`) for one
 ``(model, batch)`` key — the server half (per-layer ``U``) and the client
-half (input mask, per-layer ``V``, ReLU shares, max-pool reshares) one
-prediction batch consumes.
+half (input mask, per-layer ``V``, ReLU shares) one prediction batch
+consumes.
 
 Rounds are dealt in closed form by :mod:`repro.serve.dealer`: the
 serving process knows both halves, i.e. it acts as the *trusted dealer*

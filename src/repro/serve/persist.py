@@ -13,14 +13,14 @@ weights silently breaks correctness, and reusing them twice breaks
 security.  The manifest therefore records a :func:`model_fingerprint`
 and the loader refuses anything that does not match.
 
-Layout (format 3): each round's two halves are stored in the codec of
+Layout (format 4): each round's two halves are stored in the codec of
 :mod:`repro.core.offline` — the manifest's ``rounds`` list holds the
 ``{"server", "client"}`` JSON headers of every round, and round ``r``'s
 arrays are ``r{r}_server{k}`` / ``r{r}_client{k}`` in codec order.  The
 manifest's ``next_generation`` is the saving bank's next generation
 index, from which a loading bank resumes, so a seeded bank never deals
 the same material twice across a restart.  A bundle that is not a
-readable format-3 bank raises :class:`ConfigError` naming its path.
+readable format-4 bank raises :class:`ConfigError` naming its path.
 
 Writes are **atomic**: the bundle is staged to a temp file in the target
 directory and :func:`os.replace`'d into place, so a crash mid-save leaves
@@ -38,12 +38,11 @@ import tempfile
 import numpy as np
 
 from repro.core.offline import ClientHalf, OfflineRound, ServerHalf
-from repro.errors import ConfigError
-from repro.nn.persist import load_errors
+from repro.errors import ConfigError, load_errors
 from repro.nn.quantize import QuantizedModel
 
 #: Bumped whenever the bank bundle layout changes.
-BANK_FORMAT_VERSION = 3
+BANK_FORMAT_VERSION = 4
 
 _HALVES = (("server", ServerHalf), ("client", ClientHalf))
 

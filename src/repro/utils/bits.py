@@ -242,13 +242,6 @@ def split_packed_rows(data: bytes, n_rows: int, row_bits: int) -> np.ndarray:
     return out
 
 
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ConfigError(f"xor_bytes length mismatch: {len(a)} vs {len(b)}")
-    return (np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)).tobytes()
-
-
 def packed_word_count(count: int, bits: int) -> int:
     """uint64 words needed to carry ``count`` ``bits``-wide ring elements."""
     return (count * bits + 63) // 64
@@ -314,11 +307,3 @@ def unpack_ring_words(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     elems = bit_rows[:, : count * bits].reshape(-1, count, bits)
     return bits_to_int(elems).reshape(lead + (count,))
 
-
-def bytes_to_u64_rows(data: bytes, row_words: int) -> np.ndarray:
-    """View a byte buffer as a (rows, row_words) uint64 matrix."""
-    if len(data) % (8 * row_words) != 0:
-        raise ConfigError(
-            f"buffer of {len(data)} bytes is not a multiple of {8 * row_words}-byte rows"
-        )
-    return np.frombuffer(data, dtype=np.uint64).reshape(-1, row_words).copy()

@@ -20,7 +20,6 @@ from repro.utils.bits import (
     unpack_bits,
     unpack_ring_words,
     unpack_words_to_bits,
-    xor_bytes,
 )
 
 
@@ -56,13 +55,6 @@ class TestBytePacking:
     def test_unpack_too_short(self):
         with pytest.raises(ConfigError):
             unpack_bits(b"\x00", 9)
-
-    def test_xor_bytes(self):
-        assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
-
-    def test_xor_bytes_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            xor_bytes(b"\x00", b"\x00\x01")
 
     def test_transpose(self):
         mat = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)

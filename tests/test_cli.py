@@ -42,6 +42,13 @@ class TestCost:
         out = capsys.readouterr().out
         assert "8(2,2,2,2)" in out
 
+    def test_eta_out_of_range_is_one_error_line(self, capsys):
+        assert main(["cost", "--eta", "0"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eta must be in [1, 16]")
+        assert captured.out == ""
+
 
 class TestTrainMeta:
     def test_train_writes_bundle_and_meta(self, tmp_path, capsys):
@@ -71,6 +78,17 @@ class TestTrainMeta:
         meta_path = tmp_path / "meta.json"
         assert main(["meta", "--model", str(model_path), "--out", str(meta_path)]) == 0
         assert meta_path.exists()
+
+    def test_unknown_scheme_refused_before_training(self, tmp_path, capsys):
+        code = main(
+            ["train", "--out", str(tmp_path / "m.npz"), "--scheme", "bogus", "--epochs", "1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "training" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown scheme 'bogus'")
+        assert not (tmp_path / "m.npz").exists()
 
     def test_malformed_model_is_one_error_line(self, tmp_path, capsys):
         model_path = tmp_path / "m.npz"
@@ -108,6 +126,12 @@ class TestReport:
         bad.write_text('{"schema": "abnn2-trace/999"}')
         assert main(["report", "--trace", str(bad)]) == 1
         assert "schema" in capsys.readouterr().err
+
+    def test_unreadable_trace_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["report", "--trace", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: trace {path} ")
 
 
 class TestServePredict:

@@ -85,6 +85,13 @@ class TestOptimalScheme:
         assert comms == sorted(comms)
         assert {tuple(r["bit_widths"]) for r in rows} >= {(2, 2, 2), (3, 3), (1, 1, 1, 1, 1, 1)}
 
+    @pytest.mark.parametrize("eta", [0, 17])
+    def test_enumerate_costs_checks_eta(self, eta):
+        """Same range as optimal_scheme: eta 0 has no composition to rank,
+        and the composition count grows ~1.9x per bit past 16."""
+        with pytest.raises(ConfigError, match="eta must be in"):
+            enumerate_costs(eta)
+
 
 class TestSchemeFor:
     def test_lookup(self):

@@ -321,8 +321,6 @@ class TestOfflineExportLoad:
             )
         with pytest.raises(ConfigError):
             client.load_offline_round(replace(half, relu=[r.T for r in half.relu]))
-        with pytest.raises(ConfigError):
-            client.load_offline_round(replace(half, pool=[half.relu[0]] + half.pool[1:]))
         server_chan, _ = make_channel_pair()
         server = Abnn2Server(server_chan, qmodel_ternary, 1, group=test_group)
         with pytest.raises(ConfigError):

@@ -9,8 +9,6 @@ from repro.errors import ConfigError
 from repro.gc.builder import (
     add_words,
     and_broadcast,
-    mux_words,
-    neg_words,
     reconstruct_sub_template,
     relu_template,
     sign_template,
@@ -100,15 +98,6 @@ class TestAdders:
         circ = _two_input_circuit(32, sub_words)
         assert circ.and_count == 31
 
-    def test_neg_words(self):
-        circ = Circuit()
-        x = circ.garbler_input(8)
-        circ.mark_outputs(neg_words(circ, x))
-        circ.validate()
-        for value in (0, 1, 127, 200, 255):
-            out = bits_to_int(circ.eval_plain(int_to_bits(np.uint64(value), 8), np.zeros((1, 0))))
-            assert int(out[0]) == (-value) % 256
-
     def test_width_mismatch_raises(self):
         circ = Circuit()
         x = circ.garbler_input(4)
@@ -118,18 +107,6 @@ class TestAdders:
 
 
 class TestMux:
-    def test_mux_selects(self):
-        circ = Circuit()
-        (sel,) = circ.garbler_input(1)
-        a = circ.garbler_input(4)
-        b = circ.evaluator_input(4)
-        circ.mark_outputs(mux_words(circ, sel, a, b))
-        for s in (0, 1):
-            g_bits = np.concatenate([[s], int_to_bits(np.uint64(12), 4)])
-            e_bits = int_to_bits(np.uint64(5), 4)
-            out = int(bits_to_int(circ.eval_plain(g_bits[None, :], e_bits[None, :]))[0])
-            assert out == (12 if s else 5)
-
     def test_and_broadcast(self):
         circ = Circuit()
         (bit,) = circ.garbler_input(1)

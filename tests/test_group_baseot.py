@@ -1,4 +1,4 @@
-"""MODP groups, fixed-base tables and the Chou-Orlandi style base OT."""
+"""MODP groups, fixed-base tables and the Chou-Orlandi style random base OT."""
 
 import random
 import threading
@@ -165,16 +165,6 @@ class TestFixedBaseTable:
 
 
 class TestBaseOt:
-    def test_chosen_message_correctness(self, test_group):
-        pairs = [(bytes([i] * 16), bytes([200 - i] * 16)) for i in range(10)]
-        choices = [i % 2 for i in range(10)]
-        result = run_protocol(
-            lambda ch: baseot.send(ch, pairs, test_group),
-            lambda ch: baseot.receive(ch, choices, 16, test_group),
-        )
-        expected = [pairs[i][c] for i, c in enumerate(choices)]
-        assert result.client == expected
-
     def test_random_ot_key_agreement(self, test_group):
         choices = [1, 0, 1, 1, 0]
         result = run_protocol(
@@ -185,19 +175,6 @@ class TestBaseOt:
         for i, c in enumerate(choices):
             assert receiver_keys[i] == sender_keys[i][c]
             assert receiver_keys[i] != sender_keys[i][1 - c]
-
-    def test_variable_length_messages(self, test_group):
-        pairs = [(b"A" * 40, b"B" * 40)]
-        result = run_protocol(
-            lambda ch: baseot.send(ch, pairs, test_group),
-            lambda ch: baseot.receive(ch, [1], 40, test_group),
-        )
-        assert result.client == [b"B" * 40]
-
-    def test_inconsistent_message_lengths_rejected(self, test_group):
-        server, _ = __import__("repro.net.channel", fromlist=["make_channel_pair"]).make_channel_pair()
-        with pytest.raises(CryptoError):
-            baseot.send(server, [(b"ab", b"abc")], test_group)
 
     def test_invalid_choice_bits(self, test_group):
         server, _ = __import__("repro.net.channel", fromlist=["make_channel_pair"]).make_channel_pair()

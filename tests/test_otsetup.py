@@ -25,8 +25,7 @@ from repro.crypto.otsetup import MAX_SESSION_TAG, OtSetup, channel_setup
 from repro.errors import CryptoError
 from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
-from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
-from repro.nn.model import Sequential, mnist_mlp, vgg_cifar
+from repro.nn.model import mnist_mlp, vgg_cifar
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
 from repro.serve import ClientSession, ServerSession
@@ -180,15 +179,6 @@ def _assert_single_use(records, calls, sessions: int, columns: int) -> None:
     assert sorted(calls) == [("receiver", columns), ("sender", columns)]
 
 
-def _maxpool_model():
-    net = Sequential(
-        [Conv2d(1, 2, 3, seed=6), ReLU(), MaxPool2d(2), Flatten(), Dense(18, 4, seed=7)]
-    )
-    return quantize_model(
-        net, TABLE2_SCHEMES["8(3,3,2)"], Ring(32), frac_bits=5, input_shape=(1, 8, 8)
-    )
-
-
 PREDICT_CASES = {
     # model, input features, KK13 sessions (layers x radix groups) + 1 label OT
     "fig4_mlp": (
@@ -202,7 +192,6 @@ PREDICT_CASES = {
         ),
         3 * 12 * 12, 5 + 1,
     ),
-    "maxpool": (_maxpool_model, 64, 2 * 2 + 1),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.protocol import ModelMeta
 from repro.errors import ConfigError
-from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
+from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
 from repro.nn.model import Sequential
 from repro.nn.persist import (
     load_meta,
@@ -151,3 +151,34 @@ class TestMalformedFiles:
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_meta(path)
+
+    def test_declared_max_pool_never_loads_as_average(self, tmp_path):
+        """Files written when max pooling existed carry a pool ``kind``:
+        ``"avg"`` still loads, ``"max"`` is one ConfigError naming the path."""
+        net = Sequential(
+            [Conv2d(1, 2, 3, seed=0), ReLU(), AvgPool2d(2), Flatten(), Dense(18, 4, seed=1)]
+        )
+        qm = quantize_model(net, FragmentScheme.ternary(), Ring(32), input_shape=(1, 8, 8))
+        bundle, meta = tmp_path / "model.npz", tmp_path / "meta.json"
+
+        def declare(kind):
+            def edit(arrays):
+                manifest = json.loads(bytes(arrays["manifest"]).decode())
+                manifest["layers"][0]["pool"]["kind"] = kind
+                arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+
+            save_model(bundle, qm)
+            _rewrite_bundle(bundle, edit)
+            save_meta(meta, ModelMeta.from_model(qm))
+            doc = json.loads(meta.read_text())
+            doc["layers"][0]["pool"]["kind"] = kind
+            meta.write_text(json.dumps(doc))
+
+        declare("avg")
+        assert load_model(bundle).layers[0].pool == qm.layers[0].pool
+        assert load_meta(meta).layers[0].pool == qm.layers[0].pool
+        declare("max")
+        for path, load in ((bundle, load_model), (meta, load_meta)):
+            with pytest.raises(ConfigError, match=re.escape(str(path))) as info:
+                load(path)
+            assert "'max' pooling is not supported" in str(info.value)

@@ -361,7 +361,7 @@ class TestBankPersistence:
     @pytest.mark.parametrize(
         "case",
         ["more_rounds", "extra_round_header", "missing_key", "not_npz", "version_1",
-         "version_2"],
+         "version_2", "version_3"],
     )
     def test_malformed_bundle_names_the_path(self, qmodel, test_group, tmp_path, case):
         """Every malformed bundle fails as one typed ConfigError naming
@@ -382,7 +382,7 @@ class TestBankPersistence:
         with pytest.raises(ConfigError, match=re.escape(str(path))) as info:
             _bank(qmodel, test_group).load(path)
         if case.startswith("version_"):
-            assert f"bank format {case[-1]}, this build reads 3; regenerate the bank" in str(
+            assert f"bank format {case[-1]}, this build reads 4; regenerate the bank" in str(
                 info.value
             )
 
@@ -403,7 +403,6 @@ class TestRoundCodec:
             assert (a == b).all()
         for a, b in zip(decoded.relu, rnd.client.relu):
             assert (a == b).all()
-        assert decoded.pool == rnd.client.pool
 
     def test_malformed_messages_rejected(self):
         with pytest.raises(ProtocolError):
@@ -412,7 +411,7 @@ class TestRoundCodec:
             ClientHalf.decode((b"not json", np.zeros((1, 1), dtype=np.uint64)))
         with pytest.raises(ProtocolError):
             ClientHalf.decode(
-                (json.dumps({"n_layers": 2, "pool_present": [False]}).encode(),)
+                (json.dumps({"n_layers": 2}).encode(),)
             )
 
     def test_wrong_part_count_rejected(self, frame):

@@ -30,7 +30,7 @@ from repro.core.triplets import BlockedShare
 from repro.errors import ConfigError
 from repro.net.channel import make_channel_pair
 from repro.net.runner import run_protocol
-from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
+from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
 from repro.nn.model import Sequential
 from repro.nn.quantize import quantize_model, set_chunk_cols
 from repro.serve.bank import TripletBank
@@ -49,7 +49,7 @@ def qmodel():
         [
             Conv2d(1, 2, 3, seed=6),
             ReLU(),
-            MaxPool2d(2),
+            AvgPool2d(2),
             Flatten(),
             Dense(2 * 3 * 3, 4, seed=7),
         ]
@@ -102,7 +102,6 @@ class TestDealerRound:
         assert isinstance(client.v[0], BlockedShare)
         assert us[0].shape == (2, BATCH * 36)
         assert client.input_mask.shape == (64, BATCH)
-        assert client.pool[0] is not None  # max pool resharing
 
     def test_determinism(self, qmodel):
         chunked = set_chunk_cols(qmodel, 7)

@@ -166,7 +166,7 @@ class TestOverflowGuards:
 
     def test_pool_overflow_names_dimension(self):
         with pytest.raises(ConfigError, match="channels"):
-            PoolSpec("avg", 2**22, 2**21, 2**21, 2)
+            PoolSpec(2**22, 2**21, 2**21, 2)
 
 
 # --------------------------------------------------------------------- #

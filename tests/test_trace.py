@@ -1,6 +1,7 @@
 """Unit tests for the hierarchical span tracer (repro.perf.trace)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestExport:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "abnn2-trace/999", "root": {}}))
         with pytest.raises(ConfigError, match="schema"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "text", [None, "{not json", "[]", "\xff\xfe"],
+        ids=["missing", "not_json", "not_an_object", "not_utf8"],
+    )
+    def test_unreadable_file_is_one_error_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "trace.json"
+        if text is not None:
+            path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_trace(str(path))
 
     def test_open_spans_get_provisional_durations(self):

@@ -25,8 +25,7 @@ from repro.core.protocol import ModelMeta, secure_predict
 from repro.crypto.group import MODP_TEST
 from repro.net import run_protocol, tcp
 from repro.net.channel import make_channel_pair
-from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
-from repro.nn.model import Sequential, mnist_mlp, vgg_cifar
+from repro.nn.model import mnist_mlp, vgg_cifar
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import FragmentScheme
 from repro.serve import ClientSession, ServerSession, TripletBank
@@ -82,8 +81,7 @@ PINNED = {
     "vgg_cifar_side12": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
     "vgg_cifar_side12_chunk7": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
     "vgg_cifar_side12_winograd": ("4f39248c64bff2b6", "70745c072620d4dc"),
-    "served_bank_keepalive": ("4464f093a59de5e4", "7d0f86abc743295b"),
-    "maxpool_cnn": ("8894b622046ae277", "7773f8466bc623f3"),
+    "served_bank_keepalive": ("b4f85585ecf45421", "e6f7ee7d99e9c23c"),
 }
 
 
@@ -115,16 +113,6 @@ def _vgg_side12(**options) -> tuple[str, str]:
     return _predict_digests(
         qmodel, _inputs(3 * 12 * 12, 1), make_channel_pair(timeout_s=60.0)
     )
-
-
-def _maxpool_cnn() -> tuple[str, str]:
-    net = Sequential(
-        [Conv2d(1, 2, 3, seed=6), ReLU(), MaxPool2d(2), Flatten(), Dense(2 * 3 * 3, 4, seed=7)]
-    )
-    qmodel = quantize_model(
-        net, FragmentScheme.from_bits((2, 2)), Ring(32), frac_bits=5, input_shape=(1, 8, 8)
-    )
-    return _predict_digests(qmodel, _inputs(64, 1), make_channel_pair(timeout_s=60.0))
 
 
 def _served_bank_digests() -> tuple[str, str]:
@@ -162,7 +150,6 @@ RUNS = {
     "fig4_b8": lambda: _predict_digests(
         _fig4(), _inputs(784, 8), make_channel_pair(timeout_s=60.0)
     ),
-    "maxpool_cnn": _maxpool_cnn,
     "vgg_cifar_side12": _vgg_side12,
     "vgg_cifar_side12_chunk7": lambda: _vgg_side12(chunk_cols=7),
     "vgg_cifar_side12_winograd": lambda: _vgg_side12(linear_backend="winograd"),
