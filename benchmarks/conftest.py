@@ -24,6 +24,7 @@ from repro.nn.data import synthetic_mnist
 from repro.nn.model import mnist_mlp
 from repro.nn.quantize import quantize_model
 from repro.nn.train import TrainConfig, train_classifier
+from repro.perf.costmodel import gc_relu_comm_bits
 from repro.quant.fragments import TABLE2_SCHEMES
 from repro.utils.ring import Ring
 
@@ -78,6 +79,14 @@ def quantized_fig4(fig4_model):
         name: quantize_model(fig4_model, TABLE2_SCHEMES[name], ring, frac_bits=6)
         for name in ("binary", "ternary", "3(2,1)", "4(2,2)")
     }
+
+
+def paper_relu_mb(qmodel, batch: int) -> dict:
+    """One prediction's GC ReLU bytes on the paper's full-width
+    ``3l - 2``-AND circuit at l = 32, from the cost model, as a labelled
+    row: this build's circuit is narrower (each layer's ``relu_bits``)."""
+    n_relus = sum(layer.out_features for layer in qmodel.layers[:-1]) * batch
+    return {"paper_relu_l32_MB": round(gc_relu_comm_bits(32, n_relus) / 8 / (1024 * 1024), 2)}
 
 
 def random_weights(scheme, shape, rng):

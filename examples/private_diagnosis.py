@@ -43,8 +43,9 @@ def make_cohort(n: int, seed: int):
     rng = derive_rng(seed, "cohort")
     labels = rng.integers(0, N_CLASSES, size=n)
     features = _CENTERS[labels] + rng.normal(scale=1.0, size=(n, N_FEATURES))
-    # biomarkers are non-negative concentrations
-    return np.clip(features + 2.0, 0.0, None) / 6.0, labels
+    # biomarkers are non-negative concentrations, normalized to the assay
+    # range [0, 1]: the model's public input domain
+    return np.clip((features + 2.0) / 6.0, 0.0, 1.0), labels
 
 
 def main() -> None:

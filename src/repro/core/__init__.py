@@ -25,12 +25,8 @@ from repro.core.triplets import (
     generate_triplets_client,
 )
 from repro.core.matmul import SecureMatmulServer, SecureMatmulClient
-from repro.core.pooling import avgpool_share
-from repro.core.relu import (
-    relu_layer_server,
-    relu_layer_client,
-    truncate_share,
-)
+from repro.core.pooling import avgpool_share, truncate_share
+from repro.core.relu import relu_layer_server, relu_layer_client
 from repro.core.protocol import (
     Abnn2Server,
     Abnn2Client,

@@ -1,12 +1,12 @@
 """Secure average pooling on additively shared feature maps.
 
 Average pooling over a power-of-two window is *free*: summation
-distributes over additive shares, and dividing by ``k^2`` is the same
-SecureML share-local truncation used after linear layers.  No
-communication, no rounds — so the GC ReLU stays the protocol's only
-garbled circuit.
+distributes over additive shares, and dividing by ``k^2`` is SecureML's
+share-local truncation (:func:`truncate_share`; the linear layers'
+rescaling is exact instead, inside the GC ReLU).  No communication, no
+rounds — so the GC ReLU stays the protocol's only garbled circuit.
 
-Both functions operate on the flat ``(features, batch)`` activation
+The pooling functions operate on the flat ``(features, batch)`` activation
 layout used throughout the pipeline.
 """
 
@@ -14,9 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.relu import truncate_share
 from repro.nn.lowering import PoolSpec, gather_windows
 from repro.utils.ring import Ring
+
+
+def truncate_share(ring: Ring, share: np.ndarray, bits: int, party: int) -> np.ndarray:
+    """SecureML local truncation: divide a shared value by 2^bits.
+
+    Party 0 shifts its share down; party 1 negates, shifts, negates.  The
+    reconstructed result equals the arithmetic shift of the true value up
+    to one unit in the last place, with failure probability ~|y| / 2^(l-1).
+    """
+    if bits == 0:
+        return ring.reduce(share)
+    if party == 0:
+        return ring.reduce(np.asarray(share, dtype=np.uint64) >> np.uint64(bits))
+    flipped = ring.neg(share)
+    return ring.neg(np.asarray(flipped, dtype=np.uint64) >> np.uint64(bits))
 
 
 def avgpool_share(ring: Ring, spec: PoolSpec, share: np.ndarray, party: int) -> np.ndarray:

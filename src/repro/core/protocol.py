@@ -8,7 +8,8 @@ Flow (paper Section 3, Figure 2):
   share ``z1^i`` it will reuse online.  All OT traffic happens here.
 * **Online** — the client sends ``<x>_0 = x - r``; each linear layer is
   then *local* (``<y>_0 = W <z>_0 + u + b``, ``<y>_1 = v``); hidden layers
-  truncate shares locally and run the GC ReLU; finally the server sends
+  run the GC ReLU, which rescales exactly inside the circuit and is sized
+  to the layer's public width ``relu_bits``; finally the server sends
   ``<y>_0`` of the logits and the client reconstructs.
 
 Security: semi-honest, as composed from the proven sub-protocols (KK13
@@ -26,7 +27,7 @@ import numpy as np
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.offline import ClientHalf, ServerHalf, chain_operands, materialize
 from repro.core.pooling import avgpool_share
-from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
+from repro.core.relu import relu_layer_client, relu_layer_server
 from repro.core.triplets import TripletConfig
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
@@ -56,6 +57,7 @@ from repro.nn.winograd import (
     winograd_scheme,
 )
 from repro.quant.fragments import FragmentScheme
+from repro.quant.headroom import input_bound_int
 from repro.utils.ring import Ring
 from repro.utils.rng import make_rng
 
@@ -89,6 +91,8 @@ class LayerMeta:
     conv: Im2colSpec | None = None
     pool: PoolSpec | None = None
     backend: str = "im2col"
+    #: public ReLU input width m (``|y| < 2^(m-1)``); None = ring width
+    relu_bits: int | None = None
 
     @property
     def relu_features(self) -> int:
@@ -199,6 +203,8 @@ class ModelMeta:
     layers: tuple[LayerMeta, ...]
     ring_bits: int
     frac_bits: int
+    #: public bound on ``|x|`` behind the layers' ``relu_bits`` (None: none)
+    input_bound: float | None = None
 
     @classmethod
     def from_model(cls, model: QuantizedModel) -> "ModelMeta":
@@ -211,10 +217,14 @@ class ModelMeta:
                 conv=layer.conv,
                 pool=layer.pool,
                 backend=layer.backend,
+                relu_bits=layer.relu_bits,
             )
             for layer in model.layers
         )
-        return cls(layers=layers, ring_bits=model.ring.bits, frac_bits=model.encoder.frac_bits)
+        return cls(
+            layers=layers, ring_bits=model.ring.bits, frac_bits=model.encoder.frac_bits,
+            input_bound=model.input_bound,
+        )
 
 
 def layer_triplet_config(
@@ -259,7 +269,7 @@ class PhaseStats:
 
 class _PartyBase:
     """What both parties share: the queue of offline rounds, the per-layer
-    OT seeds, and the span and truncation conventions of the layer walk.
+    OT seeds, and the span and ReLU-shape conventions of the layer walk.
     A party supplies ``_party`` (0 = server, 1 = client), the
     ``_offline_round`` it produces and the ``online`` walk it runs."""
 
@@ -418,18 +428,19 @@ class _PartyBase:
         )
 
     def _relu_span(self, idx: int):
+        width, shift = self._relu_shape(idx)
         return self.tracer.span(
             f"layer{idx}/relu", variant=self.relu_variant,
             n_relus=self.meta.layers[idx].relu_features * self.batch,
-            ring_bits=self.ring.bits,
+            ring_bits=self.ring.bits, width=width, shift=shift,
         )
 
-    def _truncate(self, idx: int, y: np.ndarray) -> np.ndarray:
-        """Hidden layers truncate their share locally; the logits do not."""
-        if idx == len(self.meta.layers) - 1:
-            return y
-        bits = self.meta.layers[idx].truncate_bits
-        return truncate_share(self.ring, y, bits, party=self._party)
+    def _relu_shape(self, idx: int) -> tuple[int, int]:
+        """``(width, shift)`` of hidden layer ``idx``'s GC ReLU: the public
+        input width and the exact rescaling shift folded into it."""
+        layer = self.meta.layers[idx]
+        width = self.ring.bits if layer.relu_bits is None else layer.relu_bits
+        return width, layer.truncate_bits
 
 
 class Abnn2Server(_PartyBase):
@@ -471,7 +482,7 @@ class Abnn2Server(_PartyBase):
 
     def _linear_layer(self, half: ServerHalf, idx: int, share0: np.ndarray) -> np.ndarray:
         """One linear layer: ``W <z>_0 + U + b`` on the lowered share,
-        lifted back to flat features, then (hidden layers) truncated.
+        lifted back to flat features.
 
         A chunked layer runs the product one column block of the lowered
         operand at a time, so at most one block is ever materialized.
@@ -492,8 +503,7 @@ class Abnn2Server(_PartyBase):
                     y0[:, lo:hi] = engine.online_block(block, lo, hi)
             y0 = layer.lift(self.ring, y0, party=0)
             bias = layer.bias(self.model.layers[idx].bias_int)
-            y0 = self.ring.add(y0, self.ring.reduce(bias)[:, None])
-        return self._truncate(idx, y0)
+            return self.ring.add(y0, self.ring.reduce(bias)[:, None])
 
     def _online_sequential(self, half: ServerHalf) -> np.ndarray:
         """The layer walk on the raw channel (paper Fig. 2): input share,
@@ -507,7 +517,8 @@ class Abnn2Server(_PartyBase):
                 break
             with self._relu_span(idx):
                 share0 = relu_layer_server(
-                    self.chan, y0, self._gc, self.ring, self.relu_variant
+                    self.chan, y0, self._gc, self.ring, self.relu_variant,
+                    *self._relu_shape(idx),
                 )
             if layer.pool is not None:
                 with self.tracer.span(f"layer{idx}/pool"):
@@ -556,6 +567,15 @@ class Abnn2Client(_PartyBase):
         expected = (self.meta.layers[0].in_features, self.batch)
         if x.shape != expected:
             raise ConfigError(f"expected input of shape {expected}, got {x.shape}")
+        if self.meta.input_bound is not None:
+            # The ReLU widths hold only inside the public input domain.
+            bound = input_bound_int(self.meta.input_bound, self.meta.frac_bits)
+            worst = int(np.abs(self.ring.to_signed(x)).max())
+            if worst > bound:
+                raise ConfigError(
+                    f"input magnitude {worst / 2**self.meta.frac_bits:g} exceeds "
+                    f"the model's input bound {self.meta.input_bound:g}"
+                )
         return self._run_online(lambda half: self._online_sequential(half, x))
 
     def _online_sequential(self, half: ClientHalf, x) -> np.ndarray:
@@ -569,7 +589,6 @@ class Abnn2Client(_PartyBase):
         for idx, layer in enumerate(self.meta.layers):
             with self._matmul_span(idx):
                 y1 = layer.lift(self.ring, materialize(half.v[idx]), party=1)
-            y1 = self._truncate(idx, y1)
             if idx == last:
                 break
             # The ReLU output share was fixed offline; average pooling is
@@ -577,7 +596,7 @@ class Abnn2Client(_PartyBase):
             with self._relu_span(idx):
                 relu_layer_client(
                     self.chan, y1, half.relu[idx], self._gc, self.ring, self.rng,
-                    self.relu_variant,
+                    self.relu_variant, *self._relu_shape(idx),
                 )
         with self.tracer.span("logits-share"):
             y0 = self.ring.reduce(self.chan.recv())

@@ -1,28 +1,36 @@
 """Secure non-linear layer: Algorithm 2 ReLU and the optimized variant.
 
 Shares enter as ``(y0, y1)`` with ``y0 + y1 = y (mod 2^l)`` and leave as
-``(z0, z1)`` with ``z0 + z1 = ReLU(y)``.  Roles: the **client garbles**
-(it also picks the fresh output share ``z1``), the **server evaluates**
-and obtains ``z0`` from the circuit's decoded output — exactly
-Algorithm 2's interface.
+``(z0, z1)`` with ``z0 + z1 = ReLU(y >> f)``.  Roles: the **client
+garbles** (it also picks the fresh output share ``z1``), the **server
+evaluates** and obtains ``z0`` from the circuit's decoded output —
+exactly Algorithm 2's interface.
+
+The circuit is sized to the activation, not the ring
+(:mod:`repro.gc.builder`): given a public width ``m`` with
+``|y| < 2^(m-1)``, each party feeds only the low ``m`` bits of its
+*untruncated* share, the circuit shifts by ``f`` exactly (the layer's
+rescaling, folded into the GC), and a 2-row table delivers the output's
+high bits.  So the secure result equals the plaintext reference
+:meth:`repro.nn.quantize.QuantizedModel.forward_int` exactly.  The
+defaults (``width = l``, ``shift = 0``) give the paper's ``l``-bit
+circuit.
 
 Two variants:
 
 * ``variant="oblivious"`` (default) — one circuit per element computing
-  ``max(0, y0 + y1) - z1`` (:func:`repro.gc.builder.relu_template`,
-  ``3l - 2`` AND gates).  Leaks nothing.
+  ``max(0, y >> f) - z1`` (:func:`repro.gc.builder.relu_template`,
+  ``(m - 1) + 2k - 1`` AND gates with ``k = m - f``; ``3l - 2`` at full
+  width).  Leaks nothing.
 * ``variant="optimized"`` — the paper's Section 4.2 two-stage protocol:
-  stage 1 garbles only the comparison ``y0 > -y1`` (``l - 1`` ANDs) and
+  stage 1 garbles only the comparison ``y0 > -y1`` (``m - 1`` ANDs) and
   *reveals the sign bits to both parties*; stage 2 runs the
-  reconstruct-and-reshare circuit (``2l - 2`` ANDs) only on positive
-  neurons, while negative neurons cost nothing (``z0 = -z1`` locally).
-  For mostly-negative layers this saves most of the GC work — the paper's
-  claim — at the price of revealing the ReLU activation *pattern* (not
-  the values).  The trade-off is noted in the paper's own description and
-  flagged here because it is a real leakage difference.
-
-:func:`truncate_share` is the SecureML-style local rescaling used between
-a linear layer and its activation (see :mod:`repro.nn.quantize`).
+  reconstruct-and-reshare circuit (``(m - 1) + k`` ANDs) only on
+  positive neurons, while negative neurons cost nothing (``z0 = -z1``
+  locally).  For mostly-negative layers this saves most of the GC work —
+  the paper's claim — at the price of revealing the ReLU activation
+  *pattern* (not the values).  The trade-off is noted in the paper's own
+  description and flagged here because it is a real leakage difference.
 """
 
 from __future__ import annotations
@@ -37,49 +45,60 @@ from repro.gc.builder import (
 )
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net.channel import Channel
+from repro.perf.trace import annotate_span
 from repro.utils.bits import bits_to_int, int_to_bits, pack_bits, unpack_bits
 from repro.utils.ring import Ring
 
-_TEMPLATE_CACHE: dict[tuple[str, int], object] = {}
+_TEMPLATE_CACHE: dict[tuple, object] = {}
 
 VARIANTS = ("oblivious", "optimized")
 
 
-def _template(kind: str, bits: int):
-    key = (kind, bits)
+def _template(kind: str, width: int, shift: int = 0, ring_bits: int | None = None):
+    key = (kind, width, shift, ring_bits)
     if key not in _TEMPLATE_CACHE:
-        builders = {
-            "relu": relu_template,
-            "sign": sign_template,
-            "reconstruct_sub": reconstruct_sub_template,
-        }
-        _TEMPLATE_CACHE[key] = builders[kind](bits)
+        if kind == "sign":
+            _TEMPLATE_CACHE[key] = sign_template(width)
+        else:
+            builder = relu_template if kind == "relu" else reconstruct_sub_template
+            _TEMPLATE_CACHE[key] = builder(width, shift, ring_bits)
     return _TEMPLATE_CACHE[key]
 
 
-def truncate_share(ring: Ring, share: np.ndarray, bits: int, party: int) -> np.ndarray:
-    """SecureML local truncation: divide a shared value by 2^bits.
-
-    Party 0 shifts its share down; party 1 negates, shifts, negates.  The
-    reconstructed result equals the arithmetic shift of the true value up
-    to one unit in the last place, with failure probability ~|y| / 2^(l-1)
-    (negligible for the activation magnitudes the pipeline maintains).
-    """
-    if bits == 0:
-        return ring.reduce(share)
-    if party == 0:
-        return ring.reduce(np.asarray(share, dtype=np.uint64) >> np.uint64(bits))
-    flipped = ring.neg(share)
-    return ring.neg(np.asarray(flipped, dtype=np.uint64) >> np.uint64(bits))
+def _check_layer(ring: Ring, variant: str, width: int | None, shift: int) -> tuple[int, int]:
+    """``(m, k)`` of one ReLU layer: input width and output low bits."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown ReLU variant {variant!r}")
+    width = ring.bits if width is None else width
+    if not 0 <= shift < width <= ring.bits:
+        raise ConfigError(
+            f"ReLU width {width} and shift {shift} need 0 <= shift < width <= {ring.bits}"
+        )
+    return width, width - shift
 
 
-def _to_bit_rows(ring: Ring, values: np.ndarray) -> np.ndarray:
-    """(inst,) ring values -> (l, inst) bit matrix (wire-major layout)."""
-    return np.ascontiguousarray(int_to_bits(values, ring.bits).T)
+def _to_bit_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """(inst,) ring values -> (width, inst) bit matrix of their low bits."""
+    return np.ascontiguousarray(int_to_bits(values, width).T)
 
 
-def _from_bit_rows(ring: Ring, bit_rows: np.ndarray) -> np.ndarray:
-    return ring.reduce(bits_to_int(np.ascontiguousarray(bit_rows.T)))
+def _z0(ring: Ring, result, k: int) -> np.ndarray:
+    """The evaluator's share from the circuit's low ``k`` output bits and,
+    when ``k < l``, the high word its row table delivered."""
+    if k == ring.bits:
+        return ring.reduce(bits_to_int(np.ascontiguousarray(result.T)))
+    bits, high = result
+    low = bits_to_int(np.ascontiguousarray(bits.T))
+    return ring.reduce(low | (np.asarray(high, dtype=np.uint64) << np.uint64(k)))
+
+
+def _row_values(ring: Ring, z1: np.ndarray, k: int) -> np.ndarray | None:
+    """The high output words ``-z1_high - borrow`` for borrow 0 and 1."""
+    if k == ring.bits:
+        return None
+    high_ring = Ring(ring.bits - k)
+    neg_high = high_ring.neg(z1 >> np.uint64(k))
+    return np.stack([neg_high, high_ring.sub(neg_high, np.uint64(1))], axis=1)
 
 
 # --------------------------------------------------------------------- #
@@ -91,35 +110,51 @@ def relu_layer_server(
     sessions: GcSessions,
     ring: Ring,
     variant: str = "oblivious",
+    width: int | None = None,
+    shift: int = 0,
 ) -> np.ndarray:
-    """Server side of the ReLU layer; returns ``z0`` with ``y0``'s shape."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown ReLU variant {variant!r}")
+    """Server side of the ReLU layer; returns ``z0`` with ``y0``'s shape.
+
+    ``width`` is the public bound ``m`` (``|y| < 2^(m-1)``, default the
+    ring width) and ``shift`` the exact right shift ``f`` applied before
+    the ReLU.
+    """
+    width, k = _check_layer(ring, variant, width, shift)
     shape = np.shape(y0)
     flat = ring.reduce(y0).reshape(-1)
     n_inst = flat.shape[0]
-    y0_bits = _to_bit_rows(ring, flat)
+    y0_bits = _to_bit_rows(flat, width)
 
     if variant == "oblivious":
-        out_bits = run_evaluator(chan, _template("relu", ring.bits), y0_bits, n_inst, sessions)
-        return _from_bit_rows(ring, out_bits).reshape(shape)
+        result = run_evaluator(
+            chan, _template("relu", width, shift, ring.bits), y0_bits, n_inst, sessions
+        )
+        return _z0(ring, result, k).reshape(shape)
 
     # Optimized: stage 1 comparison, sign revealed to both parties.
-    sign_bits = run_evaluator(chan, _template("sign", ring.bits), y0_bits, n_inst, sessions)
+    sign_bits = run_evaluator(chan, _template("sign", width), y0_bits, n_inst, sessions)
     positive = sign_bits[0].astype(bool)
     chan.send(pack_bits(sign_bits[0]))
+    n_pos = int(positive.sum())
+    annotate_span(chan, n_positive=n_pos)
 
     z0 = ring.zeros(n_inst)
-    n_pos = int(positive.sum())
     if n_pos:
         pos_bits = np.ascontiguousarray(y0_bits[:, positive])
-        out_bits = run_evaluator(
-            chan, _template("reconstruct_sub", ring.bits), pos_bits, n_pos, sessions
+        result = run_evaluator(
+            chan, _template("reconstruct", width, shift, ring.bits), pos_bits, n_pos,
+            sessions,
         )
-        z0[positive] = _from_bit_rows(ring, out_bits)
+        z0[positive] = _z0(ring, result, k)
     neg_share = chan.recv()  # -z1 for the negative neurons
-    if neg_share.shape != (n_inst - n_pos,):
-        raise ProtocolError("unexpected negative-share payload")
+    if not (
+        isinstance(neg_share, np.ndarray)
+        and neg_share.dtype == np.uint64
+        and neg_share.shape == (n_inst - n_pos,)
+    ):
+        raise ProtocolError(
+            f"negative-share frame: expected {n_inst - n_pos} uint64 words"
+        )
     z0[~positive] = ring.reduce(neg_share)
     return z0.reshape(shape)
 
@@ -135,42 +170,48 @@ def relu_layer_client(
     ring: Ring,
     rng: np.random.Generator,
     variant: str = "oblivious",
+    width: int | None = None,
+    shift: int = 0,
 ) -> np.ndarray:
     """Client side of the ReLU layer; returns ``z1`` (the client's share).
 
     ``z1`` is passed in because ABNN2 fixes it during the *offline* phase
     (it doubles as the next linear layer's triplet operand R).
+    ``width``/``shift`` as in :func:`relu_layer_server`.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown ReLU variant {variant!r}")
+    width, k = _check_layer(ring, variant, width, shift)
     shape = np.shape(y1)
     flat_y1 = ring.reduce(y1).reshape(-1)
     flat_z1 = ring.reduce(z1).reshape(-1)
     if flat_z1.shape != flat_y1.shape:
         raise ConfigError("z1 must match y1's shape")
     n_inst = flat_y1.shape[0]
-    y1_bits = _to_bit_rows(ring, flat_y1)
+    y1_bits = _to_bit_rows(flat_y1, width)
 
     if variant == "oblivious":
-        garbler_bits = np.concatenate([y1_bits, _to_bit_rows(ring, flat_z1)], axis=0)
-        run_garbler(chan, _template("relu", ring.bits), garbler_bits, n_inst, sessions, rng)
+        garbler_bits = np.concatenate([y1_bits, _to_bit_rows(flat_z1, k)], axis=0)
+        run_garbler(
+            chan, _template("relu", width, shift, ring.bits), garbler_bits, n_inst,
+            sessions, rng, _row_values(ring, flat_z1, k),
+        )
         return flat_z1.reshape(shape)
 
-    run_garbler(chan, _template("sign", ring.bits), y1_bits, n_inst, sessions, rng)
-    positive = unpack_bits(chan.recv(), n_inst).astype(bool)
-
+    run_garbler(chan, _template("sign", width), y1_bits, n_inst, sessions, rng)
+    frame = chan.recv()
+    if not isinstance(frame, bytes) or len(frame) != (n_inst + 7) // 8:
+        raise ProtocolError(f"sign frame: expected {(n_inst + 7) // 8} bytes")
+    positive = unpack_bits(frame, n_inst).astype(bool)
     n_pos = int(positive.sum())
+    annotate_span(chan, n_positive=n_pos)
+
     if n_pos:
-        pos_y1 = np.ascontiguousarray(y1_bits[:, positive])
-        pos_z1 = _to_bit_rows(ring, flat_z1[positive])
-        garbler_bits = np.concatenate([pos_y1, pos_z1], axis=0)
+        pos_z1 = flat_z1[positive]
+        garbler_bits = np.concatenate(
+            [y1_bits[:, positive], _to_bit_rows(pos_z1, k)], axis=0
+        )
         run_garbler(
-            chan,
-            _template("reconstruct_sub", ring.bits),
-            garbler_bits,
-            n_pos,
-            sessions,
-            rng,
+            chan, _template("reconstruct", width, shift, ring.bits), garbler_bits, n_pos,
+            sessions, rng, _row_values(ring, pos_z1, k),
         )
     # Negative neurons: ReLU(y) = 0, so z0 must equal -z1.
     chan.send(ring.neg(flat_z1[~positive]))

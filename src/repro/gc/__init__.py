@@ -1,10 +1,10 @@
 """Yao garbled circuits: free-XOR + half-gates, batched across instances.
 
-ABNN2 evaluates one small circuit (ReLU on l-bit operands) for every
-neuron of a layer.  The implementation exploits that: a circuit is a
-*template*, and garbling/evaluation are vectorized over many parallel
-instances with numpy, so the per-gate Python loop runs once per template
-gate rather than once per neuron.
+ABNN2 evaluates one small circuit (a ReLU sized to the layer's
+activation width) for every neuron of a layer.  The implementation
+exploits that: a circuit is a *template*, and garbling/evaluation are
+vectorized over many parallel instances with numpy, so the per-gate
+Python loop runs once per template gate rather than once per neuron.
 """
 
 from repro.gc.circuit import Circuit, Gate, GateOp

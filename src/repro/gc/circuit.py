@@ -46,6 +46,10 @@ class Circuit:
     garbler_inputs: list[int] = field(default_factory=list)
     evaluator_inputs: list[int] = field(default_factory=list)
     outputs: list[int] = field(default_factory=list)
+    #: A wire whose two labels key a 2-row output table: the evaluator
+    #: learns one of two garbler-chosen words, selected by the wire's
+    #: value (:func:`repro.gc.garble.row_table`), and nothing else.
+    row_wire: int | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -105,6 +109,8 @@ class Circuit:
                 raise ConfigError(f"gate {gate} overwrites wire {gate.out}")
             defined.add(gate.out)
         missing = [w for w in self.outputs if w not in defined]
+        if self.row_wire is not None and self.row_wire not in defined:
+            missing.append(self.row_wire)
         if missing:
             raise ConfigError(f"output wires {missing} are never driven")
 

@@ -12,7 +12,13 @@ import numpy as np
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import CryptoError, ProtocolError
 from repro.gc.circuit import Circuit, GateOp
-from repro.gc.garble import LABEL_WORDS, _check_poison, _label_buffer, _LabelHasher
+from repro.gc.garble import (
+    LABEL_WORDS,
+    _check_poison,
+    _label_buffer,
+    _LabelHasher,
+    row_tweak,
+)
 
 _U64 = np.uint64
 
@@ -41,12 +47,14 @@ def evaluate(
     garbler_labels: np.ndarray,
     evaluator_labels: np.ndarray,
     ro: RandomOracle = default_ro,
+    wires: list[int] | None = None,
 ) -> np.ndarray:
-    """Evaluate the garbled circuit; returns active output labels.
+    """Evaluate the garbled circuit; returns active labels of ``wires``.
 
     ``garbler_labels`` / ``evaluator_labels`` are the active labels for the
-    respective input wire lists, shaped ``(n_inputs, n_inst, 2)``.  The
-    result is ``(n_outputs, n_inst, 2)``.
+    respective input wire lists, shaped ``(n_inputs, n_inst, 2)``.
+    ``wires`` defaults to the circuit's outputs; the result is
+    ``(len(wires), n_inst, 2)``.
     """
     n_inst = garbler_labels.shape[1] if garbler_labels.size else evaluator_labels.shape[1]
     if garbler_labels.shape[0] != len(circuit.garbler_inputs):
@@ -75,7 +83,7 @@ def evaluate(
             )
             and_idx += 1
 
-    out = active[circuit.outputs].copy()
+    out = active[circuit.outputs if wires is None else wires].copy()
     _check_poison(out, "output")
     return out
 
@@ -93,3 +101,13 @@ def decode_outputs(output_labels: np.ndarray, decode_bits: np.ndarray) -> np.nda
             f"decode shape mismatch: {select.shape} vs {decode_bits.shape}"
         )
     return select ^ decode_bits
+
+
+def read_row_table(
+    circuit: Circuit, label: np.ndarray, rows: np.ndarray, ro: RandomOracle
+) -> np.ndarray:
+    """Open the row of :func:`repro.gc.garble.row_table` that the active
+    ``(n_inst, 2)`` label of ``circuit.row_wire`` selects: ``(n_inst,)``."""
+    select = (label[:, 0] & _U64(1)).astype(np.intp)
+    mask = _LabelHasher(label.shape[0], ro)(label, row_tweak(circuit))[:, 0]
+    return rows[np.arange(label.shape[0]), select] ^ mask

@@ -9,6 +9,10 @@ label arithmetic; each AND gate emits two 128-bit ciphertexts
 All label tensors have shape ``(n_wires, n_inst, 2)`` uint64 — the same
 template circuit garbled for ``n_inst`` independent instances in one
 vectorized pass, which is how ABNN2 garbles a whole ReLU layer.
+
+A circuit with a :attr:`~repro.gc.circuit.Circuit.row_wire` also gets a
+2-row output table (:func:`row_table`): per instance, two words the
+evaluator can open only with the label it holds for that wire.
 """
 
 from __future__ import annotations
@@ -203,3 +207,35 @@ def garble(
 
     _check_poison(label0[circuit.outputs], "output")
     return GarbledCircuit(circuit=circuit, n_inst=n_inst, tables=tables, label0=label0, offset=offset)
+
+
+def row_tweak(circuit: Circuit) -> int:
+    """The hash tweak of the row table: one no AND gate uses (gate ``g``
+    hashes with ``2g`` and ``2g + 1``)."""
+    return 2 * len(circuit.gates)
+
+
+def row_table(gc: GarbledCircuit, values: np.ndarray, ro: RandomOracle) -> np.ndarray:
+    """The 2-row output table on ``gc.circuit.row_wire``: ``(n_inst, 2)`` u64.
+
+    ``values[:, b]`` is the word the evaluator opens when the wire
+    carries ``b``.  Point-and-permute: the row at the label's permute bit
+    holds ``H(W^b) ^ values[:, b]``, so the evaluator, holding one label,
+    opens exactly one row and cannot tell which value it got.
+    """
+    circuit = gc.circuit
+    if circuit.row_wire is None:
+        raise CryptoError("circuit has no row wire")
+    values = np.asarray(values, dtype=_U64)
+    if values.shape != (gc.n_inst, 2):
+        raise CryptoError(f"expected row values of shape {(gc.n_inst, 2)}, got {values.shape}")
+    hasher = _LabelHasher(gc.n_inst, ro)
+    tweak = row_tweak(circuit)
+    w0 = gc.label0[circuit.row_wire]
+    sealed0 = hasher(w0, tweak)[:, 0] ^ values[:, 0]
+    sealed1 = hasher(w0 ^ gc.offset, tweak)[:, 0] ^ values[:, 1]
+    flip = (w0[:, 0] & _U64(1)).astype(bool)
+    rows = np.empty((gc.n_inst, 2), dtype=_U64)
+    rows[:, 0] = np.where(flip, sealed1, sealed0)
+    rows[:, 1] = np.where(flip, sealed0, sealed1)
+    return rows

@@ -8,7 +8,8 @@ so the evaluator is the output party).  The server's input bits enter via
 Message flow per execution:
 
 1. garbler -> evaluator: garbled tables, active labels for the garbler's
-   own inputs, and the output decode bits;
+   own inputs, the output decode bits and the 2-row table of the
+   circuit's row wire (empty when it has none);
 2. IKNP chosen-message OT: evaluator obtains active labels for its input
    bits (label pairs are the OT messages);
 3. evaluator computes locally and decodes its outputs.
@@ -27,10 +28,10 @@ import numpy as np
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.gc.circuit import Circuit
-from repro.gc.evaluate import decode_outputs, evaluate
-from repro.gc.garble import LABEL_WORDS, garble
+from repro.gc.evaluate import decode_outputs, evaluate, read_row_table
+from repro.gc.garble import LABEL_WORDS, garble, row_table
 from repro.net.channel import Channel
 from repro.perf.trace import channel_span
 
@@ -74,17 +75,25 @@ def run_garbler(
     n_inst: int,
     sessions: GcSessions,
     rng: np.random.Generator,
+    row_values: np.ndarray | None = None,
 ) -> None:
     """Garble ``circuit`` and drive the garbler side of one execution.
 
     ``garbler_bits`` has shape ``(n_garbler_inputs, n_inst)``; the tables
-    hash with ``sessions.ro``.
+    hash with ``sessions.ro``.  A circuit with a row wire needs
+    ``row_values``, the ``(n_inst, 2)`` words its table delivers.
     """
+    if (circuit.row_wire is None) != (row_values is None):
+        raise ConfigError("row_values must be given exactly when the circuit has a row wire")
     with channel_span(chan, "garble", n_inst=n_inst, and_gates=circuit.and_count):
         gc = garble(circuit, n_inst, rng, sessions.ro)
         own_labels = gc.encode(circuit.garbler_inputs, garbler_bits)
+        if row_values is None:
+            rows = np.zeros((0, 2), dtype=_U64)
+        else:
+            rows = row_table(gc, row_values, sessions.ro)
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
-        chan.send((gc.tables, own_labels, gc.output_decode_bits()))
+        chan.send((gc.tables, own_labels, gc.output_decode_bits(), rows))
 
         n_eval_bits = len(circuit.evaluator_inputs)
         if n_eval_bits:
@@ -98,31 +107,33 @@ def run_garbler(
 
 def _check_garbler_frame(
     frame, circuit: Circuit, n_inst: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the garbler's ``(tables, labels, decode_bits)`` message.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the garbler's ``(tables, labels, decode_bits, rows)`` message.
 
     The frame comes from the peer, so its structure is checked before the
     evaluator answers with a single label-OT byte.
     """
     if not (
         isinstance(frame, tuple)
-        and len(frame) == 3
+        and len(frame) == 4
         and all(isinstance(part, np.ndarray) for part in frame)
     ):
-        raise ProtocolError("malformed garbled-circuit frame: expected 3 arrays")
-    tables, garbler_labels, decode_bits = frame
+        raise ProtocolError("malformed garbled-circuit frame: expected 4 arrays")
+    tables, garbler_labels, decode_bits, rows = frame
+    n_rows = 0 if circuit.row_wire is None else n_inst
     for what, arr, shape in (
         ("tables", tables, (circuit.and_count, n_inst, 2, LABEL_WORDS)),
         ("garbler labels", garbler_labels, (len(circuit.garbler_inputs), n_inst, LABEL_WORDS)),
         ("decode bits", decode_bits, (len(circuit.outputs), n_inst)),
+        ("row table", rows, (n_rows, 2)),
     ):
         if arr.shape != shape:
             raise ProtocolError(
                 f"garbled-circuit {what}: expected shape {shape}, got {arr.shape}"
             )
-    if tables.dtype != _U64 or garbler_labels.dtype != _U64:
-        raise ProtocolError("garbled-circuit tables and labels must be uint64")
-    return tables, garbler_labels, decode_bits
+    if any(arr.dtype != _U64 for arr in (tables, garbler_labels, rows)):
+        raise ProtocolError("garbled-circuit tables, labels and rows must be uint64")
+    return tables, garbler_labels, decode_bits, rows
 
 
 def run_evaluator(
@@ -131,11 +142,13 @@ def run_evaluator(
     evaluator_bits: np.ndarray,
     n_inst: int,
     sessions: GcSessions,
-) -> np.ndarray:
+):
     """Evaluate one garbled execution; returns ``(n_outputs, n_inst)`` bits.
 
     ``evaluator_bits`` has shape ``(n_evaluator_inputs, n_inst)``; the
-    tables hash with ``sessions.ro``.
+    tables hash with ``sessions.ro``.  For a circuit with a row wire the
+    result is ``(bits, words)``, ``words`` being the ``(n_inst,)`` row of
+    each instance's 2-row table that the wire's value selected.
     """
     bits = np.asarray(evaluator_bits, dtype=np.uint8)
     n_eval_bits = len(circuit.evaluator_inputs)
@@ -144,7 +157,7 @@ def run_evaluator(
             f"expected evaluator bits of shape {(n_eval_bits, n_inst)}, got {bits.shape}"
         )
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
-        tables, garbler_labels, decode_bits = _check_garbler_frame(
+        tables, garbler_labels, decode_bits, rows = _check_garbler_frame(
             chan.recv(), circuit, n_inst
         )
         if n_eval_bits:
@@ -155,5 +168,13 @@ def run_evaluator(
             my_labels = np.zeros((0, n_inst, LABEL_WORDS), dtype=_U64)
 
     with channel_span(chan, "evaluate", n_inst=n_inst):
-        out_labels = evaluate(circuit, tables, garbler_labels, my_labels, sessions.ro)
-        return decode_outputs(out_labels, decode_bits)
+        wires = list(circuit.outputs)
+        if circuit.row_wire is not None:
+            wires.append(circuit.row_wire)
+        labels = evaluate(
+            circuit, tables, garbler_labels, my_labels, sessions.ro, wires=wires
+        )
+        bits = decode_outputs(labels[: len(circuit.outputs)], decode_bits)
+        if circuit.row_wire is None:
+            return bits
+        return bits, read_row_table(circuit, labels[-1], rows, sessions.ro)

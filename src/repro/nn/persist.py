@@ -31,7 +31,9 @@ from repro.quant.fragments import FragmentScheme, FragmentSpec
 from repro.quant.schemes import QuantizedTensor
 from repro.utils.ring import Ring
 
-FORMAT_VERSION = 1
+#: 2: the public ``input_bound`` and per-layer ``relu_bits`` that size the
+#: GC ReLU (format-1 files predate them and are refused).
+FORMAT_VERSION = 2
 
 
 # --------------------------------------------------------------------- #
@@ -109,6 +111,7 @@ def save_model(path, model: QuantizedModel) -> None:
         "ring_bits": model.ring.bits,
         "frac_bits": model.encoder.frac_bits,
         "output_deferral": model.output_deferral,
+        "input_bound": model.input_bound,
         "layers": [
             {
                 "scheme": scheme_to_dict(layer.scheme),
@@ -118,6 +121,7 @@ def save_model(path, model: QuantizedModel) -> None:
                 "conv": _spec_to_dict(layer.conv),
                 "pool": _pool_to_dict(layer.pool),
                 "backend": layer.backend,
+                "relu_bits": layer.relu_bits,
             }
             for layer in model.layers
         ],
@@ -159,6 +163,7 @@ def _read_model(path) -> QuantizedModel:
                     conv=_spec_from_dict(info["conv"]),
                     pool=_pool_from_dict(info.get("pool")),
                     backend=info.get("backend", "im2col"),
+                    relu_bits=info["relu_bits"],
                 )
             )
     return QuantizedModel(
@@ -166,6 +171,7 @@ def _read_model(path) -> QuantizedModel:
         Ring(manifest["ring_bits"]),
         manifest["frac_bits"],
         output_deferral=manifest["output_deferral"],
+        input_bound=manifest["input_bound"],
     )
 
 
@@ -178,6 +184,7 @@ def save_meta(path, meta: ModelMeta) -> None:
         "format_version": FORMAT_VERSION,
         "ring_bits": meta.ring_bits,
         "frac_bits": meta.frac_bits,
+        "input_bound": meta.input_bound,
         "layers": [
             {
                 "out_features": layer.out_features,
@@ -187,6 +194,7 @@ def save_meta(path, meta: ModelMeta) -> None:
                 "conv": _spec_to_dict(layer.conv),
                 "pool": _pool_to_dict(layer.pool),
                 "backend": layer.backend,
+                "relu_bits": layer.relu_bits,
             }
             for layer in meta.layers
         ],
@@ -213,7 +221,11 @@ def _read_meta(path) -> ModelMeta:
             conv=_spec_from_dict(info["conv"]),
             pool=_pool_from_dict(info.get("pool")),
             backend=info.get("backend", "im2col"),
+            relu_bits=info["relu_bits"],
         )
         for info in doc["layers"]
     )
-    return ModelMeta(layers=layers, ring_bits=doc["ring_bits"], frac_bits=doc["frac_bits"])
+    return ModelMeta(
+        layers=layers, ring_bits=doc["ring_bits"], frac_bits=doc["frac_bits"],
+        input_bound=doc["input_bound"],
+    )

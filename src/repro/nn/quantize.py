@@ -10,11 +10,15 @@ reference and the secure two-party protocol consume.  Design decisions
   fractional bits.
 * **Rescaling.**  Multi-bit schemes use power-of-two weight scales
   (``2**-shift``); after each hidden linear layer the pipeline divides the
-  accumulator by ``2**shift`` — securely realized by SecureML-style
-  *local share truncation* (each party shifts its own share; error is at
-  most one unit in the last place with overwhelming probability).  This
-  keeps activations at the ``2^f`` fixed-point scale so deep nets fit in
+  accumulator by ``2**shift`` — an exact arithmetic shift, realized
+  securely inside the GC ReLU (:mod:`repro.core.relu`), so the secure
+  result equals :meth:`QuantizedModel.forward_int`.  This keeps
+  activations at the ``2^f`` fixed-point scale so deep nets fit in
   Z_{2^32}.
+* **ReLU widths.**  One closed-form pass
+  (:func:`repro.quant.headroom.relu_widths`) bounds every hidden layer's
+  ReLU input from the weights and a public ``input_bound`` on the inputs;
+  the public width ``relu_bits`` sizes that layer's garbled circuit.
 * **Float-scale schemes** (ternary/binary) skip truncation: their scale
   is *deferred* to the logits, which is harmless because ReLU is
   positively homogeneous and argmax ignores positive scaling.
@@ -50,6 +54,7 @@ from repro.nn.winograd import (
 from repro.nn.model import Sequential
 from repro.quant.fixed_point import FixedPointEncoder
 from repro.quant.fragments import FragmentScheme
+from repro.quant.headroom import relu_widths
 from repro.quant.schemes import QuantizedTensor, quantize_for_scheme
 from repro.utils.ring import Ring
 
@@ -76,6 +81,8 @@ class QuantizedDense:
     conv: Im2colSpec | None = None
     pool: PoolSpec | None = None  # applied after this layer's ReLU
     backend: str = "im2col"
+    #: public bound m with |ReLU input| < 2^(m-1); None = the ring width
+    relu_bits: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("im2col", "winograd"):
@@ -131,6 +138,7 @@ class QuantizedModel:
         ring: Ring,
         frac_bits: int,
         output_deferral: float = 1.0,
+        input_bound: float | None = None,
     ) -> None:
         if not layers:
             raise QuantizationError("quantized model needs at least one layer")
@@ -145,6 +153,9 @@ class QuantizedModel:
         self.encoder = FixedPointEncoder(ring, frac_bits)
         #: Integer logits approximate ``real_logits * 2^f * output_deferral``.
         self.output_deferral = output_deferral
+        #: Public bound on ``|x|`` the ReLU widths were derived from
+        #: (``None``: no bound, full-width ReLUs).
+        self.input_bound = input_bound
 
     # ------------------------------------------------------------------ #
     @property
@@ -159,8 +170,8 @@ class QuantizedModel:
     def truncate_exact(self, acts: np.ndarray, bits: int) -> np.ndarray:
         """Reference truncation: arithmetic shift of the plaintext value.
 
-        The secure pipeline's share-local truncation agrees with this up
-        to one unit in the last place (w.h.p.); tests account for that.
+        The secure ReLU computes exactly this shift inside its garbled
+        circuit, so the two agree bit for bit.
         """
         if bits == 0:
             return acts
@@ -371,7 +382,7 @@ def set_chunk_cols(model: QuantizedModel, chunk_cols: int | None) -> QuantizedMo
     ]
     return QuantizedModel(
         layers, model.ring, model.encoder.frac_bits,
-        output_deferral=model.output_deferral,
+        output_deferral=model.output_deferral, input_bound=model.input_bound,
     )
 
 
@@ -383,6 +394,7 @@ def quantize_model(
     input_shape: tuple[int, int, int] | None = None,
     linear_backend: str = "im2col",
     chunk_cols: int | None = None,
+    input_bound: float = 1.0,
 ) -> QuantizedModel:
     """Quantize every linear layer of ``model`` onto fragment scheme(s).
 
@@ -403,7 +415,13 @@ def quantize_model(
     ``chunk_cols`` bounds the lowered-operand columns each conv layer's
     secure matmul materializes at once (``None`` = unchunked; see
     :func:`set_chunk_cols` to change it on an existing model).
+
+    ``input_bound`` is the public bound on ``|x|`` (the zoo's and the
+    datasets' domain is ``[0, 1]``).  It sizes every hidden layer's GC
+    ReLU (``relu_bits``), and the secure client refuses inputs beyond it.
     """
+    if not input_bound > 0:
+        raise QuantizationError(f"input_bound must be positive, got {input_bound}")
     if linear_backend not in ("im2col", "winograd"):
         raise QuantizationError(f"unknown linear backend {linear_backend!r}")
     linear_layers = _collect_linear_layers(model, input_shape)
@@ -453,4 +471,16 @@ def quantize_model(
                 backend=backend,
             )
         )
-    return QuantizedModel(quantized, ring, frac_bits, output_deferral=deferral)
+    widths = relu_widths(
+        [
+            (layer.w_int, layer.bias_int, layer.truncate_bits, layer.pool is not None)
+            for layer in quantized
+        ],
+        ring.bits, frac_bits, input_bound,
+    )
+    quantized = [
+        replace(layer, relu_bits=width) for layer, width in zip(quantized, widths)
+    ] + quantized[len(widths):]
+    return QuantizedModel(
+        quantized, ring, frac_bits, output_deferral=deferral, input_bound=input_bound
+    )

@@ -264,37 +264,104 @@ def linear_working_set_bytes(
 # --------------------------------------------------------------------- #
 # online GC (the non-linear layers)
 # --------------------------------------------------------------------- #
-def gc_relu_comm_bits(ring_bits: int, n_relus: int, kappa: int = KAPPA) -> int:
-    """Rough online traffic of the oblivious ReLU layer.
+def relu_and_gates(
+    ring_bits: int, width: int | None = None, shift: int = 0, kind: str = "relu"
+) -> int:
+    """AND gates of the ReLU gadget (:mod:`repro.gc.builder`).
 
-    Per instance: ``3l - 2`` AND gates at two kappa-bit ciphertexts each
-    (half-gates), ``2l`` garbler input labels, plus an l-bit label OT for
-    the evaluator's input (2 kappa-bit ciphertexts + kappa bits of OT-
-    extension matrix per bit) and l decode bits.
+    ``m = width`` input bits, ``k = m - shift`` output bits.  The adder
+    takes ``m - 1``; ``kind="sign"`` stops there.  The subtraction takes
+    ``k`` with its borrow out, or ``k - 1`` at full width (``k = l``),
+    where no high bits remain.  ``kind="relu"`` also masks: ``k - 1``
+    narrowed (the sign bit masks to a free 0), ``k`` at full width.
     """
-    and_gates = 3 * ring_bits - 2
-    per_instance = (
-        and_gates * 2 * kappa  # garbled tables
-        + 2 * ring_bits * kappa  # client's y1/z1 labels
-        + ring_bits * (2 * kappa + kappa)  # label OT for y0 bits
-        + ring_bits  # decode bits
+    m = ring_bits if width is None else width
+    k = m - shift
+    if kind == "sign":
+        return m - 1
+    narrowed = k < ring_bits
+    subtract = k if narrowed else k - 1
+    mask = 0 if kind == "reconstruct" else (k - 1 if narrowed else k)
+    return (m - 1) + mask + subtract
+
+
+def _gc_relu_instance_bits(
+    ring_bits: int, width: int | None, shift: int, kind: str, kappa: int
+) -> int:
+    """Model bits of one ReLU-gadget instance: tables, garbler labels,
+    label OT and one bit per decoded output, plus the 2-row table's two
+    64-bit words when ``k < l``."""
+    m = ring_bits if width is None else width
+    k = 1 if kind == "sign" else m - shift
+    garbler_inputs = m if kind == "sign" else m + k
+    rows = 2 * 64 if kind != "sign" and k < ring_bits else 0
+    return (
+        relu_and_gates(ring_bits, width, shift, kind) * 2 * kappa  # garbled tables
+        + garbler_inputs * kappa  # client's y1 (and z1) labels
+        + m * (2 * kappa + kappa)  # label OT for the server's y0 bits
+        + k  # decode bits
+        + rows
     )
-    return n_relus * per_instance
 
 
-def gc_relu_wire_bits(ring_bits: int, n_relus: int, kappa: int = KAPPA) -> int:
-    """Exact wire bytes (in bits) of the oblivious GC ReLU, base OTs excluded.
+def gc_relu_comm_bits(
+    ring_bits: int,
+    n_relus: int,
+    width: int | None = None,
+    shift: int = 0,
+    kappa: int = KAPPA,
+) -> int:
+    """Online traffic of the oblivious ReLU layer at ``(l, m, f, n)``.
 
-    Identical to :func:`gc_relu_comm_bits` except for one documented
-    constant delta: the implementation ships output decode bits as one
-    uint8 per bit (``l`` bytes per instance) while the model counts
-    ``l`` bits, i.e. ``+7l`` bits per instance.  Every other term is
-    byte-exact on the wire: half-gate tables are two 128-bit ciphertexts
-    per AND, labels are 128 bits, the IKNP U column is ``kappa`` bits
-    per OT and the chosen-message ciphertext ``2 kappa``.  The
-    conformance suite asserts *equality* against this form.
+    Per instance, with ``m = width`` (default ``l``) and ``k = m - f``:
+    :func:`relu_and_gates` AND gates at two kappa-bit ciphertexts each
+    (half-gates), ``m + k`` garbler input labels, an ``m``-bit label OT
+    for the evaluator's input (2 kappa-bit ciphertexts + kappa bits of
+    OT-extension matrix per bit), ``k`` decode bits and, when ``k < l``,
+    the two 64-bit rows of the high-bits table.  At full width
+    (``m = l``, ``f = 0``) this is the paper's ``3l - 2``-AND circuit.
     """
-    return gc_relu_comm_bits(ring_bits, n_relus, kappa) + 7 * ring_bits * n_relus
+    return n_relus * _gc_relu_instance_bits(ring_bits, width, shift, "relu", kappa)
+
+
+def gc_relu_wire_bits(
+    ring_bits: int,
+    n_relus: int,
+    width: int | None = None,
+    shift: int = 0,
+    variant: str = "oblivious",
+    n_positive: int | None = None,
+    kappa: int = KAPPA,
+) -> int:
+    """Exact wire bits of one GC ReLU layer, base OTs excluded.
+
+    ``oblivious``: :func:`gc_relu_comm_bits` plus one documented constant
+    delta — the implementation ships output decode bits as one uint8 per
+    bit, ``+7k`` bits per instance.  ``optimized`` (``n_positive`` of the
+    ``n_relus`` signs came out non-negative, a fact both parties learn):
+    the sign stage on every instance, the packed sign frame back, the
+    reconstruct stage on the positives and one 64-bit ``-z1`` word per
+    negative.  Every other term is byte-exact on the wire: half-gate
+    tables are two 128-bit ciphertexts per AND, labels are 128 bits, the
+    IKNP U column is ``kappa`` bits per OT and the chosen-message
+    ciphertext ``2 kappa``.  The conformance suite asserts *equality*.
+    """
+    m = ring_bits if width is None else width
+    k = m - shift
+    if variant == "oblivious":
+        return gc_relu_comm_bits(ring_bits, n_relus, width, shift, kappa) + 7 * k * n_relus
+    if variant != "optimized":
+        raise ConfigError(f"unknown ReLU variant {variant!r}")
+    if n_positive is None:
+        raise ConfigError("the optimized ReLU is priced from its n_positive")
+    sign = _gc_relu_instance_bits(ring_bits, width, 0, "sign", kappa) + 7
+    rebuild = _gc_relu_instance_bits(ring_bits, width, shift, "reconstruct", kappa) + 7 * k
+    return (
+        n_relus * sign
+        + 8 * ((n_relus + 7) // 8)  # the revealed sign pattern
+        + n_positive * rebuild
+        + 64 * (n_relus - n_positive)  # -z1 for the negatives
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ Takes a trace document written by :class:`repro.perf.trace.Tracer`
 (schema ``abnn2-trace/1``) and renders the per-layer accounting table:
 for every offline linear layer the traced payload bytes next to the
 Table 1 closed form from :mod:`repro.perf.costmodel`, for every GC ReLU
-layer the traced bytes next to :func:`~repro.perf.costmodel.gc_relu_wire_bits`,
+layer (either variant) the traced bytes next to
+:func:`~repro.perf.costmodel.gc_relu_wire_bits` at the span's ``(l, m, f, n)``,
 plus phase summaries projected onto the paper's LAN/WAN link profiles
 via :mod:`repro.net.netsim`.
 
@@ -17,7 +18,8 @@ Tolerances are *derived*, not hand-waved: the wire formats pad to
 * **1-batch triplets** pack each chunk's ciphertexts contiguously, so
   the slack is bounded by one word per chunk;
 * **GC ReLU** is byte-exact against ``gc_relu_wire_bits`` (which
-  documents the one constant delta: decode bits travel as bytes).
+  documents the one constant delta: decode bits travel as bytes); the
+  optimized variant is priced from the ``n_positive`` its span records.
 
 The base-OT set-up (``base-ot`` spans) runs once per channel and
 direction, inside whichever layer span first needs it.  It is subtracted
@@ -157,19 +159,24 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
         elif span["name"] == "relu":
             n_relus = attrs.get("n_relus")
             bits = attrs.get("ring_bits")
+            width, shift = attrs.get("width", bits), attrs.get("shift", 0)
             variant = attrs.get("variant", "?")
-            if variant == "oblivious" and n_relus is not None and bits is not None:
-                predicted = gc_relu_wire_bits(bits, n_relus)
-            else:
-                predicted = None  # the optimized ReLU's sign path is unmodeled
+            n_positive = attrs.get("n_positive")
+            detail = f"{variant} n={n_relus} l={bits} m={width} f={shift}"
+            if variant == "optimized":
+                detail += f" positive={n_positive}"
+            modeled = n_relus is not None and bits is not None and (
+                variant == "oblivious" or (variant == "optimized" and n_positive is not None)
+            )
             rows.append(
                 ConformanceRow(
                     path,
                     "relu",
-                    f"{variant} n={n_relus} l={bits}",
+                    detail,
                     span_total_bits(span),
                     base_ot_bits(span),
-                    predicted,
+                    gc_relu_wire_bits(bits, n_relus, width, shift, variant, n_positive)
+                    if modeled else None,
                 )
             )
     return rows

@@ -442,6 +442,15 @@ def channel_span(chan: Any, name: str, **attrs: Any):
     return tracer.span(name, **attrs)
 
 
+def annotate_span(chan: Any, **attrs: Any) -> None:
+    """Merge ``attrs`` into the innermost open span of ``chan``'s tracer
+    (no-op when untraced): a sub-protocol stamps facts it learns mid-way,
+    such as how many neurons a revealed sign pattern made positive."""
+    tracer = getattr(chan, "tracer", None)
+    if tracer is not None:
+        tracer.current.attrs.update(attrs)
+
+
 def iter_spans(node: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, dict[str, Any]]]:
     """Yield ``(path, span_dict)`` over an exported trace subtree.
 

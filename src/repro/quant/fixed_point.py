@@ -6,10 +6,12 @@ cryptographic protocol").  We use the classic two's-complement encoding
 with ``frac_bits`` fractional bits: ``encode(x) = round(x * 2^f) mod 2^l``.
 
 Because ReLU is positively homogeneous (``ReLU(s*y) = s*ReLU(y)`` for
-``s > 0``), per-layer quantization scales can be deferred to the final
-logits instead of being truncated layer by layer; the secure pipeline
-therefore never needs a truncation protocol, and :meth:`decode` accepts
-the accumulated ``extra_scale``.  DESIGN.md discusses this choice.
+``s > 0``), a float weight scale (binary/ternary schemes) is deferred to
+the final logits instead of being divided out layer by layer, and
+:meth:`decode` accepts the accumulated ``extra_scale``.  Power-of-two
+weight scales are divided out after each hidden layer by an exact
+arithmetic shift, which the secure pipeline performs inside the GC ReLU
+(:mod:`repro.core.relu`); :mod:`repro.nn.quantize` has the details.
 """
 
 from __future__ import annotations

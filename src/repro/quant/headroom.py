@@ -1,4 +1,10 @@
-"""Ring-headroom accounting for transform-domain (Winograd) convolution.
+"""Ring-headroom accounting: ReLU input widths and Winograd convolution.
+
+:func:`relu_widths` is one closed-form pass over a model's integer
+weights that bounds every hidden layer's ReLU input ``y = W z + b`` from
+a public bound on the input: the width ``m`` with ``|y| < 2^(m-1)`` that
+the GC ReLU needs (:mod:`repro.core.relu`).  No data pass: the bound is
+interval arithmetic on the public input domain.
 
 The F(2x2,3x3) backend (:mod:`repro.nn.winograd`) multiplies in the
 *tile-transform domain*, where both operands grow beyond their quantized
@@ -25,8 +31,50 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.quant.fragments import FragmentScheme
+
+def input_bound_int(input_bound: float, frac_bits: int) -> int:
+    """The fixed-point bound ``B_0``: every input ``|x| <= input_bound``
+    encodes to an integer of magnitude at most this."""
+    return math.ceil(input_bound * (1 << frac_bits))
+
+
+def relu_widths(
+    layers: list[tuple],
+    ring_bits: int,
+    frac_bits: int,
+    input_bound: float,
+) -> list[int]:
+    """Public ReLU input widths ``m_i`` of every hidden layer.
+
+    ``layers`` holds ``(w_int, bias_int, truncate_bits, pooled)`` per
+    linear layer (the last one has no ReLU and yields no width).  With
+    ``B_0 = input_bound * 2^frac_bits``:
+
+    * ``A_i = max_row ||W_i||_1 * B_i + max |b_i|`` bounds ``|y_i|``;
+    * ``m_i = min(l, bitlen(A_i) + 1)``, and at least ``f_i + 1`` so the
+      shifted value keeps its sign bit;
+    * ``B_(i+1) = floor(A_i / 2^f_i)``, plus 1 after an average pool
+      (its share-local shift may round up by one unit).
+
+    A conv layer's weight rows are its patches, so the same row norm
+    bounds each output position.  The bound reveals about ``log2`` of
+    each layer's worst-case accumulator, the same kind of fact as the
+    public ``truncate_bits``.
+    """
+    bound = input_bound_int(input_bound, frac_bits)
+    widths = []
+    for w_int, bias_int, shift, pooled in layers[:-1]:
+        row_l1 = int(np.abs(np.asarray(w_int, dtype=np.int64)).sum(axis=1).max())
+        bias = int(np.abs(np.asarray(bias_int, dtype=np.int64)).max(initial=0))
+        accumulator = row_l1 * bound + bias
+        widths.append(min(ring_bits, max(shift + 1, accumulator.bit_length() + 1)))
+        bound = (accumulator >> shift) + (1 if pooled else 0)
+    return widths
+
 
 #: Worst-case 2-D input-tile gain: max row L1 of ``B^T (x) B^T`` (2 * 2).
 WINOGRAD_MAX_TILE_GAIN = 4

@@ -55,7 +55,7 @@ def quantize_symmetric(
     """Symmetric uniform quantization onto a fragment scheme's range.
 
     The scale is constrained to a power of two (``2**-shift``) so the
-    secure pipeline can undo it with a share-local truncation.
+    secure pipeline can undo it with an exact shift inside the GC ReLU.
     """
     w = np.asarray(weights, dtype=np.float64)
     lo, hi = scheme.weight_range

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
-from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
+from repro.core.pooling import truncate_share
+from repro.core.relu import relu_layer_client, relu_layer_server
 from repro.core.triplets import TripletConfig
 from repro.errors import ConfigError, ProtocolError
-from repro.gc.protocol import GcSessions
+from repro.gc.builder import sign_template
+from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net import run_protocol
 from repro.quant.fragments import FragmentScheme
+from repro.utils.bits import int_to_bits
 from repro.utils.ring import Ring
 
 
@@ -167,3 +170,58 @@ class TestReluLayer:
                 chan, ring.zeros(4), ring.zeros(5), sessions, ring,
                 np.random.default_rng(0),
             )
+
+
+class TestOptimizedReluPeerFrames:
+    """The optimized variant's two plain frames come from the peer, so a
+    malformed one is a :class:`ProtocolError`, never a config error."""
+
+    N = 12
+
+    def _shares(self, ring, rng, y):
+        y1 = ring.sample(rng, y.shape)
+        return ring.sub(y, y1), y1
+
+    @pytest.mark.parametrize("frame", [b"", b"\x00" * 5, np.zeros(2, dtype=np.uint8)])
+    def test_bad_sign_frame(self, frame, test_group, rng):
+        ring = Ring(16)
+        y0, y1 = self._shares(ring, rng, ring.reduce(rng.integers(-99, 99, size=self.N)))
+
+        def fake_server(chan):
+            sessions = GcSessions(chan, "evaluator", group=test_group, seed=1)
+            bits = np.ascontiguousarray(int_to_bits(y0, 16).T)
+            run_evaluator(chan, sign_template(16), bits, self.N, sessions)
+            chan.send(frame)
+
+        def client_fn(chan):
+            sessions = GcSessions(chan, "garbler", group=test_group, seed=2)
+            relu_layer_client(
+                chan, y1, ring.sample(rng, self.N), sessions, ring,
+                np.random.default_rng(9), "optimized",
+            )
+
+        with pytest.raises(ProtocolError, match="sign frame"):
+            run_protocol(fake_server, client_fn, timeout_s=10)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [b"junk", np.zeros(N - 1, dtype=np.uint64), np.zeros(N, dtype=np.int64)],
+    )
+    def test_bad_negative_share_frame(self, frame, test_group, rng):
+        ring = Ring(16)
+        # all negative: the sign stage is the only circuit
+        y0, y1 = self._shares(ring, rng, ring.reduce(rng.integers(-99, -1, size=self.N)))
+
+        def server_fn(chan):
+            sessions = GcSessions(chan, "evaluator", group=test_group, seed=1)
+            relu_layer_server(chan, y0, sessions, ring, "optimized")
+
+        def fake_client(chan):
+            sessions = GcSessions(chan, "garbler", group=test_group, seed=2)
+            bits = np.ascontiguousarray(int_to_bits(y1, 16).T)
+            run_garbler(chan, sign_template(16), bits, self.N, sessions, rng)
+            chan.recv()  # the sign frame
+            chan.send(frame)
+
+        with pytest.raises(ProtocolError, match="negative-share frame"):
+            run_protocol(server_fn, fake_client, timeout_s=10)

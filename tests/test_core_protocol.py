@@ -356,16 +356,43 @@ class TestRing64:
 
 class TestOnlineCommModel:
     def test_online_traffic_tracks_gc_model(self, qmodel_ternary, small_dataset, test_group):
-        """Online bytes ~= GC ReLU model + input/output share transfers."""
+        """Online bytes ~= GC ReLU model at each layer's (l, m, f, n) +
+        input/output share transfers."""
         from repro.perf.costmodel import gc_relu_comm_bits
 
         batch = 2
         x = small_dataset.test_x[:batch]
         report = secure_predict(qmodel_ternary, x, group=test_group)
-        hidden = sum(l.out_features for l in qmodel_ternary.layers[:-1])
+        relu_bits = sum(
+            gc_relu_comm_bits(32, l.out_features * batch, l.relu_bits, l.truncate_bits)
+            for l in qmodel_ternary.layers[:-1]
+        )
         predicted = (
-            gc_relu_comm_bits(32, hidden * batch)
+            relu_bits
             + qmodel_ternary.input_dim * 32 * batch
             + qmodel_ternary.output_dim * 32 * batch
         ) / 8
         assert 0.5 * predicted < report.online_bytes < 2.0 * predicted
+
+
+class TestInputBound:
+    def test_out_of_bound_input_refused_before_any_byte(self, test_group):
+        """The ReLU widths hold only inside the public input domain, so the
+        client refuses anything beyond it before it sends a byte, and the
+        offline round stays queued."""
+        from repro.nn.model import mnist_mlp
+        from repro.serve.dealer import dealer_offline_round
+
+        qmodel = quantize_model(
+            mnist_mlp(seed=7, hidden=4, input_dim=16), FragmentScheme.ternary(), Ring(32),
+            frac_bits=6,
+        )
+        _, chan = make_channel_pair()
+        client = Abnn2Client(chan, ModelMeta.from_model(qmodel), 1, group=test_group)
+        client.load_offline_round(dealer_offline_round(qmodel, 1, seed=3).client)
+        x = np.full((16, 1), 0.5)
+        x[5] = -1.25
+        with pytest.raises(ConfigError, match="input bound 1"):
+            client.online(qmodel.encoder.encode(x))
+        assert chan.stats.total_messages == 0 and chan.stats.total_bytes == 0
+        assert client.rounds_available == 1

@@ -9,7 +9,8 @@ documented in ``repro/perf/report.py``:
 * multi-batch triplets: byte-exact at ``predicted + word-padding slack``
   (the slack is exactly computable, so the band has zero width);
 * one-batch triplets: within one 64-bit word per transmitted chunk;
-* oblivious GC ReLU: byte-exact against ``gc_relu_wire_bits``.
+* GC ReLU, both variants: byte-exact against ``gc_relu_wire_bits`` at
+  the layer's ``(l, m, f, n)`` (and, optimized, its revealed sign count).
 
 Base-OT set-up traffic is isolated in ``base-ot`` spans by the channel's
 OT set-up and subtracted by the checker before comparing; the set-up
@@ -338,11 +339,14 @@ class TestWinogradConformance:
             assert check_conformance(trace) == []
 
 
-def _traced_relu(ring, y, z1, variant, group):
+def _traced_relu(ring, y, z1, variant, group, width=None, shift=0):
     rng = np.random.default_rng(5)
     y1 = ring.sample(rng, y.shape)
     y0 = ring.sub(y, y1)
-    attrs = dict(variant=variant, n_relus=int(y.size), ring_bits=ring.bits)
+    width = ring.bits if width is None else width
+    attrs = dict(
+        variant=variant, n_relus=int(y.size), ring_bits=ring.bits, width=width, shift=shift
+    )
     traces = {}
 
     def server_fn(chan):
@@ -350,7 +354,7 @@ def _traced_relu(ring, y, z1, variant, group):
         chan.tracer = tracer
         sessions = GcSessions(chan, "evaluator", group=group, seed=1)
         with tracer.span("online/layer0/relu", **attrs):
-            z0 = relu_layer_server(chan, y0, sessions, ring, variant)
+            z0 = relu_layer_server(chan, y0, sessions, ring, variant, width, shift)
         traces["server"] = tracer.to_dict()
         return z0
 
@@ -360,29 +364,32 @@ def _traced_relu(ring, y, z1, variant, group):
         sessions = GcSessions(chan, "garbler", group=group, seed=2)
         with tracer.span("online/layer0/relu", **attrs):
             relu_layer_client(
-                chan, y1, z1, sessions, ring, np.random.default_rng(9), variant
+                chan, y1, z1, sessions, ring, np.random.default_rng(9), variant,
+                width, shift,
             )
         traces["client"] = tracer.to_dict()
         return True
 
     result = run_protocol(server_fn, client_fn)
-    relu = np.where(ring.to_signed(y) > 0, y, 0).astype(np.uint64)
+    relu = ring.reduce(np.maximum(ring.to_signed(y) >> shift, 0))
     assert (ring.add(result.server, z1) == relu).all()
     return traces
 
 
+def _bounded(ring, rng, n, width):
+    """``n`` ring values with ``|y| < 2^(width-1)``."""
+    half = 1 << (width - 1)
+    return ring.reduce(rng.integers(-half + 1, half, size=n))
+
+
 class TestGcReluConformance:
-    @pytest.mark.parametrize("ring_bits,n_relus", [(4, 9), (8, 9), (8, 1)])
-    def test_oblivious_relu_byte_exact(self, ring_bits, n_relus, test_group, rng):
-        ring = Ring(ring_bits)
-        y = ring.sample(rng, n_relus)
-        z1 = ring.sample(rng, n_relus)
-        traces = _traced_relu(ring, y, z1, "oblivious", test_group)
+    @staticmethod
+    def _assert_byte_exact(traces, predicted):
         for party, trace in traces.items():
             rows = [row for row in conformance_rows(trace) if row.kind == "relu"]
             assert len(rows) == 1
             row = rows[0]
-            assert row.predicted_bits == gc_relu_wire_bits(ring_bits, n_relus)
+            assert row.predicted_bits == predicted
             assert row.ok is True
             # the GC ReLU model is *exact*: zero-width tolerance band
             assert row.core_bits == row.predicted_bits, (
@@ -392,15 +399,46 @@ class TestGcReluConformance:
             assert row.base_ot_bits > 0  # IKNP setup was isolated, not lost
             assert check_conformance(trace) == []
 
-    def test_optimized_relu_is_unmodeled(self, test_group, rng):
-        ring = Ring(8)
-        y = ring.sample(rng, 6)
+    @pytest.mark.parametrize("ring_bits,n_relus", [(4, 9), (8, 9), (8, 1)])
+    def test_oblivious_relu_byte_exact(self, ring_bits, n_relus, test_group, rng):
+        ring = Ring(ring_bits)
+        y = ring.sample(rng, n_relus)
+        z1 = ring.sample(rng, n_relus)
+        traces = _traced_relu(ring, y, z1, "oblivious", test_group)
+        self._assert_byte_exact(traces, gc_relu_wire_bits(ring_bits, n_relus))
+
+    @pytest.mark.parametrize(
+        "ring_bits,n_relus,width,shift", [(8, 9, 5, 2), (32, 7, 13, 3), (32, 3, 32, 5)]
+    )
+    def test_narrowed_relu_byte_exact(self, ring_bits, n_relus, width, shift, test_group, rng):
+        """At width m and shift f, the (l, m, f, n) form, row table included."""
+        ring = Ring(ring_bits)
+        y = _bounded(ring, rng, n_relus, width)
+        z1 = ring.sample(rng, n_relus)
+        traces = _traced_relu(ring, y, z1, "oblivious", test_group, width, shift)
+        self._assert_byte_exact(
+            traces, gc_relu_wire_bits(ring_bits, n_relus, width, shift)
+        )
+
+    @pytest.mark.parametrize("ring_bits,width,shift", [(8, 8, 0), (32, 13, 3)])
+    @pytest.mark.parametrize("sign", ["mixed", "negative", "positive"])
+    def test_optimized_relu_byte_exact(self, ring_bits, width, shift, sign, test_group, rng):
+        """The revealed sign count prices the optimized variant exactly,
+        including the all-negative case that skips stage 2."""
+        ring = Ring(ring_bits)
+        half = 1 << (width - 1)
+        lo, hi = {"mixed": (-half + 1, half), "negative": (-half + 1, 0), "positive": (0, half)}[sign]
+        y = ring.reduce(rng.integers(lo, hi, size=6))
         z1 = ring.sample(rng, 6)
-        traces = _traced_relu(ring, y, z1, "optimized", test_group)
+        traces = _traced_relu(ring, y, z1, "optimized", test_group, width, shift)
+        n_positive = int((ring.to_signed(y) >= 0).sum())
         for trace in traces.values():
             rows = [row for row in conformance_rows(trace) if row.kind == "relu"]
             assert len(rows) == 1
-            assert rows[0].ok is None  # unmodeled: never a conformance failure
+            assert f"positive={n_positive}" in rows[0].detail
+            assert rows[0].core_bits == rows[0].predicted_bits == gc_relu_wire_bits(
+                ring_bits, 6, width, shift, "optimized", n_positive
+            )
             assert check_conformance(trace) == []
 
 
@@ -417,7 +455,6 @@ class TestEndToEndTraceConformance:
         batch = 2
         x = small_dataset.test_x[:batch]
         report = secure_predict(qmodel, x, group=test_group, seed=11)
-        hidden = [layer.out_features for layer in qmodel.layers[:-1]]
         for trace in (report.server_trace, report.client_trace):
             assert trace is not None
             rows = conformance_rows(trace)
@@ -425,11 +462,15 @@ class TestEndToEndTraceConformance:
             # plus a triplets row for the output layer
             assert sum(row.kind == "triplets" for row in rows) == len(qmodel.layers)
             assert all(row.ok is True for row in rows if row.predicted_bits is not None)
-            # each layer's ReLU span is the closed form to the byte
+            # each layer's ReLU span is the (l, m, f, n) closed form to the byte
             relu_rows = [row for row in rows if row.kind == "relu"]
             assert [row.core_bits for row in relu_rows] == [
-                gc_relu_wire_bits(32, width * batch) for width in hidden
+                gc_relu_wire_bits(
+                    32, layer.out_features * batch, layer.relu_bits, layer.truncate_bits
+                )
+                for layer in qmodel.layers[:-1]
             ]
+            assert all(layer.relu_bits < 32 for layer in qmodel.layers[:-1])
             assert check_conformance(trace) == []
 
 

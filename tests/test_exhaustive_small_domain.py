@@ -5,6 +5,8 @@ input domain rather than by sampling:
 
 * the GC ReLU layer for ring widths l <= 6 — every (y0, y1) share pair,
   i.e. all ``4**l`` combinations at once as one batched run;
+* the narrowed, exactly truncating GC ReLU in ``Ring(8)`` — every share
+  ``y0``, every value ``|y| < 2^(m-1)`` and every ``1 <= f < m <= 7``;
 * fragment digit encoding for every Table 2 scheme (eta <= 8) — every
   representable weight round-trips through ``digits``/``compose`` with
   in-range digits and a unique digit vector.
@@ -60,6 +62,42 @@ class TestReluExhaustive:
         y = ring.add(y0, y1)
         expected = np.where(ring.to_signed(y) > 0, y, 0).astype(np.uint64)
         assert (ring.add(z0, z1) == expected).all()
+
+
+class TestNarrowReluExhaustive:
+    #: every (m, f) with 1 <= f < m <= 7
+    SHAPES = [(m, f) for m in range(2, 8) for f in range(1, m)]
+
+    @pytest.mark.parametrize("variant", ["oblivious", "optimized"])
+    def test_every_share_value_width_and_shift(self, variant, test_group, rng):
+        """z0 + z1 == ReLU(y >> f) exactly, for every y0 and every y the
+        public width m admits, with each party feeding m bits."""
+        ring = Ring(8)
+        cases = []
+        for m, f in self.SHAPES:
+            values = np.arange(-(1 << (m - 1)) + 1, 1 << (m - 1))
+            y = ring.reduce(np.tile(values, 256))
+            y0 = np.repeat(np.arange(256, dtype=np.uint64), values.size)
+            z1 = ring.sample(rng, y.shape)
+            cases.append((m, f, y, y0, ring.sub(y, y0), z1))
+
+        def server_fn(chan):
+            sessions = GcSessions(chan, "evaluator", group=test_group, seed=1)
+            return [
+                relu_layer_server(chan, y0, sessions, ring, variant, m, f)
+                for m, f, _, y0, _, _ in cases
+            ]
+
+        def client_fn(chan):
+            sessions = GcSessions(chan, "garbler", group=test_group, seed=2)
+            own = np.random.default_rng(9)
+            for m, f, _, _, y1, z1 in cases:
+                relu_layer_client(chan, y1, z1, sessions, ring, own, variant, m, f)
+
+        z0s = run_protocol(server_fn, client_fn).server
+        for (m, f, y, _, _, z1), z0 in zip(cases, z0s):
+            expected = ring.reduce(np.maximum(ring.to_signed(y) >> f, 0))
+            assert (ring.add(z0, z1) == expected).all(), (m, f)
 
 
 class TestFragmentExhaustive:

@@ -191,8 +191,9 @@ class _FuzzEnv:
 
     def __init__(self):
         model = mnist_mlp(seed=5, hidden=6, input_dim=8, classes=3)
+        # the input below is a standard normal draw: declare |x| <= 2
         self.qmodel = quantize_model(
-            model, FragmentScheme.ternary(), Ring(32), frac_bits=6
+            model, FragmentScheme.ternary(), Ring(32), frac_bits=6, input_bound=2.0
         )
         self.meta = ModelMeta.from_model(self.qmodel)
         self.x_ring = self.qmodel.encoder.encode(

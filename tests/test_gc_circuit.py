@@ -15,6 +15,7 @@ from repro.gc.builder import (
     sub_words,
 )
 from repro.gc.circuit import Circuit
+from repro.perf.costmodel import relu_and_gates
 from repro.utils.bits import bits_to_int, int_to_bits
 from repro.utils.ring import Ring
 
@@ -132,7 +133,30 @@ class TestTemplates:
         assert (out == ring.sub(relu, z1)).all()
 
     def test_relu_and_count(self):
-        assert relu_template(32).and_count == 3 * 32 - 2
+        assert relu_template(32).and_count == 3 * 32 - 2 == 94
+
+    def test_full_width_is_the_paper_circuit_gate_for_gate(self):
+        """At width l and shift 0: add, mask every bit, subtract, no row."""
+        legacy = Circuit()
+        y0, y1, z1 = legacy.evaluator_input(16), legacy.garbler_input(16), legacy.garbler_input(16)
+        y = add_words(legacy, y0, y1)
+        masked = and_broadcast(legacy, legacy.inv(y[-1]), y)
+        legacy.mark_outputs(sub_words(legacy, masked, z1))
+        circ = relu_template(16)
+        assert circ.gates == legacy.gates and circ.outputs == legacy.outputs
+        assert circ.row_wire is None
+
+    @pytest.mark.parametrize("ring_bits,width,shift", [(32, 13, 3), (32, 24, 8), (8, 5, 4), (32, 32, 5)])
+    def test_narrowed_and_counts_match_the_cost_model(self, ring_bits, width, shift):
+        k = width - shift
+        relu = relu_template(width, shift, ring_bits)
+        rebuild = reconstruct_sub_template(width, shift, ring_bits)
+        assert relu.and_count == (width - 1) + 2 * k - 1
+        assert relu.and_count == relu_and_gates(ring_bits, width, shift)
+        assert rebuild.and_count == relu_and_gates(ring_bits, width, shift, "reconstruct")
+        assert sign_template(width).and_count == relu_and_gates(ring_bits, width, 0, "sign")
+        assert len(relu.evaluator_inputs) == width and len(relu.outputs) == k
+        assert relu.row_wire is not None and rebuild.row_wire is not None
 
     def test_sign_template(self, rng):
         ring = Ring(16)

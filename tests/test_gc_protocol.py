@@ -123,6 +123,7 @@ def _garbler_frame(circ, n_inst, words=LABEL_WORDS):
         np.zeros((circ.and_count, n_inst, 2, words), dtype=np.uint64),
         np.zeros((len(circ.garbler_inputs), n_inst, words), dtype=np.uint64),
         np.zeros((len(circ.outputs), n_inst), dtype=np.uint8),
+        np.zeros((0, 2), dtype=np.uint64),
     )
 
 

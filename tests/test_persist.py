@@ -117,6 +117,46 @@ class TestMetaFile:
             load_meta(path)
 
 
+class TestReluWidthFields:
+    """Format 2 carries the public ``input_bound`` and ``relu_bits``."""
+
+    def test_roundtrip(self, trained_model, tmp_path):
+        qm = quantize_model(
+            trained_model, FragmentScheme.from_bits((2, 2)), Ring(32), input_bound=0.5
+        )
+        save_model(tmp_path / "model.npz", qm)
+        save_meta(tmp_path / "meta.json", ModelMeta.from_model(qm))
+        model, meta = load_model(tmp_path / "model.npz"), load_meta(tmp_path / "meta.json")
+        widths = [layer.relu_bits for layer in qm.layers]
+        assert widths[-1] is None and all(w < 32 for w in widths[:-1])
+        assert [layer.relu_bits for layer in model.layers] == widths
+        assert [layer.relu_bits for layer in meta.layers] == widths
+        assert model.input_bound == meta.input_bound == 0.5
+
+    def test_format_1_is_refused(self, trained_model, tmp_path):
+        qm = quantize_model(trained_model, FragmentScheme.ternary(), Ring(32))
+        bundle, meta = tmp_path / "model.npz", tmp_path / "meta.json"
+        save_model(bundle, qm)
+        save_meta(meta, ModelMeta.from_model(qm))
+
+        def to_format_1(doc):
+            doc["format_version"] = 1
+            doc.pop("input_bound")
+            for layer in doc["layers"]:
+                layer.pop("relu_bits")
+            return doc
+
+        def edit(arrays):
+            manifest = to_format_1(json.loads(bytes(arrays["manifest"]).decode()))
+            arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+
+        _rewrite_bundle(bundle, edit)
+        meta.write_text(json.dumps(to_format_1(json.loads(meta.read_text()))))
+        for load, path in ((load_model, bundle), (load_meta, meta)):
+            with pytest.raises(ConfigError, match="format 1"):
+                load(path)
+
+
 def _rewrite_bundle(path, edit) -> None:
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import QuantizationError
 from repro.quant.fixed_point import FixedPointEncoder
 from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme, FragmentSpec
+from repro.quant.headroom import input_bound_int, relu_widths
 from repro.quant.schemes import (
     quantize_binary,
     quantize_for_scheme,
@@ -165,3 +166,45 @@ class TestFixedPoint:
     def test_roundtrip_property(self, value):
         enc = FixedPointEncoder(Ring(32), 10)
         assert abs(float(enc.decode(enc.encode(value))) - value) <= 2.0**-10 / 2 + 1e-9
+
+
+class TestReluWidths:
+    """The closed-form bound pass behind each layer's public ``relu_bits``."""
+
+    W0, B0 = np.array([[3, -2], [1, 1]]), np.array([44, -9])  # A0 = 5 * 16 + 44
+    W1 = np.array([[2, 2]])
+
+    def _layers(self, pooled):
+        return [(self.W0, self.B0, 2, pooled), (self.W1, np.zeros(1), 0, False), (self.W1, [0], 0, False)]
+
+    def test_closed_form(self):
+        assert input_bound_int(1.0, 4) == 16
+        # A0 = 124 (7 bits) -> m0 = 8; B1 = 124 >> 2 = 31; A1 = 4 * 31 = 124
+        assert relu_widths(self._layers(False), 32, 4, 1.0) == [8, 8]
+        # after an average pool B1 = 32, so A1 = 128 needs one more bit
+        assert relu_widths(self._layers(True), 32, 4, 1.0) == [8, 9]
+
+    def test_clamped_to_ring_and_shift(self):
+        assert relu_widths(self._layers(True), 8, 4, 1.0) == [8, 8]
+        zero = [(np.zeros((1, 2), dtype=np.int64), [0], 3, False), (self.W1, [0], 0, False)]
+        assert relu_widths(zero, 32, 4, 1.0) == [4]  # keeps a sign bit above the shift
+
+    def test_holds_on_a_quantized_model(self):
+        """Every hidden pre-activation of a real model stays inside its
+        width on inputs at the bound's corners."""
+        from repro.nn.model import mnist_mlp
+        from repro.nn.quantize import quantize_model
+
+        qm = quantize_model(
+            mnist_mlp(seed=2, hidden=12, input_dim=20), FragmentScheme.from_bits((2, 2)),
+            Ring(32), input_bound=0.5,
+        )
+        x = np.random.default_rng(0).choice([-0.5, 0.5], size=(20, 64))
+        acts = qm.encoder.encode(x)
+        for layer in qm.layers[:-1]:
+            y = qm.ring.to_signed(
+                qm.ring.add(qm.ring.matmul(qm.ring.reduce(layer.w_int), acts),
+                            qm.ring.reduce(layer.bias_int)[:, None])
+            )
+            assert np.abs(y).max() < 2 ** (layer.relu_bits - 1)
+            acts = qm.ring.reduce(np.maximum(y >> layer.truncate_bits, 0))

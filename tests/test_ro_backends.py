@@ -107,7 +107,7 @@ class TestSha256Backend:
                 ring, np.random.default_rng(7),
             ),
         )
-        tables, _, _ = received[0]
+        tables = received[0][0]
         expected = garble(relu_template(8), n, np.random.default_rng(7), sha256_ro)
         assert (tables == expected.tables).all()
 

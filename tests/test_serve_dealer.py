@@ -7,7 +7,12 @@ closed form, block by block, with conv-layer shares arriving as
 
 * a dealt round drops into the unchanged online phase and yields
   logits byte-identical across online ``chunk_cols`` settings, close
-  to the plaintext integer reference (truncation noise only);
+  to the plaintext integer reference (average pooling's share-local
+  shift is the only noise);
+* without average pooling the secure logits *equal* the reference: the
+  GC ReLU truncates exactly, even for a dealt round whose shares
+  straddle the share-local truncation boundary, and over a soak of 256
+  predictions (10^4 with ``ABNN2_SERVE_SOAK=1``);
 * determinism in ``(model, batch, seed)``, the chunk grid included;
 * the dealer-backed :class:`~repro.serve.bank.TripletBank` serves a
   chunked conv model over a bank-mode session;
@@ -20,27 +25,30 @@ from __future__ import annotations
 
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.offline import ClientHalf
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
+from repro.core.pooling import truncate_share
 from repro.core.triplets import BlockedShare
 from repro.errors import ConfigError
 from repro.net.channel import make_channel_pair
 from repro.net.runner import run_protocol
 from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
-from repro.nn.model import Sequential
+from repro.nn.model import Sequential, mnist_mlp
 from repro.nn.quantize import quantize_model, set_chunk_cols
 from repro.serve.bank import TripletBank
 from repro.serve.dealer import dealer_offline_round
 from repro.serve.persist import load_bank, model_fingerprint, save_bank
 from repro.serve.session import ClientSession, ServerSession
-from repro.quant.fragments import TABLE2_SCHEMES
+from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
 from repro.utils.ring import Ring
 
 BATCH = 2
+SOAK = bool(os.environ.get("ABNN2_SERVE_SOAK"))
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +143,85 @@ class TestDealerRound:
     def test_validation(self, qmodel):
         with pytest.raises(ConfigError):
             dealer_offline_round(qmodel, 0, seed=1)
+
+
+def _mlp8(seed: int, hidden: int, input_dim: int):
+    """A pool-free MLP with 8-bit weights (non-zero truncation shifts)."""
+    return quantize_model(
+        mnist_mlp(seed=seed, hidden=hidden, input_dim=input_dim, classes=4),
+        FragmentScheme.from_bits((2, 2, 2, 2)), Ring(32),
+    )
+
+
+def _run_rounds(model, rounds, xs, group):
+    """Online phase of every dealt round in turn over one channel pair."""
+    meta, batch = ModelMeta.from_model(model), xs[0].shape[1]
+
+    def server_fn(chan):
+        server = Abnn2Server(chan, model, batch, group=group, seed=1)
+        for rnd in rounds:
+            server.load_offline_round(rnd.server)
+        for _ in rounds:
+            server.online()
+
+    def client_fn(chan):
+        client = Abnn2Client(chan, meta, batch, group=group, seed=2)
+        for rnd in rounds:
+            client.load_offline_round(rnd.client)
+        return [client.online(x) for x in xs]
+
+    return run_protocol(server_fn, client_fn).client
+
+
+class TestExactRelu:
+    def test_round_across_the_truncation_boundary_is_exact(self, test_group):
+        """One unit's shares are moved (``U + V = W R`` kept) so that
+        share-local truncation wraps on it; the in-GC shift does not."""
+        model = _mlp8(seed=3, hidden=8, input_dim=16)
+        ring, layer = model.ring, model.layers[0]
+        assert layer.truncate_bits > 0
+        x = model.encoder.encode(np.random.default_rng(4).uniform(0, 1, size=(16, 1)))
+        w, bias = ring.reduce(layer.w_int), ring.reduce(layer.bias_int)[:, None]
+        y = ring.add(ring.matmul(w, x), bias)
+        unit = int(np.argmax(ring.to_signed(y)[:, 0]))
+        assert ring.to_signed(y)[unit, 0] > 0
+
+        rnd = dealer_offline_round(model, 1, seed=8)
+        v, u = rnd.client.v[0].copy(), rnd.server.u[0].copy()
+        delta = ring.sub(1, v[unit, 0])  # V = 1: -V wraps, y - V does not
+        v[unit, 0] = ring.add(v[unit, 0], delta)
+        u[unit, 0] = ring.sub(u[unit, 0], delta)
+        rnd = replace(
+            rnd,
+            server=replace(rnd.server, u=[u, *rnd.server.u[1:]]),
+            client=replace(rnd.client, v=[v, *rnd.client.v[1:]]),
+        )
+
+        y0 = ring.add(ring.add(ring.matmul(w, ring.sub(x, rnd.client.input_mask)), u), bias)
+        shift = layer.truncate_bits
+        local = ring.add(
+            truncate_share(ring, y0, shift, party=0), truncate_share(ring, v, shift, party=1)
+        )
+        exact = ring.reduce(ring.to_signed(y) >> shift)
+        assert abs(int(ring.to_signed(ring.sub(local, exact))[unit, 0])) > 1
+
+        (logits,) = _run_rounds(model, [rnd], [x], test_group)
+        assert (logits == model.forward_int(x)).all()
+
+    def test_secure_logits_equal_forward_int_soak(self, test_group):
+        """Exact equality, no +-1-ulp tolerance, on a model without pooling."""
+        model = _mlp8(seed=5, hidden=16, input_dim=32)
+        assert not any(layer.pool for layer in model.layers)
+        batch = 128
+        n_rounds = -(-(10_000 if SOAK else 256) // batch)
+        rng = np.random.default_rng(21)
+        xs = [
+            model.encoder.encode(rng.uniform(0, 1, size=(32, batch)))
+            for _ in range(n_rounds)
+        ]
+        rounds = [dealer_offline_round(model, batch, seed=100 + i) for i in range(n_rounds)]
+        for x, logits in zip(xs, _run_rounds(model, rounds, xs, test_group)):
+            assert (logits == model.forward_int(x)).all()
 
 
 class TestDealerBank:

@@ -76,12 +76,12 @@ class DigestChannel:
 #: (server, client) digest prefixes of each pinned run.  Chunking is a
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
-    "fig4_b1": ("20a5610acf1e3986", "00348bd12bb50a68"),
-    "fig4_b8": ("16f39f0c097f18f3", "e79b1a02218fea75"),
-    "vgg_cifar_side12": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
-    "vgg_cifar_side12_chunk7": ("f3e9bbcbb130ab0d", "383622e521ea18e6"),
-    "vgg_cifar_side12_winograd": ("4f39248c64bff2b6", "70745c072620d4dc"),
-    "served_bank_keepalive": ("b4f85585ecf45421", "e6f7ee7d99e9c23c"),
+    "fig4_b1": ("efb3bc13ec2774ea", "fe2c025c210d7785"),
+    "fig4_b8": ("b42207a9bef1bfa0", "a3f79e9a098fb77e"),
+    "vgg_cifar_side12": ("3f2f523a24d357ce", "3b0313479799ecec"),
+    "vgg_cifar_side12_chunk7": ("3f2f523a24d357ce", "3b0313479799ecec"),
+    "vgg_cifar_side12_winograd": ("61c25aa0f8e114f8", "336a5ace9305c6d7"),
+    "served_bank_keepalive": ("45f1d409c9e1d5d1", "c7f2fb760bd6e1a9"),
 }
 
 
