@@ -88,6 +88,8 @@ def test_table4_minionn(benchmark, batch, quantized_fig4, fig4_dataset, bench_gr
     info["comm_MB_at_2048bit"] = round(report.total_bytes / MB * 2048 / MINIONN_KEY_BITS, 2)
     info["paper_model_MB"] = round(minionn_comm_model_mb(batch), 2)
     info["paper_l32"] = PAPER_L32["MiniONN"][0 if batch == 1 else 1]
+    # MiniONN's online phase runs this build's narrowed GC ReLU too.
+    info.update(paper_relu_mb(qmodel, batch))
     benchmark.extra_info.update(info)
     assert (report.predictions == qmodel.predict(x)).all()
 

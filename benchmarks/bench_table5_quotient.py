@@ -68,6 +68,8 @@ def test_table5_quotient(benchmark, batch, quantized_fig4, fig4_dataset, bench_g
     )
     info = _info(report, "QUOTIENT-ternary", batch)
     info["paper_LAN_WAN"] = PAPER["QUOTIENT"].get(batch)
+    # QUOTIENT's online phase runs this build's narrowed GC ReLU too.
+    info.update(paper_relu_mb(qmodel, batch))
     benchmark.extra_info.update(info)
     assert (report.predictions == qmodel.predict(x)).all()
 

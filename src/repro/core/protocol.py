@@ -57,7 +57,7 @@ from repro.nn.winograd import (
     winograd_scheme,
 )
 from repro.quant.fragments import FragmentScheme
-from repro.quant.headroom import input_bound_int
+from repro.quant.headroom import INPUT_BOUND, input_bound_int
 from repro.utils.ring import Ring
 from repro.utils.rng import make_rng
 
@@ -203,8 +203,6 @@ class ModelMeta:
     layers: tuple[LayerMeta, ...]
     ring_bits: int
     frac_bits: int
-    #: public bound on ``|x|`` behind the layers' ``relu_bits`` (None: none)
-    input_bound: float | None = None
 
     @classmethod
     def from_model(cls, model: QuantizedModel) -> "ModelMeta":
@@ -221,10 +219,7 @@ class ModelMeta:
             )
             for layer in model.layers
         )
-        return cls(
-            layers=layers, ring_bits=model.ring.bits, frac_bits=model.encoder.frac_bits,
-            input_bound=model.input_bound,
-        )
+        return cls(layers=layers, ring_bits=model.ring.bits, frac_bits=model.encoder.frac_bits)
 
 
 def layer_triplet_config(
@@ -567,15 +562,13 @@ class Abnn2Client(_PartyBase):
         expected = (self.meta.layers[0].in_features, self.batch)
         if x.shape != expected:
             raise ConfigError(f"expected input of shape {expected}, got {x.shape}")
-        if self.meta.input_bound is not None:
-            # The ReLU widths hold only inside the public input domain.
-            bound = input_bound_int(self.meta.input_bound, self.meta.frac_bits)
-            worst = int(np.abs(self.ring.to_signed(x)).max())
-            if worst > bound:
-                raise ConfigError(
-                    f"input magnitude {worst / 2**self.meta.frac_bits:g} exceeds "
-                    f"the model's input bound {self.meta.input_bound:g}"
-                )
+        # The ReLU widths hold only inside the public input domain.
+        worst = int(np.abs(self.ring.to_signed(x)).max())
+        if worst > input_bound_int(self.meta.frac_bits):
+            raise ConfigError(
+                f"input magnitude {worst / 2**self.meta.frac_bits:g} exceeds "
+                f"the input bound {INPUT_BOUND:g}"
+            )
         return self._run_online(lambda half: self._online_sequential(half, x))
 
     def _online_sequential(self, half: ClientHalf, x) -> np.ndarray:

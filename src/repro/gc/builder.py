@@ -144,6 +144,8 @@ def _relu_gadget(
             # saved AND pays for the borrow out below.
             kept = and_broadcast(circ, non_negative, kept[:-1]) + [zero_wire(circ, y[0])]
         elif kind == "relu":
+            # Full width masks the sign bit with an AND too and needs no
+            # borrow: the paper's 3l-2-AND circuit, gate for gate.
             kept = and_broadcast(circ, non_negative, kept)
         if k < ring_bits:
             z0, circ.row_wire = sub_words(circ, kept, z1, borrow_out=True)

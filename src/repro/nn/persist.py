@@ -31,8 +31,8 @@ from repro.quant.fragments import FragmentScheme, FragmentSpec
 from repro.quant.schemes import QuantizedTensor
 from repro.utils.ring import Ring
 
-#: 2: the public ``input_bound`` and per-layer ``relu_bits`` that size the
-#: GC ReLU (format-1 files predate them and are refused).
+#: 2: the public per-layer ``relu_bits`` that size the GC ReLU (format-1
+#: files predate them and are refused).
 FORMAT_VERSION = 2
 
 
@@ -111,7 +111,6 @@ def save_model(path, model: QuantizedModel) -> None:
         "ring_bits": model.ring.bits,
         "frac_bits": model.encoder.frac_bits,
         "output_deferral": model.output_deferral,
-        "input_bound": model.input_bound,
         "layers": [
             {
                 "scheme": scheme_to_dict(layer.scheme),
@@ -171,7 +170,6 @@ def _read_model(path) -> QuantizedModel:
         Ring(manifest["ring_bits"]),
         manifest["frac_bits"],
         output_deferral=manifest["output_deferral"],
-        input_bound=manifest["input_bound"],
     )
 
 
@@ -184,7 +182,6 @@ def save_meta(path, meta: ModelMeta) -> None:
         "format_version": FORMAT_VERSION,
         "ring_bits": meta.ring_bits,
         "frac_bits": meta.frac_bits,
-        "input_bound": meta.input_bound,
         "layers": [
             {
                 "out_features": layer.out_features,
@@ -225,7 +222,4 @@ def _read_meta(path) -> ModelMeta:
         )
         for info in doc["layers"]
     )
-    return ModelMeta(
-        layers=layers, ring_bits=doc["ring_bits"], frac_bits=doc["frac_bits"],
-        input_bound=doc["input_bound"],
-    )
+    return ModelMeta(layers=layers, ring_bits=doc["ring_bits"], frac_bits=doc["frac_bits"])

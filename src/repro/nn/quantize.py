@@ -17,8 +17,9 @@ reference and the secure two-party protocol consume.  Design decisions
   Z_{2^32}.
 * **ReLU widths.**  One closed-form pass
   (:func:`repro.quant.headroom.relu_widths`) bounds every hidden layer's
-  ReLU input from the weights and a public ``input_bound`` on the inputs;
-  the public width ``relu_bits`` sizes that layer's garbled circuit.
+  ReLU input from the weights and the public input domain
+  (:data:`~repro.quant.headroom.INPUT_BOUND`); the public width
+  ``relu_bits`` sizes that layer's garbled circuit.
 * **Float-scale schemes** (ternary/binary) skip truncation: their scale
   is *deferred* to the logits, which is harmless because ReLU is
   positively homogeneous and argmax ignores positive scaling.
@@ -138,7 +139,6 @@ class QuantizedModel:
         ring: Ring,
         frac_bits: int,
         output_deferral: float = 1.0,
-        input_bound: float | None = None,
     ) -> None:
         if not layers:
             raise QuantizationError("quantized model needs at least one layer")
@@ -153,9 +153,6 @@ class QuantizedModel:
         self.encoder = FixedPointEncoder(ring, frac_bits)
         #: Integer logits approximate ``real_logits * 2^f * output_deferral``.
         self.output_deferral = output_deferral
-        #: Public bound on ``|x|`` the ReLU widths were derived from
-        #: (``None``: no bound, full-width ReLUs).
-        self.input_bound = input_bound
 
     # ------------------------------------------------------------------ #
     @property
@@ -382,7 +379,7 @@ def set_chunk_cols(model: QuantizedModel, chunk_cols: int | None) -> QuantizedMo
     ]
     return QuantizedModel(
         layers, model.ring, model.encoder.frac_bits,
-        output_deferral=model.output_deferral, input_bound=model.input_bound,
+        output_deferral=model.output_deferral,
     )
 
 
@@ -394,7 +391,6 @@ def quantize_model(
     input_shape: tuple[int, int, int] | None = None,
     linear_backend: str = "im2col",
     chunk_cols: int | None = None,
-    input_bound: float = 1.0,
 ) -> QuantizedModel:
     """Quantize every linear layer of ``model`` onto fragment scheme(s).
 
@@ -416,12 +412,11 @@ def quantize_model(
     secure matmul materializes at once (``None`` = unchunked; see
     :func:`set_chunk_cols` to change it on an existing model).
 
-    ``input_bound`` is the public bound on ``|x|`` (the zoo's and the
-    datasets' domain is ``[0, 1]``).  It sizes every hidden layer's GC
-    ReLU (``relu_bits``), and the secure client refuses inputs beyond it.
+    Every hidden layer's GC ReLU is sized (``relu_bits``) for inputs in
+    the public domain ``|x| <= INPUT_BOUND``
+    (:mod:`repro.quant.headroom`); the secure client refuses inputs
+    beyond it.
     """
-    if not input_bound > 0:
-        raise QuantizationError(f"input_bound must be positive, got {input_bound}")
     if linear_backend not in ("im2col", "winograd"):
         raise QuantizationError(f"unknown linear backend {linear_backend!r}")
     linear_layers = _collect_linear_layers(model, input_shape)
@@ -476,11 +471,9 @@ def quantize_model(
             (layer.w_int, layer.bias_int, layer.truncate_bits, layer.pool is not None)
             for layer in quantized
         ],
-        ring.bits, frac_bits, input_bound,
+        ring.bits, frac_bits,
     )
     quantized = [
         replace(layer, relu_bits=width) for layer, width in zip(quantized, widths)
     ] + quantized[len(widths):]
-    return QuantizedModel(
-        quantized, ring, frac_bits, output_deferral=deferral, input_bound=input_bound
-    )
+    return QuantizedModel(quantized, ring, frac_bits, output_deferral=deferral)

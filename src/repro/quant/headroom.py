@@ -2,9 +2,9 @@
 
 :func:`relu_widths` is one closed-form pass over a model's integer
 weights that bounds every hidden layer's ReLU input ``y = W z + b`` from
-a public bound on the input: the width ``m`` with ``|y| < 2^(m-1)`` that
-the GC ReLU needs (:mod:`repro.core.relu`).  No data pass: the bound is
-interval arithmetic on the public input domain.
+the public input domain :data:`INPUT_BOUND`: the width ``m`` with
+``|y| < 2^(m-1)`` that the GC ReLU needs (:mod:`repro.core.relu`).  No
+data pass: the bound is interval arithmetic on that domain.
 
 The F(2x2,3x3) backend (:mod:`repro.nn.winograd`) multiplies in the
 *tile-transform domain*, where both operands grow beyond their quantized
@@ -36,23 +36,29 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.quant.fragments import FragmentScheme
 
-def input_bound_int(input_bound: float, frac_bits: int) -> int:
-    """The fixed-point bound ``B_0``: every input ``|x| <= input_bound``
+#: The public input domain ``|x| <= INPUT_BOUND`` every model is quantized
+#: for (the zoo's, the datasets' and the benchmark's inputs lie in
+#: ``[0, 1]``).  It sizes the GC ReLUs (:func:`relu_widths`), and the
+#: secure client refuses an input beyond it.
+INPUT_BOUND = 1.0
+
+
+def input_bound_int(frac_bits: int) -> int:
+    """The fixed-point bound ``B_0``: every input ``|x| <= INPUT_BOUND``
     encodes to an integer of magnitude at most this."""
-    return math.ceil(input_bound * (1 << frac_bits))
+    return math.ceil(INPUT_BOUND * (1 << frac_bits))
 
 
 def relu_widths(
     layers: list[tuple],
     ring_bits: int,
     frac_bits: int,
-    input_bound: float,
 ) -> list[int]:
     """Public ReLU input widths ``m_i`` of every hidden layer.
 
     ``layers`` holds ``(w_int, bias_int, truncate_bits, pooled)`` per
     linear layer (the last one has no ReLU and yields no width).  With
-    ``B_0 = input_bound * 2^frac_bits``:
+    ``B_0 = INPUT_BOUND * 2^frac_bits``:
 
     * ``A_i = max_row ||W_i||_1 * B_i + max |b_i|`` bounds ``|y_i|``;
     * ``m_i = min(l, bitlen(A_i) + 1)``, and at least ``f_i + 1`` so the
@@ -65,7 +71,7 @@ def relu_widths(
     each layer's worst-case accumulator, the same kind of fact as the
     public ``truncate_bits``.
     """
-    bound = input_bound_int(input_bound, frac_bits)
+    bound = input_bound_int(frac_bits)
     widths = []
     for w_int, bias_int, shift, pooled in layers[:-1]:
         row_l1 = int(np.abs(np.asarray(w_int, dtype=np.int64)).sum(axis=1).max())

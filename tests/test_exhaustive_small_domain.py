@@ -65,8 +65,9 @@ class TestReluExhaustive:
 
 
 class TestNarrowReluExhaustive:
-    #: every (m, f) with 1 <= f < m <= 7
-    SHAPES = [(m, f) for m in range(2, 8) for f in range(1, m)]
+    #: every (m, f) with 0 <= f < m <= 7 (f = 0 is a float-scale layer's
+    #: narrowed ReLU), and the full-width circuit (8, 0)
+    SHAPES = [(m, f) for m in range(1, 8) for f in range(0, m)] + [(8, 0)]
 
     @pytest.mark.parametrize("variant", ["oblivious", "optimized"])
     def test_every_share_value_width_and_shift(self, variant, test_group, rng):

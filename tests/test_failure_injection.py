@@ -191,13 +191,11 @@ class _FuzzEnv:
 
     def __init__(self):
         model = mnist_mlp(seed=5, hidden=6, input_dim=8, classes=3)
-        # the input below is a standard normal draw: declare |x| <= 2
-        self.qmodel = quantize_model(
-            model, FragmentScheme.ternary(), Ring(32), frac_bits=6, input_bound=2.0
-        )
+        self.qmodel = quantize_model(model, FragmentScheme.ternary(), Ring(32), frac_bits=6)
         self.meta = ModelMeta.from_model(self.qmodel)
+        # a standard normal draw, clipped to the public input domain |x| <= 1
         self.x_ring = self.qmodel.encoder.encode(
-            np.random.default_rng(7).normal(size=(1, 8)).T
+            np.clip(np.random.default_rng(7).normal(size=(1, 8)).T, -1.0, 1.0)
         )
         marks = {}
 

@@ -118,12 +118,10 @@ class TestMetaFile:
 
 
 class TestReluWidthFields:
-    """Format 2 carries the public ``input_bound`` and ``relu_bits``."""
+    """Format 2 carries the public per-layer ``relu_bits``."""
 
     def test_roundtrip(self, trained_model, tmp_path):
-        qm = quantize_model(
-            trained_model, FragmentScheme.from_bits((2, 2)), Ring(32), input_bound=0.5
-        )
+        qm = quantize_model(trained_model, FragmentScheme.from_bits((2, 2)), Ring(32))
         save_model(tmp_path / "model.npz", qm)
         save_meta(tmp_path / "meta.json", ModelMeta.from_model(qm))
         model, meta = load_model(tmp_path / "model.npz"), load_meta(tmp_path / "meta.json")
@@ -131,7 +129,6 @@ class TestReluWidthFields:
         assert widths[-1] is None and all(w < 32 for w in widths[:-1])
         assert [layer.relu_bits for layer in model.layers] == widths
         assert [layer.relu_bits for layer in meta.layers] == widths
-        assert model.input_bound == meta.input_bound == 0.5
 
     def test_format_1_is_refused(self, trained_model, tmp_path):
         qm = quantize_model(trained_model, FragmentScheme.ternary(), Ring(32))
@@ -141,7 +138,6 @@ class TestReluWidthFields:
 
         def to_format_1(doc):
             doc["format_version"] = 1
-            doc.pop("input_bound")
             for layer in doc["layers"]:
                 layer.pop("relu_bits")
             return doc

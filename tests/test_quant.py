@@ -178,16 +178,16 @@ class TestReluWidths:
         return [(self.W0, self.B0, 2, pooled), (self.W1, np.zeros(1), 0, False), (self.W1, [0], 0, False)]
 
     def test_closed_form(self):
-        assert input_bound_int(1.0, 4) == 16
+        assert input_bound_int(4) == 16
         # A0 = 124 (7 bits) -> m0 = 8; B1 = 124 >> 2 = 31; A1 = 4 * 31 = 124
-        assert relu_widths(self._layers(False), 32, 4, 1.0) == [8, 8]
+        assert relu_widths(self._layers(False), 32, 4) == [8, 8]
         # after an average pool B1 = 32, so A1 = 128 needs one more bit
-        assert relu_widths(self._layers(True), 32, 4, 1.0) == [8, 9]
+        assert relu_widths(self._layers(True), 32, 4) == [8, 9]
 
     def test_clamped_to_ring_and_shift(self):
-        assert relu_widths(self._layers(True), 8, 4, 1.0) == [8, 8]
+        assert relu_widths(self._layers(True), 8, 4) == [8, 8]
         zero = [(np.zeros((1, 2), dtype=np.int64), [0], 3, False), (self.W1, [0], 0, False)]
-        assert relu_widths(zero, 32, 4, 1.0) == [4]  # keeps a sign bit above the shift
+        assert relu_widths(zero, 32, 4) == [4]  # keeps a sign bit above the shift
 
     def test_holds_on_a_quantized_model(self):
         """Every hidden pre-activation of a real model stays inside its
@@ -196,10 +196,9 @@ class TestReluWidths:
         from repro.nn.quantize import quantize_model
 
         qm = quantize_model(
-            mnist_mlp(seed=2, hidden=12, input_dim=20), FragmentScheme.from_bits((2, 2)),
-            Ring(32), input_bound=0.5,
+            mnist_mlp(seed=2, hidden=12, input_dim=20), FragmentScheme.from_bits((2, 2)), Ring(32)
         )
-        x = np.random.default_rng(0).choice([-0.5, 0.5], size=(20, 64))
+        x = np.random.default_rng(0).choice([-1.0, 1.0], size=(20, 64))
         acts = qm.encoder.encode(x)
         for layer in qm.layers[:-1]:
             y = qm.ring.to_signed(
