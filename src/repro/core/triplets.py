@@ -8,8 +8,17 @@ matrix ``R`` (uniform in Z_{2^l}, n x o):
   ``(i, j, k)`` (row, column, fragment) carries the product of fragment
   value ``vt_k[digit]`` with the client's row ``R[j, :]``.  OTs are
   grouped by fragment radix (mixed-radix schemes like (3,3,2) run one
-  KK13 session per distinct N) and processed in bounded chunks so memory
-  stays flat regardless of matrix size.
+  KK13 session per distinct N).
+* **Wire chunks and sub-blocks.**  A group's OTs go out in wire chunks
+  of :meth:`TripletConfig.chunk_size` OTs: one U frame and one message
+  frame each, so the chunk fixes the message boundaries, the rounds and
+  the transcript digests.  Inside a chunk, everything ``N * o`` words
+  wide per OT — hash inputs, pads, products, masked messages, openings,
+  segment sums — runs in sub-blocks of :meth:`TripletConfig.sub_block`
+  OTs, writing into (client) or reading from (server) the one frame.
+  The sub-block fixes the working set and no byte on the wire; it is
+  bounded in closed form by
+  :func:`repro.perf.costmodel.triplet_working_set_bytes`.
 * **Multi-batch (o > 1, Section 4.1.2).**  The server's choice digit is
   identical for all ``o`` columns, so one OT carries ``o`` masked
   products: client messages are ``{vt[t] * R[j, :] - s}`` packed to
@@ -45,8 +54,15 @@ from repro.utils.ring import Ring
 
 _U64 = np.uint64
 
-#: Soft cap on pad-tensor words per chunk (~32 MiB of uint64).
+#: Soft cap on the message words of one wire chunk (~32 MiB of uint64).
+#: The chunk fixes the message boundaries: one U frame and one message
+#: frame per chunk, hence the rounds and the transcript digests.
 _CHUNK_BUDGET_WORDS = 1 << 22
+#: Soft cap on the ``N * o``-wide words of one sub-block (~4 MiB of
+#: uint64).  The sub-block fixes only the working set: hash inputs, pads,
+#: products, openings and segment sums of a chunk run one sub-block at a
+#: time, and no byte on the wire depends on it.
+_SUB_BLOCK_WORDS = 1 << 19
 _TRIPLET_DOMAIN = 23
 
 
@@ -121,6 +137,12 @@ class TripletConfig:
         width = packed_word_count(self.o, self.ring.bits)
         per_ot = max(1, n_values * width)
         return max(1024, _CHUNK_BUDGET_WORDS // per_ot)
+
+    def sub_block(self, n_values: int) -> int:
+        """OTs per sub-block: a multiple of 64, so a one-batch sub-block's
+        packed ciphertexts start on a word boundary."""
+        lanes = self.o if self.resolved_mode == "multi" else 1
+        return max(64, _SUB_BLOCK_WORDS // (n_values * lanes) // 64 * 64)
 
     @property
     def total_ots(self) -> int:
@@ -226,12 +248,40 @@ def _flat_coords(start: int, count: int, n: int, k_count: int) -> tuple[np.ndarr
     return i_idx, rem // k_count, rem % k_count
 
 
+def _add_rows(acc: np.ndarray, values: np.ndarray, start: int, config: TripletConfig, k_count: int) -> None:
+    """``acc[i] += values[t]`` for the output row ``i`` of flat OT ``start + t``.
+
+    Flat indices run row-major, so one sub-block's OTs touch a contiguous
+    run of rows: the segment sum spans only those rows.
+    """
+    per_row = config.n * k_count
+    first = start // per_row
+    rows = (start + len(values) - 1) // per_row - first + 1
+    i_idx = np.arange(start, start + len(values), dtype=np.int64) // per_row - first
+    # bincount-based segment sum; np.add.at is a numpy slow path.
+    sums = segment_sum_u64(values, i_idx, rows)
+    acc[first : first + rows] = config.ring.add(acc[first : first + rows], sums)
+
+
+def _block_words(lo: int, hi: int, bits: int) -> slice:
+    """Word range of elements ``[lo, hi)`` of a packed row.
+
+    Exact because every sub-block starts on a 64-element boundary, where
+    the packed stream starts a fresh word.
+    """
+    return slice(lo * bits // 64, packed_word_count(hi, bits))
+
+
 # --------------------------------------------------------------------- #
 # span workers: the chunk loops over one flat-index range of one radix
 # group.  The sequential generators below run them over [0, total); the
 # sharded execution engine (repro.exec.triplets) runs disjoint spans on
 # independent OT sessions — OT instances are independent, so a span's
 # contribution to U/V depends only on its own indices.
+#
+# Each wire chunk is one U frame and one message frame; inside it the
+# N-wide work (hash inputs, pads, products, openings, segment sums) runs
+# in sub-blocks of ``config.sub_block(N)`` OTs.
 # --------------------------------------------------------------------- #
 def server_group_span(
     chan: Channel,
@@ -250,39 +300,35 @@ def server_group_span(
     absolute flat indices keep addressing the right (i, j, k) triple.
     """
     ring = config.ring
-    mode = config.resolved_mode
-    width = (
-        packed_word_count(config.o, ring.bits)
-        if mode == "multi"
-        else packed_word_count(1, ring.bits)
-    )
+    multi = config.resolved_mode == "multi"
+    width = packed_word_count(config.o if multi else 1, ring.bits)
+    block = config.sub_block(n_values)
     u = ring.zeros(config.out_shape)
     for lo in range(start, stop, chunk):
         hi = min(stop, lo + chunk)
         batch = choices[lo:hi]
-        i_idx, _, _ = _flat_coords(lo, hi - lo, config.n, k_count)
-        if mode == "multi":
-            got = receiver.recv_chosen(batch, width, domain=_TRIPLET_DOMAIN)
-            values = unpack_ring_words(got, ring.bits, config.o)
-        else:
-            count = hi - lo
-            pad = receiver.pads(batch, width, domain=_TRIPLET_DOMAIN)
-            # Only the low l bits of the 64-bit pad are used.
-            pad_val = unpack_ring_words(pad, ring.bits, 1)[:, 0]
-            with channel_span(chan, "ot-transfer", m=count):
-                packed = chan.recv()
-            n_cipher = count * (n_values - 1)
-            if packed.shape != (packed_word_count(n_cipher, ring.bits),):
-                raise ProtocolError(
-                    f"unexpected one-batch cipher shape {packed.shape}"
-                )
-            cipher = unpack_ring_words(packed[None, :], ring.bits, n_cipher)
-            cipher = cipher.reshape(count, n_values - 1)
-            chosen = np.clip(batch - 1, 0, None)
-            opened = cipher[np.arange(count), chosen] ^ pad_val
-            values = np.where(batch == 0, ring.neg(pad_val), opened)[:, None]
-        # bincount-based segment sum; np.add.at is a numpy slow path.
-        u = ring.add(u, segment_sum_u64(ring.reduce(values), i_idx, config.rows))
+        if multi:
+            for a, b, got in receiver.recv_blocks(batch, width, block, domain=_TRIPLET_DOMAIN):
+                _add_rows(u, unpack_ring_words(got, ring.bits, config.o), lo + a, config, k_count)
+            continue
+        count = hi - lo
+        pad = receiver.pads(batch, width, domain=_TRIPLET_DOMAIN)
+        # Only the low l bits of the 64-bit pad are used.
+        pad_val = unpack_ring_words(pad, ring.bits, 1)[:, 0]
+        with channel_span(chan, "ot-transfer", m=count):
+            packed = chan.recv()
+        n_cipher = count * (n_values - 1)
+        if packed.shape != (packed_word_count(n_cipher, ring.bits),):
+            raise ProtocolError(f"unexpected one-batch cipher shape {packed.shape}")
+        for a in range(0, count, block):
+            b = min(count, a + block)
+            words = _block_words(a * (n_values - 1), b * (n_values - 1), ring.bits)
+            cipher = unpack_ring_words(packed[None, words], ring.bits, (b - a) * (n_values - 1))
+            cipher = cipher.reshape(b - a, n_values - 1)
+            sel, own = batch[a:b], pad_val[a:b]
+            opened = cipher[np.arange(b - a), np.clip(sel - 1, 0, None)] ^ own
+            values = np.where(sel == 0, ring.neg(own), opened)[:, None]
+            _add_rows(u, values, lo + a, config, k_count)
     return u
 
 
@@ -306,35 +352,56 @@ def client_group_span(
     function of ``(rng state, value_table, r, start, stop, chunk)``.
     """
     ring = config.ring
-    mode = config.resolved_mode
-    v = ring.zeros(config.out_shape)
-    for lo in range(start, stop, chunk):
-        hi = min(stop, lo + chunk)
-        count = hi - lo
-        i_idx, j_idx, k_pos = _flat_coords(lo, count, config.n, k_count)
-        vals = value_table[k_pos]  # (count, N)
+    multi = config.resolved_mode == "multi"
+    width = packed_word_count(config.o if multi else 1, ring.bits)
+    block = config.sub_block(n_values)
+
+    def products(first: int, count: int) -> np.ndarray:
+        """``vt_k[digit] * R[j, :]`` for every digit of OTs ``first, ...``:
+        ``(count, N, o)``."""
+        i_idx, j_idx, k_pos = _flat_coords(first, count, config.n, k_count)
         # Group-aware R row: stacked row i belongs to block i // m, whose
         # operand rows start at (i // m) * n.  Reduces to r[j_idx] when
         # groups == 1 (i // m is then always 0).
         r_rows = r[(i_idx // config.m) * config.n + j_idx]  # (count, o)
-        products = ring.mul(vals[:, :, None], r_rows[:, None, :])  # (count, N, o)
-        if mode == "multi":
+        return ring.mul(value_table[k_pos][:, :, None], r_rows[:, None, :])
+
+    v = ring.zeros(config.out_shape)
+    for lo in range(start, stop, chunk):
+        hi = min(stop, lo + chunk)
+        count = hi - lo
+        if multi:
+            # Messages first, pads second: filling the frame before the
+            # extension overlaps that work with the peer's U in flight.
+            # One share draw per wire chunk keeps the rng stream of the
+            # unblocked generator.
             s = ring.sample(rng, (count, config.o))
-            messages = ring.sub(products, s[:, None, :])
-            sender.send_chosen(
-                pack_ring_words(messages, ring.bits), domain=_TRIPLET_DOMAIN
-            )
-        else:
-            width = packed_word_count(1, ring.bits)
-            pads = sender.pads(count, width, domain=_TRIPLET_DOMAIN)
+            frame = np.empty((count, n_values, width), dtype=_U64)
+            for a in range(0, count, block):
+                b = min(count, a + block)
+                messages = ring.sub(products(lo + a, b - a), s[a:b, None, :])
+                frame[a:b] = pack_ring_words(messages, ring.bits)
+                _add_rows(v, s[a:b], lo + a, config, k_count)
+            del s, messages
+            for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
+                frame[a:b] ^= pads
+            with channel_span(chan, "ot-transfer", m=count, width=width):
+                chan.send(frame)
+            del frame  # released before the next chunk's buffer exists
+            continue
+        n_cipher = count * (n_values - 1)
+        frame = np.empty(packed_word_count(n_cipher, ring.bits), dtype=_U64)
+        for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
             # The low-l-bit pads, slot 0's doubling as the share s_i.
-            pad_val = unpack_ring_words(pads, ring.bits, 1)[:, :, 0]  # (count, N)
+            pad_val = unpack_ring_words(pads, ring.bits, 1)[:, :, 0]  # (b - a, N)
             s = pad_val[:, 0:1]
-            messages = ring.sub(products[:, 1:, 0], s)  # (count, N-1)
-            cipher = messages ^ pad_val[:, 1:]
-            with channel_span(chan, "ot-transfer", m=count):
-                chan.send(pack_ring_words(cipher.reshape(1, -1), ring.bits)[0])
-        v = ring.add(v, segment_sum_u64(ring.reduce(s), i_idx, config.rows))
+            cipher = ring.sub(products(lo + a, b - a)[:, 1:, 0], s) ^ pad_val[:, 1:]
+            words = _block_words(a * (n_values - 1), b * (n_values - 1), ring.bits)
+            frame[words] = pack_ring_words(cipher.reshape(1, -1), ring.bits)[0]
+            _add_rows(v, s, lo + a, config, k_count)
+        with channel_span(chan, "ot-transfer", m=count):
+            chan.send(frame)
+        del frame
     return v
 
 

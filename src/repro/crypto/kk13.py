@@ -96,8 +96,9 @@ class Kk13Sender:
         self.ensure_seeds()
         with channel_span(self.chan, "extension", m=m):
             u_blob = _checked_u_blob(self.chan.recv(), CODE_WIDTH, m)
-            u_cols = split_packed_rows(u_blob, CODE_WIDTH, m)
-            q_cols = self._prg.packed_bits(m) ^ (u_cols & self._s_colmask)
+            q_cols = split_packed_rows(u_blob, CODE_WIDTH, m)
+            q_cols &= self._s_colmask
+            q_cols ^= self._prg.packed_bits(m)
             return transpose_packed(q_cols)[:m]
 
     # ------------------------------------------------------------------ #
@@ -110,15 +111,40 @@ class Kk13Sender:
         ABNN2 one-batch optimization).
         """
         q = self._extend(m)
-        # One preallocated (m, N, 5) hash-input tensor: q_i xor (C(j) & s)
-        # written straight into the first 4 words, OT index in the fifth —
-        # no per-chunk concatenate of broadcast temporaries.
-        rows = np.empty((m, self.n_values, _CODE_WORDS + 1), dtype=_U64)
-        np.bitwise_xor(q[:, None, :], self._coded_s[None, :, :], out=rows[:, :, :_CODE_WORDS])
-        rows[:, :, _CODE_WORDS] = (np.arange(m, dtype=_U64) + _U64(self._ot_index))[:, None]
-        out = self.ro.mask(rows, width, domain)
+        out = self._pads_at(q, self._ot_index, width, domain)
         self._ot_index += m
         return out
+
+    def pad_blocks(self, m: int, width: int, block: int, domain: int = 3):
+        """:meth:`pads` in sub-blocks: extend ``m`` OTs now, then yield
+        ``(lo, hi, pads[lo:hi])`` for every ``block`` OTs.
+
+        The extension (the received U matrix and the Q rows, 32 B per OT)
+        covers all ``m`` OTs; the ``N``-wide hash inputs and pads exist
+        one sub-block at a time, so the caller's working set past the
+        extension does not grow with ``m``.
+        """
+        q = self._extend(m)
+        first = self._ot_index
+        self._ot_index += m
+
+        def blocks():
+            for lo in range(0, m, block):
+                hi = min(m, lo + block)
+                yield lo, hi, self._pads_at(q[lo:hi], first + lo, width, domain)
+
+        return blocks()
+
+    def _pads_at(self, q: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
+        """Pads ``(len(q), N, W)`` of the Q rows of OTs ``first, first+1, ...``."""
+        m = q.shape[0]
+        # One preallocated (m, N, 5) hash-input tensor: q_i xor (C(j) & s)
+        # written straight into the first 4 words, OT index in the fifth —
+        # no concatenate of broadcast temporaries.
+        rows = np.empty((m, self.n_values, _CODE_WORDS + 1), dtype=_U64)
+        np.bitwise_xor(q[:, None, :], self._coded_s[None, :, :], out=rows[:, :, :_CODE_WORDS])
+        rows[:, :, _CODE_WORDS] = (np.arange(m, dtype=_U64) + _U64(first))[:, None]
+        return self.ro.mask(rows, width, domain)
 
     def send_chosen(self, messages: np.ndarray, domain: int = 3) -> None:
         """Chosen-message mode: transmit all N masked messages per OT."""
@@ -126,10 +152,11 @@ class Kk13Sender:
         if msgs.ndim != 3 or msgs.shape[1] != self.n_values:
             raise CryptoError(f"expected (m, {self.n_values}, W) messages, got {msgs.shape}")
         pads = self.pads(msgs.shape[0], msgs.shape[2], domain)
+        np.bitwise_xor(msgs, pads, out=pads)
         with channel_span(
             self.chan, "ot-transfer", m=int(msgs.shape[0]), width=int(msgs.shape[2])
         ):
-            self.chan.send(msgs ^ pads)
+            self.chan.send(pads)
 
 
 class Kk13Receiver:
@@ -184,15 +211,13 @@ class Kk13Receiver:
             raise CryptoError(f"choices must lie in [0, {self.n_values})")
         m = b.shape[0]
         with channel_span(self.chan, "extension", m=m):
-            m_words = (m + 63) // 64
-            code_cols = np.zeros((CODE_WIDTH, m_words), dtype=_U64)
-            for v, col_idx in enumerate(self._code_col_idx):
-                code_cols[col_idx] ^= pack_bits_to_words((b == v).view(np.uint8))[None, :]
             t0 = self._prg0.packed_bits(m)
-            t1 = self._prg1.packed_bits(m)
-            u = t0 ^ t1
-            u ^= code_cols
+            u = self._prg1.packed_bits(m)
+            u ^= t0
+            for v, col_idx in enumerate(self._code_col_idx):
+                u[col_idx] ^= pack_bits_to_words((b == v).view(np.uint8))[None, :]
             self.chan.send(concat_packed_rows(u, m))
+            del u
             return transpose_packed(t0)[:m]
 
     # ------------------------------------------------------------------ #
@@ -207,8 +232,28 @@ class Kk13Receiver:
         """Chosen-message mode: recover message ``b_i`` per OT, ``(m, W)``."""
         b = np.asarray(choices, dtype=np.int64)
         pad = self.pads(b, width, domain)
-        with channel_span(self.chan, "ot-transfer", m=int(b.shape[0]), width=width):
-            cipher = self.chan.recv()
-        if cipher.shape != (b.shape[0], self.n_values, width):
-            raise CryptoError(f"unexpected ciphertext shape {cipher.shape}")
+        cipher = self._recv_cipher(b.shape[0], width)
         return cipher[np.arange(b.shape[0]), b] ^ pad
+
+    def recv_blocks(self, choices, width: int, block: int, domain: int = 3):
+        """:meth:`recv_chosen` in sub-blocks: extend and hash the pads
+        (``W`` words per OT) before the frame arrives, receive the whole
+        ``(m, N, W)`` message frame, then yield ``(lo, hi, chosen[lo:hi])``
+        for every ``block`` OTs."""
+        b = np.asarray(choices, dtype=np.int64)
+        pad = self.pads(b, width, domain)
+        cipher = self._recv_cipher(b.shape[0], width)
+
+        def blocks():
+            for lo in range(0, b.shape[0], block):
+                hi = min(lo + block, b.shape[0])
+                yield lo, hi, cipher[np.arange(lo, hi), b[lo:hi]] ^ pad[lo:hi]
+
+        return blocks()
+
+    def _recv_cipher(self, m: int, width: int) -> np.ndarray:
+        with channel_span(self.chan, "ot-transfer", m=m, width=width):
+            cipher = self.chan.recv()
+        if cipher.shape != (m, self.n_values, width):
+            raise CryptoError(f"unexpected ciphertext shape {cipher.shape}")
+        return cipher

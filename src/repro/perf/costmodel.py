@@ -262,6 +262,101 @@ def linear_working_set_bytes(
 
 
 # --------------------------------------------------------------------- #
+# memory: the offline triplet working set
+# --------------------------------------------------------------------- #
+#: Chunking constants mirrored from :mod:`repro.core.triplets` (kept
+#: numeric: the cost model prices a trace without importing the protocol
+#: stack).  ``tests/test_trace_memory.py`` pins agreement.
+TRIPLET_CHUNK_BUDGET_WORDS = 1 << 22
+TRIPLET_MIN_CHUNK = 1024
+TRIPLET_SUB_BLOCK_WORDS = 1 << 19
+#: 32 B-per-OT rows one extension holds at once across the pair, at
+#: most: PRG blocks, the U blob and its encoding, the decoded copy, the Q
+#: columns, and the copy and output of each side's bit transpose.
+_EXTENSION_ROWS = 10
+#: Fixed per-layer allowance: KK13 session state, the base-OT handshake
+#: of the first layer, span and interpreter objects (measured: under
+#: 0.5 MiB on a 3x5 layer).
+_SESSION_BYTES = 1 << 20
+
+
+def _words(n_elems: int, bits: int) -> int:
+    return (n_elems * bits + 63) // 64
+
+
+def triplet_chunk_ots(n_values: int, o: int, ring_bits: int) -> int:
+    """OTs per wire chunk (:meth:`repro.core.triplets.TripletConfig.chunk_size`)."""
+    return max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * _words(o, ring_bits)))
+
+
+def triplet_sub_block_ots(n_values: int, lanes: int) -> int:
+    """OTs per sub-block (:meth:`repro.core.triplets.TripletConfig.sub_block`);
+    ``lanes`` is ``o`` in multi-batch mode and 1 in one-batch mode."""
+    return max(64, TRIPLET_SUB_BLOCK_WORDS // (n_values * lanes) // 64 * 64)
+
+
+def triplet_working_set_bytes(
+    m: int,
+    n: int,
+    o: int,
+    ring_bits: int,
+    frag_n_values,
+    mode: str,
+    word_bytes: int = WORD_BYTES,
+) -> int:
+    """Upper bound on one layer's triplet-generation allocation peak,
+    both parties in one process (the in-memory channel pair).
+
+    Radix groups run one after another, so the bound takes the worst
+    group, at ``c`` OTs per wire chunk and ``B`` per sub-block, and in it
+    the largest of a chunk's three phases:
+
+    * **extension**: :data:`_EXTENSION_ROWS` rows of 32 B per OT and the
+      server's hashed pads and their hash inputs (``c (W + 5)`` words),
+      next to the client's frame buffer (``F`` words) — in multi-batch
+      mode already being filled, holding the chunk's shares (``c o``
+      words, drawn once per chunk) and one sub-block's temporaries;
+    * **pads**: the frame, the client's Q rows and one sub-block's
+      temporaries, the server's pads (``c W`` words);
+    * **hand-off**: three copies of the frame (the client's buffer, its
+      encoding in flight, the server's decoded copy), the server's pads
+      and one sub-block of its openings and segment sums
+      (``3 W + 6 lanes`` words per OT) — in multi-batch mode next to the
+      client already filling the next chunk.
+
+    A client sub-block holds products, masked and packed messages, hash
+    inputs and pads: ``N (3 lanes + W + 6)`` words per OT.  ``F`` is
+    ``c N W`` words in multi-batch mode (``W = words(o l)``,
+    ``lanes = o``) and ``words(c (N-1) l)`` in one-batch mode (``W = 1``,
+    ``lanes = 1``).  The layer adds the server's digit and choice
+    vectors (two words per OT), both parties' ``(m, o)`` accumulators
+    and :data:`_SESSION_BYTES`.
+    """
+    if mode not in ("one", "multi"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    radices = list(frag_n_values)
+    if min(m, n, o, len(radices)) < 1:
+        raise ConfigError("triplet dimensions must be positive")
+    multi = mode == "multi"
+    lanes = o if multi else 1
+    width = _words(lanes, ring_bits)
+    worst = 0
+    for nv in set(radices):
+        chunk = min(triplet_chunk_ots(nv, o, ring_bits), m * n * radices.count(nv))
+        block = min(triplet_sub_block_ots(nv, lanes), chunk)
+        frame = chunk * nv * width if multi else _words(chunk * (nv - 1), ring_bits)
+        rows = 4 * chunk  # one 32 B-per-OT row (the Q or T rows)
+        client = block * nv * (3 * lanes + width + 6)
+        filling = chunk * o + client if multi else 0
+        extension = frame + filling + _EXTENSION_ROWS * rows + chunk * (width + 5)
+        pads = frame + rows + client + chunk * width
+        hand_off = 3 * frame + filling + chunk * width + block * (3 * width + 6 * lanes)
+        worst = max(worst, extension, pads, hand_off)
+    layer = 2 * m * n * len(radices) + 4 * m * o
+    return word_bytes * (layer + worst) + _SESSION_BYTES
+
+
+# --------------------------------------------------------------------- #
 # online GC (the non-linear layers)
 # --------------------------------------------------------------------- #
 def relu_and_gates(

@@ -40,14 +40,10 @@ from repro.perf.costmodel import (
     gc_relu_wire_bits,
     linear_working_set_bytes,
     lowered_operand_bytes,
+    triplet_chunk_ots,
+    triplet_working_set_bytes,
 )
 from repro.perf.trace import iter_spans
-
-#: Chunking constants mirrored from :class:`repro.core.triplets.TripletConfig`
-#: (kept numeric here: the report must price a trace without importing the
-#: protocol stack).  ``tests/test_costmodel_conformance.py`` pins agreement.
-_CHUNK_BUDGET_WORDS = 1 << 22
-_MIN_CHUNK = 1024
 
 DEFAULT_NETWORKS: tuple[NetworkModel, ...] = (LAN, WAN_SECUREML, WAN_QUOTIENT)
 
@@ -84,15 +80,13 @@ def triplet_slack_bits(
         return slack, slack
     # one-batch: ciphers for each chunk are packed contiguously and the
     # chunk's packing rounds up to a word (< 64 bits of slack per chunk).
-    width = _words(1, ring_bits)
     max_slack = 0
     groups: dict[int, int] = {}
     for nv in radices:
         groups[nv] = groups.get(nv, 0) + 1
     for nv, k in groups.items():
         total = m * n * k
-        chunk = max(_MIN_CHUNK, _CHUNK_BUDGET_WORDS // max(1, nv * width))
-        n_chunks = -(-total // chunk)
+        n_chunks = -(-total // triplet_chunk_ots(nv, 1, ring_bits))
         max_slack += 64 * n_chunks
     return 0, max_slack
 
@@ -205,8 +199,9 @@ def setup_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
 
 
 def check_conformance(trace: dict[str, Any]) -> list[str]:
-    """Conformance failures, empty when every modeled span is in tolerance."""
-    failures = []
+    """Conformance failures, empty when every modeled span is in tolerance
+    (the triplet allocation bounds of :func:`check_memory` included)."""
+    failures = check_memory(trace)
     for row in conformance_rows(trace) + setup_rows(trace):
         if row.ok is False:
             lo = (row.predicted_bits or 0) + row.slack_min_bits
@@ -223,13 +218,21 @@ def check_conformance(trace: dict[str, Any]) -> list[str]:
 # --------------------------------------------------------------------- #
 @dataclass
 class MemoryRow:
-    """One linear-layer span's allocation peak next to the closed form.
+    """One span's allocation peak next to its closed-form working set.
 
-    Informational (no FAIL gate): the closed form counts only the
-    dominant share-pipeline arrays, while the measured peak includes
-    gather index tables, temporaries inside BLAS calls and interpreter
-    noise.  The big-model benchmark applies the hard RSS gate; this
-    table is for reading a trace.
+    ``matmul`` rows (the online linear step) are informational: their
+    closed form counts only the dominant share-pipeline arrays, while the
+    measured peak includes gather index tables, temporaries inside BLAS
+    calls and interpreter noise; the big-model benchmark applies the hard
+    RSS gate.  ``triplets`` rows (offline triplet generation) are gated:
+    :func:`~repro.perf.costmodel.triplet_working_set_bytes` is an upper
+    bound, and ``report --check`` fails a span that measures above it.
+
+    The heap is the process's, and in an in-process pair the server
+    still opens the previous layer's last frame while the client already
+    waits in the next layer's span, so a triplets span is held to the
+    larger of its own bound and the previous triplets span's
+    (``bound_bytes``): the two never run at once.
     """
 
     path: str
@@ -237,18 +240,46 @@ class MemoryRow:
     measured_bytes: int | None  # alloc_peak_bytes; None when memory mode was off
     predicted_bytes: int | None  # closed-form working set; None when unmodeled
     operand_bytes: int | None  # full lowered operand the chunked path avoids
+    kind: str = "matmul"  # "matmul" | "triplets"
+    bound_bytes: int | None = None  # what a triplets span is checked against
+
+    @property
+    def ok(self) -> bool | None:
+        """False when a triplets span measures above its bound, else
+        True; None for informational or unmeasured rows."""
+        if self.kind != "triplets" or None in (self.measured_bytes, self.bound_bytes):
+            return None
+        return self.measured_bytes <= self.bound_bytes
 
 
 def memory_rows(trace: dict[str, Any]) -> list[MemoryRow]:
-    """Every ``matmul`` span with its predicted peak working set."""
+    """Every ``matmul`` and ``triplets`` span with its predicted peak
+    working set."""
     rows: list[MemoryRow] = []
+    previous = None  # the last triplets span's closed form
     for path, span in iter_spans(trace):
-        if span["name"] != "matmul":
+        kind = span["name"]
+        if kind not in ("matmul", "triplets"):
             continue
         attrs = span.get("attrs", {})
         measured = span.get("alloc_peak_bytes")
-        needed = ("m", "n", "o", "groups")
-        if all(key in attrs for key in needed):
+        predicted, operand, detail = None, None, "missing dimensions"
+        if kind == "triplets":
+            needed = ("m", "n", "o", "ring_bits", "mode", "frag_n_values")
+            if all(key in attrs for key in needed):
+                m, n, o = attrs["m"], attrs["n"], attrs["o"]
+                bits, mode = attrs["ring_bits"], attrs["mode"]
+                radices = attrs["frag_n_values"]
+                predicted = triplet_working_set_bytes(m, n, o, bits, radices, mode)
+                detail = f"{mode} m={m} n={n} o={o} l={bits} N={radices}"
+            bound = predicted
+            if None not in (predicted, previous) and previous > predicted:
+                bound = previous
+                detail += f" (checked against the previous layer's {_fmt_mem(bound)})"
+            rows.append(MemoryRow(path, detail, measured, predicted, None, kind, bound))
+            previous = predicted
+            continue
+        if all(key in attrs for key in ("m", "n", "o", "groups")):
             m, n, o = attrs["m"], attrs["n"], attrs["o"]
             groups = attrs["groups"]
             chunk = attrs.get("chunk_cols")
@@ -258,10 +289,18 @@ def memory_rows(trace: dict[str, Any]) -> list[MemoryRow]:
                 f"m={m} n={n} o={o} groups={groups} "
                 f"chunk={'-' if chunk is None else chunk}"
             )
-        else:
-            predicted, operand, detail = None, None, "missing dimensions"
-        rows.append(MemoryRow(path, detail, measured, predicted, operand))
+        rows.append(MemoryRow(path, detail, measured, predicted, operand, kind))
     return rows
+
+
+def check_memory(trace: dict[str, Any]) -> list[str]:
+    """Triplets spans whose allocation peak exceeds the closed form."""
+    return [
+        f"{row.path}: allocation peak {row.measured_bytes} B above the "
+        f"closed-form working set {row.bound_bytes} B ({row.detail})"
+        for row in memory_rows(trace)
+        if row.ok is False
+    ]
 
 
 def _fmt_mem(nbytes: int | None) -> str:
@@ -282,15 +321,18 @@ def render_memory_report(trace: dict[str, Any]) -> str:
         out.append(f"  process peak RSS: {_fmt_mem(peak_rss)}")
     rows = memory_rows(trace)
     if not rows:
-        out.append("  (no matmul spans in this trace)")
+        out.append("  (no matmul spans or triplets spans in this trace)")
         return "\n".join(out)
     out.append(
         f"  {'span':<28} {'measured':>12} {'predicted':>12} {'full operand':>13}"
+        f" {'status':>7}"
     )
     for row in rows:
+        status = {None: "-", True: "OK", False: "FAIL"}[row.ok]
         out.append(
             f"  {row.path:<28} {_fmt_mem(row.measured_bytes):>12}"
             f" {_fmt_mem(row.predicted_bytes):>12} {_fmt_mem(row.operand_bytes):>13}"
+            f" {status:>7}"
         )
         out.append(f"      {row.detail}")
     if all(row.measured_bytes is None for row in rows):

@@ -35,9 +35,12 @@ Memory mode (``Tracer(memory=True)``, or env ``ABNN2_TRACE_MEMORY=1``)
 adds per-span **allocation high-water marks** via :mod:`tracemalloc`:
 each span records the peak python-heap growth observed while it was
 open, relative to the heap size at its own start.  The peak is folded
-into every open span at each span boundary and at export, so nested
-spans see their own maxima even though :func:`tracemalloc.reset_peak`
-is global.  The exported root span additionally carries the process
+into every open span — of every memory-mode tracer in the process — at
+each span boundary and at export, so nested spans, and the two parties
+of an in-process pair, see their own maxima even though
+:func:`tracemalloc.reset_peak` is global.  The heap is the process's,
+so a span's peak includes what other threads allocated while it was
+open.  The exported root span additionally carries the process
 ``peak_rss_bytes`` (``VmHWM``).  Module-level helpers
 :func:`current_rss_bytes` / :func:`peak_rss_bytes` /
 :func:`reset_peak_rss` expose the OS-level counters directly for
@@ -51,8 +54,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
@@ -67,6 +72,13 @@ _RECV = "recv"
 
 #: Env var that turns on allocation tracking for every Tracer by default.
 MEMORY_ENV = "ABNN2_TRACE_MEMORY"
+
+#: The process's memory-mode tracers.  tracemalloc keeps one global peak,
+#: so a fold credits it to the open spans of *every* tracer here before
+#: resetting it: the two parties of an in-process pair, one tracer per
+#: thread, then both see a peak, whichever reaches a span boundary first.
+_MEMORY_TRACERS: "weakref.WeakSet[Tracer]" = weakref.WeakSet()
+_FOLD_LOCK = threading.Lock()
 
 
 # --------------------------------------------------------------------- #
@@ -233,10 +245,12 @@ class Tracer:
             tracemalloc.start()
         self.root = Span("root", {"party": party} if party else {}, parent=None)
         self.root.start_s = clock()
+        self._stack: list[Span] = [self.root]
         if memory:
             self.root.alloc_base = tracemalloc.get_traced_memory()[0]
             self.root.alloc_peak_bytes = 0
-        self._stack: list[Span] = [self.root]
+            with _FOLD_LOCK:
+                _MEMORY_TRACERS.add(self)
         # Direction of the last IO event seen by this tracer, across span
         # boundaries: rounds are a property of the message *stream*, so a
         # span that continues the previous direction opens no new round.
@@ -244,7 +258,8 @@ class Tracer:
 
     def _fold_alloc_peak(self) -> None:
         """Fold the tracemalloc peak of the segment since the previous
-        boundary into every open span, then reset the (global) peak.
+        boundary into every open span of every memory-mode tracer, then
+        reset the (global) peak.
 
         ``alloc_base`` and the tracemalloc peak are both absolute heap
         sizes, so ``peak - base`` is each span's growth high-water for
@@ -253,12 +268,15 @@ class Tracer:
         """
         if not self.memory or not tracemalloc.is_tracing():
             return
-        _, peak = tracemalloc.get_traced_memory()
-        for span in self._stack:
-            growth = peak - span.alloc_base
-            if span.alloc_peak_bytes is None or growth > span.alloc_peak_bytes:
-                span.alloc_peak_bytes = max(growth, 0)
-        tracemalloc.reset_peak()
+        with _FOLD_LOCK:
+            _, peak = tracemalloc.get_traced_memory()
+            for tracer in list(_MEMORY_TRACERS):
+                # A copy: the owning thread may push or pop meanwhile.
+                for span in list(tracer._stack):
+                    growth = peak - span.alloc_base
+                    if span.alloc_peak_bytes is None or growth > span.alloc_peak_bytes:
+                        span.alloc_peak_bytes = max(growth, 0)
+            tracemalloc.reset_peak()
 
     # ------------------------------------------------------------------ #
     # span lifecycle

@@ -132,7 +132,9 @@ class Ring:
     def sample(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Uniformly random ring elements."""
         raw = rng.integers(0, 1 << 63, size=shape, dtype=np.uint64)
-        raw = (raw << _U64(1)) | rng.integers(0, 2, size=shape, dtype=np.uint64)
+        # Shift and merge in place: at most two full-size arrays live.
+        raw <<= _U64(1)
+        raw |= rng.integers(0, 2, size=shape, dtype=np.uint64)
         return raw & self._mask
 
     # ------------------------------------------------------------------ #

@@ -38,23 +38,38 @@ _DTYPE_CODES = {dt: code for code, dt in _DTYPES.items()}
 
 
 def encode(obj: Any) -> bytes:
-    """Serialize a supported object to bytes."""
+    """Serialize a supported object to bytes.
+
+    Headers and payload buffers are collected first and joined once, so
+    an array payload is copied exactly once, into the returned frame.
+    """
+    parts: list = []
+    _encode_parts(obj, parts)
+    return b"".join(parts)
+
+
+def _encode_parts(obj: Any, parts: list) -> None:
     if isinstance(obj, (bytes, bytearray)):
-        return struct.pack("<BQ", _TAG_BYTES, len(obj)) + bytes(obj)
-    if isinstance(obj, np.ndarray):
+        parts += (struct.pack("<BQ", _TAG_BYTES, len(obj)), obj)
+    elif isinstance(obj, np.ndarray):
         dt = obj.dtype
         if dt not in _DTYPE_CODES:
             raise ProtocolError(f"unsupported array dtype {dt}")
         shape = obj.shape
-        head = struct.pack("<BBB", _TAG_ARRAY, _DTYPE_CODES[dt], len(shape))
-        head += struct.pack(f"<{len(shape)}Q", *shape)
-        return head + np.ascontiguousarray(obj).tobytes()
-    if isinstance(obj, (int, np.integer)):
-        return struct.pack("<Bq", _TAG_INT, int(obj))
-    if isinstance(obj, tuple):
-        body = b"".join(encode(item) for item in obj)
-        return struct.pack("<BI", _TAG_TUPLE, len(obj)) + body
-    raise ProtocolError(f"cannot encode object of type {type(obj).__name__}")
+        parts.append(
+            struct.pack(f"<BBB{len(shape)}Q", _TAG_ARRAY, _DTYPE_CODES[dt], len(shape), *shape)
+        )
+        # A flat uint8 view exports a plain buffer for every shape,
+        # zero-size ones included (memoryview.cast rejects those).
+        parts.append(np.ascontiguousarray(obj).reshape(-1).view(np.uint8))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(struct.pack("<Bq", _TAG_INT, int(obj)))
+    elif isinstance(obj, tuple):
+        parts.append(struct.pack("<BI", _TAG_TUPLE, len(obj)))
+        for item in obj:
+            _encode_parts(item, parts)
+    else:
+        raise ProtocolError(f"cannot encode object of type {type(obj).__name__}")
 
 
 def decode(data: bytes) -> Any:

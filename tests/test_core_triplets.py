@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.triplets as triplets_mod
 from repro.core.triplets import (
     TripletConfig,
     generate_triplets_client,
@@ -103,6 +104,85 @@ class TestCorrectness:
         config = TripletConfig(ring=ring, scheme=scheme, m=2, n=3, o=1, group=test_group)
         result = _run_triplets(w, r, config)
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
+
+
+class TestSubBlocks:
+    """Sub-blocking moves the working set, never a byte on the wire.
+
+    With 64-OT sub-blocks, ``U + V = W R`` holds for OT counts below the
+    sub-block size, equal to it and ragged against it (also across wire
+    chunks), in both modes and at a ring width whose packing does not
+    divide 64 bits; shares and both parties' transcripts equal those of
+    a run with one sub-block per chunk.
+    """
+
+    SHAPES = {  # (m, n): 2 m n OTs of the 2-fragment scheme
+        "below": (2, 8),  # 32 OTs
+        "equal": (4, 8),  # 64
+        "ragged": (5, 16),  # 160 = 2.5 sub-blocks
+        "chunks": (40, 30),  # 2400 = 1024-OT chunks, the last 5.5 sub-blocks
+    }
+
+    @staticmethod
+    def _digest_run(w, r, config):
+        from tests.test_transcript_digests import DigestChannel
+
+        chans = {}
+
+        def party(fn, key):
+            def run(ch):
+                chans[key] = DigestChannel(ch)
+                return fn(chans[key])
+
+            return run
+
+        result = run_protocol(
+            party(lambda ch: generate_triplets_server(ch, w, config, seed=9), 0),
+            party(
+                lambda ch: generate_triplets_client(
+                    ch, r, config, np.random.default_rng(10), seed=11
+                ),
+                1,
+            ),
+        )
+        return result, (chans[0].hexdigest(), chans[1].hexdigest())
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("mode,o", [("multi", 3), ("one", 1)])
+    @pytest.mark.parametrize("bits", [32, 20])
+    def test_ragged_sub_blocks(self, shape, mode, o, bits, test_group, rng, monkeypatch):
+        scheme = FragmentScheme.from_bits((2, 2))
+        ring = Ring(bits)
+        m, n = self.SHAPES[shape]
+        config = TripletConfig(
+            ring=ring, scheme=scheme, m=m, n=n, o=o, mode=mode, group=test_group
+        )
+        if shape == "chunks":
+            monkeypatch.setattr(triplets_mod, "_CHUNK_BUDGET_WORDS", 1)
+            assert config.chunk_size(4) == 1024
+        w = _random_weights(scheme, (m, n), rng)
+        r = ring.sample(rng, (n, o))
+
+        monkeypatch.setattr(triplets_mod, "_SUB_BLOCK_WORDS", 64 * 4 * o)
+        assert config.sub_block(4) == 64
+        blocked, blocked_digests = self._digest_run(w, r, config)
+        assert (ring.add(blocked.server, blocked.client) == ring.matmul(ring.reduce(w), r)).all()
+
+        monkeypatch.setattr(triplets_mod, "_SUB_BLOCK_WORDS", 1 << 40)
+        assert config.sub_block(4) >= config.total_ots
+        whole, whole_digests = self._digest_run(w, r, config)
+        assert (blocked.server == whole.server).all()
+        assert (blocked.client == whole.client).all()
+        assert blocked_digests == whole_digests
+
+    def test_sub_block_is_a_multiple_of_64(self):
+        scheme = FragmentScheme.from_bits((2, 2))
+        for o in (1, 3, 8, 1024, 1 << 20):
+            config = TripletConfig(ring=Ring(32), scheme=scheme, m=1, n=1, o=o)
+            block = config.sub_block(4)
+            assert block % 64 == 0 and block >= 64
+            lanes = o if config.resolved_mode == "multi" else 1
+            assert block == 64 or block * 4 * lanes <= triplets_mod._SUB_BLOCK_WORDS
 
 
 class TestCommunication:

@@ -175,3 +175,56 @@ class TestPayloadSize:
     def test_size_error(self):
         with pytest.raises(ProtocolError):
             ser.payload_nbytes(3.14)
+
+
+def _reference_encode(obj):
+    """The two-copy encoder the one-copy :func:`ser.encode` replaced."""
+    import struct
+
+    if isinstance(obj, (bytes, bytearray)):
+        return struct.pack("<BQ", 0, len(obj)) + bytes(obj)
+    if isinstance(obj, np.ndarray):
+        shape = obj.shape
+        head = struct.pack("<BBB", 1, ser._DTYPE_CODES[obj.dtype], len(shape))
+        head += struct.pack(f"<{len(shape)}Q", *shape)
+        return head + np.ascontiguousarray(obj).tobytes()
+    if isinstance(obj, (int, np.integer)):
+        return struct.pack("<Bq", 2, int(obj))
+    body = b"".join(_reference_encode(item) for item in obj)
+    return struct.pack("<BI", 3, len(obj)) + body
+
+
+class TestByteIdentity:
+    """The one-copy encoder emits exactly the bytes of the two-copy one."""
+
+    @pytest.mark.parametrize("dtype", list(ser._DTYPES.values()), ids=str)
+    @pytest.mark.parametrize(
+        "shape", [(), (0,), (0, 2), (2, 0, 3), (7,), (3, 5), (2, 3, 4)], ids=str
+    )
+    def test_every_dtype_and_shape(self, dtype, shape, rng):
+        arr = rng.integers(0, 200, size=shape).astype(dtype)
+        assert ser.encode(arr) == _reference_encode(arr)
+
+    @pytest.mark.parametrize("dtype", list(ser._DTYPES.values()), ids=str)
+    def test_noncontiguous_views(self, dtype, rng):
+        base = rng.integers(0, 200, size=(6, 8)).astype(dtype)
+        for view in (base.T, base[::2], base[:, 1::3], base[::-1, ::2], base.T[2:0:-1]):
+            assert not view.flags.c_contiguous or view.size <= 1
+            assert ser.encode(view) == _reference_encode(view)
+            assert (ser.decode(ser.encode(view)) == view).all()
+
+    def test_gc_row_table_frame(self):
+        # The GC frame's empty (0, 2) row table inside a tuple.
+        frame = (np.zeros((0, 2), dtype=np.uint64), np.arange(8, dtype=np.uint8), 3)
+        assert ser.encode(frame) == _reference_encode(frame)
+
+    def test_nested_tuples_and_bytearray(self, rng):
+        obj = (
+            bytearray(b"ab"),
+            (),
+            ((1, (b"", np.zeros((4, 0), dtype=np.uint32))), rng.integers(0, 9, size=(3, 3)).T),
+            np.uint16(5),
+        )
+        assert ser.encode(obj) == _reference_encode(obj)
+        for sample in _sample_objects(rng):
+            assert ser.encode(sample) == _reference_encode(sample)

@@ -13,19 +13,38 @@ both sides plus the report table that joins them.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.core.triplets as triplets_mod
 from repro.cli import main
+from repro.core.triplets import (
+    TripletConfig,
+    generate_triplets_client,
+    generate_triplets_server,
+)
 from repro.errors import ConfigError
+from repro.net import run_protocol
 from repro.perf.costmodel import (
+    TRIPLET_CHUNK_BUDGET_WORDS,
+    TRIPLET_MIN_CHUNK,
+    TRIPLET_SUB_BLOCK_WORDS,
     WORD_BYTES,
     _matmul_intermediate_words,
     linear_working_set_bytes,
     lowered_operand_bytes,
+    triplet_chunk_ots,
+    triplet_sub_block_ots,
+    triplet_working_set_bytes,
 )
-from repro.perf.report import memory_rows, render_memory_report
+from repro.perf.report import (
+    check_conformance,
+    check_memory,
+    memory_rows,
+    render_memory_report,
+)
 from repro.perf.trace import (
     MEMORY_ENV,
     Tracer,
@@ -33,7 +52,8 @@ from repro.perf.trace import (
     peak_rss_bytes,
     reset_peak_rss,
 )
-from repro.utils.ring import MATMUL_EXPANSION_WORDS
+from repro.quant.fragments import FragmentScheme
+from repro.utils.ring import MATMUL_EXPANSION_WORDS, Ring
 
 BIG = 32 * 1024 * 1024  # bytes of the "large" allocation below
 SMALL_CAP = 4 * 1024 * 1024
@@ -85,6 +105,19 @@ class TestSpanAllocPeaks:
         # adoption folds the child's root, which saw the big allocation
         child_doc = child.to_dict()
         assert span.alloc_peak_bytes == child_doc["root"]["alloc_peak_bytes"]
+
+
+    def test_peak_reaches_every_tracers_open_spans(self):
+        # The two parties of an in-process pair each own a tracer; one's
+        # span boundary resets the global peak, yet the other's open
+        # span still sees the allocation.
+        waiting, busy = Tracer(memory=True), Tracer(memory=True)
+        with waiting.span("waiting"):
+            with busy.span("busy"):
+                blob = np.ones(BIG // 8, dtype=np.uint64)
+                del blob
+        spans = {s["name"]: s for _, s in _walk(waiting.to_dict()["root"])}
+        assert spans["waiting"]["alloc_peak_bytes"] >= BIG
 
 
 class TestRssCounters:
@@ -148,6 +181,114 @@ class TestWorkingSetModel:
             linear_working_set_bytes(8, 18, 72, chunk_cols=0)
 
 
+FIG4_L0 = dict(m=128, n=784, ring_bits=32, frag_n_values=[4, 4, 4, 4])
+
+
+class TestTripletWorkingSet:
+    def test_mirrors_match_the_protocol(self):
+        assert TRIPLET_CHUNK_BUDGET_WORDS == triplets_mod._CHUNK_BUDGET_WORDS
+        assert TRIPLET_SUB_BLOCK_WORDS == triplets_mod._SUB_BLOCK_WORDS
+        for bits in ((1,), (2, 2), (4, 4)):
+            scheme = FragmentScheme.from_bits(bits)
+            n_values = scheme.fragments[0].n_values
+            for o in (1, 2, 8, 100, 1024, 1 << 20):
+                config = TripletConfig(ring=Ring(32), scheme=scheme, m=1, n=1, o=o)
+                lanes = o if config.resolved_mode == "multi" else 1
+                assert triplet_chunk_ots(n_values, o, 32) == config.chunk_size(n_values)
+                assert triplet_sub_block_ots(n_values, lanes) == config.sub_block(n_values)
+        assert triplet_chunk_ots(4, 1 << 20, 32) == TRIPLET_MIN_CHUNK
+
+    def test_fig4_layer0_batch8_closed_form(self):
+        # Two wire chunks of 262 144 OTs; 16 Ki-OT sub-blocks; the
+        # extension phase (frame being filled, shares, ten 32 B rows, the
+        # server's pads and hash inputs) is the worst of the three.
+        chunk, block = 262_144, 16_384
+        frame = chunk * 4 * 4
+        filling = chunk * 8 + block * 4 * (3 * 8 + 4 + 6)
+        extension = frame + filling + 10 * 4 * chunk + chunk * (4 + 5)
+        layer = 2 * 128 * 784 * 4 + 4 * 128 * 8
+        assert triplet_working_set_bytes(o=8, mode="multi", **FIG4_L0) == (
+            WORD_BYTES * (layer + extension) + (1 << 20)
+        )
+
+    def test_chunk_terms_do_not_grow_with_the_layer(self):
+        small = triplet_working_set_bytes(o=8, mode="multi", **FIG4_L0)
+        big = triplet_working_set_bytes(
+            1280, 784, 8, 32, [4, 4, 4, 4], "multi"
+        )  # ten times the OTs, twenty wire chunks
+        assert big - small == WORD_BYTES * (2 * 1152 * 784 * 4 + 4 * 1152 * 8)
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            triplet_working_set_bytes(o=8, mode="auto", **FIG4_L0)
+        with pytest.raises(ConfigError):
+            triplet_working_set_bytes(0, 784, 8, 32, [4], "multi")
+        with pytest.raises(ConfigError):
+            triplet_working_set_bytes(128, 784, 8, 32, [], "multi")
+
+
+class TestTripletSpanPeaks:
+    """Fig-4 layer 0 under memory tracing: each party's triplets span
+    peaks at or under the closed form, and above what the pair must hold
+    at once (two copies of a chunk frame at batch 8, two extension rows
+    at batch 1), so the bound is not met vacuously."""
+
+    @pytest.fixture(autouse=True)
+    def _stop_tracemalloc(self):
+        was_tracing = tracemalloc.is_tracing()
+        yield
+        if not was_tracing:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("batch", [8, 1])
+    def test_fig4_layer0_within_closed_form(self, batch, test_group):
+        scheme = FragmentScheme.from_bits((2, 2, 2, 2))
+        ring = Ring(32)
+        m, n = FIG4_L0["m"], FIG4_L0["n"]
+        config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=batch, group=test_group)
+        chunk = min(config.chunk_size(4), config.total_ots)
+        if batch == 8:
+            assert config.resolved_mode == "multi"
+            assert chunk < config.total_ots <= 2 * chunk  # two wire chunks
+        else:
+            assert config.resolved_mode == "one"
+        rng = np.random.default_rng(0)
+        lo, hi = scheme.weight_range
+        w = rng.integers(lo, hi + 1, size=(m, n))
+        r = ring.sample(rng, (n, batch))
+        attrs = dict(FIG4_L0, o=batch, mode=config.resolved_mode)
+        tracers = (Tracer(memory=True), Tracer(memory=True))
+
+        def traced(idx, fn):
+            def run(chan):
+                chan.tracer = tracers[idx]
+                with tracers[idx].span("offline"):
+                    with tracers[idx].span("layer0/triplets", **attrs):
+                        return fn(chan)
+
+            return run
+
+        result = run_protocol(
+            traced(0, lambda ch: generate_triplets_server(ch, w, config, seed=1)),
+            traced(
+                1,
+                lambda ch: generate_triplets_client(
+                    ch, r, config, np.random.default_rng(2), seed=3
+                ),
+            ),
+        )
+        assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
+        bound = triplet_working_set_bytes(o=batch, mode=config.resolved_mode, **FIG4_L0)
+        held = 2 * WORD_BYTES * (chunk * 4 * 4 if batch == 8 else 4 * chunk)
+        for tracer in tracers:
+            doc = tracer.to_dict()
+            rows = [row for row in memory_rows(doc) if row.kind == "triplets"]
+            assert [row.path for row in rows] == ["offline/layer0/triplets"]
+            assert rows[0].predicted_bytes == rows[0].bound_bytes == bound
+            assert held <= rows[0].measured_bytes <= bound
+            assert rows[0].ok and check_memory(doc) == []
+
+
 class TestMemoryReport:
     @staticmethod
     def _trace(memory: bool, with_attrs: bool = True):
@@ -191,6 +332,53 @@ class TestMemoryReport:
         assert "no matmul spans" in render_memory_report(empty.to_dict())
 
 
+class TestTripletMemoryRows:
+    @staticmethod
+    def _trace(peaks):
+        tracer = Tracer(memory=False)
+        with tracer.span("offline"):
+            for idx, (m, o) in enumerate(((128, 8), (10, 8))):
+                with tracer.span(
+                    f"layer{idx}/triplets", m=m, n=784, o=o, ring_bits=32,
+                    mode="multi", frag_n_values=[4, 4],
+                ):
+                    pass
+            with tracer.span("layer2/triplets", m=4):
+                pass
+        doc = tracer.to_dict()
+        spans = [s for _, s in _walk(doc["root"]) if s["name"] == "triplets"]
+        for span, peak in zip(spans, peaks):
+            span["alloc_peak_bytes"] = peak
+        return doc
+
+    def test_rows_bound_and_previous_layer_tail(self):
+        first = triplet_working_set_bytes(128, 784, 8, 32, [4, 4], "multi")
+        second = triplet_working_set_bytes(10, 784, 8, 32, [4, 4], "multi")
+        rows = memory_rows(self._trace([first, first, 0]))
+        assert [row.kind for row in rows] == ["triplets"] * 3
+        assert [row.predicted_bytes for row in rows] == [first, second, None]
+        # the peer's tail of layer 0 lands in layer 1's span
+        assert [row.bound_bytes for row in rows] == [first, first, None]
+        assert "previous layer" in rows[1].detail
+        assert [row.ok for row in rows] == [True, True, None]
+        assert rows[2].detail == "missing dimensions"
+        text = render_memory_report(self._trace([first, first, 0]))
+        assert "offline/layer1/triplets" in text and "FAIL" not in text
+
+    def test_check_fails_above_the_bound(self):
+        first = triplet_working_set_bytes(128, 784, 8, 32, [4, 4], "multi")
+        doc = self._trace([first + 1, 0, 0])
+        failures = check_memory(doc)
+        assert len(failures) == 1 and "offline/layer0/triplets" in failures[0]
+        assert failures[0] in check_conformance(doc)
+        assert "FAIL" in render_memory_report(doc)
+
+    def test_unmeasured_rows_are_not_gated(self):
+        doc = self._trace([])
+        assert all(row.ok is None for row in memory_rows(doc))
+        assert check_memory(doc) == []
+
+
 class TestCliMemoryReport:
     def test_report_demo_memory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV, "1")
@@ -214,6 +402,22 @@ class TestCliMemoryReport:
             if span["name"] == "matmul"
         ]
         assert measured and all(m is not None for m in measured)
+        assert "offline/layer0/triplets" in out
+        triplets = [row for row in memory_rows(doc) if row.kind == "triplets"]
+        assert triplets and all(row.ok for row in triplets)
+
+    def test_report_demo_memory_multi_batch(self, capsys, monkeypatch):
+        # The CI smoke shape: batch 2 runs the multi-batch path.
+        monkeypatch.setenv(MEMORY_ENV, "1")
+        code = main(
+            ["report", "--demo", "--memory", "--check", "--hidden", "8", "--batch", "2"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        for idx in range(3):
+            assert f"offline/layer{idx}/triplets" in out
+        assert "multi m=8 n=784 o=2" in out
+        assert "FAIL" not in out
 
 
 def _walk(span, prefix=""):

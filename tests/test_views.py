@@ -6,7 +6,9 @@ dealer-trusted: the serving process deals the client's offline half,
 ``input_mask`` included, and then receives ``x - input_mask`` as the
 first online message, so the server can unmask the client's input.
 The test below pins that leak exactly; splitting the dealer into its own
-role is what turns it around.
+role is what turns it around.  A chi-squared test then checks that the
+narrowed ReLU's output-table word, the one value the evaluator opens
+outside the circuit, is uniform.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
 from repro.core.offline import ClientHalf
 from repro.core.protocol import ModelMeta
+from repro.core.relu import relu_layer_client, relu_layer_server
+from repro.gc.protocol import GcSessions
+from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
 from repro.nn.model import mnist_mlp
 from repro.nn.quantize import quantize_model
@@ -102,3 +108,64 @@ class TestBankModeView:
         first_online = next(m for m in view.received if isinstance(m, np.ndarray))
         recovered = ring.add(ring.reduce(first_online), ring.reduce(input_mask))
         assert (recovered == x_ring).all()
+
+
+class TestReluRowTableUniform:
+    """ROADMAP 10(b) for the narrowed ReLU: the high output word the
+    evaluator opens from the 2-row table, ``-z1_high - borrow``, is
+    uniform whatever the input, under a fixed-seed chi-squared test.
+
+    ``Ring(10)``, public width ``m = 6`` and shift ``f = 2`` leave
+    ``k = 4`` circuit output bits, so the table word has ``10 - 4 = 6``
+    bits: 64 bins, 2048 ReLU instances (independent circuit runs) per
+    input value, 32 expected per bin.
+    """
+
+    BITS, WIDTH, SHIFT = 10, 6, 2
+    N_INST = 2048
+    #: chi-squared critical value, 63 degrees of freedom, alpha = 0.001
+    CHI2_CRIT = 103.442
+
+    def _opened_words(self, variant, y_value, test_group):
+        ring = Ring(self.BITS)
+        rng = np.random.default_rng(1000 + y_value)
+        y = ring.reduce(np.full(self.N_INST, y_value, dtype=np.int64))
+        y1 = ring.sample(rng, y.shape)
+        z1 = ring.sample(rng, y.shape)
+
+        def server_fn(chan):
+            sessions = GcSessions(chan, "evaluator", group=test_group, seed=1)
+            return relu_layer_server(
+                chan, ring.sub(y, y1), sessions, ring, variant, self.WIDTH, self.SHIFT
+            )
+
+        def client_fn(chan):
+            sessions = GcSessions(chan, "garbler", group=test_group, seed=2)
+            return relu_layer_client(
+                chan, y1, z1, sessions, ring, np.random.default_rng(9), variant,
+                self.WIDTH, self.SHIFT,
+            )
+
+        z0 = run_protocol(server_fn, client_fn).server
+        k = self.WIDTH - self.SHIFT
+        relu = max(y_value >> self.SHIFT, 0)
+        borrow = (z1 & np.uint64((1 << k) - 1)) > np.uint64(relu)
+        high_ring = Ring(self.BITS - k)
+        expected = high_ring.sub(high_ring.neg(z1 >> np.uint64(k)), borrow.astype(np.uint64))
+        opened = z0 >> np.uint64(k)
+        assert (opened == expected).all()
+        return opened
+
+    @pytest.mark.parametrize(
+        "variant,y_value",
+        [("oblivious", 21), ("oblivious", 3), ("oblivious", -21), ("optimized", 21), ("optimized", 3)],
+    )
+    def test_opened_row_word_is_uniform(self, variant, y_value, test_group):
+        # The optimized variant's table serves positive neurons only;
+        # negative ones get -z1 outright.
+        opened = self._opened_words(variant, y_value, test_group)
+        bins = 1 << (self.BITS - self.WIDTH + self.SHIFT)
+        counts = np.bincount(opened.astype(np.int64), minlength=bins)
+        expected = self.N_INST / bins
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < self.CHI2_CRIT, (variant, y_value, chi2)
