@@ -192,6 +192,10 @@ def minionn_triplets_server(
 class MinionnMatmulServer(SecureMatmulServer):
     key_bits = 2048
 
+    @staticmethod
+    def base_ot_columns(config) -> int:
+        return 0  # Paillier: no OT extension offline
+
     def offline(self) -> None:
         cfg = MinionnConfig(
             ring=self.config.ring,
@@ -205,6 +209,7 @@ class MinionnMatmulServer(SecureMatmulServer):
 
 class MinionnMatmulClient(SecureMatmulClient):
     key_bits = 2048
+    base_ot_columns = staticmethod(MinionnMatmulServer.base_ot_columns)
 
     def offline(self) -> None:
         cfg = MinionnConfig(

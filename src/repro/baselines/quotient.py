@@ -21,7 +21,7 @@ from repro.core.protocol import Abnn2Client, Abnn2Server, PredictionReport
 from repro.core.triplets import TripletConfig
 from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.hash_ro import default_ro
-from repro.crypto.iknp import OtExtReceiver, OtExtSender
+from repro.crypto.iknp import KAPPA, OtExtReceiver, OtExtSender
 from repro.errors import ConfigError
 from repro.net.channel import Channel
 from repro.net.runner import run_protocol
@@ -75,11 +75,17 @@ def quotient_triplets_client(
 
 
 class QuotientMatmulServer(SecureMatmulServer):
+    @staticmethod
+    def base_ot_columns(config: TripletConfig) -> int:
+        return KAPPA  # IKNP
+
     def offline(self) -> None:
         self._u = quotient_triplets_server(self.chan, self.w_int, self.config, seed=self._seed)
 
 
 class QuotientMatmulClient(SecureMatmulClient):
+    base_ot_columns = staticmethod(QuotientMatmulServer.base_ot_columns)
+
     def offline(self) -> None:
         self._v = quotient_triplets_client(self.chan, self.r, self.config, seed=self._seed)
 

@@ -64,6 +64,13 @@ class SecureMatmulServer:
         self._seed = seed
         self._u: np.ndarray | BlockedShare | None = None
 
+    @staticmethod
+    def base_ot_columns(config: TripletConfig) -> int:
+        """Base OTs the widest session of :meth:`offline` derives: KK13
+        at the product's largest code length (the offline walk reserves
+        the round's maximum before its first session)."""
+        return config.code_bits
+
     def offline(self) -> None:
         """Run the OT-based triplet generation (interactive)."""
         self._u = generate_triplets_server(self.chan, self.w_int, self.config, seed=self._seed)
@@ -154,6 +161,8 @@ class SecureMatmulServer:
 
 class SecureMatmulClient:
     """Client side (data owner) of one secure W @ Z product."""
+
+    base_ot_columns = staticmethod(SecureMatmulServer.base_ot_columns)
 
     def __init__(
         self,

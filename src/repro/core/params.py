@@ -14,6 +14,13 @@ with ``N_i = 2**b_i`` over all compositions ``(b_1, .., b_gamma)`` of the
 weight bitwidth eta (fragment width capped at 4 bits — the paper caps N
 at 16).  A "time" objective uses the same formulas as a proxy for OT
 masking work, which is what dominates wall-clock in the offline phase.
+
+The search keeps the paper's ``2*kappa`` per OT.  The running protocol
+pays less: KK13 sends ``c(N)`` bits of ``U`` per OT
+(:func:`repro.crypto.codes.code_length`: 128 for ``N = 2``, 192 for
+``N = 3, 4``, 256 beyond; :mod:`repro.perf.costmodel` prices it).  At
+that cost the one-batch optimum for ``eta = 8, l = 32`` is ``(2,2,2,2)``
+at 1152 bits per weight, not the paper's ``(2,3,3)``, which costs 1248.
 """
 
 from __future__ import annotations

@@ -29,8 +29,10 @@ from repro.core.offline import ClientHalf, ServerHalf, chain_operands, materiali
 from repro.core.pooling import avgpool_share
 from repro.core.relu import relu_layer_client, relu_layer_server
 from repro.core.triplets import TripletConfig
+from repro.crypto.codes import code_length
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.protocol import GcSessions
 from repro.net.channel import Channel
@@ -374,6 +376,16 @@ class _PartyBase:
             return None
         return self._seed + 101 * idx + 10007 * round_idx
 
+    def _reserve_base_ots(self, engine_cls) -> None:
+        """Size the channel's base-OT handshake for the widest session of
+        the whole round before its first one, so layers of growing code
+        length (``8(3,3,2)``, per-layer schemes) share one handshake."""
+        widest = max(
+            engine_cls.base_ot_columns(self._layer_config(layer))
+            for layer in self.meta.layers
+        )
+        channel_setup(self.chan, self.group).reserve(widest)
+
     def _track_phase(self, label: str, fn):
         span = self.tracer.start_span(label)
         try:
@@ -407,6 +419,7 @@ class _PartyBase:
             ring_bits=self.ring.bits,
             mode=config.resolved_mode,
             frag_n_values=[frag.n_values for frag in config.scheme.fragments],
+            code_bits=[code_length(frag.n_values) for frag in config.scheme.fragments],
             groups=config.groups,
             backend=layer.backend,
             round=round_idx,
@@ -462,6 +475,7 @@ class Abnn2Server(_PartyBase):
 
     def _offline_round(self, round_idx: int) -> ServerHalf:
         """One round of the OT offline phase: every layer's ``U``."""
+        self._reserve_base_ots(self.matmul_server_cls)
         us = []
         for idx, layer in enumerate(self.meta.layers):
             engine = self._engine(idx, seed=self._layer_seed(idx, round_idx))
@@ -539,6 +553,7 @@ class Abnn2Client(_PartyBase):
         """One round of the OT offline phase: the operand walk of
         :func:`chain_operands`, whose linear step lowers the operand to
         ``R`` and runs the layer's KK13 triplet generation for ``V``."""
+        self._reserve_base_ots(self.matmul_client_cls)
 
         def triplet_step(idx: int, layer: LayerMeta, operand) -> np.ndarray:
             engine = self.matmul_client_cls(

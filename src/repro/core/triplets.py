@@ -22,12 +22,19 @@ matrix ``R`` (uniform in Z_{2^l}, n x o):
 * **Multi-batch (o > 1, Section 4.1.2).**  The server's choice digit is
   identical for all ``o`` columns, so one OT carries ``o`` masked
   products: client messages are ``{vt[t] * R[j, :] - s}`` packed to
-  ``o * l`` bits.  Per-OT communication: ``o*l*N + 2*kappa`` bits —
+  ``o * l`` bits.  Per-OT communication: ``o*l*N + c(N)`` bits —
   Table 1's M-Batch column.
 * **One-batch (o = 1, Section 4.1.3).**  Correlated-OT trick: the pad of
   message 0 *is* the client's share ``s_i``, so only ``N - 1`` masked
-  messages cross the wire: ``l*(N-1) + 2*kappa`` bits per OT — Table 1's
+  messages cross the wire: ``l*(N-1) + c(N)`` bits per OT — Table 1's
   1-Batch column.
+
+Table 1 charges ``2*kappa = 256`` bits of KK13 ``U`` matrix per OT; the
+running protocol sends ``c(N)`` = :func:`repro.crypto.codes.code_length`
+bits, the Walsh–Hadamard columns some codeword in ``[0, N)`` uses: 128
+for ``N = 2``, 192 for ``N = 3, 4``, 256 beyond.  Both generators reserve
+the widest ``c(N)`` of their radix groups on the channel's base-OT
+set-up first, so a mixed-radix product still runs one handshake.
 
 Outputs satisfy ``U + V = W_signed @ R  (mod 2^l)`` with ``U`` on the
 server and ``V`` on the client.  Signed weights cost nothing extra: the
@@ -41,9 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.crypto.codes import code_length
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
+from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError, ProtocolError
 from repro.net.channel import Channel
 from repro.perf.trace import channel_span
@@ -132,6 +141,12 @@ class TripletConfig:
         for idx, frag in enumerate(self.scheme.fragments):
             groups.setdefault(frag.n_values, []).append(idx)
         return sorted(groups.items())
+
+    @property
+    def code_bits(self) -> int:
+        """Base OTs the widest KK13 session of this product needs: the
+        largest code length ``c(N)`` over the radix groups."""
+        return max(code_length(n_values) for n_values, _ in self.radix_groups)
 
     def chunk_size(self, n_values: int) -> int:
         width = packed_word_count(self.o, self.ring.bits)
@@ -422,6 +437,7 @@ def generate_triplets_server(
     digits = config.scheme.digits(w)  # (rows, n, gamma)
     mode = config.resolved_mode
 
+    channel_setup(chan, config.group).reserve(config.code_bits)
     u = ring.zeros(config.out_shape)
     for n_values, k_list in config.radix_groups:
         group_seed = None if seed is None else seed + n_values
@@ -460,6 +476,7 @@ def generate_triplets_client(
     ring = config.ring
     mode = config.resolved_mode
 
+    channel_setup(chan, config.group).reserve(config.code_bits)
     v = ring.zeros(config.out_shape)
     for n_values, k_list in config.radix_groups:
         group_seed = None if seed is None else seed + n_values

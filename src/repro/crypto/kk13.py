@@ -4,15 +4,19 @@ The paper's matrix-multiplication protocol is built directly on this
 primitive (its Figure 1 ideal functionality).  Structure mirrors IKNP
 (:mod:`repro.crypto.iknp`) with two changes:
 
-* the bit-matrix width grows to ``2 * kappa = 256`` columns, and
 * the receiver's row ``i`` encodes its choice ``b_i in [N]`` as the
   Walsh–Hadamard codeword ``C(b_i)`` instead of a repetition code, so the
   sender's rows satisfy ``q_i = t_i xor (C(b_i) & s)`` and message ``j``
-  is masked by ``H(i, q_i xor (C(j) & s))``.
+  is masked by ``H(i, q_i xor (C(j) & s))``, and
+* the bit-matrix width grows to the code's ``c = code_length(N)``
+  columns (:mod:`repro.crypto.codes`): 128 for ``N = 2``, 192 for
+  ``N = 3, 4`` and ``2 * kappa = 256`` beyond.  The columns the code
+  drops are 0 in every codeword in use; there ``q_j = t_j``, which the
+  receiver knows anyway, so they would add nothing to any pad.
 
 Both the *random-OT* form (each side learns pads; the ABNN2 one-batch
 optimization needs raw pads) and the *chosen-message* form are provided.
-A session runs no base OTs of its own: it derives its 256 column seeds
+A session runs no base OTs of its own: it derives its ``c`` column seeds
 from the channel's :class:`~repro.crypto.otsetup.OtSetup`, whose one
 handshake serves every KK13 and IKNP session on that channel.
 """
@@ -42,9 +46,6 @@ from repro.utils.rng import make_rng
 _U64 = np.uint64
 _ALL_ONES = _U64(0xFFFFFFFFFFFFFFFF)
 
-CODE_WIDTH = codes.CODE_LENGTH  # 256 columns
-_CODE_WORDS = CODE_WIDTH // 64
-
 
 class Kk13Sender:
     """The party holding ``N`` messages per OT (ABNN2's *client*)."""
@@ -63,6 +64,8 @@ class Kk13Sender:
         self.n_values = n_values
         self.ro = ro
         self._rng = make_rng(seed)
+        #: Columns of the U matrix, the column seeds and the Q rows.
+        self.code_bits = codes.code_length(n_values)
         self._code_words = codes.codeword_words(n_values)
         self._s_bits: np.ndarray | None = None
         self._prg: BatchPrg | None = None
@@ -71,14 +74,15 @@ class Kk13Sender:
         self._ot_index = session_base_index(self._tag)
 
     def ensure_seeds(self) -> None:
-        """Derive this session's 256 column seeds from the channel's set-up.
+        """Derive this session's ``code_bits`` column seeds from the
+        channel's set-up.
 
-        Runs the set-up handshake first if the channel lacks 256 base
-        OTs; the first extension batch calls this lazily.
+        Runs the set-up handshake first if the channel lacks that many
+        base OTs; the first extension batch calls this lazily.
         """
         if self._s_bits is not None:
             return
-        s, seeds = self._setup.receiver_seeds(self._tag, CODE_WIDTH, self._rng)
+        s, seeds = self._setup.receiver_seeds(self._tag, self.code_bits, self._rng)
         self._s_bits = s
         self._prg = BatchPrg(seeds)
         self._s_words = pack_bits_to_words(s)
@@ -87,16 +91,16 @@ class Kk13Sender:
         self._coded_s = self._code_words & self._s_words[None, :]
 
     def _extend(self, m: int) -> np.ndarray:
-        """Consume the receiver's U matrix; return Q rows (m, 4 words).
+        """Consume the receiver's U matrix; return Q rows (m, c/64 words).
 
         Fully word-packed (see :meth:`OtExtReceiver._extend` in
         :mod:`repro.crypto.iknp`): batched PRG block, one masked XOR,
-        packed 64x64-block transpose — no ``(256, m)`` uint8 expansion.
+        packed 64x64-block transpose — no ``(c, m)`` uint8 expansion.
         """
         self.ensure_seeds()
         with channel_span(self.chan, "extension", m=m):
-            u_blob = _checked_u_blob(self.chan.recv(), CODE_WIDTH, m)
-            q_cols = split_packed_rows(u_blob, CODE_WIDTH, m)
+            u_blob = _checked_u_blob(self.chan.recv(), self.code_bits, m)
+            q_cols = split_packed_rows(u_blob, self.code_bits, m)
             q_cols &= self._s_colmask
             q_cols ^= self._prg.packed_bits(m)
             return transpose_packed(q_cols)[:m]
@@ -119,7 +123,7 @@ class Kk13Sender:
         """:meth:`pads` in sub-blocks: extend ``m`` OTs now, then yield
         ``(lo, hi, pads[lo:hi])`` for every ``block`` OTs.
 
-        The extension (the received U matrix and the Q rows, 32 B per OT)
+        The extension (the received U matrix and the Q rows, c/8 B per OT)
         covers all ``m`` OTs; the ``N``-wide hash inputs and pads exist
         one sub-block at a time, so the caller's working set past the
         extension does not grow with ``m``.
@@ -138,12 +142,13 @@ class Kk13Sender:
     def _pads_at(self, q: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
         """Pads ``(len(q), N, W)`` of the Q rows of OTs ``first, first+1, ...``."""
         m = q.shape[0]
-        # One preallocated (m, N, 5) hash-input tensor: q_i xor (C(j) & s)
-        # written straight into the first 4 words, OT index in the fifth —
-        # no concatenate of broadcast temporaries.
-        rows = np.empty((m, self.n_values, _CODE_WORDS + 1), dtype=_U64)
-        np.bitwise_xor(q[:, None, :], self._coded_s[None, :, :], out=rows[:, :, :_CODE_WORDS])
-        rows[:, :, _CODE_WORDS] = (np.arange(m, dtype=_U64) + _U64(first))[:, None]
+        # One preallocated (m, N, c/64 + 1) hash-input tensor: q_i xor
+        # (C(j) & s) written straight into the first c/64 words, OT index
+        # in the last — no concatenate of broadcast temporaries.
+        words = self.code_bits // 64
+        rows = np.empty((m, self.n_values, words + 1), dtype=_U64)
+        np.bitwise_xor(q[:, None, :], self._coded_s[None, :, :], out=rows[:, :, :words])
+        rows[:, :, words] = (np.arange(m, dtype=_U64) + _U64(first))[:, None]
         return self.ro.mask(rows, width, domain)
 
     def send_chosen(self, messages: np.ndarray, domain: int = 3) -> None:
@@ -176,11 +181,12 @@ class Kk13Receiver:
         self.n_values = n_values
         self.ro = ro
         self._rng = make_rng(seed)
+        self.code_bits = codes.code_length(n_values)
         self._code_words = codes.codeword_words(n_values)
         # Column j of the choice-codeword matrix is the XOR of the
         # indicator masks of the values whose codeword has bit j set;
         # precompute, per value, which columns it feeds.
-        code_bits = unpack_words_to_bits(self._code_words, CODE_WIDTH)
+        code_bits = unpack_words_to_bits(self._code_words, self.code_bits)
         self._code_col_idx = [np.nonzero(code_bits[v])[0] for v in range(n_values)]
         self._prg0: BatchPrg | None = None
         self._prg1: BatchPrg | None = None
@@ -192,12 +198,12 @@ class Kk13Receiver:
         """Derive both column-seed sets (see :meth:`Kk13Sender.ensure_seeds`)."""
         if self._prg0 is not None:
             return
-        seeds0, seeds1 = self._setup.sender_seeds(self._tag, CODE_WIDTH, self._rng)
+        seeds0, seeds1 = self._setup.sender_seeds(self._tag, self.code_bits, self._rng)
         self._prg0 = BatchPrg(seeds0)
         self._prg1 = BatchPrg(seeds1)
 
     def _extend(self, choices: np.ndarray) -> np.ndarray:
-        """Send the U matrix; return T rows (m, 4 words).
+        """Send the U matrix; return T rows (m, c/64 words).
 
         Word-packed throughout.  The codeword column matrix never
         materializes row-wise: column ``j`` of ``C(b_i)`` stacked over

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.crypto import codes
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
-from repro.crypto.kk13 import CODE_WIDTH, Kk13Receiver, Kk13Sender
+from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
 from repro.crypto.prg import Prg
 from repro.errors import CryptoError
 from repro.utils.bits import pack_bits, unpack_bits
@@ -110,7 +110,7 @@ class ReferenceKk13Sender(Kk13Sender):
     def _extend(self, m: int) -> np.ndarray:
         self.ensure_seeds()
         u_blob = self.chan.recv()
-        return _column_loop_receive(self._columns(), self._s_bits, u_blob, CODE_WIDTH, m)
+        return _column_loop_receive(self._columns(), self._s_bits, u_blob, self.code_bits, m)
 
 
 class ReferenceKk13Receiver(Kk13Receiver):

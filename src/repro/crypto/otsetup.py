@@ -12,12 +12,16 @@ handshake:
 * as **base-OT sender** (the extension *receiver*) it keeps the key pairs
   ``(k0_j, k1_j)``.
 
-The batch grows on demand.  A session asks for ``n`` columns (256 for
-KK13, 128 for IKNP), and one handshake runs for the missing columns only.
-A one-shot prediction therefore runs exactly one 256-column handshake:
-the first KK13 layer triggers it and the GC label OT reuses columns
-0-127.  A bank-mode served session never runs KK13 and runs one
-128-column handshake.
+The batch grows on demand.  A session asks for ``n`` columns (KK13's
+code length ``c(N)`` — 128, 192 or 256, see :mod:`repro.crypto.codes` —
+or 128 for IKNP), and one handshake runs for the missing columns only.
+A party that knows the widest session it will open calls
+:meth:`OtSetup.reserve` first, so the handshake covers it at once.  The
+offline walk reserves the widest ``c(N)`` of the whole round, so a
+one-shot prediction runs exactly one handshake of ``c_max`` columns
+(192 for models whose fragments all have ``N <= 4``): the first KK13
+layer triggers it and the GC label OT reuses columns 0-127.  A bank-mode
+served session never runs KK13 and runs one 128-column handshake.
 
 Each session takes the next **tag** from the set-up's counter when it is
 constructed and seeds its column PRGs with ``H(k_j || tag)``.  The tag is
@@ -79,6 +83,24 @@ class OtSetup:
         self._pairs: list[tuple[bytes, bytes]] = []  # (k0_j, k1_j), as sender
         self._next_tag = 0
         self._derived: set[int] = set()
+        self._reserved = 0
+
+    def reserve(self, columns: int) -> None:
+        """Size the next handshake for at least ``columns`` base OTs.
+
+        No traffic.  Sessions that grow in width (KK13 at ``N = 4``,
+        then at ``N = 8``) would each top the batch up with a handshake
+        of their own; reserving the widest first makes the first one
+        cover them all.  Both parties must reserve alike, which the
+        mirrored protocol code does from the public model.
+        """
+        self._reserved = max(self._reserved, int(columns))
+
+    def _missing(self, have: int, columns: int) -> int:
+        """Base OTs the next handshake runs, 0 when ``columns`` exist."""
+        if columns <= have:
+            return 0
+        return max(columns, self._reserved) - have
 
     def next_tag(self) -> int:
         """Hand out the next session tag."""
@@ -111,10 +133,11 @@ class OtSetup:
         """``(s[:columns], [H(k_{s_j} || tag)])`` for an extension sender.
 
         ``rng`` draws the choice bits and exponents of the handshake that
-        runs when fewer than ``columns`` base OTs exist yet.
+        runs when fewer than ``columns`` base OTs exist yet; it covers
+        the reserved width too.
         """
-        missing = columns - len(self._chosen)
-        if missing > 0:
+        missing = self._missing(len(self._chosen), columns)
+        if missing:
             s = rng.integers(0, 2, size=missing, dtype=np.uint8)
             with self._handshake_span(missing, "receiver"):
                 keys = baseot.random_receive(
@@ -131,8 +154,8 @@ class OtSetup:
         self, tag: int, columns: int, rng: np.random.Generator
     ) -> tuple[list[bytes], list[bytes]]:
         """``([H(k0_j || tag)], [H(k1_j || tag)])`` for an extension receiver."""
-        missing = columns - len(self._pairs)
-        if missing > 0:
+        missing = self._missing(len(self._pairs), columns)
+        if missing:
             with self._handshake_span(missing, "sender"):
                 pairs = baseot.random_send(
                     self.chan, missing, self.group,

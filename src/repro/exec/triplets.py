@@ -84,8 +84,11 @@ def shard_stream(mux: ChannelMux, s: int, group: ModpGroup) -> MuxChannel:
     return stream
 
 
-def _run_engine(chan, plan: ShardPlan, group: ModpGroup, make_shard, stats_out):
+def _run_engine(chan, plan: ShardPlan, config: TripletConfig, make_shard, stats_out):
     """Common scaffolding: mux, shard tracers, pool, adoption, stats.
+
+    The parent channel's set-up first reserves the widest code length of
+    the product, so the shard sessions share one handshake.
 
     ``make_shard(s, stream)`` runs on the calling thread for every shard
     before dispatch: it builds the shard's OT sessions on its mux stream
@@ -93,6 +96,7 @@ def _run_engine(chan, plan: ShardPlan, group: ModpGroup, make_shard, stats_out):
     shard records into its own tracer, adopted as a ``shard{s}`` span
     tree once the pool has joined.
     """
+    channel_setup(chan, config.group).reserve(config.code_bits)
     use_async = plan.workers > 1 and plan.async_depth > 0
     mux = ChannelMux(chan, async_depth=plan.async_depth if use_async else 0)
     parent_tracer = getattr(chan, "tracer", None)
@@ -101,7 +105,7 @@ def _run_engine(chan, plan: ShardPlan, group: ModpGroup, make_shard, stats_out):
     tracers = [Tracer(f"shard{s}") if trace else None for s in range(plan.shards)]
 
     def make_task(s):
-        stream = shard_stream(mux, s, group)
+        stream = shard_stream(mux, s, config.group)
         stream.tracer = tracers[s]
         body = make_shard(s, stream)
 
@@ -239,7 +243,7 @@ def parallel_triplets_server(
     def make_shard(s, stream):
         return _server_shard(stream, s, config, plan, entropy[s][0], groups)
 
-    parts = _run_engine(chan, plan, config.group, make_shard, stats_out)
+    parts = _run_engine(chan, plan, config, make_shard, stats_out)
     u = ring.zeros(config.out_shape)
     for part in parts:
         u = ring.add(u, part)
@@ -279,7 +283,7 @@ def parallel_triplets_client(
         ot_seed, rng = entropy[s]
         return _client_shard(stream, s, config, plan, ot_seed, rng, groups, r)
 
-    parts = _run_engine(chan, plan, config.group, make_shard, stats_out)
+    parts = _run_engine(chan, plan, config, make_shard, stats_out)
     v = ring.zeros(config.out_shape)
     for part in parts:
         v = ring.add(v, part)

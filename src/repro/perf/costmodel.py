@@ -7,9 +7,16 @@ predicted columns next to the measured ones:
 System     #OT                                    Communication (bits)
 =========  =====================================  ================================
 SecureML   ``l(l+1)/128 * m*n*o``                 ``m*n*o * l(l+1) * (1 + k/64)``
-M-Batch    ``gamma * m * n``                      ``gamma*m*n*(o*l*N + 2k)``
-1-Batch    ``gamma * m * n``                      ``gamma*m*n*(l*(N-1) + 2k)``
+M-Batch    ``gamma * m * n``                      ``gamma*m*n*(o*l*N + c(N))``
+1-Batch    ``gamma * m * n``                      ``gamma*m*n*(l*(N-1) + c(N))``
 =========  =====================================  ================================
+
+The paper's Table 1 charges ``2k = 256`` bits of KK13 ``U`` matrix per
+OT.  The ABNN2 forms here price the running protocol instead: ``c(N)``
+(:func:`kk13_code_bits`) is the KK13 code length of radix ``N`` — 128 for
+``N = 2``, 192 for ``N = 3, 4``, 256 beyond — so for ``N <= 4`` the wire
+sits ``gamma*m*n*(256 - c(N))`` bits below the paper's figure.
+:mod:`repro.core.params` keeps the paper's ``2k`` for its scheme search.
 
 Mixed-radix schemes replace the uniform ``gamma * (... N ...)`` by a sum
 over fragments with their individual ``N_i``.  The base-OT set-up is not
@@ -40,14 +47,31 @@ def secureml_comm_bits(m: int, n: int, o: int, ring_bits: int, kappa: int = KAPP
 
 
 # --------------------------------------------------------------------- #
-# base-OT set-up (repro.crypto.otsetup)
+# KK13 code length and the base-OT set-up (repro.crypto.otsetup)
 # --------------------------------------------------------------------- #
+def kk13_code_bits(n_values: int) -> int:
+    """``c(N)``: the KK13 ``U`` bits per OT, and base OTs, at radix ``N``.
+
+    The closed form of :func:`repro.crypto.codes.code_length` (kept here
+    so the cost model prices a trace without importing the protocol
+    stack; ``tests/test_perf.py`` pins agreement for every ``N``): the
+    Walsh–Hadamard columns some codeword of ``[0, N)`` uses are the
+    ``256 - 256 / 2^r`` with a nonzero low ``r = bitlen(N - 1)`` bits,
+    kept when a multiple of 64 and otherwise rounded up to all 256.
+    """
+    if not 2 <= n_values <= 256:
+        raise ConfigError(f"N must be in [2, 256], got {n_values}")
+    used = 256 - (256 >> (n_values - 1).bit_length())
+    return used if used % 64 == 0 else 256
+
+
 def base_ot_setup_bits(columns: int, element_bits: int) -> int:
     """One set-up handshake: the sender's ``A`` plus one ``B_j`` per column.
 
     ``(columns + 1) * element_bits``.  A one-shot prediction runs exactly
-    one, of 256 columns (KK13's width; the GC label OT reuses the first
-    128), and a served bank session one of 128 columns.
+    one, of ``c_max`` columns (the largest :func:`kk13_code_bits` of the
+    model's fragments: 192 when every ``N <= 4``; the GC label OT reuses
+    the first 128), and a served bank session one of 128 columns.
     """
     return (columns + 1) * element_bits
 
@@ -67,24 +91,31 @@ def abnn2_comm_bits_radices(
     o: int,
     ring_bits: int,
     mode: str = "auto",
-    kappa: int = KAPPA,
+    code_bits=None,
 ) -> int:
     """Table 1 closed form from the raw fragment radices ``[N_1, ..]``.
 
     The per-fragment form the trace conformance checker uses: traces
-    carry ``frag_n_values`` (one N per fragment) rather than a
-    :class:`FragmentScheme` object.
+    carry ``frag_n_values`` (one N per fragment) and ``code_bits`` (the
+    ``U`` bits per OT of each fragment's KK13 session) rather than a
+    :class:`FragmentScheme` object.  ``code_bits=None`` prices each
+    fragment at :func:`kk13_code_bits`.
     """
     if mode == "auto":
         mode = "one" if o == 1 else "multi"
     if mode not in ("one", "multi"):
         raise ConfigError(f"unknown mode {mode!r}")
+    radices = list(radices)
+    if code_bits is None:
+        code_bits = [kk13_code_bits(n_values) for n_values in radices]
+    if len(code_bits) != len(radices):
+        raise ConfigError("code_bits needs one entry per fragment")
     total = 0
-    for n_values in radices:
+    for n_values, code in zip(radices, code_bits):
         if mode == "multi":
-            per_ot = o * ring_bits * n_values + 2 * kappa
+            per_ot = o * ring_bits * n_values + code
         else:
-            per_ot = ring_bits * (n_values - 1) + 2 * kappa
+            per_ot = ring_bits * (n_values - 1) + code
         total += m * n * per_ot
     return total
 
@@ -96,11 +127,10 @@ def abnn2_comm_bits(
     o: int,
     ring_bits: int,
     mode: str = "auto",
-    kappa: int = KAPPA,
 ) -> int:
     """Predicted offline communication of the ABNN2 matmul protocol."""
     return abnn2_comm_bits_radices(
-        [frag.n_values for frag in scheme.fragments], m, n, o, ring_bits, mode, kappa
+        [frag.n_values for frag in scheme.fragments], m, n, o, ring_bits, mode
     )
 
 
@@ -153,7 +183,6 @@ def winograd_comm_bits(
     batch: int,
     ring_bits: int,
     mode: str = "auto",
-    kappa: int = KAPPA,
 ) -> int:
     """Offline triplet traffic of one winograd conv layer.
 
@@ -162,9 +191,7 @@ def winograd_comm_bits(
     protocol is unchanged, only the (public) dimensions and fragment
     scheme differ, so trace conformance stays byte-exact.
     """
-    return abnn2_comm_bits(
-        scheme, 16 * c_out, c_in, batch * n_tiles, ring_bits, mode, kappa
-    )
+    return abnn2_comm_bits(scheme, 16 * c_out, c_in, batch * n_tiles, ring_bits, mode)
 
 
 def network_offline_comm_bits(
@@ -173,13 +200,9 @@ def network_offline_comm_bits(
     o: int,
     ring_bits: int,
     mode: str = "auto",
-    kappa: int = KAPPA,
 ) -> int:
     """Offline triplet traffic for a whole FC network (Table 2 predictor)."""
-    return sum(
-        abnn2_comm_bits(scheme, m, n, o, ring_bits, mode, kappa)
-        for m, n in layer_shapes
-    )
+    return sum(abnn2_comm_bits(scheme, m, n, o, ring_bits, mode) for m, n in layer_shapes)
 
 
 # --------------------------------------------------------------------- #
@@ -270,9 +293,10 @@ def linear_working_set_bytes(
 TRIPLET_CHUNK_BUDGET_WORDS = 1 << 22
 TRIPLET_MIN_CHUNK = 1024
 TRIPLET_SUB_BLOCK_WORDS = 1 << 19
-#: 32 B-per-OT rows one extension holds at once across the pair, at
-#: most: PRG blocks, the U blob and its encoding, the decoded copy, the Q
-#: columns, and the copy and output of each side's bit transpose.
+#: ``c/8`` B-per-OT rows (``c`` = :func:`kk13_code_bits`) one extension
+#: holds at once across the pair, at most: PRG blocks, the U blob and its
+#: encoding, the decoded copy, the Q columns, and the copy and output of
+#: each side's bit transpose.
 _EXTENSION_ROWS = 10
 #: Fixed per-layer allowance: KK13 session state, the base-OT handshake
 #: of the first layer, span and interpreter objects (measured: under
@@ -311,8 +335,9 @@ def triplet_working_set_bytes(
     group, at ``c`` OTs per wire chunk and ``B`` per sub-block, and in it
     the largest of a chunk's three phases:
 
-    * **extension**: :data:`_EXTENSION_ROWS` rows of 32 B per OT and the
-      server's hashed pads and their hash inputs (``c (W + 5)`` words),
+    * **extension**: :data:`_EXTENSION_ROWS` rows of ``k = c(N) / 64``
+      words per OT and the server's hashed pads and their hash inputs
+      (``c (W + k + 1)`` words),
       next to the client's frame buffer (``F`` words) — in multi-batch
       mode already being filled, holding the chunk's shares (``c o``
       words, drawn once per chunk) and one sub-block's temporaries;
@@ -325,7 +350,7 @@ def triplet_working_set_bytes(
       client already filling the next chunk.
 
     A client sub-block holds products, masked and packed messages, hash
-    inputs and pads: ``N (3 lanes + W + 6)`` words per OT.  ``F`` is
+    inputs and pads: ``N (3 lanes + W + k + 2)`` words per OT.  ``F`` is
     ``c N W`` words in multi-batch mode (``W = words(o l)``,
     ``lanes = o``) and ``words(c (N-1) l)`` in one-batch mode (``W = 1``,
     ``lanes = 1``).  The layer adds the server's digit and choice
@@ -345,10 +370,13 @@ def triplet_working_set_bytes(
         chunk = min(triplet_chunk_ots(nv, o, ring_bits), m * n * radices.count(nv))
         block = min(triplet_sub_block_ots(nv, lanes), chunk)
         frame = chunk * nv * width if multi else _words(chunk * (nv - 1), ring_bits)
-        rows = 4 * chunk  # one 32 B-per-OT row (the Q or T rows)
-        client = block * nv * (3 * lanes + width + 6)
+        code_words = kk13_code_bits(nv) // 64
+        rows = code_words * chunk  # one c/8 B-per-OT row (the Q or T rows)
+        client = block * nv * (3 * lanes + width + code_words + 2)
         filling = chunk * o + client if multi else 0
-        extension = frame + filling + _EXTENSION_ROWS * rows + chunk * (width + 5)
+        extension = (
+            frame + filling + _EXTENSION_ROWS * rows + chunk * (width + code_words + 1)
+        )
         pads = frame + rows + client + chunk * width
         hand_off = 3 * frame + filling + chunk * width + block * (3 * width + 6 * lanes)
         worst = max(worst, extension, pads, hand_off)

@@ -3,7 +3,8 @@
 Takes a trace document written by :class:`repro.perf.trace.Tracer`
 (schema ``abnn2-trace/1``) and renders the per-layer accounting table:
 for every offline linear layer the traced payload bytes next to the
-Table 1 closed form from :mod:`repro.perf.costmodel`, for every GC ReLU
+Table 1 closed form from :mod:`repro.perf.costmodel`, its KK13 ``U``
+priced at the ``code_bits`` (``c(N)`` per fragment) the span records, for every GC ReLU
 layer (either variant) the traced bytes next to
 :func:`~repro.perf.costmodel.gc_relu_wire_bits` at the span's ``(l, m, f, n)``,
 plus phase summaries projected onto the paper's LAN/WAN link profiles
@@ -38,6 +39,7 @@ from repro.perf.costmodel import (
     abnn2_comm_bits_radices,
     base_ot_setup_bits,
     gc_relu_wire_bits,
+    kk13_code_bits,
     linear_working_set_bytes,
     lowered_operand_bytes,
     triplet_chunk_ots,
@@ -137,15 +139,18 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
             m, n, o = attrs["m"], attrs["n"], attrs["o"]
             bits, mode = attrs["ring_bits"], attrs["mode"]
             radices = attrs["frag_n_values"]
+            # U bits per OT as the span records them (c(N) per fragment);
+            # a trace without them is priced at the closed-form c(N).
+            code_bits = attrs.get("code_bits") or [kk13_code_bits(nv) for nv in radices]
             lo, hi = triplet_slack_bits(m, n, o, bits, radices, mode)
             rows.append(
                 ConformanceRow(
                     path,
                     "triplets",
-                    f"{mode} m={m} n={n} o={o} l={bits} N={radices}",
+                    f"{mode} m={m} n={n} o={o} l={bits} N={radices} code_bits={code_bits}",
                     span_total_bits(span),
                     base_ot_bits(span),
-                    abnn2_comm_bits_radices(radices, m, n, o, bits, mode),
+                    abnn2_comm_bits_radices(radices, m, n, o, bits, mode, code_bits),
                     lo,
                     hi,
                 )

@@ -9,14 +9,49 @@ from repro.errors import CryptoError
 from repro.net import run_protocol
 
 
+def _full_code(n_values: int) -> np.ndarray:
+    """All 256 WH columns of codewords [0, N): bit k of codeword j is
+    the parity of j & k."""
+    j = np.arange(n_values)[:, None]
+    k = np.arange(256)[None, :]
+    return np.vectorize(lambda v: bin(v).count("1") & 1)(j & k).astype(np.uint8)
+
+
 class TestCodes:
     def test_code_length(self):
         bits = codes.codeword_bits(4)
-        assert bits.shape == (4, 256)
+        assert bits.shape == (4, 192) == (4, codes.code_length(4))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 256])
+    def test_code_length_values(self):
+        lengths = {n: codes.code_length(n) for n in range(2, 257)}
+        assert lengths[2] == 128
+        assert lengths[3] == lengths[4] == 192
+        assert set(lengths[n] for n in range(5, 257)) == {256}
+
+    @pytest.mark.parametrize("n", range(2, 257))
+    def test_kept_columns_are_used(self, n):
+        c = codes.code_length(n)
+        bits = codes.codeword_bits(n)
+        assert c % 64 == 0 and bits.shape == (n, c)
+        if c < 256:
+            assert bits.any(axis=0).all()  # no kept column is all-zero
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 256])
+    def test_dropped_columns_are_exactly_the_zero_columns(self, n):
+        full = _full_code(n)
+        kept = codes.code_columns(n)
+        assert (codes.codeword_bits(n) == full[:, kept]).all()
+        dropped = np.setdiff1d(np.arange(256), kept)
+        zero = np.flatnonzero(~full.any(axis=0))
+        if codes.code_length(n) < 256:
+            assert (dropped == zero).all()
+        else:  # a count off the 64-column grid keeps the whole code
+            assert dropped.size == 0
+
+    @pytest.mark.parametrize("n", range(2, 257))
     def test_minimum_distance_is_half_length(self, n):
-        # WH codewords pairwise differ in exactly 128 of 256 positions.
+        # WH codewords pairwise differ in exactly 128 of the 256 positions,
+        # and every dropped position is 0 in all of them.
         assert codes.minimum_distance(n) == 128
 
     def test_codeword_zero_is_all_zero(self):
@@ -137,3 +172,25 @@ class TestKk13:
             return _run_kk13(msgs, choices, n_values, test_group, 1).total_bytes
 
         assert traffic(2) < traffic(4) < traffic(8)
+
+    @pytest.mark.parametrize("n_values", [2, 4, 8])
+    def test_u_matrix_is_code_length_bits_per_ot(self, n_values, test_group, rng):
+        m = 320
+        choices = rng.integers(0, n_values, size=m)
+
+        def server_fn(ch):
+            sender = Kk13Sender(ch, n_values, group=test_group, seed=1)
+            sender.ensure_seeds()
+            return sender.pads(m, 1)
+
+        def client_fn(ch):
+            receiver = Kk13Receiver(ch, n_values, group=test_group, seed=2)
+            receiver.ensure_seeds()  # the handshake, before counting
+            before = ch.stats.bytes_sent[ch.party]
+            pads = receiver.pads(choices, 1)
+            return pads, ch.stats.bytes_sent[ch.party] - before
+
+        result = run_protocol(server_fn, client_fn)
+        pads, u_bytes = result.client
+        assert u_bytes == codes.code_length(n_values) * m // 8
+        assert (pads == result.server[np.arange(m), choices]).all()

@@ -489,19 +489,26 @@ def _assert_one_setup(trace, columns: int, group) -> None:
 class TestSetupConformance:
     """One set-up per channel and direction, priced once (Table 1's way)."""
 
-    def test_secure_predict_runs_one_256_column_setup_per_party(
+    def test_secure_predict_runs_one_c_max_setup(
         self, trained_model, small_dataset, test_group
     ):
-        from repro.core.protocol import secure_predict
+        """One handshake per party, as wide as the model's widest KK13 code."""
+        from repro.core.protocol import ModelMeta, secure_predict
+        from repro.crypto.codes import code_length
         from repro.nn.quantize import quantize_model
         from repro.quant.fragments import FragmentScheme
 
         qmodel = quantize_model(
             trained_model, FragmentScheme.ternary(), Ring(32), frac_bits=6
         )
+        c_max = max(
+            code_length(frag.n_values)
+            for layer in ModelMeta.from_model(qmodel).layers
+            for frag in layer.ot_scheme.fragments
+        )
         report = secure_predict(qmodel, small_dataset.test_x[:1], group=test_group, seed=3)
         for trace in (report.server_trace, report.client_trace):
-            _assert_one_setup(trace, 256, test_group)
+            _assert_one_setup(trace, c_max, test_group)
 
     def test_served_bank_session_runs_one_128_column_setup(self, test_group):
         import threading

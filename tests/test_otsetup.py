@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.protocol import ModelMeta, secure_predict
 from repro.crypto import baseot
+from repro.crypto.codes import code_length
 from repro.crypto.group import MODP_1536, MODP_TEST
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
@@ -106,7 +107,7 @@ class TestGrowth:
         (recv_pads, got), send_pads = result.server, result.client
         assert (recv_pads == send_pads[np.arange(m), kk_choices]).all()
         assert (got == msgs[np.arange(m), bits.astype(int)]).all()
-        assert sorted(calls) == [("receiver", 256), ("sender", 256)]
+        assert sorted(calls) == [("receiver", code_length(4)), ("sender", code_length(4))]
 
     def test_kk13_after_iknp_handshakes_only_the_missing_columns(
         self, test_group, rng, monkeypatch
@@ -129,8 +130,9 @@ class TestGrowth:
 
         result = run_protocol(server_fn, client_fn)
         assert (result.client == result.server[np.arange(m), kk_choices]).all()
+        missing = code_length(3) - 128
         assert sorted(calls) == [
-            ("receiver", 128), ("receiver", 128), ("sender", 128), ("sender", 128)
+            ("receiver", missing), ("receiver", 128), ("sender", missing), ("sender", 128)
         ]
 
 
@@ -179,6 +181,15 @@ def _assert_single_use(records, calls, sessions: int, columns: int) -> None:
     assert sorted(calls) == [("receiver", columns), ("sender", columns)]
 
 
+def _c_max(qmodel) -> int:
+    """The widest KK13 code length of the model's offline sessions."""
+    return max(
+        code_length(frag.n_values)
+        for layer in ModelMeta.from_model(qmodel).layers
+        for frag in layer.ot_scheme.fragments
+    )
+
+
 PREDICT_CASES = {
     # model, input features, KK13 sessions (layers x radix groups) + 1 label OT
     "fig4_mlp": (
@@ -204,7 +215,7 @@ class TestSingleUse:
         records = _record_derivations(monkeypatch)
         x = np.random.default_rng(4).uniform(0, 1, size=(1, features))
         secure_predict(qmodel, x, group=test_group, seed=5)
-        _assert_single_use(records, calls, sessions, 256)
+        _assert_single_use(records, calls, sessions, _c_max(qmodel))
 
     def test_exec_shards_derive_from_the_parent_setup(self, test_group, monkeypatch):
         from repro.core.triplets import TripletConfig
@@ -226,8 +237,9 @@ class TestSingleUse:
         )
         ring = config.ring
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
-        # three shards x two radix groups, one handshake on the parent channel
-        _assert_single_use(records, calls, 3 * 2, 256)
+        # three shards x two radix groups, one handshake on the parent
+        # channel, as wide as the N = 8 group's code
+        _assert_single_use(records, calls, 3 * 2, config.code_bits)
 
     def test_interactive_keep_alive_rounds_derive_not_handshake(
         self, test_group, monkeypatch
@@ -256,4 +268,28 @@ class TestSingleUse:
         thread.join(timeout=30)
         assert not thread.is_alive()
         # two rounds x three layers of KK13, plus the one label-OT session
-        _assert_single_use(records, calls, 2 * 3 + 1, 256)
+        _assert_single_use(records, calls, 2 * 3 + 1, _c_max(qmodel))
+
+
+class TestOneHandshake:
+    """Layers whose code lengths grow (the radix groups run N ascending)
+    still share one handshake: the offline walk reserves ``c_max``."""
+
+    @pytest.mark.parametrize(
+        "schemes",
+        [
+            TABLE2_SCHEMES["8(3,3,2)"],
+            [TABLE2_SCHEMES["4(2,2)"], TABLE2_SCHEMES["8(4,4)"], TABLE2_SCHEMES["4(2,2)"]],
+        ],
+        ids=["8(3,3,2)", "per-layer"],
+    )
+    def test_fig4_runs_one_base_ot_span_per_party(self, schemes, test_group):
+        from repro.perf.trace import iter_spans
+
+        qmodel = quantize_model(mnist_mlp(), schemes, Ring(32))
+        x = np.random.default_rng(4).uniform(0, 1, size=(1, 784))
+        report = secure_predict(qmodel, x, group=test_group, seed=5)
+        assert _c_max(qmodel) == 256 > code_length(4)
+        for trace in (report.server_trace, report.client_trace):
+            spans = [span for _, span in iter_spans(trace) if span["name"] == "base-ot"]
+            assert [span["attrs"]["columns"] for span in spans] == [_c_max(qmodel)]

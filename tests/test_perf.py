@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.crypto.codes import code_length
 from repro.errors import ConfigError
 from repro.net.netsim import LAN, WAN_SECUREML
 from repro.perf.costmodel import (
     abnn2_comm_bits,
     abnn2_ot_count,
     gc_relu_comm_bits,
+    kk13_code_bits,
     minionn_comm_model_mb,
     network_offline_comm_bits,
     secureml_comm_bits,
@@ -18,6 +20,16 @@ from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
 
 MB = 1024 * 1024
 FIG4_LAYERS = [(128, 784), (128, 128), (10, 128)]
+
+
+def _paper_bits(name: str, batch: int, layers=FIG4_LAYERS, ring_bits: int = 32) -> int:
+    """The paper's Table 1 figure (2 kappa = 256 U bits per OT): the model
+    plus the ``256 - c(N)`` columns per OT the running protocol drops."""
+    scheme = TABLE2_SCHEMES[name]
+    dropped = sum(256 - kk13_code_bits(frag.n_values) for frag in scheme.fragments)
+    return network_offline_comm_bits(layers, scheme, batch, ring_bits) + dropped * sum(
+        m * n for m, n in layers
+    )
 
 
 class TestSecureMlModel:
@@ -36,14 +48,22 @@ class TestAbnn2Model:
         assert abnn2_ot_count(scheme, 128, 784) == 4 * 128 * 784
 
     def test_one_batch_formula(self):
+        # N = 2 runs KK13 on IKNP's 128-column repetition code.
         scheme = FragmentScheme.binary()
         got = abnn2_comm_bits(scheme, 1, 1, 1, 32, "one")
-        assert got == 32 * 1 + 256
+        assert got == 32 * 1 + 128
 
     def test_multi_batch_formula(self):
         scheme = FragmentScheme.binary()
         got = abnn2_comm_bits(scheme, 1, 1, 8, 32, "multi")
-        assert got == 8 * 32 * 2 + 256
+        assert got == 8 * 32 * 2 + 128
+
+    def test_code_bits_closed_form_matches_the_code(self):
+        assert [kk13_code_bits(n) for n in range(2, 257)] == [
+            code_length(n) for n in range(2, 257)
+        ]
+        with pytest.raises(ConfigError):
+            kk13_code_bits(1)
 
     def test_auto_mode(self):
         scheme = FragmentScheme.binary()
@@ -56,15 +76,14 @@ class TestAbnn2Model:
 
     def test_table2_binary_batch1_magnitude(self):
         # Paper: binary, batch 1, l=32 -> 4.06 MB offline for the Fig-4 net.
+        assert 3.3 <= _paper_bits("binary", 1) / 8 / MB <= 5.0
+        # The running protocol's 128-column code sends less.
         bits = network_offline_comm_bits(FIG4_LAYERS, FragmentScheme.binary(), 1, 32)
-        mb = bits / 8 / MB
-        assert 3.3 <= mb <= 5.0
+        assert bits < _paper_bits("binary", 1)
 
     def test_table2_2222_batch1_magnitude(self):
         # Paper: (2,2,2,2), batch 1 -> 19.52 MB.
-        scheme = TABLE2_SCHEMES["8(2,2,2,2)"]
-        mb = network_offline_comm_bits(FIG4_LAYERS, scheme, 1, 32) / 8 / MB
-        assert 17.0 <= mb <= 23.0
+        assert 17.0 <= _paper_bits("8(2,2,2,2)", 1) / 8 / MB <= 23.0
 
     def test_table2_orderings(self):
         """The comm orderings of Table 2 hold in the model."""
@@ -72,8 +91,16 @@ class TestAbnn2Model:
         def mb(name, batch):
             return network_offline_comm_bits(FIG4_LAYERS, TABLE2_SCHEMES[name], batch, 32)
 
-        # batch 1: (3,3,2) < (2,2,2,2) < (4,4) < (1,...,1)
-        assert mb("8(3,3,2)", 1) < mb("8(2,2,2,2)", 1) < mb("8(4,4)", 1) < mb("8(1,...,1)", 1)
+        # batch 1, the paper's 2 kappa rows: (3,3,2) < (2,2,2,2) < (4,4) < (1,...,1)
+        assert (
+            _paper_bits("8(3,3,2)", 1)
+            < _paper_bits("8(2,2,2,2)", 1)
+            < _paper_bits("8(4,4)", 1)
+            < _paper_bits("8(1,...,1)", 1)
+        )
+        # at c(N), the N = 2 and N = 4 codes shrink: (2,2,2,2) < (3,3,2) <
+        # (1,...,1) < (4,4)
+        assert mb("8(2,2,2,2)", 1) < mb("8(3,3,2)", 1) < mb("8(1,...,1)", 1) < mb("8(4,4)", 1)
         # batch 128: (2,2,2,2) < (1,...,1) < (3,3,2) < (4,4)
         assert (
             mb("8(2,2,2,2)", 128)
@@ -88,10 +115,12 @@ class TestAbnn2Model:
         """Table 3's comm gap: ~4x for 8-bit, ~20x+ for ternary at l=64."""
         m, n = 128, 1000
         sm = secureml_comm_bits(m, n, 1, 64)
-        ab8 = abnn2_comm_bits(TABLE2_SCHEMES["8(2,2,2,2)"], m, n, 1, 64, "one")
-        ab_ternary = abnn2_comm_bits(TABLE2_SCHEMES["ternary"], m, n, 1, 64, "one")
+        ab8 = _paper_bits("8(2,2,2,2)", 1, [(m, n)], 64)
+        ab_ternary = _paper_bits("ternary", 1, [(m, n)], 64)
         assert 3.0 < sm / ab8 < 8.0
         assert 15.0 < sm / ab_ternary < 40.0
+        # the running protocol's c(N) rows only widen the gap
+        assert abnn2_comm_bits(TABLE2_SCHEMES["8(2,2,2,2)"], m, n, 1, 64, "one") < ab8
 
 
 class TestGcModel:

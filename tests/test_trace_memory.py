@@ -25,6 +25,7 @@ from repro.core.triplets import (
     generate_triplets_client,
     generate_triplets_server,
 )
+from repro.crypto.codes import code_length
 from repro.errors import ConfigError
 from repro.net import run_protocol
 from repro.perf.costmodel import (
@@ -199,16 +200,20 @@ class TestTripletWorkingSet:
         assert triplet_chunk_ots(4, 1 << 20, 32) == TRIPLET_MIN_CHUNK
 
     def test_fig4_layer0_batch8_closed_form(self):
-        # Two wire chunks of 262 144 OTs; 16 Ki-OT sub-blocks; the
-        # extension phase (frame being filled, shares, ten 32 B rows, the
-        # server's pads and hash inputs) is the worst of the three.
-        chunk, block = 262_144, 16_384
+        # Two wire chunks of 262 144 OTs; 16 Ki-OT sub-blocks.  With the
+        # 192-column N = 4 code (24 B rows) the hand-off (three frame
+        # copies next to the next chunk being filled) is the worst phase,
+        # just above the extension (frame being filled, shares, ten rows,
+        # the server's pads and hash inputs).
+        chunk, block, code_words = 262_144, 16_384, 3
         frame = chunk * 4 * 4
-        filling = chunk * 8 + block * 4 * (3 * 8 + 4 + 6)
-        extension = frame + filling + 10 * 4 * chunk + chunk * (4 + 5)
+        filling = chunk * 8 + block * 4 * (3 * 8 + 4 + code_words + 2)
+        extension = frame + filling + 10 * code_words * chunk + chunk * (4 + code_words + 1)
+        hand_off = 3 * frame + filling + chunk * 4 + block * (3 * 4 + 6 * 8)
+        assert extension < hand_off
         layer = 2 * 128 * 784 * 4 + 4 * 128 * 8
         assert triplet_working_set_bytes(o=8, mode="multi", **FIG4_L0) == (
-            WORD_BYTES * (layer + extension) + (1 << 20)
+            WORD_BYTES * (layer + hand_off) + (1 << 20)
         )
 
     def test_chunk_terms_do_not_grow_with_the_layer(self):
@@ -279,7 +284,8 @@ class TestTripletSpanPeaks:
         )
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
         bound = triplet_working_set_bytes(o=batch, mode=config.resolved_mode, **FIG4_L0)
-        held = 2 * WORD_BYTES * (chunk * 4 * 4 if batch == 8 else 4 * chunk)
+        code_words = code_length(4) // 64
+        held = 2 * WORD_BYTES * (chunk * 4 * 4 if batch == 8 else code_words * chunk)
         for tracer in tracers:
             doc = tracer.to_dict()
             rows = [row for row in memory_rows(doc) if row.kind == "triplets"]

@@ -76,11 +76,11 @@ class DigestChannel:
 #: (server, client) digest prefixes of each pinned run.  Chunking is a
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
-    "fig4_b1": ("efb3bc13ec2774ea", "fe2c025c210d7785"),
-    "fig4_b8": ("b42207a9bef1bfa0", "a3f79e9a098fb77e"),
-    "vgg_cifar_side12": ("3f2f523a24d357ce", "3b0313479799ecec"),
-    "vgg_cifar_side12_chunk7": ("3f2f523a24d357ce", "3b0313479799ecec"),
-    "vgg_cifar_side12_winograd": ("61c25aa0f8e114f8", "336a5ace9305c6d7"),
+    "fig4_b1": ("d6a1cd7cc892ee4f", "3590481f51bc6b18"),
+    "fig4_b8": ("06fac739538c30c7", "1a395fc7cb9465bc"),
+    "vgg_cifar_side12": ("8f3edfdb7c39ce4f", "c2243b1e079be580"),
+    "vgg_cifar_side12_chunk7": ("8f3edfdb7c39ce4f", "c2243b1e079be580"),
+    "vgg_cifar_side12_winograd": ("17063ddfb1841cf3", "80772199418d7bc5"),
     "served_bank_keepalive": ("45f1d409c9e1d5d1", "c7f2fb760bd6e1a9"),
 }
 
