@@ -30,6 +30,8 @@ from repro.core.triplets import (
 )
 from repro.net import run_protocol
 from repro.net.netsim import LAN, WAN_SECUREML
+from repro.perf.costmodel import kk13_code_bits
+from repro.quant.fragments import TABLE2_SCHEMES
 from repro.utils.ring import Ring
 
 RING = Ring(64)
@@ -46,8 +48,6 @@ PAPER_D1000 = {
 
 
 def _run_abnn2(scheme_name, d, group, rng):
-    from repro.quant.fragments import TABLE2_SCHEMES
-
     scheme = TABLE2_SCHEMES[scheme_name]
     w = random_weights(scheme, (M, d), rng)
     r = RING.sample(rng, (d, 1))
@@ -112,13 +112,23 @@ def test_table3_shapes(bench_group, bench_rng):
     secureml = _run_secureml(d, bench_group, bench_rng)
     results = {name: _run_abnn2(name, d, bench_group, bench_rng) for name in SCHEME_NAMES}
 
-    # Paper: comm ~25x / ~20x / ~4x below SecureML.
-    ratio_binary = secureml.total_bytes / results["binary"].total_bytes
-    ratio_ternary = secureml.total_bytes / results["ternary"].total_bytes
-    ratio_8bit = secureml.total_bytes / results["8(2,2,2,2)"].total_bytes
-    assert 10 < ratio_binary < 50
-    assert 8 < ratio_ternary < 45
-    assert 2 < ratio_8bit < 10
+    # Paper: comm ~25x / ~20x / ~4x below SecureML.  The paper charges
+    # 2 kappa = 256 U bits per OT; the running protocol sends c(N), so the
+    # ratios are taken on the paper's basis, adding back
+    # gamma * m * n * (256 - c(N)) bits, and the live ratio (fewer ABNN2
+    # bytes) must be at least as large.
+    def paper_bytes(name):
+        scheme = TABLE2_SCHEMES[name]
+        dropped = sum(256 - kk13_code_bits(frag.n_values) for frag in scheme.fragments)
+        return results[name].total_bytes + dropped * M * d // 8
+
+    ratios = {}
+    for name in SCHEME_NAMES:
+        ratios[name] = secureml.total_bytes / paper_bytes(name)
+        assert secureml.total_bytes / results[name].total_bytes >= ratios[name]
+    assert 10 < ratios["binary"] < 50
+    assert 8 < ratios["ternary"] < 45
+    assert 2 < ratios["8(2,2,2,2)"] < 10
 
     # Projected WAN: ABNN2 binary/ternary at least ~8x faster.
     def wan(res):

@@ -19,7 +19,7 @@ Shapes that must reproduce (asserted):
 
 import pytest
 
-from conftest import batches_for_table45, paper_relu_mb
+from conftest import batches_for_table45, l32_offline_mb, paper_relu_mb
 from repro.baselines.minionn import minionn_predict
 from repro.core.protocol import secure_predict
 from repro.net.netsim import LAN, WAN_QUOTIENT
@@ -64,6 +64,8 @@ def test_table4_abnn2(benchmark, scheme_name, batch, quantized_fig4, fig4_datase
     )
     info = _report_info(report, f"ABNN2-{scheme_name}", batch)
     info["paper_l32"] = PAPER_L32[scheme_name][0 if batch == 1 else 1]
+    info["offline_MB"] = round(report.offline_bytes / MB, 2)
+    info.update(l32_offline_mb(qmodel, batch))
     info.update(paper_relu_mb(qmodel, batch))
     benchmark.extra_info.update(info)
     assert (report.predictions == qmodel.predict(x)).all()

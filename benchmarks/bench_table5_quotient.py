@@ -15,7 +15,7 @@ Shapes that must reproduce (asserted):
 
 import pytest
 
-from conftest import batches_for_table45, paper_relu_mb
+from conftest import batches_for_table45, l32_offline_mb, paper_relu_mb
 from repro.baselines.quotient import quotient_predict
 from repro.core.protocol import secure_predict
 from repro.net.netsim import LAN, WAN_QUOTIENT
@@ -52,6 +52,8 @@ def test_table5_abnn2_binary(benchmark, batch, quantized_fig4, fig4_dataset, ben
     )
     info = _info(report, "ABNN2-binary", batch)
     info["paper_LAN_WAN"] = PAPER["ABNN2-binary"].get(batch)
+    info["offline_MB"] = round(report.offline_bytes / MB, 2)
+    info.update(l32_offline_mb(qmodel, batch))
     info.update(paper_relu_mb(qmodel, batch))
     benchmark.extra_info.update(info)
     assert (report.predictions == qmodel.predict(x)).all()

@@ -19,12 +19,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.protocol import ModelMeta, layer_triplet_config
 from repro.crypto.group import MODP_TEST
 from repro.nn.data import synthetic_mnist
 from repro.nn.model import mnist_mlp
 from repro.nn.quantize import quantize_model
 from repro.nn.train import TrainConfig, train_classifier
-from repro.perf.costmodel import gc_relu_comm_bits
+from repro.perf.costmodel import abnn2_comm_bits, gc_relu_comm_bits
 from repro.quant.fragments import TABLE2_SCHEMES
 from repro.utils.ring import Ring
 
@@ -87,6 +88,19 @@ def paper_relu_mb(qmodel, batch: int) -> dict:
     row: this build's circuit is narrower (each layer's ``relu_bits``)."""
     n_relus = sum(layer.out_features for layer in qmodel.layers[:-1]) * batch
     return {"paper_relu_l32_MB": round(gc_relu_comm_bits(32, n_relus) / 8 / (1024 * 1024), 2)}
+
+
+def l32_offline_mb(qmodel, batch: int) -> dict:
+    """One prediction's offline triplet bytes with every layer at the
+    paper's fixed l = 32, from the cost model, as a labelled row: this
+    build narrows each layer's ring to its width
+    (``ModelMeta.layer_ring``), so its measured bytes are lower."""
+    meta = ModelMeta.from_model(qmodel)
+    bits = 0
+    for layer in meta.layers:
+        config = layer_triplet_config(Ring(32), layer, batch)
+        bits += abnn2_comm_bits(config.scheme, config.rows, config.n, config.o, 32)
+    return {"l32_offline_MB": round(bits / 8 / (1024 * 1024), 2)}
 
 
 def random_weights(scheme, shape, rng):

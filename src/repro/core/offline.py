@@ -10,7 +10,10 @@ the correlated randomness one prediction batch consumes online:
 ``U + V = W @ R`` per layer, where ``R`` is the (lowered) operand the
 client's walk chains from the mask: layer 0's ``R`` is the mask, each
 later ``R`` is the previous ReLU share after (share-local average)
-pooling.  Both producers — the two-party OT offline phase
+pooling.  Every share lives in its layer's public ring
+(:meth:`~repro.core.protocol.ModelMeta.layer_ring`): the mask and layer
+``i``'s ``U``/``V`` in layer ``i``'s, the ReLU share of hidden layer
+``i`` in layer ``i + 1``'s.  Both producers — the two-party OT offline phase
 (:meth:`repro.core.protocol.Abnn2Client.offline`) and the closed-form
 dealer (:mod:`repro.serve.dealer`) — run that walk in
 :func:`chain_operands` and differ only in the linear step.
@@ -65,9 +68,10 @@ def _check_shape(what: str, arr, expected: tuple[int, int]) -> None:
         raise ConfigError(f"expected {what} of shape {expected}, got {shape}")
 
 
-def _check_linear(ring, meta, batch, shares: list, name: str) -> list:
-    """Shape-check one ``U``/``V`` per layer and ring-reduce the plain ones
-    (a blocked share is kept as is, so loading never copies it whole)."""
+def _check_linear(meta, batch, shares: list, name: str) -> list:
+    """Shape-check one ``U``/``V`` per layer and reduce the plain ones in
+    their layer's ring (a blocked share is kept as is, so loading never
+    copies it whole)."""
     if len(shares) != len(meta.layers):
         raise ConfigError(
             f"offline round has {len(shares)} layers, model has {len(meta.layers)}"
@@ -76,7 +80,7 @@ def _check_linear(ring, meta, batch, shares: list, name: str) -> list:
     for idx, (layer, share) in enumerate(zip(meta.layers, shares)):
         expected = (layer.matmul_groups * layer.matmul_rows, batch * layer.batch_multiplier())
         _check_shape(f"layer {idx} {name}", share, expected)
-        out.append(share if isinstance(share, BlockedShare) else ring.reduce(share))
+        out.append(share if isinstance(share, BlockedShare) else meta.layer_ring(idx).reduce(share))
     return out
 
 
@@ -198,8 +202,7 @@ class ServerHalf(_Half):
 
     def validate(self, meta: "ModelMeta", batch: int) -> "ServerHalf":
         """Shape-check against the model; returns the ring-reduced half."""
-        ring = Ring(meta.ring_bits)
-        return ServerHalf(_check_linear(ring, meta, batch, list(self.u), "U"))
+        return ServerHalf(_check_linear(meta, batch, list(self.u), "U"))
 
     def to_parts(self) -> tuple[dict, list[np.ndarray]]:
         counts, arrays = _flatten(self.u)
@@ -227,8 +230,7 @@ class ClientHalf(_Half):
 
     def validate(self, meta: "ModelMeta", batch: int) -> "ClientHalf":
         """Shape-check against the model; returns the ring-reduced half."""
-        ring = Ring(meta.ring_bits)
-        v = _check_linear(ring, meta, batch, list(self.v), "V")
+        v = _check_linear(meta, batch, list(self.v), "V")
         hidden = meta.layers[:-1]
         if len(self.relu) != len(hidden):
             raise ConfigError("offline round must carry one ReLU share per hidden layer")
@@ -236,8 +238,8 @@ class ClientHalf(_Half):
         relu = []
         for idx, (layer, z1) in enumerate(zip(hidden, self.relu)):
             _check_shape(f"layer {idx} ReLU share", z1, (layer.relu_features, batch))
-            relu.append(ring.reduce(z1))
-        return ClientHalf(ring.reduce(self.input_mask), v, relu)
+            relu.append(meta.layer_ring(idx + 1).reduce(z1))
+        return ClientHalf(meta.layer_ring(0).reduce(self.input_mask), v, relu)
 
     def to_parts(self) -> tuple[dict, list[np.ndarray]]:
         counts, v_arrays = _flatten(self.v)
@@ -269,33 +271,34 @@ class OfflineRound:
 # the operand-chaining walk
 # --------------------------------------------------------------------- #
 def chain_operands(
-    ring: Ring,
     meta: "ModelMeta",
     batch: int,
     rng: np.random.Generator,
-    linear_step: Callable[[int, "LayerMeta", np.ndarray], Share],
+    linear_step: Callable[[int, "LayerMeta", Ring, np.ndarray], Share],
 ) -> ClientHalf:
     """Walk the layers, chaining each linear layer's operand ``R``.
 
-    ``linear_step(idx, layer, operand)`` turns layer ``idx``'s flat
-    operand into its ``V`` (lowering it as the layer needs).  The walk
-    draws, in this order: the input mask, then per layer whatever the
-    step draws and the ReLU output share.
+    ``linear_step(idx, layer, ring, operand)`` turns layer ``idx``'s flat
+    operand, in the layer's ring, into its ``V`` (lowering it as the
+    layer needs).  The walk draws, in this order: the input mask, then
+    per layer whatever the step draws and the ReLU output share (in the
+    next layer's ring, where it is that layer's operand).
     """
-    operand = ring.sample(rng, (meta.layers[0].in_features, batch))
+    rings = [meta.layer_ring(idx) for idx in range(len(meta.layers))]
+    operand = rings[0].sample(rng, (meta.layers[0].in_features, batch))
     input_mask = operand
     v, relu = [], []
     last = len(meta.layers) - 1
     for idx, layer in enumerate(meta.layers):
-        v.append(linear_step(idx, layer, operand))
+        v.append(linear_step(idx, layer, rings[idx], operand))
         if idx == last:
             break
         # The ReLU output share z1 doubles as the next R, after pooling.
-        z1 = ring.sample(rng, (layer.relu_features, batch))
+        z1 = rings[idx + 1].sample(rng, (layer.relu_features, batch))
         relu.append(z1)
         if layer.pool is not None:
             # Average pooling is share-local and deterministic, so the
             # next operand is derivable offline.
-            z1 = avgpool_share(ring, layer.pool, z1, party=1)
+            z1 = avgpool_share(rings[idx + 1], layer.pool, z1, party=1)
         operand = z1
     return ClientHalf(input_mask, v, relu)

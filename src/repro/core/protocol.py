@@ -12,6 +12,15 @@ Flow (paper Section 3, Figure 2):
   to the layer's public width ``relu_bits``; finally the server sends
   ``<y>_0`` of the logits and the client reconstructs.
 
+Each linear layer computes in its own public ring
+(:meth:`ModelMeta.layer_ring`): ``Z_(2^m)`` for its output width ``m``.
+Reduction mod ``2^m`` is a ring homomorphism and ``|y| < 2^(m-1)``, so
+the layer's triplets, product and input shares all live there with the
+result unchanged.  A ReLU reads its input in its layer's ring and
+outputs shares in the next layer's; the client sign-extends the logits
+from the last layer's ring into the model ring.  The input and logits
+shares travel packed at their ring's width.
+
 Security: semi-honest, as composed from the proven sub-protocols (KK13
 OTs, additive sharing, Yao GC).  The ``optimized`` ReLU variant
 additionally reveals the activation sign pattern — see
@@ -60,6 +69,7 @@ from repro.nn.winograd import (
 )
 from repro.quant.fragments import FragmentScheme
 from repro.quant.headroom import INPUT_BOUND, input_bound_int
+from repro.utils.bits import pack_ring_words, packed_word_count, unpack_ring_words
 from repro.utils.ring import Ring
 from repro.utils.rng import make_rng
 
@@ -93,7 +103,8 @@ class LayerMeta:
     conv: Im2colSpec | None = None
     pool: PoolSpec | None = None
     backend: str = "im2col"
-    #: public ReLU input width m (``|y| < 2^(m-1)``); None = ring width
+    #: public output width m (``|y| < 2^(m-1)``): the ReLU input, or the
+    #: logits on the last layer; None = ring width
     relu_bits: int | None = None
 
     @property
@@ -223,6 +234,22 @@ class ModelMeta:
         )
         return cls(layers=layers, ring_bits=model.ring.bits, frac_bits=model.encoder.frac_bits)
 
+    def layer_ring(self, idx: int) -> Ring:
+        """The public ring layer ``idx`` computes in: its triplets, its
+        online product and its incoming shares (and the previous ReLU's
+        output shares).
+
+        ``Z_(2^m)`` for the layer's output width ``m``.  A winograd layer
+        keeps the model ring (its share-local ``/4`` needs headroom), and
+        so does a layer after an average pool, whose share-local shift
+        would wrap often in a narrow ring.
+        """
+        layer = self.layers[idx]
+        after_pool = idx > 0 and self.layers[idx - 1].pool is not None
+        if layer.relu_bits is None or layer.backend == "winograd" or after_pool:
+            return Ring(self.ring_bits)
+        return Ring(layer.relu_bits)
+
 
 def layer_triplet_config(
     ring: Ring,
@@ -292,6 +319,7 @@ class _PartyBase:
         self.group = group
         self.ro = ro
         self.ring = Ring(meta.ring_bits)
+        self.rings = [meta.layer_ring(idx) for idx in range(len(meta.layers))]
         self.rng = make_rng(seed)
         self._seed = seed
         self.tracer = tracer if tracer is not None else Tracer(
@@ -365,9 +393,9 @@ class _PartyBase:
     # ------------------------------------------------------------------ #
     # helpers of the layer walk
     # ------------------------------------------------------------------ #
-    def _layer_config(self, layer: LayerMeta) -> TripletConfig:
+    def _layer_config(self, idx: int) -> TripletConfig:
         return layer_triplet_config(
-            self.ring, layer, self.batch, group=self.group, ro=self.ro
+            self.rings[idx], self.meta.layers[idx], self.batch, group=self.group, ro=self.ro
         )
 
     def _layer_seed(self, idx: int, round_idx: int) -> int | None:
@@ -381,8 +409,8 @@ class _PartyBase:
         the whole round before its first one, so layers of growing code
         length (``8(3,3,2)``, per-layer schemes) share one handshake."""
         widest = max(
-            engine_cls.base_ot_columns(self._layer_config(layer))
-            for layer in self.meta.layers
+            engine_cls.base_ot_columns(self._layer_config(idx))
+            for idx in range(len(self.meta.layers))
         )
         channel_setup(self.chan, self.group).reserve(widest)
 
@@ -406,7 +434,7 @@ class _PartyBase:
     def _triplet_span(self, idx: int, layer: LayerMeta, round_idx: int):
         """Span for one layer's offline triplet generation, carrying the
         public dimensions the conformance checker feeds the cost model."""
-        config = self._layer_config(layer)
+        config = self._layer_config(idx)
         # m is the *stacked* row count (groups * m): the grouped product
         # runs gamma * rows * n OTs of o columns each, which is exactly
         # what the closed-form cost model prices for an (m, n, o) triple,
@@ -416,7 +444,7 @@ class _PartyBase:
             m=config.rows,
             n=config.n,
             o=config.o,
-            ring_bits=self.ring.bits,
+            ring_bits=config.ring.bits,
             mode=config.resolved_mode,
             frag_n_values=[frag.n_values for frag in config.scheme.fragments],
             code_bits=[code_length(frag.n_values) for frag in config.scheme.fragments],
@@ -436,19 +464,26 @@ class _PartyBase:
         )
 
     def _relu_span(self, idx: int):
-        width, shift = self._relu_shape(idx)
+        width, shift, out_ring = self._relu_shape(idx)
         return self.tracer.span(
             f"layer{idx}/relu", variant=self.relu_variant,
             n_relus=self.meta.layers[idx].relu_features * self.batch,
-            ring_bits=self.ring.bits, width=width, shift=shift,
+            ring_bits=self.rings[idx].bits, width=width, shift=shift,
+            out_bits=out_ring.bits,
         )
 
-    def _relu_shape(self, idx: int) -> tuple[int, int]:
-        """``(width, shift)`` of hidden layer ``idx``'s GC ReLU: the public
-        input width and the exact rescaling shift folded into it."""
+    def _relu_shape(self, idx: int) -> tuple[int, int, Ring]:
+        """``(width, shift, out_ring)`` of hidden layer ``idx``'s GC ReLU:
+        the public input width, the exact rescaling shift folded into it,
+        and the next layer's ring its output shares live in."""
         layer = self.meta.layers[idx]
-        width = self.ring.bits if layer.relu_bits is None else layer.relu_bits
-        return width, layer.truncate_bits
+        width = self.rings[idx].bits if layer.relu_bits is None else layer.relu_bits
+        return width, layer.truncate_bits, self.rings[idx + 1]
+
+    def _share_span(self, name: str, idx: int, count: int):
+        """Span of an online share frame: ``count`` elements of layer
+        ``idx``'s ring, packed at its width."""
+        return self.tracer.span(name, elements=count, ring_bits=self.rings[idx].bits)
 
 
 class Abnn2Server(_PartyBase):
@@ -469,8 +504,7 @@ class Abnn2Server(_PartyBase):
 
     def _engine(self, idx: int, seed: int | None = None) -> SecureMatmulServer:
         return self.matmul_server_cls(
-            self.chan, self._weights[idx], self._layer_config(self.meta.layers[idx]),
-            seed=seed,
+            self.chan, self._weights[idx], self._layer_config(idx), seed=seed,
         )
 
     def _offline_round(self, round_idx: int) -> ServerHalf:
@@ -498,27 +532,28 @@ class Abnn2Server(_PartyBase):
         Byte-identical for every chunk grid: matmul columns are
         independent and ring arithmetic is exact.
         """
-        layer = self.meta.layers[idx]
+        layer, ring = self.meta.layers[idx], self.rings[idx]
         engine = self._engine(idx)
         engine.preload(half.u[idx])
         total, chunk = engine.config.o, layer.chunk_cols
         with self._matmul_span(idx, chunk_cols=chunk):
             if chunk is None or chunk >= total:
-                y0 = engine.online(layer.lower(self.ring, share0))
+                y0 = engine.online(layer.lower(ring, share0))
             else:
-                y0 = self.ring.zeros(engine.config.out_shape)
+                y0 = ring.zeros(engine.config.out_shape)
                 for lo, hi in column_blocks(total, chunk):
-                    block = layer.lower(self.ring, share0, lo, hi)
+                    block = layer.lower(ring, share0, lo, hi)
                     y0[:, lo:hi] = engine.online_block(block, lo, hi)
-            y0 = layer.lift(self.ring, y0, party=0)
+            y0 = layer.lift(ring, y0, party=0)
             bias = layer.bias(self.model.layers[idx].bias_int)
-            return self.ring.add(y0, self.ring.reduce(bias)[:, None])
+            return ring.add(y0, ring.reduce(bias)[:, None])
 
     def _online_sequential(self, half: ServerHalf) -> np.ndarray:
         """The layer walk on the raw channel (paper Fig. 2): input share,
         then per layer linear, (hidden) ReLU and pool, then the logits."""
-        with self.tracer.span("input-share"):
-            share0 = self.ring.reduce(self.chan.recv())  # <x>_0
+        shape = (self.meta.layers[0].in_features, self.batch)
+        with self._share_span("input-share", 0, shape[0] * shape[1]):
+            share0 = recv_share(self.chan, self.rings[0], shape)  # <x>_0
         last = len(self.meta.layers) - 1
         for idx, layer in enumerate(self.meta.layers):
             y0 = self._linear_layer(half, idx, share0)
@@ -526,14 +561,14 @@ class Abnn2Server(_PartyBase):
                 break
             with self._relu_span(idx):
                 share0 = relu_layer_server(
-                    self.chan, y0, self._gc, self.ring, self.relu_variant,
+                    self.chan, y0, self._gc, self.rings[idx], self.relu_variant,
                     *self._relu_shape(idx),
                 )
             if layer.pool is not None:
                 with self.tracer.span(f"layer{idx}/pool"):
-                    share0 = avgpool_share(self.ring, layer.pool, share0, party=0)
-        with self.tracer.span("logits-share"):
-            self.chan.send(y0)
+                    share0 = avgpool_share(self.rings[idx + 1], layer.pool, share0, party=0)
+        with self._share_span("logits-share", last, y0.size):
+            send_share(self.chan, self.rings[last], y0)
         return y0
 
 
@@ -555,24 +590,25 @@ class Abnn2Client(_PartyBase):
         ``R`` and runs the layer's KK13 triplet generation for ``V``."""
         self._reserve_base_ots(self.matmul_client_cls)
 
-        def triplet_step(idx: int, layer: LayerMeta, operand) -> np.ndarray:
+        def triplet_step(idx: int, layer: LayerMeta, ring: Ring, operand) -> np.ndarray:
             engine = self.matmul_client_cls(
                 self.chan,
-                self._layer_config(layer),
+                self._layer_config(idx),
                 self.rng,
-                r_mat=layer.lower(self.ring, operand),
+                r_mat=layer.lower(ring, operand),
                 seed=self._layer_seed(idx, round_idx),
             )
             with self._triplet_span(idx, layer, round_idx):
                 engine.offline()
             return engine.v
 
-        return chain_operands(self.ring, self.meta, self.batch, self.rng, triplet_step)
+        return chain_operands(self.meta, self.batch, self.rng, triplet_step)
 
     def online(self, x_ring: np.ndarray) -> np.ndarray:
         """Run one prediction batch on fixed-point inputs shaped
         ``(features, batch)``; returns the reconstructed integer logits.
-        Consumes one offline round."""
+        Consumes one offline round; the logits are sign-extended from the
+        last layer's ring into the model ring."""
         x = self.ring.reduce(x_ring)
         expected = (self.meta.layers[0].in_features, self.batch)
         if x.shape != expected:
@@ -591,24 +627,44 @@ class Abnn2Client(_PartyBase):
         linear steps are wire-free (``y1 = V``, lifted)."""
         # <x>_0 = x - r travels in flat form; each party lowers its own
         # share locally where a conv layer needs it.
-        with self.tracer.span("input-share"):
-            self.chan.send(self.ring.sub(x, half.input_mask))
+        with self._share_span("input-share", 0, x.size):
+            send_share(self.chan, self.rings[0], self.rings[0].sub(x, half.input_mask))
         last = len(self.meta.layers) - 1
         for idx, layer in enumerate(self.meta.layers):
             with self._matmul_span(idx):
-                y1 = layer.lift(self.ring, materialize(half.v[idx]), party=1)
+                y1 = layer.lift(self.rings[idx], materialize(half.v[idx]), party=1)
             if idx == last:
                 break
             # The ReLU output share was fixed offline; average pooling is
             # share-local and already applied to the *next* operand there.
             with self._relu_span(idx):
                 relu_layer_client(
-                    self.chan, y1, half.relu[idx], self._gc, self.ring, self.rng,
+                    self.chan, y1, half.relu[idx], self._gc, self.rings[idx], self.rng,
                     self.relu_variant, *self._relu_shape(idx),
                 )
-        with self.tracer.span("logits-share"):
-            y0 = self.ring.reduce(self.chan.recv())
-        return self.ring.add(y0, y1)
+        ring = self.rings[last]
+        with self._share_span("logits-share", last, y1.size):
+            y0 = recv_share(self.chan, ring, y1.shape)
+        return self.ring.reduce(ring.to_signed(ring.add(y0, y1)))
+
+
+def send_share(chan: Channel, ring: Ring, share: np.ndarray) -> None:
+    """Send a share matrix as one frame of its elements packed at the
+    ring's width, row-major."""
+    chan.send(pack_ring_words(np.asarray(share).reshape(1, -1), ring.bits)[0])
+
+
+def recv_share(chan: Channel, ring: Ring, shape: tuple[int, int]) -> np.ndarray:
+    """Receive a :func:`send_share` frame of a ``shape`` share matrix."""
+    frame = chan.recv()
+    count = shape[0] * shape[1]
+    words = packed_word_count(count, ring.bits)
+    if not (isinstance(frame, np.ndarray) and frame.dtype == np.uint64 and frame.shape == (words,)):
+        raise ProtocolError(
+            f"share frame: expected {words} uint64 words for {shape} "
+            f"{ring.bits}-bit elements"
+        )
+    return unpack_ring_words(frame[None, :], ring.bits, count).reshape(shape)
 
 
 # --------------------------------------------------------------------- #

@@ -13,8 +13,10 @@ The circuit is sized to the activation, not the ring
 rescaling, folded into the GC), and a 2-row table delivers the output's
 high bits.  So the secure result equals the plaintext reference
 :meth:`repro.nn.quantize.QuantizedModel.forward_int` exactly.  The
-defaults (``width = l``, ``shift = 0``) give the paper's ``l``-bit
-circuit.
+output shares live in ``out_ring``, the next layer's ring (default the
+input ring): a narrower one keeps only its low bits, a wider one gets
+its high bits from the table.  The defaults (``width = l``,
+``shift = 0``, ``out_ring = ring``) give the paper's ``l``-bit circuit.
 
 Two variants:
 
@@ -54,19 +56,19 @@ _TEMPLATE_CACHE: dict[tuple, object] = {}
 VARIANTS = ("oblivious", "optimized")
 
 
-def _template(kind: str, width: int, shift: int = 0, ring_bits: int | None = None):
-    key = (kind, width, shift, ring_bits)
+def _template(kind: str, width: int, shift: int = 0, out_bits: int | None = None):
+    key = (kind, width, shift, out_bits)
     if key not in _TEMPLATE_CACHE:
         if kind == "sign":
             _TEMPLATE_CACHE[key] = sign_template(width)
         else:
             builder = relu_template if kind == "relu" else reconstruct_sub_template
-            _TEMPLATE_CACHE[key] = builder(width, shift, ring_bits)
+            _TEMPLATE_CACHE[key] = builder(width, shift, out_bits)
     return _TEMPLATE_CACHE[key]
 
 
 def _check_layer(ring: Ring, variant: str, width: int | None, shift: int) -> tuple[int, int]:
-    """``(m, k)`` of one ReLU layer: input width and output low bits."""
+    """``(m, k)`` of one ReLU layer: input width and output bits."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown ReLU variant {variant!r}")
     width = ring.bits if width is None else width
@@ -82,21 +84,22 @@ def _to_bit_rows(values: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(int_to_bits(values, width).T)
 
 
-def _z0(ring: Ring, result, k: int) -> np.ndarray:
-    """The evaluator's share from the circuit's low ``k`` output bits and,
-    when ``k < l``, the high word its row table delivered."""
-    if k == ring.bits:
-        return ring.reduce(bits_to_int(np.ascontiguousarray(result.T)))
+def _z0(out_ring: Ring, result, k: int) -> np.ndarray:
+    """The evaluator's share in the output ring from the circuit's low
+    output bits and, when ``k`` is below the ring's width, the high word
+    its row table delivered."""
+    if k >= out_ring.bits:
+        return out_ring.reduce(bits_to_int(np.ascontiguousarray(result.T)))
     bits, high = result
     low = bits_to_int(np.ascontiguousarray(bits.T))
-    return ring.reduce(low | (np.asarray(high, dtype=np.uint64) << np.uint64(k)))
+    return out_ring.reduce(low | (np.asarray(high, dtype=np.uint64) << np.uint64(k)))
 
 
-def _row_values(ring: Ring, z1: np.ndarray, k: int) -> np.ndarray | None:
+def _row_values(out_ring: Ring, z1: np.ndarray, k: int) -> np.ndarray | None:
     """The high output words ``-z1_high - borrow`` for borrow 0 and 1."""
-    if k == ring.bits:
+    if k >= out_ring.bits:
         return None
-    high_ring = Ring(ring.bits - k)
+    high_ring = Ring(out_ring.bits - k)
     neg_high = high_ring.neg(z1 >> np.uint64(k))
     return np.stack([neg_high, high_ring.sub(neg_high, np.uint64(1))], axis=1)
 
@@ -112,14 +115,17 @@ def relu_layer_server(
     variant: str = "oblivious",
     width: int | None = None,
     shift: int = 0,
+    out_ring: Ring | None = None,
 ) -> np.ndarray:
     """Server side of the ReLU layer; returns ``z0`` with ``y0``'s shape.
 
-    ``width`` is the public bound ``m`` (``|y| < 2^(m-1)``, default the
-    ring width) and ``shift`` the exact right shift ``f`` applied before
-    the ReLU.
+    ``y0`` lives in ``ring``.  ``width`` is the public bound ``m``
+    (``|y| < 2^(m-1)``, default the ring width), ``shift`` the exact
+    right shift ``f`` applied before the ReLU and ``out_ring`` the ring
+    of the output shares (default ``ring``).
     """
     width, k = _check_layer(ring, variant, width, shift)
+    out_ring = ring if out_ring is None else out_ring
     shape = np.shape(y0)
     flat = ring.reduce(y0).reshape(-1)
     n_inst = flat.shape[0]
@@ -127,9 +133,9 @@ def relu_layer_server(
 
     if variant == "oblivious":
         result = run_evaluator(
-            chan, _template("relu", width, shift, ring.bits), y0_bits, n_inst, sessions
+            chan, _template("relu", width, shift, out_ring.bits), y0_bits, n_inst, sessions
         )
-        return _z0(ring, result, k).reshape(shape)
+        return _z0(out_ring, result, k).reshape(shape)
 
     # Optimized: stage 1 comparison, sign revealed to both parties.
     sign_bits = run_evaluator(chan, _template("sign", width), y0_bits, n_inst, sessions)
@@ -138,14 +144,14 @@ def relu_layer_server(
     n_pos = int(positive.sum())
     annotate_span(chan, n_positive=n_pos)
 
-    z0 = ring.zeros(n_inst)
+    z0 = out_ring.zeros(n_inst)
     if n_pos:
         pos_bits = np.ascontiguousarray(y0_bits[:, positive])
         result = run_evaluator(
-            chan, _template("reconstruct", width, shift, ring.bits), pos_bits, n_pos,
+            chan, _template("reconstruct", width, shift, out_ring.bits), pos_bits, n_pos,
             sessions,
         )
-        z0[positive] = _z0(ring, result, k)
+        z0[positive] = _z0(out_ring, result, k)
     neg_share = chan.recv()  # -z1 for the negative neurons
     if not (
         isinstance(neg_share, np.ndarray)
@@ -155,7 +161,7 @@ def relu_layer_server(
         raise ProtocolError(
             f"negative-share frame: expected {n_inst - n_pos} uint64 words"
         )
-    z0[~positive] = ring.reduce(neg_share)
+    z0[~positive] = out_ring.reduce(neg_share)
     return z0.reshape(shape)
 
 
@@ -172,27 +178,31 @@ def relu_layer_client(
     variant: str = "oblivious",
     width: int | None = None,
     shift: int = 0,
+    out_ring: Ring | None = None,
 ) -> np.ndarray:
     """Client side of the ReLU layer; returns ``z1`` (the client's share).
 
     ``z1`` is passed in because ABNN2 fixes it during the *offline* phase
     (it doubles as the next linear layer's triplet operand R).
-    ``width``/``shift`` as in :func:`relu_layer_server`.
+    ``width``/``shift``/``out_ring`` as in :func:`relu_layer_server`;
+    ``z1`` lives in ``out_ring``.
     """
     width, k = _check_layer(ring, variant, width, shift)
+    out_ring = ring if out_ring is None else out_ring
     shape = np.shape(y1)
     flat_y1 = ring.reduce(y1).reshape(-1)
-    flat_z1 = ring.reduce(z1).reshape(-1)
+    flat_z1 = out_ring.reduce(z1).reshape(-1)
     if flat_z1.shape != flat_y1.shape:
         raise ConfigError("z1 must match y1's shape")
     n_inst = flat_y1.shape[0]
     y1_bits = _to_bit_rows(flat_y1, width)
 
+    z1_bits = min(k, out_ring.bits)
     if variant == "oblivious":
-        garbler_bits = np.concatenate([y1_bits, _to_bit_rows(flat_z1, k)], axis=0)
+        garbler_bits = np.concatenate([y1_bits, _to_bit_rows(flat_z1, z1_bits)], axis=0)
         run_garbler(
-            chan, _template("relu", width, shift, ring.bits), garbler_bits, n_inst,
-            sessions, rng, _row_values(ring, flat_z1, k),
+            chan, _template("relu", width, shift, out_ring.bits), garbler_bits, n_inst,
+            sessions, rng, _row_values(out_ring, flat_z1, k),
         )
         return flat_z1.reshape(shape)
 
@@ -207,12 +217,12 @@ def relu_layer_client(
     if n_pos:
         pos_z1 = flat_z1[positive]
         garbler_bits = np.concatenate(
-            [y1_bits[:, positive], _to_bit_rows(pos_z1, k)], axis=0
+            [y1_bits[:, positive], _to_bit_rows(pos_z1, z1_bits)], axis=0
         )
         run_garbler(
-            chan, _template("reconstruct", width, shift, ring.bits), garbler_bits, n_pos,
-            sessions, rng, _row_values(ring, pos_z1, k),
+            chan, _template("reconstruct", width, shift, out_ring.bits), garbler_bits, n_pos,
+            sessions, rng, _row_values(out_ring, pos_z1, k),
         )
     # Negative neurons: ReLU(y) = 0, so z0 must equal -z1.
-    chan.send(ring.neg(flat_z1[~positive]))
+    chan.send(out_ring.neg(flat_z1[~positive]))
     return flat_z1.reshape(shape)

@@ -21,9 +21,11 @@ matrix ``R`` (uniform in Z_{2^l}, n x o):
   :func:`repro.perf.costmodel.triplet_working_set_bytes`.
 * **Multi-batch (o > 1, Section 4.1.2).**  The server's choice digit is
   identical for all ``o`` columns, so one OT carries ``o`` masked
-  products: client messages are ``{vt[t] * R[j, :] - s}`` packed to
-  ``o * l`` bits.  Per-OT communication: ``o*l*N + c(N)`` bits —
-  Table 1's M-Batch column.
+  products: client messages are ``{vt[t] * R[j, :] - s}``, each element
+  XORed with the low ``l`` bits of its pad element, and a chunk's
+  ``(count, N, o)`` message elements travel packed back to back.
+  Per-OT communication: ``o*l*N + c(N)`` bits — Table 1's M-Batch
+  column, up to one word per chunk.
 * **One-batch (o = 1, Section 4.1.3).**  Correlated-OT trick: the pad of
   message 0 *is* the client's share ``s_i``, so only ``N - 1`` masked
   messages cross the wire: ``l*(N-1) + c(N)`` bits per OT — Table 1's
@@ -58,7 +60,13 @@ from repro.net.channel import Channel
 from repro.perf.trace import channel_span
 from repro.quant.fragments import FragmentScheme
 from repro.utils.accum import segment_sum_u64
-from repro.utils.bits import pack_ring_words, packed_word_count, unpack_ring_words
+from repro.utils.bits import (
+    concat_packed_rows,
+    gather_bit_rows,
+    pack_ring_words,
+    packed_word_count,
+    unpack_ring_words,
+)
 from repro.utils.ring import Ring
 
 _U64 = np.uint64
@@ -67,6 +75,9 @@ _U64 = np.uint64
 #: The chunk fixes the message boundaries: one U frame and one message
 #: frame per chunk, hence the rounds and the transcript digests.
 _CHUNK_BUDGET_WORDS = 1 << 22
+#: Element width the chunk size prices a message at, at least
+#: (:meth:`TripletConfig.chunk_size`).
+_CHUNK_MIN_ELEMENT_BITS = 32
 #: Soft cap on the ``N * o``-wide words of one sub-block (~4 MiB of
 #: uint64).  The sub-block fixes only the working set: hash inputs, pads,
 #: products, openings and segment sums of a chunk run one sub-block at a
@@ -149,7 +160,11 @@ class TripletConfig:
         return max(code_length(n_values) for n_values, _ in self.radix_groups)
 
     def chunk_size(self, n_values: int) -> int:
-        width = packed_word_count(self.o, self.ring.bits)
+        """OTs per wire chunk, from the message words of one OT priced at
+        no fewer than :data:`_CHUNK_MIN_ELEMENT_BITS` bits per element:
+        a chunk's shares, pads and extension rows do not shrink with the
+        ring, so a narrow ring must not grow the chunk."""
+        width = packed_word_count(self.o, max(self.ring.bits, _CHUNK_MIN_ELEMENT_BITS))
         per_ot = max(1, n_values * width)
         return max(1024, _CHUNK_BUDGET_WORDS // per_ot)
 
@@ -281,8 +296,8 @@ def _add_rows(acc: np.ndarray, values: np.ndarray, start: int, config: TripletCo
 def _block_words(lo: int, hi: int, bits: int) -> slice:
     """Word range of elements ``[lo, hi)`` of a packed row.
 
-    Exact because every sub-block starts on a 64-element boundary, where
-    the packed stream starts a fresh word.
+    Exact because every sub-block starts on a 64-OT boundary, hence on a
+    64-element one, where the packed stream starts a fresh word.
     """
     return slice(lo * bits // 64, packed_word_count(hi, bits))
 
@@ -316,33 +331,37 @@ def server_group_span(
     """
     ring = config.ring
     multi = config.resolved_mode == "multi"
-    width = packed_word_count(config.o if multi else 1, ring.bits)
+    lanes = config.o if multi else 1
+    width = packed_word_count(lanes, ring.bits)
+    # Elements per OT on the wire: N messages of o (multi-batch), or the
+    # N - 1 ciphertexts of the correlated-OT trick (one-batch).
+    per_ot = n_values * lanes if multi else n_values - 1
     block = config.sub_block(n_values)
     u = ring.zeros(config.out_shape)
     for lo in range(start, stop, chunk):
         hi = min(stop, lo + chunk)
         batch = choices[lo:hi]
-        if multi:
-            for a, b, got in receiver.recv_blocks(batch, width, block, domain=_TRIPLET_DOMAIN):
-                _add_rows(u, unpack_ring_words(got, ring.bits, config.o), lo + a, config, k_count)
-            continue
         count = hi - lo
         pad = receiver.pads(batch, width, domain=_TRIPLET_DOMAIN)
-        # Only the low l bits of the 64-bit pad are used.
-        pad_val = unpack_ring_words(pad, ring.bits, 1)[:, 0]
-        with channel_span(chan, "ot-transfer", m=count):
+        with channel_span(chan, "ot-transfer", m=count, width=width):
             packed = chan.recv()
-        n_cipher = count * (n_values - 1)
-        if packed.shape != (packed_word_count(n_cipher, ring.bits),):
-            raise ProtocolError(f"unexpected one-batch cipher shape {packed.shape}")
+        if packed.shape != (packed_word_count(count * per_ot, ring.bits),):
+            raise ProtocolError(f"unexpected {config.resolved_mode}-batch frame shape {packed.shape}")
         for a in range(0, count, block):
             b = min(count, a + block)
-            words = _block_words(a * (n_values - 1), b * (n_values - 1), ring.bits)
-            cipher = unpack_ring_words(packed[None, words], ring.bits, (b - a) * (n_values - 1))
-            cipher = cipher.reshape(b - a, n_values - 1)
-            sel, own = batch[a:b], pad_val[a:b]
-            opened = cipher[np.arange(b - a), np.clip(sel - 1, 0, None)] ^ own
-            values = np.where(sel == 0, ring.neg(own), opened)[:, None]
+            sel = batch[a:b]
+            block_words = packed[_block_words(a * per_ot, b * per_ot, ring.bits)]
+            if multi:
+                # Open only the chosen message's o * l bits, then its pad.
+                starts = (np.arange(b - a, dtype=np.int64) * n_values + sel) * lanes * ring.bits
+                got = gather_bit_rows(block_words, starts, lanes * ring.bits) ^ pad[a:b]
+                values = unpack_ring_words(got, ring.bits, lanes)
+            else:
+                own = unpack_ring_words(pad[a:b], ring.bits, 1)[:, 0]  # low l pad bits
+                cipher = unpack_ring_words(block_words[None, :], ring.bits, (b - a) * per_ot)
+                cipher = cipher.reshape(b - a, n_values - 1)
+                opened = cipher[np.arange(b - a), np.clip(sel - 1, 0, None)] ^ own
+                values = np.where(sel == 0, ring.neg(own), opened)[:, None]
             _add_rows(u, values, lo + a, config, k_count)
     return u
 
@@ -368,7 +387,9 @@ def client_group_span(
     """
     ring = config.ring
     multi = config.resolved_mode == "multi"
-    width = packed_word_count(config.o if multi else 1, ring.bits)
+    lanes = config.o if multi else 1
+    width = packed_word_count(lanes, ring.bits)
+    per_ot = n_values * lanes if multi else n_values - 1
     block = config.sub_block(n_values)
 
     def products(first: int, count: int) -> np.ndarray:
@@ -385,38 +406,38 @@ def client_group_span(
     for lo in range(start, stop, chunk):
         hi = min(stop, lo + chunk)
         count = hi - lo
+        frame = np.empty(packed_word_count(count * per_ot, ring.bits), dtype=_U64)
         if multi:
             # Messages first, pads second: filling the frame before the
             # extension overlaps that work with the peer's U in flight.
             # One share draw per wire chunk keeps the rng stream of the
             # unblocked generator.
             s = ring.sample(rng, (count, config.o))
-            frame = np.empty((count, n_values, width), dtype=_U64)
             for a in range(0, count, block):
                 b = min(count, a + block)
                 messages = ring.sub(products(lo + a, b - a), s[a:b, None, :])
-                frame[a:b] = pack_ring_words(messages, ring.bits)
+                words = _block_words(a * per_ot, b * per_ot, ring.bits)
+                frame[words] = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
                 _add_rows(v, s[a:b], lo + a, config, k_count)
             del s, messages
             for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
-                frame[a:b] ^= pads
-            with channel_span(chan, "ot-transfer", m=count, width=width):
-                chan.send(frame)
-            del frame  # released before the next chunk's buffer exists
-            continue
-        n_cipher = count * (n_values - 1)
-        frame = np.empty(packed_word_count(n_cipher, ring.bits), dtype=_U64)
-        for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
-            # The low-l-bit pads, slot 0's doubling as the share s_i.
-            pad_val = unpack_ring_words(pads, ring.bits, 1)[:, :, 0]  # (b - a, N)
-            s = pad_val[:, 0:1]
-            cipher = ring.sub(products(lo + a, b - a)[:, 1:, 0], s) ^ pad_val[:, 1:]
-            words = _block_words(a * (n_values - 1), b * (n_values - 1), ring.bits)
-            frame[words] = pack_ring_words(cipher.reshape(1, -1), ring.bits)[0]
-            _add_rows(v, s, lo + a, config, k_count)
-        with channel_span(chan, "ot-transfer", m=count):
+                # Each message's o pad elements are the low o * l bits of
+                # its pad words: XOR them packed, back to back.
+                stream = concat_packed_rows(pads.reshape(-1, width), lanes * ring.bits)
+                words = frame[_block_words(a * per_ot, b * per_ot, ring.bits)].view(np.uint8)
+                words[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
+        else:
+            for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
+                # The low-l-bit pads, slot 0's doubling as the share s_i.
+                pad_val = unpack_ring_words(pads, ring.bits, 1)[:, :, 0]  # (b - a, N)
+                s = pad_val[:, 0:1]
+                cipher = ring.sub(products(lo + a, b - a)[:, 1:, 0], s) ^ pad_val[:, 1:]
+                words = _block_words(a * per_ot, b * per_ot, ring.bits)
+                frame[words] = pack_ring_words(cipher.reshape(1, -1), ring.bits)[0]
+                _add_rows(v, s, lo + a, config, k_count)
+        with channel_span(chan, "ot-transfer", m=count, width=width):
             chan.send(frame)
-        del frame
+        del frame  # released before the next chunk's buffer exists
     return v
 
 

@@ -241,22 +241,6 @@ class Kk13Receiver:
         cipher = self._recv_cipher(b.shape[0], width)
         return cipher[np.arange(b.shape[0]), b] ^ pad
 
-    def recv_blocks(self, choices, width: int, block: int, domain: int = 3):
-        """:meth:`recv_chosen` in sub-blocks: extend and hash the pads
-        (``W`` words per OT) before the frame arrives, receive the whole
-        ``(m, N, W)`` message frame, then yield ``(lo, hi, chosen[lo:hi])``
-        for every ``block`` OTs."""
-        b = np.asarray(choices, dtype=np.int64)
-        pad = self.pads(b, width, domain)
-        cipher = self._recv_cipher(b.shape[0], width)
-
-        def blocks():
-            for lo in range(0, b.shape[0], block):
-                hi = min(lo + block, b.shape[0])
-                yield lo, hi, cipher[np.arange(lo, hi), b[lo:hi]] ^ pad[lo:hi]
-
-        return blocks()
-
     def _recv_cipher(self, m: int, width: int) -> np.ndarray:
         with channel_span(self.chan, "ot-transfer", m=m, width=width):
             cipher = self.chan.recv()

@@ -11,12 +11,16 @@ bound ``|y| < 2^(m-1)`` each party feeds only the low ``m`` bits of its
 share of ``y`` (reduction mod ``2^m`` commutes with addition, so their
 sum is ``y``'s exact ``m``-bit form); the circuit drops the low ``f``
 bits (an exact arithmetic shift, free), and works on the remaining
-``k = m - f`` bits.  When ``k < l`` the output's high ``l - k`` bits are
-``-z1_high - borrow``: the subtraction's borrow-out wire becomes the
-circuit's :attr:`~repro.gc.circuit.Circuit.row_wire`, whose 2-row table
-(:func:`repro.gc.garble.row_table`) delivers them without AND gates.
+``k = m - f`` bits.  The output lives in a ring of ``l'`` bits, the next
+layer's (``l' = l`` by default).  When ``k < l'`` the output's high
+``l' - k`` bits are ``-z1_high - borrow``: the subtraction's borrow-out
+wire becomes the circuit's :attr:`~repro.gc.circuit.Circuit.row_wire`,
+whose 2-row table (:func:`repro.gc.garble.row_table`) delivers them
+without AND gates.  When ``k > l'`` only the low ``l'`` bits are kept,
+masked and subtracted: the rest never reach the output ring.
 
-AND-gate budgets (``m``-bit inputs, ``k = m - f`` output bits):
+AND-gate budgets (``m``-bit inputs, ``k = m - f`` output bits, at
+``k <= l'``; above it ``k`` counts as ``l'``):
 
 * :func:`add_words` / :func:`sub_words` — ``w - 1`` ANDs on ``w``-bit
   words (no carry out), ``w`` with the borrow out.
@@ -107,7 +111,7 @@ def and_broadcast(circ: Circuit, bit: int, x: list[int]) -> list[int]:
 # The ReLU gadget (Algorithm 2, sized to the activation)
 # --------------------------------------------------------------------- #
 def _relu_gadget(
-    width: int, shift: int, ring_bits: int | None, kind: str
+    width: int, shift: int, out_bits: int | None, kind: str
 ) -> Circuit:
     """The one ReLU circuit both ``relu_variant``s garble.
 
@@ -116,38 +120,41 @@ def _relu_gadget(
     ``"reconstruct"`` (reconstruct, shift, reshare: the caller already
     knows the value is non-negative).  Inputs, in wire order: the
     evaluator's ``width`` low bits of ``y0``, the garbler's ``width`` low
-    bits of ``y1`` and (unless ``"sign"``) the low ``k = width - shift``
-    bits of its fresh output share ``z1``.  The ``k`` outputs are the low
-    bits of ``z0 = ReLU(y >> shift) - z1``; when ``k < ring_bits`` the
-    borrow of that subtraction is the circuit's ``row_wire``.
+    bits of ``y1`` and (unless ``"sign"``) the low ``min(k, out_bits)``
+    bits of its fresh output share ``z1``, ``k = width - shift``.  The
+    outputs are those low bits of ``z0 = ReLU(y >> shift) - z1`` in the
+    ``out_bits``-bit output ring; when ``k < out_bits`` the borrow of
+    that subtraction is the circuit's ``row_wire``.
     """
-    ring_bits = width if ring_bits is None else ring_bits
+    out_bits = width if out_bits is None else out_bits
     k = width - shift
-    if not (shift >= 0 and 1 <= k and width <= ring_bits):
+    if not (shift >= 0 and 1 <= k and out_bits >= 1):
         raise ConfigError(
-            f"ReLU gadget needs 0 <= shift < width <= ring bits, got "
-            f"width={width} shift={shift} ring_bits={ring_bits}"
+            f"ReLU gadget needs 0 <= shift < width and an output ring, got "
+            f"width={width} shift={shift} out_bits={out_bits}"
         )
     circ = Circuit()
     y0 = circ.evaluator_input(width)
     y1 = circ.garbler_input(width)
-    z1 = circ.garbler_input(k) if kind != "sign" else []
+    z1 = circ.garbler_input(min(k, out_bits)) if kind != "sign" else []
     y = add_words(circ, y0, y1)
     non_negative = circ.inv(y[-1])  # MSB clear <=> y >= 0 (two's complement)
     if kind == "sign":
         circ.mark_outputs([non_negative])
     else:
-        # Dropping the low bits of the exact m-bit sum is y >> shift.
-        kept = y[shift:]
-        if kind == "relu" and k < ring_bits:
+        # Dropping the low bits of the exact m-bit sum is y >> shift; bits
+        # above the output ring never reach it.
+        kept = y[shift:][:out_bits]
+        if kind == "relu" and k < out_bits:
             # The masked sign bit is always 0: a free constant wire, whose
             # saved AND pays for the borrow out below.
             kept = and_broadcast(circ, non_negative, kept[:-1]) + [zero_wire(circ, y[0])]
         elif kind == "relu":
-            # Full width masks the sign bit with an AND too and needs no
-            # borrow: the paper's 3l-2-AND circuit, gate for gate.
+            # k >= out_bits: every kept bit is masked with an AND and no
+            # borrow is needed; at full width this is the paper's
+            # 3l-2-AND circuit, gate for gate.
             kept = and_broadcast(circ, non_negative, kept)
-        if k < ring_bits:
+        if k < out_bits:
             z0, circ.row_wire = sub_words(circ, kept, z1, borrow_out=True)
         else:
             z0 = sub_words(circ, kept, z1)
@@ -156,18 +163,18 @@ def _relu_gadget(
     return circ
 
 
-def relu_template(bits: int, shift: int = 0, ring_bits: int | None = None) -> Circuit:
+def relu_template(bits: int, shift: int = 0, out_bits: int | None = None) -> Circuit:
     """The fully-oblivious ReLU of Algorithm 2 on ``bits``-bit inputs.
 
     Inputs: evaluator (server) holds ``y0``; garbler (client) holds ``y1``
     and its fresh output share ``z1``.  The circuit computes
     ``z0 = max(0, (y0 + y1) >> shift) - z1`` and reveals it to the
-    evaluator only.
+    evaluator only, in the ``out_bits``-bit output ring (default ``bits``).
 
     AND count: ``(m-1) + 2k - 1`` with ``m = bits``, ``k = bits - shift``
     (``3l - 2`` at full width).
     """
-    return _relu_gadget(bits, shift, ring_bits, "relu")
+    return _relu_gadget(bits, shift, out_bits, "relu")
 
 
 def sign_template(bits: int) -> Circuit:
@@ -179,14 +186,14 @@ def sign_template(bits: int) -> Circuit:
 
 
 def reconstruct_sub_template(
-    bits: int, shift: int = 0, ring_bits: int | None = None
+    bits: int, shift: int = 0, out_bits: int | None = None
 ) -> Circuit:
     """Stage 2 of the optimized ReLU, run only on the positive neurons.
 
     Computes ``z0 = ((y0 + y1) >> shift) - z1`` — reconstruct-and-reshare
     without the sign mask (``2l - 2`` ANDs at full width).
     """
-    return _relu_gadget(bits, shift, ring_bits, "reconstruct")
+    return _relu_gadget(bits, shift, out_bits, "reconstruct")
 
 
 def zero_wire(circ: Circuit, any_wire: int) -> int:

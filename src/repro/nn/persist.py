@@ -31,9 +31,10 @@ from repro.quant.fragments import FragmentScheme, FragmentSpec
 from repro.quant.schemes import QuantizedTensor
 from repro.utils.ring import Ring
 
-#: 2: the public per-layer ``relu_bits`` that size the GC ReLU (format-1
-#: files predate them and are refused).
-FORMAT_VERSION = 2
+#: 3: ``relu_bits`` on every layer, the logits width included, sizing
+#: each layer's ring (format-2 files lack the logits width and, like
+#: format 1, are refused).
+FORMAT_VERSION = 3
 
 
 # --------------------------------------------------------------------- #

@@ -15,11 +15,12 @@ reference and the secure two-party protocol consume.  Design decisions
   result equals :meth:`QuantizedModel.forward_int`.  This keeps
   activations at the ``2^f`` fixed-point scale so deep nets fit in
   Z_{2^32}.
-* **ReLU widths.**  One closed-form pass
-  (:func:`repro.quant.headroom.relu_widths`) bounds every hidden layer's
-  ReLU input from the weights and the public input domain
+* **Layer widths.**  One closed-form pass
+  (:func:`repro.quant.headroom.relu_widths`) bounds every linear layer's
+  output from the weights and the public input domain
   (:data:`~repro.quant.headroom.INPUT_BOUND`); the public width
-  ``relu_bits`` sizes that layer's garbled circuit.
+  ``relu_bits`` sizes that layer's garbled circuit and the ring its
+  triplets and shares live in (the last layer's: the logits ring).
 * **Float-scale schemes** (ternary/binary) skip truncation: their scale
   is *deferred* to the logits, which is harmless because ReLU is
   positively homogeneous and argmax ignores positive scaling.
@@ -82,7 +83,8 @@ class QuantizedDense:
     conv: Im2colSpec | None = None
     pool: PoolSpec | None = None  # applied after this layer's ReLU
     backend: str = "im2col"
-    #: public bound m with |ReLU input| < 2^(m-1); None = the ring width
+    #: public bound m with |layer output| < 2^(m-1) (the ReLU input; the
+    #: logits on the last layer); None = the ring width
     relu_bits: int | None = None
 
     def __post_init__(self) -> None:
@@ -412,8 +414,8 @@ def quantize_model(
     secure matmul materializes at once (``None`` = unchunked; see
     :func:`set_chunk_cols` to change it on an existing model).
 
-    Every hidden layer's GC ReLU is sized (``relu_bits``) for inputs in
-    the public domain ``|x| <= INPUT_BOUND``
+    Every layer's width (``relu_bits``: its GC ReLU and its ring) is
+    sized for inputs in the public domain ``|x| <= INPUT_BOUND``
     (:mod:`repro.quant.headroom`); the secure client refuses inputs
     beyond it.
     """
@@ -473,7 +475,5 @@ def quantize_model(
         ],
         ring.bits, frac_bits,
     )
-    quantized = [
-        replace(layer, relu_bits=width) for layer, width in zip(quantized, widths)
-    ] + quantized[len(widths):]
+    quantized = [replace(layer, relu_bits=width) for layer, width in zip(quantized, widths)]
     return QuantizedModel(quantized, ring, frac_bits, output_deferral=deferral)

@@ -22,6 +22,10 @@ Mixed-radix schemes replace the uniform ``gamma * (... N ...)`` by a sum
 over fragments with their individual ``N_i``.  The base-OT set-up is not
 in these per-layer forms: it is one handshake per channel and direction
 (:func:`base_ot_setup_bits`), counted once per prediction.
+
+Each layer is priced at its own ring width ``l`` (the protocol narrows
+every layer to its output width, :meth:`repro.core.protocol.ModelMeta.
+layer_ring`); the paper's rows fix ``l = 32``.
 """
 
 from __future__ import annotations
@@ -194,6 +198,12 @@ def winograd_comm_bits(
     return abnn2_comm_bits(scheme, 16 * c_out, c_in, batch * n_tiles, ring_bits, mode)
 
 
+def share_frame_bits(count: int, ring_bits: int) -> int:
+    """An online share frame (the input ``x - r``, the logits share):
+    ``count`` ring elements packed back to back, padded to a word."""
+    return 64 * _words(count, ring_bits)
+
+
 def network_offline_comm_bits(
     layer_shapes: list[tuple[int, int]],
     scheme: FragmentScheme,
@@ -291,6 +301,7 @@ def linear_working_set_bytes(
 #: numeric: the cost model prices a trace without importing the protocol
 #: stack).  ``tests/test_trace_memory.py`` pins agreement.
 TRIPLET_CHUNK_BUDGET_WORDS = 1 << 22
+TRIPLET_CHUNK_MIN_ELEMENT_BITS = 32
 TRIPLET_MIN_CHUNK = 1024
 TRIPLET_SUB_BLOCK_WORDS = 1 << 19
 #: ``c/8`` B-per-OT rows (``c`` = :func:`kk13_code_bits`) one extension
@@ -310,7 +321,8 @@ def _words(n_elems: int, bits: int) -> int:
 
 def triplet_chunk_ots(n_values: int, o: int, ring_bits: int) -> int:
     """OTs per wire chunk (:meth:`repro.core.triplets.TripletConfig.chunk_size`)."""
-    return max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * _words(o, ring_bits)))
+    width = _words(o, max(ring_bits, TRIPLET_CHUNK_MIN_ELEMENT_BITS))
+    return max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * width))
 
 
 def triplet_sub_block_ots(n_values: int, lanes: int) -> int:
@@ -351,9 +363,9 @@ def triplet_working_set_bytes(
 
     A client sub-block holds products, masked and packed messages, hash
     inputs and pads: ``N (3 lanes + W + k + 2)`` words per OT.  ``F`` is
-    ``c N W`` words in multi-batch mode (``W = words(o l)``,
-    ``lanes = o``) and ``words(c (N-1) l)`` in one-batch mode (``W = 1``,
-    ``lanes = 1``).  The layer adds the server's digit and choice
+    the chunk's message elements packed back to back: ``words(c N o l)``
+    in multi-batch mode (``W = words(o l)``, ``lanes = o``) and
+    ``words(c (N-1) l)`` in one-batch mode (``W = 1``, ``lanes = 1``).  The layer adds the server's digit and choice
     vectors (two words per OT), both parties' ``(m, o)`` accumulators
     and :data:`_SESSION_BYTES`.
     """
@@ -369,7 +381,7 @@ def triplet_working_set_bytes(
     for nv in set(radices):
         chunk = min(triplet_chunk_ots(nv, o, ring_bits), m * n * radices.count(nv))
         block = min(triplet_sub_block_ots(nv, lanes), chunk)
-        frame = chunk * nv * width if multi else _words(chunk * (nv - 1), ring_bits)
+        frame = _words(chunk * (nv * o if multi else nv - 1), ring_bits)
         code_words = kk13_code_bits(nv) // 64
         rows = code_words * chunk  # one c/8 B-per-OT row (the Q or T rows)
         client = block * nv * (3 * lanes + width + code_words + 2)
@@ -388,38 +400,41 @@ def triplet_working_set_bytes(
 # online GC (the non-linear layers)
 # --------------------------------------------------------------------- #
 def relu_and_gates(
-    ring_bits: int, width: int | None = None, shift: int = 0, kind: str = "relu"
+    out_bits: int, width: int | None = None, shift: int = 0, kind: str = "relu"
 ) -> int:
     """AND gates of the ReLU gadget (:mod:`repro.gc.builder`).
 
-    ``m = width`` input bits, ``k = m - shift`` output bits.  The adder
-    takes ``m - 1``; ``kind="sign"`` stops there.  The subtraction takes
-    ``k`` with its borrow out, or ``k - 1`` at full width (``k = l``),
-    where no high bits remain.  ``kind="relu"`` also masks: ``k - 1``
-    narrowed (the sign bit masks to a free 0), ``k`` at full width.
+    ``m = width`` input bits (default ``l' = out_bits``, the output
+    ring's width), ``k = m - shift`` output bits, of which the circuit
+    keeps ``k' = min(k, l')``.  The adder takes ``m - 1``;
+    ``kind="sign"`` stops there.  The subtraction takes ``k`` with its
+    borrow out when ``k < l'``, else ``k' - 1``, where no high bits
+    remain.  ``kind="relu"`` also masks: ``k - 1`` narrowed (the sign bit
+    masks to a free 0), else ``k'``.
     """
-    m = ring_bits if width is None else width
+    m = out_bits if width is None else width
     k = m - shift
     if kind == "sign":
         return m - 1
-    narrowed = k < ring_bits
-    subtract = k if narrowed else k - 1
-    mask = 0 if kind == "reconstruct" else (k - 1 if narrowed else k)
+    narrowed = k < out_bits
+    kept = min(k, out_bits)
+    subtract = k if narrowed else kept - 1
+    mask = 0 if kind == "reconstruct" else (k - 1 if narrowed else kept)
     return (m - 1) + mask + subtract
 
 
 def _gc_relu_instance_bits(
-    ring_bits: int, width: int | None, shift: int, kind: str, kappa: int
+    out_bits: int, width: int | None, shift: int, kind: str, kappa: int
 ) -> int:
     """Model bits of one ReLU-gadget instance: tables, garbler labels,
     label OT and one bit per decoded output, plus the 2-row table's two
-    64-bit words when ``k < l``."""
-    m = ring_bits if width is None else width
-    k = 1 if kind == "sign" else m - shift
+    64-bit words when ``k < l'``."""
+    m = out_bits if width is None else width
+    k = 1 if kind == "sign" else min(m - shift, out_bits)
     garbler_inputs = m if kind == "sign" else m + k
-    rows = 2 * 64 if kind != "sign" and k < ring_bits else 0
+    rows = 2 * 64 if kind != "sign" and m - shift < out_bits else 0
     return (
-        relu_and_gates(ring_bits, width, shift, kind) * 2 * kappa  # garbled tables
+        relu_and_gates(out_bits, width, shift, kind) * 2 * kappa  # garbled tables
         + garbler_inputs * kappa  # client's y1 (and z1) labels
         + m * (2 * kappa + kappa)  # label OT for the server's y0 bits
         + k  # decode bits
@@ -428,27 +443,28 @@ def _gc_relu_instance_bits(
 
 
 def gc_relu_comm_bits(
-    ring_bits: int,
+    out_bits: int,
     n_relus: int,
     width: int | None = None,
     shift: int = 0,
     kappa: int = KAPPA,
 ) -> int:
-    """Online traffic of the oblivious ReLU layer at ``(l, m, f, n)``.
+    """Online traffic of the oblivious ReLU layer at ``(l', m, f, n)``.
 
-    Per instance, with ``m = width`` (default ``l``) and ``k = m - f``:
-    :func:`relu_and_gates` AND gates at two kappa-bit ciphertexts each
-    (half-gates), ``m + k`` garbler input labels, an ``m``-bit label OT
-    for the evaluator's input (2 kappa-bit ciphertexts + kappa bits of
-    OT-extension matrix per bit), ``k`` decode bits and, when ``k < l``,
-    the two 64-bit rows of the high-bits table.  At full width
-    (``m = l``, ``f = 0``) this is the paper's ``3l - 2``-AND circuit.
+    Per instance, with ``m = width`` (default ``l'``, the output ring's
+    width) and ``k = min(m - f, l')`` output bits: :func:`relu_and_gates`
+    AND gates at two kappa-bit ciphertexts each (half-gates), ``m + k``
+    garbler input labels, an ``m``-bit label OT for the evaluator's input
+    (2 kappa-bit ciphertexts + kappa bits of OT-extension matrix per
+    bit), ``k`` decode bits and, when ``m - f < l'``, the two 64-bit rows
+    of the high-bits table.  At full width (``m = l'``, ``f = 0``) this
+    is the paper's ``3l - 2``-AND circuit.
     """
-    return n_relus * _gc_relu_instance_bits(ring_bits, width, shift, "relu", kappa)
+    return n_relus * _gc_relu_instance_bits(out_bits, width, shift, "relu", kappa)
 
 
 def gc_relu_wire_bits(
-    ring_bits: int,
+    out_bits: int,
     n_relus: int,
     width: int | None = None,
     shift: int = 0,
@@ -469,16 +485,16 @@ def gc_relu_wire_bits(
     IKNP U column is ``kappa`` bits per OT and the chosen-message
     ciphertext ``2 kappa``.  The conformance suite asserts *equality*.
     """
-    m = ring_bits if width is None else width
-    k = m - shift
+    m = out_bits if width is None else width
+    k = min(m - shift, out_bits)
     if variant == "oblivious":
-        return gc_relu_comm_bits(ring_bits, n_relus, width, shift, kappa) + 7 * k * n_relus
+        return gc_relu_comm_bits(out_bits, n_relus, width, shift, kappa) + 7 * k * n_relus
     if variant != "optimized":
         raise ConfigError(f"unknown ReLU variant {variant!r}")
     if n_positive is None:
         raise ConfigError("the optimized ReLU is priced from its n_positive")
-    sign = _gc_relu_instance_bits(ring_bits, width, 0, "sign", kappa) + 7
-    rebuild = _gc_relu_instance_bits(ring_bits, width, shift, "reconstruct", kappa) + 7 * k
+    sign = _gc_relu_instance_bits(out_bits, width, 0, "sign", kappa) + 7
+    rebuild = _gc_relu_instance_bits(out_bits, width, shift, "reconstruct", kappa) + 7 * k
     return (
         n_relus * sign
         + 8 * ((n_relus + 7) // 8)  # the revealed sign pattern

@@ -6,18 +6,22 @@ for every offline linear layer the traced payload bytes next to the
 Table 1 closed form from :mod:`repro.perf.costmodel`, its KK13 ``U``
 priced at the ``code_bits`` (``c(N)`` per fragment) the span records, for every GC ReLU
 layer (either variant) the traced bytes next to
-:func:`~repro.perf.costmodel.gc_relu_wire_bits` at the span's ``(l, m, f, n)``,
-plus phase summaries projected onto the paper's LAN/WAN link profiles
-via :mod:`repro.net.netsim`.
+:func:`~repro.perf.costmodel.gc_relu_wire_bits` at the span's
+``(l', m, f, n)``, for the input and logits share frames
+:func:`~repro.perf.costmodel.share_frame_bits`, plus phase summaries
+projected onto the paper's LAN/WAN link profiles via
+:mod:`repro.net.netsim`.  Every span is priced at its own ring width
+(``ring_bits``; a ReLU at its input width and output ring ``out_bits``),
+which the table's ring column shows.
 
 Tolerances are *derived*, not hand-waved: the wire formats pad to
 64-bit words, so
 
-* **M-batch triplets** carry an exactly computable padding slack
-  (``N * (64*ceil(o*l/64) - o*l)`` bits per OT) — the checker asserts
-  byte equality at ``predicted + slack``;
-* **1-batch triplets** pack each chunk's ciphertexts contiguously, so
-  the slack is bounded by one word per chunk;
+* **triplets**, either batching mode, pack each wire chunk's message
+  elements back to back, so the slack is the exactly computable padding
+  of each chunk to a word (under 64 bits per chunk) — the checker
+  asserts byte equality at ``predicted + slack``;
+* **share frames** are byte-exact against ``share_frame_bits``;
 * **GC ReLU** is byte-exact against ``gc_relu_wire_bits`` (which
   documents the one constant delta: decode bits travel as bytes); the
   optimized variant is priced from the ``n_positive`` its span records.
@@ -42,6 +46,7 @@ from repro.perf.costmodel import (
     kk13_code_bits,
     linear_working_set_bytes,
     lowered_operand_bytes,
+    share_frame_bits,
     triplet_chunk_ots,
     triplet_working_set_bytes,
 )
@@ -72,25 +77,20 @@ def triplet_slack_bits(
 ) -> tuple[int, int]:
     """(min, max) wire bits above the Table 1 form due to word packing.
 
-    Multi-batch slack is exact (min == max); one-batch slack is bounded
-    by one 64-bit word per transmitted chunk.
+    Each wire chunk packs its message elements (``N o`` per OT in
+    multi-batch mode, ``N - 1`` in one-batch mode) back to back and pads
+    the frame to a word, so the slack is exact (min == max): under 64
+    bits per chunk, and zero when every chunk fills whole words.
     """
     radices = list(frag_n_values)
-    if mode == "multi":
-        width = _words(o, ring_bits)
-        slack = sum(m * n * nv * (64 * width - o * ring_bits) for nv in radices)
-        return slack, slack
-    # one-batch: ciphers for each chunk are packed contiguously and the
-    # chunk's packing rounds up to a word (< 64 bits of slack per chunk).
-    max_slack = 0
-    groups: dict[int, int] = {}
-    for nv in radices:
-        groups[nv] = groups.get(nv, 0) + 1
-    for nv, k in groups.items():
-        total = m * n * k
-        n_chunks = -(-total // triplet_chunk_ots(nv, 1, ring_bits))
-        max_slack += 64 * n_chunks
-    return 0, max_slack
+    slack = 0
+    for nv in set(radices):
+        total = m * n * radices.count(nv)
+        chunk = triplet_chunk_ots(nv, o, ring_bits)
+        per_ot = nv * o if mode == "multi" else nv - 1
+        for count in [chunk] * (total // chunk) + ([total % chunk] if total % chunk else []):
+            slack += 64 * _words(count * per_ot, ring_bits) - count * per_ot * ring_bits
+    return slack, slack
 
 
 @dataclass
@@ -98,13 +98,14 @@ class ConformanceRow:
     """One measured-vs-predicted comparison (a layer-phase span)."""
 
     path: str
-    kind: str  # "triplets" | "relu" | "base-ot"
+    kind: str  # "triplets" | "relu" | "share" | "base-ot"
     detail: str
     measured_bits: int
     base_ot_bits: int
     predicted_bits: int | None
     slack_min_bits: int = 0
     slack_max_bits: int = 0
+    ring: str = "-"  # the span's ring width(s), "in->out" for a ReLU
 
     @property
     def core_bits(self) -> int:
@@ -153,18 +154,21 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
                     abnn2_comm_bits_radices(radices, m, n, o, bits, mode, code_bits),
                     lo,
                     hi,
+                    str(bits),
                 )
             )
         elif span["name"] == "relu":
             n_relus = attrs.get("n_relus")
             bits = attrs.get("ring_bits")
+            # Traces that predate per-layer rings output in the input ring.
+            out_bits = attrs.get("out_bits", bits)
             width, shift = attrs.get("width", bits), attrs.get("shift", 0)
             variant = attrs.get("variant", "?")
             n_positive = attrs.get("n_positive")
-            detail = f"{variant} n={n_relus} l={bits} m={width} f={shift}"
+            detail = f"{variant} n={n_relus} l={bits} m={width} f={shift} l'={out_bits}"
             if variant == "optimized":
                 detail += f" positive={n_positive}"
-            modeled = n_relus is not None and bits is not None and (
+            modeled = n_relus is not None and out_bits is not None and (
                 variant == "oblivious" or (variant == "optimized" and n_positive is not None)
             )
             rows.append(
@@ -174,8 +178,17 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
                     detail,
                     span_total_bits(span),
                     base_ot_bits(span),
-                    gc_relu_wire_bits(bits, n_relus, width, shift, variant, n_positive)
+                    gc_relu_wire_bits(out_bits, n_relus, width, shift, variant, n_positive)
                     if modeled else None,
+                    ring=f"{bits}->{out_bits}",
+                )
+            )
+        elif span["name"] in ("input-share", "logits-share") and "elements" in attrs:
+            count, bits = attrs["elements"], attrs["ring_bits"]
+            rows.append(
+                ConformanceRow(
+                    path, "share", f"{count} elements l={bits}", span_total_bits(span),
+                    base_ot_bits(span), share_frame_bits(count, bits), ring=str(bits),
                 )
             )
     return rows
@@ -421,7 +434,7 @@ def render_report(
         out.append(line)
 
     header = (
-        f"  {'span':<28} {'measured':>12} {'base-OT':>10} {'core':>12}"
+        f"  {'span':<28} {'ring':>7} {'measured':>12} {'base-OT':>10} {'core':>12}"
         f" {'predicted':>12} {'slack':>14} {'status':>7}"
     )
     for title, rows in (
@@ -437,7 +450,7 @@ def render_report(
                 slack = f"+[{row.slack_min_bits}, {row.slack_max_bits}] bit"
                 status = "OK" if row.ok else "FAIL"
             out.append(
-                f"  {row.path:<28} {_fmt_bytes(row.measured_bits):>12}"
+                f"  {row.path:<28} {row.ring:>7} {_fmt_bytes(row.measured_bits):>12}"
                 f" {_fmt_bytes(row.base_ot_bits):>10} {_fmt_bytes(row.core_bits):>12}"
                 f" {predicted:>12} {slack:>14} {status:>7}"
             )

@@ -1,9 +1,10 @@
-"""Ring-headroom accounting: ReLU input widths and Winograd convolution.
+"""Ring-headroom accounting: layer widths and Winograd convolution.
 
 :func:`relu_widths` is one closed-form pass over a model's integer
-weights that bounds every hidden layer's ReLU input ``y = W z + b`` from
-the public input domain :data:`INPUT_BOUND`: the width ``m`` with
-``|y| < 2^(m-1)`` that the GC ReLU needs (:mod:`repro.core.relu`).  No
+weights that bounds every linear layer's output ``y = W z + b`` from the
+public input domain :data:`INPUT_BOUND`: the width ``m`` with
+``|y| < 2^(m-1)`` that the GC ReLU needs (:mod:`repro.core.relu`) and
+the ring ``Z_(2^m)`` the layer's triplets and shares can live in.  No
 data pass: the bound is interval arithmetic on that domain.
 
 The F(2x2,3x3) backend (:mod:`repro.nn.winograd`) multiplies in the
@@ -54,11 +55,10 @@ def relu_widths(
     ring_bits: int,
     frac_bits: int,
 ) -> list[int]:
-    """Public ReLU input widths ``m_i`` of every hidden layer.
+    """Public output widths ``m_i`` of every linear layer, logits included.
 
     ``layers`` holds ``(w_int, bias_int, truncate_bits, pooled)`` per
-    linear layer (the last one has no ReLU and yields no width).  With
-    ``B_0 = INPUT_BOUND * 2^frac_bits``:
+    linear layer.  With ``B_0 = INPUT_BOUND * 2^frac_bits``:
 
     * ``A_i = max_row ||W_i||_1 * B_i + max |b_i|`` bounds ``|y_i|``;
     * ``m_i = min(l, bitlen(A_i) + 1)``, and at least ``f_i + 1`` so the
@@ -66,14 +66,17 @@ def relu_widths(
     * ``B_(i+1) = floor(A_i / 2^f_i)``, plus 1 after an average pool
       (its share-local shift may round up by one unit).
 
-    A conv layer's weight rows are its patches, so the same row norm
-    bounds each output position.  The bound reveals about ``log2`` of
-    each layer's worst-case accumulator, the same kind of fact as the
-    public ``truncate_bits``.
+    A hidden layer's ``m_i`` sizes its GC ReLU; every layer's sizes the
+    ring its triplets and shares live in
+    (:meth:`repro.core.protocol.ModelMeta.layer_ring`), the last one's
+    being the logits width.  A conv layer's weight rows are its patches,
+    so the same row norm bounds each output position.  The bound reveals
+    about ``log2`` of each layer's worst-case accumulator, the same kind
+    of fact as the public ``truncate_bits``.
     """
     bound = input_bound_int(frac_bits)
     widths = []
-    for w_int, bias_int, shift, pooled in layers[:-1]:
+    for w_int, bias_int, shift, pooled in layers:
         row_l1 = int(np.abs(np.asarray(w_int, dtype=np.int64)).sum(axis=1).max())
         bias = int(np.abs(np.asarray(bias_int, dtype=np.int64)).max(initial=0))
         accumulator = row_l1 * bound + bias

@@ -10,8 +10,9 @@ closed form, with no OT traffic:
         V_blk = uniform sample                        # client share
         U_blk = W @ R_blk - V_blk                     # server share
 
-``U + V = W @ R (mod 2^l)`` holds per block by construction, so the
-dealt round drops into the unchanged online phase.  The operands chain
+``U + V = W @ R`` holds per block by construction, in the layer's ring
+(:meth:`~repro.core.protocol.ModelMeta.layer_ring`), so the dealt round
+drops into the unchanged online phase.  The operands chain
 exactly as in :meth:`repro.core.protocol.Abnn2Client.offline` — both run
 :func:`repro.core.offline.chain_operands`, and only this linear step
 differs.  A conv layer is dealt on its spec's ``chunk_cols`` grid, and
@@ -53,11 +54,10 @@ def dealer_offline_round(
     if batch < 1:
         raise ConfigError("batch must be positive")
     meta = ModelMeta.from_model(model)
-    ring = model.ring
     rng = make_rng(seed)
     us: list = []
 
-    def deal_linear(idx, layer, operand):
+    def deal_linear(idx, layer, ring, operand):
         config = layer_triplet_config(ring, layer, batch, group=group, ro=ro)
         w = ring.reduce(layer.weights(model.layers[idx].w_int))
         u_parts: list[np.ndarray] = []
@@ -75,5 +75,5 @@ def dealer_offline_round(
         us.append(BlockedShare(u_parts))
         return BlockedShare(v_parts)
 
-    client = chain_operands(ring, meta, batch, rng, deal_linear)
+    client = chain_operands(meta, batch, rng, deal_linear)
     return OfflineRound(ServerHalf(us), client)

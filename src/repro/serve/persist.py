@@ -38,6 +38,7 @@ import tempfile
 import numpy as np
 
 from repro.core.offline import ClientHalf, OfflineRound, ServerHalf
+from repro.core.protocol import ModelMeta
 from repro.errors import ConfigError, load_errors
 from repro.nn.quantize import QuantizedModel
 
@@ -50,14 +51,17 @@ _HALVES = (("server", ServerHalf), ("client", ClientHalf))
 def model_fingerprint(model: QuantizedModel) -> str:
     """Hex digest binding a bank to one exact model configuration.
 
-    Covers ring width, fixed-point scaling, and every layer's scheme,
-    truncation, linear backend, weights, and biases — anything that
-    changes the triplet material or the shares' meaning.  The backend
-    component is appended only for non-default backends so fingerprints
-    of existing im2col banks stay stable.
+    Covers ring width, fixed-point scaling, every layer's ring
+    (:meth:`~repro.core.protocol.ModelMeta.layer_ring`), and every
+    layer's scheme, truncation, linear backend, weights, and biases —
+    anything that changes the triplet material or the shares' meaning, so
+    a bank dealt before the per-layer rings is refused.  The backend
+    component is appended only for non-default backends.
     """
+    meta = ModelMeta.from_model(model)
+    rings = ",".join(str(meta.layer_ring(idx).bits) for idx in range(len(meta.layers)))
     h = hashlib.sha256()
-    h.update(f"ring={model.ring.bits};frac={model.encoder.frac_bits};".encode())
+    h.update(f"ring={model.ring.bits};frac={model.encoder.frac_bits};rings={rings};".encode())
     for layer in model.layers:
         h.update(f"{layer.scheme.name};t={layer.truncate_bits};".encode())
         if layer.backend != "im2col":

@@ -7,6 +7,8 @@ convention in one place: **index 0 is the least-significant bit**.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -226,20 +228,35 @@ def split_packed_rows(data: bytes, n_rows: int, row_bits: int) -> np.ndarray:
         buf[:, : row_bits // 8] = raw.reshape(n_rows, row_bits // 8)
         return buf.view(np.uint64).reshape(n_rows, words)
     # Bit-aligned rows: gather each output word from the two blob words
-    # it straddles.  Per-row shift is constant across the row's words.
+    # it straddles.
     blob_words = (n_rows * row_bits + 63) // 64
-    padded = np.zeros((blob_words + 1) * 8, dtype=np.uint8)
+    padded = np.zeros(blob_words * 8, dtype=np.uint8)
     padded[: raw.size] = raw
-    blob = padded.view(np.uint64)
-    start = np.arange(n_rows, dtype=np.int64) * row_bits
-    w0 = (start // 64)[:, None] + np.arange(words, dtype=np.int64)[None, :]
-    s = (start % 64).astype(np.uint64)[:, None]
-    low = blob[w0] >> s
-    high = blob[w0 + 1] << (np.uint64(64) - s)
-    out = low | np.where(s == 0, np.uint64(0), high)
+    out = gather_bit_rows(
+        padded.view(np.uint64), np.arange(n_rows, dtype=np.int64) * row_bits, row_bits
+    )
     if row_bits % 64:
         out[:, -1] &= np.uint64((1 << (row_bits % 64)) - 1)
     return out
+
+
+def gather_bit_rows(stream: np.ndarray, starts, row_bits: int) -> np.ndarray:
+    """The ``row_bits``-bit rows of a packed bit stream that start at bit
+    offsets ``starts``, as ``(len(starts), ceil(row_bits / 64))`` words.
+
+    Every row must lie inside the stream.  Bits of an output row past
+    ``row_bits`` are unspecified (they are the stream's next bits).  Each
+    output word is gathered from the two stream words it straddles; a
+    row's shift is constant across its words.
+    """
+    words = np.asarray(stream, dtype=np.uint64)
+    start = np.asarray(starts, dtype=np.int64)
+    last = words.shape[0] - 1
+    first = (start // 64)[:, None] + np.arange((row_bits + 63) // 64, dtype=np.int64)[None, :]
+    shift = (start % 64).astype(np.uint64)[:, None]
+    low = words[np.minimum(first, last)] >> shift
+    high = words[np.minimum(first + 1, last)] << (np.uint64(64) - shift)
+    return low | np.where(shift == 0, np.uint64(0), high)
 
 
 def packed_word_count(count: int, bits: int) -> int:
@@ -247,63 +264,82 @@ def packed_word_count(count: int, bits: int) -> int:
     return (count * bits + 63) // 64
 
 
+def _period(count: int, bits: int) -> int:
+    """Elements per shift-or step: ``64 / gcd(bits, 64)``, after which
+    element and word boundaries line up again, or the whole row when it
+    is shorter."""
+    return min(count, 64 // math.gcd(bits, 64))
+
+
 def pack_ring_words(arr: np.ndarray, bits: int) -> np.ndarray:
     """Pack ``bits``-wide ring elements into dense uint64 words.
 
     ``arr`` has shape ``(..., count)`` of uint64 values below ``2**bits``;
-    the result has shape ``(..., packed_word_count(count, bits))``.  This
-    is what keeps OT message sizes faithful to the paper's bit counts
-    (e.g. o * l * N bits per multi-batch OT) instead of always paying
-    64 bits per element.
+    the result has shape ``(..., packed_word_count(count, bits))``: the
+    row's elements back to back, LSB-first, element ``i`` at stream bits
+    ``[i * bits, (i + 1) * bits)``.  This is what keeps OT message sizes
+    faithful to the paper's bit counts (e.g. ``o * l * N`` bits per
+    multi-batch OT) instead of always paying 64 bits per element.
+
+    One path for every width: the row is cut into periods of
+    :func:`_period` elements, which fill a whole number of words, and
+    each element position of the period is shifted into its word (and
+    the next, when it straddles) for all periods at once.
     """
     a = np.asarray(arr, dtype=np.uint64)
     count = a.shape[-1]
-    if bits == 64:
-        return a.copy()
-    if 64 % bits == 0:
-        # Fast path: whole elements per word (l = 32, 16, 8, ...).
-        per_word = 64 // bits
-        pad = (-count) % per_word
-        if pad:
-            padded = np.zeros(a.shape[:-1] + (count + pad,), dtype=np.uint64)
-            padded[..., :count] = a
-            a = padded
-        grouped = a.reshape(a.shape[:-1] + (-1, per_word))
-        shifts = (np.arange(per_word, dtype=np.uint64) * np.uint64(bits))
-        return (grouped << shifts).sum(axis=-1, dtype=np.uint64)
-    # Generic path through a bit matrix.
     lead = a.shape[:-1]
-    flat = a.reshape(-1, count)
-    bit_rows = int_to_bits(flat, bits).reshape(flat.shape[0], count * bits)
     n_words = packed_word_count(count, bits)
-    pad = n_words * 64 - count * bits
-    if pad:
-        bit_rows = np.concatenate(
-            [bit_rows, np.zeros((flat.shape[0], pad), dtype=np.uint8)], axis=1
-        )
-    packed = np.packbits(bit_rows, axis=1, bitorder="little")
-    return packed.view(np.uint64).reshape(lead + (n_words,))
+    period = _period(count, bits)
+    if period == 0:
+        return np.zeros(lead + (0,), dtype=np.uint64)
+    groups = -(-count // period)
+    flat = a.reshape(-1, count)
+    if groups * period != count:
+        padded = np.zeros((flat.shape[0], groups * period), dtype=np.uint64)
+        padded[:, :count] = flat
+        flat = padded
+    elems = flat.reshape(-1, groups, period)
+    span = packed_word_count(period, bits)
+    out = np.zeros((elems.shape[0], groups, span), dtype=np.uint64)
+    for j in range(period):
+        word, shift = divmod(j * bits, 64)
+        out[:, :, word] |= elems[:, :, j] << np.uint64(shift)
+        if shift + bits > 64:
+            out[:, :, word + 1] |= elems[:, :, j] >> np.uint64(64 - shift)
+    out = out.reshape(lead + (groups * span,))
+    return out if groups * span == n_words else np.ascontiguousarray(out[..., :n_words])
 
 
 def unpack_ring_words(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_ring_words`; returns ``(..., count)`` uint64."""
     p = np.asarray(packed, dtype=np.uint64)
-    if p.shape[-1] != packed_word_count(count, bits):
+    n_words = packed_word_count(count, bits)
+    if p.shape[-1] != n_words:
         raise ConfigError(
-            f"expected {packed_word_count(count, bits)} words for "
-            f"{count}x{bits}-bit elements, got {p.shape[-1]}"
+            f"expected {n_words} words for {count}x{bits}-bit elements, got {p.shape[-1]}"
         )
-    if bits == 64:
-        return p[..., :count].copy()
-    if 64 % bits == 0:
-        per_word = 64 // bits
-        shifts = (np.arange(per_word, dtype=np.uint64) * np.uint64(bits))
-        mask = np.uint64((1 << bits) - 1)
-        expanded = (p[..., None] >> shifts) & mask
-        return expanded.reshape(p.shape[:-1] + (-1,))[..., :count].copy()
     lead = p.shape[:-1]
-    flat = p.reshape(-1, p.shape[-1])
-    bit_rows = np.unpackbits(flat.view(np.uint8), axis=1, bitorder="little")
-    elems = bit_rows[:, : count * bits].reshape(-1, count, bits)
-    return bits_to_int(elems).reshape(lead + (count,))
-
+    period = _period(count, bits)
+    if period == 0:
+        return np.zeros(lead + (0,), dtype=np.uint64)
+    groups = -(-count // period)
+    span = packed_word_count(period, bits)
+    flat = p.reshape(-1, n_words)
+    if groups * span != n_words:
+        padded = np.zeros((flat.shape[0], groups * span), dtype=np.uint64)
+        padded[:, :n_words] = flat
+        flat = padded
+    words = flat.reshape(-1, groups, span)
+    mask = np.uint64((1 << bits) - 1)
+    out = np.empty((words.shape[0], groups, period), dtype=np.uint64)
+    for j in range(period):
+        word, shift = divmod(j * bits, 64)
+        elem = words[:, :, word] >> np.uint64(shift)
+        if shift + bits > 64:
+            elem |= words[:, :, word + 1] << np.uint64(64 - shift)
+        if bits < 64:
+            elem &= mask
+        out[:, :, j] = elem
+    out = out.reshape(lead + (groups * period,))
+    return out if groups * period == count else np.ascontiguousarray(out[..., :count])

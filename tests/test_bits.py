@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.utils.bits import (
     bits_to_int,
     concat_packed_rows,
+    gather_bit_rows,
     int_to_bits,
     pack_bits,
     pack_bits_to_words,
@@ -109,6 +110,63 @@ class TestRingPacking:
         vals = np.array([v & mask for v in values], dtype=np.uint64)[None, :]
         packed = pack_ring_words(vals, bits)
         assert (unpack_ring_words(packed, bits, vals.shape[1]) == vals).all()
+
+
+def _ref_pack_ring_words(arr, bits):
+    """The bit-matrix packer the word-level one replaced, kept as the
+    reference: every element to ``bits`` LSB-first bits, rows of bits
+    padded to whole words and packed with ``numpy.packbits``."""
+    a = np.asarray(arr, dtype=np.uint64)
+    count = a.shape[-1]
+    flat = a.reshape(-1, count)
+    bit_rows = int_to_bits(flat, bits).reshape(flat.shape[0], count * bits)
+    n_words = packed_word_count(count, bits)
+    padded = np.zeros((flat.shape[0], n_words * 64), dtype=np.uint8)
+    padded[:, : count * bits] = bit_rows
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view(np.uint64).reshape(a.shape[:-1] + (n_words,))
+
+
+class TestRingPackingReference:
+    """The one word-level packer against the old bit-matrix packer, byte
+    for byte, at every width: counts below, at and above the period
+    ``64 / gcd(bits, 64)``, zero-size, ragged and leading-dimension
+    shapes."""
+
+    SHAPES = [(0,), (4, 0), (1,), (3,), (2, 7), (5, 31), (32,), (2, 33), (64,),
+              (3, 65), (1, 130), (2, 3, 9), (4, 1, 200)]
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_byte_identical_and_round_trip(self, bits):
+        local = np.random.default_rng(bits)
+        mask = np.uint64((1 << bits) - 1)
+        for shape in self.SHAPES:
+            vals = local.integers(0, 1 << 63, size=shape, dtype=np.uint64) << np.uint64(1)
+            vals = (vals | local.integers(0, 2, size=shape, dtype=np.uint64)) & mask
+            packed = pack_ring_words(vals, bits)
+            assert packed.shape == shape[:-1] + (packed_word_count(shape[-1], bits),)
+            if vals.size:
+                assert (packed == _ref_pack_ring_words(vals, bits)).all(), (bits, shape)
+            assert (unpack_ring_words(packed, bits, shape[-1]) == vals).all(), (bits, shape)
+
+    def test_a_full_period_fills_whole_words(self):
+        # 22 bits: a 32-element period fills exactly 11 words.
+        vals = np.arange(32, dtype=np.uint64)[None, :] * np.uint64(123457)
+        assert pack_ring_words(vals, 22).shape == (1, 11)
+        assert (pack_ring_words(vals, 22) == _ref_pack_ring_words(vals, 22)).all()
+
+
+class TestGatherBitRows:
+    @pytest.mark.parametrize("row_bits", [1, 22, 64, 100, 176])
+    def test_rows_at_any_offset(self, row_bits, rng):
+        bits = rng.integers(0, 2, size=1000, dtype=np.uint8)
+        stream = _ref_packed(bits[None, :])[0]
+        starts = rng.integers(0, 1000 - row_bits + 1, size=50)
+        got = gather_bit_rows(stream, starts, row_bits)
+        assert got.shape == (50, (row_bits + 63) // 64)
+        rows = unpack_words_to_bits(got, row_bits)
+        for start, row in zip(starts, rows):
+            assert (row == bits[start : start + row_bits]).all()
 
 
 def _ref_packed(bits_mat):

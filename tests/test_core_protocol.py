@@ -341,17 +341,22 @@ class TestRing64:
         expect = qm.forward_int(qm.encoder.encode(x.T))
         assert (report.logits_int == expect).all()
 
-    def test_l64_costs_more_than_l32(self, trained_model, small_dataset, test_group):
+    def test_l64_costs_what_l32_costs(self, trained_model, small_dataset, test_group):
+        """Every layer computes in the ring of its own width, which fits
+        either model ring here, so the model ring moves no byte."""
         x = small_dataset.test_x[:1]
-        small = secure_predict(
-            quantize_model(trained_model, FragmentScheme.ternary(), Ring(32), frac_bits=6),
-            x, group=test_group,
-        )
-        large = secure_predict(
-            quantize_model(trained_model, FragmentScheme.ternary(), Ring(64), frac_bits=6),
-            x, group=test_group,
-        )
-        assert large.total_bytes > small.total_bytes
+        small_model = quantize_model(trained_model, FragmentScheme.ternary(), Ring(32), frac_bits=6)
+        large_model = quantize_model(trained_model, FragmentScheme.ternary(), Ring(64), frac_bits=6)
+        assert [l.relu_bits for l in small_model.layers] == [
+            l.relu_bits for l in large_model.layers
+        ]
+        small = secure_predict(small_model, x, group=test_group)
+        large = secure_predict(large_model, x, group=test_group)
+        assert large.total_bytes == small.total_bytes
+        assert (
+            small_model.ring.to_signed(small.logits_int)
+            == large_model.ring.to_signed(large.logits_int)
+        ).all()
 
 
 class TestOnlineCommModel:

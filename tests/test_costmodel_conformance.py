@@ -6,9 +6,9 @@ channel, wraps the protocol in the span taxonomy that
 the measured wire bytes land inside the *derived* tolerance band
 documented in ``repro/perf/report.py``:
 
-* multi-batch triplets: byte-exact at ``predicted + word-padding slack``
-  (the slack is exactly computable, so the band has zero width);
-* one-batch triplets: within one 64-bit word per transmitted chunk;
+* triplets, both modes: byte-exact at ``predicted + word-padding slack``
+  (each wire chunk pads its packed elements to a word, so the slack is
+  exactly computable and the band has zero width);
 * GC ReLU, both variants: byte-exact against ``gc_relu_wire_bits`` at
   the layer's ``(l, m, f, n)`` (and, optimized, its revealed sign count).
 
@@ -142,8 +142,7 @@ class TestTripletConformance:
     ):
         scheme = TABLE2_SCHEMES[scheme_name]
         result, traces = _traced_triplets(scheme, m, n, o, ring_bits, test_group, rng)
-        mode = "one" if o == 1 else "multi"
-        _assert_conformant(result, traces, expect_exact=(mode == "multi"))
+        _assert_conformant(result, traces, expect_exact=True)
 
     def test_forced_multi_mode_with_o1(self, test_group, rng):
         # Forcing multi-batch at o=1 keeps the slack formula exact even
@@ -155,13 +154,16 @@ class TestTripletConformance:
         _assert_conformant(result, traces, expect_exact=True)
 
     def test_multi_slack_formula(self):
-        # o*l a multiple of 64 -> no padding; otherwise exact residue.
+        # Each chunk's message elements are packed back to back: the only
+        # slack is the chunk's padding to a word, exact in both modes.
         assert triplet_slack_bits(4, 6, 2, 32, [2, 2], "multi") == (0, 0)
-        lo, hi = triplet_slack_bits(4, 6, 3, 32, [4], "multi")
-        # width = ceil(96/64) = 2 words -> 128 - 96 = 32 bits per OT row
-        assert lo == hi == 4 * 6 * 4 * 32
-        lo, hi = triplet_slack_bits(2, 3, 1, 17, [3, 2], "one")
-        assert lo == 0 and hi == 2 * 64  # one chunk per radix group
+        # 24 OTs x 4 messages x 3 elements x 32 bits fill 144 words
+        assert triplet_slack_bits(4, 6, 3, 32, [4], "multi") == (0, 0)
+        # 30 OTs (two N = 4 fragments) x 12 elements x 17 bits = 6120 bits
+        assert triplet_slack_bits(5, 3, 3, 17, [4, 4], "multi") == (6144 - 6120,) * 2
+        # one chunk per radix group: N = 3 packs 12 x 17 = 204 bits into 4
+        # words, N = 2 packs 6 x 17 = 102 bits into 2
+        assert triplet_slack_bits(2, 3, 1, 17, [3, 2], "one") == (52 + 26,) * 2
 
     def test_predicted_matches_scheme_form(self):
         # The radix-list form must agree with the FragmentScheme form.

@@ -7,6 +7,8 @@ input domain rather than by sampling:
   i.e. all ``4**l`` combinations at once as one batched run;
 * the narrowed, exactly truncating GC ReLU in ``Ring(8)`` — every share
   ``y0``, every value ``|y| < 2^(m-1)`` and every ``1 <= f < m <= 7``;
+* the same ReLU from an ``m``-bit input ring into an output ring below,
+  at and above its ``k = m - f`` output bits;
 * fragment digit encoding for every Table 2 scheme (eta <= 8) — every
   representable weight round-trips through ``digits``/``compose`` with
   in-range digits and a unique digit vector.
@@ -99,6 +101,54 @@ class TestNarrowReluExhaustive:
         for (m, f, y, _, _, z1), z0 in zip(cases, z0s):
             expected = ring.reduce(np.maximum(ring.to_signed(y) >> f, 0))
             assert (ring.add(z0, z1) == expected).all(), (m, f)
+
+
+class TestReluOutputRingExhaustive:
+    """The ReLU between two layers of their own rings: the input shares
+    live in ``Ring(m)`` (the layer's width) and the output shares in the
+    next layer's ring of ``l'`` bits, below (``l' < k``: only the low bits
+    are kept), at (``l' = k``: no row wire) and above (``l' > k``: the
+    row table delivers the high bits) the circuit's ``k = m - f`` bits."""
+
+    #: every (m, f) with 0 <= f < m for m in {3, 5}, each against three
+    #: output rings around k (never below 1 bit)
+    SHAPES = [
+        (m, f, out)
+        for m in (3, 5)
+        for f in range(m)
+        for out in sorted({max(1, m - f - 1), m - f, m - f + 2})
+    ]
+
+    @pytest.mark.parametrize("variant", ["oblivious", "optimized"])
+    def test_every_share_value_shift_and_output_ring(self, variant, test_group, rng):
+        cases = []
+        for m, f, out in self.SHAPES:
+            ring, out_ring = Ring(m), Ring(out)
+            values = np.arange(-(1 << (m - 1)) + 1, 1 << (m - 1))
+            y = ring.reduce(np.tile(values, 1 << m))
+            y0 = np.repeat(np.arange(1 << m, dtype=np.uint64), values.size)
+            z1 = out_ring.sample(rng, y.shape)
+            cases.append((ring, out_ring, f, y, y0, ring.sub(y, y0), z1))
+
+        def server_fn(chan):
+            sessions = GcSessions(chan, "evaluator", group=test_group, seed=1)
+            return [
+                relu_layer_server(chan, y0, sessions, ring, variant, ring.bits, f, out_ring)
+                for ring, out_ring, f, _, y0, _, _ in cases
+            ]
+
+        def client_fn(chan):
+            sessions = GcSessions(chan, "garbler", group=test_group, seed=2)
+            own = np.random.default_rng(9)
+            for ring, out_ring, f, _, _, y1, z1 in cases:
+                relu_layer_client(
+                    chan, y1, z1, sessions, ring, own, variant, ring.bits, f, out_ring
+                )
+
+        z0s = run_protocol(server_fn, client_fn).server
+        for (ring, out_ring, f, y, _, _, z1), z0 in zip(cases, z0s):
+            expected = out_ring.reduce(np.maximum(ring.to_signed(y) >> f, 0))
+            assert (out_ring.add(z0, z1) == expected).all(), (ring.bits, f, out_ring.bits)
 
 
 class TestFragmentExhaustive:

@@ -118,7 +118,8 @@ class TestMetaFile:
 
 
 class TestReluWidthFields:
-    """Format 2 carries the public per-layer ``relu_bits``."""
+    """Format 3 carries the public ``relu_bits`` of every layer, the
+    logits width included."""
 
     def test_roundtrip(self, trained_model, tmp_path):
         qm = quantize_model(trained_model, FragmentScheme.from_bits((2, 2)), Ring(32))
@@ -126,7 +127,7 @@ class TestReluWidthFields:
         save_meta(tmp_path / "meta.json", ModelMeta.from_model(qm))
         model, meta = load_model(tmp_path / "model.npz"), load_meta(tmp_path / "meta.json")
         widths = [layer.relu_bits for layer in qm.layers]
-        assert widths[-1] is None and all(w < 32 for w in widths[:-1])
+        assert all(w is not None and w < 32 for w in widths)
         assert [layer.relu_bits for layer in model.layers] == widths
         assert [layer.relu_bits for layer in meta.layers] == widths
 
@@ -151,6 +152,30 @@ class TestReluWidthFields:
         for load, path in ((load_model, bundle), (load_meta, meta)):
             with pytest.raises(ConfigError, match="format 1"):
                 load(path)
+
+
+    def test_format_2_is_refused(self, trained_model, tmp_path):
+        """A format-2 file (no logits width) fails typed, naming its path."""
+        qm = quantize_model(trained_model, FragmentScheme.ternary(), Ring(32))
+        bundle, meta = tmp_path / "model.npz", tmp_path / "meta.json"
+        save_model(bundle, qm)
+        save_meta(meta, ModelMeta.from_model(qm))
+
+        def to_format_2(doc):
+            doc["format_version"] = 2
+            doc["layers"][-1]["relu_bits"] = None
+            return doc
+
+        def edit(arrays):
+            manifest = to_format_2(json.loads(bytes(arrays["manifest"]).decode()))
+            arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+
+        _rewrite_bundle(bundle, edit)
+        meta.write_text(json.dumps(to_format_2(json.loads(meta.read_text()))))
+        for load, path in ((load_model, bundle), (load_meta, meta)):
+            with pytest.raises(ConfigError, match="format 2") as info:
+                load(path)
+            assert str(path) in str(info.value)
 
 
 def _rewrite_bundle(path, edit) -> None:

@@ -179,15 +179,18 @@ class TestReluWidths:
 
     def test_closed_form(self):
         assert input_bound_int(4) == 16
-        # A0 = 124 (7 bits) -> m0 = 8; B1 = 124 >> 2 = 31; A1 = 4 * 31 = 124
-        assert relu_widths(self._layers(False), 32, 4) == [8, 8]
+        # A0 = 124 (7 bits) -> m0 = 8; B1 = 124 >> 2 = 31; A1 = 4 * 31 = 124;
+        # the logits width comes last: B2 = 124, A2 = 496 (9 bits) -> 10
+        assert relu_widths(self._layers(False), 32, 4) == [8, 8, 10]
         # after an average pool B1 = 32, so A1 = 128 needs one more bit
-        assert relu_widths(self._layers(True), 32, 4) == [8, 9]
+        # (and A2 = 512 one more again)
+        assert relu_widths(self._layers(True), 32, 4) == [8, 9, 11]
 
     def test_clamped_to_ring_and_shift(self):
-        assert relu_widths(self._layers(True), 8, 4) == [8, 8]
+        assert relu_widths(self._layers(True), 8, 4) == [8, 8, 8]
         zero = [(np.zeros((1, 2), dtype=np.int64), [0], 3, False), (self.W1, [0], 0, False)]
-        assert relu_widths(zero, 32, 4) == [4]  # keeps a sign bit above the shift
+        # keeps a sign bit above the shift; the all-zero logits need 1 bit
+        assert relu_widths(zero, 32, 4) == [4, 1]
 
     def test_holds_on_a_quantized_model(self):
         """Every hidden pre-activation of a real model stays inside its

@@ -30,6 +30,7 @@ from repro.errors import ConfigError
 from repro.net import run_protocol
 from repro.perf.costmodel import (
     TRIPLET_CHUNK_BUDGET_WORDS,
+    TRIPLET_CHUNK_MIN_ELEMENT_BITS,
     TRIPLET_MIN_CHUNK,
     TRIPLET_SUB_BLOCK_WORDS,
     WORD_BYTES,
@@ -188,15 +189,17 @@ FIG4_L0 = dict(m=128, n=784, ring_bits=32, frag_n_values=[4, 4, 4, 4])
 class TestTripletWorkingSet:
     def test_mirrors_match_the_protocol(self):
         assert TRIPLET_CHUNK_BUDGET_WORDS == triplets_mod._CHUNK_BUDGET_WORDS
+        assert TRIPLET_CHUNK_MIN_ELEMENT_BITS == triplets_mod._CHUNK_MIN_ELEMENT_BITS
         assert TRIPLET_SUB_BLOCK_WORDS == triplets_mod._SUB_BLOCK_WORDS
         for bits in ((1,), (2, 2), (4, 4)):
             scheme = FragmentScheme.from_bits(bits)
             n_values = scheme.fragments[0].n_values
             for o in (1, 2, 8, 100, 1024, 1 << 20):
-                config = TripletConfig(ring=Ring(32), scheme=scheme, m=1, n=1, o=o)
-                lanes = o if config.resolved_mode == "multi" else 1
-                assert triplet_chunk_ots(n_values, o, 32) == config.chunk_size(n_values)
-                assert triplet_sub_block_ots(n_values, lanes) == config.sub_block(n_values)
+                for ring_bits in (13, 22, 32, 64):
+                    config = TripletConfig(ring=Ring(ring_bits), scheme=scheme, m=1, n=1, o=o)
+                    lanes = o if config.resolved_mode == "multi" else 1
+                    assert triplet_chunk_ots(n_values, o, ring_bits) == config.chunk_size(n_values)
+                    assert triplet_sub_block_ots(n_values, lanes) == config.sub_block(n_values)
         assert triplet_chunk_ots(4, 1 << 20, 32) == TRIPLET_MIN_CHUNK
 
     def test_fig4_layer0_batch8_closed_form(self):

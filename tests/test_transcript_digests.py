@@ -76,12 +76,12 @@ class DigestChannel:
 #: (server, client) digest prefixes of each pinned run.  Chunking is a
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
-    "fig4_b1": ("d6a1cd7cc892ee4f", "3590481f51bc6b18"),
-    "fig4_b8": ("06fac739538c30c7", "1a395fc7cb9465bc"),
-    "vgg_cifar_side12": ("8f3edfdb7c39ce4f", "c2243b1e079be580"),
-    "vgg_cifar_side12_chunk7": ("8f3edfdb7c39ce4f", "c2243b1e079be580"),
-    "vgg_cifar_side12_winograd": ("17063ddfb1841cf3", "80772199418d7bc5"),
-    "served_bank_keepalive": ("45f1d409c9e1d5d1", "c7f2fb760bd6e1a9"),
+    "fig4_b1": ("2ea616f33b52ba4d", "e22d9a64e0342505"),
+    "fig4_b8": ("9ff238ad1763d331", "57b8452534a1c3a6"),
+    "vgg_cifar_side12": ("31677ea9050ac317", "481a8538594a3a46"),
+    "vgg_cifar_side12_chunk7": ("31677ea9050ac317", "481a8538594a3a46"),
+    "vgg_cifar_side12_winograd": ("3909a21cb0a377e6", "0c2e61b005591f1b"),
+    "served_bank_keepalive": ("de13d3fe3fc2a5cc", "c318f80fe88ad164"),
 }
 
 

@@ -6,9 +6,11 @@ dealer-trusted: the serving process deals the client's offline half,
 ``input_mask`` included, and then receives ``x - input_mask`` as the
 first online message, so the server can unmask the client's input.
 The test below pins that leak exactly; splitting the dealer into its own
-role is what turns it around.  A chi-squared test then checks that the
-narrowed ReLU's output-table word, the one value the evaluator opens
-outside the circuit, is uniform.
+role is what turns it around.  Chi-squared tests then check that what a
+party sees at a narrowed width is uniform: the narrowed ReLU's
+output-table word (the one value the evaluator opens outside the
+circuit), the input frame ``x - r`` packed at layer 0's ring width, and
+a multi-batch triplet message frame.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ import pytest
 from repro.core.offline import ClientHalf
 from repro.core.protocol import ModelMeta
 from repro.core.relu import relu_layer_client, relu_layer_server
+from repro.core.triplets import (
+    TripletConfig,
+    generate_triplets_client,
+    generate_triplets_server,
+)
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
@@ -28,7 +35,18 @@ from repro.nn.model import mnist_mlp
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import FragmentScheme
 from repro.serve import ClientSession, ServerSession, TripletBank
+from repro.utils.bits import packed_word_count, unpack_ring_words
 from repro.utils.ring import Ring
+
+#: chi-squared critical value, 63 degrees of freedom, alpha = 0.001
+CHI2_CRIT_63 = 103.442
+
+
+def _chi2_uniform(values: np.ndarray, bins: int) -> float:
+    counts = np.bincount(values.astype(np.int64), minlength=bins)
+    assert counts.size == bins
+    expected = values.size / bins
+    return float(((counts - expected) ** 2 / expected).sum())
 
 
 class _RecordingChannel:
@@ -104,10 +122,13 @@ class TestBankModeView:
         dealt = [m for m in view.sent if isinstance(m, tuple)]
         assert len(dealt) == 1  # the client half of the one banked round
         input_mask = ClientHalf.decode(dealt[0]).input_mask
-        # Control frames arrive as bytes; the first array is <x>_0.
+        # Control frames arrive as bytes; the first array is <x>_0, packed
+        # at layer 0's ring width.
+        ring0 = ModelMeta.from_model(qmodel).layer_ring(0)
         first_online = next(m for m in view.received if isinstance(m, np.ndarray))
-        recovered = ring.add(ring.reduce(first_online), ring.reduce(input_mask))
-        assert (recovered == x_ring).all()
+        share0 = unpack_ring_words(first_online[None, :], ring0.bits, x_ring.size)
+        recovered = ring0.add(share0.reshape(x_ring.shape), ring0.reduce(input_mask))
+        assert (ring0.to_signed(recovered) == ring.to_signed(x_ring)).all()
 
 
 class TestReluRowTableUniform:
@@ -123,8 +144,7 @@ class TestReluRowTableUniform:
 
     BITS, WIDTH, SHIFT = 10, 6, 2
     N_INST = 2048
-    #: chi-squared critical value, 63 degrees of freedom, alpha = 0.001
-    CHI2_CRIT = 103.442
+    CHI2_CRIT = CHI2_CRIT_63
 
     def _opened_words(self, variant, y_value, test_group):
         ring = Ring(self.BITS)
@@ -169,3 +189,74 @@ class TestReluRowTableUniform:
         expected = self.N_INST / bins
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < self.CHI2_CRIT, (variant, y_value, chi2)
+
+
+class TestNarrowRingFramesUniform:
+    """ROADMAP 10(b) for the per-layer rings: frames packed at a narrow
+    ring's width are uniform over that ring whatever the secret, under
+    fixed-seed chi-squared tests with 64 bins (a 6-bit ring)."""
+
+    def test_input_frame_uniform_in_layer0_ring(self, test_group):
+        """``x - r`` for one fixed input over 16 served predictions: layer
+        0's ring is 6 bits, 8 features x batch 16 = 2048 elements."""
+        qmodel = quantize_model(
+            mnist_mlp(seed=7, hidden=4, input_dim=8, classes=3),
+            FragmentScheme.ternary(), Ring(32), frac_bits=2,
+        )
+        meta = ModelMeta.from_model(qmodel)
+        ring0 = meta.layer_ring(0)
+        assert ring0.bits == 6
+        batch, predictions = 16, 16
+        x_ring = qmodel.encoder.encode(np.full((8, batch), 0.75))
+        bank = TripletBank(
+            qmodel, batch, capacity=predictions, generator="dealer",
+            auto_replenish=False, group=test_group, seed=11,
+        )
+        bank.fill(predictions)
+        server_chan, client_chan = make_channel_pair(timeout_s=60.0)
+        view = _RecordingChannel(client_chan)
+        thread = threading.Thread(
+            target=ServerSession(server_chan, qmodel, bank, session_id=1, group=test_group).run,
+            daemon=True,
+        )
+        thread.start()
+        client = ClientSession(view, meta, batch, group=test_group, seed=9)
+        for _ in range(predictions):
+            assert (client.predict_encoded(x_ring) == qmodel.forward_int(x_ring)).all()
+        client.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        # The oblivious client's only 1-D uint64 frames are its input shares.
+        words = packed_word_count(x_ring.size, ring0.bits)
+        frames = [
+            m for m in view.sent
+            if isinstance(m, np.ndarray) and m.dtype == np.uint64 and m.ndim == 1
+        ]
+        assert [m.shape for m in frames] == [(words,)] * predictions
+        values = np.concatenate(
+            [unpack_ring_words(m[None, :], ring0.bits, x_ring.size)[0] for m in frames]
+        )
+        assert _chi2_uniform(values, 1 << ring0.bits) < CHI2_CRIT_63
+
+    def test_multi_batch_triplet_frame_uniform(self, test_group):
+        """The client's packed message frame in ``Ring(6)`` at o = 4, for an
+        all-ones ``W`` and a fixed ``R``: 8 x 16 weights x 2 fragments x
+        N = 4 messages x 4 elements = 4096 elements."""
+        ring = Ring(6)
+        scheme = FragmentScheme.from_bits((2, 2))
+        config = TripletConfig(ring=ring, scheme=scheme, m=8, n=16, o=4, group=test_group)
+        w = np.ones(config.w_shape, dtype=np.int64)
+        r = ring.reduce(np.arange(16 * 4).reshape(16, 4))
+        server_chan, client_chan = make_channel_pair(timeout_s=60.0)
+        view = _RecordingChannel(client_chan)
+        result = run_protocol(
+            lambda ch: generate_triplets_server(ch, w, config, seed=1),
+            lambda ch: generate_triplets_client(ch, r, config, np.random.default_rng(2), seed=3),
+            channels=(server_chan, view),
+        )
+        assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
+        count = config.total_ots * 4 * config.o
+        frames = [m for m in view.sent if isinstance(m, np.ndarray) and m.dtype == np.uint64]
+        assert [m.shape for m in frames] == [(packed_word_count(count, ring.bits),)]
+        values = unpack_ring_words(frames[0][None, :], ring.bits, count)[0]
+        assert _chi2_uniform(values, 1 << ring.bits) < CHI2_CRIT_63
