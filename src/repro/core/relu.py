@@ -48,7 +48,15 @@ from repro.gc.builder import (
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net.channel import Channel
 from repro.perf.trace import annotate_span
-from repro.utils.bits import bits_to_int, int_to_bits, pack_bits, unpack_bits
+from repro.utils.bits import (
+    bits_to_int,
+    int_to_bits,
+    pack_bits,
+    pack_ring_words,
+    packed_word_count,
+    unpack_bits,
+    unpack_ring_words,
+)
 from repro.utils.ring import Ring
 
 _TEMPLATE_CACHE: dict[tuple, object] = {}
@@ -152,16 +160,19 @@ def relu_layer_server(
             sessions,
         )
         z0[positive] = _z0(out_ring, result, k)
-    neg_share = chan.recv()  # -z1 for the negative neurons
+    neg_share = chan.recv()  # -z1 for the negative neurons, packed
+    n_neg = n_inst - n_pos
+    words = packed_word_count(n_neg, out_ring.bits)
     if not (
         isinstance(neg_share, np.ndarray)
         and neg_share.dtype == np.uint64
-        and neg_share.shape == (n_inst - n_pos,)
+        and neg_share.shape == (words,)
     ):
         raise ProtocolError(
-            f"negative-share frame: expected {n_inst - n_pos} uint64 words"
+            f"negative-share frame: expected {words} uint64 words for {n_neg} "
+            f"shares at {out_ring.bits} bits"
         )
-    z0[~positive] = out_ring.reduce(neg_share)
+    z0[~positive] = unpack_ring_words(neg_share[None, :], out_ring.bits, n_neg)[0]
     return z0.reshape(shape)
 
 
@@ -224,5 +235,5 @@ def relu_layer_client(
             sessions, rng, _row_values(out_ring, pos_z1, k),
         )
     # Negative neurons: ReLU(y) = 0, so z0 must equal -z1.
-    chan.send(out_ring.neg(flat_z1[~positive]))
+    chan.send(pack_ring_words(out_ring.neg(flat_z1[~positive])[None, :], out_ring.bits)[0])
     return flat_z1.reshape(shape)

@@ -24,10 +24,21 @@ OT: the sender learns a random ``x_i`` and the receiver ``x_i + c_i *
 delta_i (mod 2^l)`` — the primitive under SecureML's offline
 multiplication triplets and QUOTIENT's ternary products.
 
+The XOR-correlated variant (ALSZ13's C-OT, as ABY and EMP move
+free-XOR labels) transfers ``W`` words per OT: the receiver's ``U``
+goes first, the sender takes ``x0_i = H(i, q_i)`` as its message for
+choice 0 and answers, whenever it has picked its offset ``delta``,
+with one ``W``-word correction ``H(i, q_i) ^ H(i, q_i ^ s) ^ delta``
+per OT, so the receiver gets ``x0_i ^ c_i * delta``.  The correction
+travels in the caller's next frame (:class:`XorOtSend`,
+:class:`XorOtRecv`).
+
 .. _Gilboa-style: used for the baselines in :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +89,44 @@ def _checked_u_blob(blob, n_cols: int, m: int) -> bytes:
             f"{expected} bytes, got {len(blob)}"
         )
     return bytes(blob)
+
+
+@dataclass(frozen=True)
+class XorOtSend:
+    """The sender's half of ``m`` XOR-correlated OTs, awaiting its offset.
+
+    ``x0`` (``(m, W)`` words) is what a receiver with choice 0 gets; with
+    choice 1 it gets ``x0 ^ delta`` once it holds :meth:`correction`.
+    """
+
+    x0: np.ndarray
+    x1: np.ndarray  # H(i, q_i ^ s): the receiver's pad at choice 1
+
+    def correction(self, delta: np.ndarray) -> np.ndarray:
+        """The ``(m, W)`` correction frame for offset ``delta`` (``(W,)``)."""
+        return self.x0 ^ self.x1 ^ np.asarray(delta, dtype=_U64)[None, :]
+
+
+@dataclass(frozen=True)
+class XorOtRecv:
+    """The receiver's half of ``m`` XOR-correlated OTs: its choices and
+    pads ``H(i, t_i)``, opened by the sender's correction frame."""
+
+    choices: np.ndarray
+    pads: np.ndarray
+
+    def open(self, correction) -> np.ndarray:
+        """``x0 ^ c * delta`` per OT; a malformed frame raises
+        :class:`ProtocolError`."""
+        if not (
+            isinstance(correction, np.ndarray)
+            and correction.dtype == _U64
+            and correction.shape == self.pads.shape
+        ):
+            raise ProtocolError(
+                f"XOR-correlated OT correction: expected {self.pads.shape} uint64 words"
+            )
+        return self.pads ^ (correction & (self.choices.astype(_U64) * _ALL_ONES)[:, None])
 
 
 class OtExtSender:
@@ -155,6 +204,19 @@ class OtExtSender:
             cipher = np.stack([msgs[:, 0] ^ pad0, msgs[:, 1] ^ pad1], axis=1)
             self.chan.send(cipher)
         self._ot_index += m
+
+    def send_xor_correlated(self, m: int, width: int, domain: int = 3) -> XorOtSend:
+        """XOR-correlated OT: receive ``U`` for ``m`` OTs of ``width``
+        words each and return the sender's half; the caller sends
+        :meth:`XorOtSend.correction` in its next frame."""
+        q = self._extend(m)
+        with channel_span(self.chan, "ot-transfer", m=m, width=width):
+            x0 = self.ro.mask(_rows_with_index(q, self._ot_index), width, domain)
+            x1 = self.ro.mask(
+                _rows_with_index(q ^ self._s_words[None, :], self._ot_index), width, domain
+            )
+        self._ot_index += m
+        return XorOtSend(x0, x1)
 
     def send_correlated(self, deltas: np.ndarray, ring: Ring, domain: int = 2) -> np.ndarray:
         """Correlated OT over Z_{2^l}.
@@ -249,6 +311,17 @@ class OtExtReceiver:
             picked = cipher[np.arange(c.shape[0]), c.astype(np.int64)]
         self._ot_index += c.shape[0]
         return picked ^ pad
+
+    def recv_xor_correlated(self, choices, width: int, domain: int = 3) -> XorOtRecv:
+        """Send ``U`` for one XOR-correlated OT per choice bit; the
+        returned half opens the sender's correction frame
+        (:meth:`XorOtRecv.open`)."""
+        c = np.asarray(choices, dtype=np.uint8)
+        t = self._extend(c)
+        with channel_span(self.chan, "ot-transfer", m=int(c.shape[0]), width=width):
+            pads = self.ro.mask(_rows_with_index(t, self._ot_index), width, domain)
+        self._ot_index += c.shape[0]
+        return XorOtRecv(c, pads)
 
     def recv_correlated(
         self, choices, lanes: int | None, ring: Ring, domain: int = 2

@@ -33,6 +33,11 @@ AND-gate budgets (``m``-bit inputs, ``k = m - f`` output bits, at
 * :func:`reconstruct_sub_template` — add and subtract, no mask:
   ``(m - 1) + k`` ANDs, ``2l - 2`` at full width (stage 2, run only on
   positive neurons).
+
+The garbler's inputs ``y1`` and ``z1`` are garbler-known wires: the
+adder's first AND and the subtraction's first each take one of them as
+an operand and garble as one-ciphertext half gates
+(:mod:`repro.gc.garble`), one for the sign circuit, two otherwise.
 """
 
 from __future__ import annotations
@@ -156,6 +161,7 @@ def _relu_gadget(
             kept = and_broadcast(circ, non_negative, kept)
         if k < out_bits:
             z0, circ.row_wire = sub_words(circ, kept, z1, borrow_out=True)
+            circ.row_bits = out_bits - k
         else:
             z0 = sub_words(circ, kept, z1)
         circ.mark_outputs(z0)

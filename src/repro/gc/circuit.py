@@ -4,8 +4,13 @@ A :class:`Circuit` is a DAG of XOR / AND / INV gates over single-bit
 wires, with inputs split by owner (garbler vs evaluator) and an ordered
 list of output wires.  XOR and INV are free under free-XOR garbling; AND
 gates cost two ciphertexts each (half-gates), so :meth:`Circuit.and_count`
-is the communication- and time-relevant size measure — the paper's
-"non-XOR gates".
+is the time-relevant size measure — the paper's "non-XOR gates".
+
+A wire is *garbler-known* (:meth:`Circuit.garbler_known`) when the
+garbler knows its value in the clear: a garbler input, or a gate output
+whose operands are all garbler-known.  Such a wire carries no label at
+all; an AND with one garbler-known operand costs one ciphertext
+(:attr:`Circuit.table_rows` counts the ciphertexts).
 
 Circuits are built through the fluent helpers (:meth:`xor`, :meth:`and_`,
 :meth:`inv`, ...) and are immutable once garbled (garbling only reads).
@@ -50,6 +55,8 @@ class Circuit:
     #: learns one of two garbler-chosen words, selected by the wire's
     #: value (:func:`repro.gc.garble.row_table`), and nothing else.
     row_wire: int | None = None
+    #: Width in bits of the two words the row table delivers.
+    row_bits: int = 64
 
     # ------------------------------------------------------------------ #
     # construction
@@ -98,6 +105,39 @@ class Circuit:
     def and_count(self) -> int:
         """Number of non-free gates (the paper's cost measure for GC)."""
         return sum(1 for g in self.gates if g.op == GateOp.AND)
+
+    def garbler_known(self) -> np.ndarray:
+        """``(n_wires,)`` bool: the wires whose value the garbler knows.
+
+        Garbler inputs, and every gate output whose operands are all
+        garbler-known.  The evaluator must learn its outputs and its row
+        wire through labels, so none of them may be garbler-known.
+        """
+        known = np.zeros(self.n_wires, dtype=bool)
+        known[self.garbler_inputs] = True
+        for gate in self.gates:
+            known[gate.out] = known[gate.a] and (gate.op == GateOp.INV or known[gate.b])
+        exposed = [w for w in self.outputs if known[w]]
+        if self.row_wire is not None and known[self.row_wire]:
+            exposed.append(self.row_wire)
+        if exposed:
+            raise ConfigError(
+                f"wires {exposed} are outputs the garbler computes alone: "
+                "nothing to garble"
+            )
+        return known
+
+    @property
+    def table_rows(self) -> int:
+        """Ciphertexts per instance: two per AND of two label-carrying
+        wires, one per AND with a garbler-known operand (a garbler half
+        gate), none for an AND the garbler computes in the clear."""
+        known = self.garbler_known()
+        return sum(
+            2 - int(known[g.a]) - int(known[g.b])
+            for g in self.gates
+            if g.op == GateOp.AND and not (known[g.a] and known[g.b])
+        )
 
     def validate(self) -> None:
         """Check the wiring is a well-formed single-assignment DAG."""

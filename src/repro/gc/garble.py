@@ -6,9 +6,22 @@ whose least-significant bit is the select bit.  XOR and INV gates are
 label arithmetic; each AND gate emits two 128-bit ciphertexts
 (``T_G``, ``T_E``).
 
+The garbler's own bits are folded into the garbling instead of being
+sent as labels.  A garbler-known wire
+(:meth:`~repro.gc.circuit.Circuit.garbler_known`) has no label, only
+its per-instance value ``g``:
+
+* XOR of a labelled wire with ``g`` is a hidden negation,
+  ``W^0_out = W^0_a ^ g·R`` (the evaluator copies its label);
+* AND of a labelled wire with ``g`` is ZRE15's *garbler half gate*, one
+  ciphertext ``T_G = H(A^0) ^ H(A^1) ^ g·R``;
+* a gate over garbler-known wires only is computed in the clear.
+
 All label tensors have shape ``(n_wires, n_inst, 2)`` uint64 — the same
 template circuit garbled for ``n_inst`` independent instances in one
-vectorized pass, which is how ABNN2 garbles a whole ReLU layer.
+vectorized pass, which is how ABNN2 garbles a whole ReLU layer.  The
+ciphertexts are ``(table_rows, n_inst, 2)``, in gate order: two rows
+per AND of two labelled wires, one per half gate.
 
 A circuit with a :attr:`~repro.gc.circuit.Circuit.row_wire` also gets a
 2-row output table (:func:`row_table`): per instance, two words the
@@ -25,6 +38,8 @@ import numpy as np
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import CryptoError
 from repro.gc.circuit import Circuit, GateOp
+from repro.utils.bits import pack_ring_words
+from repro.utils.ring import Ring
 
 _U64 = np.uint64
 LABEL_WORDS = 2
@@ -106,7 +121,7 @@ class GarbledCircuit:
 
     circuit: Circuit
     n_inst: int
-    tables: np.ndarray  # (n_and, n_inst, 2, 2) u64: [gate, inst, {T_G,T_E}, word]
+    tables: np.ndarray  # (table_rows, n_inst, 2) u64, in gate order
     label0: np.ndarray  # (n_wires, n_inst, 2) u64: labels encoding FALSE
     offset: np.ndarray  # (2,) u64: the free-XOR offset R
 
@@ -126,28 +141,35 @@ class GarbledCircuit:
         return (outs[..., 0] & _U64(1)).astype(np.uint8)
 
 
-def _sample_input_labels(
-    circuit: Circuit, n_inst: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh ``(label0, offset)`` with every input wire's label sampled.
+def _random_labels(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    raw = rng.integers(0, 1 << 63, size=shape, dtype=_U64)
+    return (raw << _U64(1)) | rng.integers(0, 2, size=shape, dtype=_U64)
+
+
+def _sample_offset(rng: np.random.Generator) -> np.ndarray:
+    """A fresh free-XOR offset ``R`` with ``lsb(R) = 1``.
 
     The RNG call sequence is part of the transcript-determinism contract:
-    a fixed seed yields the same labels, hence the same tables.
+    a fixed seed yields the same offset, hence the same tables.
     """
-    if n_inst < 1:
-        raise CryptoError("need at least one instance")
-    label0 = _label_buffer((circuit.n_wires, n_inst, LABEL_WORDS))
-    offset = rng.integers(0, 1 << 63, size=LABEL_WORDS, dtype=_U64)
-    offset = (offset << _U64(1)) | rng.integers(0, 2, size=LABEL_WORDS, dtype=_U64)
+    offset = _random_labels(rng, (LABEL_WORDS,))
     offset[0] |= _U64(1)  # lsb(R) = 1: point-and-permute select bits work
+    return offset
 
-    input_wires = circuit.garbler_inputs + circuit.evaluator_inputs
-    raw = rng.integers(0, 1 << 63, size=(len(input_wires), n_inst, LABEL_WORDS), dtype=_U64)
-    raw = (raw << _U64(1)) | rng.integers(
-        0, 2, size=(len(input_wires), n_inst, LABEL_WORDS), dtype=_U64
-    )
-    label0[input_wires] = raw
-    return label0, offset
+
+def _times(bits: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """``bits · R`` per instance: ``(n_inst,)`` bits -> ``(n_inst, 2)``."""
+    return bits[:, None].astype(_U64) * offset[None, :]
+
+
+def _garble_half(
+    a0: np.ndarray, g: np.ndarray, offset: np.ndarray, g_idx: int, hasher: _LabelHasher
+) -> tuple[np.ndarray, np.ndarray]:
+    """Garbler half gate ``a AND g`` for a bit ``g`` the garbler knows:
+    returns ``(W^0_out, T_G)``, one ciphertext."""
+    h_a0 = hasher(a0, 2 * g_idx)
+    t_g = h_a0 ^ hasher(a0 ^ offset, 2 * g_idx) ^ _times(g, offset)
+    return h_a0 ^ np.where((a0[:, :1] & _U64(1)).astype(bool), t_g, _U64(0)), t_g
 
 
 def _garble_and(
@@ -160,22 +182,13 @@ def _garble_and(
     """Garble one AND gate: writes ``label0[gate.out]``, returns (T_G, T_E)."""
     a0 = label0[gate.a]
     b0 = label0[gate.b]
-    a1 = a0 ^ offset
-    b1 = b0 ^ offset
-    p_a = (a0[:, 0] & _U64(1)).astype(bool)
-    p_b = (b0[:, 0] & _U64(1)).astype(bool)
-
-    h_a0 = hasher(a0, 2 * g_idx)
-    h_a1 = hasher(a1, 2 * g_idx)
-    h_b0 = hasher(b0, 2 * g_idx + 1)
-    h_b1 = hasher(b1, 2 * g_idx + 1)
-
-    # Garbler half gate.
-    t_g = h_a0 ^ h_a1 ^ np.where(p_b[:, None], offset[None, :], _U64(0))
-    w_g0 = h_a0 ^ np.where(p_a[:, None], t_g, _U64(0))
+    p_b = b0[:, 0] & _U64(1)
+    # Garbler half gate, on the permute bit of b.
+    w_g0, t_g = _garble_half(a0, p_b, offset, g_idx, hasher)
     # Evaluator half gate.
-    t_e = h_b0 ^ h_b1 ^ a0
-    w_e0 = h_b0 ^ np.where(p_b[:, None], t_e ^ a0, _U64(0))
+    h_b0 = hasher(b0, 2 * g_idx + 1)
+    t_e = h_b0 ^ hasher(b0 ^ offset, 2 * g_idx + 1) ^ a0
+    w_e0 = h_b0 ^ np.where(p_b.astype(bool)[:, None], t_e ^ a0, _U64(0))
 
     label0[gate.out] = w_g0 ^ w_e0
     return t_g, t_e
@@ -186,24 +199,66 @@ def garble(
     n_inst: int,
     rng: np.random.Generator,
     ro: RandomOracle = default_ro,
+    garbler_bits: np.ndarray | None = None,
+    input_label0: np.ndarray | None = None,
 ) -> GarbledCircuit:
-    """Garble ``circuit`` for ``n_inst`` parallel instances."""
-    label0, offset = _sample_input_labels(circuit, n_inst, rng)
+    """Garble ``circuit`` for ``n_inst`` parallel instances.
 
-    n_and = circuit.and_count
-    tables = _label_buffer((n_and, n_inst, 2, LABEL_WORDS))
+    ``garbler_bits`` (``(n_garbler_inputs, n_inst)``, default all zero)
+    are folded into the garbling.  ``input_label0`` are the FALSE labels
+    of the evaluator's inputs, ``(n_evaluator_inputs, n_inst, 2)``: in a
+    two-party run they come out of the label OT; by default they are
+    drawn from ``rng``.
+    """
+    if n_inst < 1:
+        raise CryptoError("need at least one instance")
+    known = circuit.garbler_known()
+    offset = _sample_offset(rng)
+    shape = (len(circuit.evaluator_inputs), n_inst, LABEL_WORDS)
+    if input_label0 is None:
+        input_label0 = _random_labels(rng, shape)
+    elif input_label0.shape != shape:
+        raise CryptoError(f"expected input labels of shape {shape}, got {input_label0.shape}")
+    values = np.zeros((circuit.n_wires, n_inst), dtype=np.uint8)
+    if garbler_bits is not None:
+        bits = np.asarray(garbler_bits, dtype=np.uint8)
+        if bits.shape != (len(circuit.garbler_inputs), n_inst):
+            raise CryptoError(
+                f"expected garbler bits of shape {(len(circuit.garbler_inputs), n_inst)}, "
+                f"got {bits.shape}"
+            )
+        values[circuit.garbler_inputs] = bits
+
+    label0 = _label_buffer((circuit.n_wires, n_inst, LABEL_WORDS))
+    label0[circuit.evaluator_inputs] = input_label0
+    tables = _label_buffer((circuit.table_rows, n_inst, LABEL_WORDS))
     hasher = _LabelHasher(n_inst, ro)
-    and_idx = 0
+    row = 0
     for g_idx, gate in enumerate(circuit.gates):
-        if gate.op == GateOp.XOR:
-            label0[gate.out] = label0[gate.a] ^ label0[gate.b]
+        a, b, out = gate.a, gate.b, gate.out
+        if known[out]:
+            if gate.op == GateOp.XOR:
+                values[out] = values[a] ^ values[b]
+            elif gate.op == GateOp.AND:
+                values[out] = values[a] & values[b]
+            else:
+                values[out] = values[a] ^ 1
         elif gate.op == GateOp.INV:
-            label0[gate.out] = label0[gate.a] ^ offset
+            label0[out] = label0[a] ^ offset
+        elif known[a] or known[b]:
+            real, g = (b, a) if known[a] else (a, b)
+            if gate.op == GateOp.XOR:
+                label0[out] = label0[real] ^ _times(values[g], offset)
+            else:
+                label0[out], tables[row] = _garble_half(
+                    label0[real], values[g], offset, g_idx, hasher
+                )
+                row += 1
+        elif gate.op == GateOp.XOR:
+            label0[out] = label0[a] ^ label0[b]
         else:
-            t_g, t_e = _garble_and(label0, offset, gate, g_idx, hasher)
-            tables[and_idx, :, 0] = t_g
-            tables[and_idx, :, 1] = t_e
-            and_idx += 1
+            tables[row], tables[row + 1] = _garble_and(label0, offset, gate, g_idx, hasher)
+            row += 2
 
     _check_poison(label0[circuit.outputs], "output")
     return GarbledCircuit(circuit=circuit, n_inst=n_inst, tables=tables, label0=label0, offset=offset)
@@ -216,12 +271,15 @@ def row_tweak(circuit: Circuit) -> int:
 
 
 def row_table(gc: GarbledCircuit, values: np.ndarray, ro: RandomOracle) -> np.ndarray:
-    """The 2-row output table on ``gc.circuit.row_wire``: ``(n_inst, 2)`` u64.
+    """The packed 2-row output table on ``gc.circuit.row_wire``.
 
-    ``values[:, b]`` is the word the evaluator opens when the wire
-    carries ``b``.  Point-and-permute: the row at the label's permute bit
-    holds ``H(W^b) ^ values[:, b]``, so the evaluator, holding one label,
-    opens exactly one row and cannot tell which value it got.
+    ``values[:, b]`` (``(n_inst, 2)``) is the word the evaluator opens
+    when the wire carries ``b``.  Point-and-permute: the row at the
+    label's permute bit holds ``H(W^b) ^ values[:, b]``, so the
+    evaluator, holding one label, opens exactly one row and cannot tell
+    which value it got.  Each row is cut to the circuit's ``row_bits``
+    and the ``2 n_inst`` rows are packed back to back
+    (:func:`~repro.utils.bits.pack_ring_words`).
     """
     circuit = gc.circuit
     if circuit.row_wire is None:
@@ -238,4 +296,5 @@ def row_table(gc: GarbledCircuit, values: np.ndarray, ro: RandomOracle) -> np.nd
     rows = np.empty((gc.n_inst, 2), dtype=_U64)
     rows[:, 0] = np.where(flip, sealed1, sealed0)
     rows[:, 1] = np.where(flip, sealed0, sealed1)
-    return rows
+    bits = circuit.row_bits
+    return pack_ring_words(Ring(bits).reduce(rows).reshape(1, -1), bits)[0]

@@ -2,17 +2,24 @@
 
 Roles follow ABNN2's non-linear layer: the **client garbles** and the
 **server evaluates** (the server's share ``z0`` is the circuit's output,
-so the evaluator is the output party).  The server's input bits enter via
-1-out-of-2 OT on wire labels (one IKNP session, reused across layers).
+so the evaluator is the output party).
 
-Message flow per execution:
+Message flow per execution, two messages:
 
-1. garbler -> evaluator: garbled tables, active labels for the garbler's
-   own inputs, the output decode bits and the 2-row table of the
-   circuit's row wire (empty when it has none);
-2. IKNP chosen-message OT: evaluator obtains active labels for its input
-   bits (label pairs are the OT messages);
-3. evaluator computes locally and decodes its outputs.
+1. evaluator -> garbler: the IKNP ``U`` matrix for its input bits, one
+   XOR-correlated OT per bit (:meth:`OtExtReceiver.recv_xor_correlated`);
+2. garbler -> evaluator: one frame ``(tables, decode_bits, rows,
+   corrections)``.  The garbler takes ``label0 = H(i, q_i)`` as the
+   FALSE label of evaluator input ``i``, garbles with its own bits
+   folded in (a garbler-known wire has no label, see
+   :mod:`repro.gc.garble`), and sends the garbled tables, the output
+   decode bits packed one bit each, the packed 2-row table of the
+   circuit's row wire (empty when it has none) and one kappa-bit
+   correction ``H(q_i) ^ H(q_i ^ s) ^ R`` per evaluator bit.
+
+The evaluator then opens its labels ``H(i, t_i) ^ c_i * correction_i``,
+evaluates locally and decodes its outputs.  No garbler label and no
+second label-OT ciphertext is ever sent.
 
 :class:`GcSessions` bundles that OT session and the random oracle the
 garbled tables hash with.  It runs no base OTs of its own: its seeds
@@ -34,6 +41,7 @@ from repro.gc.evaluate import decode_outputs, evaluate, read_row_table
 from repro.gc.garble import LABEL_WORDS, garble, row_table
 from repro.net.channel import Channel
 from repro.perf.trace import channel_span
+from repro.utils.bits import pack_bits, packed_word_count, unpack_bits
 
 _U64 = np.uint64
 _OT_DOMAIN_GC_INPUTS = 11
@@ -85,55 +93,65 @@ def run_garbler(
     """
     if (circuit.row_wire is None) != (row_values is None):
         raise ConfigError("row_values must be given exactly when the circuit has a row wire")
+    circuit.garbler_known()  # refuse a circuit with nothing to garble before any byte
+    n_eval_bits = len(circuit.evaluator_inputs)
+    with channel_span(chan, "gc-transfer", n_inst=n_inst):
+        inputs = sessions.ot.send_xor_correlated(
+            n_eval_bits * n_inst, LABEL_WORDS, domain=_OT_DOMAIN_GC_INPUTS
+        )
     with channel_span(chan, "garble", n_inst=n_inst, and_gates=circuit.and_count):
-        gc = garble(circuit, n_inst, rng, sessions.ro)
-        own_labels = gc.encode(circuit.garbler_inputs, garbler_bits)
+        gc = garble(
+            circuit, n_inst, rng, sessions.ro, garbler_bits,
+            inputs.x0.reshape(n_eval_bits, n_inst, LABEL_WORDS),
+        )
         if row_values is None:
-            rows = np.zeros((0, 2), dtype=_U64)
+            rows = np.zeros(0, dtype=_U64)
         else:
             rows = row_table(gc, row_values, sessions.ro)
+        frame = (
+            gc.tables, pack_bits(gc.output_decode_bits()), rows, inputs.correction(gc.offset)
+        )
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
-        chan.send((gc.tables, own_labels, gc.output_decode_bits(), rows))
-
-        n_eval_bits = len(circuit.evaluator_inputs)
-        if n_eval_bits:
-            # Label pairs for the evaluator's inputs, wire-major then instance.
-            base = gc.label0[circuit.evaluator_inputs].reshape(-1, LABEL_WORDS)
-            pairs = np.empty((base.shape[0], 2, LABEL_WORDS), dtype=_U64)
-            pairs[:, 0] = base
-            pairs[:, 1] = base ^ gc.offset
-            sessions.ot.send_chosen(pairs, domain=_OT_DOMAIN_GC_INPUTS)
+        chan.send(frame)
 
 
-def _check_garbler_frame(
-    frame, circuit: Circuit, n_inst: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the garbler's ``(tables, labels, decode_bits, rows)`` message.
+def _check_garbler_frame(frame, circuit: Circuit, n_inst: int):
+    """Validate the garbler's ``(tables, decode_bits, rows, corrections)``
+    frame and unpack its decode bits.
 
-    The frame comes from the peer, so its structure is checked before the
-    evaluator answers with a single label-OT byte.
+    The frame comes from the peer, so its structure is checked before
+    the evaluator touches it; the label-OT corrections are checked where
+    they are opened (:meth:`~repro.crypto.iknp.XorOtRecv.open`).
     """
     if not (
         isinstance(frame, tuple)
         and len(frame) == 4
-        and all(isinstance(part, np.ndarray) for part in frame)
+        and isinstance(frame[0], np.ndarray)
+        and isinstance(frame[1], bytes)
     ):
-        raise ProtocolError("malformed garbled-circuit frame: expected 4 arrays")
-    tables, garbler_labels, decode_bits, rows = frame
-    n_rows = 0 if circuit.row_wire is None else n_inst
-    for what, arr, shape in (
-        ("tables", tables, (circuit.and_count, n_inst, 2, LABEL_WORDS)),
-        ("garbler labels", garbler_labels, (len(circuit.garbler_inputs), n_inst, LABEL_WORDS)),
-        ("decode bits", decode_bits, (len(circuit.outputs), n_inst)),
-        ("row table", rows, (n_rows, 2)),
-    ):
-        if arr.shape != shape:
-            raise ProtocolError(
-                f"garbled-circuit {what}: expected shape {shape}, got {arr.shape}"
-            )
-    if any(arr.dtype != _U64 for arr in (tables, garbler_labels, rows)):
-        raise ProtocolError("garbled-circuit tables, labels and rows must be uint64")
-    return tables, garbler_labels, decode_bits, rows
+        raise ProtocolError(
+            "malformed garbled-circuit frame: expected (tables, decode bits, rows, corrections)"
+        )
+    tables, decode_bits, rows, corrections = frame
+    shape = (circuit.table_rows, n_inst, LABEL_WORDS)
+    if tables.shape != shape or tables.dtype != _U64:
+        raise ProtocolError(
+            f"garbled-circuit tables: expected uint64 of shape {shape}, got "
+            f"{tables.dtype} {tables.shape}"
+        )
+    n_out = len(circuit.outputs)
+    if len(decode_bits) != (n_out * n_inst + 7) // 8:
+        raise ProtocolError(
+            f"garbled-circuit decode bits: expected {(n_out * n_inst + 7) // 8} bytes, "
+            f"got {len(decode_bits)}"
+        )
+    words = 0 if circuit.row_wire is None else packed_word_count(2 * n_inst, circuit.row_bits)
+    if not (isinstance(rows, np.ndarray) and rows.dtype == _U64 and rows.shape == (words,)):
+        raise ProtocolError(
+            f"garbled-circuit row table: expected {words} uint64 words for {n_inst} "
+            f"instances at {circuit.row_bits} bits"
+        )
+    return tables, unpack_bits(decode_bits, n_out * n_inst).reshape(n_out, n_inst), rows, corrections
 
 
 def run_evaluator(
@@ -156,24 +174,21 @@ def run_evaluator(
         raise ProtocolError(
             f"expected evaluator bits of shape {(n_eval_bits, n_inst)}, got {bits.shape}"
         )
+    circuit.garbler_known()  # refuse a circuit with nothing to garble before any byte
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
-        tables, garbler_labels, decode_bits, rows = _check_garbler_frame(
+        inputs = sessions.ot.recv_xor_correlated(
+            bits.reshape(-1), LABEL_WORDS, domain=_OT_DOMAIN_GC_INPUTS
+        )
+        tables, decode_bits, rows, corrections = _check_garbler_frame(
             chan.recv(), circuit, n_inst
         )
-        if n_eval_bits:
-            my_labels = sessions.ot.recv_chosen(
-                bits.reshape(-1), LABEL_WORDS, domain=_OT_DOMAIN_GC_INPUTS
-            ).reshape(n_eval_bits, n_inst, LABEL_WORDS)
-        else:
-            my_labels = np.zeros((0, n_inst, LABEL_WORDS), dtype=_U64)
+        my_labels = inputs.open(corrections).reshape(n_eval_bits, n_inst, LABEL_WORDS)
 
     with channel_span(chan, "evaluate", n_inst=n_inst):
         wires = list(circuit.outputs)
         if circuit.row_wire is not None:
             wires.append(circuit.row_wire)
-        labels = evaluate(
-            circuit, tables, garbler_labels, my_labels, sessions.ro, wires=wires
-        )
+        labels = evaluate(circuit, tables, my_labels, sessions.ro, wires=wires)
         bits = decode_outputs(labels[: len(circuit.outputs)], decode_bits)
         if circuit.row_wire is None:
             return bits

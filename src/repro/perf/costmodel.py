@@ -423,22 +423,40 @@ def relu_and_gates(
     return (m - 1) + mask + subtract
 
 
-def _gc_relu_instance_bits(
-    out_bits: int, width: int | None, shift: int, kind: str, kappa: int
+def relu_half_gates(
+    out_bits: int, width: int | None = None, shift: int = 0, kind: str = "relu"
 ) -> int:
-    """Model bits of one ReLU-gadget instance: tables, garbler labels,
-    label OT and one bit per decoded output, plus the 2-row table's two
-    64-bit words when ``k < l'``."""
+    """ANDs of the ReLU gadget with one garbler-known operand.
+
+    Each is a one-ciphertext garbler half gate: the adder's first AND
+    (``y0[0] & y1[0]``, when ``m > 1``) and, unless ``kind="sign"``, the
+    subtraction's first (it ORs in ``~z1[0]``, when the subtraction has
+    an AND at all).  Every other AND has two labelled operands.
+    """
+    m = out_bits if width is None else width
+    adder = int(m > 1)
+    if kind == "sign":
+        return adder
+    k = m - shift
+    return adder + int(k < out_bits or min(k, out_bits) > 1)
+
+
+def _gc_relu_layer_bits(
+    out_bits: int, n: int, width: int | None, shift: int, kind: str, kappa: int
+) -> int:
+    """Wire bits of one ReLU-gadget execution on ``n`` instances: the
+    garbler's frame and the evaluator's label-OT ``U``."""
     m = out_bits if width is None else width
     k = 1 if kind == "sign" else min(m - shift, out_bits)
-    garbler_inputs = m if kind == "sign" else m + k
-    rows = 2 * 64 if kind != "sign" and m - shift < out_bits else 0
+    ands = relu_and_gates(out_bits, width, shift, kind)
+    half = relu_half_gates(out_bits, width, shift, kind)
+    high = out_bits - (m - shift)
+    rows = 64 * _words(2 * n, high) if kind != "sign" and high > 0 else 0
     return (
-        relu_and_gates(out_bits, width, shift, kind) * 2 * kappa  # garbled tables
-        + garbler_inputs * kappa  # client's y1 (and z1) labels
-        + m * (2 * kappa + kappa)  # label OT for the server's y0 bits
-        + k  # decode bits
-        + rows
+        n * (2 * ands - half) * kappa  # garbled tables: one row per half gate
+        + n * m * 2 * kappa  # label C-OT: U column and correction per y0 bit
+        + 8 * ((k * n + 7) // 8)  # decode bits, packed
+        + rows  # the 2-row table, packed at l' - k bits per row
     )
 
 
@@ -453,14 +471,17 @@ def gc_relu_comm_bits(
 
     Per instance, with ``m = width`` (default ``l'``, the output ring's
     width) and ``k = min(m - f, l')`` output bits: :func:`relu_and_gates`
-    AND gates at two kappa-bit ciphertexts each (half-gates), ``m + k``
-    garbler input labels, an ``m``-bit label OT for the evaluator's input
-    (2 kappa-bit ciphertexts + kappa bits of OT-extension matrix per
-    bit), ``k`` decode bits and, when ``m - f < l'``, the two 64-bit rows
-    of the high-bits table.  At full width (``m = l'``, ``f = 0``) this
-    is the paper's ``3l - 2``-AND circuit.
+    AND gates at two kappa-bit ciphertexts each (half-gates), less one
+    per :func:`relu_half_gates` garbler half gate; an ``m``-bit label
+    C-OT for the evaluator's input (kappa bits of OT-extension matrix and
+    one kappa-bit correction per bit).  The garbler's ``m + k`` input
+    bits cost nothing: they are folded into the garbling.  Per layer,
+    the ``k n`` decode bits packed into bytes and, when ``m - f < l'``,
+    the ``2n`` rows of the high-bits table packed at ``l' - (m - f)``
+    bits each.  At full width (``m = l'``, ``f = 0``) the circuit is the
+    paper's ``3l - 2``-AND one.
     """
-    return n_relus * _gc_relu_instance_bits(out_bits, width, shift, "relu", kappa)
+    return _gc_relu_layer_bits(out_bits, n_relus, width, shift, "relu", kappa)
 
 
 def gc_relu_wire_bits(
@@ -474,32 +495,28 @@ def gc_relu_wire_bits(
 ) -> int:
     """Exact wire bits of one GC ReLU layer, base OTs excluded.
 
-    ``oblivious``: :func:`gc_relu_comm_bits` plus one documented constant
-    delta — the implementation ships output decode bits as one uint8 per
-    bit, ``+7k`` bits per instance.  ``optimized`` (``n_positive`` of the
-    ``n_relus`` signs came out non-negative, a fact both parties learn):
-    the sign stage on every instance, the packed sign frame back, the
-    reconstruct stage on the positives and one 64-bit ``-z1`` word per
-    negative.  Every other term is byte-exact on the wire: half-gate
-    tables are two 128-bit ciphertexts per AND, labels are 128 bits, the
-    IKNP U column is ``kappa`` bits per OT and the chosen-message
-    ciphertext ``2 kappa``.  The conformance suite asserts *equality*.
+    ``oblivious``: :func:`gc_relu_comm_bits`.  ``optimized``
+    (``n_positive`` of the ``n_relus`` signs came out non-negative, a
+    fact both parties learn): the sign stage on every instance, the
+    packed sign frame back, the reconstruct stage on the positives and
+    the ``-z1`` shares of the negatives packed at ``l'`` bits.  Every
+    term is byte-exact on the wire: half-gate tables are 128-bit
+    ciphertexts, the IKNP U column is ``kappa`` bits per OT and the
+    label correction ``kappa``; decode bits, rows and shares pad only to
+    their frame's byte or word.  The conformance suite asserts
+    *equality*.
     """
-    m = out_bits if width is None else width
-    k = min(m - shift, out_bits)
     if variant == "oblivious":
-        return gc_relu_comm_bits(out_bits, n_relus, width, shift, kappa) + 7 * k * n_relus
+        return gc_relu_comm_bits(out_bits, n_relus, width, shift, kappa)
     if variant != "optimized":
         raise ConfigError(f"unknown ReLU variant {variant!r}")
     if n_positive is None:
         raise ConfigError("the optimized ReLU is priced from its n_positive")
-    sign = _gc_relu_instance_bits(out_bits, width, 0, "sign", kappa) + 7
-    rebuild = _gc_relu_instance_bits(out_bits, width, shift, "reconstruct", kappa) + 7 * k
     return (
-        n_relus * sign
+        _gc_relu_layer_bits(out_bits, n_relus, width, 0, "sign", kappa)
         + 8 * ((n_relus + 7) // 8)  # the revealed sign pattern
-        + n_positive * rebuild
-        + 64 * (n_relus - n_positive)  # -z1 for the negatives
+        + _gc_relu_layer_bits(out_bits, n_positive, width, shift, "reconstruct", kappa)
+        + 64 * _words(n_relus - n_positive, out_bits)  # -z1 for the negatives
     )
 
 

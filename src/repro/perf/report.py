@@ -22,8 +22,7 @@ Tolerances are *derived*, not hand-waved: the wire formats pad to
   of each chunk to a word (under 64 bits per chunk) — the checker
   asserts byte equality at ``predicted + slack``;
 * **share frames** are byte-exact against ``share_frame_bits``;
-* **GC ReLU** is byte-exact against ``gc_relu_wire_bits`` (which
-  documents the one constant delta: decode bits travel as bytes); the
+* **GC ReLU** is byte-exact against ``gc_relu_wire_bits``; the
   optimized variant is priced from the ``n_positive`` its span records.
 
 The base-OT set-up (``base-ot`` spans) runs once per channel and

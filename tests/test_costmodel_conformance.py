@@ -447,7 +447,7 @@ class TestGcReluConformance:
 class TestEndToEndTraceConformance:
     def test_secure_predict_traces_conform(self, trained_model, small_dataset, test_group):
         """Every modeled span in a full prediction run is within tolerance."""
-        from repro.core.protocol import secure_predict
+        from repro.core.protocol import ModelMeta, secure_predict
         from repro.nn.quantize import quantize_model
         from repro.quant.fragments import FragmentScheme
 
@@ -465,12 +465,15 @@ class TestEndToEndTraceConformance:
             assert sum(row.kind == "triplets" for row in rows) == len(qmodel.layers)
             assert all(row.ok is True for row in rows if row.predicted_bits is not None)
             # each layer's ReLU span is the (l, m, f, n) closed form to the byte
+            # (the output ring, the next layer's, sizes the packed row table)
             relu_rows = [row for row in rows if row.kind == "relu"]
+            meta = ModelMeta.from_model(qmodel)
             assert [row.core_bits for row in relu_rows] == [
                 gc_relu_wire_bits(
-                    32, layer.out_features * batch, layer.relu_bits, layer.truncate_bits
+                    meta.layer_ring(i + 1).bits, layer.out_features * batch,
+                    layer.relu_bits, layer.truncate_bits,
                 )
-                for layer in qmodel.layers[:-1]
+                for i, layer in enumerate(qmodel.layers[:-1])
             ]
             assert all(layer.relu_bits < 32 for layer in qmodel.layers[:-1])
             assert check_conformance(trace) == []

@@ -289,9 +289,9 @@ class TestOnlineFaultFuzz:
 
     @pytest.mark.parametrize("kind", ["drop", "truncate", "corrupt", "stall"])
     def test_every_online_send_fails_typed(self, fuzz_env, kind):
-        # input share, then per ReLU layer the GC frame and the label-OT
-        # ciphertexts (the base OTs ran offline, in the KK13 set-up)
-        assert fuzz_env.client_online_sends == 5
+        # input share, then per ReLU layer the one GC frame, label-OT
+        # corrections included (the base OTs ran offline, in the KK13 set-up)
+        assert fuzz_env.client_online_sends == 3
         for offset in range(fuzz_env.client_online_sends):
             plan = FaultPlan(
                 [

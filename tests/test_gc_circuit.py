@@ -15,7 +15,7 @@ from repro.gc.builder import (
     sub_words,
 )
 from repro.gc.circuit import Circuit
-from repro.perf.costmodel import relu_and_gates
+from repro.perf.costmodel import relu_and_gates, relu_half_gates
 from repro.utils.bits import bits_to_int, int_to_bits
 from repro.utils.ring import Ring
 
@@ -157,6 +157,22 @@ class TestTemplates:
         assert sign_template(width).and_count == relu_and_gates(ring_bits, width, 0, "sign")
         assert len(relu.evaluator_inputs) == width and len(relu.outputs) == k
         assert relu.row_wire is not None and rebuild.row_wire is not None
+
+    @pytest.mark.parametrize(
+        "out_bits,width,shift", [(32, 13, 3), (8, 3, 2), (4, 8, 2), (2, 2, 1), (1, 1, 0)]
+    )
+    def test_table_rows_match_the_cost_model(self, out_bits, width, shift):
+        """Ciphertexts per instance: two per AND less one per half gate,
+        narrowed, at and above the output ring, and at degenerate widths."""
+        for kind, circ, f in (
+            ("relu", relu_template(width, shift, out_bits), shift),
+            ("reconstruct", reconstruct_sub_template(width, shift, out_bits), shift),
+            ("sign", sign_template(width), 0),
+        ):
+            assert circ.and_count == relu_and_gates(out_bits, width, f, kind)
+            assert circ.table_rows == 2 * circ.and_count - relu_half_gates(
+                out_bits, width, f, kind
+            )
 
     def test_sign_template(self, rng):
         ring = Ring(16)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.gc.builder import relu_template, sign_template
 from repro.gc.circuit import Circuit
 from repro.gc.garble import LABEL_WORDS
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
-from repro.utils.bits import bits_to_int, int_to_bits
+from repro.utils.bits import bits_to_int, int_to_bits, packed_word_count
 from repro.utils.ring import Ring
 
 
@@ -41,13 +41,14 @@ class TestGcProtocol:
         assert (got == ring.sub(relu, z1)).all()
 
     def test_no_evaluator_inputs(self, test_group):
-        # A circuit whose inputs all belong to the garbler skips the OT.
+        # A circuit whose inputs all belong to the garbler has only
+        # garbler-known outputs: nothing to garble, refused before any byte.
         circ = Circuit()
         a = circ.garbler_input(2)
         circ.mark_outputs([circ.and_(a[0], a[1])])
         g_bits = np.array([[1, 1], [1, 0]], dtype=np.uint8)  # two instances
-        result = _run_gc(circ, g_bits, np.zeros((0, 2), dtype=np.uint8), 2, test_group)
-        assert result.client[0].tolist() == [1, 0]
+        with pytest.raises(ConfigError):
+            _run_gc(circ, g_bits, np.zeros((0, 2), dtype=np.uint8), 2, test_group)
 
     def test_session_reuse_two_layers(self, test_group, rng):
         ring = Ring(8)
@@ -119,32 +120,50 @@ class TestGcProtocol:
 
 def _garbler_frame(circ, n_inst, words=LABEL_WORDS):
     """A zero-filled frame with the shapes ``run_garbler`` sends."""
+    row_words = 0 if circ.row_wire is None else packed_word_count(2 * n_inst, circ.row_bits)
     return (
-        np.zeros((circ.and_count, n_inst, 2, words), dtype=np.uint64),
-        np.zeros((len(circ.garbler_inputs), n_inst, words), dtype=np.uint64),
-        np.zeros((len(circ.outputs), n_inst), dtype=np.uint8),
-        np.zeros((0, 2), dtype=np.uint64),
+        np.zeros((circ.table_rows, n_inst, words), dtype=np.uint64),
+        bytes((len(circ.outputs) * n_inst + 7) // 8),
+        np.zeros(row_words, dtype=np.uint64),
+        np.zeros((len(circ.evaluator_inputs) * n_inst, words), dtype=np.uint64),
     )
 
 
 class TestMalformedGarblerFrame:
-    """The evaluator validates the garbler's frame before the label OT."""
+    """The evaluator validates the garbler's one frame: structure,
+    table rows, packed decode bits and row table, label corrections."""
 
     @pytest.mark.parametrize(
-        "kind", ["two-tuple", "bare-array", "instance-count", "label-words"]
+        "kind",
+        [
+            "two-tuple", "bare-array", "instance-count", "label-words", "decode-bytes",
+            "row-words", "correction-words",
+        ],
     )
     def test_rejected_before_label_ot(self, test_group, kind):
-        circ, n_inst = relu_template(8), 2
+        # A 6-bit ReLU into an 8-bit ring: a 2-row table of 2-bit rows.
+        circ, n_inst = relu_template(6, 0, 8), 2
+        good = _garbler_frame(circ, n_inst)
         frame = {
-            "two-tuple": _garbler_frame(circ, n_inst)[:2],
+            "two-tuple": good[:2],
             "bare-array": np.zeros((3, n_inst), dtype=np.uint64),
-            "instance-count": _garbler_frame(circ, n_inst + 1),
-            "label-words": _garbler_frame(circ, n_inst, words=LABEL_WORDS + 1),
+            "instance-count": _garbler_frame(circ, n_inst + 1)[:1] + good[1:],
+            "label-words": _garbler_frame(circ, n_inst, words=LABEL_WORDS + 1)[:1] + good[1:],
+            "decode-bytes": (good[0], good[1] + b"\0", *good[2:]),
+            "row-words": (*good[:2], np.zeros(2, dtype=np.uint64), good[3]),
+            "correction-words": good[:3] + (good[3][:, :1].copy(),),
         }[kind]
-        evaluator_chan, garbler_chan = make_channel_pair(timeout_s=2.0)
-        garbler_chan.send(frame)
-        sessions = GcSessions(evaluator_chan, "evaluator", group=test_group, seed=4)
-        e_bits = np.zeros((len(circ.evaluator_inputs), n_inst), dtype=np.uint8)
-        with pytest.raises(ProtocolError, match="garbled-circuit"):
-            run_evaluator(evaluator_chan, circ, e_bits, n_inst, sessions)
-        assert evaluator_chan.stats.messages_sent[evaluator_chan.party] == 0
+
+        def garbler_fn(chan):
+            # the evaluator's U arrives first; answer it with the bad frame
+            sessions = GcSessions(chan, "garbler", group=test_group, seed=3)
+            sessions.ot.send_xor_correlated(len(circ.evaluator_inputs) * n_inst, LABEL_WORDS)
+            chan.send(frame)
+
+        def evaluator_fn(chan):
+            sessions = GcSessions(chan, "evaluator", group=test_group, seed=4)
+            e_bits = np.zeros((len(circ.evaluator_inputs), n_inst), dtype=np.uint8)
+            return run_evaluator(chan, circ, e_bits, n_inst, sessions)
+
+        with pytest.raises(ProtocolError, match="garbled-circuit|correction"):
+            run_protocol(garbler_fn, evaluator_fn, timeout_s=10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
-from repro.errors import CryptoError
+from repro.errors import CryptoError, ProtocolError
 from repro.net import run_protocol
 from repro.utils.ring import Ring
 
@@ -112,6 +112,69 @@ class TestCorrelated:
             ).total_bytes
 
         assert run(ring16) < run(ring64)
+
+
+class TestXorCorrelated:
+    """ALSZ13's C-OT for free-XOR labels: the receiver's ``U`` first, then
+    one ``W``-word correction per OT, and the receiver holds
+    ``x0 ^ c * delta``."""
+
+    def test_correlation_on_ragged_batches(self, test_group, rng):
+        sizes, width = (1, 63, 65, 200), 2
+        deltas = rng.integers(0, 1 << 63, size=(len(sizes), width), dtype=np.uint64)
+        choices = [rng.integers(0, 2, size=m, dtype=np.uint8) for m in sizes]
+
+        def server_fn(ch):
+            received = []
+            recv = ch.recv
+            ch.recv = lambda: received.append(recv()) or received[-1]
+            sender = OtExtSender(ch, group=test_group, seed=1)
+            x0s = []
+            for m, delta in zip(sizes, deltas):
+                half = sender.send_xor_correlated(m, width)
+                # U: kappa bits per OT, nothing else
+                assert isinstance(received[-1], bytes) and len(received[-1]) == 128 * m // 8
+                correction = half.correction(delta)
+                assert correction.shape == (m, width) and correction.dtype == np.uint64
+                ch.send(correction)
+                x0s.append(half.x0)
+            return x0s
+
+        def client_fn(ch):
+            receiver = OtExtReceiver(ch, group=test_group, seed=2)
+            return [receiver.recv_xor_correlated(c, width).open(ch.recv()) for c in choices]
+
+        result = run_protocol(server_fn, client_fn)
+        for x0, got, c, delta in zip(result.server, result.client, choices, deltas):
+            assert x0.shape == got.shape == (c.size, width)
+            assert (got == x0 ^ c[:, None].astype(np.uint64) * delta).all()
+        # the pads are fresh per OT, across batches too
+        assert len({tuple(row) for x0 in result.server for row in x0}) == sum(sizes)
+
+    @pytest.mark.parametrize("bad", ["short", "wide", "dtype", "bytes"])
+    def test_malformed_correction_refused(self, test_group, bad):
+        m, width = 5, 2
+
+        def server_fn(ch):
+            half = OtExtSender(ch, group=test_group, seed=1).send_xor_correlated(m, width)
+            correction = half.correction(np.ones(width, dtype=np.uint64))
+            ch.send(
+                {
+                    "short": correction[:-1].copy(),
+                    "wide": np.zeros((m, width + 1), dtype=np.uint64),
+                    "dtype": correction.astype(np.int64),
+                    "bytes": correction.tobytes(),
+                }[bad]
+            )
+
+        def client_fn(ch):
+            receiver = OtExtReceiver(ch, group=test_group, seed=2)
+            return receiver.recv_xor_correlated(np.ones(m, dtype=np.uint8), width).open(
+                ch.recv()
+            )
+
+        with pytest.raises(ProtocolError, match="correction"):
+            run_protocol(server_fn, client_fn, timeout_s=10)
 
 
 class TestSessions:

@@ -33,8 +33,14 @@ def random_circuits(draw):
         else:
             b = draw(st.sampled_from(wires))
             wires.append(getattr(circ, {"xor": "xor", "and": "and_", "or": "or_"}[op])(a, b))
-    n_outputs = draw(st.integers(1, min(4, len(wires))))
-    circ.mark_outputs(draw(st.lists(st.sampled_from(wires), min_size=n_outputs, max_size=n_outputs)))
+    # The evaluator learns outputs through labels: none may be a wire the
+    # garbler computes alone (the evaluator's inputs always qualify).
+    known = circ.garbler_known()
+    labelled = [w for w in wires if not known[w]]
+    n_outputs = draw(st.integers(1, min(4, len(labelled))))
+    circ.mark_outputs(
+        draw(st.lists(st.sampled_from(labelled), min_size=n_outputs, max_size=n_outputs))
+    )
     circ.validate()
     return circ
 
@@ -48,13 +54,8 @@ class TestRandomCircuits:
         g_bits = rng.integers(0, 2, size=(len(circ.garbler_inputs), n_inst), dtype=np.uint8)
         e_bits = rng.integers(0, 2, size=(len(circ.evaluator_inputs), n_inst), dtype=np.uint8)
 
-        gcirc = garble(circ, n_inst, rng)
-        out_labels = evaluate(
-            circ,
-            gcirc.tables,
-            gcirc.encode(circ.garbler_inputs, g_bits),
-            gcirc.encode(circ.evaluator_inputs, e_bits),
-        )
+        gcirc = garble(circ, n_inst, rng, garbler_bits=g_bits)
+        out_labels = evaluate(circ, gcirc.tables, gcirc.encode(circ.evaluator_inputs, e_bits))
         got = decode_outputs(out_labels, gcirc.output_decode_bits())
         expect = circ.eval_plain(g_bits.T, e_bits.T).T
         assert (got == expect).all()

@@ -24,6 +24,7 @@ from repro.gc.garble import garble
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
 from repro.quant.fragments import FragmentScheme
+from repro.utils.bits import int_to_bits
 from repro.utils.ring import Ring
 
 
@@ -91,7 +92,7 @@ class TestSha256Backend:
         a SHA-256 garbling from the same generator."""
         ring, n = Ring(8), 10
         y0, y1, z1 = (ring.sample(rng, n) for _ in range(3))
-        received = []
+        received, input_labels = [], []
 
         def server(ch):
             recv = ch.recv
@@ -99,16 +100,22 @@ class TestSha256Backend:
             sessions = GcSessions(ch, "evaluator", group=test_group, ro=sha256_ro, seed=1)
             return relu_layer_server(ch, y0, sessions, ring)
 
-        run_protocol(
-            server,
-            lambda ch: relu_layer_client(
-                ch, y1, z1,
-                GcSessions(ch, "garbler", group=test_group, ro=sha256_ro, seed=2),
-                ring, np.random.default_rng(7),
-            ),
+        def client(ch):
+            sessions = GcSessions(ch, "garbler", group=test_group, ro=sha256_ro, seed=2)
+            send = sessions.ot.send_xor_correlated
+            sessions.ot.send_xor_correlated = lambda *a, **kw: (
+                input_labels.append(send(*a, **kw)) or input_labels[-1]
+            )
+            return relu_layer_client(ch, y1, z1, sessions, ring, np.random.default_rng(7))
+
+        run_protocol(server, client)
+        # the garbler's one frame, after the base-OT handshake
+        tables = next(m for m in received if isinstance(m, tuple) and len(m) == 4)[0]
+        garbler_bits = np.concatenate([int_to_bits(y1, 8), int_to_bits(z1, 8)], axis=1).T
+        expected = garble(
+            relu_template(8), n, np.random.default_rng(7), sha256_ro, garbler_bits,
+            input_labels[0].x0.reshape(8, n, 2),
         )
-        tables = received[0][0]
-        expected = garble(relu_template(8), n, np.random.default_rng(7), sha256_ro)
         assert (tables == expected.tables).all()
 
     def test_mixed_backends_fail_loudly(self, test_group, rng):

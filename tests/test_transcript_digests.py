@@ -76,12 +76,12 @@ class DigestChannel:
 #: (server, client) digest prefixes of each pinned run.  Chunking is a
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
-    "fig4_b1": ("2ea616f33b52ba4d", "e22d9a64e0342505"),
-    "fig4_b8": ("9ff238ad1763d331", "57b8452534a1c3a6"),
-    "vgg_cifar_side12": ("31677ea9050ac317", "481a8538594a3a46"),
-    "vgg_cifar_side12_chunk7": ("31677ea9050ac317", "481a8538594a3a46"),
-    "vgg_cifar_side12_winograd": ("3909a21cb0a377e6", "0c2e61b005591f1b"),
-    "served_bank_keepalive": ("de13d3fe3fc2a5cc", "c318f80fe88ad164"),
+    "fig4_b1": ("f5ad9dccf6a2063c", "41b13a4806b92ba4"),
+    "fig4_b8": ("5023412890a2c001", "54bf0d7e60388a02"),
+    "vgg_cifar_side12": ("fff69304fe42194d", "6a9dd2f165640f2a"),
+    "vgg_cifar_side12_chunk7": ("fff69304fe42194d", "6a9dd2f165640f2a"),
+    "vgg_cifar_side12_winograd": ("9ab2b985c22c3236", "f97ae68b3b07cb7b"),
+    "served_bank_keepalive": ("5deb31fbb51d426a", "733247cccc15bc37"),
 }
 
 

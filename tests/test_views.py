@@ -191,6 +191,71 @@ class TestReluRowTableUniform:
         assert chi2 < self.CHI2_CRIT, (variant, y_value, chi2)
 
 
+class TestGcFrameIndependentOfGarblerBits:
+    """ROADMAP 10(b) for the GC frame: the garbler's bits are folded into
+    the garbling, so what the evaluator receives — the garbled tables,
+    the label-OT corrections and the sealed rows of the 2-row table —
+    is uniform whatever they are.
+
+    Two garbler inputs ``(y1, z1)`` against the same ``y0``, each held
+    fixed over 2048 ReLU instances (independent circuit runs) of
+    ``Ring(10)``, ``m = 6``, ``f = 2``: every word position of the frame
+    gets a fixed-seed chi-squared test on its low 6 bits (64 bins, 32
+    expected per bin), at alpha = 0.001 split over the 128 positions
+    tested per input.  A garbler bit sent in the clear makes its
+    position constant across instances; a garbling that skips the fold
+    of the garbler's bits gets the output wrong.
+    """
+
+    BITS, WIDTH, SHIFT = 10, 6, 2
+    N_INST = 2048
+    #: chi-squared critical value, 63 degrees of freedom, alpha = 0.001 / 128
+    CHI2_CRIT = 123.678
+    Y0 = 1000
+
+    def _view(self, y1_value, z1_value, test_group):
+        ring = Ring(self.BITS)
+        y0 = ring.reduce(np.full(self.N_INST, self.Y0, dtype=np.int64))
+        y1 = ring.reduce(np.full(self.N_INST, y1_value, dtype=np.int64))
+        z1 = ring.reduce(np.full(self.N_INST, z1_value, dtype=np.int64))
+        server_chan, client_chan = make_channel_pair(timeout_s=60.0)
+        view = _RecordingChannel(server_chan)
+        result = run_protocol(
+            lambda ch: relu_layer_server(
+                ch, y0, GcSessions(ch, "evaluator", group=test_group, seed=1), ring,
+                "oblivious", self.WIDTH, self.SHIFT,
+            ),
+            lambda ch: relu_layer_client(
+                ch, y1, z1, GcSessions(ch, "garbler", group=test_group, seed=2), ring,
+                np.random.default_rng(9), "oblivious", self.WIDTH, self.SHIFT,
+            ),
+            channels=(view, client_chan),
+        )
+        y = int(ring.to_signed(ring.add(y0[:1], y1[:1]))[0])
+        assert -(1 << (self.WIDTH - 1)) < y < 1 << (self.WIDTH - 1)
+        relu = ring.reduce(np.full(self.N_INST, max(y >> self.SHIFT, 0), dtype=np.int64))
+        assert (ring.add(result.server, z1) == relu).all()
+        frames = [m for m in view.received if isinstance(m, tuple) and len(m) == 4]
+        assert len(frames) == 1
+        return frames[0]
+
+    @pytest.mark.parametrize("y1_value,z1_value", [(45, 0), (20, 1023)])
+    def test_frame_words_uniform(self, y1_value, z1_value, test_group):
+        tables, decode_bits, rows, corrections = self._view(y1_value, z1_value, test_group)
+        n, k = self.N_INST, self.WIDTH - self.SHIFT
+        assert len(decode_bits) == k * n // 8
+        high = self.BITS - k
+        sealed = unpack_ring_words(rows[None, :], high, 2 * n).reshape(n, 2)
+        columns = [
+            *(tables[r, :, w] for r in range(tables.shape[0]) for w in range(2)),
+            *(c for c in corrections.reshape(self.WIDTH, n, 2).transpose(0, 2, 1).reshape(-1, n)),
+            sealed[:, 0], sealed[:, 1],
+        ]
+        assert len(columns) <= 128
+        worst = max(_chi2_uniform(col & np.uint64(63), 64) for col in columns)
+        assert worst < self.CHI2_CRIT, (y1_value, z1_value, worst)
+
+
 class TestNarrowRingFramesUniform:
     """ROADMAP 10(b) for the per-layer rings: frames packed at a narrow
     ring's width are uniform over that ring whatever the secret, under
