@@ -2,10 +2,11 @@
 
 Not a paper table — these isolate the paper's individual optimizations:
 
-1. **one-batch C-OT trick** (Section 4.1.3) vs running the multi-batch
-   protocol at o = 1;
-2. **multi-batch OT reuse** (Section 4.1.2) vs repeating the one-batch
-   protocol o times;
+1. **one-batch C-OT trick** (Section 4.1.3) at o = 1: the measured
+   bytes against Table 1's N-message closed form, which the protocol no
+   longer runs (pad 0 is the share at every batch width);
+2. **multi-batch OT reuse** (Section 4.1.2) at o = 8 vs repeating the
+   o = 1 protocol o times, and against the N-message closed form;
 3. **optimized ReLU** (Section 4.2) vs the oblivious Algorithm-2 ReLU;
 4. **fragment radix sweep** at fixed eta (the (N, gamma) trade-off).
 """
@@ -13,7 +14,7 @@ Not a paper table — these isolate the paper's individual optimizations:
 import numpy as np
 import pytest
 
-from conftest import random_weights
+from conftest import paper_n_message_bits, random_weights
 from repro.core.params import enumerate_costs
 from repro.core.protocol import secure_predict
 from repro.core.triplets import (
@@ -22,6 +23,7 @@ from repro.core.triplets import (
     generate_triplets_server,
 )
 from repro.net import run_protocol
+from repro.perf.costmodel import abnn2_comm_bits
 from repro.quant.fragments import FragmentScheme
 from repro.utils.ring import Ring
 
@@ -29,10 +31,10 @@ RING = Ring(32)
 MB = 1024 * 1024
 
 
-def _triplets(scheme, m, n, o, mode, group, rng):
+def _triplets(scheme, m, n, o, group, rng):
     w = random_weights(scheme, (m, n), rng)
     r = RING.sample(rng, (n, o))
-    config = TripletConfig(ring=RING, scheme=scheme, m=m, n=n, o=o, mode=mode, group=group)
+    config = TripletConfig(ring=RING, scheme=scheme, m=m, n=n, o=o, group=group)
     return run_protocol(
         lambda ch: generate_triplets_server(ch, w, config, seed=1),
         lambda ch: generate_triplets_client(ch, r, config, np.random.default_rng(2), seed=3),
@@ -40,27 +42,31 @@ def _triplets(scheme, m, n, o, mode, group, rng):
     )
 
 
+def _extension_bytes(scheme, m, n, o, measured):
+    """Measured bytes past the model: the base-OT set-up and framing."""
+    return measured - abnn2_comm_bits(scheme, m, n, o, RING.bits) / 8
+
+
 def test_ablation_one_batch_trick(benchmark, bench_group, bench_rng):
     """Section 4.1.3: N-1 messages instead of N at o = 1."""
     scheme = FragmentScheme.from_bits((2, 2))
     m, n = 64, 128
 
-    def run():
-        one = _triplets(scheme, m, n, 1, "one", bench_group, bench_rng)
-        multi = _triplets(scheme, m, n, 1, "multi", bench_group, bench_rng)
-        return one, multi
-
-    one, multi = benchmark.pedantic(run, rounds=1, iterations=1)
-    saving = 1 - one.total_bytes / multi.total_bytes
+    one = benchmark.pedantic(
+        lambda: _triplets(scheme, m, n, 1, bench_group, bench_rng), rounds=1, iterations=1
+    )
+    paper = paper_n_message_bits(scheme, m, n, 1, RING.bits) / 8
     benchmark.extra_info.update(
         {
             "one_batch_MB": round(one.total_bytes / MB, 3),
-            "multi_at_o1_MB": round(multi.total_bytes / MB, 3),
-            "saving": round(saving, 3),
+            "n_message_form_at_o1_MB": round(paper / MB, 3),
+            "saving": round(1 - one.total_bytes / paper, 3),
         }
     )
-    # Model: (l*(N-1) + 2k) vs (l*N + 2k) per OT -> ~8% for N=4, l=32.
-    assert one.total_bytes < multi.total_bytes
+    # Model: (l*(N-1) + c(N)) vs (l*N + c(N)) per OT -> ~9% for N=4, l=32;
+    # the measured bytes sit on the N - 1 form, up to base OTs and framing.
+    assert 0 <= _extension_bytes(scheme, m, n, 1, one.total_bytes) < 20_000
+    assert one.total_bytes < paper
 
 
 def test_ablation_multi_batch_reuse(benchmark, bench_group, bench_rng):
@@ -69,22 +75,27 @@ def test_ablation_multi_batch_reuse(benchmark, bench_group, bench_rng):
     m, n, o = 32, 64, 8
 
     def run():
-        multi = _triplets(scheme, m, n, o, "multi", bench_group, bench_rng)
+        multi = _triplets(scheme, m, n, o, bench_group, bench_rng)
         singles_bytes = sum(
-            _triplets(scheme, m, n, 1, "one", bench_group, bench_rng).total_bytes
+            _triplets(scheme, m, n, 1, bench_group, bench_rng).total_bytes
             for _ in range(o)
         )
         return multi, singles_bytes
 
     multi, singles_bytes = benchmark.pedantic(run, rounds=1, iterations=1)
+    paper = paper_n_message_bits(scheme, m, n, o, RING.bits) / 8
     benchmark.extra_info.update(
         {
             "multi_batch_MB": round(multi.total_bytes / MB, 3),
             "repeated_one_batch_MB": round(singles_bytes / MB, 3),
+            "n_message_form_at_o8_MB": round(paper / MB, 3),
         }
     )
-    # Reuse shares the 2k-bit OT-extension overhead across the batch.
+    # Reuse shares the c(N)-bit OT-extension overhead across the batch,
+    # and pad 0 as the share saves o*l bits per OT on the N-message form.
     assert multi.total_bytes < singles_bytes
+    assert 0 <= _extension_bytes(scheme, m, n, o, multi.total_bytes) < 20_000
+    assert multi.total_bytes < paper
 
 
 def test_ablation_relu_variant(benchmark, quantized_fig4, fig4_dataset, bench_group):
@@ -185,18 +196,25 @@ def test_ablation_winograd_conv(benchmark, bench_group):
 
 @pytest.mark.parametrize("eta", [4, 8])
 def test_ablation_fragment_radix(benchmark, eta, bench_group, bench_rng):
-    """The (N, gamma) sweep: measured traffic tracks the analytic table."""
+    """The (N, gamma) sweep: measured traffic tracks the cost model.
+
+    Candidates are ranked by what the wire costs
+    (:func:`repro.perf.costmodel.abnn2_comm_bits`: ``c(N)`` U bits, not
+    the paper's ``2 kappa`` that :func:`repro.core.params.enumerate_costs`
+    keeps), so the best two and the worst must also measure in that order.
+    """
     m, n = 32, 64
-    rows = enumerate_costs(eta, ring_bits=32, batch=1)
-    candidates = [tuple(r["bit_widths"]) for r in rows[:2] + rows[-1:]]
+    ranked = sorted(
+        (tuple(row["bit_widths"]) for row in enumerate_costs(eta, ring_bits=32, batch=1)),
+        key=lambda widths: abnn2_comm_bits(FragmentScheme.from_bits(widths), m, n, 1, 32),
+    )
+    candidates = ranked[:2] + ranked[-1:]
 
     def run():
         measured = {}
         for widths in candidates:
             scheme = FragmentScheme.from_bits(widths)
-            measured[widths] = _triplets(
-                scheme, m, n, 1, "one", bench_group, bench_rng
-            ).total_bytes
+            measured[widths] = _triplets(scheme, m, n, 1, bench_group, bench_rng).total_bytes
         return measured
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -7,8 +7,9 @@ depends on.
 """
 
 import numpy as np
+import pytest
 
-from conftest import random_weights
+from conftest import paper_n_message_bits, random_weights
 from repro.baselines.secureml import (
     SecureMlConfig,
     secureml_triplets_client,
@@ -42,24 +43,28 @@ def test_table1_formula_summary(benchmark):
             "secureml_ots": secureml_ot_count(M, N, O, RING.bits),
             "secureml_comm_bits": secureml_comm_bits(M, N, O, RING.bits),
             "abnn2_ots": abnn2_ot_count(scheme, M, N),
-            "abnn2_multi_comm_bits": abnn2_comm_bits(scheme, M, N, O, RING.bits, "multi"),
-            "abnn2_one_comm_bits": abnn2_comm_bits(scheme, M, N, 1, RING.bits, "one"),
+            "abnn2_comm_bits": abnn2_comm_bits(scheme, M, N, O, RING.bits),
+            "abnn2_o1_comm_bits": abnn2_comm_bits(scheme, M, N, 1, RING.bits),
+            "paper_mbatch_comm_bits": paper_n_message_bits(scheme, M, N, O, RING.bits),
+            "paper_mbatch_o8_comm_bits": paper_n_message_bits(scheme, M, N, 8, RING.bits),
         }
 
     info = benchmark.pedantic(compute, rounds=1, iterations=1)
     benchmark.extra_info.update(info)
-    # ABNN2 does fewer OTs and moves fewer bits in both modes.
+    # ABNN2 does fewer OTs and moves fewer bits at every batch width.
     assert info["abnn2_ots"] < info["secureml_ots"]
-    assert info["abnn2_multi_comm_bits"] < info["secureml_comm_bits"]
-    assert info["abnn2_one_comm_bits"] < info["secureml_comm_bits"] / O
+    assert info["abnn2_comm_bits"] < info["paper_mbatch_comm_bits"] < info["secureml_comm_bits"]
+    assert info["abnn2_o1_comm_bits"] < info["secureml_comm_bits"] / O
 
 
-def test_table1_model_matches_measured_abnn2(benchmark, bench_group, bench_rng):
-    """The M-Batch comm formula must match the wire within base-OT slack."""
+@pytest.mark.parametrize("o", [1, 8])
+def test_table1_model_matches_measured_abnn2(benchmark, o, bench_group, bench_rng):
+    """The N - 1 message comm formula must match the wire within base-OT
+    slack, below the paper's N-message (M-Batch) form by ``o l`` per OT."""
     scheme = TABLE2_SCHEMES["8(2,2,2,2)"]
     w = random_weights(scheme, (M, N), bench_rng)
-    r = RING.sample(bench_rng, (N, O))
-    config = TripletConfig(ring=RING, scheme=scheme, m=M, n=N, o=O, group=bench_group)
+    r = RING.sample(bench_rng, (N, o))
+    config = TripletConfig(ring=RING, scheme=scheme, m=M, n=N, o=o, group=bench_group)
 
     def run():
         return run_protocol(
@@ -68,10 +73,14 @@ def test_table1_model_matches_measured_abnn2(benchmark, bench_group, bench_rng):
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    predicted = abnn2_comm_bits(scheme, M, N, O, RING.bits, "multi") / 8
+    predicted = abnn2_comm_bits(scheme, M, N, o, RING.bits) / 8
+    paper = paper_n_message_bits(scheme, M, N, o, RING.bits) / 8
     benchmark.extra_info["measured_bytes"] = result.total_bytes
     benchmark.extra_info["predicted_bytes"] = predicted
+    benchmark.extra_info["paper_n_message_bytes"] = paper
     assert 0 <= result.total_bytes - predicted < 20_000
+    assert paper - predicted == scheme.gamma * M * N * o * RING.bits / 8
+    assert result.total_bytes < paper
 
 
 def test_table1_model_matches_measured_secureml(benchmark, bench_group, bench_rng):

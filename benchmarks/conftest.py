@@ -103,6 +103,14 @@ def l32_offline_mb(qmodel, batch: int) -> dict:
     return {"l32_offline_MB": round(bits / 8 / (1024 * 1024), 2)}
 
 
+def paper_n_message_bits(scheme, m: int, n: int, o: int, ring_bits: int) -> int:
+    """Table 1's M-Batch closed form at the running protocol's ``c(N)``:
+    all ``N`` messages of ``o`` elements per OT.  The running protocol
+    never sends message 0 (its pad is the client's share), so this is
+    :func:`abnn2_comm_bits` plus ``gamma * m * n * o * l`` bits."""
+    return abnn2_comm_bits(scheme, m, n, o, ring_bits) + scheme.gamma * m * n * o * ring_bits
+
+
 def random_weights(scheme, shape, rng):
     lo, hi = scheme.weight_range
     return rng.integers(lo, hi + 1, size=shape)

@@ -2,8 +2,8 @@
 
 * :mod:`repro.core.triplets` — dot-product / matrix triplet generation on
   1-out-of-N OT extension (Algorithm 1), with the multi-batch OT-reuse
-  optimization (Section 4.1.2) and the one-batch correlated-OT
-  optimization (Section 4.1.3).
+  optimization (Section 4.1.2) and the correlated-OT share of Section
+  4.1.3, applied at every batch width.
 * :mod:`repro.core.matmul` — the offline+online secure matrix
   multiplication built on those triplets.
 * :mod:`repro.core.relu` — the protocol's one non-linear layer: the GC

@@ -187,9 +187,7 @@ class SecureMatmulClient:
 
     def offline(self) -> None:
         """Run the OT-based triplet generation (interactive)."""
-        self._v = generate_triplets_client(
-            self.chan, self.r, self.config, self._rng, seed=self._seed
-        )
+        self._v = generate_triplets_client(self.chan, self.r, self.config, seed=self._seed)
 
     @property
     def v(self) -> np.ndarray:

@@ -21,6 +21,10 @@ pays less: KK13 sends ``c(N)`` bits of ``U`` per OT
 ``N = 3, 4``, 256 beyond; :mod:`repro.perf.costmodel` prices it).  At
 that cost the one-batch optimum for ``eta = 8, l = 32`` is ``(2,2,2,2)``
 at 1152 bits per weight, not the paper's ``(2,3,3)``, which costs 1248.
+The running protocol also sends ``N - 1`` messages at every batch width
+(:func:`repro.perf.costmodel.abnn2_comm_bits`), and under that layout
+binary fragments ``(1,...,1)`` are the cheapest 8-bit scheme at
+``o >= 8`` (for any ring wider than 8 bits: once ``o * l > 64``).
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def optimal_scheme(
 def enumerate_costs(
     eta: int, ring_bits: int = 32, batch: int = 1, kappa: int = KAPPA
 ) -> list[dict]:
-    """Cost table over all compositions — the data behind the ablation bench."""
+    """Cost table over all compositions at the paper's Table 1 prices."""
     _check_eta(eta)
     rows = []
     for widths in _compositions(eta, MAX_FRAGMENT_BITS):

@@ -445,7 +445,6 @@ class _PartyBase:
             n=config.n,
             o=config.o,
             ring_bits=config.ring.bits,
-            mode=config.resolved_mode,
             frag_n_values=[frag.n_values for frag in config.scheme.fragments],
             code_bits=[code_length(frag.n_values) for frag in config.scheme.fragments],
             groups=config.groups,

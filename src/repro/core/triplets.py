@@ -19,17 +19,20 @@ matrix ``R`` (uniform in Z_{2^l}, n x o):
   The sub-block fixes the working set and no byte on the wire; it is
   bounded in closed form by
   :func:`repro.perf.costmodel.triplet_working_set_bytes`.
-* **Multi-batch (o > 1, Section 4.1.2).**  The server's choice digit is
-  identical for all ``o`` columns, so one OT carries ``o`` masked
-  products: client messages are ``{vt[t] * R[j, :] - s}``, each element
-  XORed with the low ``l`` bits of its pad element, and a chunk's
-  ``(count, N, o)`` message elements travel packed back to back.
-  Per-OT communication: ``o*l*N + c(N)`` bits — Table 1's M-Batch
-  column, up to one word per chunk.
-* **One-batch (o = 1, Section 4.1.3).**  Correlated-OT trick: the pad of
-  message 0 *is* the client's share ``s_i``, so only ``N - 1`` masked
-  messages cross the wire: ``l*(N-1) + c(N)`` bits per OT — Table 1's
-  1-Batch column.
+* **One layout at every batch width (Sections 4.1.2 and 4.1.3).**  The
+  server's choice digit is identical for all ``o`` columns, so one OT
+  carries ``o`` masked products (the multi-batch reuse), and the pad of
+  message 0 *is* the client's share (the one-batch correlated-OT trick,
+  which works lane by lane): ``s`` is the low ``o*l`` bits of pad 0, read
+  as ``o`` ring elements, and only messages ``1 .. N-1`` cross the wire,
+  ``{vt[t] * R[j, :] - s}``, each element XORed with the low ``l`` bits of
+  its pad element and a chunk's ``(count, N - 1, o)`` elements packed
+  back to back.  The server takes ``-pad`` for digit 0 and opens message
+  ``digit - 1`` otherwise.  Per-OT communication:
+  ``o*l*(N-1) + c(N)`` bits, up to one word per chunk — Table 1's 1-Batch
+  column at ``o = 1``, and its M-Batch column less the ``o*l`` bits of
+  message 0 at ``o > 1``.  The trick needs ``vt[0] == 0`` (digit 0 adds
+  nothing), which the client checks for every fragment.
 
 Table 1 charges ``2*kappa = 256`` bits of KK13 ``U`` matrix per OT; the
 running protocol sends ``c(N)`` = :func:`repro.crypto.codes.code_length`
@@ -108,7 +111,6 @@ class TripletConfig:
     m: int
     n: int
     o: int
-    mode: str = "auto"  # "auto" | "multi" | "one"
     group: ModpGroup = DEFAULT_GROUP
     ro: RandomOracle = field(default_factory=lambda: default_ro)
     groups: int = 1
@@ -118,8 +120,6 @@ class TripletConfig:
             raise ConfigError("matrix dimensions must be positive")
         if self.groups < 1:
             raise ConfigError("groups must be positive")
-        if self.mode not in ("auto", "multi", "one"):
-            raise ConfigError(f"unknown triplet mode {self.mode!r}")
 
     @property
     def rows(self) -> int:
@@ -138,12 +138,6 @@ class TripletConfig:
     def out_shape(self) -> tuple[int, int]:
         """Shape of U, V, and the online product share."""
         return (self.rows, self.o)
-
-    @property
-    def resolved_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return "one" if self.o == 1 else "multi"
 
     @property
     def radix_groups(self) -> list[tuple[int, list[int]]]:
@@ -169,14 +163,13 @@ class TripletConfig:
         return max(1024, _CHUNK_BUDGET_WORDS // per_ot)
 
     def sub_block(self, n_values: int) -> int:
-        """OTs per sub-block: a multiple of 64, so a one-batch sub-block's
-        packed ciphertexts start on a word boundary."""
-        lanes = self.o if self.resolved_mode == "multi" else 1
-        return max(64, _SUB_BLOCK_WORDS // (n_values * lanes) // 64 * 64)
+        """OTs per sub-block: a multiple of 64, so a sub-block's packed
+        messages start on a word boundary at every ring width."""
+        return max(64, _SUB_BLOCK_WORDS // (n_values * self.o) // 64 * 64)
 
     @property
     def total_ots(self) -> int:
-        """gamma * rows * n — Table 1's #OT row for both ABNN2 modes."""
+        """gamma * rows * n — Table 1's #OT row at every batch width."""
         return self.scheme.gamma * self.rows * self.n
 
 
@@ -329,13 +322,9 @@ def server_group_span(
     ``choices`` is the *full* flattened digit vector of the group, so
     absolute flat indices keep addressing the right (i, j, k) triple.
     """
-    ring = config.ring
-    multi = config.resolved_mode == "multi"
-    lanes = config.o if multi else 1
-    width = packed_word_count(lanes, ring.bits)
-    # Elements per OT on the wire: N messages of o (multi-batch), or the
-    # N - 1 ciphertexts of the correlated-OT trick (one-batch).
-    per_ot = n_values * lanes if multi else n_values - 1
+    ring, o = config.ring, config.o
+    width = packed_word_count(o, ring.bits)
+    per_ot = (n_values - 1) * o  # message elements per OT on the wire
     block = config.sub_block(n_values)
     u = ring.zeros(config.out_shape)
     for lo in range(start, stop, chunk):
@@ -346,22 +335,19 @@ def server_group_span(
         with channel_span(chan, "ot-transfer", m=count, width=width):
             packed = chan.recv()
         if packed.shape != (packed_word_count(count * per_ot, ring.bits),):
-            raise ProtocolError(f"unexpected {config.resolved_mode}-batch frame shape {packed.shape}")
+            raise ProtocolError(f"unexpected triplet frame shape {packed.shape}")
         for a in range(0, count, block):
             b = min(count, a + block)
             sel = batch[a:b]
             block_words = packed[_block_words(a * per_ot, b * per_ot, ring.bits)]
-            if multi:
-                # Open only the chosen message's o * l bits, then its pad.
-                starts = (np.arange(b - a, dtype=np.int64) * n_values + sel) * lanes * ring.bits
-                got = gather_bit_rows(block_words, starts, lanes * ring.bits) ^ pad[a:b]
-                values = unpack_ring_words(got, ring.bits, lanes)
-            else:
-                own = unpack_ring_words(pad[a:b], ring.bits, 1)[:, 0]  # low l pad bits
-                cipher = unpack_ring_words(block_words[None, :], ring.bits, (b - a) * per_ot)
-                cipher = cipher.reshape(b - a, n_values - 1)
-                opened = cipher[np.arange(b - a), np.clip(sel - 1, 0, None)] ^ own
-                values = np.where(sel == 0, ring.neg(own), opened)[:, None]
+            # Any digit t > 0 opens message t - 1's o * l bits.  Digit 0
+            # takes -pad: the client's share is its pad 0.
+            message = np.arange(b - a, dtype=np.int64) * (n_values - 1) + np.maximum(sel - 1, 0)
+            got = gather_bit_rows(block_words, message * o * ring.bits, o * ring.bits)
+            zero = sel == 0
+            got[zero] = 0
+            values = unpack_ring_words(got ^ pad[a:b], ring.bits, o)
+            values[zero] = ring.neg(values[zero])
             _add_rows(u, values, lo + a, config, k_count)
     return u
 
@@ -377,68 +363,63 @@ def client_group_span(
     start: int,
     stop: int,
     chunk: int,
-    rng: np.random.Generator,
 ) -> np.ndarray:
     """Client counterpart of :func:`server_group_span`; returns partial V.
 
-    ``rng`` supplies the multi-batch share samples ``s`` — one generator
-    per span, consumed in chunk order, so a span's output is a pure
-    function of ``(rng state, value_table, r, start, stop, chunk)``.
+    The shares are the pads of message 0, so a span's output is a pure
+    function of ``(sender, value_table, r, start, stop, chunk)``.
     """
-    ring = config.ring
-    multi = config.resolved_mode == "multi"
-    lanes = config.o if multi else 1
-    width = packed_word_count(lanes, ring.bits)
-    per_ot = n_values * lanes if multi else n_values - 1
+    ring, o = config.ring, config.o
+    width = packed_word_count(o, ring.bits)
+    per_ot = (n_values - 1) * o
     block = config.sub_block(n_values)
 
     def products(first: int, count: int) -> np.ndarray:
-        """``vt_k[digit] * R[j, :]`` for every digit of OTs ``first, ...``:
-        ``(count, N, o)``."""
+        """``vt_k[digit] * R[j, :]`` for digits ``1 .. N-1`` of OTs
+        ``first, ...``: ``(count, N - 1, o)``."""
         i_idx, j_idx, k_pos = _flat_coords(first, count, config.n, k_count)
         # Group-aware R row: stacked row i belongs to block i // m, whose
         # operand rows start at (i // m) * n.  Reduces to r[j_idx] when
         # groups == 1 (i // m is then always 0).
         r_rows = r[(i_idx // config.m) * config.n + j_idx]  # (count, o)
-        return ring.mul(value_table[k_pos][:, :, None], r_rows[:, None, :])
+        return ring.mul(value_table[k_pos][:, 1:, None], r_rows[:, None, :])
 
     v = ring.zeros(config.out_shape)
     for lo in range(start, stop, chunk):
         hi = min(stop, lo + chunk)
         count = hi - lo
         frame = np.empty(packed_word_count(count * per_ot, ring.bits), dtype=_U64)
-        if multi:
-            # Messages first, pads second: filling the frame before the
-            # extension overlaps that work with the peer's U in flight.
-            # One share draw per wire chunk keeps the rng stream of the
-            # unblocked generator.
-            s = ring.sample(rng, (count, config.o))
-            for a in range(0, count, block):
-                b = min(count, a + block)
-                messages = ring.sub(products(lo + a, b - a), s[a:b, None, :])
-                words = _block_words(a * per_ot, b * per_ot, ring.bits)
-                frame[words] = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
-                _add_rows(v, s[a:b], lo + a, config, k_count)
-            del s, messages
-            for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
-                # Each message's o pad elements are the low o * l bits of
-                # its pad words: XOR them packed, back to back.
-                stream = concat_packed_rows(pads.reshape(-1, width), lanes * ring.bits)
-                words = frame[_block_words(a * per_ot, b * per_ot, ring.bits)].view(np.uint8)
-                words[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
-        else:
-            for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
-                # The low-l-bit pads, slot 0's doubling as the share s_i.
-                pad_val = unpack_ring_words(pads, ring.bits, 1)[:, :, 0]  # (b - a, N)
-                s = pad_val[:, 0:1]
-                cipher = ring.sub(products(lo + a, b - a)[:, 1:, 0], s) ^ pad_val[:, 1:]
-                words = _block_words(a * per_ot, b * per_ot, ring.bits)
-                frame[words] = pack_ring_words(cipher.reshape(1, -1), ring.bits)[0]
-                _add_rows(v, s, lo + a, config, k_count)
+        for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
+            # Pad 0's low o * l bits are the shares.  Messages 1 .. N-1
+            # are packed, then XORed with their pads' low o * l bits,
+            # packed back to back the same way.
+            s = unpack_ring_words(pads[:, 0], ring.bits, o)  # (b - a, o)
+            messages = ring.sub(products(lo + a, b - a), s[:, None, :])
+            words = _block_words(a * per_ot, b * per_ot, ring.bits)
+            frame[words] = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
+            stream = concat_packed_rows(pads[:, 1:].reshape(-1, width), o * ring.bits)
+            frame[words].view(np.uint8)[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
+            _add_rows(v, s, lo + a, config, k_count)
         with channel_span(chan, "ot-transfer", m=count, width=width):
             chan.send(frame)
         del frame  # released before the next chunk's buffer exists
     return v
+
+
+def fragment_value_table(config: TripletConfig, k_list: list[int]) -> np.ndarray:
+    """Per-digit signed contributions ``(|K|, N)`` of one radix group's
+    fragments, as ring elements.
+
+    Digit 0 must contribute nothing: the server's share for it is
+    ``-pad 0``, which the client's share (pad 0) cancels exactly.
+    """
+    table = np.stack([config.scheme.values(k) for k in k_list])
+    if (table[:, 0] != 0).any():
+        raise ConfigError(
+            f"fragment value tables of {config.scheme.name} must map digit 0 to 0, "
+            f"got {table[:, 0].tolist()}"
+        )
+    return config.ring.reduce(table)
 
 
 # --------------------------------------------------------------------- #
@@ -456,7 +437,6 @@ def generate_triplets_server(
         raise ConfigError(f"expected W of shape {config.w_shape}, got {w.shape}")
     ring = config.ring
     digits = config.scheme.digits(w)  # (rows, n, gamma)
-    mode = config.resolved_mode
 
     channel_setup(chan, config.group).reserve(config.code_bits)
     u = ring.zeros(config.out_shape)
@@ -464,7 +444,7 @@ def generate_triplets_server(
         group_seed = None if seed is None else seed + n_values
         with channel_span(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
-            m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits, mode=mode,
+            m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
         ):
             receiver = Kk13Receiver(
                 chan, n_values, group=config.group, ro=config.ro, seed=group_seed
@@ -481,43 +461,43 @@ def generate_triplets_server(
 
 
 # --------------------------------------------------------------------- #
-# client: holds R, acts as OT sender (N messages per OT)
+# client: holds R, acts as OT sender (N - 1 messages per OT)
 # --------------------------------------------------------------------- #
 def generate_triplets_client(
     chan: Channel,
     r_mat: np.ndarray,
     config: TripletConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> np.ndarray:
-    """Client side; returns ``V`` of shape ``(rows, o)`` ring elements."""
+    """Client side; returns ``V`` of shape ``(rows, o)`` ring elements.
+
+    ``rng`` is accepted for call compatibility and not drawn from: the
+    shares are pads of the OT extension, seeded by ``seed``.
+    """
     r = np.asarray(r_mat, dtype=_U64)
     if r.shape != config.r_shape:
         raise ConfigError(f"expected R of shape {config.r_shape}, got {r.shape}")
     ring = config.ring
-    mode = config.resolved_mode
+    tables = [fragment_value_table(config, k_list) for _, k_list in config.radix_groups]
 
     channel_setup(chan, config.group).reserve(config.code_bits)
     v = ring.zeros(config.out_shape)
-    for n_values, k_list in config.radix_groups:
+    for (n_values, k_list), table in zip(config.radix_groups, tables):
         group_seed = None if seed is None else seed + n_values
         with channel_span(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
-            m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits, mode=mode,
+            m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
         ):
             sender = Kk13Sender(
                 chan, n_values, group=config.group, ro=config.ro, seed=group_seed
             )
-            # Per-digit signed contributions for each fragment in this group.
-            value_table = ring.reduce(
-                np.stack([config.scheme.values(k) for k in k_list])
-            )  # (|K|, N)
             total = config.rows * config.n * len(k_list)
             v = ring.add(
                 v,
                 client_group_span(
-                    chan, sender, value_table, r, config, n_values, len(k_list),
-                    0, total, config.chunk_size(n_values), rng,
+                    chan, sender, table, r, config, n_values, len(k_list),
+                    0, total, config.chunk_size(n_values),
                 ),
             )
     return ring.reduce(v)

@@ -14,8 +14,8 @@ primitive (its Figure 1 ideal functionality).  Structure mirrors IKNP
   drops are 0 in every codeword in use; there ``q_j = t_j``, which the
   receiver knows anyway, so they would add nothing to any pad.
 
-Both the *random-OT* form (each side learns pads; the ABNN2 one-batch
-optimization needs raw pads) and the *chosen-message* form are provided.
+Both the *random-OT* form (each side learns pads; the ABNN2 triplets
+take pad 0 as the client's share) and the *chosen-message* form are provided.
 A session runs no base OTs of its own: it derives its ``c`` column seeds
 from the channel's :class:`~repro.crypto.otsetup.OtSetup`, whose one
 handshake serves every KK13 and IKNP session on that channel.
@@ -112,7 +112,7 @@ class Kk13Sender:
         ``pads[i, j]`` is the mask the receiver can recover iff its choice
         for OT ``i`` was ``j``.  The caller XORs messages onto these pads
         (chosen-message mode) or uses pad 0 directly as a share (the
-        ABNN2 one-batch optimization).
+        ABNN2 triplet layout).
         """
         q = self._extend(m)
         out = self._pads_at(q, self._ot_index, width, domain)

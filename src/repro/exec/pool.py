@@ -1,4 +1,4 @@
-"""Worker pool and per-shard randomness for the execution engine."""
+"""Worker pool and per-shard seeds for the execution engine."""
 
 from __future__ import annotations
 
@@ -11,27 +11,23 @@ import numpy as np
 from repro.errors import ConfigError
 
 
-def shard_entropy(
-    seed: int | None, shards: int
-) -> list[tuple[int | None, np.random.Generator]]:
-    """Per-shard ``(ot_seed, rng)`` pairs spawned from one master seed.
+def shard_entropy(seed: int | None, shards: int) -> list[int | None]:
+    """Per-shard OT session seeds spawned from one master seed.
 
     Uses ``SeedSequence.spawn`` (the Philox-backed numpy seeding tree):
-    shard ``s`` always receives children ``2s`` (OT session seed) and
-    ``2s + 1`` (share-sampling generator) regardless of how many workers
-    execute the shards — the determinism contract of :mod:`repro.exec`.
-    With ``seed=None`` every shard gets fresh OS entropy.
+    shard ``s`` always receives child ``s`` regardless of how many
+    workers execute the shards — the determinism contract of
+    :mod:`repro.exec`.  With ``seed=None`` every shard gets fresh entropy
+    (``None``, which the OT sessions draw from the OS).
     """
     if shards < 1:
         raise ConfigError("shards must be positive")
     if seed is None:
-        return [(None, np.random.default_rng()) for _ in range(shards)]
-    children = np.random.SeedSequence(seed).spawn(2 * shards)
-    out = []
-    for s in range(shards):
-        ot_seed = int(children[2 * s].generate_state(1, np.uint64)[0])
-        out.append((ot_seed, np.random.default_rng(children[2 * s + 1])))
-    return out
+        return [None] * shards
+    return [
+        int(child.generate_state(1, np.uint64)[0])
+        for child in np.random.SeedSequence(seed).spawn(shards)
+    ]
 
 
 def run_sharded(

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.triplets import (
     TripletConfig,
     client_group_span,
+    fragment_value_table,
     server_group_span,
 )
 from repro.crypto.group import ModpGroup
@@ -195,7 +196,7 @@ def _server_shard(stream, s, config, plan, ot_seed, groups):
     return body
 
 
-def _client_shard(stream, s, config, plan, ot_seed, rng, groups, r):
+def _client_shard(stream, s, config, plan, ot_seed, groups, r):
     """Client-side shard body; ``groups`` is ``(n_values, k_count, value_table)``."""
     spans = _shard_sessions(stream, s, config, plan, ot_seed, groups, Kk13Sender)
 
@@ -208,7 +209,7 @@ def _client_shard(stream, s, config, plan, ot_seed, rng, groups, r):
                 v_s,
                 client_group_span(
                     stream, sender, value_table, r, config, n_values, k_count,
-                    lo, hi, chunk, rng,
+                    lo, hi, chunk,
                 ),
             )
         return v_s
@@ -238,10 +239,10 @@ def parallel_triplets_server(
         (n_values, len(k_list), digits[:, :, k_list].reshape(-1))
         for n_values, k_list in config.radix_groups
     ]
-    entropy = shard_entropy(seed, plan.shards)
+    ot_seeds = shard_entropy(seed, plan.shards)
 
     def make_shard(s, stream):
-        return _server_shard(stream, s, config, plan, entropy[s][0], groups)
+        return _server_shard(stream, s, config, plan, ot_seeds[s], groups)
 
     parts = _run_engine(chan, plan, config, make_shard, stats_out)
     u = ring.zeros(config.out_shape)
@@ -260,28 +261,21 @@ def parallel_triplets_client(
 ) -> np.ndarray:
     """Sharded :func:`repro.core.triplets.generate_triplets_client`.
 
-    Unlike the sequential API the share-sampling generator is derived
-    here (per shard, spawned from ``seed``) rather than passed in: the
-    sampling order must follow the shard partition, not the caller's
-    single stream, for worker-count independence.
+    The shares are the pads of each shard's own OT session, so they
+    follow the shard partition whatever the worker count.
     """
     r = np.asarray(r_mat, dtype=_U64)
     if r.shape != config.r_shape:
         raise ConfigError(f"expected R of shape {config.r_shape}, got {r.shape}")
     ring = config.ring
     groups = [
-        (
-            n_values,
-            len(k_list),
-            ring.reduce(np.stack([config.scheme.values(k) for k in k_list])),
-        )
+        (n_values, len(k_list), fragment_value_table(config, k_list))
         for n_values, k_list in config.radix_groups
     ]
-    entropy = shard_entropy(seed, plan.shards)
+    ot_seeds = shard_entropy(seed, plan.shards)
 
     def make_shard(s, stream):
-        ot_seed, rng = entropy[s]
-        return _client_shard(stream, s, config, plan, ot_seed, rng, groups, r)
+        return _client_shard(stream, s, config, plan, ot_seeds[s], groups, r)
 
     parts = _run_engine(chan, plan, config, make_shard, stats_out)
     v = ring.zeros(config.out_shape)

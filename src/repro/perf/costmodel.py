@@ -7,9 +7,14 @@ predicted columns next to the measured ones:
 System     #OT                                    Communication (bits)
 =========  =====================================  ================================
 SecureML   ``l(l+1)/128 * m*n*o``                 ``m*n*o * l(l+1) * (1 + k/64)``
-M-Batch    ``gamma * m * n``                      ``gamma*m*n*(o*l*N + c(N))``
-1-Batch    ``gamma * m * n``                      ``gamma*m*n*(l*(N-1) + c(N))``
+ABNN2      ``gamma * m * n``                      ``gamma*m*n*(o*l*(N-1) + c(N))``
 =========  =====================================  ================================
+
+The ABNN2 row is one form at every batch width ``o``: the client's share
+is the pad of message 0, so ``N - 1`` messages of ``o`` elements cross
+the wire per OT (:mod:`repro.core.triplets`).  At ``o = 1`` it is the
+paper's 1-Batch column; its M-Batch column sends all ``N`` messages,
+``gamma*m*n*o*l`` bits more than this form.
 
 The paper's Table 1 charges ``2k = 256`` bits of KK13 ``U`` matrix per
 OT.  The ABNN2 forms here price the running protocol instead: ``c(N)``
@@ -84,7 +89,7 @@ def base_ot_setup_bits(columns: int, element_bits: int) -> int:
 # ABNN2 (Table 1, columns 2-3)
 # --------------------------------------------------------------------- #
 def abnn2_ot_count(scheme: FragmentScheme, m: int, n: int) -> int:
-    """``gamma * m * n`` for either batching mode."""
+    """``gamma * m * n`` at every batch width."""
     return scheme.gamma * m * n
 
 
@@ -94,7 +99,6 @@ def abnn2_comm_bits_radices(
     n: int,
     o: int,
     ring_bits: int,
-    mode: str = "auto",
     code_bits=None,
 ) -> int:
     """Table 1 closed form from the raw fragment radices ``[N_1, ..]``.
@@ -105,10 +109,6 @@ def abnn2_comm_bits_radices(
     :class:`FragmentScheme` object.  ``code_bits=None`` prices each
     fragment at :func:`kk13_code_bits`.
     """
-    if mode == "auto":
-        mode = "one" if o == 1 else "multi"
-    if mode not in ("one", "multi"):
-        raise ConfigError(f"unknown mode {mode!r}")
     radices = list(radices)
     if code_bits is None:
         code_bits = [kk13_code_bits(n_values) for n_values in radices]
@@ -116,11 +116,7 @@ def abnn2_comm_bits_radices(
         raise ConfigError("code_bits needs one entry per fragment")
     total = 0
     for n_values, code in zip(radices, code_bits):
-        if mode == "multi":
-            per_ot = o * ring_bits * n_values + code
-        else:
-            per_ot = ring_bits * (n_values - 1) + code
-        total += m * n * per_ot
+        total += m * n * (o * ring_bits * (n_values - 1) + code)
     return total
 
 
@@ -130,11 +126,10 @@ def abnn2_comm_bits(
     n: int,
     o: int,
     ring_bits: int,
-    mode: str = "auto",
 ) -> int:
     """Predicted offline communication of the ABNN2 matmul protocol."""
     return abnn2_comm_bits_radices(
-        [frag.n_values for frag in scheme.fragments], m, n, o, ring_bits, mode
+        [frag.n_values for frag in scheme.fragments], m, n, o, ring_bits
     )
 
 
@@ -174,7 +169,7 @@ def winograd_ot_count(scheme: FragmentScheme, c_in: int, c_out: int) -> int:
     of the layer scheme) — so this is :func:`abnn2_ot_count` at
     ``m = 16 c_out``, ``n = c_in``.  Note the per-OT *gamma* of the
     widened scheme usually exceeds the raw scheme's, so the OT count can
-    grow even as triplet elements (and multi-batch payload) shrink 2.25x.
+    grow even as triplet elements (and the per-OT message payload) shrink 2.25x.
     """
     return abnn2_ot_count(scheme, 16 * c_out, c_in)
 
@@ -186,7 +181,6 @@ def winograd_comm_bits(
     n_tiles: int,
     batch: int,
     ring_bits: int,
-    mode: str = "auto",
 ) -> int:
     """Offline triplet traffic of one winograd conv layer.
 
@@ -195,7 +189,7 @@ def winograd_comm_bits(
     protocol is unchanged, only the (public) dimensions and fragment
     scheme differ, so trace conformance stays byte-exact.
     """
-    return abnn2_comm_bits(scheme, 16 * c_out, c_in, batch * n_tiles, ring_bits, mode)
+    return abnn2_comm_bits(scheme, 16 * c_out, c_in, batch * n_tiles, ring_bits)
 
 
 def share_frame_bits(count: int, ring_bits: int) -> int:
@@ -209,10 +203,9 @@ def network_offline_comm_bits(
     scheme: FragmentScheme,
     o: int,
     ring_bits: int,
-    mode: str = "auto",
 ) -> int:
     """Offline triplet traffic for a whole FC network (Table 2 predictor)."""
-    return sum(abnn2_comm_bits(scheme, m, n, o, ring_bits, mode) for m, n in layer_shapes)
+    return sum(abnn2_comm_bits(scheme, m, n, o, ring_bits) for m, n in layer_shapes)
 
 
 # --------------------------------------------------------------------- #
@@ -325,10 +318,9 @@ def triplet_chunk_ots(n_values: int, o: int, ring_bits: int) -> int:
     return max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * width))
 
 
-def triplet_sub_block_ots(n_values: int, lanes: int) -> int:
-    """OTs per sub-block (:meth:`repro.core.triplets.TripletConfig.sub_block`);
-    ``lanes`` is ``o`` in multi-batch mode and 1 in one-batch mode."""
-    return max(64, TRIPLET_SUB_BLOCK_WORDS // (n_values * lanes) // 64 * 64)
+def triplet_sub_block_ots(n_values: int, o: int) -> int:
+    """OTs per sub-block (:meth:`repro.core.triplets.TripletConfig.sub_block`)."""
+    return max(64, TRIPLET_SUB_BLOCK_WORDS // (n_values * o) // 64 * 64)
 
 
 def triplet_working_set_bytes(
@@ -337,7 +329,6 @@ def triplet_working_set_bytes(
     o: int,
     ring_bits: int,
     frag_n_values,
-    mode: str,
     word_bytes: int = WORD_BYTES,
 ) -> int:
     """Upper bound on one layer's triplet-generation allocation peak,
@@ -349,48 +340,39 @@ def triplet_working_set_bytes(
 
     * **extension**: :data:`_EXTENSION_ROWS` rows of ``k = c(N) / 64``
       words per OT and the server's hashed pads and their hash inputs
-      (``c (W + k + 1)`` words),
-      next to the client's frame buffer (``F`` words) — in multi-batch
-      mode already being filled, holding the chunk's shares (``c o``
-      words, drawn once per chunk) and one sub-block's temporaries;
+      (``c (W + k + 1)`` words), next to the client's empty frame buffer
+      (``F`` words: the shares are pads, so nothing fills it before the
+      extension);
     * **pads**: the frame, the client's Q rows and one sub-block's
       temporaries, the server's pads (``c W`` words);
     * **hand-off**: three copies of the frame (the client's buffer, its
       encoding in flight, the server's decoded copy), the server's pads
       and one sub-block of its openings and segment sums
-      (``3 W + 6 lanes`` words per OT) — in multi-batch mode next to the
-      client already filling the next chunk.
+      (``3 W + 6 o`` words per OT).
 
-    A client sub-block holds products, masked and packed messages, hash
-    inputs and pads: ``N (3 lanes + W + k + 2)`` words per OT.  ``F`` is
-    the chunk's message elements packed back to back: ``words(c N o l)``
-    in multi-batch mode (``W = words(o l)``, ``lanes = o``) and
-    ``words(c (N-1) l)`` in one-batch mode (``W = 1``, ``lanes = 1``).  The layer adds the server's digit and choice
-    vectors (two words per OT), both parties' ``(m, o)`` accumulators
-    and :data:`_SESSION_BYTES`.
+    A client sub-block holds hash inputs and pads, the shares, the
+    products and their masked difference, the packed messages and the
+    packed stream of their pads: ``N (4 o + W + k + 2)`` words per OT.  ``W = words(o l)``, and ``F``
+    is the chunk's ``N - 1`` messages of ``o`` elements per OT packed back
+    to back, ``words(c (N - 1) o l)``.  The layer adds the server's digit
+    and choice vectors (two words per OT), both parties' ``(m, o)``
+    accumulators and :data:`_SESSION_BYTES`.
     """
-    if mode not in ("one", "multi"):
-        raise ConfigError(f"unknown mode {mode!r}")
     radices = list(frag_n_values)
     if min(m, n, o, len(radices)) < 1:
         raise ConfigError("triplet dimensions must be positive")
-    multi = mode == "multi"
-    lanes = o if multi else 1
-    width = _words(lanes, ring_bits)
+    width = _words(o, ring_bits)
     worst = 0
     for nv in set(radices):
         chunk = min(triplet_chunk_ots(nv, o, ring_bits), m * n * radices.count(nv))
-        block = min(triplet_sub_block_ots(nv, lanes), chunk)
-        frame = _words(chunk * (nv * o if multi else nv - 1), ring_bits)
+        block = min(triplet_sub_block_ots(nv, o), chunk)
+        frame = _words(chunk * (nv - 1) * o, ring_bits)
         code_words = kk13_code_bits(nv) // 64
         rows = code_words * chunk  # one c/8 B-per-OT row (the Q or T rows)
-        client = block * nv * (3 * lanes + width + code_words + 2)
-        filling = chunk * o + client if multi else 0
-        extension = (
-            frame + filling + _EXTENSION_ROWS * rows + chunk * (width + code_words + 1)
-        )
+        client = block * nv * (4 * o + width + code_words + 2)
+        extension = frame + _EXTENSION_ROWS * rows + chunk * (width + code_words + 1)
         pads = frame + rows + client + chunk * width
-        hand_off = 3 * frame + filling + chunk * width + block * (3 * width + 6 * lanes)
+        hand_off = 3 * frame + chunk * width + block * (3 * width + 6 * o)
         worst = max(worst, extension, pads, hand_off)
     layer = 2 * m * n * len(radices) + 4 * m * o
     return word_bytes * (layer + worst) + _SESSION_BYTES

@@ -17,8 +17,7 @@ which the table's ring column shows.
 Tolerances are *derived*, not hand-waved: the wire formats pad to
 64-bit words, so
 
-* **triplets**, either batching mode, pack each wire chunk's message
-  elements back to back, so the slack is the exactly computable padding
+* **triplets** pack each wire chunk's message elements back to back, so the slack is the exactly computable padding
   of each chunk to a word (under 64 bits per chunk) — the checker
   asserts byte equality at ``predicted + slack``;
 * **share frames** are byte-exact against ``share_frame_bits``;
@@ -72,21 +71,21 @@ def span_total_bits(node: dict[str, Any]) -> int:
 
 
 def triplet_slack_bits(
-    m: int, n: int, o: int, ring_bits: int, frag_n_values: Iterable[int], mode: str
+    m: int, n: int, o: int, ring_bits: int, frag_n_values: Iterable[int]
 ) -> tuple[int, int]:
     """(min, max) wire bits above the Table 1 form due to word packing.
 
-    Each wire chunk packs its message elements (``N o`` per OT in
-    multi-batch mode, ``N - 1`` in one-batch mode) back to back and pads
-    the frame to a word, so the slack is exact (min == max): under 64
-    bits per chunk, and zero when every chunk fills whole words.
+    Each wire chunk packs its message elements (``(N - 1) o`` per OT)
+    back to back and pads the frame to a word, so the slack is exact
+    (min == max): under 64 bits per chunk, and zero when every chunk
+    fills whole words.
     """
     radices = list(frag_n_values)
     slack = 0
     for nv in set(radices):
         total = m * n * radices.count(nv)
         chunk = triplet_chunk_ots(nv, o, ring_bits)
-        per_ot = nv * o if mode == "multi" else nv - 1
+        per_ot = (nv - 1) * o
         for count in [chunk] * (total // chunk) + ([total % chunk] if total % chunk else []):
             slack += 64 * _words(count * per_ot, ring_bits) - count * per_ot * ring_bits
     return slack, slack
@@ -127,7 +126,7 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
     for path, span in iter_spans(trace):
         attrs = span.get("attrs", {})
         if span["name"] == "triplets":
-            needed = ("m", "n", "o", "ring_bits", "mode", "frag_n_values")
+            needed = ("m", "n", "o", "ring_bits", "frag_n_values")
             if not all(key in attrs for key in needed):
                 rows.append(
                     ConformanceRow(
@@ -136,21 +135,20 @@ def conformance_rows(trace: dict[str, Any]) -> list[ConformanceRow]:
                     )
                 )
                 continue
-            m, n, o = attrs["m"], attrs["n"], attrs["o"]
-            bits, mode = attrs["ring_bits"], attrs["mode"]
+            m, n, o, bits = attrs["m"], attrs["n"], attrs["o"], attrs["ring_bits"]
             radices = attrs["frag_n_values"]
             # U bits per OT as the span records them (c(N) per fragment);
             # a trace without them is priced at the closed-form c(N).
             code_bits = attrs.get("code_bits") or [kk13_code_bits(nv) for nv in radices]
-            lo, hi = triplet_slack_bits(m, n, o, bits, radices, mode)
+            lo, hi = triplet_slack_bits(m, n, o, bits, radices)
             rows.append(
                 ConformanceRow(
                     path,
                     "triplets",
-                    f"{mode} m={m} n={n} o={o} l={bits} N={radices} code_bits={code_bits}",
+                    f"m={m} n={n} o={o} l={bits} N={radices} code_bits={code_bits}",
                     span_total_bits(span),
                     base_ot_bits(span),
-                    abnn2_comm_bits_radices(radices, m, n, o, bits, mode, code_bits),
+                    abnn2_comm_bits_radices(radices, m, n, o, bits, code_bits),
                     lo,
                     hi,
                     str(bits),
@@ -282,13 +280,12 @@ def memory_rows(trace: dict[str, Any]) -> list[MemoryRow]:
         measured = span.get("alloc_peak_bytes")
         predicted, operand, detail = None, None, "missing dimensions"
         if kind == "triplets":
-            needed = ("m", "n", "o", "ring_bits", "mode", "frag_n_values")
+            needed = ("m", "n", "o", "ring_bits", "frag_n_values")
             if all(key in attrs for key in needed):
-                m, n, o = attrs["m"], attrs["n"], attrs["o"]
-                bits, mode = attrs["ring_bits"], attrs["mode"]
+                m, n, o, bits = attrs["m"], attrs["n"], attrs["o"], attrs["ring_bits"]
                 radices = attrs["frag_n_values"]
-                predicted = triplet_working_set_bytes(m, n, o, bits, radices, mode)
-                detail = f"{mode} m={m} n={n} o={o} l={bits} N={radices}"
+                predicted = triplet_working_set_bytes(m, n, o, bits, radices)
+                detail = f"m={m} n={n} o={o} l={bits} N={radices}"
             bound = predicted
             if None not in (predicted, previous) and previous > predicted:
                 bound = previous

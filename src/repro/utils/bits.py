@@ -179,14 +179,12 @@ def concat_packed_rows(rows: np.ndarray, row_bits: int) -> bytes:
         arr = arr.copy()
         arr[:, -1] &= np.uint64((1 << (row_bits % 64)) - 1)
     nbytes = _blob_nbytes(n_rows, row_bits)
+    if row_bits < 64:
+        # One word per row: the rows are row_bits-wide ring elements.
+        return pack_ring_words(arr[:, 0], row_bits).tobytes()[:nbytes]
     if row_bits % 8 == 0:
         # Rows are byte aligned: slice each row's bytes and concatenate.
         return arr.view(np.uint8).reshape(n_rows, words * 8)[:, : row_bits // 8].tobytes()
-    if row_bits < 64:
-        # Rare tiny-row case: a blob word can span 3+ rows; take the
-        # simple unpack/pack route.
-        bits = unpack_words_to_bits(arr, row_bits)
-        return pack_bits(bits)
     # General case: every output word draws bits from at most two
     # consecutive rows.  Gather both contributions per word — no scatter,
     # no (n_rows, row_bits) uint8 expansion.
@@ -278,8 +276,8 @@ def pack_ring_words(arr: np.ndarray, bits: int) -> np.ndarray:
     the result has shape ``(..., packed_word_count(count, bits))``: the
     row's elements back to back, LSB-first, element ``i`` at stream bits
     ``[i * bits, (i + 1) * bits)``.  This is what keeps OT message sizes
-    faithful to the paper's bit counts (e.g. ``o * l * N`` bits per
-    multi-batch OT) instead of always paying 64 bits per element.
+    faithful to the paper's bit counts (e.g. ``o * l * (N - 1)`` bits per
+    triplet OT) instead of always paying 64 bits per element.
 
     One path for every width: the row is cut into periods of
     :func:`_period` elements, which fill a whole number of words, and

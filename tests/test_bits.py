@@ -236,7 +236,9 @@ class TestPackedTranspose:
 class TestPackedRowCodec:
     """Wire blob <-> packed rows, byte-identical to pack_bits of the matrix."""
 
-    @pytest.mark.parametrize("shape", [(128, 64), (128, 300), (256, 77), (64, 63), (3, 40)])
+    @pytest.mark.parametrize(
+        "shape", [(128, 64), (128, 300), (256, 77), (64, 63), (3, 40), (131, 20), (77, 1), (9, 32)]
+    )
     def test_concat_matches_pack_bits(self, shape, rng):
         rows, n = shape
         bits = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)

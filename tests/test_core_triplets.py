@@ -68,19 +68,6 @@ class TestCorrectness:
         result = _run_triplets(w, r, config)
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
 
-    def test_forced_modes_agree(self, test_group, rng):
-        scheme = FragmentScheme.from_bits((2, 2))
-        ring = Ring(32)
-        w = _random_weights(scheme, (3, 5), rng)
-        r = ring.sample(rng, (5, 1))
-        for mode in ("one", "multi"):
-            config = TripletConfig(
-                ring=ring, scheme=scheme, m=3, n=5, o=1, mode=mode, group=test_group
-            )
-            result = _run_triplets(w, r, config)
-            got = ring.add(result.server, result.client)
-            assert (got == ring.matmul(ring.reduce(w), r)).all()
-
     def test_chunked_execution(self, test_group, rng, monkeypatch):
         # Force tiny chunks so the accumulation crosses chunk boundaries.
         import repro.core.triplets as triplets_mod
@@ -111,7 +98,7 @@ class TestSubBlocks:
 
     With 64-OT sub-blocks, ``U + V = W R`` holds for OT counts below the
     sub-block size, equal to it and ragged against it (also across wire
-    chunks), in both modes and at a ring width whose packing does not
+    chunks), at o = 1 and o > 1 and at a ring width whose packing does not
     divide 64 bits; shares and both parties' transcripts equal those of
     a run with one sub-block per chunk.
     """
@@ -148,15 +135,15 @@ class TestSubBlocks:
         return result, (chans[0].hexdigest(), chans[1].hexdigest())
 
     @pytest.mark.parametrize("shape", list(SHAPES))
-    @pytest.mark.parametrize("mode,o", [("multi", 3), ("one", 1)])
+    @pytest.mark.parametrize(
+        "o", [pytest.param(3, id="multi-3"), pytest.param(1, id="one-1")]
+    )
     @pytest.mark.parametrize("bits", [32, 20])
-    def test_ragged_sub_blocks(self, shape, mode, o, bits, test_group, rng, monkeypatch):
+    def test_ragged_sub_blocks(self, shape, o, bits, test_group, rng, monkeypatch):
         scheme = FragmentScheme.from_bits((2, 2))
         ring = Ring(bits)
         m, n = self.SHAPES[shape]
-        config = TripletConfig(
-            ring=ring, scheme=scheme, m=m, n=n, o=o, mode=mode, group=test_group
-        )
+        config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=o, group=test_group)
         if shape == "chunks":
             monkeypatch.setattr(triplets_mod, "_CHUNK_BUDGET_WORDS", 1)
             assert config.chunk_size(4) == 1024
@@ -181,8 +168,7 @@ class TestSubBlocks:
             config = TripletConfig(ring=Ring(32), scheme=scheme, m=1, n=1, o=o)
             block = config.sub_block(4)
             assert block % 64 == 0 and block >= 64
-            lanes = o if config.resolved_mode == "multi" else 1
-            assert block == 64 or block * 4 * lanes <= triplets_mod._SUB_BLOCK_WORDS
+            assert block == 64 or block * 4 * o <= triplets_mod._SUB_BLOCK_WORDS
 
 
 class TestCommunication:
@@ -194,7 +180,7 @@ class TestCommunication:
         r = ring.sample(rng, (n, o))
         config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=o, group=test_group)
         result = _run_triplets(w, r, config)
-        predicted = abnn2_comm_bits(scheme, m, n, o, 32, "multi") / 8
+        predicted = abnn2_comm_bits(scheme, m, n, o, 32) / 8
         # Base OTs and framing add a fixed overhead on top of the model.
         overhead = result.total_bytes - predicted
         assert 0 <= overhead < 20_000
@@ -207,24 +193,9 @@ class TestCommunication:
         r = ring.sample(rng, (n, 1))
         config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=1, group=test_group)
         result = _run_triplets(w, r, config)
-        predicted = abnn2_comm_bits(scheme, m, n, 1, 32, "one") / 8
+        predicted = abnn2_comm_bits(scheme, m, n, 1, 32) / 8
         overhead = result.total_bytes - predicted
         assert 0 <= overhead < 20_000
-
-    def test_one_batch_beats_multi_for_single_column(self, test_group, rng):
-        scheme = FragmentScheme.from_bits((2, 2))
-        ring = Ring(32)
-        m, n = 16, 32
-        w = _random_weights(scheme, (m, n), rng)
-        r = ring.sample(rng, (n, 1))
-
-        def traffic(mode):
-            config = TripletConfig(
-                ring=ring, scheme=scheme, m=m, n=n, o=1, mode=mode, group=test_group
-            )
-            return _run_triplets(w, r, config).total_bytes
-
-        assert traffic("one") < traffic("multi")
 
     def test_ot_count_property(self):
         scheme = FragmentScheme.from_bits((2, 2, 2, 2))
@@ -237,11 +208,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TripletConfig(ring=Ring(32), scheme=FragmentScheme.binary(), m=0, n=1, o=1)
 
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            TripletConfig(
-                ring=Ring(32), scheme=FragmentScheme.binary(), m=1, n=1, o=1, mode="banana"
-            )
+    def test_digit_zero_must_contribute_nothing(self, test_group):
+        # The client's share is pad 0, so a fragment whose digit 0 adds a
+        # nonzero value would come out wrong: both clients refuse it
+        # before any byte is sent.
+        from repro.exec.triplets import ShardPlan, parallel_triplets_client
+        from repro.net.channel import make_channel_pair
+        from repro.quant.fragments import FragmentSpec
+
+        scheme = FragmentScheme("offset", 2, [FragmentSpec(4, (1, 2, 3, 4))], signed=False)
+        config = TripletConfig(ring=Ring(32), scheme=scheme, m=2, n=3, o=2, group=test_group)
+        r = np.zeros(config.r_shape, dtype=np.uint64)
+        chan, peer = make_channel_pair()
+        with pytest.raises(ConfigError, match="digit 0"):
+            generate_triplets_client(chan, r, config, seed=1)
+        with pytest.raises(ConfigError, match="digit 0"):
+            parallel_triplets_client(chan, r, config, ShardPlan(shards=2), seed=1)
+        assert peer.stats.total_bytes == 0
 
     def test_shape_mismatch_server(self, test_group):
         config = TripletConfig(

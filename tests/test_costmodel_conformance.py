@@ -6,7 +6,7 @@ channel, wraps the protocol in the span taxonomy that
 the measured wire bytes land inside the *derived* tolerance band
 documented in ``repro/perf/report.py``:
 
-* triplets, both modes: byte-exact at ``predicted + word-padding slack``
+* triplets, at every batch width: byte-exact at ``predicted + word-padding slack``
   (each wire chunk pads its packed elements to a word, so the slack is
   exactly computable and the band has zero width);
 * GC ReLU, both variants: byte-exact against ``gc_relu_wire_bits`` at
@@ -49,7 +49,7 @@ def _random_weights(scheme, shape, rng):
     return rng.integers(lo, hi + 1, size=shape)
 
 
-def _traced_triplets(scheme, m, n, o, ring_bits, group, rng, mode="auto"):
+def _traced_triplets(scheme, m, n, o, ring_bits, group, rng):
     """Run triplet generation with both parties traced.
 
     Returns ``(protocol_result, traces)`` where ``traces`` maps party
@@ -58,15 +58,12 @@ def _traced_triplets(scheme, m, n, o, ring_bits, group, rng, mode="auto"):
     ring = Ring(ring_bits)
     w = _random_weights(scheme, (m, n), rng)
     r = ring.sample(rng, (n, o))
-    config = TripletConfig(
-        ring=ring, scheme=scheme, m=m, n=n, o=o, mode=mode, group=group
-    )
+    config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=o, group=group)
     attrs = dict(
         m=m,
         n=n,
         o=o,
         ring_bits=ring_bits,
-        mode=config.resolved_mode,
         frag_n_values=[frag.n_values for frag in scheme.fragments],
     )
     traces = {}
@@ -119,7 +116,7 @@ def _assert_conformant(result, traces, *, expect_exact):
 
 TRIPLET_GRID = [
     # scheme, m, n, o, ring_bits — exercises uniform and mixed radices,
-    # one- and multi-batch, odd o (padding slack) and non-64-divisible l.
+    # o = 1 and o > 1, odd o (padding slack) and non-64-divisible l.
     ("binary", 4, 6, 4, 32),
     ("binary", 4, 6, 1, 32),
     ("ternary", 4, 6, 4, 32),
@@ -144,26 +141,17 @@ class TestTripletConformance:
         result, traces = _traced_triplets(scheme, m, n, o, ring_bits, test_group, rng)
         _assert_conformant(result, traces, expect_exact=True)
 
-    def test_forced_multi_mode_with_o1(self, test_group, rng):
-        # Forcing multi-batch at o=1 keeps the slack formula exact even
-        # when auto mode would have picked the one-batch protocol.
-        scheme = TABLE2_SCHEMES["4(2,2)"]
-        result, traces = _traced_triplets(
-            scheme, 4, 5, 1, 17, test_group, rng, mode="multi"
-        )
-        _assert_conformant(result, traces, expect_exact=True)
-
     def test_multi_slack_formula(self):
-        # Each chunk's message elements are packed back to back: the only
-        # slack is the chunk's padding to a word, exact in both modes.
-        assert triplet_slack_bits(4, 6, 2, 32, [2, 2], "multi") == (0, 0)
-        # 24 OTs x 4 messages x 3 elements x 32 bits fill 144 words
-        assert triplet_slack_bits(4, 6, 3, 32, [4], "multi") == (0, 0)
-        # 30 OTs (two N = 4 fragments) x 12 elements x 17 bits = 6120 bits
-        assert triplet_slack_bits(5, 3, 3, 17, [4, 4], "multi") == (6144 - 6120,) * 2
+        # Each chunk's N - 1 messages of o elements per OT are packed back
+        # to back: the only slack is the chunk's padding to a word.
+        assert triplet_slack_bits(4, 6, 2, 32, [2, 2]) == (0, 0)
+        # 24 OTs x 3 messages x 3 elements x 32 bits fill 108 words
+        assert triplet_slack_bits(4, 6, 3, 32, [4]) == (0, 0)
+        # 30 OTs (two N = 4 fragments) x 9 elements x 17 bits = 4590 bits
+        assert triplet_slack_bits(5, 3, 3, 17, [4, 4]) == (4608 - 4590,) * 2
         # one chunk per radix group: N = 3 packs 12 x 17 = 204 bits into 4
         # words, N = 2 packs 6 x 17 = 102 bits into 2
-        assert triplet_slack_bits(2, 3, 1, 17, [3, 2], "one") == (52 + 26,) * 2
+        assert triplet_slack_bits(2, 3, 1, 17, [3, 2]) == (52 + 26,) * 2
 
     def test_predicted_matches_scheme_form(self):
         # The radix-list form must agree with the FragmentScheme form.
@@ -171,16 +159,16 @@ class TestTripletConformance:
 
         scheme = TABLE2_SCHEMES["8(3,3,2)"]
         radices = [frag.n_values for frag in scheme.fragments]
-        for o, mode in ((1, "one"), (4, "multi")):
-            assert abnn2_comm_bits(scheme, 7, 11, o, 32, mode) == (
-                abnn2_comm_bits_radices(radices, 7, 11, o, 32, mode)
+        for o in (1, 4):
+            assert abnn2_comm_bits(scheme, 7, 11, o, 32) == (
+                abnn2_comm_bits_radices(radices, 7, 11, o, 32)
             )
 
 
 class TestWinogradConformance:
     """The grouped winograd triplet draw vs its dedicated closed forms.
 
-    The acceptance bar is *zero slack*: the multi-batch band is exactly
+    The acceptance bar is *zero slack*: the word-padding band is exactly
     computable, so traced core bytes must equal ``winograd_comm_bits``
     plus the derived word-padding constant — no tolerance.
     """
@@ -232,7 +220,6 @@ class TestWinogradConformance:
             n=config.n,
             o=config.o,
             ring_bits=ring.bits,
-            mode=config.resolved_mode,
             frag_n_values=[frag.n_values for frag in config.scheme.fragments],
             groups=config.groups,
             backend="winograd",
@@ -273,7 +260,6 @@ class TestWinogradConformance:
             wspec.n_tiles,
             batch,
             ring.bits,
-            mode=config.resolved_mode,
         )
         for party, trace in traces.items():
             rows = [row for row in conformance_rows(trace) if row.kind == "triplets"]

@@ -362,15 +362,10 @@ class TestPool:
             run_sharded([lambda: 1, boom, lambda: 3], 2)
 
     def test_shard_entropy_deterministic_and_decorrelated(self):
-        a = shard_entropy(42, 4)
-        b = shard_entropy(42, 4)
-        seeds_a = [seed for seed, _ in a]
-        assert seeds_a == [seed for seed, _ in b]
-        assert len(set(seeds_a)) == 4
-        draws_a = [rng.integers(0, 1 << 30) for _, rng in a]
-        draws_b = [rng.integers(0, 1 << 30) for _, rng in b]
-        assert draws_a == draws_b
-        assert shard_entropy(None, 2)[0][0] is None
+        seeds = shard_entropy(42, 4)
+        assert seeds == shard_entropy(42, 4)
+        assert len(set(seeds)) == 4
+        assert shard_entropy(None, 2) == [None, None]
 
 
 # --------------------------------------------------------------------- #

@@ -24,9 +24,13 @@ FIG4_LAYERS = [(128, 784), (128, 128), (10, 128)]
 
 def _paper_bits(name: str, batch: int, layers=FIG4_LAYERS, ring_bits: int = 32) -> int:
     """The paper's Table 1 figure (2 kappa = 256 U bits per OT): the model
-    plus the ``256 - c(N)`` columns per OT the running protocol drops."""
+    plus the ``256 - c(N)`` columns per OT the running protocol drops and,
+    for the M-Batch rows (``batch > 1``), the ``o l`` bits of message 0 it
+    does not send."""
     scheme = TABLE2_SCHEMES[name]
     dropped = sum(256 - kk13_code_bits(frag.n_values) for frag in scheme.fragments)
+    if batch > 1:
+        dropped += scheme.gamma * batch * ring_bits
     return network_offline_comm_bits(layers, scheme, batch, ring_bits) + dropped * sum(
         m * n for m, n in layers
     )
@@ -50,13 +54,13 @@ class TestAbnn2Model:
     def test_one_batch_formula(self):
         # N = 2 runs KK13 on IKNP's 128-column repetition code.
         scheme = FragmentScheme.binary()
-        got = abnn2_comm_bits(scheme, 1, 1, 1, 32, "one")
+        got = abnn2_comm_bits(scheme, 1, 1, 1, 32)
         assert got == 32 * 1 + 128
 
     def test_multi_batch_formula(self):
-        scheme = FragmentScheme.binary()
-        got = abnn2_comm_bits(scheme, 1, 1, 8, 32, "multi")
-        assert got == 8 * 32 * 2 + 128
+        # N - 1 messages of o elements at every o: o l (N - 1) + c(N).
+        assert abnn2_comm_bits(FragmentScheme.binary(), 1, 1, 8, 32) == 8 * 32 * 1 + 128
+        assert abnn2_comm_bits(FragmentScheme.ternary(), 1, 1, 8, 32) == 8 * 32 * 2 + 192
 
     def test_code_bits_closed_form_matches_the_code(self):
         assert [kk13_code_bits(n) for n in range(2, 257)] == [
@@ -64,15 +68,6 @@ class TestAbnn2Model:
         ]
         with pytest.raises(ConfigError):
             kk13_code_bits(1)
-
-    def test_auto_mode(self):
-        scheme = FragmentScheme.binary()
-        assert abnn2_comm_bits(scheme, 1, 1, 1, 32) == abnn2_comm_bits(scheme, 1, 1, 1, 32, "one")
-        assert abnn2_comm_bits(scheme, 1, 1, 2, 32) == abnn2_comm_bits(scheme, 1, 1, 2, 32, "multi")
-
-    def test_invalid_mode(self):
-        with pytest.raises(ConfigError):
-            abnn2_comm_bits(FragmentScheme.binary(), 1, 1, 1, 32, "banana")
 
     def test_table2_binary_batch1_magnitude(self):
         # Paper: binary, batch 1, l=32 -> 4.06 MB offline for the Fig-4 net.
@@ -101,10 +96,19 @@ class TestAbnn2Model:
         # at c(N), the N = 2 and N = 4 codes shrink: (2,2,2,2) < (3,3,2) <
         # (1,...,1) < (4,4)
         assert mb("8(2,2,2,2)", 1) < mb("8(3,3,2)", 1) < mb("8(1,...,1)", 1) < mb("8(4,4)", 1)
-        # batch 128: (2,2,2,2) < (1,...,1) < (3,3,2) < (4,4)
+        # batch 128, the paper's N-message rows: (2,2,2,2) < (1,...,1) <
+        # (3,3,2) < (4,4)
         assert (
-            mb("8(2,2,2,2)", 128)
-            < mb("8(1,...,1)", 128)
+            _paper_bits("8(2,2,2,2)", 128)
+            < _paper_bits("8(1,...,1)", 128)
+            < _paper_bits("8(3,3,2)", 128)
+            < _paper_bits("8(4,4)", 128)
+        )
+        # N - 1 messages per OT: a binary fragment's single message beats
+        # any wider fragment's, so (1,...,1) < (2,2,2,2) < (3,3,2) < (4,4)
+        assert (
+            mb("8(1,...,1)", 128)
+            < mb("8(2,2,2,2)", 128)
             < mb("8(3,3,2)", 128)
             < mb("8(4,4)", 128)
         )
@@ -120,7 +124,7 @@ class TestAbnn2Model:
         assert 3.0 < sm / ab8 < 8.0
         assert 15.0 < sm / ab_ternary < 40.0
         # the running protocol's c(N) rows only widen the gap
-        assert abnn2_comm_bits(TABLE2_SCHEMES["8(2,2,2,2)"], m, n, 1, 64, "one") < ab8
+        assert abnn2_comm_bits(TABLE2_SCHEMES["8(2,2,2,2)"], m, n, 1, 64) < ab8
 
 
 class TestGcModel:

@@ -197,42 +197,40 @@ class TestTripletWorkingSet:
             for o in (1, 2, 8, 100, 1024, 1 << 20):
                 for ring_bits in (13, 22, 32, 64):
                     config = TripletConfig(ring=Ring(ring_bits), scheme=scheme, m=1, n=1, o=o)
-                    lanes = o if config.resolved_mode == "multi" else 1
                     assert triplet_chunk_ots(n_values, o, ring_bits) == config.chunk_size(n_values)
-                    assert triplet_sub_block_ots(n_values, lanes) == config.sub_block(n_values)
+                    assert triplet_sub_block_ots(n_values, o) == config.sub_block(n_values)
         assert triplet_chunk_ots(4, 1 << 20, 32) == TRIPLET_MIN_CHUNK
 
     def test_fig4_layer0_batch8_closed_form(self):
-        # Two wire chunks of 262 144 OTs; 16 Ki-OT sub-blocks.  With the
-        # 192-column N = 4 code (24 B rows) the hand-off (three frame
-        # copies next to the next chunk being filled) is the worst phase,
-        # just above the extension (frame being filled, shares, ten rows,
-        # the server's pads and hash inputs).
+        # Two wire chunks of 262 144 OTs; 16 Ki-OT sub-blocks.  The frame
+        # carries N - 1 = 3 messages of 8 elements per OT (12 words), and
+        # nothing fills it before the extension.  With the 192-column
+        # N = 4 code (24 B rows) the extension (the empty frame, ten rows,
+        # the server's pads and hash inputs) is the worst phase, above
+        # the hand-off (three frame copies).
         chunk, block, code_words = 262_144, 16_384, 3
-        frame = chunk * 4 * 4
-        filling = chunk * 8 + block * 4 * (3 * 8 + 4 + code_words + 2)
-        extension = frame + filling + 10 * code_words * chunk + chunk * (4 + code_words + 1)
-        hand_off = 3 * frame + filling + chunk * 4 + block * (3 * 4 + 6 * 8)
-        assert extension < hand_off
+        frame = chunk * 3 * 4
+        extension = frame + 10 * code_words * chunk + chunk * (4 + code_words + 1)
+        pads = frame + code_words * chunk + block * 4 * (4 * 8 + 4 + code_words + 2) + chunk * 4
+        hand_off = 3 * frame + chunk * 4 + block * (3 * 4 + 6 * 8)
+        assert pads < hand_off < extension
         layer = 2 * 128 * 784 * 4 + 4 * 128 * 8
-        assert triplet_working_set_bytes(o=8, mode="multi", **FIG4_L0) == (
-            WORD_BYTES * (layer + hand_off) + (1 << 20)
+        assert triplet_working_set_bytes(o=8, **FIG4_L0) == (
+            WORD_BYTES * (layer + extension) + (1 << 20)
         )
 
     def test_chunk_terms_do_not_grow_with_the_layer(self):
-        small = triplet_working_set_bytes(o=8, mode="multi", **FIG4_L0)
+        small = triplet_working_set_bytes(o=8, **FIG4_L0)
         big = triplet_working_set_bytes(
-            1280, 784, 8, 32, [4, 4, 4, 4], "multi"
+            1280, 784, 8, 32, [4, 4, 4, 4]
         )  # ten times the OTs, twenty wire chunks
         assert big - small == WORD_BYTES * (2 * 1152 * 784 * 4 + 4 * 1152 * 8)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            triplet_working_set_bytes(o=8, mode="auto", **FIG4_L0)
+            triplet_working_set_bytes(0, 784, 8, 32, [4])
         with pytest.raises(ConfigError):
-            triplet_working_set_bytes(0, 784, 8, 32, [4], "multi")
-        with pytest.raises(ConfigError):
-            triplet_working_set_bytes(128, 784, 8, 32, [], "multi")
+            triplet_working_set_bytes(128, 784, 8, 32, [])
 
 
 class TestTripletSpanPeaks:
@@ -256,15 +254,12 @@ class TestTripletSpanPeaks:
         config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=batch, group=test_group)
         chunk = min(config.chunk_size(4), config.total_ots)
         if batch == 8:
-            assert config.resolved_mode == "multi"
             assert chunk < config.total_ots <= 2 * chunk  # two wire chunks
-        else:
-            assert config.resolved_mode == "one"
         rng = np.random.default_rng(0)
         lo, hi = scheme.weight_range
         w = rng.integers(lo, hi + 1, size=(m, n))
         r = ring.sample(rng, (n, batch))
-        attrs = dict(FIG4_L0, o=batch, mode=config.resolved_mode)
+        attrs = dict(FIG4_L0, o=batch)
         tracers = (Tracer(memory=True), Tracer(memory=True))
 
         def traced(idx, fn):
@@ -286,9 +281,9 @@ class TestTripletSpanPeaks:
             ),
         )
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
-        bound = triplet_working_set_bytes(o=batch, mode=config.resolved_mode, **FIG4_L0)
+        bound = triplet_working_set_bytes(o=batch, **FIG4_L0)
         code_words = code_length(4) // 64
-        held = 2 * WORD_BYTES * (chunk * 4 * 4 if batch == 8 else code_words * chunk)
+        held = 2 * WORD_BYTES * (chunk * 3 * 4 if batch == 8 else code_words * chunk)
         for tracer in tracers:
             doc = tracer.to_dict()
             rows = [row for row in memory_rows(doc) if row.kind == "triplets"]
@@ -349,7 +344,7 @@ class TestTripletMemoryRows:
             for idx, (m, o) in enumerate(((128, 8), (10, 8))):
                 with tracer.span(
                     f"layer{idx}/triplets", m=m, n=784, o=o, ring_bits=32,
-                    mode="multi", frag_n_values=[4, 4],
+                    frag_n_values=[4, 4],
                 ):
                     pass
             with tracer.span("layer2/triplets", m=4):
@@ -361,8 +356,8 @@ class TestTripletMemoryRows:
         return doc
 
     def test_rows_bound_and_previous_layer_tail(self):
-        first = triplet_working_set_bytes(128, 784, 8, 32, [4, 4], "multi")
-        second = triplet_working_set_bytes(10, 784, 8, 32, [4, 4], "multi")
+        first = triplet_working_set_bytes(128, 784, 8, 32, [4, 4])
+        second = triplet_working_set_bytes(10, 784, 8, 32, [4, 4])
         rows = memory_rows(self._trace([first, first, 0]))
         assert [row.kind for row in rows] == ["triplets"] * 3
         assert [row.predicted_bytes for row in rows] == [first, second, None]
@@ -375,7 +370,7 @@ class TestTripletMemoryRows:
         assert "offline/layer1/triplets" in text and "FAIL" not in text
 
     def test_check_fails_above_the_bound(self):
-        first = triplet_working_set_bytes(128, 784, 8, 32, [4, 4], "multi")
+        first = triplet_working_set_bytes(128, 784, 8, 32, [4, 4])
         doc = self._trace([first + 1, 0, 0])
         failures = check_memory(doc)
         assert len(failures) == 1 and "offline/layer0/triplets" in failures[0]
@@ -416,7 +411,7 @@ class TestCliMemoryReport:
         assert triplets and all(row.ok for row in triplets)
 
     def test_report_demo_memory_multi_batch(self, capsys, monkeypatch):
-        # The CI smoke shape: batch 2 runs the multi-batch path.
+        # The CI smoke shape: batch 2, two products per OT.
         monkeypatch.setenv(MEMORY_ENV, "1")
         code = main(
             ["report", "--demo", "--memory", "--check", "--hidden", "8", "--batch", "2"]
@@ -425,7 +420,7 @@ class TestCliMemoryReport:
         out = capsys.readouterr().out
         for idx in range(3):
             assert f"offline/layer{idx}/triplets" in out
-        assert "multi m=8 n=784 o=2" in out
+        assert "m=8 n=784 o=2" in out
         assert "FAIL" not in out
 
 

@@ -77,10 +77,10 @@ class DigestChannel:
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
     "fig4_b1": ("f5ad9dccf6a2063c", "41b13a4806b92ba4"),
-    "fig4_b8": ("5023412890a2c001", "54bf0d7e60388a02"),
-    "vgg_cifar_side12": ("fff69304fe42194d", "6a9dd2f165640f2a"),
-    "vgg_cifar_side12_chunk7": ("fff69304fe42194d", "6a9dd2f165640f2a"),
-    "vgg_cifar_side12_winograd": ("9ab2b985c22c3236", "f97ae68b3b07cb7b"),
+    "fig4_b8": ("a8396f496798e698", "97f49f7ba48d1e21"),
+    "vgg_cifar_side12": ("c3b9c50075fb0c6c", "3bf374fa936f11d8"),
+    "vgg_cifar_side12_chunk7": ("c3b9c50075fb0c6c", "3bf374fa936f11d8"),
+    "vgg_cifar_side12_winograd": ("66ed35561501c5bf", "96a6901e88f26468"),
     "served_bank_keepalive": ("5deb31fbb51d426a", "733247cccc15bc37"),
 }
 

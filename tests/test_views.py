@@ -9,8 +9,8 @@ The test below pins that leak exactly; splitting the dealer into its own
 role is what turns it around.  Chi-squared tests then check that what a
 party sees at a narrowed width is uniform: the narrowed ReLU's
 output-table word (the one value the evaluator opens outside the
-circuit), the input frame ``x - r`` packed at layer 0's ring width, and
-a multi-batch triplet message frame.
+circuit), the input frame ``x - r`` packed at layer 0's ring width, a
+multi-batch triplet message frame, and the server's triplet openings.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ class TestNarrowRingFramesUniform:
     def test_multi_batch_triplet_frame_uniform(self, test_group):
         """The client's packed message frame in ``Ring(6)`` at o = 4, for an
         all-ones ``W`` and a fixed ``R``: 8 x 16 weights x 2 fragments x
-        N = 4 messages x 4 elements = 4096 elements."""
+        N - 1 = 3 messages x 4 elements = 3072 elements."""
         ring = Ring(6)
         scheme = FragmentScheme.from_bits((2, 2))
         config = TripletConfig(ring=ring, scheme=scheme, m=8, n=16, o=4, group=test_group)
@@ -320,8 +320,52 @@ class TestNarrowRingFramesUniform:
             channels=(server_chan, view),
         )
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
-        count = config.total_ots * 4 * config.o
+        count = config.total_ots * 3 * config.o
         frames = [m for m in view.sent if isinstance(m, np.ndarray) and m.dtype == np.uint64]
         assert [m.shape for m in frames] == [(packed_word_count(count, ring.bits),)]
         values = unpack_ring_words(frames[0][None, :], ring.bits, count)[0]
         assert _chi2_uniform(values, 1 << ring.bits) < CHI2_CRIT_63
+
+    def test_server_openings_uniform_whatever_r(self, test_group, monkeypatch):
+        """What the server opens per OT at o = 4 in ``Ring(6)``: ``-pad 0``
+        for digit 0, ``vt[t] R[j] - s`` otherwise.  For one fixed ``W`` and
+        two different ``R``, each kind is uniform: 16 x 32 weights x 2
+        fragments = 1024 OTs, about a quarter of them digit 0."""
+        import repro.core.triplets as triplets_mod
+
+        ring = Ring(6)
+        scheme = FragmentScheme.from_bits((2, 2))
+        config = TripletConfig(ring=ring, scheme=scheme, m=16, n=32, o=4, group=test_group)
+        w = np.random.default_rng(5).integers(-8, 8, size=config.w_shape)
+        digits = scheme.digits(w)
+        choices = np.concatenate(
+            [digits[:, :, ks].reshape(-1) for _, ks in config.radix_groups]
+        )
+        role = threading.local()
+        opened = []
+        add_rows = triplets_mod._add_rows
+
+        def recording(acc, values, start, cfg, k_count):
+            if getattr(role, "server", False):
+                opened.append(values.copy())
+            add_rows(acc, values, start, cfg, k_count)
+
+        monkeypatch.setattr(triplets_mod, "_add_rows", recording)
+
+        def server(chan):
+            role.server = True
+            return generate_triplets_server(chan, w, config, seed=1)
+
+        for r_seed in (7, 8):
+            r = ring.sample(np.random.default_rng(r_seed), config.r_shape)
+            opened.clear()
+            result = run_protocol(
+                server, lambda ch: generate_triplets_client(ch, r, config, seed=3)
+            )
+            assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
+            values = np.concatenate(opened)
+            assert values.shape == (config.total_ots, config.o)
+            zero = choices == 0
+            assert 0 < zero.sum() < config.total_ots
+            for kind in (zero, ~zero):
+                assert _chi2_uniform(values[kind].reshape(-1), 1 << ring.bits) < CHI2_CRIT_63
