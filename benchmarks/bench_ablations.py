@@ -8,14 +8,15 @@ Not a paper table — these isolate the paper's individual optimizations:
 2. **multi-batch OT reuse** (Section 4.1.2) at o = 8 vs repeating the
    o = 1 protocol o times, and against the N-message closed form;
 3. **optimized ReLU** (Section 4.2) vs the oblivious Algorithm-2 ReLU;
-4. **fragment radix sweep** at fixed eta (the (N, gamma) trade-off).
+4. **fragment radix sweep** at fixed eta (the (N, gamma) trade-off),
+   and the protocol's per-layer wire split against measured bytes.
 """
 
 import numpy as np
 import pytest
 
 from conftest import paper_n_message_bits, random_weights
-from repro.core.params import enumerate_costs
+from repro.core.params import bit_widths, enumerate_costs, wire_split
 from repro.core.protocol import secure_predict
 from repro.core.triplets import (
     TripletConfig,
@@ -202,23 +203,43 @@ def test_ablation_fragment_radix(benchmark, eta, bench_group, bench_rng):
     (:func:`repro.perf.costmodel.abnn2_comm_bits`: ``c(N)`` U bits, not
     the paper's ``2 kappa`` that :func:`repro.core.params.enumerate_costs`
     keeps), so the best two and the worst must also measure in that order.
+    At ``o = 1`` and ``o = 8`` the split the protocol runs
+    (:func:`repro.core.params.wire_split` of the declared ``(2, ..., 2)``)
+    must measure cheapest among the three best-priced candidates and the
+    worst.
     """
     m, n = 32, 64
-    ranked = sorted(
-        (tuple(row["bit_widths"]) for row in enumerate_costs(eta, ring_bits=32, batch=1)),
-        key=lambda widths: abnn2_comm_bits(FragmentScheme.from_bits(widths), m, n, 1, 32),
-    )
-    candidates = ranked[:2] + ranked[-1:]
+    compositions = [tuple(row["bit_widths"]) for row in enumerate_costs(eta, ring_bits=32, batch=1)]
+
+    def ranked(o):
+        return sorted(
+            compositions,
+            key=lambda widths: abnn2_comm_bits(FragmentScheme.from_bits(widths), m, n, o, 32),
+        )
+
+    declared = FragmentScheme.from_bits((2,) * (eta // 2))
+    chosen = {o: bit_widths(wire_split(declared, o, RING.bits)) for o in (1, 8)}
+    candidates = {o: {chosen[o], *ranked(o)[:3], ranked(o)[-1]} for o in (1, 8)}
 
     def run():
-        measured = {}
-        for widths in candidates:
-            scheme = FragmentScheme.from_bits(widths)
-            measured[widths] = _triplets(scheme, m, n, 1, bench_group, bench_rng).total_bytes
-        return measured
+        return {
+            o: {
+                widths: _triplets(
+                    FragmentScheme.from_bits(widths), m, n, o, bench_group, bench_rng
+                ).total_bytes
+                for widths in sorted(candidates[o])
+            }
+            for o in (1, 8)
+        }
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info.update({str(k): v for k, v in measured.items()})
+    benchmark.extra_info.update(
+        {f"o{o} {widths}": v for o, row in measured.items() for widths, v in row.items()}
+    )
     # The analytically-best composition must also measure best.
-    best, second, worst = candidates
-    assert measured[best] <= measured[second] <= measured[worst]
+    best, second, *_ = ranked(1)
+    worst = ranked(1)[-1]
+    assert measured[1][best] <= measured[1][second] <= measured[1][worst]
+    # The protocol's own choice is the cheapest candidate on the wire.
+    for o in (1, 8):
+        assert measured[o][chosen[o]] == min(measured[o].values()), (o, measured[o])

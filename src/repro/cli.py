@@ -33,7 +33,14 @@ import sys
 
 import numpy as np
 
-from repro.core.params import enumerate_costs, optimal_scheme, scheme_for
+from repro.core.params import (
+    bit_widths,
+    enumerate_costs,
+    optimal_scheme,
+    scheme_for,
+    wire_bits_per_weight,
+    wire_split,
+)
 from repro.core.protocol import ModelMeta
 from repro.errors import ReproError
 from repro.nn.data import synthetic_mnist
@@ -264,12 +271,24 @@ def cmd_cost(args) -> int:
     print(
         f"fragment decompositions for eta={args.eta}, l={args.ring}, batch={args.batch}"
     )
-    print(f"{'scheme':>16} {'gamma':>6} {'max N':>6} {'bits/weight':>12}")
+    print(
+        "table1: the paper's price (2k bits of U per OT, N messages at batch > 1); "
+        "wire: what the protocol sends (c(N) bits of U, N - 1 messages)"
+    )
+    print(f"{'scheme':>16} {'gamma':>6} {'max N':>6} {'table1 bits':>12} {'wire bits':>10}")
     for row in rows[: args.top]:
-        label = "(" + ",".join(str(b) for b in row["bit_widths"]) + ")"
-        print(f"{label:>16} {row['gamma']:>6} {row['max_n']:>6} {row['comm_bits']:>12}")
+        widths = row["bit_widths"]
+        label = "(" + ",".join(str(b) for b in widths) + ")"
+        wire = wire_bits_per_weight(widths, args.batch, args.ring)
+        print(
+            f"{label:>16} {row['gamma']:>6} {row['max_n']:>6} "
+            f"{row['comm_bits']:>12} {wire:>10}"
+        )
     best = optimal_scheme(args.eta, ring_bits=args.ring, batch=args.batch)
     print(f"\noptimal: {best.name}")
+    run = wire_split(best, args.batch, args.ring)
+    wire = wire_bits_per_weight(bit_widths(run), args.batch, args.ring)
+    print(f"protocol runs: {run.name} ({wire} wire bits per weight)")
     return 0
 
 
@@ -391,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=2)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("cost", help="rank fragment schemes by Table-1 cost")
+    p = sub.add_parser(
+        "cost", help="rank fragment schemes by Table-1 cost, next to their wire cost"
+    )
     p.add_argument("--eta", type=int, required=True)
     p.add_argument("--ring", type=int, default=32)
     p.add_argument("--batch", type=int, default=1)

@@ -23,8 +23,18 @@ that cost the one-batch optimum for ``eta = 8, l = 32`` is ``(2,2,2,2)``
 at 1152 bits per weight, not the paper's ``(2,3,3)``, which costs 1248.
 The running protocol also sends ``N - 1`` messages at every batch width
 (:func:`repro.perf.costmodel.abnn2_comm_bits`), and under that layout
-binary fragments ``(1,...,1)`` are the cheapest 8-bit scheme at
-``o >= 8`` (for any ring wider than 8 bits: once ``o * l > 64``).
+binary fragments ``(1,...,1)`` are the cheapest 8-bit scheme once
+``o * l > 64``.
+
+So the protocol does not run a layer's declared split as is.
+:func:`wire_split` re-splits every bit-sliced scheme per linear layer:
+it keeps eta and the sign, and picks the composition of eta that is
+cheapest at the wire prices
+(:func:`repro.perf.costmodel.abnn2_comm_bits_radices`) for the layer's
+public ``(o, l)``.  :func:`repro.core.protocol.layer_triplet_config`
+applies it, so both parties and the dealer run the same split.
+:func:`optimal_scheme` and :func:`enumerate_costs` stay the paper's
+Table-1 search.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.errors import ConfigError
+from repro.perf.costmodel import abnn2_comm_bits_radices
 from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
 
 KAPPA = 128
@@ -130,3 +141,76 @@ def enumerate_costs(
         )
     rows.sort(key=lambda r: r["comm_bits"])
     return rows
+
+
+# --------------------------------------------------------------------- #
+# the split the protocol runs
+# --------------------------------------------------------------------- #
+def bit_widths(scheme: FragmentScheme) -> tuple[int, ...] | None:
+    """The LSB-first widths of a bit-sliced scheme, or ``None``.
+
+    A scheme is bit-sliced when it equals
+    ``FragmentScheme.from_bits(widths, scheme.signed)`` fragment for
+    fragment, whatever its name (a scheme read back from a bundle keeps
+    its value tables, not its constructor).  ``binary`` is the one-bit
+    unsigned slice; ``ternary`` and other value tables are not slices.
+    """
+    widths = []
+    for frag in scheme.fragments:
+        width = (frag.n_values - 1).bit_length()
+        if frag.n_values != 1 << width:
+            return None
+        widths.append(width)
+    widths = tuple(widths)
+    if sum(widths) != scheme.eta:
+        return None
+    sliced = FragmentScheme.from_bits(widths, signed=scheme.signed)
+    if [f.values for f in sliced.fragments] != [f.values for f in scheme.fragments]:
+        return None
+    return widths
+
+
+def wire_bits_per_weight(widths: tuple[int, ...], o: int, ring_bits: int) -> int:
+    """Bits one weight element's OTs put on the wire at batch width ``o``
+    (:func:`~repro.perf.costmodel.abnn2_comm_bits_radices` at
+    ``m = n = 1``), next to :func:`comm_bits_per_weight`'s Table-1 price."""
+    return abnn2_comm_bits_radices([1 << b for b in widths], 1, 1, o, ring_bits)
+
+
+@lru_cache(maxsize=1024)
+def _wire_widths(
+    declared: tuple[int, ...], o: int, ring_bits: int
+) -> tuple[int, ...]:
+    """The cheapest composition of ``sum(declared)`` at ``(o, l)``: wire
+    bits, then fewer radix groups, then the declared split first."""
+
+    def cost(widths: tuple[int, ...]) -> tuple[int, int, bool]:
+        return wire_bits_per_weight(widths, o, ring_bits), len(set(widths)), widths != declared
+
+    return min(_compositions(sum(declared), MAX_FRAGMENT_BITS), key=cost)
+
+
+def wire_split(scheme: FragmentScheme, o: int, ring_bits: int) -> FragmentScheme:
+    """The fragment split one layer's OTs run, at batch width ``o`` and
+    ring width ``l``.
+
+    The candidates are the compositions of ``scheme.eta`` into fragments
+    of at most :data:`MAX_FRAGMENT_BITS` bits, top fragment signed as in
+    ``scheme``.  Each is priced per weight by
+    :func:`~repro.perf.costmodel.abnn2_comm_bits_radices` (``N - 1``
+    messages of ``o * l`` bits and ``c(N)`` bits of ``U`` per OT); ties go
+    to fewer radix groups, then to the declared split.  Every candidate
+    covers the same weight range with the same two's-complement digits,
+    and the choice reads only public facts, so the parties need not agree
+    on anything new.  A scheme that is not bit-sliced (:func:`bit_widths`:
+    ``ternary``, custom value tables) or wider than the searches' 16 bits
+    is returned unchanged, and so is one whose split is already the
+    cheapest.
+    """
+    declared = bit_widths(scheme)
+    if declared is None or scheme.eta > 16:
+        return scheme
+    widths = _wire_widths(declared, o, ring_bits)
+    if widths == declared:
+        return scheme
+    return FragmentScheme.from_bits(widths, signed=scheme.signed)

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.offline import ClientHalf, ServerHalf, chain_operands, materialize
+from repro.core.params import wire_split
 from repro.core.pooling import avgpool_share
 from repro.core.relu import relu_layer_client, relu_layer_server
 from repro.core.triplets import TripletConfig
@@ -261,15 +262,19 @@ def layer_triplet_config(
     """The offline triplet configuration for one linear layer.
 
     One definition for both parties and the dealer, so the grouped
-    winograd shape (``groups=16``, transformed-weight OT scheme) can
-    never diverge between them.
+    winograd shape (``groups=16``, transformed-weight OT scheme) and the
+    wire split can never diverge between them.  The OTs run
+    :func:`repro.core.params.wire_split` of the layer's OT scheme: the
+    cheapest fragment split of its bit width at the layer's public
+    ``(o, l)``.
     """
+    o = batch * layer.batch_multiplier()
     return TripletConfig(
         ring=ring,
-        scheme=layer.ot_scheme,
+        scheme=wire_split(layer.ot_scheme, o, ring.bits),
         m=layer.matmul_rows,
         n=layer.matmul_cols,
-        o=batch * layer.batch_multiplier(),
+        o=o,
         group=group,
         ro=ro,
         groups=layer.matmul_groups,

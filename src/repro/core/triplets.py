@@ -162,6 +162,16 @@ class TripletConfig:
         per_ot = max(1, n_values * width)
         return max(1024, _CHUNK_BUDGET_WORDS // per_ot)
 
+    def chunk_ots(self, n_values: int, total: int) -> int:
+        """OTs per wire chunk of a ``total``-OT span: the span cut into
+        as many chunks as :meth:`chunk_size` needs, of equal size rounded
+        up to 64 OTs and capped at :meth:`chunk_size`, so the chunk count
+        (and with it the frames and rounds) is the one :meth:`chunk_size`
+        gives, and the largest chunk is no larger than it must be."""
+        cap = self.chunk_size(n_values)
+        chunks = max(1, -(-total // cap))
+        return min(cap, (-(-total // chunks) + 63) // 64 * 64)
+
     def sub_block(self, n_values: int) -> int:
         """OTs per sub-block: a multiple of 64, so a sub-block's packed
         messages start on a word boundary at every ring width."""
@@ -327,18 +337,21 @@ def server_group_span(
     per_ot = (n_values - 1) * o  # message elements per OT on the wire
     block = config.sub_block(n_values)
     u = ring.zeros(config.out_shape)
-    for lo in range(start, stop, chunk):
-        hi = min(stop, lo + chunk)
+
+    def open_chunk(lo: int, hi: int) -> None:
+        """Receive one chunk's frame and add its openings to ``u``.  The
+        frame and the pads die on return, before the next extension."""
         batch = choices[lo:hi]
         count = hi - lo
-        pad = receiver.pads(batch, width, domain=_TRIPLET_DOMAIN)
+        # Hashed while the client builds its frame, one sub-block's hash
+        # inputs at a time.
+        pad_blocks = list(receiver.pad_blocks(batch, width, block, domain=_TRIPLET_DOMAIN))
         with channel_span(chan, "ot-transfer", m=count, width=width):
             packed = chan.recv()
         if packed.shape != (packed_word_count(count * per_ot, ring.bits),):
             raise ProtocolError(f"unexpected triplet frame shape {packed.shape}")
-        for a in range(0, count, block):
-            b = min(count, a + block)
-            sel = batch[a:b]
+        for a, b, pad in pad_blocks:
+            sel = batch[a:b].astype(np.int64)
             block_words = packed[_block_words(a * per_ot, b * per_ot, ring.bits)]
             # Any digit t > 0 opens message t - 1's o * l bits.  Digit 0
             # takes -pad: the client's share is its pad 0.
@@ -346,9 +359,12 @@ def server_group_span(
             got = gather_bit_rows(block_words, message * o * ring.bits, o * ring.bits)
             zero = sel == 0
             got[zero] = 0
-            values = unpack_ring_words(got ^ pad[a:b], ring.bits, o)
+            values = unpack_ring_words(got ^ pad, ring.bits, o)
             values[zero] = ring.neg(values[zero])
             _add_rows(u, values, lo + a, config, k_count)
+
+    for lo in range(start, stop, chunk):
+        open_chunk(lo, min(stop, lo + chunk))
     return u
 
 
@@ -436,7 +452,7 @@ def generate_triplets_server(
     if w.shape != config.w_shape:
         raise ConfigError(f"expected W of shape {config.w_shape}, got {w.shape}")
     ring = config.ring
-    digits = config.scheme.digits(w)  # (rows, n, gamma)
+    digits = config.scheme.digits(w)  # (rows, n, gamma) uint8
 
     channel_setup(chan, config.group).reserve(config.code_bits)
     u = ring.zeros(config.out_shape)
@@ -450,11 +466,12 @@ def generate_triplets_server(
                 chan, n_values, group=config.group, ro=config.ro, seed=group_seed
             )
             choices = digits[:, :, k_list].reshape(-1)
+            total = choices.shape[0]
             u = ring.add(
                 u,
                 server_group_span(
                     chan, receiver, choices, config, n_values, len(k_list),
-                    0, choices.shape[0], config.chunk_size(n_values),
+                    0, total, config.chunk_ots(n_values, total),
                 ),
             )
     return ring.reduce(u)
@@ -497,7 +514,7 @@ def generate_triplets_client(
                 v,
                 client_group_span(
                     chan, sender, table, r, config, n_values, len(k_list),
-                    0, total, config.chunk_size(n_values),
+                    0, total, config.chunk_ots(n_values, total),
                 ),
             )
     return ring.reduce(v)

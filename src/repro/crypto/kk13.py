@@ -212,7 +212,9 @@ class Kk13Receiver:
         set, so ``N`` packed masks replace an ``(m, 4)``-word transpose.
         """
         self.ensure_seeds()
-        b = np.asarray(choices, dtype=np.int64)
+        b = np.asarray(choices)  # any integer dtype: the triplets pass uint8
+        if b.dtype.kind not in "iu":
+            b = b.astype(np.int64)
         if b.ndim != 1 or (b < 0).any() or (b >= self.n_values).any():
             raise CryptoError(f"choices must lie in [0, {self.n_values})")
         m = b.shape[0]
@@ -233,6 +235,26 @@ class Kk13Receiver:
         out = self.ro.mask(_rows_with_index(t, self._ot_index), width, domain)
         self._ot_index += np.asarray(choices).shape[0]
         return out
+
+    def pad_blocks(self, choices, width: int, block: int, domain: int = 3):
+        """:meth:`pads` in sub-blocks, mirroring
+        :meth:`Kk13Sender.pad_blocks`: extend all ``m`` choices now (the
+        U frame goes out), then yield ``(lo, hi, pads[lo:hi])`` for every
+        ``block`` OTs, each sub-block's hash inputs and pads made only
+        when it is reached.
+        """
+        t = self._extend(np.asarray(choices))
+        m = t.shape[0]
+        first = self._ot_index
+        self._ot_index += m
+
+        def blocks():
+            for lo in range(0, m, block):
+                hi = min(m, lo + block)
+                rows = _rows_with_index(t[lo:hi], first + lo)
+                yield lo, hi, self.ro.mask(rows, width, domain)
+
+        return blocks()
 
     def recv_chosen(self, choices, width: int, domain: int = 3) -> np.ndarray:
         """Chosen-message mode: recover message ``b_i`` per OT, ``(m, W)``."""

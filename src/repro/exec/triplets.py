@@ -54,8 +54,8 @@ class ShardPlan:
     """How one offline execution is split and scheduled.
 
     ``shards``/``chunk_ots`` are public (both parties must agree);
-    ``workers``/``async_depth`` are local.  ``chunk_ots=None`` keeps the
-    per-radix chunk size of :meth:`TripletConfig.chunk_size`.
+    ``workers``/``async_depth`` are local.  ``chunk_ots=None`` cuts each
+    shard's span as :meth:`TripletConfig.chunk_ots` does.
     """
 
     shards: int = 8
@@ -183,7 +183,7 @@ def _server_shard(stream, s, config, plan, ot_seed, groups):
         ring = config.ring
         u_s = ring.zeros(config.out_shape)
         for receiver, (n_values, k_count, choices), lo, hi in spans:
-            chunk = plan.chunk_ots or config.chunk_size(n_values)
+            chunk = plan.chunk_ots or config.chunk_ots(n_values, hi - lo)
             u_s = ring.add(
                 u_s,
                 server_group_span(
@@ -204,7 +204,7 @@ def _client_shard(stream, s, config, plan, ot_seed, groups, r):
         ring = config.ring
         v_s = ring.zeros(config.out_shape)
         for sender, (n_values, k_count, value_table), lo, hi in spans:
-            chunk = plan.chunk_ots or config.chunk_size(n_values)
+            chunk = plan.chunk_ots or config.chunk_ots(n_values, hi - lo)
             v_s = ring.add(
                 v_s,
                 client_group_span(

@@ -312,10 +312,17 @@ def _words(n_elems: int, bits: int) -> int:
     return (n_elems * bits + 63) // 64
 
 
-def triplet_chunk_ots(n_values: int, o: int, ring_bits: int) -> int:
-    """OTs per wire chunk (:meth:`repro.core.triplets.TripletConfig.chunk_size`)."""
+def triplet_chunk_ots(n_values: int, o: int, ring_bits: int, total: int | None = None) -> int:
+    """OTs per wire chunk: the cap
+    (:meth:`repro.core.triplets.TripletConfig.chunk_size`), or, given the
+    ``total`` OTs of a span, the equal cut of it that the protocol runs
+    (:meth:`~repro.core.triplets.TripletConfig.chunk_ots`)."""
     width = _words(o, max(ring_bits, TRIPLET_CHUNK_MIN_ELEMENT_BITS))
-    return max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * width))
+    cap = max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * width))
+    if total is None:
+        return cap
+    chunks = max(1, -(-total // cap))
+    return min(cap, (-(-total // chunks) + 63) // 64 * 64)
 
 
 def triplet_sub_block_ots(n_values: int, o: int) -> int:
@@ -335,14 +342,16 @@ def triplet_working_set_bytes(
     both parties in one process (the in-memory channel pair).
 
     Radix groups run one after another, so the bound takes the worst
-    group, at ``c`` OTs per wire chunk and ``B`` per sub-block, and in it
-    the largest of a chunk's three phases:
+    group, at ``c`` OTs per wire chunk (the group's equal cut,
+    :func:`triplet_chunk_ots`) and ``B`` per sub-block, and in it the
+    largest of a chunk's three phases:
 
     * **extension**: :data:`_EXTENSION_ROWS` rows of ``k = c(N) / 64``
-      words per OT and the server's hashed pads and their hash inputs
-      (``c (W + k + 1)`` words), next to the client's empty frame buffer
-      (``F`` words: the shares are pads, so nothing fills it before the
-      extension);
+      words per OT, the server's hashed pads (``c W`` words) and one
+      sub-block of their hash inputs (``B (W + k + 1)`` words: the server
+      hashes sub-block by sub-block), next to the client's empty frame
+      buffer (``F`` words: the shares are pads, so nothing fills it
+      before the extension);
     * **pads**: the frame, the client's Q rows and one sub-block's
       temporaries, the server's pads (``c W`` words);
     * **hand-off**: three copies of the frame (the client's buffer, its
@@ -352,11 +361,12 @@ def triplet_working_set_bytes(
 
     A client sub-block holds hash inputs and pads, the shares, the
     products and their masked difference, the packed messages and the
-    packed stream of their pads: ``N (4 o + W + k + 2)`` words per OT.  ``W = words(o l)``, and ``F``
-    is the chunk's ``N - 1`` messages of ``o`` elements per OT packed back
-    to back, ``words(c (N - 1) o l)``.  The layer adds the server's digit
-    and choice vectors (two words per OT), both parties' ``(m, o)``
-    accumulators and :data:`_SESSION_BYTES`.
+    packed stream of their pads: ``N (4 o + W + k + 2)`` words per OT.
+    ``W = words(o l)``, and ``F`` is the chunk's ``N - 1`` messages of
+    ``o`` elements per OT packed back to back, ``words(c (N - 1) o l)``.
+    The layer adds the server's digit and choice vectors (one byte per
+    OT each), both parties' ``(m, o)`` accumulators and
+    :data:`_SESSION_BYTES`.
     """
     radices = list(frag_n_values)
     if min(m, n, o, len(radices)) < 1:
@@ -364,18 +374,19 @@ def triplet_working_set_bytes(
     width = _words(o, ring_bits)
     worst = 0
     for nv in set(radices):
-        chunk = min(triplet_chunk_ots(nv, o, ring_bits), m * n * radices.count(nv))
+        total = m * n * radices.count(nv)
+        chunk = min(triplet_chunk_ots(nv, o, ring_bits, total), total)
         block = min(triplet_sub_block_ots(nv, o), chunk)
         frame = _words(chunk * (nv - 1) * o, ring_bits)
         code_words = kk13_code_bits(nv) // 64
         rows = code_words * chunk  # one c/8 B-per-OT row (the Q or T rows)
         client = block * nv * (4 * o + width + code_words + 2)
-        extension = frame + _EXTENSION_ROWS * rows + chunk * (width + code_words + 1)
-        pads = frame + rows + client + chunk * width
-        hand_off = 3 * frame + chunk * width + block * (3 * width + 6 * o)
+        server = chunk * width  # the server's pads
+        extension = frame + _EXTENSION_ROWS * rows + server + block * (width + code_words + 1)
+        pads = frame + rows + client + server
+        hand_off = 3 * frame + server + block * (3 * width + 6 * o)
         worst = max(worst, extension, pads, hand_off)
-    layer = 2 * m * n * len(radices) + 4 * m * o
-    return word_bytes * (layer + worst) + _SESSION_BYTES
+    return word_bytes * (4 * m * o + worst) + 2 * m * n * len(radices) + _SESSION_BYTES
 
 
 # --------------------------------------------------------------------- #

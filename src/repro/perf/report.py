@@ -84,7 +84,7 @@ def triplet_slack_bits(
     slack = 0
     for nv in set(radices):
         total = m * n * radices.count(nv)
-        chunk = triplet_chunk_ots(nv, o, ring_bits)
+        chunk = triplet_chunk_ots(nv, o, ring_bits, total)
         per_ot = (nv - 1) * o
         for count in [chunk] * (total // chunk) + ([total % chunk] if total % chunk else []):
             slack += 64 * _words(count * per_ot, ring_bits) - count * per_ot * ring_bits

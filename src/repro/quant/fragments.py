@@ -118,8 +118,9 @@ class FragmentScheme:
     def digits(self, weights) -> np.ndarray:
         """OT choice indices for (signed) integer weights.
 
-        Returns an int64 array with one trailing axis of length gamma.
-        Raises if any weight is outside :attr:`weight_range`.
+        Returns a uint8 array with one trailing axis of length gamma (a
+        fragment has at most 256 values, the KK13 radix limit).  Raises
+        if any weight is outside :attr:`weight_range`.
         """
         w = np.asarray(weights, dtype=np.int64)
         lo, hi = self.weight_range
@@ -127,7 +128,9 @@ class FragmentScheme:
             raise QuantizationError(
                 f"weights outside [{lo}, {hi}] for scheme {self.name}"
             )
-        out = np.empty(w.shape + (self.gamma,), dtype=np.int64)
+        if self.max_n > 256:
+            raise QuantizationError(f"{self.name}: a fragment has more than 256 digits")
+        out = np.empty(w.shape + (self.gamma,), dtype=np.uint8)
         if self.name == "ternary":
             # {-1, 0, 1} -> digits {2, 0, 1}
             out[..., 0] = np.where(w < 0, 2, w)

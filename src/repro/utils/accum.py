@@ -3,12 +3,11 @@
 ``np.add.at`` is a notorious numpy slow path (per-element dispatch of an
 unbuffered ufunc), yet triplet generation needs exactly its semantics:
 accumulate ``(count, lanes)`` ring elements into ``n_segments`` rows with
-arbitrary repeats.  ``np.bincount`` runs the same reduction through a
-single C loop — but only with float64 weights, whose 53-bit mantissa
-cannot carry mod-2^64 ring sums.  So the accumulation runs per 16-bit
-limb: each limb sum stays below ``count * 2^16`` (exact in float64 for
-any realistic chunk size), and the recombination shifts wrap mod 2^64 in
-uint64 arithmetic, matching ``np.add.at`` bit for bit.
+arbitrary repeats.  Sorting the rows by segment turns every segment into
+one contiguous run, which ``np.add.reduceat`` sums in a single C loop;
+uint64 addition wraps mod 2^64, so the sums match ``np.add.at`` bit for
+bit.  The triplet span workers pass row-major OT indices, already
+sorted, where the stable sort is one linear pass.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ import numpy as np
 from repro.errors import ConfigError
 
 _U64 = np.uint64
-
-#: Above this many addends a 16-bit limb sum could approach float64's
-#: exact-integer range; fall back to the slow-but-safe path.
-_EXACT_LIMIT = 1 << 36
 
 
 def segment_sum_u64(values: np.ndarray, index: np.ndarray, n_segments: int) -> np.ndarray:
@@ -36,22 +31,16 @@ def segment_sum_u64(values: np.ndarray, index: np.ndarray, n_segments: int) -> n
     if v.ndim != 2:
         raise ConfigError(f"expected (count, lanes) values, got shape {v.shape}")
     count, lanes = v.shape
+    out = np.zeros((n_segments, lanes), dtype=_U64)
     if count == 0:
-        return np.zeros((n_segments, lanes), dtype=_U64)
+        return out
     idx = np.asarray(index, dtype=np.int64)
     if idx.shape != (count,):
         raise ConfigError(f"expected {count} indices, got shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= n_segments:
         raise ConfigError(f"segment indices must lie in [0, {n_segments})")
-    if count > _EXACT_LIMIT:
-        out = np.zeros((n_segments, lanes), dtype=_U64)
-        np.add.at(out, idx, v)
-        return out
-    flat_idx = (idx[:, None] * lanes + np.arange(lanes, dtype=np.int64)).ravel()
-    flat_v = v.ravel()
-    out = np.zeros(n_segments * lanes, dtype=_U64)
-    for shift in (0, 16, 32, 48):
-        limb = ((flat_v >> _U64(shift)) & _U64(0xFFFF)).astype(np.float64)
-        sums = np.bincount(flat_idx, weights=limb, minlength=n_segments * lanes)
-        out += sums.astype(_U64) << _U64(shift)
-    return out.reshape(n_segments, lanes)
+    order = np.argsort(idx, kind="stable")
+    runs = idx[order]
+    starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])
+    out[runs[starts]] = np.add.reduceat(v[order], starts, axis=0)
+    return out

@@ -7,6 +7,7 @@ convention in one place: **index 0 is the least-significant bit**.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -269,6 +270,28 @@ def _period(count: int, bits: int) -> int:
     return min(count, 64 // math.gcd(bits, 64))
 
 
+#: Elements of one cache-sized pass of :func:`pack_ring_words` (512 KiB
+#: of uint64): each output word reads ``bits``-strided element columns,
+#: which stay in cache only over a bounded run of periods.
+_PACK_BLOCK_ELEMS = 1 << 16
+#: Widths whose elements tile a word exactly in a native unsigned dtype.
+_WORD_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
+
+
+@functools.lru_cache(maxsize=None)
+def _pack_plan(period: int, bits: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
+    """Per output word of one period: ``(element, shift, left)`` terms —
+    an element shifted left into the word it starts in, and shifted
+    right into the next word when it straddles."""
+    plan: list[list[tuple[int, int, bool]]] = [[] for _ in range(packed_word_count(period, bits))]
+    for j in range(period):
+        word, shift = divmod(j * bits, 64)
+        plan[word].append((j, shift, True))
+        if shift + bits > 64:
+            plan[word + 1].append((j, 64 - shift, False))
+    return tuple(tuple(terms) for terms in plan)
+
+
 def pack_ring_words(arr: np.ndarray, bits: int) -> np.ndarray:
     """Pack ``bits``-wide ring elements into dense uint64 words.
 
@@ -279,15 +302,20 @@ def pack_ring_words(arr: np.ndarray, bits: int) -> np.ndarray:
     faithful to the paper's bit counts (e.g. ``o * l * (N - 1)`` bits per
     triplet OT) instead of always paying 64 bits per element.
 
-    One path for every width: the row is cut into periods of
+    At 8, 16 and 32 bits the stream is the elements cast to that width
+    and read as words.  Every other width cuts the row into periods of
     :func:`_period` elements, which fill a whole number of words, and
-    each element position of the period is shifted into its word (and
-    the next, when it straddles) for all periods at once.
+    writes each word of the period once, as the OR of its
+    :func:`_pack_plan` terms, over a cache-sized run of periods at a time.
     """
     a = np.asarray(arr, dtype=np.uint64)
     count = a.shape[-1]
     lead = a.shape[:-1]
     n_words = packed_word_count(count, bits)
+    if bits in _WORD_DTYPES:
+        narrow = np.zeros(lead + (n_words * 64 // bits,), dtype=_WORD_DTYPES[bits])
+        narrow[..., :count] = a
+        return narrow.view("<u8").astype(np.uint64, copy=False)
     period = _period(count, bits)
     if period == 0:
         return np.zeros(lead + (0,), dtype=np.uint64)
@@ -297,16 +325,23 @@ def pack_ring_words(arr: np.ndarray, bits: int) -> np.ndarray:
         padded = np.zeros((flat.shape[0], groups * period), dtype=np.uint64)
         padded[:, :count] = flat
         flat = padded
-    elems = flat.reshape(-1, groups, period)
-    span = packed_word_count(period, bits)
-    out = np.zeros((elems.shape[0], groups, span), dtype=np.uint64)
-    for j in range(period):
-        word, shift = divmod(j * bits, 64)
-        out[:, :, word] |= elems[:, :, j] << np.uint64(shift)
-        if shift + bits > 64:
-            out[:, :, word + 1] |= elems[:, :, j] >> np.uint64(64 - shift)
-    out = out.reshape(lead + (groups * span,))
-    return out if groups * span == n_words else np.ascontiguousarray(out[..., :n_words])
+    elems = flat.reshape(-1, period)
+    plan = _pack_plan(period, bits)
+    out = np.empty((elems.shape[0], len(plan)), dtype=np.uint64)
+    step = max(1, _PACK_BLOCK_ELEMS // period)
+    tmp = np.empty(step, dtype=np.uint64)
+    for lo in range(0, elems.shape[0], step):
+        block, dst_block = elems[lo : lo + step], out[lo : lo + step]
+        spare = tmp[: block.shape[0]]
+        for word, terms in enumerate(plan):
+            dst = dst_block[:, word]
+            for t, (j, shift, left) in enumerate(terms):
+                shift_op = np.left_shift if left else np.right_shift
+                shift_op(block[:, j], np.uint64(shift), out=dst if t == 0 else spare)
+                if t:
+                    dst |= spare
+    out = out.reshape(lead + (groups * len(plan),))
+    return out if groups * len(plan) == n_words else np.ascontiguousarray(out[..., :n_words])
 
 
 def unpack_ring_words(packed: np.ndarray, bits: int, count: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact bincount-based segment sums (the np.add.at replacement)."""
+"""Exact uint64 segment sums (the np.add.at replacement)."""
 
 import numpy as np
 import pytest

@@ -42,6 +42,14 @@ class TestCost:
         out = capsys.readouterr().out
         assert "8(2,2,2,2)" in out
 
+    def test_prints_the_wire_price_and_the_split_run(self, capsys):
+        assert main(["cost", "--eta", "8", "--batch", "8", "--ring", "22", "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        # (2,2,2,2): Table 1 4 x (8*22*4 + 256); wire 4 x (8*22*3 + 192)
+        assert "(2,2,2,2)      4      4         3840       2880" in out
+        # binary fragments at o * l = 176: 8 x (8*22 + 128) bits
+        assert "protocol runs: 8(1,1,1,1,1,1,1,1) (2432 wire bits per weight)" in out
+
     def test_eta_out_of_range_is_one_error_line(self, capsys):
         assert main(["cost", "--eta", "0"]) == 1
         captured = capsys.readouterr()

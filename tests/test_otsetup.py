@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.protocol import ModelMeta, secure_predict
+from repro.core.protocol import ModelMeta, layer_triplet_config, secure_predict
 from repro.crypto import baseot
 from repro.crypto.codes import code_length
 from repro.crypto.group import MODP_1536, MODP_TEST
@@ -181,13 +181,21 @@ def _assert_single_use(records, calls, sessions: int, columns: int) -> None:
     assert sorted(calls) == [("receiver", columns), ("sender", columns)]
 
 
+def _session_codes(qmodel, batch: int = 1) -> list[int]:
+    """The KK13 code length of each offline session, in the order the
+    walk runs them: layer by layer, the radix groups of the wire split
+    the protocol picks for the layer (N ascending)."""
+    meta = ModelMeta.from_model(qmodel)
+    return [
+        code_length(n_values)
+        for idx, layer in enumerate(meta.layers)
+        for n_values, _ in layer_triplet_config(meta.layer_ring(idx), layer, batch).radix_groups
+    ]
+
+
 def _c_max(qmodel) -> int:
     """The widest KK13 code length of the model's offline sessions."""
-    return max(
-        code_length(frag.n_values)
-        for layer in ModelMeta.from_model(qmodel).layers
-        for frag in layer.ot_scheme.fragments
-    )
+    return max(_session_codes(qmodel))
 
 
 PREDICT_CASES = {
@@ -272,24 +280,44 @@ class TestSingleUse:
 
 
 class TestOneHandshake:
-    """Layers whose code lengths grow (the radix groups run N ascending)
-    still share one handshake: the offline walk reserves ``c_max``."""
+    """Sessions whose code lengths grow (across layers, or across a
+    layer's radix groups, which run N ascending) still share one
+    handshake: the offline walk reserves ``c_max`` of the splits the
+    protocol runs, not of the declared schemes."""
 
     @pytest.mark.parametrize(
-        "schemes",
+        "build, features",
         [
-            TABLE2_SCHEMES["8(3,3,2)"],
-            [TABLE2_SCHEMES["4(2,2)"], TABLE2_SCHEMES["8(4,4)"], TABLE2_SCHEMES["4(2,2)"]],
+            # declared 8(3,3,2): the conv layers run binary fragments
+            # (128 columns), the o = 1 dense layers (2,2,2,2) (192)
+            (
+                lambda: quantize_model(
+                    vgg_cifar(base=2, side=12), TABLE2_SCHEMES["8(3,3,2)"], Ring(32),
+                    input_shape=(3, 12, 12),
+                ),
+                3 * 12 * 12,
+            ),
+            # layer 1's 3-bit weights run one N = 8 fragment (256 columns)
+            # at l = 18, after layer 0's (2,2) (192)
+            (
+                lambda: quantize_model(
+                    mnist_mlp(),
+                    [TABLE2_SCHEMES["4(2,2)"], TABLE2_SCHEMES["3(2,1)"], TABLE2_SCHEMES["4(2,2)"]],
+                    Ring(32),
+                ),
+                784,
+            ),
         ],
         ids=["8(3,3,2)", "per-layer"],
     )
-    def test_fig4_runs_one_base_ot_span_per_party(self, schemes, test_group):
+    def test_fig4_runs_one_base_ot_span_per_party(self, build, features, test_group):
         from repro.perf.trace import iter_spans
 
-        qmodel = quantize_model(mnist_mlp(), schemes, Ring(32))
-        x = np.random.default_rng(4).uniform(0, 1, size=(1, 784))
+        qmodel = build()
+        codes = _session_codes(qmodel)
+        assert codes[0] < _c_max(qmodel)  # the code grows after the first session
+        x = np.random.default_rng(4).uniform(0, 1, size=(1, features))
         report = secure_predict(qmodel, x, group=test_group, seed=5)
-        assert _c_max(qmodel) == 256 > code_length(4)
         for trace in (report.server_trace, report.client_trace):
             spans = [span for _, span in iter_spans(trace) if span["name"] == "base-ot"]
             assert [span["attrs"]["columns"] for span in spans] == [_c_max(qmodel)]

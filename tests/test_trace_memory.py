@@ -199,32 +199,42 @@ class TestTripletWorkingSet:
                     config = TripletConfig(ring=Ring(ring_bits), scheme=scheme, m=1, n=1, o=o)
                     assert triplet_chunk_ots(n_values, o, ring_bits) == config.chunk_size(n_values)
                     assert triplet_sub_block_ots(n_values, o) == config.sub_block(n_values)
+                    cap = config.chunk_size(n_values)
+                    for total in (1, 64, cap - 1, cap, cap + 1, 3 * cap + 100, 40 * cap):
+                        chunk = config.chunk_ots(n_values, total)
+                        assert triplet_chunk_ots(n_values, o, ring_bits, total) == chunk
+                        # the cap's chunk count, in chunks no larger than the cap
+                        assert chunk <= cap and -(-total // chunk) == -(-total // cap)
         assert triplet_chunk_ots(4, 1 << 20, 32) == TRIPLET_MIN_CHUNK
 
     def test_fig4_layer0_batch8_closed_form(self):
-        # Two wire chunks of 262 144 OTs; 16 Ki-OT sub-blocks.  The frame
-        # carries N - 1 = 3 messages of 8 elements per OT (12 words), and
-        # nothing fills it before the extension.  With the 192-column
-        # N = 4 code (24 B rows) the extension (the empty frame, ten rows,
-        # the server's pads and hash inputs) is the worst phase, above
-        # the hand-off (three frame copies).
-        chunk, block, code_words = 262_144, 16_384, 3
+        # 401 408 OTs cut into two equal wire chunks of 200 704 (the cap is
+        # 262 144); 16 Ki-OT sub-blocks.  The frame carries N - 1 = 3
+        # messages of 8 elements per OT (12 words), and nothing fills it
+        # before the extension.  With the 192-column N = 4 code (24 B
+        # rows) the extension (the empty frame, ten rows, the server's
+        # pads and one sub-block of their hash inputs) is the worst phase,
+        # above the hand-off (three frame copies and the server's pads).
+        chunk, block, code_words = 200_704, 16_384, 3
+        assert triplet_chunk_ots(4, 8, 32, 128 * 784 * 4) == chunk
         frame = chunk * 3 * 4
-        extension = frame + 10 * code_words * chunk + chunk * (4 + code_words + 1)
+        extension = frame + 10 * code_words * chunk + chunk * 4 + block * (4 + code_words + 1)
         pads = frame + code_words * chunk + block * 4 * (4 * 8 + 4 + code_words + 2) + chunk * 4
         hand_off = 3 * frame + chunk * 4 + block * (3 * 4 + 6 * 8)
         assert pads < hand_off < extension
-        layer = 2 * 128 * 784 * 4 + 4 * 128 * 8
+        digits = 2 * 128 * 784 * 4  # uint8 digits and choices
         assert triplet_working_set_bytes(o=8, **FIG4_L0) == (
-            WORD_BYTES * (layer + extension) + (1 << 20)
+            WORD_BYTES * (4 * 128 * 8 + extension) + digits + (1 << 20)
         )
 
     def test_chunk_terms_do_not_grow_with_the_layer(self):
         small = triplet_working_set_bytes(o=8, **FIG4_L0)
         big = triplet_working_set_bytes(
             1280, 784, 8, 32, [4, 4, 4, 4]
-        )  # ten times the OTs, twenty wire chunks
-        assert big - small == WORD_BYTES * (2 * 1152 * 784 * 4 + 4 * 1152 * 8)
+        )  # ten times the OTs, sixteen wire chunks no larger than the cap
+        layer_growth = WORD_BYTES * 4 * 1152 * 8 + 2 * 1152 * 784 * 4
+        at_cap = WORD_BYTES * (10 * 3 + 12 + 4) * (262_144 - 200_704)
+        assert layer_growth < big - small <= layer_growth + at_cap
 
     def test_validation(self):
         with pytest.raises(ConfigError):

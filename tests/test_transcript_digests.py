@@ -77,10 +77,10 @@ class DigestChannel:
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
     "fig4_b1": ("f5ad9dccf6a2063c", "41b13a4806b92ba4"),
-    "fig4_b8": ("a8396f496798e698", "97f49f7ba48d1e21"),
-    "vgg_cifar_side12": ("c3b9c50075fb0c6c", "3bf374fa936f11d8"),
-    "vgg_cifar_side12_chunk7": ("c3b9c50075fb0c6c", "3bf374fa936f11d8"),
-    "vgg_cifar_side12_winograd": ("66ed35561501c5bf", "96a6901e88f26468"),
+    "fig4_b8": ("232d017631a8305d", "6a9573cfafbc1151"),
+    "vgg_cifar_side12": ("0dff81f245b50d00", "972e2e01912d2ddf"),
+    "vgg_cifar_side12_chunk7": ("0dff81f245b50d00", "972e2e01912d2ddf"),
+    "vgg_cifar_side12_winograd": ("e993d57228b4e025", "60fe6a7a91e0d051"),
     "served_bank_keepalive": ("5deb31fbb51d426a", "733247cccc15bc37"),
 }
 
