@@ -21,7 +21,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines.quotient import quotient_triplets_client, quotient_triplets_server
+from repro.baselines.secureml import (
+    SecureMlConfig,
+    secureml_triplets_client,
+    secureml_triplets_server,
+)
 from repro.core.protocol import ModelMeta, secure_predict
+from repro.core.triplets import TripletConfig
 from repro.crypto.group import MODP_TEST
 from repro.net import run_protocol, tcp
 from repro.net.channel import make_channel_pair
@@ -82,6 +89,8 @@ PINNED = {
     "vgg_cifar_side12_chunk7": ("0dff81f245b50d00", "972e2e01912d2ddf"),
     "vgg_cifar_side12_winograd": ("e993d57228b4e025", "60fe6a7a91e0d051"),
     "served_bank_keepalive": ("5deb31fbb51d426a", "733247cccc15bc37"),
+    "secureml_triplets": ("1813590807647dbd", "2bda67427dfcb0de"),
+    "quotient_triplets": ("7eadbebd1c974c7e", "e8f1b0a9cbbd0e36"),
 }
 
 
@@ -146,6 +155,39 @@ def _served_bank_digests() -> tuple[str, str]:
     return server_chan.hexdigest()[:16], client_chan.hexdigest()[:16]
 
 
+def _triplet_digests(server_fn, client_fn) -> tuple[str, str]:
+    """Digests of one baseline triplet run: the correlated-OT path the
+    SecureML and QUOTIENT offline phases take, which no prediction runs."""
+    channels = tuple(DigestChannel(chan) for chan in make_channel_pair(timeout_s=30.0))
+    run_protocol(server_fn, client_fn, channels=channels)
+    return tuple(chan.hexdigest()[:16] for chan in channels)
+
+
+def _baseline_operands(lo: int, hi: int, ring: Ring):
+    rng = np.random.default_rng(5)
+    return rng.integers(lo, hi + 1, size=(3, 4)), ring.sample(rng, (4, 2))
+
+
+def _secureml_digests() -> tuple[str, str]:
+    config = SecureMlConfig(ring=Ring(16), m=3, n=4, o=2, group=MODP_TEST)
+    w, r = _baseline_operands(-100, 100, config.ring)
+    return _triplet_digests(
+        lambda ch: secureml_triplets_server(ch, w, config, seed=1),
+        lambda ch: secureml_triplets_client(ch, r, config, seed=2),
+    )
+
+
+def _quotient_digests() -> tuple[str, str]:
+    config = TripletConfig(
+        ring=Ring(32), scheme=FragmentScheme.ternary(), m=3, n=4, o=2, group=MODP_TEST
+    )
+    w, r = _baseline_operands(-1, 1, config.ring)
+    return _triplet_digests(
+        lambda ch: quotient_triplets_server(ch, w, config, seed=1),
+        lambda ch: quotient_triplets_client(ch, r, config, seed=2),
+    )
+
+
 RUNS = {
     "fig4_b8": lambda: _predict_digests(
         _fig4(), _inputs(784, 8), make_channel_pair(timeout_s=60.0)
@@ -154,6 +196,8 @@ RUNS = {
     "vgg_cifar_side12_chunk7": lambda: _vgg_side12(chunk_cols=7),
     "vgg_cifar_side12_winograd": lambda: _vgg_side12(linear_backend="winograd"),
     "served_bank_keepalive": _served_bank_digests,
+    "secureml_triplets": _secureml_digests,
+    "quotient_triplets": _quotient_digests,
 }
 
 
