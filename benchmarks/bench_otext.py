@@ -3,9 +3,10 @@
 
 Measures raw ``_extend`` throughput (the batched PRG expansion, the U/Q/T
 matrix XORs, the bit-matrix transpose, and the wire codec — everything
-except random-oracle masking) for both the vectorized engines and the
+except random-oracle masking) for the vectorized KK13 engine and the
 seed per-column reference preserved in
-:mod:`repro.crypto.otext_reference`.  Both engines are byte-identical on
+:mod:`repro.crypto.otext_reference`, at ``N = 4`` (the ``kk13/*`` rows)
+and at ``N = 2``, where the engine is IKNP (the ``iknp/*`` rows).  Both engines are byte-identical on
 the wire (see ``tests/test_otext_transcripts.py``), so the comparison is
 apples to apples: same transcripts, same traffic, different compute.
 

@@ -18,42 +18,40 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table.
 """
 
-from repro.core.params import optimal_scheme, scheme_for
-from repro.core.protocol import (
-    Abnn2Client,
-    Abnn2Server,
-    ModelMeta,
-    PredictionReport,
-    secure_predict,
-)
-from repro.nn.data import SyntheticMnist, synthetic_mnist
-from repro.nn.model import Sequential, mnist_mlp
-from repro.nn.quantize import QuantizedModel, quantize_model
-from repro.nn.train import TrainConfig, train_classifier
-from repro.quant.fixed_point import FixedPointEncoder
-from repro.quant.fragments import FragmentScheme
-from repro.utils.ring import Ring
+import importlib
+
+#: Each public name and the module it comes from.  They load on first
+#: use (PEP 562), so importing one subsystem, such as the OT engine
+#: ``repro.crypto.kk13``, does not load the whole protocol stack.
+_EXPORTS = {
+    "Ring": "repro.utils.ring",
+    "FragmentScheme": "repro.quant.fragments",
+    "FixedPointEncoder": "repro.quant.fixed_point",
+    "SyntheticMnist": "repro.nn.data",
+    "synthetic_mnist": "repro.nn.data",
+    "Sequential": "repro.nn.model",
+    "mnist_mlp": "repro.nn.model",
+    "TrainConfig": "repro.nn.train",
+    "train_classifier": "repro.nn.train",
+    "QuantizedModel": "repro.nn.quantize",
+    "quantize_model": "repro.nn.quantize",
+    "optimal_scheme": "repro.core.params",
+    "scheme_for": "repro.core.params",
+    "Abnn2Server": "repro.core.protocol",
+    "Abnn2Client": "repro.core.protocol",
+    "ModelMeta": "repro.core.protocol",
+    "PredictionReport": "repro.core.protocol",
+    "secure_predict": "repro.core.protocol",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Ring",
-    "FragmentScheme",
-    "FixedPointEncoder",
-    "SyntheticMnist",
-    "synthetic_mnist",
-    "Sequential",
-    "mnist_mlp",
-    "TrainConfig",
-    "train_classifier",
-    "QuantizedModel",
-    "quantize_model",
-    "optimal_scheme",
-    "scheme_for",
-    "Abnn2Server",
-    "Abnn2Client",
-    "ModelMeta",
-    "PredictionReport",
-    "secure_predict",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -19,9 +19,10 @@ import numpy as np
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.protocol import Abnn2Client, Abnn2Server, PredictionReport
 from repro.core.triplets import TripletConfig
+from repro.crypto import codes
 from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.hash_ro import default_ro
-from repro.crypto.iknp import KAPPA, OtExtReceiver, OtExtSender
+from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.errors import ConfigError
 from repro.net.channel import Channel
 from repro.net.runner import run_protocol
@@ -77,7 +78,7 @@ def quotient_triplets_client(
 class QuotientMatmulServer(SecureMatmulServer):
     @staticmethod
     def base_ot_columns(config: TripletConfig) -> int:
-        return KAPPA  # IKNP
+        return codes.code_length(2)
 
     def offline(self) -> None:
         self._u = quotient_triplets_server(self.chan, self.w_int, self.config, seed=self._seed)

@@ -10,10 +10,11 @@ Layers, bottom to top:
   oblivious transfers (Naor–Pinkas style over a MODP group).
 * :mod:`repro.crypto.otsetup` — one base-OT set-up per channel endpoint;
   every extension session derives its seeds from it.
-* :mod:`repro.crypto.iknp` — IKNP 1-out-of-2 OT extension, plus correlated
-  and random OT variants.
 * :mod:`repro.crypto.codes` / :mod:`repro.crypto.kk13` — Kolesnikov–Kumaresan
-  1-out-of-N OT extension over Walsh–Hadamard codes (the paper's workhorse).
+  1-out-of-N OT extension over Walsh–Hadamard codes: the paper's workhorse
+  and the one OT-extension engine.
+* :mod:`repro.crypto.iknp` — IKNP, the engine at ``N = 2``, with the
+  correlated and XOR-correlated 1-out-of-2 forms built on its pads.
 * :mod:`repro.crypto.paillier` — additively homomorphic encryption for the
   MiniONN baseline.
 """

@@ -1,24 +1,34 @@
 """KK13 1-out-of-N OT extension (Kolesnikov–Kumaresan, CRYPTO'13).
 
-The paper's matrix-multiplication protocol is built directly on this
-primitive (its Figure 1 ideal functionality).  Structure mirrors IKNP
-(:mod:`repro.crypto.iknp`) with two changes:
+The repo's one OT-extension engine.  The paper's matrix-multiplication
+protocol is built directly on it (its Figure 1 ideal functionality), and
+at ``N = 2`` it is IKNP, on which :mod:`repro.crypto.iknp` builds the
+1-out-of-2 forms.  Roles:
 
-* the receiver's row ``i`` encodes its choice ``b_i in [N]`` as the
-  Walsh–Hadamard codeword ``C(b_i)`` instead of a repetition code, so the
-  sender's rows satisfy ``q_i = t_i xor (C(b_i) & s)`` and message ``j``
-  is masked by ``H(i, q_i xor (C(j) & s))``, and
-* the bit-matrix width grows to the code's ``c = code_length(N)``
-  columns (:mod:`repro.crypto.codes`): 128 for ``N = 2``, 192 for
-  ``N = 3, 4`` and ``2 * kappa = 256`` beyond.  The columns the code
-  drops are 0 in every codeword in use; there ``q_j = t_j``, which the
-  receiver knows anyway, so they would add nothing to any pad.
+* The **sender** (who holds ``N`` messages per OT; ABNN2's client) is
+  base-OT *receiver*: it holds a secret ``s in {0,1}^c``, the set-up's
+  first ``c`` choice bits.
+* The **receiver** (who holds one choice ``b_i in [N]`` per OT; ABNN2's
+  server) is base-OT *sender*: it expands both derived column seeds into
+  ``m``-bit streams ``t^0_j, t^1_j``, keeps ``T = [t^0]``, and transmits
+  ``u_j = t^0_j xor t^1_j xor C(b)_j``, where row ``i`` of ``C(b)`` is
+  the Walsh–Hadamard codeword ``C(b_i)``.
+* The sender's rows are then ``q_i = t_i xor (C(b_i) & s)``; pad ``j`` of
+  OT ``i`` is ``H(i, q_i xor (C(j) & s))``, and the receiver's
+  ``H(i, t_i)`` is pad ``b_i``.
+
+The bit matrices are the code's ``c = code_length(N)`` columns wide
+(:mod:`repro.crypto.codes`): 128 for ``N = 2``, where ``C(1)`` is all
+ones (IKNP's repetition code), 192 for ``N = 3, 4`` and
+``2 * kappa = 256`` beyond.  The columns the code drops are 0 in every
+codeword in use; there ``q_j = t_j``, which the receiver knows anyway,
+so they would add nothing to any pad.
 
 Both the *random-OT* form (each side learns pads; the ABNN2 triplets
-take pad 0 as the client's share) and the *chosen-message* form are provided.
-A session runs no base OTs of its own: it derives its ``c`` column seeds
-from the channel's :class:`~repro.crypto.otsetup.OtSetup`, whose one
-handshake serves every KK13 and IKNP session on that channel.
+take pad 0 as the client's share) and the *chosen-message* form are
+provided.  A session runs no base OTs of its own: it derives its ``c``
+column seeds from the channel's :class:`~repro.crypto.otsetup.OtSetup`,
+whose one handshake serves every session on that channel.
 """
 
 from __future__ import annotations
@@ -28,10 +38,9 @@ import numpy as np
 from repro.crypto import codes
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.crypto.iknp import _checked_u_blob, _rows_with_index
 from repro.crypto.otsetup import channel_setup, session_base_index
 from repro.crypto.prg import BatchPrg
-from repro.errors import CryptoError
+from repro.errors import CryptoError, ProtocolError
 from repro.net.channel import Channel
 from repro.perf.trace import channel_span
 from repro.utils.bits import (
@@ -47,7 +56,103 @@ _U64 = np.uint64
 _ALL_ONES = _U64(0xFFFFFFFFFFFFFFFF)
 
 
-class Kk13Sender:
+def _rows_with_index(packed_rows: np.ndarray, start_index: int) -> np.ndarray:
+    """Append the global OT index as an extra hash-input word per row."""
+    m, width = packed_rows.shape
+    out = np.empty((m, width + 1), dtype=_U64)
+    out[:, :width] = packed_rows
+    out[:, width] = np.arange(m, dtype=_U64) + _U64(start_index)
+    return out
+
+
+def _checked_u_blob(blob, n_cols: int, m: int) -> bytes:
+    """Validate the received U-matrix blob before word-level parsing."""
+    expected = (n_cols * m + 7) // 8
+    if not isinstance(blob, (bytes, bytearray)):
+        raise ProtocolError(
+            f"OT-extension U matrix must arrive as bytes, got {type(blob).__name__}"
+        )
+    if len(blob) != expected:
+        raise ProtocolError(
+            f"OT-extension U matrix for {n_cols}x{m} bits must be "
+            f"{expected} bytes, got {len(blob)}"
+        )
+    return bytes(blob)
+
+
+def checked_frame(frame, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A peer's frame of uint64 words of ``shape``: anything else (a
+    non-array, another dtype or shape) raises :class:`ProtocolError`."""
+    if not (isinstance(frame, np.ndarray) and frame.dtype == _U64 and frame.shape == shape):
+        got = (
+            f"{frame.dtype} {frame.shape}" if isinstance(frame, np.ndarray)
+            else type(frame).__name__
+        )
+        raise ProtocolError(f"{what}: expected {shape} uint64 words, got {got}")
+    return frame
+
+
+class _Kk13Session:
+    """What both ends of a session share: the code, the channel set-up's
+    session tag, the OT-index counter and the pad interface."""
+
+    def __init__(
+        self, chan: Channel, n_values: int, group: ModpGroup, ro: RandomOracle, seed
+    ) -> None:
+        if not 2 <= n_values <= codes.MAX_N:
+            raise CryptoError(f"N must be in [2, {codes.MAX_N}], got {n_values}")
+        self.chan = chan
+        self.n_values = n_values
+        self.ro = ro
+        self._rng = make_rng(seed)
+        #: Columns of the U matrix, the column seeds and the Q/T rows.
+        self.code_bits = codes.code_length(n_values)
+        self._code_words = codes.codeword_words(n_values)
+        self._setup = channel_setup(chan, group)
+        self._tag = self._setup.next_tag()
+        self._ot_index = session_base_index(self._tag)
+
+    def _take(self, m: int) -> int:
+        """Claim the next ``m`` OT indices; returns the first."""
+        first = self._ot_index
+        self._ot_index += m
+        return first
+
+    def pads(self, batch, width: int, domain: int = 3) -> np.ndarray:
+        """Random OT on one extension batch.
+
+        The sender passes ``m`` and gets the full pad tensor
+        ``(m, N, W)``: ``pads[i, j]`` is the mask the receiver recovers
+        iff its choice for OT ``i`` was ``j``.  The caller XORs messages
+        onto these pads (chosen-message mode) or uses pad 0 directly as a
+        share (the ABNN2 triplet layout).  The receiver passes its ``m``
+        choices and gets the pad at each chosen slot, ``(m, W)``.
+        """
+        rows = self._extend(batch)
+        return self._pads_at(rows, self._take(rows.shape[0]), width, domain)
+
+    def pad_blocks(self, batch, width: int, block: int, domain: int = 3):
+        """:meth:`pads` in sub-blocks: extend the whole batch now (the U
+        frame moves), then yield ``(lo, hi, pads[lo:hi])`` for every
+        ``block`` OTs.
+
+        The extension (the U matrix and the Q/T rows, c/8 B per OT)
+        covers all ``m`` OTs; the hash inputs and pads exist one
+        sub-block at a time, so the caller's working set past the
+        extension does not grow with ``m``.
+        """
+        rows = self._extend(batch)
+        first = self._take(rows.shape[0])
+
+        def blocks():
+            for lo in range(0, rows.shape[0], block):
+                hi = min(rows.shape[0], lo + block)
+                yield lo, hi, self._pads_at(rows[lo:hi], first + lo, width, domain)
+
+        return blocks()
+
+
+class Kk13Sender(_Kk13Session):
     """The party holding ``N`` messages per OT (ABNN2's *client*)."""
 
     def __init__(
@@ -58,20 +163,9 @@ class Kk13Sender:
         ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
-        if not 2 <= n_values <= codes.MAX_N:
-            raise CryptoError(f"N must be in [2, {codes.MAX_N}], got {n_values}")
-        self.chan = chan
-        self.n_values = n_values
-        self.ro = ro
-        self._rng = make_rng(seed)
-        #: Columns of the U matrix, the column seeds and the Q rows.
-        self.code_bits = codes.code_length(n_values)
-        self._code_words = codes.codeword_words(n_values)
+        super().__init__(chan, n_values, group, ro, seed)
         self._s_bits: np.ndarray | None = None
         self._prg: BatchPrg | None = None
-        self._setup = channel_setup(chan, group)
-        self._tag = self._setup.next_tag()
-        self._ot_index = session_base_index(self._tag)
 
     def ensure_seeds(self) -> None:
         """Derive this session's ``code_bits`` column seeds from the
@@ -86,6 +180,7 @@ class Kk13Sender:
         self._s_bits = s
         self._prg = BatchPrg(seeds)
         self._s_words = pack_bits_to_words(s)
+        # Per-column select mask: all-ones where s_j = 1, zero otherwise.
         self._s_colmask = (s.astype(_U64) * _ALL_ONES)[:, None]
         # (C(j) & s) pre-masked once per codeword.
         self._coded_s = self._code_words & self._s_words[None, :]
@@ -93,8 +188,9 @@ class Kk13Sender:
     def _extend(self, m: int) -> np.ndarray:
         """Consume the receiver's U matrix; return Q rows (m, c/64 words).
 
-        Fully word-packed (see :meth:`OtExtReceiver._extend` in
-        :mod:`repro.crypto.iknp`): batched PRG block, one masked XOR,
+        The whole batch stays word-packed: the PRG block arrives as
+        ``(c, ceil(m/64))`` uint64 columns, the per-column XOR with U is
+        one masked whole-matrix XOR, and the row layout comes out of the
         packed 64x64-block transpose — no ``(c, m)`` uint8 expansion.
         """
         self.ensure_seeds()
@@ -105,54 +201,24 @@ class Kk13Sender:
             q_cols ^= self._prg.packed_bits(m)
             return transpose_packed(q_cols)[:m]
 
-    # ------------------------------------------------------------------ #
-    def pads(self, m: int, width: int, domain: int = 3) -> np.ndarray:
-        """Random-OT sender side: the full pad tensor ``(m, N, W)``.
-
-        ``pads[i, j]`` is the mask the receiver can recover iff its choice
-        for OT ``i`` was ``j``.  The caller XORs messages onto these pads
-        (chosen-message mode) or uses pad 0 directly as a share (the
-        ABNN2 triplet layout).
-        """
-        q = self._extend(m)
-        out = self._pads_at(q, self._ot_index, width, domain)
-        self._ot_index += m
-        return out
-
-    def pad_blocks(self, m: int, width: int, block: int, domain: int = 3):
-        """:meth:`pads` in sub-blocks: extend ``m`` OTs now, then yield
-        ``(lo, hi, pads[lo:hi])`` for every ``block`` OTs.
-
-        The extension (the received U matrix and the Q rows, c/8 B per OT)
-        covers all ``m`` OTs; the ``N``-wide hash inputs and pads exist
-        one sub-block at a time, so the caller's working set past the
-        extension does not grow with ``m``.
-        """
-        q = self._extend(m)
-        first = self._ot_index
-        self._ot_index += m
-
-        def blocks():
-            for lo in range(0, m, block):
-                hi = min(m, lo + block)
-                yield lo, hi, self._pads_at(q[lo:hi], first + lo, width, domain)
-
-        return blocks()
-
     def _pads_at(self, q: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
         """Pads ``(len(q), N, W)`` of the Q rows of OTs ``first, first+1, ...``."""
         m = q.shape[0]
         # One preallocated (m, N, c/64 + 1) hash-input tensor: q_i xor
         # (C(j) & s) written straight into the first c/64 words, OT index
-        # in the last — no concatenate of broadcast temporaries.
+        # in the last — no concatenate of broadcast temporaries.  One XOR
+        # per codeword beats one broadcast XOR at the N <= 16 the
+        # protocol runs.
         words = self.code_bits // 64
         rows = np.empty((m, self.n_values, words + 1), dtype=_U64)
-        np.bitwise_xor(q[:, None, :], self._coded_s[None, :, :], out=rows[:, :, :words])
+        for j, coded_s in enumerate(self._coded_s):
+            np.bitwise_xor(q, coded_s, out=rows[:, j, :words])
         rows[:, :, words] = (np.arange(m, dtype=_U64) + _U64(first))[:, None]
         return self.ro.mask(rows, width, domain)
 
     def send_chosen(self, messages: np.ndarray, domain: int = 3) -> None:
-        """Chosen-message mode: transmit all N masked messages per OT."""
+        """Chosen-message mode: ``messages`` is ``(m, N, W)`` uint64, and
+        the receiver learns row ``messages[i, b_i]`` of each OT."""
         msgs = np.asarray(messages, dtype=_U64)
         if msgs.ndim != 3 or msgs.shape[1] != self.n_values:
             raise CryptoError(f"expected (m, {self.n_values}, W) messages, got {msgs.shape}")
@@ -164,7 +230,7 @@ class Kk13Sender:
             self.chan.send(pads)
 
 
-class Kk13Receiver:
+class Kk13Receiver(_Kk13Session):
     """The party holding one choice ``b_i in [N]`` per OT (ABNN2's *server*)."""
 
     def __init__(
@@ -175,14 +241,7 @@ class Kk13Receiver:
         ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
-        if not 2 <= n_values <= codes.MAX_N:
-            raise CryptoError(f"N must be in [2, {codes.MAX_N}], got {n_values}")
-        self.chan = chan
-        self.n_values = n_values
-        self.ro = ro
-        self._rng = make_rng(seed)
-        self.code_bits = codes.code_length(n_values)
-        self._code_words = codes.codeword_words(n_values)
+        super().__init__(chan, n_values, group, ro, seed)
         # Column j of the choice-codeword matrix is the XOR of the
         # indicator masks of the values whose codeword has bit j set;
         # precompute, per value, which columns it feeds.
@@ -190,9 +249,6 @@ class Kk13Receiver:
         self._code_col_idx = [np.nonzero(code_bits[v])[0] for v in range(n_values)]
         self._prg0: BatchPrg | None = None
         self._prg1: BatchPrg | None = None
-        self._setup = channel_setup(chan, group)
-        self._tag = self._setup.next_tag()
-        self._ot_index = session_base_index(self._tag)
 
     def ensure_seeds(self) -> None:
         """Derive both column-seed sets (see :meth:`Kk13Sender.ensure_seeds`)."""
@@ -202,7 +258,7 @@ class Kk13Receiver:
         self._prg0 = BatchPrg(seeds0)
         self._prg1 = BatchPrg(seeds1)
 
-    def _extend(self, choices: np.ndarray) -> np.ndarray:
+    def _extend(self, choices) -> np.ndarray:
         """Send the U matrix; return T rows (m, c/64 words).
 
         Word-packed throughout.  The codeword column matrix never
@@ -228,33 +284,9 @@ class Kk13Receiver:
             del u
             return transpose_packed(t0)[:m]
 
-    # ------------------------------------------------------------------ #
-    def pads(self, choices, width: int, domain: int = 3) -> np.ndarray:
-        """Random-OT receiver side: the pad at the chosen slot, ``(m, W)``."""
-        t = self._extend(np.asarray(choices))
-        out = self.ro.mask(_rows_with_index(t, self._ot_index), width, domain)
-        self._ot_index += np.asarray(choices).shape[0]
-        return out
-
-    def pad_blocks(self, choices, width: int, block: int, domain: int = 3):
-        """:meth:`pads` in sub-blocks, mirroring
-        :meth:`Kk13Sender.pad_blocks`: extend all ``m`` choices now (the
-        U frame goes out), then yield ``(lo, hi, pads[lo:hi])`` for every
-        ``block`` OTs, each sub-block's hash inputs and pads made only
-        when it is reached.
-        """
-        t = self._extend(np.asarray(choices))
-        m = t.shape[0]
-        first = self._ot_index
-        self._ot_index += m
-
-        def blocks():
-            for lo in range(0, m, block):
-                hi = min(m, lo + block)
-                rows = _rows_with_index(t[lo:hi], first + lo)
-                yield lo, hi, self.ro.mask(rows, width, domain)
-
-        return blocks()
+    def _pads_at(self, t: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
+        """Pads ``(len(t), W)`` of the T rows of OTs ``first, first+1, ...``."""
+        return self.ro.mask(_rows_with_index(t, first), width, domain)
 
     def recv_chosen(self, choices, width: int, domain: int = 3) -> np.ndarray:
         """Chosen-message mode: recover message ``b_i`` per OT, ``(m, W)``."""
@@ -266,6 +298,6 @@ class Kk13Receiver:
     def _recv_cipher(self, m: int, width: int) -> np.ndarray:
         with channel_span(self.chan, "ot-transfer", m=m, width=width):
             cipher = self.chan.recv()
-        if cipher.shape != (m, self.n_values, width):
-            raise CryptoError(f"unexpected ciphertext shape {cipher.shape}")
-        return cipher
+        return checked_frame(
+            cipher, (m, self.n_values, width), "chosen-message OT ciphertext"
+        )

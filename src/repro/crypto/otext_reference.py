@@ -1,11 +1,12 @@
 """Seed-faithful per-column OT-extension engines (the pre-vectorized path).
 
-The word-packed engines in :mod:`repro.crypto.iknp` and
-:mod:`repro.crypto.kk13` promise byte-identical wire transcripts to the
-original per-column implementation: expand each base-OT seed with
-``Prg.bits``, XOR columns one at a time, then ``packbits``-transpose the
-``(kappa, m)`` uint8 matrix.  These subclasses keep that original
-``_extend`` alive verbatim so that
+The word-packed engine of :mod:`repro.crypto.kk13` promises
+byte-identical wire transcripts to the original per-column
+implementation: expand each base-OT seed with ``Prg.bits``, XOR columns
+one at a time, then ``packbits``-transpose the ``(c, m)`` uint8 matrix.
+These subclasses keep that original ``_extend`` alive verbatim, and the
+IKNP ones are the same engine at ``N = 2`` with :mod:`repro.crypto.iknp`'s
+1-out-of-2 forms on top, so that
 
 * the transcript cross-check tests can prove the packed pipeline changes
   nothing on the wire (same ciphertexts, pads, ``ChannelStats``), and
@@ -38,97 +39,54 @@ def _pack_rows_u64(bit_matrix: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).reshape(m, width // 64)
 
 
-def _column_loop_receive(prgs, s_bits, u_blob: bytes, n_cols: int, m: int) -> np.ndarray:
-    """The seed sender-side loop: per-column PRG expand + conditional XOR."""
-    u_cols = unpack_bits(u_blob, n_cols * m).reshape(n_cols, m)
-    q_cols = np.empty((n_cols, m), dtype=np.uint8)
-    for j in range(n_cols):
-        stream = prgs[j].bits(m)
-        if s_bits[j]:
-            stream = stream ^ u_cols[j]
-        q_cols[j] = stream
-    return _pack_rows_u64(np.ascontiguousarray(q_cols.T))
-
-
-def _column_loop_send(prg_pairs, code_cols: np.ndarray, chan) -> np.ndarray:
-    """The seed receiver-side loop: expand both streams, emit U columns."""
-    n_cols, m = code_cols.shape
-    t_cols = np.empty((n_cols, m), dtype=np.uint8)
-    u_cols = np.empty((n_cols, m), dtype=np.uint8)
-    for j in range(n_cols):
-        t0 = prg_pairs[j][0].bits(m)
-        t1 = prg_pairs[j][1].bits(m)
-        t_cols[j] = t0
-        u_cols[j] = t0 ^ t1 ^ code_cols[j]
-    chan.send(pack_bits(u_cols))
-    return _pack_rows_u64(np.ascontiguousarray(t_cols.T))
-
-
-class ReferenceOtExtSender(OtExtSender):
-    """IKNP extension sender running the original per-column loop."""
-
-    def _columns(self) -> list[Prg]:
-        if getattr(self, "_ref_prgs", None) is None:
-            self._ref_prgs = [Prg(s) for s in self._prg.seeds]
-        return self._ref_prgs
-
-    def _extend(self, m: int) -> np.ndarray:
-        self.ensure_seeds()
-        u_blob = self.chan.recv()
-        return _column_loop_receive(self._columns(), self._s_bits, u_blob, self.kappa, m)
-
-
-class ReferenceOtExtReceiver(OtExtReceiver):
-    """IKNP extension receiver running the original per-column loop."""
-
-    def _pairs(self) -> list[tuple[Prg, Prg]]:
-        if getattr(self, "_ref_pairs", None) is None:
-            self._ref_pairs = [
-                (Prg(s0), Prg(s1))
-                for s0, s1 in zip(self._prg0.seeds, self._prg1.seeds)
-            ]
-        return self._ref_pairs
-
-    def _extend(self, choices: np.ndarray) -> np.ndarray:
-        self.ensure_seeds()
-        c = np.asarray(choices, dtype=np.uint8)
-        if c.ndim != 1 or not np.isin(c, (0, 1)).all():
-            raise CryptoError("choices must be a 1-D bit vector")
-        m = c.shape[0]
-        code_cols = np.broadcast_to(c[None, :], (self.kappa, m))
-        return _column_loop_send(self._pairs(), code_cols, self.chan)
-
-
 class ReferenceKk13Sender(Kk13Sender):
     """KK13 sender running the original per-column loop."""
 
-    def _columns(self) -> list[Prg]:
-        if getattr(self, "_ref_prgs", None) is None:
-            self._ref_prgs = [Prg(s) for s in self._prg.seeds]
-        return self._ref_prgs
-
     def _extend(self, m: int) -> np.ndarray:
         self.ensure_seeds()
-        u_blob = self.chan.recv()
-        return _column_loop_receive(self._columns(), self._s_bits, u_blob, self.code_bits, m)
+        if getattr(self, "_ref_prgs", None) is None:
+            self._ref_prgs = [Prg(s) for s in self._prg.seeds]
+        n_cols = self.code_bits
+        u_cols = unpack_bits(self.chan.recv(), n_cols * m).reshape(n_cols, m)
+        q_cols = np.empty((n_cols, m), dtype=np.uint8)
+        for j in range(n_cols):
+            stream = self._ref_prgs[j].bits(m)
+            if self._s_bits[j]:
+                stream = stream ^ u_cols[j]
+            q_cols[j] = stream
+        return _pack_rows_u64(np.ascontiguousarray(q_cols.T))
 
 
 class ReferenceKk13Receiver(Kk13Receiver):
     """KK13 receiver running the original per-column loop."""
 
-    def _pairs(self) -> list[tuple[Prg, Prg]]:
+    def _extend(self, choices: np.ndarray) -> np.ndarray:
+        self.ensure_seeds()
         if getattr(self, "_ref_pairs", None) is None:
             self._ref_pairs = [
                 (Prg(s0), Prg(s1))
                 for s0, s1 in zip(self._prg0.seeds, self._prg1.seeds)
             ]
-        return self._ref_pairs
-
-    def _extend(self, choices: np.ndarray) -> np.ndarray:
-        self.ensure_seeds()
         b = np.asarray(choices, dtype=np.int64)
         if b.ndim != 1 or (b < 0).any() or (b >= self.n_values).any():
             raise CryptoError(f"choices must lie in [0, {self.n_values})")
         # Row i of the code matrix is C(b_i); the loop wants its columns.
-        code_cols = np.ascontiguousarray(codes.codeword_bits(self.n_values)[b].T)
-        return _column_loop_send(self._pairs(), code_cols, self.chan)
+        code_cols = codes.codeword_bits(self.n_values)[b].T
+        n_cols, m = code_cols.shape
+        t_cols = np.empty((n_cols, m), dtype=np.uint8)
+        u_cols = np.empty((n_cols, m), dtype=np.uint8)
+        for j, (prg0, prg1) in enumerate(self._ref_pairs):
+            t0 = prg0.bits(m)
+            t1 = prg1.bits(m)
+            t_cols[j] = t0
+            u_cols[j] = t0 ^ t1 ^ code_cols[j]
+        self.chan.send(pack_bits(u_cols))
+        return _pack_rows_u64(np.ascontiguousarray(t_cols.T))
+
+
+class ReferenceOtExtSender(ReferenceKk13Sender, OtExtSender):
+    """IKNP extension sender: the reference KK13 sender at ``N = 2``."""
+
+
+class ReferenceOtExtReceiver(ReferenceKk13Receiver, OtExtReceiver):
+    """IKNP extension receiver: the reference KK13 receiver at ``N = 2``."""

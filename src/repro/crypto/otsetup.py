@@ -1,9 +1,9 @@
 """One base-OT set-up per channel endpoint, shared by every OT extension.
 
 A party runs the public-key base OTs (:mod:`repro.crypto.baseot`) once
-per channel and direction.  Every IKNP/KK13 session on that channel then
-derives fresh column seeds from that one batch instead of running its own
-handshake:
+per channel and direction.  Every OT-extension session on that channel
+(KK13 at any ``N``, IKNP being ``N = 2``) then derives fresh column seeds
+from that one batch instead of running its own handshake:
 
 * as **base-OT receiver** (the extension *sender*) the set-up keeps the
   choice bits ``s`` and the chosen keys ``k_{s_j}``.  In ABNN2 that is
@@ -12,9 +12,9 @@ handshake:
 * as **base-OT sender** (the extension *receiver*) it keeps the key pairs
   ``(k0_j, k1_j)``.
 
-The batch grows on demand.  A session asks for ``n`` columns (KK13's
-code length ``c(N)`` — 128, 192 or 256, see :mod:`repro.crypto.codes` —
-or 128 for IKNP), and one handshake runs for the missing columns only.
+The batch grows on demand.  A session asks for ``n`` columns (its code
+length ``c(N)``: 128, 192 or 256, see :mod:`repro.crypto.codes`), and one
+handshake runs for the missing columns only.
 A party that knows the widest session it will open calls
 :meth:`OtSetup.reserve` first, so the handshake covers it at once.  The
 offline walk reserves the widest ``c(N)`` of the whole round, so a

@@ -6,16 +6,18 @@ so the evaluator is the output party).
 
 Message flow per execution, two messages:
 
-1. evaluator -> garbler: the IKNP ``U`` matrix for its input bits, one
-   XOR-correlated OT per bit (:meth:`OtExtReceiver.recv_xor_correlated`);
+1. evaluator -> garbler: the ``U`` matrix for its input bits, one
+   XOR-correlated OT per bit on the OT engine at ``N = 2``
+   (:meth:`~repro.crypto.iknp.OtExtReceiver.recv_xor_correlated`);
 2. garbler -> evaluator: one frame ``(tables, decode_bits, rows,
    corrections)``.  The garbler takes ``label0 = H(i, q_i)`` as the
    FALSE label of evaluator input ``i``, garbles with its own bits
    folded in (a garbler-known wire has no label, see
    :mod:`repro.gc.garble`), and sends the garbled tables, the output
    decode bits packed one bit each, the packed 2-row table of the
-   circuit's row wire (empty when it has none) and one kappa-bit
-   correction ``H(q_i) ^ H(q_i ^ s) ^ R`` per evaluator bit.
+   circuit's row wire (empty when it has none) and one 128-bit
+   correction ``H(i, q_i) ^ H(i, q_i ^ s) ^ R`` (pad 0 ^ pad 1 ^ R) per
+   evaluator bit.
 
 The evaluator then opens its labels ``H(i, t_i) ^ c_i * correction_i``,
 evaluates locally and decodes its outputs.  No garbler label and no

@@ -1,35 +1,4 @@
-"""Cost models and timing helpers behind the benchmark harnesses."""
-
-from repro.perf.costmodel import (
-    secureml_ot_count,
-    secureml_comm_bits,
-    abnn2_ot_count,
-    abnn2_comm_bits,
-    abnn2_comm_bits_radices,
-    network_offline_comm_bits,
-    gc_relu_comm_bits,
-    gc_relu_wire_bits,
-    minionn_comm_model_mb,
-)
-from repro.perf.timing import BenchRow, format_table, simulate_settings
-from repro.perf.trace import TRACE_SCHEMA, Span, Tracer, channel_span, load_trace
-
-__all__ = [
-    "secureml_ot_count",
-    "secureml_comm_bits",
-    "abnn2_ot_count",
-    "abnn2_comm_bits",
-    "abnn2_comm_bits_radices",
-    "network_offline_comm_bits",
-    "gc_relu_comm_bits",
-    "gc_relu_wire_bits",
-    "minionn_comm_model_mb",
-    "BenchRow",
-    "format_table",
-    "simulate_settings",
-    "TRACE_SCHEMA",
-    "Span",
-    "Tracer",
-    "channel_span",
-    "load_trace",
-]
+"""Cost models, timing helpers and the trace layer behind the benchmark
+harnesses.  Import the submodules directly: the OT and GC layers import
+:mod:`repro.perf.trace`, and that must not load the cost model and,
+through it, the whole protocol."""

@@ -1,9 +1,12 @@
-"""IKNP 1-out-of-2 OT extension: chosen, correlated, session reuse."""
+"""IKNP 1-out-of-2 OT extension (the KK13 engine at N = 2): chosen,
+correlated, session reuse, malformed peer frames."""
 
 import numpy as np
 import pytest
 
+from repro.crypto import codes
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
+from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
 from repro.errors import CryptoError, ProtocolError
 from repro.net import run_protocol
 from repro.utils.ring import Ring
@@ -203,8 +206,77 @@ class TestSessions:
         assert (cot == expect).all()
 
     def test_kappa_must_be_word_aligned(self, test_group):
+        """IKNP's kappa is the N = 2 engine's code length: two words."""
         from repro.net.channel import make_channel_pair
 
         chan, _ = make_channel_pair()
-        with pytest.raises(CryptoError):
-            OtExtSender(chan, kappa=100, group=test_group)
+        for cls in (OtExtSender, OtExtReceiver):
+            assert cls(chan, group=test_group).code_bits == codes.code_length(2) == 128
+
+
+class _FrameMangler:
+    """Channel wrapper that spoils every frame sent once armed."""
+
+    def __init__(self, inner, fault: str) -> None:
+        self._inner = inner
+        self._fault = fault
+        self.armed = False
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def send(self, obj) -> None:
+        if self.armed:
+            obj = {
+                "bytes": lambda: b"abc",
+                "dtype": lambda: obj.astype(np.int64),
+                "shape": lambda: obj[:-1].copy(),
+            }[self._fault]()
+        self._inner.send(obj)
+
+    def recv(self):
+        return self._inner.recv()
+
+
+class TestMalformedPeerFrames:
+    """Every frame an OT receiver opens is checked: a non-array, another
+    dtype or another shape is the peer's fault, a ProtocolError."""
+
+    @pytest.mark.parametrize("fault", ["bytes", "dtype", "shape"])
+    @pytest.mark.parametrize(
+        "frame, n_values",
+        [("chosen", 2), ("chosen", 4), ("correlated", 2), ("xor", 2)],
+    )
+    def test_refused(self, frame, n_values, fault, test_group, rng):
+        m, width, ring = 9, 2, Ring(16)
+        choices = rng.integers(0, n_values, size=m).astype(np.uint8)
+
+        def server_fn(ch):
+            mangler = _FrameMangler(ch, fault)
+            sender = (
+                Kk13Sender(mangler, n_values, group=test_group, seed=1)
+                if n_values > 2 else OtExtSender(mangler, group=test_group, seed=1)
+            )
+            sender.ensure_seeds()
+            mangler.armed = True
+            if frame == "chosen":
+                sender.send_chosen(np.ones((m, n_values, width), dtype=np.uint64))
+            elif frame == "correlated":
+                sender.send_correlated(ring.sample(rng, m), ring)
+            else:
+                half = sender.send_xor_correlated(m, width)
+                mangler.send(half.correction(np.ones(width, dtype=np.uint64)))
+
+        def client_fn(ch):
+            if n_values > 2:
+                receiver = Kk13Receiver(ch, n_values, group=test_group, seed=2)
+            else:
+                receiver = OtExtReceiver(ch, group=test_group, seed=2)
+            if frame == "chosen":
+                return receiver.recv_chosen(choices, width)
+            if frame == "correlated":
+                return receiver.recv_correlated(choices, None, ring)
+            return receiver.recv_xor_correlated(choices, width).open(ch.recv())
+
+        with pytest.raises(ProtocolError, match="expected"):
+            run_protocol(server_fn, client_fn, timeout_s=10)

@@ -1,9 +1,12 @@
-"""Import boundary: the shipped prediction paths never load the shard engine.
+"""Import boundaries, each checked in a fresh interpreter.
 
-A one-shot ``secure_predict`` and one served bank session run in a fresh
-interpreter; neither may import ``repro.exec`` or ``repro.net.mux``.
-Both are reached only by their own tests and the benchmark's probes, so
-deleting them later must stay a pure deletion.
+* The shipped prediction paths never load the shard engine: a one-shot
+  ``secure_predict`` and one served bank session may not import
+  ``repro.exec`` or ``repro.net.mux``.  Both are reached only by their
+  own tests and the benchmark's probes, so deleting them later must stay
+  a pure deletion.
+* The OT-extension engine does not depend on its 1-out-of-2 forms:
+  importing ``repro.crypto.kk13`` does not load ``repro.crypto.iknp``.
 """
 
 import subprocess
@@ -61,3 +64,15 @@ def test_shipped_paths_do_not_import_the_shard_engine():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_the_ot_engine_does_not_import_its_two_choice_forms():
+    result = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.crypto.kk13; print('repro.crypto.iknp' in sys.modules)",
+        ],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
