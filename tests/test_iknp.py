@@ -226,12 +226,12 @@ class _FrameMangler:
         return getattr(self._inner, name)
 
     def send(self, obj) -> None:
-        if self.armed:
-            obj = {
-                "bytes": lambda: b"abc",
-                "dtype": lambda: obj.astype(np.int64),
-                "shape": lambda: obj[:-1].copy(),
-            }[self._fault]()
+        if self.armed and self._fault == "bytes":
+            obj = b"abc"
+        elif self.armed and self._fault == "dtype":
+            obj = obj.astype(np.int64)
+        elif self.armed:
+            obj = obj[:-1].copy()
         self._inner.send(obj)
 
     def recv(self):
