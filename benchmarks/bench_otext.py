@@ -18,7 +18,8 @@ recorded speedup/throughput floors (the CI smoke).
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_otext.py            # full (m = 2^16)
-    PYTHONPATH=src python benchmarks/bench_otext.py --quick    # CI smoke (m = 2^13)
+    PYTHONPATH=src python benchmarks/bench_otext.py --quick    # CI smoke (m = 2^13;
+                                                               # tracer gate at 2^16)
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ VECTORIZED_KK13_OTS_PER_S_FLOOR = 100_000.0
 
 #: Ceiling on the relative cost of running the same workload with a
 #: :class:`repro.perf.trace.Tracer` attached to both channel endpoints.
-#: Quick mode gates laxer: with small batches the fixed per-message hook
-#: cost weighs disproportionately and the ratio is noisy.
+#: Quick mode gates laxer.  Both modes measure it at the full run's batch:
+#: a quick-size rep (m = 2^13) takes ~5 ms, so its 5-rep median ratio was
+#: mostly scheduler noise on 2 cores.
 TRACE_OVERHEAD_CEIL = 0.05
 QUICK_TRACE_OVERHEAD_CEIL = 0.25
+TRACE_OVERHEAD_M = 1 << 16
 
 
 def _setup_sessions(sender_cls, receiver_cls, kind: str, seed: int):
@@ -130,29 +133,33 @@ def run_trace_overhead(m: int, reps: int) -> dict:
     passes through ``Tracer.record_io`` and every ``_extend`` call opens
     its ``extension`` span via ``channel_span``.
 
-    Both variants are summarized by the **median** of their reps (min is
-    a one-sided estimator: a single lucky untraced rep or unlucky traced
-    rep skews the ratio), and the overhead fraction is clamped at zero —
-    the tracer cannot make the loop faster, so a negative ratio is pure
-    scheduler noise and must not feed the regression gate.
+    The two variants run their reps alternately, so a burst of load from
+    elsewhere on the machine lands on both, and each is summarized by the
+    **median** of its reps (min is a one-sided estimator: a single lucky
+    untraced rep or unlucky traced rep skews the ratio).  The overhead
+    fraction is clamped at zero — the tracer cannot make the loop faster,
+    so a negative ratio is pure scheduler noise and must not feed the
+    regression gate.
     """
-    med = {}
-    for label, traced in (("untraced", False), ("traced", True)):
+    rng = np.random.default_rng(29)
+    choices = rng.integers(0, N_VALUES, size=m)
+    pairs = {}
+    for label in ("untraced", "traced"):
         sender, receiver = _setup_sessions(Kk13Sender, Kk13Receiver, "kk13", seed=29)
-        if traced:
+        if label == "traced":
             sender.chan.tracer = Tracer("server")
             receiver.chan.tracer = Tracer("client")
-        rng = np.random.default_rng(29)
-        choices = rng.integers(0, N_VALUES, size=m)
         receiver._extend(choices)  # warm-up rep, untimed
         sender._extend(m)
-        rep_times = []
-        for _ in range(reps):
+        pairs[label] = (sender, receiver)
+    rep_times = {label: [] for label in pairs}
+    for _ in range(reps):
+        for label, (sender, receiver) in pairs.items():
             t0 = time.perf_counter()
             receiver._extend(choices)
             sender._extend(m)
-            rep_times.append(time.perf_counter() - t0)
-        med[label] = float(np.median(rep_times))
+            rep_times[label].append(time.perf_counter() - t0)
+    med = {label: float(np.median(times)) for label, times in rep_times.items()}
     overhead = max(0.0, med["traced"] / med["untraced"] - 1.0)
     return {
         "m": m,
@@ -237,7 +244,7 @@ def main(argv=None) -> int:
     print(f"speedup: kk13 {result['speedup']['kk13']}x, iknp {result['speedup']['iknp']}x")
 
     overhead_ceil = QUICK_TRACE_OVERHEAD_CEIL if args.quick else TRACE_OVERHEAD_CEIL
-    overhead = run_trace_overhead(m, reps=5)
+    overhead = run_trace_overhead(TRACE_OVERHEAD_M, reps=5)
     result["trace_overhead"] = overhead
     result["floors"]["trace_overhead_ceil"] = overhead_ceil
     print(

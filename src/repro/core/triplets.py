@@ -56,9 +56,9 @@ import numpy as np
 from repro.crypto.codes import code_length
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
+from repro.crypto.kk13 import Kk13Receiver, Kk13Sender, checked_frame
 from repro.crypto.otsetup import channel_setup
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.net.channel import Channel
 from repro.perf.trace import channel_span
 from repro.quant.fragments import FragmentScheme
@@ -347,9 +347,10 @@ def server_group_span(
         # inputs at a time.
         pad_blocks = list(receiver.pad_blocks(batch, width, block, domain=_TRIPLET_DOMAIN))
         with channel_span(chan, "ot-transfer", m=count, width=width):
-            packed = chan.recv()
-        if packed.shape != (packed_word_count(count * per_ot, ring.bits),):
-            raise ProtocolError(f"unexpected triplet frame shape {packed.shape}")
+            packed = checked_frame(
+                chan.recv(), (packed_word_count(count * per_ot, ring.bits),),
+                "triplet message frame",
+            )
         for a, b, pad in pad_blocks:
             sel = batch[a:b].astype(np.int64)
             block_words = packed[_block_words(a * per_ot, b * per_ot, ring.bits)]

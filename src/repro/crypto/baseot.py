@@ -13,13 +13,23 @@ OT extension bootstraps from ``kappa`` public-key OTs.  We implement the
 These are random OTs: the sender learns both keys, the receiver only the
 key of its choice, and no chosen message is ever sent.
 
-Cost per OT.  Both receiver exponentiations have a fixed base, so both
-come from a :class:`~repro.crypto.group.FixedBaseTable` (≤ 43 modular
-multiplications each): ``g^{b_i}`` from the group's per-process ``g``
-table, ``A^{b_i}`` from one table per handshake over the sender's ``A``.
-The sender pays one variable-base ``pow`` per OT, not two:
-``(B_i * A^{-1})^a = B_i^a * (A^{-1})^a``, and ``C = (A^{-1})^a`` is
-computed once per batch (``A = g^a`` itself comes from the ``g`` table).
+Cost per OT.  Every power goes through one of the group's two batched
+methods, so a handshake is four batches, each one call into the compiled
+kernel of :mod:`repro.crypto.fastro` when it is loaded
+(:mod:`repro.crypto.group` says when it is not, and what runs then):
+
+* receiver: ``g^{b_i}`` and, after ``B`` is sent, ``A^{b_i}`` —
+  :meth:`~repro.crypto.group.ModpGroup.fixed_base_powers`, a comb
+  over the one base per batch;
+* sender: ``A = g^a``, and one
+  :meth:`~repro.crypto.group.ModpGroup.fixed_exponent_powers` batch of
+  ``C = (A^{-1})^a`` and every ``B_i^a``.  The sender pays one
+  variable-base power per OT, not two:
+  ``(B_i * A^{-1})^a = B_i^a * C``.
+
+The sender checks and decodes the whole response before that batch, so
+a malformed one costs it no exponentiation.  Neither path is
+constant-time, as :func:`pow` is not.
 
 :func:`random_send` and :func:`random_receive` return the derived keys
 themselves: the channel's base keys, from which
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.group import DEFAULT_GROUP, FixedBaseTable, ModpGroup
+from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import sha256_ro
 from repro.errors import CryptoError
 from repro.net.channel import Channel
@@ -54,22 +64,20 @@ def random_send(
     if count < 1:
         raise CryptoError("need at least one base OT")
     a = group.sample_exponent(randbelow)
-    big_a = group.gpow(a)
+    (big_a,) = group.fixed_base_powers(group.g, [a])
     chan.send(group.encode(big_a))
-    # (B * A^-1)^a = B^a * C with C = (A^-1)^a: one exponentiation per OT.
-    c = group.power(group.invert(big_a), a)
 
     blob = chan.recv()
-    if len(blob) != count * group.element_bytes:
-        raise CryptoError("unexpected base-OT response size")
-    keys = []
     size = group.element_bytes
-    for i in range(count):
-        b_elem = group.decode(blob[i * size : (i + 1) * size])
-        shared0 = group.power(b_elem, a)
-        shared1 = group.mul(shared0, c)
-        keys.append((_derive_key(group, i, shared0), _derive_key(group, i, shared1)))
-    return keys
+    if not isinstance(blob, (bytes, bytearray)) or len(blob) != count * size:
+        raise CryptoError("unexpected base-OT response type or size")
+    b_elems = [group.decode(blob[i * size : (i + 1) * size]) for i in range(count)]
+    # (B * A^-1)^a = B^a * C with C = (A^-1)^a: one exponentiation per OT.
+    c, *shared = group.fixed_exponent_powers([group.invert(big_a)] + b_elems, a)
+    return [
+        (_derive_key(group, i, s0), _derive_key(group, i, group.mul(s0, c)))
+        for i, s0 in enumerate(shared)
+    ]
 
 
 def random_receive(
@@ -84,18 +92,13 @@ def random_receive(
         raise CryptoError("base-OT choices must be bits")
     big_a = group.decode(chan.recv())
 
-    exponents = []
-    parts = []
-    for c in choices:
-        b = group.sample_exponent(randbelow)
-        exponents.append(b)
-        elem = group.gpow(b)
-        if c == 1:
-            elem = group.mul(elem, big_a)
-        parts.append(group.encode(elem))
+    exponents = [group.sample_exponent(randbelow) for _ in choices]
+    parts = [
+        group.encode(group.mul(elem, big_a) if c else elem)
+        for elem, c in zip(group.fixed_base_powers(group.g, exponents), choices)
+    ]
     chan.send(b"".join(parts))
-
-    # Every A^{b_i} shares the base A: one table for this handshake only.
-    a_table = FixedBaseTable(big_a, group.p)
-    return [_derive_key(group, i, a_table.power(b)) for i, b in enumerate(exponents)]
-
+    return [
+        _derive_key(group, i, shared)
+        for i, shared in enumerate(group.fixed_base_powers(big_a, exponents))
+    ]

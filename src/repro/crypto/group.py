@@ -6,9 +6,14 @@ agreement in a classic MODP group.  We ship the RFC 3526 1536-bit and
 for fast unit tests — the small group is clearly labelled *insecure* and
 never selected by default.
 
-Powers of a base used many times — the generator ``g`` everywhere, the
-sender's ``A`` within one base-OT handshake — come from a
-:class:`FixedBaseTable` instead of :func:`pow`.
+The base OT's powers come in batches, through two methods:
+:meth:`ModpGroup.fixed_exponent_powers` (many bases, one exponent) and
+:meth:`ModpGroup.fixed_base_powers` (one base, many exponents).  Each is
+one call into the compiled kernel of :mod:`repro.crypto.fastro` when it
+is loaded and ``p`` is odd and at most 32 limbs; otherwise the first is
+:func:`pow` per base and the second a :class:`FixedBaseTable` (the
+group's cached one for ``g``).  Both paths give the same integers, and
+neither is constant-time, as :func:`pow` is not.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import secrets
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro.crypto import fastro
 from repro.errors import CryptoError
 
 #: Width of the exponents :meth:`ModpGroup.sample_exponent` draws (2·kappa)
@@ -122,8 +129,8 @@ class ModpGroup:
         in a safe-prime group is Pollard's kangaroo, ≈2^128 group
         operations (docs/PROTOCOLS.md §1).  The width sets the cost of
         every base-OT power: a 256-bit ``pow`` at 1536 bits is ≈6x cheaper
-        than a full-width one, and a :class:`FixedBaseTable` covers it in
-        43 rows.
+        than a full-width one, and a radix-2^6 comb (the kernel's, or a
+        :class:`FixedBaseTable`) covers it in 43 rows.
         """
         draw = randbelow or secrets.randbelow
         bound = min(self.order, 1 << EXPONENT_BITS)
@@ -132,12 +139,26 @@ class ModpGroup:
             value = draw(bound)
         return value
 
-    def power(self, base: int, exponent: int) -> int:
-        return pow(base, exponent, self.p)
+    def fixed_exponent_powers(self, bases: Sequence[int], exponent: int) -> list[int]:
+        """``[b^exponent mod p for b in bases]``: one kernel call for an
+        exponent in ``[0, 2^256)``, else :func:`pow` per base."""
+        p = self.p
+        if _kernel_exponent(exponent) and fastro.modexp_ready(p):
+            return fastro.powers_fixed_exponent([b % p for b in bases], exponent, p)
+        return [pow(b, exponent, p) for b in bases]
 
-    def gpow(self, exponent: int) -> int:
-        """``g^exponent``, from the group's cached :class:`FixedBaseTable`."""
-        return _generator_table(self).power(exponent)
+    def fixed_base_powers(self, base: int, exponents: Sequence[int]) -> list[int]:
+        """``[base^e mod p for e in exponents]``: one kernel call, where an
+        exponent outside ``[0, 2^256)`` takes :func:`pow` (as in
+        :meth:`FixedBaseTable.power`); without the kernel, a
+        :class:`FixedBaseTable`, the group's cached one for ``g``."""
+        p = self.p
+        if not fastro.modexp_ready(p):
+            table = _generator_table(self) if base == self.g else FixedBaseTable(base, p)
+            return [table.power(e) for e in exponents]
+        narrow = [e if _kernel_exponent(e) else 0 for e in exponents]
+        powers = fastro.powers_fixed_base(base % p, narrow, p)
+        return [x if _kernel_exponent(e) else pow(base, e, p) for x, e in zip(powers, exponents)]
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -164,6 +185,10 @@ class ModpGroup:
         if not 1 < element < self.p - 1:
             raise CryptoError("group element out of range or of order <= 2")
         return element
+
+
+def _kernel_exponent(exponent: int) -> bool:
+    return 0 <= exponent < 1 << (64 * fastro.EXPONENT_WORDS)
 
 
 _GENERATOR_TABLES: dict[ModpGroup, FixedBaseTable] = {}

@@ -9,7 +9,7 @@ from repro.core.triplets import (
     generate_triplets_client,
     generate_triplets_server,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.net import run_protocol
 from repro.perf.costmodel import abnn2_comm_bits
 from repro.quant.fragments import FragmentScheme
@@ -246,6 +246,38 @@ class TestValidation:
         with pytest.raises(ConfigError):
             generate_triplets_client(
                 chan, np.zeros((4, 1), dtype=np.uint64), config, np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize("bad", ["bytes", "dtype", "shape"])
+    def test_malformed_message_frame_refused(self, bad, test_group, rng):
+        """A client's triplet message frame that is not the expected uint64
+        words fails typed on the server, before any opening."""
+        ring = Ring(32)
+        config = TripletConfig(
+            ring=ring, scheme=FragmentScheme.binary(), m=2, n=3, o=1, group=test_group
+        )
+        w = _random_weights(config.scheme, (2, 3), rng)
+        r = ring.sample(rng, (3, 1))
+
+        def client_fn(ch):
+            send = ch.send
+
+            def tamper(obj):
+                if isinstance(obj, np.ndarray):  # the message frame; the rest is bytes
+                    obj = {
+                        "bytes": b"abc",
+                        "dtype": obj.astype(np.int64),
+                        "shape": obj[:-1].copy(),
+                    }[bad]
+                send(obj)
+
+            ch.send = tamper
+            return generate_triplets_client(ch, r, config, np.random.default_rng(4), seed=5)
+
+        with pytest.raises(ProtocolError, match="triplet message frame"):
+            run_protocol(
+                lambda ch: generate_triplets_server(ch, w, config, seed=3), client_fn,
+                timeout_s=10,
             )
 
     def test_radix_groups_mixed_scheme(self):

@@ -1,14 +1,15 @@
 """MODP groups, fixed-base tables and the Chou-Orlandi style random base OT."""
 
 import random
+import shutil
 import threading
 
 import numpy as np
 import pytest
 
-from repro.crypto import baseot
+from repro.crypto import baseot, fastro
 from repro.crypto import group as group_module
-from repro.crypto.group import MODP_1536, MODP_2048, MODP_TEST, FixedBaseTable
+from repro.crypto.group import MODP_1536, MODP_2048, MODP_TEST, FixedBaseTable, ModpGroup
 from repro.errors import CryptoError
 from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
@@ -18,6 +19,10 @@ GROUPS = pytest.mark.parametrize(
     "group", [MODP_TEST, MODP_1536, MODP_2048], ids=lambda g: g.name
 )
 WINDOW = group_module._WINDOW_BITS
+needs_compiler = pytest.mark.skipif(
+    not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")),
+    reason="no C compiler: the kernel cannot be built here",
+)
 
 
 class _Tap:
@@ -63,14 +68,14 @@ class TestGroups:
         assert MODP_1536.secure and MODP_2048.secure
 
     def test_power_identity(self):
-        a = MODP_TEST.sample_exponent()
-        b = MODP_TEST.sample_exponent()
-        left = MODP_TEST.power(MODP_TEST.gpow(a), b)
-        right = MODP_TEST.power(MODP_TEST.gpow(b), a)
-        assert left == right  # DH agreement
+        group = MODP_TEST
+        a, b = group.sample_exponent(), group.sample_exponent()
+        big_a, big_b = group.fixed_base_powers(group.g, [a, b])
+        # DH agreement
+        assert group.fixed_exponent_powers([big_a], b) == group.fixed_exponent_powers([big_b], a)
 
     def test_invert(self):
-        x = MODP_TEST.gpow(12345)
+        x = pow(MODP_TEST.g, 12345, MODP_TEST.p)
         assert MODP_TEST.mul(x, MODP_TEST.invert(x)) == 1
 
     def test_invert_zero_rejected(self):
@@ -78,7 +83,7 @@ class TestGroups:
             MODP_TEST.invert(0)
 
     def test_encode_decode(self):
-        x = MODP_TEST.gpow(99)
+        x = pow(MODP_TEST.g, 99, MODP_TEST.p)
         assert MODP_TEST.decode(MODP_TEST.encode(x)) == x
 
     def test_decode_range_check(self):
@@ -87,7 +92,7 @@ class TestGroups:
 
     @GROUPS
     def test_decode_refuses_wrong_length(self, group):
-        frame = group.encode(group.gpow(5))
+        frame = group.encode(pow(group.g, 5, group.p))
         for bad in (frame[:-1], frame + b"\x00", b""):
             with pytest.raises(CryptoError, match="bytes"):
                 group.decode(bad)
@@ -109,13 +114,14 @@ class TestFixedBaseTable:
     EDGES = [0, 1, 2**WINDOW - 1, 2**WINDOW, 2**256 - 1]
 
     @GROUPS
-    def test_matches_pow(self, group):
+    def test_matches_pow(self, group, monkeypatch):
+        monkeypatch.setattr(fastro, "_kernel", False)  # g's powers from its table
         rng = random.Random(group.p.bit_length())
         exponents = self.EDGES + [rng.getrandbits(256) for _ in range(6)]
         base = pow(group.g, rng.getrandbits(256), group.p)
         table = FixedBaseTable(base, group.p)
         for e in exponents:
-            assert group.gpow(e) == pow(group.g, e, group.p), e
+            assert group.fixed_base_powers(group.g, [e]) == [pow(group.g, e, group.p)], e
             assert table.power(e) == pow(base, e, group.p), e
 
     def test_wider_exponent_takes_pow_path(self, monkeypatch):
@@ -126,13 +132,14 @@ class TestFixedBaseTable:
             return pow(*args)
 
         monkeypatch.setattr(group_module, "pow", spy, raising=False)
+        monkeypatch.setattr(fastro, "_kernel", False)
         p = MODP_1536.p
         table = FixedBaseTable(12345, p)
         table.power(2**256 - 1)
         assert calls == []
         for e in (2**258, 2**512 + 3):
             assert table.power(e) == pow(12345, e, p)
-            assert MODP_1536.gpow(e) == pow(2, e, p)
+            assert MODP_1536.fixed_base_powers(2, [e]) == [pow(2, e, p)]
         assert calls == [(12345, 2**258, p), (2, 2**258, p),
                          (12345, 2**512 + 3, p), (2, 2**512 + 3, p)]
 
@@ -144,6 +151,7 @@ class TestFixedBaseTable:
                 built.append(base)
                 super().__init__(base, p)
 
+        monkeypatch.setattr(fastro, "_kernel", False)
         monkeypatch.setattr(group_module, "_GENERATOR_TABLES", {})
         monkeypatch.setattr(group_module, "FixedBaseTable", CountingTable)
         rng = random.Random(4)
@@ -152,7 +160,7 @@ class TestFixedBaseTable:
 
         def work(k):
             barrier.wait()
-            results[k] = [MODP_2048.gpow(e) for e in exponents[k]]
+            results[k] = MODP_2048.fixed_base_powers(2, exponents[k])
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
         for t in threads:
@@ -162,6 +170,108 @@ class TestFixedBaseTable:
         for k in range(2):
             assert results[k] == [pow(2, e, MODP_2048.p) for e in exponents[k]]
         assert built == [2]
+
+
+class TestBatchedPowers:
+    """``fixed_exponent_powers`` and ``fixed_base_powers`` equal ``pow``,
+    through the kernel and through the fallback."""
+
+    EXPONENTS = [0, 1, 2**WINDOW - 1, 2**256 - 1]
+
+    @staticmethod
+    def _bases(p):
+        return [0, 1, p - 1, p, 2 * p + 3]
+
+    @needs_compiler
+    @GROUPS
+    @pytest.mark.parametrize("batch", [1, 2, 8, 192])
+    def test_fixed_exponent_kernel_matches_pow(self, group, batch):
+        assert fastro.modexp_ready(group.p)
+        rng, p = random.Random(batch), group.p
+        bases = (self._bases(p) + [rng.randrange(p) for _ in range(batch)])[:batch]
+        for e in self.EXPONENTS + [rng.getrandbits(256)]:
+            assert group.fixed_exponent_powers(bases, e) == [pow(b, e, p) for b in bases], e
+
+    @needs_compiler
+    @GROUPS
+    @pytest.mark.parametrize("batch", [1, 2, 8, 192])
+    def test_fixed_base_kernel_matches_pow(self, group, batch):
+        """Batches below 8 take the kernel's window, the rest its comb."""
+        assert fastro.modexp_ready(group.p)
+        rng, p = random.Random(batch), group.p
+        exponents = (self.EXPONENTS + [rng.getrandbits(256) for _ in range(batch)])[:batch]
+        for base in self._bases(p) + [rng.randrange(p)]:
+            got = group.fixed_base_powers(base, exponents)
+            assert got == [pow(base, e, p) for e in exponents], base
+
+    @GROUPS
+    def test_fallback_matches_pow(self, group, monkeypatch):
+        monkeypatch.setattr(fastro, "_kernel", False)
+        assert not fastro.modexp_ready(group.p)
+        rng, p = random.Random(5), group.p
+        exponents = self.EXPONENTS + [rng.getrandbits(256)]
+        for base in self._bases(p) + [group.g, rng.randrange(p)]:
+            assert group.fixed_base_powers(base, exponents) == [pow(base, e, p) for e in exponents]
+        for e in exponents:
+            bases = self._bases(p)
+            assert group.fixed_exponent_powers(bases, e) == [pow(b, e, p) for b in bases]
+
+    def test_even_or_wide_modulus_takes_the_fallback(self):
+        assert not fastro.modexp_ready(MODP_TEST.p + 1)
+        assert not fastro.modexp_ready((1 << (64 * fastro.MAX_MODULUS_LIMBS)) + 1)
+        even = ModpGroup("even", MODP_TEST.p + 1, 2, secure=False)
+        assert even.fixed_base_powers(3, [5, 2**200]) == [pow(3, 5, even.p), pow(3, 2**200, even.p)]
+
+    @needs_compiler
+    def test_wider_exponent_takes_pow_path(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(group_module, "pow", spy, raising=False)
+        p = MODP_1536.p
+        exponents = [5, 2**256 - 1, 2**256, -3, 2**512 + 3]
+        got = MODP_1536.fixed_base_powers(12345, exponents)
+        assert calls == [(12345, 2**256, p), (12345, -3, p), (12345, 2**512 + 3, p)]
+        assert got == [pow(12345, e, p) for e in exponents]
+        calls.clear()
+        assert MODP_1536.fixed_exponent_powers([3, 5], 2**256 - 1) == [
+            pow(3, 2**256 - 1, p), pow(5, 2**256 - 1, p)
+        ]
+        assert calls == []
+        assert MODP_1536.fixed_exponent_powers([3, 5], 2**256) == [
+            pow(3, 2**256, p), pow(5, 2**256, p)
+        ]
+        assert calls == [(3, 2**256, p), (5, 2**256, p)]
+
+    @needs_compiler
+    @pytest.mark.parametrize("group", [MODP_TEST, MODP_1536], ids=lambda g: g.name)
+    def test_forced_fallback_handshake_is_byte_identical(self, group, monkeypatch):
+        """Seeded keys and wire frames do not depend on the kernel."""
+        choices = [(i * 7) % 3 % 2 for i in range(24)]
+
+        def handshake():
+            send_draw, _ = _recording_draw(11)
+            recv_draw, _ = _recording_draw(12)
+            taps = {}
+
+            def sender(ch):
+                taps["s"] = _Tap(ch)
+                return baseot.random_send(taps["s"], len(choices), group, randbelow=send_draw)
+
+            def receiver(ch):
+                return baseot.random_receive(ch, choices, group, randbelow=recv_draw)
+
+            result = run_protocol(sender, receiver)
+            return result.server, result.client, taps["s"].sent, taps["s"].received
+
+        assert fastro.modexp_ready(group.p)
+        kernel = handshake()
+        monkeypatch.setattr(fastro, "_kernel", False)
+        assert not fastro.modexp_ready(group.p)
+        assert handshake() == kernel
 
 
 class TestBaseOt:
@@ -240,7 +350,7 @@ class TestBaseOt:
     @pytest.mark.parametrize("group", [MODP_TEST, MODP_1536], ids=lambda g: g.name)
     @pytest.mark.parametrize("frame", ["short", "long", "one", "minus-one"])
     def test_receiver_refuses_bad_sender_element_before_sending(self, group, frame):
-        good = group.encode(group.gpow(5))
+        good = group.encode(pow(group.g, 5, group.p))
         bad = {
             "short": good[:-1],
             "long": good + b"\x00",
@@ -252,6 +362,26 @@ class TestBaseOt:
         with pytest.raises(CryptoError):
             baseot.random_receive(client, [0, 1, 1], group)
         assert client.stats.messages_sent[1] == 0
+
+    @pytest.mark.parametrize("frame", [7, "array", "short", "long"], ids=str)
+    def test_sender_refuses_bad_response_before_any_power(self, frame, monkeypatch):
+        """A response that is not ``count`` elements of bytes fails as
+        ``CryptoError`` before the sender's batch of powers."""
+        group, count = MODP_TEST, 3
+        calls = []
+        monkeypatch.setattr(
+            ModpGroup, "fixed_exponent_powers", lambda self, *args: calls.append(args)
+        )
+        good = group.encode(pow(group.g, 5, group.p)) * count
+        server, client = make_channel_pair(timeout_s=5.0)
+        client.send({
+            "array": np.frombuffer(good, dtype=np.uint8),
+            "short": good[:-1],
+            "long": good + b"\x00",
+        }.get(frame, frame))
+        with pytest.raises(CryptoError, match="response"):
+            baseot.random_send(server, count, group)
+        assert calls == []
 
     def test_deterministic_with_seeded_randbelow(self, test_group, rng):
         def draw(bound):
