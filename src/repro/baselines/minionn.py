@@ -196,7 +196,7 @@ class MinionnMatmulServer(SecureMatmulServer):
     def base_ot_columns(config) -> int:
         return 0  # Paillier: no OT extension offline
 
-    def offline(self) -> None:
+    def start_offline(self):
         cfg = MinionnConfig(
             ring=self.config.ring,
             m=self.config.m,
@@ -205,13 +205,14 @@ class MinionnMatmulServer(SecureMatmulServer):
             key_bits=self.key_bits,
         )
         self._u = minionn_triplets_server(self.chan, self.w_int, cfg, seed=self._seed)
+        return lambda: None
 
 
 class MinionnMatmulClient(SecureMatmulClient):
     key_bits = 2048
     base_ot_columns = staticmethod(MinionnMatmulServer.base_ot_columns)
 
-    def offline(self) -> None:
+    def start_offline(self):
         cfg = MinionnConfig(
             ring=self.config.ring,
             m=self.config.m,
@@ -220,6 +221,7 @@ class MinionnMatmulClient(SecureMatmulClient):
             key_bits=self.key_bits,
         )
         self._v = minionn_triplets_client(self.chan, self.r, cfg, seed=self._seed)
+        return lambda: None
 
 
 def make_minionn_parties(key_bits: int):

@@ -80,15 +80,17 @@ class QuotientMatmulServer(SecureMatmulServer):
     def base_ot_columns(config: TripletConfig) -> int:
         return codes.code_length(2)
 
-    def offline(self) -> None:
+    def start_offline(self):
         self._u = quotient_triplets_server(self.chan, self.w_int, self.config, seed=self._seed)
+        return lambda: None
 
 
 class QuotientMatmulClient(SecureMatmulClient):
     base_ot_columns = staticmethod(QuotientMatmulServer.base_ot_columns)
 
-    def offline(self) -> None:
+    def start_offline(self):
         self._v = quotient_triplets_client(self.chan, self.r, self.config, seed=self._seed)
+        return lambda: None
 
 
 class QuotientServer(Abnn2Server):

@@ -4,7 +4,10 @@ The ABNN2 linear layer splits exactly as Section 3 describes:
 
 * **Offline** (data independent): the parties run
   :mod:`repro.core.triplets` on the server's quantized ``W`` and the
-  client's random ``R``, ending with ``U + V = W R``.
+  client's random ``R``, ending with ``U + V = W R``.  It runs in two
+  passes, :meth:`SecureMatmulServer.start_offline` and the finish it
+  returns, so :mod:`repro.core.protocol` runs pass 1 of every layer
+  before pass 2 of any: the whole offline phase is two flights.
 * **Online**: the client's real operand ``Z`` arrives additively shared
   with ``<Z>_1 = R``; the server computes ``<Y>_0 = W <Z>_0 + U`` locally
   and the client's share is simply ``<Y>_1 = V``.  No communication.
@@ -15,13 +18,15 @@ matrix product; :mod:`repro.core.protocol` chains them per network layer.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.triplets import (
     BlockedShare,
     TripletConfig,
-    generate_triplets_client,
-    generate_triplets_server,
+    start_triplets_client,
+    start_triplets_server,
 )
 from repro.errors import ConfigError, ProtocolError
 from repro.net.channel import Channel
@@ -71,9 +76,23 @@ class SecureMatmulServer:
         the round's maximum before its first session)."""
         return config.code_bits
 
+    def start_offline(self) -> Callable[[], None]:
+        """Pass 1 of the OT-based triplet generation (every ``U`` frame
+        goes out); returns pass 2, which leaves ``U`` in :attr:`u`.
+
+        The hook a baseline overrides: its start step may run its whole
+        interactive protocol and return a finish with nothing left to do.
+        """
+        finish = start_triplets_server(self.chan, self.w_int, self.config, seed=self._seed)
+
+        def done() -> None:
+            self._u = finish()
+
+        return done
+
     def offline(self) -> None:
-        """Run the OT-based triplet generation (interactive)."""
-        self._u = generate_triplets_server(self.chan, self.w_int, self.config, seed=self._seed)
+        """Run the whole triplet generation (both passes)."""
+        self.start_offline()()
 
     def preload(self, u: np.ndarray | BlockedShare) -> None:
         """Adopt a precomputed ``U`` share instead of running :meth:`offline`.
@@ -185,9 +204,18 @@ class SecureMatmulClient:
             )
         self._v: np.ndarray | None = None
 
-    def offline(self) -> None:
-        """Run the OT-based triplet generation (interactive)."""
-        self._v = generate_triplets_client(self.chan, self.r, self.config, seed=self._seed)
+    def start_offline(self) -> Callable[[], None]:
+        """Pass 1 of the OT-based triplet generation (every ``U`` frame
+        is received and extended); returns pass 2, which sends every
+        message frame and leaves ``V`` in :attr:`v`."""
+        finish = start_triplets_client(self.chan, self.r, self.config, seed=self._seed)
+
+        def done() -> None:
+            self._v = finish()
+
+        return done
+
+    offline = SecureMatmulServer.offline
 
     @property
     def v(self) -> np.ndarray:

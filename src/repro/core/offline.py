@@ -280,7 +280,9 @@ def chain_operands(
 
     ``linear_step(idx, layer, ring, operand)`` turns layer ``idx``'s flat
     operand, in the layer's ring, into its ``V`` (lowering it as the
-    layer needs).  The walk draws, in this order: the input mask, then
+    layer needs).  The OT offline phase's step only starts the layer's
+    triplets and fills ``V`` in after the walk (its second pass).  The
+    walk draws, in this order: the input mask, then
     per layer whatever the step draws and the ReLU output share (in the
     next layer's ring, where it is that layer's operand).
     """

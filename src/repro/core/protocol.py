@@ -5,7 +5,11 @@ Flow (paper Section 3, Figure 2):
 * **Offline** — for every linear layer the parties generate dot-product
   triplets.  The client's triplet operand for layer 0 is the input mask
   ``r`` (= ``<x>_1``); for layer ``i > 0`` it is the random ReLU output
-  share ``z1^i`` it will reuse online.  All OT traffic happens here.
+  share ``z1^i`` it will reuse online.  All OT traffic happens here, in
+  two passes over the layers (:mod:`repro.core.triplets`): the server
+  sends every layer's ``U`` frames, then the client sends every layer's
+  message frames, so after the base-OT handshake the offline phase is
+  two flights whatever the depth.
 * **Online** — the client sends ``<x>_0 = x - r``; each linear layer is
   then *local* (``<y>_0 = W <z>_0 + u + b``, ``<y>_1 = v``); hidden layers
   run the GC ReLU, which rescales exactly inside the circuit and is sized
@@ -29,7 +33,7 @@ additionally reveals the activation sign pattern — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.protocol import GcSessions
 from repro.net.channel import Channel
+from repro.net.frames import checked_frame
 from repro.net.runner import run_protocol
 from repro.perf.trace import Tracer
 from repro.nn.quantize import QuantizedModel
@@ -512,15 +517,19 @@ class Abnn2Server(_PartyBase):
         )
 
     def _offline_round(self, round_idx: int) -> ServerHalf:
-        """One round of the OT offline phase: every layer's ``U``."""
+        """One round of the OT offline phase: every layer's ``U``.  Pass 1
+        sends every layer's ``U`` frames, pass 2 opens every layer's
+        message frames, each in its layer's span."""
         self._reserve_base_ots(self.matmul_server_cls)
-        us = []
+        started = []
         for idx, layer in enumerate(self.meta.layers):
             engine = self._engine(idx, seed=self._layer_seed(idx, round_idx))
-            with self._triplet_span(idx, layer, round_idx):
-                engine.offline()
-            us.append(engine.u)
-        return ServerHalf(us)
+            with self._triplet_span(idx, layer, round_idx) as span:
+                started.append((span, engine, engine.start_offline()))
+        for span, _engine, finish in started:
+            with self.tracer.resume(span):
+                finish()
+        return ServerHalf([engine.u for _span, engine, _finish in started])
 
     def online(self) -> np.ndarray:
         """Run one prediction batch; returns the server's logit share
@@ -591,10 +600,13 @@ class Abnn2Client(_PartyBase):
     def _offline_round(self, round_idx: int) -> ClientHalf:
         """One round of the OT offline phase: the operand walk of
         :func:`chain_operands`, whose linear step lowers the operand to
-        ``R`` and runs the layer's KK13 triplet generation for ``V``."""
+        ``R`` and runs pass 1 of the layer's KK13 triplet generation
+        (receive and extend every ``U``); pass 2 then sends every
+        layer's message frames for ``V``, each in its layer's span."""
         self._reserve_base_ots(self.matmul_client_cls)
+        started = []
 
-        def triplet_step(idx: int, layer: LayerMeta, ring: Ring, operand) -> np.ndarray:
+        def triplet_step(idx: int, layer: LayerMeta, ring: Ring, operand) -> None:
             engine = self.matmul_client_cls(
                 self.chan,
                 self._layer_config(idx),
@@ -602,11 +614,14 @@ class Abnn2Client(_PartyBase):
                 r_mat=layer.lower(ring, operand),
                 seed=self._layer_seed(idx, round_idx),
             )
-            with self._triplet_span(idx, layer, round_idx):
-                engine.offline()
-            return engine.v
+            with self._triplet_span(idx, layer, round_idx) as span:
+                started.append((span, engine, engine.start_offline()))
 
-        return chain_operands(self.meta, self.batch, self.rng, triplet_step)
+        half = chain_operands(self.meta, self.batch, self.rng, triplet_step)
+        for span, _engine, finish in started:
+            with self.tracer.resume(span):
+                finish()
+        return replace(half, v=[engine.v for _span, engine, _finish in started])
 
     def online(self, x_ring: np.ndarray) -> np.ndarray:
         """Run one prediction batch on fixed-point inputs shaped
@@ -660,14 +675,11 @@ def send_share(chan: Channel, ring: Ring, share: np.ndarray) -> None:
 
 def recv_share(chan: Channel, ring: Ring, shape: tuple[int, int]) -> np.ndarray:
     """Receive a :func:`send_share` frame of a ``shape`` share matrix."""
-    frame = chan.recv()
     count = shape[0] * shape[1]
-    words = packed_word_count(count, ring.bits)
-    if not (isinstance(frame, np.ndarray) and frame.dtype == np.uint64 and frame.shape == (words,)):
-        raise ProtocolError(
-            f"share frame: expected {words} uint64 words for {shape} "
-            f"{ring.bits}-bit elements"
-        )
+    frame = checked_frame(
+        chan.recv(), (packed_word_count(count, ring.bits),),
+        f"share frame ({shape} {ring.bits}-bit elements)",
+    )
     return unpack_ring_words(frame[None, :], ring.bits, count).reshape(shape)
 
 

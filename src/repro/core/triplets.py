@@ -9,15 +9,23 @@ matrix ``R`` (uniform in Z_{2^l}, n x o):
   value ``vt_k[digit]`` with the client's row ``R[j, :]``.  OTs are
   grouped by fragment radix (mixed-radix schemes like (3,3,2) run one
   KK13 session per distinct N).
-* **Wire chunks and sub-blocks.**  A group's OTs go out in wire chunks
-  of :meth:`TripletConfig.chunk_size` OTs: one U frame and one message
-  frame each, so the chunk fixes the message boundaries, the rounds and
-  the transcript digests.  Inside a chunk, everything ``N * o`` words
-  wide per OT — hash inputs, pads, products, masked messages, openings,
-  segment sums — runs in sub-blocks of :meth:`TripletConfig.sub_block`
-  OTs, writing into (client) or reading from (server) the one frame.
-  The sub-block fixes the working set and no byte on the wire; it is
-  bounded in closed form by
+* **Two passes, two flights.**  A product's OTs cross in wire chunks of
+  :meth:`TripletConfig.sub_block` OTs, one ``U`` frame and one message
+  frame each, and the generation runs in two passes over all of them.
+  Pass 1 (:func:`start_triplets_server` / :func:`start_triplets_client`):
+  the server extends every chunk and sends its ``U``, keeping its ``T``
+  rows; the client receives every ``U`` and extends it, keeping its
+  ``Q`` rows — ``c(N)/8`` B per OT held on each side.  Pass 2 (the
+  ``finish`` those return): the client hashes, masks, packs and sends
+  every chunk's message frame, and the server hashes its pads and opens
+  it.  The client sends nothing before it holds the last ``U``, so the
+  offline phase of a whole model is one server flight and one client
+  flight, however many chunks and layers it has, and each party's work
+  on chunk ``k`` overlaps the other's on its neighbours.  Shares and
+  bytes do not depend on the chunk grid; frame boundaries, frame order
+  and hence the transcript digests do.  The chunk also bounds the
+  ``N * o``-wide working set (hash inputs, pads, products, openings,
+  segment sums), in closed form in
   :func:`repro.perf.costmodel.triplet_working_set_bytes`.
 * **One layout at every batch width (Sections 4.1.2 and 4.1.3).**  The
   server's choice digit is identical for all ``o`` columns, so one OT
@@ -29,7 +37,8 @@ matrix ``R`` (uniform in Z_{2^l}, n x o):
   its pad element and a chunk's ``(count, N - 1, o)`` elements packed
   back to back.  The server takes ``-pad`` for digit 0 and opens message
   ``digit - 1`` otherwise.  Per-OT communication:
-  ``o*l*(N-1) + c(N)`` bits, up to one word per chunk — Table 1's 1-Batch
+  ``o*l*(N-1) + c(N)`` bits, up to one word per span (only a span's
+  last chunk can end inside a word) — Table 1's 1-Batch
   column at ``o = 1``, and its M-Batch column less the ``o*l`` bits of
   message 0 at ``o > 1``.  The trick needs ``vt[0] == 0`` (digit 0 adds
   nothing), which the client checks for every fragment.
@@ -49,18 +58,21 @@ client enumerates message contents for every digit anyway).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.crypto.codes import code_length
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.crypto.kk13 import Kk13Receiver, Kk13Sender, checked_frame
+from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
 from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError
 from repro.net.channel import Channel
-from repro.perf.trace import channel_span
+from repro.net.frames import checked_frame
+from repro.perf.trace import channel_resume, channel_span
 from repro.quant.fragments import FragmentScheme
 from repro.utils.accum import segment_sum_u64
 from repro.utils.bits import (
@@ -74,17 +86,9 @@ from repro.utils.ring import Ring
 
 _U64 = np.uint64
 
-#: Soft cap on the message words of one wire chunk (~32 MiB of uint64).
-#: The chunk fixes the message boundaries: one U frame and one message
-#: frame per chunk, hence the rounds and the transcript digests.
-_CHUNK_BUDGET_WORDS = 1 << 22
-#: Element width the chunk size prices a message at, at least
-#: (:meth:`TripletConfig.chunk_size`).
-_CHUNK_MIN_ELEMENT_BITS = 32
-#: Soft cap on the ``N * o``-wide words of one sub-block (~4 MiB of
-#: uint64).  The sub-block fixes only the working set: hash inputs, pads,
-#: products, openings and segment sums of a chunk run one sub-block at a
-#: time, and no byte on the wire depends on it.
+#: Soft cap on the ``N * o``-wide words of one wire chunk (~4 MiB of
+#: uint64): the chunk's hash inputs, pads, products, openings and segment
+#: sums exist one chunk at a time.
 _SUB_BLOCK_WORDS = 1 << 19
 _TRIPLET_DOMAIN = 23
 
@@ -153,28 +157,10 @@ class TripletConfig:
         largest code length ``c(N)`` over the radix groups."""
         return max(code_length(n_values) for n_values, _ in self.radix_groups)
 
-    def chunk_size(self, n_values: int) -> int:
-        """OTs per wire chunk, from the message words of one OT priced at
-        no fewer than :data:`_CHUNK_MIN_ELEMENT_BITS` bits per element:
-        a chunk's shares, pads and extension rows do not shrink with the
-        ring, so a narrow ring must not grow the chunk."""
-        width = packed_word_count(self.o, max(self.ring.bits, _CHUNK_MIN_ELEMENT_BITS))
-        per_ot = max(1, n_values * width)
-        return max(1024, _CHUNK_BUDGET_WORDS // per_ot)
-
-    def chunk_ots(self, n_values: int, total: int) -> int:
-        """OTs per wire chunk of a ``total``-OT span: the span cut into
-        as many chunks as :meth:`chunk_size` needs, of equal size rounded
-        up to 64 OTs and capped at :meth:`chunk_size`, so the chunk count
-        (and with it the frames and rounds) is the one :meth:`chunk_size`
-        gives, and the largest chunk is no larger than it must be."""
-        cap = self.chunk_size(n_values)
-        chunks = max(1, -(-total // cap))
-        return min(cap, (-(-total // chunks) + 63) // 64 * 64)
-
     def sub_block(self, n_values: int) -> int:
-        """OTs per sub-block: a multiple of 64, so a sub-block's packed
-        messages start on a word boundary at every ring width."""
+        """OTs per wire chunk: a multiple of 64, so every chunk but a
+        span's last fills whole words and the PRG streams, the frames'
+        word padding and the shares do not depend on the grid."""
         return max(64, _SUB_BLOCK_WORDS // (n_values * self.o) // 64 * 64)
 
     @property
@@ -284,7 +270,7 @@ def _flat_coords(start: int, count: int, n: int, k_count: int) -> tuple[np.ndarr
 def _add_rows(acc: np.ndarray, values: np.ndarray, start: int, config: TripletConfig, k_count: int) -> None:
     """``acc[i] += values[t]`` for the output row ``i`` of flat OT ``start + t``.
 
-    Flat indices run row-major, so one sub-block's OTs touch a contiguous
+    Flat indices run row-major, so one chunk's OTs touch a contiguous
     run of rows: the segment sum spans only those rows.
     """
     per_row = config.n * k_count
@@ -296,38 +282,47 @@ def _add_rows(acc: np.ndarray, values: np.ndarray, start: int, config: TripletCo
     acc[first : first + rows] = config.ring.add(acc[first : first + rows], sums)
 
 
-def _block_words(lo: int, hi: int, bits: int) -> slice:
-    """Word range of elements ``[lo, hi)`` of a packed row.
-
-    Exact because every sub-block starts on a 64-OT boundary, hence on a
-    64-element one, where the packed stream starts a fresh word.
-    """
-    return slice(lo * bits // 64, packed_word_count(hi, bits))
+#: What pass 1 leaves for pass 2, per chunk: the chunk's flat OT range
+#: ``[lo, hi)``, its first OT index and its T (server) or Q (client) rows.
+Held = deque[tuple[int, int, int, np.ndarray]]
 
 
 # --------------------------------------------------------------------- #
-# span workers: the chunk loops over one flat-index range of one radix
-# group.  The sequential generators below run them over [0, total); the
-# sharded execution engine (repro.exec.triplets) runs disjoint spans on
+# span workers: the two passes over one flat-index range of one radix
+# group.  The generators below run them over [0, total); the sharded
+# execution engine (repro.exec.triplets) runs disjoint spans on
 # independent OT sessions — OT instances are independent, so a span's
 # contribution to U/V depends only on its own indices.
-#
-# Each wire chunk is one U frame and one message frame; inside it the
-# N-wide work (hash inputs, pads, products, openings, segment sums) runs
-# in sub-blocks of ``config.sub_block(N)`` OTs.
 # --------------------------------------------------------------------- #
-def server_group_span(
+def extend_span(
+    session: Kk13Receiver | Kk13Sender, batches, start: int, stop: int, chunk: int
+) -> Held:
+    """Pass 1 over flat OTs ``[start, stop)``: extend one wire chunk of
+    ``chunk`` OTs at a time, so one ``U`` frame moves per chunk, and hold
+    its rows for pass 2.
+
+    ``batches(lo, hi)`` is what the session extends for OTs ``[lo, hi)``:
+    the server's digits, the client's OT count.
+    """
+    held: Held = deque()
+    for lo in range(start, stop, chunk):
+        hi = min(stop, lo + chunk)
+        held.append((lo, hi, *session.extend(batches(lo, hi))))
+    return held
+
+
+def server_span_open(
     chan: Channel,
     receiver: Kk13Receiver,
     choices: np.ndarray,
     config: TripletConfig,
     n_values: int,
     k_count: int,
-    start: int,
-    stop: int,
-    chunk: int,
+    held: Held,
 ) -> np.ndarray:
-    """Process flat OTs ``[start, stop)`` of one group; returns partial U.
+    """Pass 2 of the server's span: per chunk, hash its pads, receive the
+    client's message frame and add the openings to the partial ``U``,
+    which it returns.  Each chunk's rows are released once hashed.
 
     ``choices`` is the *full* flattened digit vector of the group, so
     absolute flat indices keep addressing the right (i, j, k) triple.
@@ -335,41 +330,31 @@ def server_group_span(
     ring, o = config.ring, config.o
     width = packed_word_count(o, ring.bits)
     per_ot = (n_values - 1) * o  # message elements per OT on the wire
-    block = config.sub_block(n_values)
     u = ring.zeros(config.out_shape)
-
-    def open_chunk(lo: int, hi: int) -> None:
-        """Receive one chunk's frame and add its openings to ``u``.  The
-        frame and the pads die on return, before the next extension."""
-        batch = choices[lo:hi]
+    while held:
+        lo, hi, first, rows = held.popleft()
         count = hi - lo
-        # Hashed while the client builds its frame, one sub-block's hash
-        # inputs at a time.
-        pad_blocks = list(receiver.pad_blocks(batch, width, block, domain=_TRIPLET_DOMAIN))
+        pad = receiver.pads_at(rows, first, width, _TRIPLET_DOMAIN)
+        del rows
         with channel_span(chan, "ot-transfer", m=count, width=width):
             packed = checked_frame(
                 chan.recv(), (packed_word_count(count * per_ot, ring.bits),),
                 "triplet message frame",
             )
-        for a, b, pad in pad_blocks:
-            sel = batch[a:b].astype(np.int64)
-            block_words = packed[_block_words(a * per_ot, b * per_ot, ring.bits)]
-            # Any digit t > 0 opens message t - 1's o * l bits.  Digit 0
-            # takes -pad: the client's share is its pad 0.
-            message = np.arange(b - a, dtype=np.int64) * (n_values - 1) + np.maximum(sel - 1, 0)
-            got = gather_bit_rows(block_words, message * o * ring.bits, o * ring.bits)
-            zero = sel == 0
-            got[zero] = 0
-            values = unpack_ring_words(got ^ pad, ring.bits, o)
-            values[zero] = ring.neg(values[zero])
-            _add_rows(u, values, lo + a, config, k_count)
-
-    for lo in range(start, stop, chunk):
-        open_chunk(lo, min(stop, lo + chunk))
+        sel = choices[lo:hi].astype(np.int64)
+        # Any digit t > 0 opens message t - 1's o * l bits.  Digit 0
+        # takes -pad: the client's share is its pad 0.
+        message = np.arange(count, dtype=np.int64) * (n_values - 1) + np.maximum(sel - 1, 0)
+        got = gather_bit_rows(packed, message * o * ring.bits, o * ring.bits)
+        zero = sel == 0
+        got[zero] = 0
+        values = unpack_ring_words(got ^ pad, ring.bits, o)
+        values[zero] = ring.neg(values[zero])
+        _add_rows(u, values, lo, config, k_count)
     return u
 
 
-def client_group_span(
+def client_span_send(
     chan: Channel,
     sender: Kk13Sender,
     value_table: np.ndarray,
@@ -377,49 +362,42 @@ def client_group_span(
     config: TripletConfig,
     n_values: int,
     k_count: int,
-    start: int,
-    stop: int,
-    chunk: int,
+    held: Held,
 ) -> np.ndarray:
-    """Client counterpart of :func:`server_group_span`; returns partial V.
+    """Pass 2 of the client's span: per chunk, hash its pads, take pad 0
+    as the shares and send the masked messages; returns the partial
+    ``V``.  Each chunk's rows are released once hashed.
 
     The shares are the pads of message 0, so a span's output is a pure
-    function of ``(sender, value_table, r, start, stop, chunk)``.
+    function of ``(sender, value_table, r)`` and its OT range.
     """
     ring, o = config.ring, config.o
     width = packed_word_count(o, ring.bits)
-    per_ot = (n_values - 1) * o
-    block = config.sub_block(n_values)
-
-    def products(first: int, count: int) -> np.ndarray:
-        """``vt_k[digit] * R[j, :]`` for digits ``1 .. N-1`` of OTs
-        ``first, ...``: ``(count, N - 1, o)``."""
-        i_idx, j_idx, k_pos = _flat_coords(first, count, config.n, k_count)
+    v = ring.zeros(config.out_shape)
+    while held:
+        lo, hi, first, rows = held.popleft()
+        count = hi - lo
+        pads = sender.pads_at(rows, first, width, _TRIPLET_DOMAIN)  # (count, N, W)
+        del rows
+        # vt_k[digit] * R[j, :] for digits 1 .. N-1: (count, N - 1, o).
         # Group-aware R row: stacked row i belongs to block i // m, whose
         # operand rows start at (i // m) * n.  Reduces to r[j_idx] when
         # groups == 1 (i // m is then always 0).
+        i_idx, j_idx, k_pos = _flat_coords(lo, count, config.n, k_count)
         r_rows = r[(i_idx // config.m) * config.n + j_idx]  # (count, o)
-        return ring.mul(value_table[k_pos][:, 1:, None], r_rows[:, None, :])
-
-    v = ring.zeros(config.out_shape)
-    for lo in range(start, stop, chunk):
-        hi = min(stop, lo + chunk)
-        count = hi - lo
-        frame = np.empty(packed_word_count(count * per_ot, ring.bits), dtype=_U64)
-        for a, b, pads in sender.pad_blocks(count, width, block, domain=_TRIPLET_DOMAIN):
-            # Pad 0's low o * l bits are the shares.  Messages 1 .. N-1
-            # are packed, then XORed with their pads' low o * l bits,
-            # packed back to back the same way.
-            s = unpack_ring_words(pads[:, 0], ring.bits, o)  # (b - a, o)
-            messages = ring.sub(products(lo + a, b - a), s[:, None, :])
-            words = _block_words(a * per_ot, b * per_ot, ring.bits)
-            frame[words] = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
-            stream = concat_packed_rows(pads[:, 1:].reshape(-1, width), o * ring.bits)
-            frame[words].view(np.uint8)[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
-            _add_rows(v, s, lo + a, config, k_count)
+        products = ring.mul(value_table[k_pos][:, 1:, None], r_rows[:, None, :])
+        # Pad 0's low o * l bits are the shares.  Messages 1 .. N-1 are
+        # packed, then XORed with their pads' low o * l bits, packed back
+        # to back the same way.
+        s = unpack_ring_words(pads[:, 0], ring.bits, o)  # (count, o)
+        messages = ring.sub(products, s[:, None, :])
+        del products
+        frame = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
+        stream = concat_packed_rows(pads[:, 1:].reshape(-1, width), o * ring.bits)
+        frame.view(np.uint8)[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
+        _add_rows(v, s, lo, config, k_count)
         with channel_span(chan, "ot-transfer", m=count, width=width):
             chan.send(frame)
-        del frame  # released before the next chunk's buffer exists
     return v
 
 
@@ -442,13 +420,15 @@ def fragment_value_table(config: TripletConfig, k_list: list[int]) -> np.ndarray
 # --------------------------------------------------------------------- #
 # server: holds W, acts as OT receiver (choice = fragment digit)
 # --------------------------------------------------------------------- #
-def generate_triplets_server(
+def start_triplets_server(
     chan: Channel,
     w_int: np.ndarray,
     config: TripletConfig,
     seed: int | None = None,
-) -> np.ndarray:
-    """Server side; returns ``U`` of shape ``(rows, o)`` ring elements."""
+) -> Callable[[], np.ndarray]:
+    """Pass 1 of the server's side: every chunk's ``U`` goes out.
+    Returns pass 2, which receives the client's frames and returns ``U``
+    of shape ``(rows, o)`` ring elements."""
     w = np.asarray(w_int, dtype=np.int64)
     if w.shape != config.w_shape:
         raise ConfigError(f"expected W of shape {config.w_shape}, got {w.shape}")
@@ -456,43 +436,59 @@ def generate_triplets_server(
     digits = config.scheme.digits(w)  # (rows, n, gamma) uint8
 
     channel_setup(chan, config.group).reserve(config.code_bits)
-    u = ring.zeros(config.out_shape)
+    groups = []
     for n_values, k_list in config.radix_groups:
         group_seed = None if seed is None else seed + n_values
         with channel_span(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
             m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
-        ):
+        ) as span:
             receiver = Kk13Receiver(
                 chan, n_values, group=config.group, ro=config.ro, seed=group_seed
             )
             choices = digits[:, :, k_list].reshape(-1)
-            total = choices.shape[0]
-            u = ring.add(
-                u,
-                server_group_span(
-                    chan, receiver, choices, config, n_values, len(k_list),
-                    0, total, config.chunk_ots(n_values, total),
-                ),
+            held = extend_span(
+                receiver, lambda lo, hi: choices[lo:hi], 0, choices.shape[0],
+                config.sub_block(n_values),
             )
-    return ring.reduce(u)
+        groups.append((span, receiver, choices, n_values, len(k_list), held))
+    del digits
+
+    def finish() -> np.ndarray:
+        u = ring.zeros(config.out_shape)
+        for span, receiver, choices, n_values, k_count, held in groups:
+            with channel_resume(chan, span):
+                u = ring.add(
+                    u,
+                    server_span_open(chan, receiver, choices, config, n_values, k_count, held),
+                )
+        return ring.reduce(u)
+
+    return finish
+
+
+def generate_triplets_server(
+    chan: Channel,
+    w_int: np.ndarray,
+    config: TripletConfig,
+    seed: int | None = None,
+) -> np.ndarray:
+    """Server side, both passes; returns ``U`` of shape ``(rows, o)``."""
+    return start_triplets_server(chan, w_int, config, seed)()
 
 
 # --------------------------------------------------------------------- #
 # client: holds R, acts as OT sender (N - 1 messages per OT)
 # --------------------------------------------------------------------- #
-def generate_triplets_client(
+def start_triplets_client(
     chan: Channel,
     r_mat: np.ndarray,
     config: TripletConfig,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
-) -> np.ndarray:
-    """Client side; returns ``V`` of shape ``(rows, o)`` ring elements.
-
-    ``rng`` is accepted for call compatibility and not drawn from: the
-    shares are pads of the OT extension, seeded by ``seed``.
-    """
+) -> Callable[[], np.ndarray]:
+    """Pass 1 of the client's side: every chunk's ``U`` is received and
+    extended.  Returns pass 2, which sends every message frame and
+    returns ``V`` of shape ``(rows, o)`` ring elements."""
     r = np.asarray(r_mat, dtype=_U64)
     if r.shape != config.r_shape:
         raise ConfigError(f"expected R of shape {config.r_shape}, got {r.shape}")
@@ -500,22 +496,45 @@ def generate_triplets_client(
     tables = [fragment_value_table(config, k_list) for _, k_list in config.radix_groups]
 
     channel_setup(chan, config.group).reserve(config.code_bits)
-    v = ring.zeros(config.out_shape)
+    groups = []
     for (n_values, k_list), table in zip(config.radix_groups, tables):
         group_seed = None if seed is None else seed + n_values
         with channel_span(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
             m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
-        ):
+        ) as span:
             sender = Kk13Sender(
                 chan, n_values, group=config.group, ro=config.ro, seed=group_seed
             )
-            total = config.rows * config.n * len(k_list)
-            v = ring.add(
-                v,
-                client_group_span(
-                    chan, sender, table, r, config, n_values, len(k_list),
-                    0, total, config.chunk_ots(n_values, total),
-                ),
+            held = extend_span(
+                sender, lambda lo, hi: hi - lo, 0, config.rows * config.n * len(k_list),
+                config.sub_block(n_values),
             )
-    return ring.reduce(v)
+        groups.append((span, sender, table, n_values, len(k_list), held))
+
+    def finish() -> np.ndarray:
+        v = ring.zeros(config.out_shape)
+        for span, sender, table, n_values, k_count, held in groups:
+            with channel_resume(chan, span):
+                v = ring.add(
+                    v,
+                    client_span_send(chan, sender, table, r, config, n_values, k_count, held),
+                )
+        return ring.reduce(v)
+
+    return finish
+
+
+def generate_triplets_client(
+    chan: Channel,
+    r_mat: np.ndarray,
+    config: TripletConfig,
+    rng: np.random.Generator | None = None,
+    seed: int | None = None,
+) -> np.ndarray:
+    """Client side, both passes; returns ``V`` of shape ``(rows, o)``.
+
+    ``rng`` is accepted for call compatibility and not drawn from: the
+    shares are pads of the OT extension, seeded by ``seed``.
+    """
+    return start_triplets_client(chan, r_mat, config, seed)()

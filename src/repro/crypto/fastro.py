@@ -34,7 +34,8 @@ Python comb tables — same integers, about 5x slower — and one
 The shared object is cached in ``<tempfile.gettempdir()>/abnn2-<uid>/``,
 created ``0o700``; a directory or ``.so`` that is not owned by the
 current user, or that group/other can write, is never loaded.  It is
-built on first use, never at import.
+built on first use, never at import, and a build removes the cached
+kernels of older sources (only those the same check admits).
 """
 
 from __future__ import annotations
@@ -283,6 +284,7 @@ def _build_kernel():
                     if proc.returncode == 0:
                         os.chmod(built, 0o700)
                         os.replace(built, so_path)  # atomic vs concurrent builders
+                        _remove_stale(cache, so_path, private)
                         break
         if not private(so_path, stat.S_ISREG):
             return None
@@ -302,6 +304,22 @@ def _build_kernel():
     kernel.fixed_base.argtypes = [ptr, ptr, size, size, ptr, size, u64, ptr, ptr]
     kernel.fixed_base.restype = ctypes.c_int
     return kernel
+
+
+def _remove_stale(cache: str, current: str, private) -> None:
+    """Delete the kernels of older sources next to a fresh build: every
+    other ``sipkern-*.so`` in the cache that is a regular file of this
+    user no one else can write.  Anything else is left alone."""
+    import glob
+    import os
+    import stat
+
+    for path in glob.glob(os.path.join(glob.escape(cache), "sipkern-*.so")):
+        try:
+            if path != current and private(path, stat.S_ISREG):
+                os.remove(path)
+        except OSError:
+            pass  # gone already, or not ours to remove
 
 
 def _load_kernel():

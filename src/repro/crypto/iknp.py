@@ -36,9 +36,10 @@ import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
-from repro.crypto.kk13 import Kk13Receiver, Kk13Sender, checked_frame
+from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
 from repro.errors import CryptoError
 from repro.net.channel import Channel
+from repro.net.frames import checked_frame
 from repro.perf.trace import channel_span
 from repro.utils.bits import pack_ring_words, packed_word_count, unpack_ring_words
 from repro.utils.ring import Ring
@@ -96,7 +97,7 @@ class OtExtSender(Kk13Sender):
         :meth:`XorOtSend.correction` in its next frame."""
         q = self._extend(m)
         with channel_span(self.chan, "ot-transfer", m=m, width=width):
-            pads = self._pads_at(q, self._take(m), width, domain)
+            pads = self.pads_at(q, self._take(m), width, domain)
         return XorOtSend(pads[:, 0], pads[:, 1])
 
     def send_correlated(self, deltas: np.ndarray, ring: Ring, domain: int = 2) -> np.ndarray:
@@ -115,7 +116,7 @@ class OtExtSender(Kk13Sender):
         m, lanes = d.shape
         q = self._extend(m)
         with channel_span(self.chan, "ot-transfer", m=m, lanes=lanes):
-            pads = ring.reduce(self._pads_at(q, self._take(m), lanes, domain))
+            pads = ring.reduce(self.pads_at(q, self._take(m), lanes, domain))
             x, x1 = pads[:, 0], pads[:, 1]
             correction = ring.add(ring.sub(ring.reduce(d), x1), x)
             # Bit-pack to l bits per element: SecureML's truncated-message
@@ -143,7 +144,7 @@ class OtExtReceiver(Kk13Receiver):
         c = np.asarray(choices, dtype=np.uint8)
         t = self._extend(c)
         with channel_span(self.chan, "ot-transfer", m=t.shape[0], width=width):
-            pads = self._pads_at(t, self._take(t.shape[0]), width, domain)
+            pads = self.pads_at(t, self._take(t.shape[0]), width, domain)
         return XorOtRecv(c, pads)
 
     def recv_correlated(
@@ -162,7 +163,7 @@ class OtExtReceiver(Kk13Receiver):
         t = self._extend(c)
         m = t.shape[0]
         with channel_span(self.chan, "ot-transfer", m=m, lanes=lanes):
-            h_t = ring.reduce(self._pads_at(t, self._take(m), lanes, domain))
+            h_t = ring.reduce(self.pads_at(t, self._take(m), lanes, domain))
             packed = checked_frame(
                 self.chan.recv(),
                 (packed_word_count(m * lanes, ring.bits),),

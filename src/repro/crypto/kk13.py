@@ -40,8 +40,9 @@ from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.otsetup import channel_setup, session_base_index
 from repro.crypto.prg import BatchPrg
-from repro.errors import CryptoError, ProtocolError
+from repro.errors import CryptoError
 from repro.net.channel import Channel
+from repro.net.frames import checked_bytes, checked_frame
 from repro.perf.trace import channel_span
 from repro.utils.bits import (
     concat_packed_rows,
@@ -63,33 +64,6 @@ def _rows_with_index(packed_rows: np.ndarray, start_index: int) -> np.ndarray:
     out[:, :width] = packed_rows
     out[:, width] = np.arange(m, dtype=_U64) + _U64(start_index)
     return out
-
-
-def _checked_u_blob(blob, n_cols: int, m: int) -> bytes:
-    """Validate the received U-matrix blob before word-level parsing."""
-    expected = (n_cols * m + 7) // 8
-    if not isinstance(blob, (bytes, bytearray)):
-        raise ProtocolError(
-            f"OT-extension U matrix must arrive as bytes, got {type(blob).__name__}"
-        )
-    if len(blob) != expected:
-        raise ProtocolError(
-            f"OT-extension U matrix for {n_cols}x{m} bits must be "
-            f"{expected} bytes, got {len(blob)}"
-        )
-    return bytes(blob)
-
-
-def checked_frame(frame, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A peer's frame of uint64 words of ``shape``: anything else (a
-    non-array, another dtype or shape) raises :class:`ProtocolError`."""
-    if not (isinstance(frame, np.ndarray) and frame.dtype == _U64 and frame.shape == shape):
-        got = (
-            f"{frame.dtype} {frame.shape}" if isinstance(frame, np.ndarray)
-            else type(frame).__name__
-        )
-        raise ProtocolError(f"{what}: expected {shape} uint64 words, got {got}")
-    return frame
 
 
 class _Kk13Session:
@@ -125,32 +99,23 @@ class _Kk13Session:
         ``(m, N, W)``: ``pads[i, j]`` is the mask the receiver recovers
         iff its choice for OT ``i`` was ``j``.  The caller XORs messages
         onto these pads (chosen-message mode) or uses pad 0 directly as a
-        share (the ABNN2 triplet layout).  The receiver passes its ``m``
-        choices and gets the pad at each chosen slot, ``(m, W)``.
+        share.  The receiver passes its ``m`` choices and gets the pad at
+        each chosen slot, ``(m, W)``.
+        """
+        first, rows = self.extend(batch)
+        return self.pads_at(rows, first, width, domain)
+
+    def extend(self, batch) -> tuple[int, np.ndarray]:
+        """:meth:`pads` in two steps, the first: extend the batch (the
+        U frame moves) and claim its OT indices.
+
+        Returns the batch's first OT index and its Q (sender) or T
+        (receiver) rows, ``c/8`` B per OT, which :meth:`pads_at` hashes
+        whenever the caller is ready; the ABNN2 triplets extend every
+        batch of a round before hashing any.
         """
         rows = self._extend(batch)
-        return self._pads_at(rows, self._take(rows.shape[0]), width, domain)
-
-    def pad_blocks(self, batch, width: int, block: int, domain: int = 3):
-        """:meth:`pads` in sub-blocks: extend the whole batch now (the U
-        frame moves), then yield ``(lo, hi, pads[lo:hi])`` for every
-        ``block`` OTs.
-
-        The extension (the U matrix and the Q/T rows, c/8 B per OT)
-        covers all ``m`` OTs; the hash inputs and pads exist one
-        sub-block at a time, so the caller's working set past the
-        extension does not grow with ``m``.
-        """
-        rows = self._extend(batch)
-        first = self._take(rows.shape[0])
-
-        def blocks():
-            for lo in range(0, rows.shape[0], block):
-                hi = min(rows.shape[0], lo + block)
-                yield lo, hi, self._pads_at(rows[lo:hi], first + lo, width, domain)
-
-        return blocks()
-
+        return self._take(rows.shape[0]), rows
 
 class Kk13Sender(_Kk13Session):
     """The party holding ``N`` messages per OT (ABNN2's *client*)."""
@@ -195,13 +160,16 @@ class Kk13Sender(_Kk13Session):
         """
         self.ensure_seeds()
         with channel_span(self.chan, "extension", m=m):
-            u_blob = _checked_u_blob(self.chan.recv(), self.code_bits, m)
+            u_blob = checked_bytes(
+                self.chan.recv(), (self.code_bits * m + 7) // 8,
+                f"OT-extension U frame ({self.code_bits}x{m} bits)",
+            )
             q_cols = split_packed_rows(u_blob, self.code_bits, m)
             q_cols &= self._s_colmask
             q_cols ^= self._prg.packed_bits(m)
             return transpose_packed(q_cols)[:m]
 
-    def _pads_at(self, q: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
+    def pads_at(self, q: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
         """Pads ``(len(q), N, W)`` of the Q rows of OTs ``first, first+1, ...``."""
         m = q.shape[0]
         # One preallocated (m, N, c/64 + 1) hash-input tensor: q_i xor
@@ -284,7 +252,7 @@ class Kk13Receiver(_Kk13Session):
             del u
             return transpose_packed(t0)[:m]
 
-    def _pads_at(self, t: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
+    def pads_at(self, t: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
         """Pads ``(len(t), W)`` of the T rows of OTs ``first, first+1, ...``."""
         return self.ro.mask(_rows_with_index(t, first), width, domain)
 

@@ -34,9 +34,10 @@ import numpy as np
 
 from repro.core.triplets import (
     TripletConfig,
-    client_group_span,
+    client_span_send,
+    extend_span,
     fragment_value_table,
-    server_group_span,
+    server_span_open,
 )
 from repro.crypto.group import ModpGroup
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
@@ -55,7 +56,8 @@ class ShardPlan:
 
     ``shards``/``chunk_ots`` are public (both parties must agree);
     ``workers``/``async_depth`` are local.  ``chunk_ots=None`` cuts each
-    shard's span as :meth:`TripletConfig.chunk_ots` does.
+    shard's span into wire chunks of :meth:`TripletConfig.sub_block`
+    OTs, as the sequential generators do.
     """
 
     shards: int = 8
@@ -176,20 +178,24 @@ def _shard_sessions(stream, s, config, plan, ot_seed, groups, session_cls):
 
 
 def _server_shard(stream, s, config, plan, ot_seed, groups):
-    """Server-side shard body; ``groups`` is ``(n_values, k_count, choices)``."""
+    """Server-side shard body; ``groups`` is ``(n_values, k_count, choices)``.
+    Both passes of every span, on the shard's own stream."""
     spans = _shard_sessions(stream, s, config, plan, ot_seed, groups, Kk13Receiver)
 
     def body():
         ring = config.ring
+        held = [
+            extend_span(
+                receiver, lambda a, b, c=choices: c[a:b], lo, hi,
+                plan.chunk_ots or config.sub_block(n_values),
+            )
+            for receiver, (n_values, _k, choices), lo, hi in spans
+        ]
         u_s = ring.zeros(config.out_shape)
-        for receiver, (n_values, k_count, choices), lo, hi in spans:
-            chunk = plan.chunk_ots or config.chunk_ots(n_values, hi - lo)
+        for (receiver, (n_values, k_count, choices), _lo, _hi), rows in zip(spans, held):
             u_s = ring.add(
                 u_s,
-                server_group_span(
-                    stream, receiver, choices, config, n_values, k_count,
-                    lo, hi, chunk,
-                ),
+                server_span_open(stream, receiver, choices, config, n_values, k_count, rows),
             )
         return u_s
 
@@ -202,15 +208,18 @@ def _client_shard(stream, s, config, plan, ot_seed, groups, r):
 
     def body():
         ring = config.ring
+        held = [
+            extend_span(
+                sender, lambda a, b: b - a, lo, hi,
+                plan.chunk_ots or config.sub_block(n_values),
+            )
+            for sender, (n_values, _k, _table), lo, hi in spans
+        ]
         v_s = ring.zeros(config.out_shape)
-        for sender, (n_values, k_count, value_table), lo, hi in spans:
-            chunk = plan.chunk_ots or config.chunk_ots(n_values, hi - lo)
+        for (sender, (n_values, k_count, table), _lo, _hi), rows in zip(spans, held):
             v_s = ring.add(
                 v_s,
-                client_group_span(
-                    stream, sender, value_table, r, config, n_values, k_count,
-                    lo, hi, chunk,
-                ),
+                client_span_send(stream, sender, table, r, config, n_values, k_count, rows),
             )
         return v_s
 

@@ -290,17 +290,14 @@ def linear_working_set_bytes(
 # --------------------------------------------------------------------- #
 # memory: the offline triplet working set
 # --------------------------------------------------------------------- #
-#: Chunking constants mirrored from :mod:`repro.core.triplets` (kept
+#: The wire-chunk constant mirrored from :mod:`repro.core.triplets` (kept
 #: numeric: the cost model prices a trace without importing the protocol
 #: stack).  ``tests/test_trace_memory.py`` pins agreement.
-TRIPLET_CHUNK_BUDGET_WORDS = 1 << 22
-TRIPLET_CHUNK_MIN_ELEMENT_BITS = 32
-TRIPLET_MIN_CHUNK = 1024
 TRIPLET_SUB_BLOCK_WORDS = 1 << 19
-#: ``c/8`` B-per-OT rows (``c`` = :func:`kk13_code_bits`) one extension
-#: holds at once across the pair, at most: PRG blocks, the U blob and its
-#: encoding, the decoded copy, the Q columns, and the copy and output of
-#: each side's bit transpose.
+#: ``c/8`` B-per-OT rows (``c`` = :func:`kk13_code_bits`) one chunk's
+#: extension holds at once across the pair, at most: PRG blocks, the U
+#: blob and its encoding, the decoded copy, the Q columns, and the copy
+#: and output of each side's bit transpose.
 _EXTENSION_ROWS = 10
 #: Fixed per-layer allowance: KK13 session state, the base-OT handshake
 #: of the first layer, span and interpreter objects (measured: under
@@ -312,21 +309,8 @@ def _words(n_elems: int, bits: int) -> int:
     return (n_elems * bits + 63) // 64
 
 
-def triplet_chunk_ots(n_values: int, o: int, ring_bits: int, total: int | None = None) -> int:
-    """OTs per wire chunk: the cap
-    (:meth:`repro.core.triplets.TripletConfig.chunk_size`), or, given the
-    ``total`` OTs of a span, the equal cut of it that the protocol runs
-    (:meth:`~repro.core.triplets.TripletConfig.chunk_ots`)."""
-    width = _words(o, max(ring_bits, TRIPLET_CHUNK_MIN_ELEMENT_BITS))
-    cap = max(TRIPLET_MIN_CHUNK, TRIPLET_CHUNK_BUDGET_WORDS // max(1, n_values * width))
-    if total is None:
-        return cap
-    chunks = max(1, -(-total // cap))
-    return min(cap, (-(-total // chunks) + 63) // 64 * 64)
-
-
 def triplet_sub_block_ots(n_values: int, o: int) -> int:
-    """OTs per sub-block (:meth:`repro.core.triplets.TripletConfig.sub_block`)."""
+    """OTs per wire chunk (:meth:`repro.core.triplets.TripletConfig.sub_block`)."""
     return max(64, TRIPLET_SUB_BLOCK_WORDS // (n_values * o) // 64 * 64)
 
 
@@ -341,51 +325,46 @@ def triplet_working_set_bytes(
     """Upper bound on one layer's triplet-generation allocation peak,
     both parties in one process (the in-memory channel pair).
 
-    Radix groups run one after another, so the bound takes the worst
-    group, at ``c`` OTs per wire chunk (the group's equal cut,
-    :func:`triplet_chunk_ots`) and ``B`` per sub-block, and in it the
-    largest of a chunk's three phases:
+    The layer runs in two passes over its wire chunks of ``B`` OTs
+    (:func:`triplet_sub_block_ots`), and the bound is the larger of them.
+    Across all radix groups each party holds ``H`` words of rows between
+    the passes (``k = c(N) / 64`` words per OT), and the client's message
+    frames total ``M`` words (``N - 1`` messages of ``o`` elements per OT,
+    ``words(T (N - 1) o l)`` for a group of ``T`` OTs).  Sends never
+    block, so a flight may sit whole in the channel:
 
-    * **extension**: :data:`_EXTENSION_ROWS` rows of ``k = c(N) / 64``
-      words per OT, the server's hashed pads (``c W`` words) and one
-      sub-block of their hash inputs (``B (W + k + 1)`` words: the server
-      hashes sub-block by sub-block), next to the client's empty frame
-      buffer (``F`` words: the shares are pads, so nothing fills it
-      before the extension);
-    * **pads**: the frame, the client's Q rows and one sub-block's
-      temporaries, the server's pads (``c W`` words);
-    * **hand-off**: three copies of the frame (the client's buffer, its
-      encoding in flight, the server's decoded copy), the server's pads
-      and one sub-block of its openings and segment sums
-      (``3 W + 6 o`` words per OT).
+    * **extension** (pass 1): both parties' rows and every ``U`` frame in
+      flight (``3 H``), plus one chunk's :data:`_EXTENSION_ROWS` rows of
+      ``k`` words per OT;
+    * **messages** (pass 2): both parties' rows and every message frame in
+      flight (``2 H + M``), plus one chunk at the worst group: the
+      client's hash inputs, pads, shares, products, their masked
+      difference, the packed messages and the packed stream of their pads
+      (``N (4 o + W + k + 2)`` words per OT), its frame and the server's
+      decoded copy (``2 F``), the server's hash inputs, pads, openings and
+      segment sums (``B (5 W + k + 1 + 6 o)`` words).
 
-    A client sub-block holds hash inputs and pads, the shares, the
-    products and their masked difference, the packed messages and the
-    packed stream of their pads: ``N (4 o + W + k + 2)`` words per OT.
-    ``W = words(o l)``, and ``F`` is the chunk's ``N - 1`` messages of
-    ``o`` elements per OT packed back to back, ``words(c (N - 1) o l)``.
-    The layer adds the server's digit and choice vectors (one byte per
-    OT each), both parties' ``(m, o)`` accumulators and
-    :data:`_SESSION_BYTES`.
+    ``W = words(o l)`` and ``F = words(B (N - 1) o l)``.  The layer adds
+    the server's digit and choice vectors (one byte per OT each), both
+    parties' ``(m, o)`` accumulators and :data:`_SESSION_BYTES`.
     """
     radices = list(frag_n_values)
     if min(m, n, o, len(radices)) < 1:
         raise ConfigError("triplet dimensions must be positive")
     width = _words(o, ring_bits)
-    worst = 0
+    held = frames = extension = chunk_peak = 0
     for nv in set(radices):
         total = m * n * radices.count(nv)
-        chunk = min(triplet_chunk_ots(nv, o, ring_bits, total), total)
-        block = min(triplet_sub_block_ots(nv, o), chunk)
-        frame = _words(chunk * (nv - 1) * o, ring_bits)
+        block = min(triplet_sub_block_ots(nv, o), total)
         code_words = kk13_code_bits(nv) // 64
-        rows = code_words * chunk  # one c/8 B-per-OT row (the Q or T rows)
+        held += code_words * total
+        frames += _words(total * (nv - 1) * o, ring_bits)
+        extension = max(extension, _EXTENSION_ROWS * code_words * block)
         client = block * nv * (4 * o + width + code_words + 2)
-        server = chunk * width  # the server's pads
-        extension = frame + _EXTENSION_ROWS * rows + server + block * (width + code_words + 1)
-        pads = frame + rows + client + server
-        hand_off = 3 * frame + server + block * (3 * width + 6 * o)
-        worst = max(worst, extension, pads, hand_off)
+        server = block * (5 * width + code_words + 1 + 6 * o)
+        frame = _words(block * (nv - 1) * o, ring_bits)
+        chunk_peak = max(chunk_peak, client + 2 * frame + server)
+    worst = max(3 * held + extension, 2 * held + frames + chunk_peak)
     return word_bytes * (4 * m * o + worst) + 2 * m * n * len(radices) + _SESSION_BYTES
 
 

@@ -45,7 +45,6 @@ from repro.perf.costmodel import (
     linear_working_set_bytes,
     lowered_operand_bytes,
     share_frame_bits,
-    triplet_chunk_ots,
     triplet_working_set_bytes,
 )
 from repro.perf.trace import iter_spans
@@ -76,18 +75,16 @@ def triplet_slack_bits(
     """(min, max) wire bits above the Table 1 form due to word packing.
 
     Each wire chunk packs its message elements (``(N - 1) o`` per OT)
-    back to back and pads the frame to a word, so the slack is exact
-    (min == max): under 64 bits per chunk, and zero when every chunk
-    fills whole words.
+    back to back and pads the frame to a word.  Every chunk but a radix
+    group's last is a multiple of 64 OTs and fills whole words, so the
+    slack is exact (min == max): the group's word padding, under 64 bits
+    per radix group.
     """
     radices = list(frag_n_values)
     slack = 0
     for nv in set(radices):
-        total = m * n * radices.count(nv)
-        chunk = triplet_chunk_ots(nv, o, ring_bits, total)
-        per_ot = (nv - 1) * o
-        for count in [chunk] * (total // chunk) + ([total % chunk] if total % chunk else []):
-            slack += 64 * _words(count * per_ot, ring_bits) - count * per_ot * ring_bits
+        bits = m * n * radices.count(nv) * (nv - 1) * o * ring_bits
+        slack += 64 * _words(bits, 1) - bits
     return slack, slack
 
 
@@ -243,11 +240,11 @@ class MemoryRow:
     :func:`~repro.perf.costmodel.triplet_working_set_bytes` is an upper
     bound, and ``report --check`` fails a span that measures above it.
 
-    The heap is the process's, and in an in-process pair the server
-    still opens the previous layer's last frame while the client already
-    waits in the next layer's span, so a triplets span is held to the
+    The heap is the process's, and in an in-process pair one party may
+    already work in the next layer's span, in either pass, while the
+    other finishes the previous layer, so a triplets span is held to the
     larger of its own bound and the previous triplets span's
-    (``bound_bytes``): the two never run at once.
+    (``bound_bytes``).
     """
 
     path: str

@@ -311,6 +311,46 @@ class Tracer:
             if top is span:
                 return span
 
+    def resume_span(self, span: Span) -> Span:
+        """Re-open a closed descendant of the innermost open span, with
+        the closed spans between them; returns the outermost re-opened
+        span, the one to pass to :meth:`end_span`.
+
+        Their counters and children keep accumulating, their durations
+        add the time until :meth:`end_span` closes them again, and their
+        allocation peaks are the larger of the openings' growths.  A
+        phase that runs in passes (the offline triplets) thus keeps one
+        span per layer.
+        """
+        chain = []
+        node: Span | None = span
+        while node is not None and node is not self._stack[-1]:
+            chain.append(node)
+            node = node.parent
+        if node is None or any(link.duration_s is None for link in chain):
+            raise ConfigError(f"span {span.path!r} is not a closed descendant of the open span")
+        self._fold_alloc_peak()
+        now = self._clock()
+        for link in reversed(chain):
+            link.start_s = now - link.duration_s
+            link.duration_s = None
+            if self.memory and tracemalloc.is_tracing():
+                # Growth is measured from each (re-)opening: what the
+                # span kept from an earlier pass is already in the base.
+                link.alloc_base = tracemalloc.get_traced_memory()[0]
+            self._stack.append(link)
+        return chain[-1]
+
+    @contextmanager
+    def resume(self, span: Span) -> Iterator[Span]:
+        """``with tracer.resume(span): ...`` — :meth:`resume_span` until
+        the block ends."""
+        outer = self.resume_span(span)
+        try:
+            yield span
+        finally:
+            self.end_span(outer)
+
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         """``with tracer.span("offline/layer0"): ...`` — the usual entry.
@@ -458,6 +498,15 @@ def channel_span(chan: Any, name: str, **attrs: Any):
     if tracer is None:
         return nullcontext()
     return tracer.span(name, **attrs)
+
+
+def channel_resume(chan: Any, span: Span | None):
+    """Re-open ``span``, which :func:`channel_span` opened on ``chan``
+    earlier (see :meth:`Tracer.resume`), or do nothing when untraced."""
+    tracer = getattr(chan, "tracer", None)
+    if tracer is None or span is None:
+        return nullcontext()
+    return tracer.resume(span)
 
 
 def annotate_span(chan: Any, **attrs: Any) -> None:

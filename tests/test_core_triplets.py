@@ -72,13 +72,13 @@ class TestCorrectness:
         # Force tiny chunks so the accumulation crosses chunk boundaries.
         import repro.core.triplets as triplets_mod
 
-        monkeypatch.setattr(triplets_mod, "_CHUNK_BUDGET_WORDS", 1)
+        monkeypatch.setattr(triplets_mod, "_SUB_BLOCK_WORDS", 1)
         scheme = FragmentScheme.from_bits((2, 2, 2, 2))
         ring = Ring(32)
-        w = _random_weights(scheme, (3, 4), rng)
-        r = ring.sample(rng, (4, 2))
-        config = TripletConfig(ring=ring, scheme=scheme, m=3, n=4, o=2, group=test_group)
-        assert config.chunk_size(4) == 1024  # floor kicks in
+        w = _random_weights(scheme, (3, 40), rng)
+        r = ring.sample(rng, (40, 2))
+        config = TripletConfig(ring=ring, scheme=scheme, m=3, n=40, o=2, group=test_group)
+        assert config.sub_block(4) == 64  # floor kicks in: 480 OTs in 8 chunks
         result = _run_triplets(w, r, config)
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
 
@@ -94,20 +94,21 @@ class TestCorrectness:
 
 
 class TestSubBlocks:
-    """Sub-blocking moves the working set, never a byte on the wire.
+    """The wire chunk (the sub-block) moves frame boundaries, never a share
+    or a payload byte.
 
-    With 64-OT sub-blocks, ``U + V = W R`` holds for OT counts below the
-    sub-block size, equal to it and ragged against it (also across wire
-    chunks), at o = 1 and o > 1 and at a ring width whose packing does not
-    divide 64 bits; shares and both parties' transcripts equal those of
-    a run with one sub-block per chunk.
+    With 64-OT chunks, ``U + V = W R`` holds for OT counts below the
+    chunk size, equal to it and ragged against it (also across many
+    chunks), at o = 1 and o > 1 and at a ring width whose packing does
+    not divide 64 bits; shares and payload bytes equal those of a run in
+    one chunk, and the transcripts differ exactly when the grids do.
     """
 
     SHAPES = {  # (m, n): 2 m n OTs of the 2-fragment scheme
         "below": (2, 8),  # 32 OTs
         "equal": (4, 8),  # 64
-        "ragged": (5, 16),  # 160 = 2.5 sub-blocks
-        "chunks": (40, 30),  # 2400 = 1024-OT chunks, the last 5.5 sub-blocks
+        "ragged": (5, 16),  # 160 = 2.5 chunks
+        "chunks": (40, 30),  # 2400 = 37.5 chunks
     }
 
     @staticmethod
@@ -144,9 +145,6 @@ class TestSubBlocks:
         ring = Ring(bits)
         m, n = self.SHAPES[shape]
         config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=o, group=test_group)
-        if shape == "chunks":
-            monkeypatch.setattr(triplets_mod, "_CHUNK_BUDGET_WORDS", 1)
-            assert config.chunk_size(4) == 1024
         w = _random_weights(scheme, (m, n), rng)
         r = ring.sample(rng, (n, o))
 
@@ -160,7 +158,11 @@ class TestSubBlocks:
         whole, whole_digests = self._digest_run(w, r, config)
         assert (blocked.server == whole.server).all()
         assert (blocked.client == whole.client).all()
-        assert blocked_digests == whole_digests
+        assert blocked.stats.bytes_sent == whole.stats.bytes_sent
+        assert blocked.stats.rounds == whole.stats.rounds
+        chunks = -(-config.total_ots // 64)
+        assert blocked.stats.total_messages - whole.stats.total_messages == 2 * (chunks - 1)
+        assert (blocked_digests == whole_digests) == (chunks == 1)
 
     def test_sub_block_is_a_multiple_of_64(self):
         scheme = FragmentScheme.from_bits((2, 2))

@@ -201,6 +201,27 @@ class TestKernel:
             assert not fastro.kernel_active()
         assert np.array_equal(fastro.expand(rows, 4, 1), want)
 
+    @needs_compiler
+    def test_build_removes_stale_kernels_only(self, fresh_probe):
+        """A fresh build in a scratch temp dir deletes this user's kernels
+        of older sources and keeps a file that is foreign or does not
+        match the name pattern."""
+        fresh_probe.mkdir(mode=0o700)
+        planted = {
+            name: fresh_probe / name
+            for name in ("sipkern-0000000000000000.so", "sipkern-foreign.so",
+                         "sipkern-notes.txt", "other.so")
+        }
+        for path in planted.values():
+            path.write_bytes(b"stale")
+            path.chmod(0o700)
+        planted["sipkern-foreign.so"].chmod(0o766)  # anyone may write it: not ours
+        assert fastro.kernel_active()
+        left = sorted(path.name for path in fresh_probe.iterdir())
+        assert "sipkern-0000000000000000.so" not in left
+        assert {"sipkern-foreign.so", "sipkern-notes.txt", "other.so"} <= set(left)
+        assert len([name for name in left if name.startswith("sipkern-")]) == 3
+
     def test_fallback_warns_once_and_the_trace_says_so(self, fresh_probe, monkeypatch):
         """No compiler on PATH: one warning per process, ``ro_kernel: false``."""
         monkeypatch.setenv("PATH", str(fresh_probe))

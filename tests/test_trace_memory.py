@@ -29,15 +29,11 @@ from repro.crypto.codes import code_length
 from repro.errors import ConfigError
 from repro.net import run_protocol
 from repro.perf.costmodel import (
-    TRIPLET_CHUNK_BUDGET_WORDS,
-    TRIPLET_CHUNK_MIN_ELEMENT_BITS,
-    TRIPLET_MIN_CHUNK,
     TRIPLET_SUB_BLOCK_WORDS,
     WORD_BYTES,
     _matmul_intermediate_words,
     linear_working_set_bytes,
     lowered_operand_bytes,
-    triplet_chunk_ots,
     triplet_sub_block_ots,
     triplet_working_set_bytes,
 )
@@ -188,53 +184,44 @@ FIG4_L0 = dict(m=128, n=784, ring_bits=32, frag_n_values=[4, 4, 4, 4])
 
 class TestTripletWorkingSet:
     def test_mirrors_match_the_protocol(self):
-        assert TRIPLET_CHUNK_BUDGET_WORDS == triplets_mod._CHUNK_BUDGET_WORDS
-        assert TRIPLET_CHUNK_MIN_ELEMENT_BITS == triplets_mod._CHUNK_MIN_ELEMENT_BITS
         assert TRIPLET_SUB_BLOCK_WORDS == triplets_mod._SUB_BLOCK_WORDS
         for bits in ((1,), (2, 2), (4, 4)):
             scheme = FragmentScheme.from_bits(bits)
             n_values = scheme.fragments[0].n_values
             for o in (1, 2, 8, 100, 1024, 1 << 20):
-                for ring_bits in (13, 22, 32, 64):
-                    config = TripletConfig(ring=Ring(ring_bits), scheme=scheme, m=1, n=1, o=o)
-                    assert triplet_chunk_ots(n_values, o, ring_bits) == config.chunk_size(n_values)
-                    assert triplet_sub_block_ots(n_values, o) == config.sub_block(n_values)
-                    cap = config.chunk_size(n_values)
-                    for total in (1, 64, cap - 1, cap, cap + 1, 3 * cap + 100, 40 * cap):
-                        chunk = config.chunk_ots(n_values, total)
-                        assert triplet_chunk_ots(n_values, o, ring_bits, total) == chunk
-                        # the cap's chunk count, in chunks no larger than the cap
-                        assert chunk <= cap and -(-total // chunk) == -(-total // cap)
-        assert triplet_chunk_ots(4, 1 << 20, 32) == TRIPLET_MIN_CHUNK
+                config = TripletConfig(ring=Ring(32), scheme=scheme, m=1, n=1, o=o)
+                assert triplet_sub_block_ots(n_values, o) == config.sub_block(n_values)
+        assert triplet_sub_block_ots(4, 1 << 20) == 64
 
     def test_fig4_layer0_batch8_closed_form(self):
-        # 401 408 OTs cut into two equal wire chunks of 200 704 (the cap is
-        # 262 144); 16 Ki-OT sub-blocks.  The frame carries N - 1 = 3
-        # messages of 8 elements per OT (12 words), and nothing fills it
-        # before the extension.  With the 192-column N = 4 code (24 B
-        # rows) the extension (the empty frame, ten rows, the server's
-        # pads and one sub-block of their hash inputs) is the worst phase,
-        # above the hand-off (three frame copies and the server's pads).
-        chunk, block, code_words = 200_704, 16_384, 3
-        assert triplet_chunk_ots(4, 8, 32, 128 * 784 * 4) == chunk
-        frame = chunk * 3 * 4
-        extension = frame + 10 * code_words * chunk + chunk * 4 + block * (4 + code_words + 1)
-        pads = frame + code_words * chunk + block * 4 * (4 * 8 + 4 + code_words + 2) + chunk * 4
-        hand_off = 3 * frame + chunk * 4 + block * (3 * 4 + 6 * 8)
-        assert pads < hand_off < extension
+        # 401 408 OTs in wire chunks of 16 Ki OTs.  Between the passes
+        # each party holds 24 B of rows per OT (the 192-column N = 4
+        # code), and the message frames carry N - 1 = 3 messages of 8
+        # elements per OT (12 words).  Pass 2 (both parties' rows, every
+        # frame in flight, one chunk of work) is the worst phase, above
+        # pass 1 (the rows, every U frame in flight, one chunk's
+        # extension).
+        total, block, code_words, width = 128 * 784 * 4, 16_384, 3, 4
+        assert triplet_sub_block_ots(4, 8) == block
+        held, frames = code_words * total, 12 * total
+        extension = 3 * held + 10 * code_words * block
+        client = block * 4 * (4 * 8 + width + code_words + 2)
+        server = block * (5 * width + code_words + 1 + 6 * 8)
+        messages = 2 * held + frames + client + 2 * block * 12 + server
+        assert extension < messages
         digits = 2 * 128 * 784 * 4  # uint8 digits and choices
         assert triplet_working_set_bytes(o=8, **FIG4_L0) == (
-            WORD_BYTES * (4 * 128 * 8 + extension) + digits + (1 << 20)
+            WORD_BYTES * (4 * 128 * 8 + messages) + digits + (1 << 20)
         )
 
     def test_chunk_terms_do_not_grow_with_the_layer(self):
         small = triplet_working_set_bytes(o=8, **FIG4_L0)
-        big = triplet_working_set_bytes(
-            1280, 784, 8, 32, [4, 4, 4, 4]
-        )  # ten times the OTs, sixteen wire chunks no larger than the cap
-        layer_growth = WORD_BYTES * 4 * 1152 * 8 + 2 * 1152 * 784 * 4
-        at_cap = WORD_BYTES * (10 * 3 + 12 + 4) * (262_144 - 200_704)
-        assert layer_growth < big - small <= layer_growth + at_cap
+        big = triplet_working_set_bytes(1280, 784, 8, 32, [4, 4, 4, 4])
+        # ten times the OTs adds only per-OT terms: both parties' rows
+        # (2 x 3 words), the frames (12 words), the digits and choices,
+        # and the accumulator rows
+        ots = 1152 * 784 * 4
+        assert big - small == WORD_BYTES * (4 * 1152 * 8 + 18 * ots) + 2 * ots
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -246,8 +233,9 @@ class TestTripletWorkingSet:
 class TestTripletSpanPeaks:
     """Fig-4 layer 0 under memory tracing: each party's triplets span
     peaks at or under the closed form, and above what the pair must hold
-    at once (two copies of a chunk frame at batch 8, two extension rows
-    at batch 1), so the bound is not met vacuously."""
+    at once (between the passes, every chunk's rows on both sides but
+    the first chunk the server may already have hashed), so the bound is
+    not met vacuously."""
 
     @pytest.fixture(autouse=True)
     def _stop_tracemalloc(self):
@@ -262,9 +250,8 @@ class TestTripletSpanPeaks:
         ring = Ring(32)
         m, n = FIG4_L0["m"], FIG4_L0["n"]
         config = TripletConfig(ring=ring, scheme=scheme, m=m, n=n, o=batch, group=test_group)
-        chunk = min(config.chunk_size(4), config.total_ots)
-        if batch == 8:
-            assert chunk < config.total_ots <= 2 * chunk  # two wire chunks
+        block = config.sub_block(4)
+        assert 3 * block < config.total_ots  # four wire chunks or more
         rng = np.random.default_rng(0)
         lo, hi = scheme.weight_range
         w = rng.integers(lo, hi + 1, size=(m, n))
@@ -293,7 +280,7 @@ class TestTripletSpanPeaks:
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
         bound = triplet_working_set_bytes(o=batch, **FIG4_L0)
         code_words = code_length(4) // 64
-        held = 2 * WORD_BYTES * (chunk * 3 * 4 if batch == 8 else code_words * chunk)
+        held = WORD_BYTES * code_words * (2 * config.total_ots - block)
         for tracer in tracers:
             doc = tracer.to_dict()
             rows = [row for row in memory_rows(doc) if row.kind == "triplets"]
