@@ -83,11 +83,11 @@ class DigestChannel:
 #: (server, client) digest prefixes of each pinned run.  Chunking is a
 #: local memory policy, so the chunked run pins the unchunked digest.
 PINNED = {
-    "fig4_b1": ("f5ad9dccf6a2063c", "41b13a4806b92ba4"),
-    "fig4_b8": ("232d017631a8305d", "6a9573cfafbc1151"),
-    "vgg_cifar_side12": ("0dff81f245b50d00", "972e2e01912d2ddf"),
-    "vgg_cifar_side12_chunk7": ("0dff81f245b50d00", "972e2e01912d2ddf"),
-    "vgg_cifar_side12_winograd": ("e993d57228b4e025", "60fe6a7a91e0d051"),
+    "fig4_b1": ("3fe5f0e33610ac9c", "611e81ef19f47bae"),
+    "fig4_b8": ("f53b7764eb5831d6", "a367df650c5183f4"),
+    "vgg_cifar_side12": ("f0be1ce09f5986fd", "69000875d3643cc6"),
+    "vgg_cifar_side12_chunk7": ("f0be1ce09f5986fd", "69000875d3643cc6"),
+    "vgg_cifar_side12_winograd": ("42bb2821bc55c9f6", "fdccafe4062e677f"),
     "served_bank_keepalive": ("5deb31fbb51d426a", "733247cccc15bc37"),
     "secureml_triplets": ("1813590807647dbd", "2bda67427dfcb0de"),
     "quotient_triplets": ("7eadbebd1c974c7e", "e8f1b0a9cbbd0e36"),
