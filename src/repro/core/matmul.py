@@ -215,7 +215,9 @@ class SecureMatmulClient:
 
         return done
 
-    offline = SecureMatmulServer.offline
+    def offline(self) -> None:
+        """Run the whole triplet generation (both passes)."""
+        self.start_offline()()
 
     @property
     def v(self) -> np.ndarray:

@@ -424,6 +424,16 @@ class _PartyBase:
         )
         channel_setup(self.chan, self.group).reserve(widest)
 
+    def _second_pass(self, started: list) -> list:
+        """Pass 2 of an offline round: finish every layer's triplets, in
+        layer order, each in its re-opened ``triplets`` span.
+        ``started`` holds ``(span, engine, finish)`` per layer from pass
+        1; returns the engines."""
+        for span, _engine, finish in started:
+            with self.tracer.resume(span):
+                finish()
+        return [engine for _span, engine, _finish in started]
+
     def _track_phase(self, label: str, fn):
         span = self.tracer.start_span(label)
         try:
@@ -526,10 +536,7 @@ class Abnn2Server(_PartyBase):
             engine = self._engine(idx, seed=self._layer_seed(idx, round_idx))
             with self._triplet_span(idx, layer, round_idx) as span:
                 started.append((span, engine, engine.start_offline()))
-        for span, _engine, finish in started:
-            with self.tracer.resume(span):
-                finish()
-        return ServerHalf([engine.u for _span, engine, _finish in started])
+        return ServerHalf([engine.u for engine in self._second_pass(started)])
 
     def online(self) -> np.ndarray:
         """Run one prediction batch; returns the server's logit share
@@ -618,10 +625,7 @@ class Abnn2Client(_PartyBase):
                 started.append((span, engine, engine.start_offline()))
 
         half = chain_operands(self.meta, self.batch, self.rng, triplet_step)
-        for span, _engine, finish in started:
-            with self.tracer.resume(span):
-                finish()
-        return replace(half, v=[engine.v for _span, engine, _finish in started])
+        return replace(half, v=[engine.v for engine in self._second_pass(started)])
 
     def online(self, x_ring: np.ndarray) -> np.ndarray:
         """Run one prediction batch on fixed-point inputs shaped

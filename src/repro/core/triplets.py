@@ -295,19 +295,22 @@ Held = deque[tuple[int, int, int, np.ndarray]]
 # contribution to U/V depends only on its own indices.
 # --------------------------------------------------------------------- #
 def extend_span(
-    session: Kk13Receiver | Kk13Sender, batches, start: int, stop: int, chunk: int
+    session: Kk13Receiver | Kk13Sender,
+    choices: np.ndarray | None,
+    start: int,
+    stop: int,
+    chunk: int,
 ) -> Held:
     """Pass 1 over flat OTs ``[start, stop)``: extend one wire chunk of
     ``chunk`` OTs at a time, so one ``U`` frame moves per chunk, and hold
-    its rows for pass 2.
-
-    ``batches(lo, hi)`` is what the session extends for OTs ``[lo, hi)``:
-    the server's digits, the client's OT count.
+    its rows for pass 2.  The server passes the group's full digit
+    vector, the client ``None``.
     """
     held: Held = deque()
     for lo in range(start, stop, chunk):
         hi = min(stop, lo + chunk)
-        held.append((lo, hi, *session.extend(batches(lo, hi))))
+        batch = hi - lo if choices is None else choices[lo:hi]
+        held.append((lo, hi, *session.extend(batch)))
     return held
 
 
@@ -448,8 +451,7 @@ def start_triplets_server(
             )
             choices = digits[:, :, k_list].reshape(-1)
             held = extend_span(
-                receiver, lambda lo, hi: choices[lo:hi], 0, choices.shape[0],
-                config.sub_block(n_values),
+                receiver, choices, 0, choices.shape[0], config.sub_block(n_values)
             )
         groups.append((span, receiver, choices, n_values, len(k_list), held))
     del digits
@@ -507,7 +509,7 @@ def start_triplets_client(
                 chan, n_values, group=config.group, ro=config.ro, seed=group_seed
             )
             held = extend_span(
-                sender, lambda lo, hi: hi - lo, 0, config.rows * config.n * len(k_list),
+                sender, None, 0, config.rows * config.n * len(k_list),
                 config.sub_block(n_values),
             )
         groups.append((span, sender, table, n_values, len(k_list), held))

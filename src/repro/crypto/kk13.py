@@ -117,6 +117,7 @@ class _Kk13Session:
         rows = self._extend(batch)
         return self._take(rows.shape[0]), rows
 
+
 class Kk13Sender(_Kk13Session):
     """The party holding ``N`` messages per OT (ABNN2's *client*)."""
 

@@ -186,8 +186,7 @@ def _server_shard(stream, s, config, plan, ot_seed, groups):
         ring = config.ring
         held = [
             extend_span(
-                receiver, lambda a, b, c=choices: c[a:b], lo, hi,
-                plan.chunk_ots or config.sub_block(n_values),
+                receiver, choices, lo, hi, plan.chunk_ots or config.sub_block(n_values)
             )
             for receiver, (n_values, _k, choices), lo, hi in spans
         ]
@@ -209,10 +208,7 @@ def _client_shard(stream, s, config, plan, ot_seed, groups, r):
     def body():
         ring = config.ring
         held = [
-            extend_span(
-                sender, lambda a, b: b - a, lo, hi,
-                plan.chunk_ots or config.sub_block(n_values),
-            )
+            extend_span(sender, None, lo, hi, plan.chunk_ots or config.sub_block(n_values))
             for sender, (n_values, _k, _table), lo, hi in spans
         ]
         v_s = ring.zeros(config.out_shape)

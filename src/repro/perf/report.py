@@ -52,10 +52,6 @@ from repro.perf.trace import iter_spans
 DEFAULT_NETWORKS: tuple[NetworkModel, ...] = (LAN, WAN_SECUREML, WAN_QUOTIENT)
 
 
-def _words(n_elems: int, bits: int) -> int:
-    return (n_elems * bits + 63) // 64
-
-
 def base_ot_bits(node: dict[str, Any]) -> int:
     """Total payload bits of every ``base-ot`` span in ``node``'s subtree."""
     total = 0
@@ -84,7 +80,7 @@ def triplet_slack_bits(
     slack = 0
     for nv in set(radices):
         bits = m * n * radices.count(nv) * (nv - 1) * o * ring_bits
-        slack += 64 * _words(bits, 1) - bits
+        slack += -bits % 64  # the padding to a whole word
     return slack, slack
 
 

@@ -311,23 +311,23 @@ class Tracer:
             if top is span:
                 return span
 
-    def resume_span(self, span: Span) -> Span:
-        """Re-open a closed descendant of the innermost open span, with
-        the closed spans between them; returns the outermost re-opened
-        span, the one to pass to :meth:`end_span`.
+    @contextmanager
+    def resume(self, span: Span) -> Iterator[Span]:
+        """``with tracer.resume(span): ...`` — re-open a closed descendant
+        of the innermost open span, with the closed spans between them,
+        until the block ends.
 
         Their counters and children keep accumulating, their durations
-        add the time until :meth:`end_span` closes them again, and their
-        allocation peaks are the larger of the openings' growths.  A
-        phase that runs in passes (the offline triplets) thus keeps one
-        span per layer.
+        add the time the block takes, and their allocation peaks are the
+        larger of the openings' growths.  A phase that runs in passes
+        (the offline triplets) thus keeps one span per layer.
         """
         chain = []
         node: Span | None = span
         while node is not None and node is not self._stack[-1]:
             chain.append(node)
             node = node.parent
-        if node is None or any(link.duration_s is None for link in chain):
+        if node is None or not chain or any(link.duration_s is None for link in chain):
             raise ConfigError(f"span {span.path!r} is not a closed descendant of the open span")
         self._fold_alloc_peak()
         now = self._clock()
@@ -339,17 +339,10 @@ class Tracer:
                 # span kept from an earlier pass is already in the base.
                 link.alloc_base = tracemalloc.get_traced_memory()[0]
             self._stack.append(link)
-        return chain[-1]
-
-    @contextmanager
-    def resume(self, span: Span) -> Iterator[Span]:
-        """``with tracer.resume(span): ...`` — :meth:`resume_span` until
-        the block ends."""
-        outer = self.resume_span(span)
         try:
             yield span
         finally:
-            self.end_span(outer)
+            self.end_span(chain[-1])
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:

@@ -85,6 +85,35 @@ class TestSpanTree:
         with pytest.raises(ConfigError):
             tracer.end_span(outer)  # already closed
 
+    def test_resume_reopens_a_span_and_its_ancestors(self):
+        ticks = iter(range(100))
+        tracer = Tracer(clock=lambda: float(next(ticks)))
+        with tracer.span("offline"):
+            with tracer.span("layer0/triplets") as trip:
+                tracer.record_io("send", 5)
+            layer = trip.parent
+            first = trip.duration_s
+            with tracer.span("layer1/triplets"):
+                pass
+            with tracer.resume(trip) as again:
+                assert again is trip
+                assert [s.name for s in tracer._stack[-2:]] == ["layer0", "triplets"]
+                tracer.record_io("recv", 7)
+            assert tracer.current.name == "offline"
+        # one span, both passes' bytes, both passes' time
+        assert [child.name for child in tracer.root.children[0].children] == [
+            "layer0", "layer1",
+        ]
+        assert (trip.sent_bytes, trip.recv_bytes, trip.rounds) == (5, 7, 2)
+        assert trip.duration_s > first and layer.duration_s >= trip.duration_s
+        with pytest.raises(ConfigError):
+            with Tracer().resume(trip):  # another tracer's span
+                pass
+        with tracer.span("open") as still_open:
+            with pytest.raises(ConfigError):
+                with tracer.resume(still_open):
+                    pass
+
     def test_bad_inputs(self):
         tracer = Tracer()
         with pytest.raises(ConfigError):
