@@ -334,8 +334,10 @@ def server_span_open(
     width = packed_word_count(o, ring.bits)
     per_ot = (n_values - 1) * o  # message elements per OT on the wire
     u = ring.zeros(config.out_shape)
-    while held:
-        lo, hi, first, rows = held.popleft()
+
+    def open_chunk(lo: int, hi: int, first: int, rows: np.ndarray) -> None:
+        """Add one chunk's openings to ``u``.  Its rows, pads and frame
+        die on return, before the next chunk's exist."""
         count = hi - lo
         pad = receiver.pads_at(rows, first, width, _TRIPLET_DOMAIN)
         del rows
@@ -354,6 +356,9 @@ def server_span_open(
         values = unpack_ring_words(got ^ pad, ring.bits, o)
         values[zero] = ring.neg(values[zero])
         _add_rows(u, values, lo, config, k_count)
+
+    while held:
+        open_chunk(*held.popleft())
     return u
 
 
@@ -377,8 +382,11 @@ def client_span_send(
     ring, o = config.ring, config.o
     width = packed_word_count(o, ring.bits)
     v = ring.zeros(config.out_shape)
-    while held:
-        lo, hi, first, rows = held.popleft()
+
+    def send_chunk(lo: int, hi: int, first: int, rows: np.ndarray) -> None:
+        """Send one chunk's message frame and add its shares to ``v``.
+        Its rows, pads and products die on return, before the next
+        chunk's exist."""
         count = hi - lo
         pads = sender.pads_at(rows, first, width, _TRIPLET_DOMAIN)  # (count, N, W)
         del rows
@@ -393,14 +401,20 @@ def client_span_send(
         # packed, then XORed with their pads' low o * l bits, packed back
         # to back the same way.
         s = unpack_ring_words(pads[:, 0], ring.bits, o)  # (count, o)
-        messages = ring.sub(products, s[:, None, :])
-        del products
-        frame = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
-        stream = concat_packed_rows(pads[:, 1:].reshape(-1, width), o * ring.bits)
-        frame.view(np.uint8)[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
         _add_rows(v, s, lo, config, k_count)
+        messages = ring.sub(products, s[:, None, :])
+        del products, s
+        frame = pack_ring_words(messages.reshape(1, -1), ring.bits)[0]
+        del messages
+        stream = concat_packed_rows(pads[:, 1:].reshape(-1, width), o * ring.bits)
+        del pads
+        frame.view(np.uint8)[: len(stream)] ^= np.frombuffer(stream, dtype=np.uint8)
+        del stream
         with channel_span(chan, "ot-transfer", m=count, width=width):
             chan.send(frame)
+
+    while held:
+        send_chunk(*held.popleft())
     return v
 
 
