@@ -57,8 +57,7 @@ def test_vgg_cifar_offline_is_four_rounds():
 
 
 def _offline_halves(qmodel):
-    """Both parties' offline round of a batch-1 prediction, and the
-    client's trace (the server sees the same frames)."""
+    """Both halves of a batch-1 offline round, and the two parties."""
     meta = ModelMeta.from_model(qmodel)
 
     def server(chan):
@@ -74,26 +73,39 @@ def _offline_halves(qmodel):
     result = run_protocol(server, client)
     server_half = result.server.export_offline_round()
     client_half = result.client.export_offline_round()
-    return server_half, client_half, result.client
+    return server_half, client_half, (result.server, result.client)
 
 
 def test_many_chunks_cost_no_round_and_move_no_share(monkeypatch):
     qmodel = _fig4()
     default_u, default_v, _ = _offline_halves(qmodel)
     monkeypatch.setattr(triplets_mod, "_SUB_BLOCK_WORDS", 1 << 16)
-    u, v, client = _offline_halves(qmodel)
-    assert client.offline_stats.rounds == 4
-    layers = {
-        path: span for path, span in iter_spans(client.tracer.to_dict())
-        if span["name"] == "triplets"
-    }
-    # one span per layer; layer 0's U frames arrive in at least 8 chunks
-    assert sorted(layers) == [f"offline/layer{i}/triplets" for i in range(3)]
-    extensions = [
-        span for _path, span in iter_spans(layers["offline/layer0/triplets"])
-        if span["name"] == "extension"
+    u, v, parties = _offline_halves(qmodel)
+    paths = [f"offline/layer{i}/triplets" for i in range(3)]
+    traces = [
+        {
+            path: span for path, span in iter_spans(party.tracer.to_dict())
+            if span["name"] == "triplets"
+        }
+        for party in parties
     ]
-    assert len(extensions) >= 8
+    for party, layers in zip(parties, traces):
+        assert party.offline_stats.rounds == 4
+        # one span per layer; layer 0's U frames cross in at least 8 chunks
+        assert sorted(layers) == paths
+        extensions = [
+            span for _path, span in iter_spans(layers[paths[0]])
+            if span["name"] == "extension"
+        ]
+        assert len(extensions) >= 8
+    # each span carries both passes' bytes: the parties' spans mirror
+    server_layers, client_layers = traces
+    for path in paths:
+        mine, theirs = server_layers[path]["total"], client_layers[path]["total"]
+        assert mine["sent_bytes"] and mine["recv_bytes"]
+        assert (mine["sent_bytes"], mine["recv_bytes"]) == (
+            theirs["recv_bytes"], theirs["sent_bytes"],
+        )
     for got, want in zip(u.u, default_u.u):
         assert np.array_equal(materialize(got), materialize(want))
     for got, want in zip(v.v, default_v.v):
