@@ -7,9 +7,6 @@
   triplets, reproduced on Paillier with slot packing (Table 4).
 * :mod:`repro.baselines.quotient` — QUOTIENT's (CCS'19) ternary matmul:
   each {-1,0,1} weight becomes two binary correlated OTs (Table 5).
-* :mod:`repro.baselines.xonn` — XONN-style (USENIX Sec'19) fully-garbled
-  binarized network: the GC-only design point from the paper's related
-  work (extra comparison bench, not a paper table).
 """
 
 from repro.baselines.secureml import (
@@ -28,11 +25,6 @@ from repro.baselines.quotient import (
     quotient_triplets_client,
     quotient_predict,
 )
-from repro.baselines.xonn import (
-    BinarizedNetwork,
-    binarize_network,
-    xonn_predict,
-)
 
 __all__ = [
     "SecureMlConfig",
@@ -45,7 +37,4 @@ __all__ = [
     "quotient_triplets_server",
     "quotient_triplets_client",
     "quotient_predict",
-    "BinarizedNetwork",
-    "binarize_network",
-    "xonn_predict",
 ]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.gc.builder import (
     reconstruct_sub_template,
     relu_template,
@@ -47,6 +47,7 @@ from repro.gc.builder import (
 )
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net.channel import Channel
+from repro.net.frames import checked_bytes, checked_frame
 from repro.perf.trace import annotate_span
 from repro.utils.bits import (
     bits_to_int,
@@ -160,18 +161,11 @@ def relu_layer_server(
             sessions,
         )
         z0[positive] = _z0(out_ring, result, k)
-    neg_share = chan.recv()  # -z1 for the negative neurons, packed
     n_neg = n_inst - n_pos
-    words = packed_word_count(n_neg, out_ring.bits)
-    if not (
-        isinstance(neg_share, np.ndarray)
-        and neg_share.dtype == np.uint64
-        and neg_share.shape == (words,)
-    ):
-        raise ProtocolError(
-            f"negative-share frame: expected {words} uint64 words for {n_neg} "
-            f"shares at {out_ring.bits} bits"
-        )
+    neg_share = checked_frame(  # -z1 for the negative neurons, packed
+        chan.recv(), (packed_word_count(n_neg, out_ring.bits),),
+        f"negative-share frame ({n_neg} shares at {out_ring.bits} bits)",
+    )
     z0[~positive] = unpack_ring_words(neg_share[None, :], out_ring.bits, n_neg)[0]
     return z0.reshape(shape)
 
@@ -218,9 +212,7 @@ def relu_layer_client(
         return flat_z1.reshape(shape)
 
     run_garbler(chan, _template("sign", width), y1_bits, n_inst, sessions, rng)
-    frame = chan.recv()
-    if not isinstance(frame, bytes) or len(frame) != (n_inst + 7) // 8:
-        raise ProtocolError(f"sign frame: expected {(n_inst + 7) // 8} bytes")
+    frame = checked_bytes(chan.recv(), (n_inst + 7) // 8, "sign frame")
     positive = unpack_bits(frame, n_inst).astype(bool)
     n_pos = int(positive.sum())
     annotate_span(chan, n_positive=n_pos)

@@ -206,72 +206,3 @@ def zero_wire(circ: Circuit, any_wire: int) -> int:
     """A constant-0 wire: ``x ^ x`` is free under free-XOR."""
     return circ.xor(any_wire, any_wire)
 
-
-def add_words_grow(circ: Circuit, x: list[int], y: list[int], zero: int) -> list[int]:
-    """Unsigned addition that *keeps* the carry: width ``max(|x|,|y|) + 1``.
-
-    Shorter operands are padded with the constant-zero wire.  Used by the
-    popcount tree, where widths grow by one per level.
-    """
-    width = max(len(x), len(y))
-    a = list(x) + [zero] * (width - len(x))
-    b = list(y) + [zero] * (width - len(y))
-    out = []
-    carry = None
-    for i in range(width):
-        if carry is None:
-            out.append(circ.xor(a[i], b[i]))
-            carry = circ.and_(a[i], b[i])
-        else:
-            axc = circ.xor(a[i], carry)
-            bxc = circ.xor(b[i], carry)
-            out.append(circ.xor(axc, b[i]))
-            carry = circ.xor(circ.and_(axc, bxc), carry)
-    out.append(carry)
-    return out
-
-
-def popcount_tree(circ: Circuit, bits: list[int]) -> list[int]:
-    """Population count of a bit list as an LSB-first word.
-
-    Balanced pairwise adder tree; ``n - popcount-ish`` AND gates total.
-    This is the workhorse of XONN-style binarized linear layers, where
-    XNOR products are free and the count is everything.
-    """
-    if not bits:
-        raise ConfigError("popcount of zero bits")
-    zero = zero_wire(circ, bits[0])
-    counts: list[list[int]] = [[b] for b in bits]
-    while len(counts) > 1:
-        merged = []
-        for i in range(0, len(counts) - 1, 2):
-            merged.append(add_words_grow(circ, counts[i], counts[i + 1], zero))
-        if len(counts) % 2:
-            merged.append(counts[-1])
-        counts = merged
-    return counts[0]
-
-
-def geq_words(circ: Circuit, x: list[int], y: list[int]) -> int:
-    """Unsigned ``x >= y`` as a single bit (the subtraction's no-borrow).
-
-    Operands are zero-padded to a common width; cost ``width`` ANDs.
-    """
-    if not x or not y:
-        raise ConfigError("empty comparison operands")
-    zero = zero_wire(circ, x[0])
-    width = max(len(x), len(y))
-    a = list(x) + [zero] * (width - len(x))
-    b = list(y) + [zero] * (width - len(y))
-    # Compute a + ~b + 1; the final carry-out is 1 iff a >= b.
-    carry = None
-    for i in range(width):
-        nb = circ.inv(b[i])
-        if carry is None:
-            # carry-out of (a + ~b + 1) at bit 0 is a | ~b
-            carry = circ.or_(a[i], nb)
-        else:
-            axc = circ.xor(a[i], carry)
-            bxc = circ.xor(nb, carry)
-            carry = circ.xor(circ.and_(axc, bxc), carry)
-    return carry

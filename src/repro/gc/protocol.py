@@ -42,6 +42,7 @@ from repro.gc.circuit import Circuit
 from repro.gc.evaluate import decode_outputs, evaluate, read_row_table
 from repro.gc.garble import LABEL_WORDS, garble, row_table
 from repro.net.channel import Channel
+from repro.net.frames import checked_bytes, checked_frame
 from repro.perf.trace import channel_span
 from repro.utils.bits import pack_bits, packed_word_count, unpack_bits
 
@@ -125,34 +126,23 @@ def _check_garbler_frame(frame, circuit: Circuit, n_inst: int):
     the evaluator touches it; the label-OT corrections are checked where
     they are opened (:meth:`~repro.crypto.iknp.XorOtRecv.open`).
     """
-    if not (
-        isinstance(frame, tuple)
-        and len(frame) == 4
-        and isinstance(frame[0], np.ndarray)
-        and isinstance(frame[1], bytes)
-    ):
+    if not (isinstance(frame, tuple) and len(frame) == 4):
         raise ProtocolError(
             "malformed garbled-circuit frame: expected (tables, decode bits, rows, corrections)"
         )
     tables, decode_bits, rows, corrections = frame
-    shape = (circuit.table_rows, n_inst, LABEL_WORDS)
-    if tables.shape != shape or tables.dtype != _U64:
-        raise ProtocolError(
-            f"garbled-circuit tables: expected uint64 of shape {shape}, got "
-            f"{tables.dtype} {tables.shape}"
-        )
+    tables = checked_frame(
+        tables, (circuit.table_rows, n_inst, LABEL_WORDS), "garbled-circuit tables"
+    )
     n_out = len(circuit.outputs)
-    if len(decode_bits) != (n_out * n_inst + 7) // 8:
-        raise ProtocolError(
-            f"garbled-circuit decode bits: expected {(n_out * n_inst + 7) // 8} bytes, "
-            f"got {len(decode_bits)}"
-        )
+    decode_bits = checked_bytes(
+        decode_bits, (n_out * n_inst + 7) // 8, "garbled-circuit decode bits"
+    )
     words = 0 if circuit.row_wire is None else packed_word_count(2 * n_inst, circuit.row_bits)
-    if not (isinstance(rows, np.ndarray) and rows.dtype == _U64 and rows.shape == (words,)):
-        raise ProtocolError(
-            f"garbled-circuit row table: expected {words} uint64 words for {n_inst} "
-            f"instances at {circuit.row_bits} bits"
-        )
+    rows = checked_frame(
+        rows, (words,),
+        f"garbled-circuit row table ({n_inst} instances at {circuit.row_bits} bits)",
+    )
     return tables, unpack_bits(decode_bits, n_out * n_inst).reshape(n_out, n_inst), rows, corrections
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.net.channel import DEFAULT_TIMEOUT_S, ChannelStats, make_channel_pair
+from repro.net.channel import DEFAULT_TIMEOUT_S, make_channel_pair
 from repro.utils import serialization
 
 
@@ -86,14 +86,6 @@ class NetworkModel:
     ) -> float:
         """Estimated end-to-end wall time for one protocol execution."""
         return compute_s * compute_scale + self.transfer_time_s(nbytes) + self.latency_time_s(rounds)
-
-    def estimate_from_stats(
-        self,
-        compute_s: float,
-        stats: ChannelStats,
-        compute_scale: float = 1.0,
-    ) -> float:
-        return self.estimate_s(compute_s, stats.total_bytes, stats.rounds, compute_scale)
 
 
 MB = 1024 * 1024

@@ -13,6 +13,7 @@ from repro.gc.builder import (
     relu_template,
     sign_template,
     sub_words,
+    zero_wire,
 )
 from repro.gc.circuit import Circuit
 from repro.perf.costmodel import relu_and_gates, relu_half_gates
@@ -70,6 +71,13 @@ class TestGatePrimitives:
         circ.garbler_input(2)
         with pytest.raises(ConfigError):
             circ.eval_plain([[1]], [[]])
+
+    def test_zero_wire(self):
+        circ = Circuit()
+        (a,) = circ.garbler_input(1)
+        circ.mark_outputs([zero_wire(circ, a)])
+        for v in (0, 1):
+            assert circ.eval_plain([[v]], [[]])[0, 0] == 0
 
 
 class TestAdders:

@@ -137,7 +137,7 @@ class TestMalformedGarblerFrame:
         "kind",
         [
             "two-tuple", "bare-array", "instance-count", "label-words", "decode-bytes",
-            "row-words", "correction-words",
+            "row-words", "correction-words", "tables-dtype", "row-dtype",
         ],
     )
     def test_rejected_before_label_ot(self, test_group, kind):
@@ -152,6 +152,8 @@ class TestMalformedGarblerFrame:
             "decode-bytes": (good[0], good[1] + b"\0", *good[2:]),
             "row-words": (*good[:2], np.zeros(2, dtype=np.uint64), good[3]),
             "correction-words": good[:3] + (good[3][:, :1].copy(),),
+            "tables-dtype": (good[0].astype(np.int64), *good[1:]),
+            "row-dtype": (*good[:2], good[2].astype(np.int64), good[3]),
         }[kind]
 
         def garbler_fn(chan):
