@@ -33,7 +33,6 @@ from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.protocol import Abnn2Client, Abnn2Server, PredictionReport
 from repro.crypto import paillier
 from repro.crypto.group import DEFAULT_GROUP
-from repro.crypto.hash_ro import default_ro
 from repro.errors import ConfigError, ProtocolError
 from repro.net.channel import Channel
 from repro.nn.quantize import QuantizedModel
@@ -247,7 +246,6 @@ def minionn_predict(
     x_float: np.ndarray,
     key_bits: int = 1024,
     group=DEFAULT_GROUP,
-    ro=default_ro,
     seed: int | None = 0,
     timeout_s: float = 1200.0,
 ) -> PredictionReport:
@@ -266,7 +264,6 @@ def minionn_predict(
         x_float,
         relu_variant="oblivious",
         group=group,
-        ro=ro,
         seed=seed,
         timeout_s=timeout_s,
     )

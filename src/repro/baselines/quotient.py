@@ -21,7 +21,6 @@ from repro.core.protocol import Abnn2Client, Abnn2Server, PredictionReport
 from repro.core.triplets import TripletConfig
 from repro.crypto import codes
 from repro.crypto.group import DEFAULT_GROUP
-from repro.crypto.hash_ro import default_ro
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.errors import ConfigError
 from repro.net.channel import Channel
@@ -45,7 +44,7 @@ def quotient_triplets_server(
     if not np.isin(w, (-1, 0, 1)).all():
         raise ConfigError("QUOTIENT supports only ternary weights")
     ring = config.ring
-    receiver = OtExtReceiver(chan, group=config.group, ro=config.ro, seed=seed)
+    receiver = OtExtReceiver(chan, group=config.group, seed=seed)
 
     pos = (w == 1).astype(np.uint8).reshape(-1)
     neg = (w == -1).astype(np.uint8).reshape(-1)
@@ -66,7 +65,7 @@ def quotient_triplets_client(
     if r.shape != (config.n, config.o):
         raise ConfigError(f"expected R of shape {(config.n, config.o)}, got {r.shape}")
     ring = config.ring
-    sender = OtExtSender(chan, group=config.group, ro=config.ro, seed=seed)
+    sender = OtExtSender(chan, group=config.group, seed=seed)
 
     deltas = np.tile(r[None, :, :], (config.m, 1, 1)).reshape(-1, config.o)
     x_pos = sender.send_correlated(deltas, ring, domain=_QUOTIENT_DOMAIN)
@@ -107,7 +106,6 @@ def quotient_predict(
     model: QuantizedModel,
     x_float: np.ndarray,
     group=DEFAULT_GROUP,
-    ro=default_ro,
     seed: int | None = 0,
     timeout_s: float = 600.0,
 ) -> PredictionReport:
@@ -121,7 +119,6 @@ def quotient_predict(
         x_float,
         relu_variant="oblivious",
         group=group,
-        ro=ro,
         seed=seed,
         timeout_s=timeout_s,
     )

@@ -18,12 +18,11 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.errors import ConfigError
 from repro.net.channel import Channel
@@ -43,7 +42,6 @@ class SecureMlConfig:
     n: int
     o: int
     group: ModpGroup = DEFAULT_GROUP
-    ro: RandomOracle = field(default_factory=lambda: default_ro)
 
     def __post_init__(self) -> None:
         if min(self.m, self.n, self.o) < 1:
@@ -69,7 +67,7 @@ def secureml_triplets_server(
     bits = ring.bits
     # (m, n, l) bit planes of the two's-complement weight pattern.
     w_bits = int_to_bits(ring.reduce(w), bits)
-    receiver = OtExtReceiver(chan, group=config.group, ro=config.ro, seed=seed)
+    receiver = OtExtReceiver(chan, group=config.group, seed=seed)
 
     u = ring.zeros((config.m, config.o))
     for t in range(bits):
@@ -96,7 +94,7 @@ def secureml_triplets_client(
         raise ConfigError(f"expected R of shape {(config.n, config.o)}, got {r.shape}")
     ring = config.ring
     bits = ring.bits
-    sender = OtExtSender(chan, group=config.group, ro=config.ro, seed=seed)
+    sender = OtExtSender(chan, group=config.group, seed=seed)
 
     # deltas ordered (i, j, b): r[j, b] tiled over the m weight rows.
     r_flat = np.tile(r.reshape(-1), config.m)

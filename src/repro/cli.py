@@ -113,7 +113,6 @@ def cmd_serve(args) -> int:
     server = PredictionServer(
         qmodel,
         bank,
-        ro=bank.ro,
         port=args.port,
         host=args.host,
         max_sessions=args.max_sessions,

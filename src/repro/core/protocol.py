@@ -45,7 +45,6 @@ from repro.core.relu import relu_layer_client, relu_layer_server
 from repro.core.triplets import TripletConfig
 from repro.crypto.codes import code_length
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.protocol import GcSessions
@@ -262,7 +261,6 @@ def layer_triplet_config(
     layer: LayerMeta,
     batch: int,
     group: ModpGroup = DEFAULT_GROUP,
-    ro: RandomOracle = default_ro,
 ) -> TripletConfig:
     """The offline triplet configuration for one linear layer.
 
@@ -281,7 +279,6 @@ def layer_triplet_config(
         n=layer.matmul_cols,
         o=o,
         group=group,
-        ro=ro,
         groups=layer.matmul_groups,
     )
 
@@ -316,7 +313,6 @@ class _PartyBase:
         batch: int,
         relu_variant: str = "oblivious",
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -327,7 +323,6 @@ class _PartyBase:
         self.batch = batch
         self.relu_variant = relu_variant
         self.group = group
-        self.ro = ro
         self.ring = Ring(meta.ring_bits)
         self.rings = [meta.layer_ring(idx) for idx in range(len(meta.layers))]
         self.rng = make_rng(seed)
@@ -405,7 +400,7 @@ class _PartyBase:
     # ------------------------------------------------------------------ #
     def _layer_config(self, idx: int) -> TripletConfig:
         return layer_triplet_config(
-            self.rings[idx], self.meta.layers[idx], self.batch, group=self.group, ro=self.ro
+            self.rings[idx], self.meta.layers[idx], self.batch, group=self.group
         )
 
     def _layer_seed(self, idx: int, round_idx: int) -> int | None:
@@ -519,7 +514,7 @@ class Abnn2Server(_PartyBase):
         self._weights = [
             meta.weights(layer.w_int) for layer, meta in zip(model.layers, self.meta.layers)
         ]
-        self._gc = GcSessions(chan, "evaluator", group=self.group, ro=self.ro, seed=self._seed)
+        self._gc = GcSessions(chan, "evaluator", group=self.group, seed=self._seed)
 
     def _engine(self, idx: int, seed: int | None = None) -> SecureMatmulServer:
         return self.matmul_server_cls(
@@ -602,7 +597,7 @@ class Abnn2Client(_PartyBase):
 
     def __init__(self, chan: Channel, meta: ModelMeta, batch: int, **kwargs) -> None:
         super().__init__(chan, meta, batch, **kwargs)
-        self._gc = GcSessions(chan, "garbler", group=self.group, ro=self.ro, seed=self._seed)
+        self._gc = GcSessions(chan, "garbler", group=self.group, seed=self._seed)
 
     def _offline_round(self, round_idx: int) -> ClientHalf:
         """One round of the OT offline phase: the operand walk of
@@ -723,7 +718,6 @@ def _joint_predict(
     x_float: np.ndarray,
     relu_variant: str = "oblivious",
     group: ModpGroup = DEFAULT_GROUP,
-    ro: RandomOracle = default_ro,
     seed: int | None = 0,
     timeout_s: float = 600.0,
     channels=None,
@@ -736,7 +730,7 @@ def _joint_predict(
 
     def server_fn(chan: Channel):
         server = server_cls(
-            chan, model, batch, relu_variant=relu_variant, group=group, ro=ro,
+            chan, model, batch, relu_variant=relu_variant, group=group,
             seed=None if seed is None else seed + 1,
         )
         server.offline()
@@ -745,7 +739,7 @@ def _joint_predict(
 
     def client_fn(chan: Channel):
         client = client_cls(
-            chan, meta, batch, relu_variant=relu_variant, group=group, ro=ro,
+            chan, meta, batch, relu_variant=relu_variant, group=group,
             seed=None if seed is None else seed + 2,
         )
         client.offline()
@@ -777,7 +771,6 @@ def secure_predict(
     x_float: np.ndarray,
     relu_variant: str = "oblivious",
     group: ModpGroup = DEFAULT_GROUP,
-    ro: RandomOracle = default_ro,
     seed: int | None = 0,
     timeout_s: float = 600.0,
     channels=None,
@@ -797,7 +790,6 @@ def secure_predict(
         x_float,
         relu_variant=relu_variant,
         group=group,
-        ro=ro,
         seed=seed,
         timeout_s=timeout_s,
         channels=channels,

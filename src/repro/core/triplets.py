@@ -59,14 +59,13 @@ client enumerates message contents for every digit anyway).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.crypto.codes import code_length
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
 from repro.crypto.otsetup import channel_setup
 from repro.errors import ConfigError
@@ -116,7 +115,6 @@ class TripletConfig:
     n: int
     o: int
     group: ModpGroup = DEFAULT_GROUP
-    ro: RandomOracle = field(default_factory=lambda: default_ro)
     groups: int = 1
 
     def __post_init__(self) -> None:
@@ -460,9 +458,7 @@ def start_triplets_server(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
             m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
         ) as span:
-            receiver = Kk13Receiver(
-                chan, n_values, group=config.group, ro=config.ro, seed=group_seed
-            )
+            receiver = Kk13Receiver(chan, n_values, group=config.group, seed=group_seed)
             choices = digits[:, :, k_list].reshape(-1)
             held = extend_span(
                 receiver, choices, 0, choices.shape[0], config.sub_block(n_values)
@@ -519,9 +515,7 @@ def start_triplets_client(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
             m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
         ) as span:
-            sender = Kk13Sender(
-                chan, n_values, group=config.group, ro=config.ro, seed=group_seed
-            )
+            sender = Kk13Sender(chan, n_values, group=config.group, seed=group_seed)
             held = extend_span(
                 sender, None, 0, config.rows * config.n * len(k_list),
                 config.sub_block(n_values),

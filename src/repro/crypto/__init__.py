@@ -2,9 +2,10 @@
 
 Layers, bottom to top:
 
-* :mod:`repro.crypto.hash_ro` — the random oracle: fixed-key SipHash-2-4
-  through the compiled kernel of :mod:`repro.crypto.fastro`, with the numpy
-  reference :mod:`repro.crypto.siphash` as its fallback; SHA-256 for base OT.
+* :mod:`repro.crypto.hash_ro` — the one random oracle, ``default_ro``:
+  fixed-key SipHash-2-4 through the compiled kernel of
+  :mod:`repro.crypto.fastro`, with the numpy reference
+  :mod:`repro.crypto.siphash` as its fallback; SHA-256 for base OT.
 * :mod:`repro.crypto.prg` — seed expansion.
 * :mod:`repro.crypto.group` / :mod:`repro.crypto.baseot` — public-key base
   oblivious transfers (Naor–Pinkas style over a MODP group).
@@ -19,6 +20,6 @@ Layers, bottom to top:
   MiniONN baseline.
 """
 
-from repro.crypto.hash_ro import RandomOracle, sha256_ro, siphash_ro
+from repro.crypto.hash_ro import default_ro, hash_bytes
 
-__all__ = ["RandomOracle", "sha256_ro", "siphash_ro"]
+__all__ = ["default_ro", "hash_bytes"]

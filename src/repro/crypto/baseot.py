@@ -27,9 +27,11 @@ kernel of :mod:`repro.crypto.fastro` when it is loaded
   variable-base power per OT, not two:
   ``(B_i * A^{-1})^a = B_i^a * C``.
 
-The sender checks and decodes the whole response before that batch, so
-a malformed one costs it no exponentiation.  Neither path is
-constant-time, as :func:`pow` is not.
+Each party checks a peer frame's kind and length before it decodes
+anything (:func:`repro.net.frames.checked_bytes`: a ``ProtocolError``
+naming the frame), and the sender decodes the whole response before its
+batch of powers, so a malformed one costs it no exponentiation.
+Neither path is constant-time, as :func:`pow` is not.
 
 :func:`random_send` and :func:`random_receive` return the derived keys
 themselves: the channel's base keys, from which
@@ -41,9 +43,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import sha256_ro
+from repro.crypto.hash_ro import hash_bytes
 from repro.errors import CryptoError
 from repro.net.channel import Channel
+from repro.net.frames import checked_bytes
 
 KEY_BYTES = 16
 _DOMAIN_BASEOT = 0x42415345  # "BASE"
@@ -51,7 +54,7 @@ _DOMAIN_BASEOT = 0x42415345  # "BASE"
 
 def _derive_key(group: ModpGroup, index: int, shared: int) -> bytes:
     data = index.to_bytes(8, "little") + group.encode(shared)
-    return sha256_ro.hash_bytes(data, KEY_BYTES, domain=_DOMAIN_BASEOT)
+    return hash_bytes(data, KEY_BYTES, domain=_DOMAIN_BASEOT)
 
 
 def random_send(
@@ -67,10 +70,8 @@ def random_send(
     (big_a,) = group.fixed_base_powers(group.g, [a])
     chan.send(group.encode(big_a))
 
-    blob = chan.recv()
     size = group.element_bytes
-    if not isinstance(blob, (bytes, bytearray)) or len(blob) != count * size:
-        raise CryptoError("unexpected base-OT response type or size")
+    blob = checked_bytes(chan.recv(), count * size, f"base-OT response ({count} elements)")
     b_elems = [group.decode(blob[i * size : (i + 1) * size]) for i in range(count)]
     # (B * A^-1)^a = B^a * C with C = (A^-1)^a: one exponentiation per OT.
     c, *shared = group.fixed_exponent_powers([group.invert(big_a)] + b_elems, a)
@@ -90,7 +91,8 @@ def random_receive(
     choices = [int(c) for c in choices]
     if any(c not in (0, 1) for c in choices):
         raise CryptoError("base-OT choices must be bits")
-    big_a = group.decode(chan.recv())
+    frame = checked_bytes(chan.recv(), group.element_bytes, "base-OT sender element A")
+    big_a = group.decode(frame)
 
     exponents = [group.sample_exponent(randbelow) for _ in choices]
     parts = [

@@ -351,7 +351,7 @@ def expand(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
     """Hash ``(..., words)`` uint64 rows to ``(..., out_words)`` words.
 
     Identical to ``prf_expand(rows, out_words, domain)``; ``out_words >= 1``
-    and ``domain`` in ``[0, 2**32)`` are :meth:`RandomOracle.mask`'s checks.
+    and ``domain`` in ``[0, 2**32)`` are ``default_ro.mask``'s checks.
     """
     lead, words = rows.shape[:-1], rows.shape[-1]
     n_rows = math.prod(lead)

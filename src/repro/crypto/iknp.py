@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.kk13 import Kk13Receiver, Kk13Sender
 from repro.errors import CryptoError
 from repro.net.channel import Channel
@@ -86,10 +85,9 @@ class OtExtSender(Kk13Sender):
         self,
         chan: Channel,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
-        super().__init__(chan, 2, group=group, ro=ro, seed=seed)
+        super().__init__(chan, 2, group=group, seed=seed)
 
     def send_xor_correlated(self, m: int, width: int, domain: int = 3) -> XorOtSend:
         """XOR-correlated OT: receive ``U`` for ``m`` OTs of ``width``
@@ -132,10 +130,9 @@ class OtExtReceiver(Kk13Receiver):
         self,
         chan: Channel,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
-        super().__init__(chan, 2, group=group, ro=ro, seed=seed)
+        super().__init__(chan, 2, group=group, seed=seed)
 
     def recv_xor_correlated(self, choices, width: int, domain: int = 3) -> XorOtRecv:
         """Send ``U`` for one XOR-correlated OT per choice bit; the

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.crypto import codes
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import default_ro
 from repro.crypto.otsetup import channel_setup, session_base_index
 from repro.crypto.prg import BatchPrg
 from repro.errors import CryptoError
@@ -70,14 +70,11 @@ class _Kk13Session:
     """What both ends of a session share: the code, the channel set-up's
     session tag, the OT-index counter and the pad interface."""
 
-    def __init__(
-        self, chan: Channel, n_values: int, group: ModpGroup, ro: RandomOracle, seed
-    ) -> None:
+    def __init__(self, chan: Channel, n_values: int, group: ModpGroup, seed) -> None:
         if not 2 <= n_values <= codes.MAX_N:
             raise CryptoError(f"N must be in [2, {codes.MAX_N}], got {n_values}")
         self.chan = chan
         self.n_values = n_values
-        self.ro = ro
         self._rng = make_rng(seed)
         #: Columns of the U matrix, the column seeds and the Q/T rows.
         self.code_bits = codes.code_length(n_values)
@@ -126,10 +123,9 @@ class Kk13Sender(_Kk13Session):
         chan: Channel,
         n_values: int,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
-        super().__init__(chan, n_values, group, ro, seed)
+        super().__init__(chan, n_values, group, seed)
         self._s_bits: np.ndarray | None = None
         self._prg: BatchPrg | None = None
 
@@ -183,7 +179,7 @@ class Kk13Sender(_Kk13Session):
         for j, coded_s in enumerate(self._coded_s):
             np.bitwise_xor(q, coded_s, out=rows[:, j, :words])
         rows[:, :, words] = (np.arange(m, dtype=_U64) + _U64(first))[:, None]
-        return self.ro.mask(rows, width, domain)
+        return default_ro.mask(rows, width, domain)
 
     def send_chosen(self, messages: np.ndarray, domain: int = 3) -> None:
         """Chosen-message mode: ``messages`` is ``(m, N, W)`` uint64, and
@@ -207,10 +203,9 @@ class Kk13Receiver(_Kk13Session):
         chan: Channel,
         n_values: int,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
-        super().__init__(chan, n_values, group, ro, seed)
+        super().__init__(chan, n_values, group, seed)
         # Column j of the choice-codeword matrix is the XOR of the
         # indicator masks of the values whose codeword has bit j set;
         # precompute, per value, which columns it feeds.
@@ -255,7 +250,7 @@ class Kk13Receiver(_Kk13Session):
 
     def pads_at(self, t: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
         """Pads ``(len(t), W)`` of the T rows of OTs ``first, first+1, ...``."""
-        return self.ro.mask(_rows_with_index(t, first), width, domain)
+        return default_ro.mask(_rows_with_index(t, first), width, domain)
 
     def recv_chosen(self, choices, width: int, domain: int = 3) -> np.ndarray:
         """Chosen-message mode: recover message ``b_i`` per OT, ``(m, W)``."""

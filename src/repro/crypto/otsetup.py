@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.crypto import baseot
 from repro.crypto.group import ModpGroup
-from repro.crypto.hash_ro import sha256_ro
+from repro.crypto.hash_ro import hash_bytes
 from repro.crypto.prg import SEED_BYTES
 from repro.errors import CryptoError
 from repro.perf.trace import channel_span
@@ -67,7 +67,7 @@ def session_base_index(tag: int) -> int:
 
 def _session_seed(key: bytes, tag: int) -> bytes:
     """``H(k || tag)``: one column seed of session ``tag``."""
-    return sha256_ro.hash_bytes(
+    return hash_bytes(
         key + tag.to_bytes(8, "little"), SEED_BYTES, domain=_DOMAIN_SESSION_SEED
     )
 

@@ -14,9 +14,10 @@ against known vectors derived from the reference implementation.
 
 Security note, recorded in DESIGN.md: SipHash is a PRF, not a collision-
 resistant hash.  For the random-oracle role in IKNP/KK13 masking this is
-the same heuristic leap as fixed-key AES; the SHA-256 backend in
-:mod:`repro.crypto.hash_ro` is the conservative reference and the two are
-interchangeable via configuration.
+the same heuristic leap as fixed-key AES.  It is the library's one
+oracle (:data:`repro.crypto.hash_ro.default_ro`); this numpy path is the
+reference the compiled kernel of :mod:`repro.crypto.fastro` is tested
+against, and its fallback on a host without a C compiler.
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ def _shard_sessions(stream, s, config, plan, ot_seed, groups, session_cls):
         if lo >= hi:
             continue
         session = session_cls(
-            stream, n_values, group=config.group, ro=config.ro,
+            stream, n_values, group=config.group,
             seed=None if ot_seed is None else ot_seed + n_values,
         )
         session.ensure_seeds()

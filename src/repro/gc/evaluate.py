@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import CryptoError, ProtocolError
 from repro.gc.circuit import Circuit, GateOp
 from repro.gc.garble import (
@@ -53,7 +52,6 @@ def evaluate(
     circuit: Circuit,
     tables: np.ndarray,
     evaluator_labels: np.ndarray,
-    ro: RandomOracle = default_ro,
     wires: list[int] | None = None,
 ) -> np.ndarray:
     """Evaluate the garbled circuit; returns active labels of ``wires``.
@@ -74,7 +72,7 @@ def evaluate(
     active = _label_buffer((circuit.n_wires, n_inst, LABEL_WORDS))
     active[circuit.evaluator_inputs] = evaluator_labels
 
-    hasher = _LabelHasher(n_inst, ro)
+    hasher = _LabelHasher(n_inst)
     row = 0
     for g_idx, gate in enumerate(circuit.gates):
         a, b, out = gate.a, gate.b, gate.out
@@ -115,14 +113,12 @@ def decode_outputs(output_labels: np.ndarray, decode_bits: np.ndarray) -> np.nda
     return select ^ decode_bits
 
 
-def read_row_table(
-    circuit: Circuit, label: np.ndarray, rows: np.ndarray, ro: RandomOracle
-) -> np.ndarray:
+def read_row_table(circuit: Circuit, label: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Open the row of :func:`repro.gc.garble.row_table` that the active
     ``(n_inst, 2)`` label of ``circuit.row_wire`` selects: ``(n_inst,)``.
     ``rows`` is the packed table."""
     n_inst, bits = label.shape[0], circuit.row_bits
     table = unpack_ring_words(rows[None, :], bits, 2 * n_inst).reshape(n_inst, 2)
     select = (label[:, 0] & _U64(1)).astype(np.intp)
-    mask = _LabelHasher(n_inst, ro)(label, row_tweak(circuit))[:, 0]
+    mask = _LabelHasher(n_inst)(label, row_tweak(circuit))[:, 0]
     return Ring(bits).reduce(table[np.arange(n_inst), select] ^ mask)

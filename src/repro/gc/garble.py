@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import default_ro
 from repro.errors import CryptoError
 from repro.gc.circuit import Circuit, GateOp
 from repro.utils.bits import pack_ring_words
@@ -82,17 +82,16 @@ def _check_poison(labels: np.ndarray, what: str) -> None:
 class _LabelHasher:
     """H(label, tweak) with the per-call scratch hoisted out of the loop.
 
-    ``_hash_labels`` is called four times per AND gate while garbling
-    and twice while evaluating; reallocating the ``(n_inst, 4)`` hash
-    input block and re-materializing the ``arange`` tweak column each
-    call dominated small-circuit garbling.  One instance owns both for a
-    whole execution (``ro.mask`` never retains or mutates its input).
+    The label hash runs four times per AND gate while garbling and twice
+    while evaluating; reallocating the ``(n_inst, 4)`` hash input block
+    and re-materializing the ``arange`` tweak column each call dominated
+    small-circuit garbling.  One instance owns both for a whole execution
+    (``default_ro.mask`` never retains or mutates its input).
     """
 
-    __slots__ = ("ro", "_rows")
+    __slots__ = ("_rows",)
 
-    def __init__(self, n_inst: int, ro: RandomOracle) -> None:
-        self.ro = ro
+    def __init__(self, n_inst: int) -> None:
         self._rows = np.empty((n_inst, LABEL_WORDS + 2), dtype=_U64)
         self._rows[:, LABEL_WORDS + 1] = np.arange(n_inst, dtype=_U64)
 
@@ -100,19 +99,7 @@ class _LabelHasher:
         rows = self._rows
         rows[:, :LABEL_WORDS] = labels
         rows[:, LABEL_WORDS] = _U64(gate_half)
-        return self.ro.mask(rows, LABEL_WORDS, domain=_DOMAIN_GC)
-
-
-def _hash_labels(
-    labels: np.ndarray, gate_half: int, ro: RandomOracle
-) -> np.ndarray:
-    """H(label, tweak) for a (n_inst, 2) label block -> (n_inst, 2).
-
-    One-shot form of :class:`_LabelHasher`, kept for callers that hash a
-    single block (tests, exploratory code); the gate loops below use the
-    hoisted hasher.
-    """
-    return _LabelHasher(labels.shape[0], ro)(labels, gate_half)
+        return default_ro.mask(rows, LABEL_WORDS, domain=_DOMAIN_GC)
 
 
 @dataclass
@@ -198,7 +185,6 @@ def garble(
     circuit: Circuit,
     n_inst: int,
     rng: np.random.Generator,
-    ro: RandomOracle = default_ro,
     garbler_bits: np.ndarray | None = None,
     input_label0: np.ndarray | None = None,
 ) -> GarbledCircuit:
@@ -232,7 +218,7 @@ def garble(
     label0 = _label_buffer((circuit.n_wires, n_inst, LABEL_WORDS))
     label0[circuit.evaluator_inputs] = input_label0
     tables = _label_buffer((circuit.table_rows, n_inst, LABEL_WORDS))
-    hasher = _LabelHasher(n_inst, ro)
+    hasher = _LabelHasher(n_inst)
     row = 0
     for g_idx, gate in enumerate(circuit.gates):
         a, b, out = gate.a, gate.b, gate.out
@@ -270,7 +256,7 @@ def row_tweak(circuit: Circuit) -> int:
     return 2 * len(circuit.gates)
 
 
-def row_table(gc: GarbledCircuit, values: np.ndarray, ro: RandomOracle) -> np.ndarray:
+def row_table(gc: GarbledCircuit, values: np.ndarray) -> np.ndarray:
     """The packed 2-row output table on ``gc.circuit.row_wire``.
 
     ``values[:, b]`` (``(n_inst, 2)``) is the word the evaluator opens
@@ -287,7 +273,7 @@ def row_table(gc: GarbledCircuit, values: np.ndarray, ro: RandomOracle) -> np.nd
     values = np.asarray(values, dtype=_U64)
     if values.shape != (gc.n_inst, 2):
         raise CryptoError(f"expected row values of shape {(gc.n_inst, 2)}, got {values.shape}")
-    hasher = _LabelHasher(gc.n_inst, ro)
+    hasher = _LabelHasher(gc.n_inst)
     tweak = row_tweak(circuit)
     w0 = gc.label0[circuit.row_wire]
     sealed0 = hasher(w0, tweak)[:, 0] ^ values[:, 0]

@@ -23,11 +23,10 @@ The evaluator then opens its labels ``H(i, t_i) ^ c_i * correction_i``,
 evaluates locally and decodes its outputs.  No garbler label and no
 second label-OT ciphertext is ever sent.
 
-:class:`GcSessions` bundles that OT session and the random oracle the
-garbled tables hash with.  It runs no base OTs of its own: its seeds
-derive from the channel's :class:`~repro.crypto.otsetup.OtSetup`, so
-after a KK13 offline phase on the same channel the label OT costs no
-public-key work at all.
+:class:`GcSessions` holds that OT session.  It runs no base OTs of its
+own: its seeds derive from the channel's
+:class:`~repro.crypto.otsetup.OtSetup`, so after a KK13 offline phase on
+the same channel the label OT costs no public-key work at all.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.circuit import Circuit
@@ -51,14 +49,13 @@ _OT_DOMAIN_GC_INPUTS = 11
 
 
 class GcSessions:
-    """Per-channel lazy OT session and oracle reused across GC executions."""
+    """Per-channel lazy OT session reused across GC executions."""
 
     def __init__(
         self,
         chan: Channel,
         role: str,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
     ) -> None:
         if role not in ("garbler", "evaluator"):
@@ -66,7 +63,6 @@ class GcSessions:
         self.chan = chan
         self.role = role
         self.group = group
-        self.ro = ro
         self._seed = seed
         self._ot = None
 
@@ -75,7 +71,7 @@ class GcSessions:
         """The label-OT session, created (taking its tag) on first use."""
         if self._ot is None:
             cls = OtExtSender if self.role == "garbler" else OtExtReceiver
-            self._ot = cls(self.chan, group=self.group, ro=self.ro, seed=self._seed)
+            self._ot = cls(self.chan, group=self.group, seed=self._seed)
         return self._ot
 
 
@@ -90,8 +86,8 @@ def run_garbler(
 ) -> None:
     """Garble ``circuit`` and drive the garbler side of one execution.
 
-    ``garbler_bits`` has shape ``(n_garbler_inputs, n_inst)``; the tables
-    hash with ``sessions.ro``.  A circuit with a row wire needs
+    ``garbler_bits`` has shape ``(n_garbler_inputs, n_inst)``.  A circuit
+    with a row wire needs
     ``row_values``, the ``(n_inst, 2)`` words its table delivers.
     """
     if (circuit.row_wire is None) != (row_values is None):
@@ -104,13 +100,13 @@ def run_garbler(
         )
     with channel_span(chan, "garble", n_inst=n_inst, and_gates=circuit.and_count):
         gc = garble(
-            circuit, n_inst, rng, sessions.ro, garbler_bits,
+            circuit, n_inst, rng, garbler_bits,
             inputs.x0.reshape(n_eval_bits, n_inst, LABEL_WORDS),
         )
         if row_values is None:
             rows = np.zeros(0, dtype=_U64)
         else:
-            rows = row_table(gc, row_values, sessions.ro)
+            rows = row_table(gc, row_values)
         frame = (
             gc.tables, pack_bits(gc.output_decode_bits()), rows, inputs.correction(gc.offset)
         )
@@ -155,9 +151,8 @@ def run_evaluator(
 ):
     """Evaluate one garbled execution; returns ``(n_outputs, n_inst)`` bits.
 
-    ``evaluator_bits`` has shape ``(n_evaluator_inputs, n_inst)``; the
-    tables hash with ``sessions.ro``.  For a circuit with a row wire the
-    result is ``(bits, words)``, ``words`` being the ``(n_inst,)`` row of
+    ``evaluator_bits`` has shape ``(n_evaluator_inputs, n_inst)``.  For a
+    circuit with a row wire the result is ``(bits, words)``, ``words`` being the ``(n_inst,)`` row of
     each instance's 2-row table that the wire's value selected.
     """
     bits = np.asarray(evaluator_bits, dtype=np.uint8)
@@ -180,8 +175,8 @@ def run_evaluator(
         wires = list(circuit.outputs)
         if circuit.row_wire is not None:
             wires.append(circuit.row_wire)
-        labels = evaluate(circuit, tables, my_labels, sessions.ro, wires=wires)
+        labels = evaluate(circuit, tables, my_labels, wires=wires)
         bits = decode_outputs(labels[: len(circuit.outputs)], decode_bits)
         if circuit.row_wire is None:
             return bits
-        return bits, read_row_table(circuit, labels[-1], rows, sessions.ro)
+        return bits, read_row_table(circuit, labels[-1], rows)

@@ -33,7 +33,6 @@ from collections import deque
 
 from repro.core.offline import OfflineRound
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ConfigError, ProtocolError
 from repro.nn.quantize import QuantizedModel
 from repro.serve.dealer import dealer_offline_round
@@ -72,7 +71,6 @@ class TripletBank:
         auto_replenish: bool = True,
         replenish_chunk: int = 2,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
         generator: str = "dealer",
     ) -> None:
@@ -91,7 +89,6 @@ class TripletBank:
         self.auto_replenish = auto_replenish
         self.replenish_chunk = replenish_chunk
         self.group = group
-        self.ro = ro
         self.fingerprint = model_fingerprint(model)
         self._seed = seed
         self.generator = generator
@@ -171,7 +168,7 @@ class TripletBank:
                 seed=None
                 if self._seed is None
                 else self._seed + _GENERATION_SEED_STRIDE * generation + 1,
-                group=self.group, ro=self.ro,
+                group=self.group,
             )
             for generation in range(first, first + rounds)
         ]

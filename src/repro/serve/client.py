@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.protocol import ModelMeta
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ChannelError, ConfigError
 from repro.net import tcp
 from repro.perf.trace import Tracer
@@ -43,7 +42,6 @@ class PredictionClient:
         relu_variant: str = "oblivious",
         timeout_s: float = 600.0,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
         tracer: Tracer | None = None,
         channel_wrap=None,
@@ -61,7 +59,7 @@ class PredictionClient:
         try:
             self.session = ClientSession(
                 self.chan, meta, batch, relu_variant=relu_variant, mode=mode,
-                group=group, ro=ro, seed=seed, tracer=tracer,
+                group=group, seed=seed, tracer=tracer,
             )
         except Exception:
             # Best-effort teardown: a socket already reset by the server

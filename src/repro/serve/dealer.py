@@ -35,7 +35,6 @@ from repro.core.offline import OfflineRound, ServerHalf, chain_operands
 from repro.core.protocol import ModelMeta, layer_triplet_config
 from repro.core.triplets import BlockedShare
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ConfigError
 from repro.nn.lowering import column_blocks
 from repro.nn.quantize import QuantizedModel
@@ -48,7 +47,6 @@ def dealer_offline_round(
     *,
     seed: int | None,
     group: ModpGroup = DEFAULT_GROUP,
-    ro: RandomOracle = default_ro,
 ) -> OfflineRound:
     """Deal one offline round without OT traffic or whole-layer buffers."""
     if batch < 1:
@@ -58,7 +56,7 @@ def dealer_offline_round(
     us: list = []
 
     def deal_linear(idx, layer, ring, operand):
-        config = layer_triplet_config(ring, layer, batch, group=group, ro=ro)
+        config = layer_triplet_config(ring, layer, batch, group=group)
         w = ring.reduce(layer.weights(model.layers[idx].w_int))
         u_parts: list[np.ndarray] = []
         v_parts: list[np.ndarray] = []

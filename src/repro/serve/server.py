@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ChannelError, ConfigError, HandshakeError, ReproError
 from repro.net.tcp import Listener, TcpChannel
 from repro.nn.quantize import QuantizedModel
@@ -89,10 +88,7 @@ class PredictionServer:
         allow_interactive: bool = True,
         trace_dir: str | None = None,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
-        channel_wrap=None,
-        backlog: int = 16,
     ) -> None:
         if max_sessions < 1:
             raise ConfigError("max_sessions must be positive")
@@ -106,14 +102,9 @@ class PredictionServer:
         self.allow_interactive = allow_interactive
         self.trace_dir = trace_dir
         self.group = group
-        self.ro = ro
         self.seed = seed
-        #: optional callable wrapping each accepted session's channel
-        #: (e.g. a :class:`repro.net.netsim.ShapedChannel` for shaped-link
-        #: benchmarking, or a fault injector).
-        self.channel_wrap = channel_wrap
 
-        self.listener = Listener(port, host=host, backlog=backlog)
+        self.listener = Listener(port, host=host)
         self.host = self.listener.host
         self.port = self.listener.port
 
@@ -222,8 +213,6 @@ class PredictionServer:
                 sock, party=0, timeout_s=self.session_timeout_s,
                 session_id=record.session_id,
             )
-            if self.channel_wrap is not None:
-                chan = self.channel_wrap(chan)
             chan.tracer = tracer
             session = ServerSession(
                 chan, self.model, self.bank,
@@ -232,7 +221,7 @@ class PredictionServer:
                 keep_alive=self.keep_alive,
                 exhaustion_wait_s=self.exhaustion_wait_s,
                 allow_interactive=self.allow_interactive,
-                group=self.group, ro=self.ro,
+                group=self.group,
                 seed=self._session_seed(record.session_id),
                 tracer=tracer,
             )

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.offline import ClientHalf
 from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
 from repro.errors import ChannelError, ConfigError, ProtocolError
 from repro.perf.trace import Tracer
 
@@ -120,7 +119,6 @@ class ServerSession:
         exhaustion_wait_s: float = 0.0,
         allow_interactive: bool = True,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -134,7 +132,6 @@ class ServerSession:
         self.exhaustion_wait_s = exhaustion_wait_s
         self.allow_interactive = allow_interactive
         self.group = group
-        self.ro = ro
         self.seed = seed
         self.tracer = tracer if tracer is not None else Tracer(party="server")
 
@@ -187,7 +184,7 @@ class ServerSession:
         result = SessionResult(self.session_id, mode=mode)
         party = Abnn2Server(
             self.chan, self.model, batch,
-            relu_variant=self.relu_variant, group=self.group, ro=self.ro,
+            relu_variant=self.relu_variant, group=self.group,
             seed=self.seed, tracer=self.tracer,
         )
         allowed = self.max_rounds if self.keep_alive else 1
@@ -263,7 +260,6 @@ class ClientSession:
         relu_variant: str = "oblivious",
         mode: str = "bank",
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
         seed: int | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -272,7 +268,7 @@ class ClientSession:
         self.chan = chan
         self.mode = mode
         self.party = Abnn2Client(
-            chan, meta, batch, relu_variant=relu_variant, group=group, ro=ro,
+            chan, meta, batch, relu_variant=relu_variant, group=group,
             seed=seed, tracer=tracer,
         )
         self.tracer = self.party.tracer

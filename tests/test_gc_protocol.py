@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.relu import relu_layer_client, relu_layer_server
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.builder import relu_template, sign_template
 from repro.gc.circuit import Circuit
-from repro.gc.garble import LABEL_WORDS
+from repro.gc.garble import LABEL_WORDS, garble
 from repro.gc.protocol import GcSessions, run_evaluator, run_garbler
 from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
@@ -116,6 +117,37 @@ class TestGcProtocol:
             big, np.concatenate([int_to_bits(y1, 8), int_to_bits(z1, 8)], axis=1).T.copy()
         )
         assert big_bytes > small_bytes
+
+    def test_garbler_frame_carries_garble_tables(self, test_group, rng):
+        """The garbler's frame holds exactly the tables ``garble()`` builds
+        from the same generator, bits and label-OT FALSE labels."""
+        ring, n = Ring(8), 10
+        y0, y1, z1 = (ring.sample(rng, n) for _ in range(3))
+        received, input_labels = [], []
+
+        def server(ch):
+            recv = ch.recv
+            ch.recv = lambda: received.append(recv()) or received[-1]
+            sessions = GcSessions(ch, "evaluator", group=test_group, seed=1)
+            return relu_layer_server(ch, y0, sessions, ring)
+
+        def client(ch):
+            sessions = GcSessions(ch, "garbler", group=test_group, seed=2)
+            send = sessions.ot.send_xor_correlated
+            sessions.ot.send_xor_correlated = lambda *a, **kw: (
+                input_labels.append(send(*a, **kw)) or input_labels[-1]
+            )
+            return relu_layer_client(ch, y1, z1, sessions, ring, np.random.default_rng(7))
+
+        run_protocol(server, client)
+        # the garbler's one frame, after the base-OT handshake
+        tables = next(m for m in received if isinstance(m, tuple) and len(m) == 4)[0]
+        garbler_bits = np.concatenate([int_to_bits(y1, 8), int_to_bits(z1, 8)], axis=1).T
+        expected = garble(
+            relu_template(8), n, np.random.default_rng(7), garbler_bits,
+            input_labels[0].x0.reshape(8, n, 2),
+        )
+        assert (tables == expected.tables).all()
 
 
 def _garbler_frame(circ, n_inst, words=LABEL_WORDS):

@@ -10,7 +10,7 @@ import pytest
 from repro.crypto import baseot, fastro
 from repro.crypto import group as group_module
 from repro.crypto.group import MODP_1536, MODP_2048, MODP_TEST, FixedBaseTable, ModpGroup
-from repro.errors import CryptoError
+from repro.errors import CryptoError, ProtocolError
 from repro.net import run_protocol
 from repro.net.channel import make_channel_pair
 from repro.utils.rng import randbelow_from_rng
@@ -348,25 +348,34 @@ class TestBaseOt:
             assert result.client[i] == result.server[i][choices[i]]
 
     @pytest.mark.parametrize("group", [MODP_TEST, MODP_1536], ids=lambda g: g.name)
-    @pytest.mark.parametrize("frame", ["short", "long", "one", "minus-one"])
+    @pytest.mark.parametrize(
+        "frame", ["short", "long", "bytes", "int", "uint64", "one", "minus-one"]
+    )
     def test_receiver_refuses_bad_sender_element_before_sending(self, group, frame):
+        """A frame that is not ``element_bytes`` bytes is a ``ProtocolError``
+        naming it; an element of order <= 2 is the group's ``CryptoError``."""
         good = group.encode(pow(group.g, 5, group.p))
-        bad = {
-            "short": good[:-1],
-            "long": good + b"\x00",
-            "one": group.encode(1),
-            "minus-one": group.encode(group.p - 1),
+        malformed = (ProtocolError, "base-OT sender element")
+        bad, (error, match) = {
+            "short": (good[:-1], malformed),
+            "long": (good + b"\x00", malformed),
+            "bytes": (b"abc", malformed),
+            "int": (7, malformed),
+            "uint64": (np.frombuffer(good, dtype=np.uint64), malformed),
+            "one": (group.encode(1), (CryptoError, "order")),
+            "minus-one": (group.encode(group.p - 1), (CryptoError, "order")),
         }[frame]
         server, client = make_channel_pair(timeout_s=5.0)
         server.send(bad)
-        with pytest.raises(CryptoError):
+        with pytest.raises(error, match=match):
             baseot.random_receive(client, [0, 1, 1], group)
         assert client.stats.messages_sent[1] == 0
 
-    @pytest.mark.parametrize("frame", [7, "array", "short", "long"], ids=str)
+    @pytest.mark.parametrize("frame", [7, "bytes", "array", "uint64", "short", "long"], ids=str)
     def test_sender_refuses_bad_response_before_any_power(self, frame, monkeypatch):
         """A response that is not ``count`` elements of bytes fails as
-        ``CryptoError`` before the sender's batch of powers."""
+        ``ProtocolError`` naming the frame before the sender's batch of
+        powers."""
         group, count = MODP_TEST, 3
         calls = []
         monkeypatch.setattr(
@@ -375,11 +384,13 @@ class TestBaseOt:
         good = group.encode(pow(group.g, 5, group.p)) * count
         server, client = make_channel_pair(timeout_s=5.0)
         client.send({
+            "bytes": b"abc",
             "array": np.frombuffer(good, dtype=np.uint8),
+            "uint64": np.frombuffer(good, dtype=np.uint64),
             "short": good[:-1],
             "long": good + b"\x00",
         }.get(frame, frame))
-        with pytest.raises(CryptoError, match="response"):
+        with pytest.raises(ProtocolError, match="base-OT response"):
             baseot.random_send(server, count, group)
         assert calls == []
 

@@ -1,6 +1,4 @@
-"""The random oracles and the PRG."""
-
-import hashlib
+"""The random oracle and the PRG."""
 
 import numpy as np
 import pytest
@@ -8,9 +6,8 @@ import pytest
 from repro import mnist_mlp, quantize_model, secure_predict
 from repro.core.triplets import TripletConfig
 from repro.crypto import fastro
-from repro.crypto.hash_ro import RandomOracle, default_ro, sha256_ro, siphash_ro
+from repro.crypto.hash_ro import default_ro, hash_bytes
 from repro.crypto.prg import BatchPrg, Prg, expand_to_bits
-from repro.crypto.siphash import prf_expand
 from repro.errors import CryptoError
 from repro.exec import ShardPlan, parallel_triplets_client, parallel_triplets_server
 from repro.net.channel import make_channel_pair
@@ -20,36 +17,38 @@ from repro.utils.ring import Ring
 
 from tests.test_exec_parallel import _both
 
-#: The numpy reference as an oracle of its own, for a party without the kernel.
-reference_ro = RandomOracle("siphash24-ref", prf_expand)
+
+@pytest.fixture(params=[True, False], ids=["siphash", "siphash-numpy"])
+def oracle(request, monkeypatch):
+    """The oracle as it runs (through the kernel when it is built), and
+    forced onto its numpy reference."""
+    if not request.param:
+        monkeypatch.setattr(fastro, "_kernel", False)
+    return default_ro
 
 
 class TestRandomOracles:
-    @pytest.mark.parametrize("ro", [sha256_ro, siphash_ro], ids=["sha256", "siphash"])
-    def test_deterministic(self, ro, rng):
+    def test_deterministic(self, oracle, rng):
         rows = rng.integers(0, 1 << 63, size=(5, 3), dtype=np.uint64)
-        assert (ro.mask(rows, 4) == ro.mask(rows, 4)).all()
+        assert (oracle.mask(rows, 4) == oracle.mask(rows, 4)).all()
 
-    @pytest.mark.parametrize("ro", [sha256_ro, siphash_ro], ids=["sha256", "siphash"])
-    def test_row_sensitivity(self, ro):
+    def test_row_sensitivity(self, oracle):
         rows = np.zeros((2, 2), dtype=np.uint64)
         rows[1, 0] = 1
-        out = ro.mask(rows, 2)
+        out = oracle.mask(rows, 2)
         assert (out[0] != out[1]).any()
 
-    @pytest.mark.parametrize("ro", [sha256_ro, siphash_ro], ids=["sha256", "siphash"])
-    def test_domain_separation(self, ro, rng):
+    def test_domain_separation(self, oracle, rng):
         rows = rng.integers(0, 1 << 63, size=(3, 2), dtype=np.uint64)
-        assert (ro.mask(rows, 2, domain=1) != ro.mask(rows, 2, domain=2)).any()
+        assert (oracle.mask(rows, 2, domain=1) != oracle.mask(rows, 2, domain=2)).any()
 
-    @pytest.mark.parametrize("ro", [sha256_ro, siphash_ro], ids=["sha256", "siphash"])
-    def test_output_shape(self, ro, rng):
+    def test_output_shape(self, oracle, rng):
         rows = rng.integers(0, 1 << 63, size=(4, 6, 3), dtype=np.uint64)
-        assert ro.mask(rows, 5).shape == (4, 6, 5)
+        assert oracle.mask(rows, 5).shape == (4, 6, 5)
 
     def test_invalid_out_words(self):
         with pytest.raises(CryptoError):
-            siphash_ro.mask(np.zeros((1, 2), dtype=np.uint64), 0)
+            default_ro.mask(np.zeros((1, 2), dtype=np.uint64), 0)
 
     @pytest.mark.parametrize("domain", [-1, 2**32, 2**32 + 3])
     @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "reference"])
@@ -57,78 +56,52 @@ class TestRandomOracles:
         # The counter word is j | domain << 32: a wider domain would alias.
         if not kernel:
             monkeypatch.setattr(fastro, "_kernel", False)
-        for ro in (siphash_ro, sha256_ro):
-            with pytest.raises(CryptoError, match="domain"):
-                ro.mask(np.zeros((1, 2), dtype=np.uint64), 2, domain)
+        with pytest.raises(CryptoError, match="domain"):
+            default_ro.mask(np.zeros((1, 2), dtype=np.uint64), 2, domain)
 
     def test_hash_bytes_lengths(self):
-        out = sha256_ro.hash_bytes(b"seed", 100)
+        out = hash_bytes(b"seed", 100)
         assert len(out) == 100
-        assert sha256_ro.hash_bytes(b"seed", 100) == out
+        assert hash_bytes(b"seed", 100) == out
 
     def test_hash_bytes_domains(self):
-        assert sha256_ro.hash_bytes(b"x", 16, 1) != sha256_ro.hash_bytes(b"x", 16, 2)
-
-    def test_backends_disagree(self, rng):
-        # Sanity: the two backends are different functions.
-        rows = rng.integers(0, 1 << 63, size=(2, 2), dtype=np.uint64)
-        assert (sha256_ro.mask(rows, 2) != siphash_ro.mask(rows, 2)).any()
-
-    def test_sha256_backend_still_reference(self):
-        """The batched sha256 backend matches the per-row reference loop."""
-        rows = np.random.default_rng(4).integers(0, 1 << 63, size=(6, 3), dtype=np.uint64)
-        out_words, domain = 5, 9
-        got = sha256_ro.mask(rows, out_words, domain)
-        for i, row in enumerate(rows):
-            stream = b""
-            counter = 0
-            while len(stream) < out_words * 8:
-                h = hashlib.sha256()
-                h.update(domain.to_bytes(8, "little"))
-                h.update(counter.to_bytes(8, "little"))
-                h.update(row.tobytes())
-                stream += h.digest()
-                counter += 1
-            want = np.frombuffer(stream[: out_words * 8], dtype=np.uint64)
-            assert np.array_equal(got[i], want)
+        assert hash_bytes(b"x", 16, 1) != hash_bytes(b"x", 16, 2)
 
 
 class TestOneSipHashOracle:
-    """Kernel and numpy reference are one function: parties may differ."""
+    """Kernel and numpy reference are one function: the path a host takes
+    changes no byte."""
 
     def test_one_object_under_every_name(self):
-        assert fastro.fast_ro is siphash_ro is default_ro
+        assert fastro.fast_ro is default_ro
         assert default_ro.name == "siphash24"
 
-    def test_protocol_identical_across_ro_backends(self, test_group):
-        """Kernel on the server, reference on the client: the shares and
-        per-stream totals of the run where both hash through the kernel."""
+    def test_protocol_identical_across_ro_backends(self, test_group, monkeypatch):
+        """Sharded triplets hashed through the numpy reference: the shares
+        and per-stream totals of the run that hashes through the kernel."""
         ring, scheme = Ring(16), FragmentScheme.from_bits((2, 2))
         rng = np.random.default_rng(5)
         w = rng.integers(*scheme.weight_range, size=(6, 5), dtype=np.int64, endpoint=True)
         r = ring.sample(rng, (5, 2))
         plan = ShardPlan(shards=2, workers=2, chunk_ots=64)
+        config = TripletConfig(ring=ring, scheme=scheme, m=6, n=5, o=2, group=test_group)
 
-        def run(client_ro):
-            def config(ro):
-                return TripletConfig(
-                    ring=ring, scheme=scheme, m=6, n=5, o=2, group=test_group, ro=ro
-                )
-
+        def run():
             stats = {"server": {}, "client": {}}
             u, v = _both(
                 lambda chan: parallel_triplets_server(
-                    chan, w, config(siphash_ro), plan, seed=21, stats_out=stats["server"]
+                    chan, w, config, plan, seed=21, stats_out=stats["server"]
                 ),
                 lambda chan: parallel_triplets_client(
-                    chan, r, config(client_ro), plan, seed=22, stats_out=stats["client"]
+                    chan, r, config, plan, seed=22, stats_out=stats["client"]
                 ),
                 make_channel_pair(timeout_s=60.0),
             )
             return u, v, stats
 
-        u_a, v_a, stats_a = run(siphash_ro)
-        u_b, v_b, stats_b = run(reference_ro)
+        u_a, v_a, stats_a = run()
+        monkeypatch.setattr(fastro, "_kernel", False)
+        u_b, v_b, stats_b = run()
         assert (u_a == u_b).all() and (v_a == v_b).all()
         assert (ring.add(u_a, v_a) == ring.matmul(ring.reduce(w), r)).all()
         for side in ("server", "client"):
