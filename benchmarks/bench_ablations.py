@@ -126,75 +126,6 @@ def test_ablation_relu_variant(benchmark, quantized_fig4, fig4_dataset, bench_gr
     assert optimized.online_bytes < oblivious.online_bytes
 
 
-def test_ablation_winograd_conv(benchmark, bench_group):
-    """im2col vs winograd F(2x2,3x3) conv backend: byte-identical logits
-    at a >= 2x reduction in triplet elements (2.25x at stride 1)."""
-    from repro.core.protocol import ModelMeta, layer_triplet_config
-    from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
-    from repro.nn.model import Sequential
-    from repro.nn.quantize import quantize_model
-    from repro.perf.costmodel import (
-        conv_triplet_elements_im2col,
-        conv_triplet_elements_winograd,
-    )
-
-    net = Sequential(
-        [
-            Conv2d(1, 2, kernel_size=3, seed=0),
-            ReLU(),
-            Flatten(),
-            Dense(2 * 6 * 6, 4, seed=1),
-        ]
-    )
-    scheme = FragmentScheme.ternary()
-    x = np.random.default_rng(21).uniform(0, 1, size=(2, 64))
-    quantized = {
-        backend: quantize_model(
-            net, scheme, RING, frac_bits=6,
-            input_shape=(1, 8, 8), linear_backend=backend,
-        )
-        for backend in ("im2col", "winograd")
-    }
-
-    def run():
-        return {
-            backend: secure_predict(qm, x, group=bench_group, seed=5, timeout_s=2400)
-            for backend, qm in quantized.items()
-        }
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
-    # ternary truncates 0 bits, so both backends are exact: byte-identical
-    assert (reports["im2col"].logits_int == reports["winograd"].logits_int).all()
-    # triplet elements actually drawn by each backend's conv layer
-    batch = x.shape[0]
-    elements = {}
-    for backend, qm in quantized.items():
-        meta = ModelMeta.from_model(qm).layers[0]
-        config = layer_triplet_config(RING, meta, batch)
-        elements[backend] = config.rows * config.n * config.o
-    conv = ModelMeta.from_model(quantized["im2col"]).layers[0].conv
-    wino = ModelMeta.from_model(quantized["winograd"]).layers[0].wino
-    assert elements["im2col"] == conv_triplet_elements_im2col(
-        conv.in_channels, 2, conv.out_h, conv.out_w, batch
-    )
-    assert elements["winograd"] == conv_triplet_elements_winograd(
-        wino.in_channels, 2, wino.n_tiles, batch
-    )
-    ratio = elements["im2col"] / elements["winograd"]
-    benchmark.extra_info.update(
-        {
-            "im2col_offline_MB": round(reports["im2col"].offline_bytes / MB, 3),
-            "winograd_offline_MB": round(reports["winograd"].offline_bytes / MB, 3),
-            "im2col_triplet_elements": elements["im2col"],
-            "winograd_triplet_elements": elements["winograd"],
-            "element_ratio": round(ratio, 3),
-        }
-    )
-    # the acceptance gate: >= 2x fewer triplet elements (2.25x here)
-    assert ratio >= 2.0
-    assert ratio == 2.25
-
-
 @pytest.mark.parametrize("eta", [4, 8])
 def test_ablation_fragment_radix(benchmark, eta, bench_group, bench_rng):
     """The (N, gamma) sweep: measured traffic tracks the cost model.

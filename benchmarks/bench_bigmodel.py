@@ -6,8 +6,8 @@ Two parts, one gate set:
 * **Part A — equivalence + conformance.**  A VGG-style conv net
   (:func:`repro.nn.model.vgg_imagenet` at test-tractable side) runs the
   full two-party prediction once per chunking leg — unchunked, then
-  ``Im2colSpec.chunk_cols`` in {1, 7, an exact divisor, > n_positions}
-  on the im2col backend plus a winograd leg.  Chunking is a local
+  ``Im2colSpec.chunk_cols`` in {1, 7, an exact divisor, > n_positions}.
+  Chunking is a local
   execution strategy: every leg's ``logits_int`` must be byte-identical
   to the unchunked baseline, and the traced per-layer offline traffic
   must match the Table-1 closed forms with **zero slack**
@@ -121,33 +121,24 @@ def run_equivalence(geom: dict, quick: bool) -> tuple[dict, list[dict], bool]:
     rng = np.random.default_rng(SEED)
     x = rng.random((geom["batch"], int(np.prod(shape))))
 
-    base_im2col = quantize_model(
-        net, scheme, Ring(32), frac_bits=5, input_shape=shape
-    )
-    base_wino = quantize_model(
-        net, scheme, Ring(32), frac_bits=5, input_shape=shape,
-        linear_backend="winograd",
-    )
-    n_pos = base_im2col.layers[0].conv.n_positions
+    base = quantize_model(net, scheme, Ring(32), frac_bits=5, input_shape=shape)
+    n_pos = base.layers[0].conv.n_positions
     divisor = next(c for c in range(min(64, n_pos), 0, -1) if n_pos % c == 0)
     chunk_legs = [None, 7, divisor] if quick else [None, 1, 7, divisor, 10**6]
 
-    legs = []
-    for backend, model in (("im2col", base_im2col), ("winograd", base_wino)):
-        for chunk in chunk_legs if backend == "im2col" else [None, 7]:
-            legs.append((f"{backend}-chunk{chunk}", set_chunk_cols(model, chunk)))
-
     results = {}
     rows = []
-    baseline = {}
+    baseline = None
     identical = True
-    for name, model in legs:
-        report = secure_predict(model, x, group=MODP_TEST, seed=SEED)
+    for chunk in chunk_legs:
+        name = f"im2col-chunk{chunk}"
+        report = secure_predict(
+            set_chunk_cols(base, chunk), x, group=MODP_TEST, seed=SEED
+        )
         failures = check_conformance(report.client_trace)
-        backend = name.split("-")[0]
-        if backend not in baseline:
-            baseline[backend] = report.logits_int
-        same = bool((report.logits_int == baseline[backend]).all())
+        if baseline is None:
+            baseline = report.logits_int
+        same = bool((report.logits_int == baseline).all())
         identical = identical and same and not failures
         rows.append(
             {
@@ -164,9 +155,6 @@ def run_equivalence(geom: dict, quick: bool) -> tuple[dict, list[dict], bool]:
         )
         results[name] = report
 
-    # The two backends run different offline protocols (different dealt
-    # material), so their logits legitimately differ by truncation noise
-    # — equality is asserted within each backend family only.
     layer_rows = layer_comm_rows(results["im2col-chunkNone"].client_trace)
     return {"rows": rows, "divisor_chunk": divisor}, layer_rows, identical
 
@@ -292,8 +280,8 @@ def run_memory_legs(geom: dict, chunk: int, slack: int) -> tuple[list[dict], lis
         total = geom["batch"] * spec.n_positions
         m = layer["c_out"]
         out_bytes = m * total * 8
-        ws_chunked = linear_working_set_bytes(m, spec.patch_len, total, 1, chunk)
-        ws_unchunked = linear_working_set_bytes(m, spec.patch_len, total, 1, None)
+        ws_chunked = linear_working_set_bytes(m, spec.patch_len, total, chunk)
+        ws_unchunked = linear_working_set_bytes(m, spec.patch_len, total, None)
         budget = out_bytes + ws_chunked + slack
         gated = ws_unchunked >= GATE_MARGIN * budget
 

@@ -99,7 +99,7 @@ def l32_offline_mb(qmodel, batch: int) -> dict:
     bits = 0
     for layer in meta.layers:
         config = layer_triplet_config(Ring(32), layer, batch)
-        bits += abnn2_comm_bits(config.scheme, config.rows, config.n, config.o, 32)
+        bits += abnn2_comm_bits(config.scheme, config.m, config.n, config.o, 32)
     return {"l32_offline_MB": round(bits / 8 / (1024 * 1024), 2)}
 
 

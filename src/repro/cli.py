@@ -207,31 +207,8 @@ def _demo_trace(args) -> dict:
     from repro.crypto.group import MODP_TEST
 
     scheme = scheme_for(args.scheme)
-    backend = getattr(args, "linear_backend", "im2col")
-    if backend == "winograd":
-        # The MLP demo has no convolution; trace a small conv net so the
-        # winograd tile products actually appear in the report.
-        from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
-        from repro.nn.model import Sequential
-
-        conv_net = Sequential(
-            [
-                Conv2d(1, 2, 3, stride=1, seed=0),
-                ReLU(),
-                Flatten(),
-                Dense(2 * 6 * 6, 4, seed=1),
-            ]
-        )
-        qmodel = quantize_model(
-            conv_net,
-            scheme,
-            Ring(args.ring),
-            input_shape=(1, 8, 8),
-            linear_backend="winograd",
-        )
-    else:
-        model = mnist_mlp(seed=0, hidden=args.hidden)
-        qmodel = quantize_model(model, scheme, Ring(args.ring))
+    model = mnist_mlp(seed=0, hidden=args.hidden)
+    qmodel = quantize_model(model, scheme, Ring(args.ring))
     rng = np.random.default_rng(0)
     x = rng.random((args.batch, qmodel.layers[0].in_features))
     print("running demo secure prediction to produce a trace...", file=sys.stderr)
@@ -399,11 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ABNN2_TRACE_MEMORY=1)",
     )
     p.add_argument("--scheme", default="4(2,2)", help="demo fragment scheme")
-    p.add_argument(
-        "--linear-backend", choices=("im2col", "winograd"), default="im2col",
-        help="conv lowering for the demo model (winograd traces a small "
-        "conv net; the MLP demo has no convolutions)",
-    )
     p.add_argument("--ring", type=int, default=32, choices=(16, 32, 64))
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--batch", type=int, default=2)

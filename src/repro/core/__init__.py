@@ -11,8 +11,8 @@
 * :mod:`repro.core.pooling` — share-local average pooling, the only
   pooling (no garbled circuit, no communication).
 * :mod:`repro.core.protocol` — end-to-end two-party QNN prediction: one
-  layer walk per party, with each layer's dense/im2col/winograd form
-  decided on :class:`~repro.core.protocol.LayerMeta`.
+  layer walk per party, with each layer's dense/im2col form decided on
+  :class:`~repro.core.protocol.LayerMeta`.
 * :mod:`repro.core.offline` — the typed offline round both parties and
   the dealer produce.
 * :mod:`repro.core.params` — (N, gamma) fragment-scheme selection.

@@ -30,29 +30,6 @@ from repro.core.triplets import (
 )
 from repro.errors import ConfigError, ProtocolError
 from repro.net.channel import Channel
-from repro.utils.ring import Ring
-
-
-def grouped_product(
-    ring: Ring, w: np.ndarray, z0: np.ndarray, m: int, n: int, groups: int
-) -> np.ndarray:
-    """``W @ Z0`` (block-diagonal when ``groups > 1``), any column count.
-
-    ``w`` is the stacked ``(groups * m, n)`` ring-reduced weight matrix
-    and ``z0`` the stacked ``(groups * n, cols)`` operand; columns are
-    independent, so this serves both the full-width online step and any
-    column block of it.  Shared by the online engines and the streamed
-    triplet dealer (:mod:`repro.serve.dealer`), which computes the same
-    product against ``R`` blocks.
-    """
-    if groups == 1:
-        return ring.matmul(w, z0)
-    prod = ring.zeros((groups * m, z0.shape[1]))
-    for g in range(groups):
-        prod[g * m : (g + 1) * m] = ring.matmul(
-            w[g * m : (g + 1) * m], z0[g * n : (g + 1) * n]
-        )
-    return prod
 
 
 class SecureMatmulServer:
@@ -134,11 +111,7 @@ class SecureMatmulServer:
         return self._u[:, lo:hi]
 
     def online(self, z0_share: np.ndarray) -> np.ndarray:
-        """Local step: ``<Y>_0 = W <Z>_0 + U`` (no communication).
-
-        With ``config.groups > 1`` the product is block-diagonal: output
-        block ``g`` is ``W[g m:(g+1) m] @ <Z>_0[g n:(g+1) n]``.
-        """
+        """Local step: ``<Y>_0 = W <Z>_0 + U`` (no communication)."""
         config = self.config
         ring = config.ring
         z0 = ring.reduce(z0_share)
@@ -146,14 +119,12 @@ class SecureMatmulServer:
             raise ConfigError(
                 f"expected share of shape {config.r_shape}, got {z0.shape}"
             )
-        w = ring.reduce(self.w_int)
-        prod = grouped_product(ring, w, z0, config.m, config.n, config.groups)
-        return ring.add(prod, self.u)
+        return ring.add(ring.matmul(ring.reduce(self.w_int), z0), self.u)
 
     def online_block(self, z0_block: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Columns ``[lo, hi)`` of :meth:`online`, fed only that operand block.
 
-        ``z0_block`` is ``(groups * n, hi - lo)`` — the lowered operand
+        ``z0_block`` is ``(n, hi - lo)`` — the lowered operand
         columns the chunked path materialized for this block.  Matmul
         columns are independent and ring arithmetic exact, so looping
         this over any column partition is byte-identical to one
@@ -164,17 +135,16 @@ class SecureMatmulServer:
         config = self.config
         ring = config.ring
         z0 = ring.reduce(z0_block)
-        if z0.ndim != 2 or z0.shape != (config.r_shape[0], hi - lo):
+        if z0.ndim != 2 or z0.shape != (config.n, hi - lo):
             raise ConfigError(
-                f"expected operand block of shape ({config.r_shape[0]}, {hi - lo}), "
+                f"expected operand block of shape ({config.n}, {hi - lo}), "
                 f"got {z0.shape}"
             )
         if not (0 <= lo <= hi <= self.config.o):
             raise ConfigError(
                 f"column block [{lo}, {hi}) outside [0, {self.config.o}) output columns"
             )
-        w = ring.reduce(self.w_int)
-        prod = grouped_product(ring, w, z0, config.m, config.n, config.groups)
+        prod = ring.matmul(ring.reduce(self.w_int), z0)
         return ring.add(prod, self.u_columns(lo, hi))
 
 

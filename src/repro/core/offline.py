@@ -78,7 +78,7 @@ def _check_linear(meta, batch, shares: list, name: str) -> list:
         )
     out = []
     for idx, (layer, share) in enumerate(zip(meta.layers, shares)):
-        expected = (layer.matmul_groups * layer.matmul_rows, batch * layer.batch_multiplier())
+        expected = (layer.matmul_rows, batch * layer.batch_multiplier())
         _check_shape(f"layer {idx} {name}", share, expected)
         out.append(share if isinstance(share, BlockedShare) else meta.layer_ring(idx).reduce(share))
     return out

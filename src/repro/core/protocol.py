@@ -62,16 +62,6 @@ from repro.nn.lowering import (
     lower_shares,
     lower_shares_block,
 )
-from repro.nn.winograd import (
-    WINOGRAD_TILE_POINTS,
-    WinogradSpec,
-    divide_share_by4,
-    lift_tiles,
-    lower_tiles,
-    lower_tiles_block,
-    transform_weights,
-    winograd_scheme,
-)
 from repro.quant.fragments import FragmentScheme
 from repro.quant.headroom import INPUT_BOUND, input_bound_int
 from repro.utils.bits import pack_ring_words, packed_word_count, unpack_ring_words
@@ -87,18 +77,10 @@ class LayerMeta:
     those, ``matmul_rows/cols`` describe the lowered product while
     ``in_features``/``out_features`` stay in flat-activation terms.
 
-    ``backend`` selects the conv lowering (``"im2col"`` or
-    ``"winograd"``).  A winograd layer's secure product is *grouped*:
-    16 block-diagonal ``(C_out, C_in) x (C_in, batch * n_tiles)``
-    products over the transformed operand (see
-    :mod:`repro.nn.winograd`), and its triplet/OT scheme is the
-    *transformed-weight* scheme (public, derived from the layer scheme's
-    weight range).
-
-    The layer also owns the one choice of how its product lowers,
-    multiplies and lifts (dense, im2col or winograd): :meth:`lower`,
-    :meth:`lift`, :meth:`weights` and :meth:`bias`.  Both parties and
-    the dealer call these instead of branching on the form themselves.
+    The layer also owns the one choice of how its product lowers and
+    lifts (dense or im2col): :meth:`lower`, :meth:`lift` and
+    :meth:`bias`.  Both parties and the dealer call these instead of
+    branching on the form themselves.
     """
 
     out_features: int
@@ -107,7 +89,6 @@ class LayerMeta:
     truncate_bits: int
     conv: Im2colSpec | None = None
     pool: PoolSpec | None = None
-    backend: str = "im2col"
     #: public output width m (``|y| < 2^(m-1)``): the ReLU input, or the
     #: logits on the last layer; None = ring width
     relu_bits: int | None = None
@@ -120,13 +101,6 @@ class LayerMeta:
         return self.out_features
 
     @property
-    def wino(self) -> WinogradSpec | None:
-        """Tile geometry when this layer runs the winograd backend."""
-        if self.backend != "winograd":
-            return None
-        return WinogradSpec.from_im2col(self.conv)
-
-    @property
     def matmul_rows(self) -> int:
         """m of the secure product (out_channels for conv)."""
         if self.conv:
@@ -135,31 +109,11 @@ class LayerMeta:
 
     @property
     def matmul_cols(self) -> int:
-        """n of the secure product (patch length for conv, in_channels
-        per tile point for winograd)."""
-        if self.backend == "winograd":
-            return self.conv.in_channels
+        """n of the secure product (patch length for conv)."""
         return self.conv.patch_len if self.conv else self.in_features
 
-    @property
-    def matmul_groups(self) -> int:
-        """Block-diagonal group count of the secure product (16 tile
-        points for winograd, 1 otherwise)."""
-        return WINOGRAD_TILE_POINTS if self.backend == "winograd" else 1
-
-    @property
-    def ot_scheme(self) -> FragmentScheme:
-        """The fragment scheme the offline OTs actually decompose: the
-        layer scheme, or its transformed-weight widening for winograd."""
-        if self.backend == "winograd":
-            return winograd_scheme(self.scheme)
-        return self.scheme
-
     def batch_multiplier(self) -> int:
-        """Factor on the triplet batch o (output positions for conv,
-        tile count for winograd)."""
-        if self.backend == "winograd":
-            return self.wino.n_tiles
+        """Factor on the triplet batch o (output positions for conv)."""
         return self.conv.n_positions if self.conv else 1
 
     @property
@@ -174,37 +128,17 @@ class LayerMeta:
         """The product operand of a flat ``(in_features, batch)`` share:
         all ``batch * batch_multiplier()`` columns, or only ``[lo, hi)``
         without materializing the rest.  Share-local and exact."""
-        wino = self.wino
-        if wino is not None:
-            if lo is None:
-                return lower_tiles(wino, operand, ring)
-            return lower_tiles_block(wino, operand, ring, lo, hi)
         if self.conv:
             if lo is None:
                 return lower_shares(self.conv, operand)
             return lower_shares_block(self.conv, operand, lo, hi)
         return operand if lo is None else operand[:, lo:hi]
 
-    def lift(self, ring: Ring, y: np.ndarray, party: int) -> np.ndarray:
-        """A product share back in flat ``(relu_features, batch)`` form.
-
-        The lifted winograd product reconstructs to exactly ``4 * (W z)``,
-        so each party divides its share locally (exact w.h.p., see
-        :func:`repro.nn.winograd.divide_share_by4`).
-        """
-        wino = self.wino
-        if wino is not None:
-            return divide_share_by4(ring, lift_tiles(wino, self.matmul_rows, y, ring), party)
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """A product share back in flat ``(relu_features, batch)`` form."""
         if self.conv:
             return lift_output(self.conv, self.matmul_rows, y)
         return y
-
-    def weights(self, w_int: np.ndarray) -> np.ndarray:
-        """The matrix the secure product multiplies: the stored (im2col)
-        form, or its winograd transform ``G2 g G2^T`` stacked per tile
-        point (public structure; the values stay secret)."""
-        wino = self.wino
-        return w_int if wino is None else transform_weights(wino, w_int)
 
     def bias(self, bias_int: np.ndarray) -> np.ndarray:
         """The bias in flat-feature order (a conv bias is per channel)."""
@@ -232,7 +166,6 @@ class ModelMeta:
                 truncate_bits=layer.truncate_bits,
                 conv=layer.conv,
                 pool=layer.pool,
-                backend=layer.backend,
                 relu_bits=layer.relu_bits,
             )
             for layer in model.layers
@@ -244,14 +177,13 @@ class ModelMeta:
         online product and its incoming shares (and the previous ReLU's
         output shares).
 
-        ``Z_(2^m)`` for the layer's output width ``m``.  A winograd layer
-        keeps the model ring (its share-local ``/4`` needs headroom), and
-        so does a layer after an average pool, whose share-local shift
+        ``Z_(2^m)`` for the layer's output width ``m``.  A layer after an
+        average pool keeps the model ring: the pool's share-local shift
         would wrap often in a narrow ring.
         """
         layer = self.layers[idx]
         after_pool = idx > 0 and self.layers[idx - 1].pool is not None
-        if layer.relu_bits is None or layer.backend == "winograd" or after_pool:
+        if layer.relu_bits is None or after_pool:
             return Ring(self.ring_bits)
         return Ring(layer.relu_bits)
 
@@ -264,22 +196,20 @@ def layer_triplet_config(
 ) -> TripletConfig:
     """The offline triplet configuration for one linear layer.
 
-    One definition for both parties and the dealer, so the grouped
-    winograd shape (``groups=16``, transformed-weight OT scheme) and the
-    wire split can never diverge between them.  The OTs run
-    :func:`repro.core.params.wire_split` of the layer's OT scheme: the
+    One definition for both parties and the dealer, so the wire split
+    can never diverge between them.  The OTs run
+    :func:`repro.core.params.wire_split` of the layer's scheme: the
     cheapest fragment split of its bit width at the layer's public
     ``(o, l)``.
     """
     o = batch * layer.batch_multiplier()
     return TripletConfig(
         ring=ring,
-        scheme=wire_split(layer.ot_scheme, o, ring.bits),
+        scheme=wire_split(layer.scheme, o, ring.bits),
         m=layer.matmul_rows,
         n=layer.matmul_cols,
         o=o,
         group=group,
-        groups=layer.matmul_groups,
     )
 
 
@@ -446,24 +376,18 @@ class _PartyBase:
             )
             setattr(self, f"{label}_stats", stats)
 
-    def _triplet_span(self, idx: int, layer: LayerMeta, round_idx: int):
+    def _triplet_span(self, idx: int, round_idx: int):
         """Span for one layer's offline triplet generation, carrying the
         public dimensions the conformance checker feeds the cost model."""
         config = self._layer_config(idx)
-        # m is the *stacked* row count (groups * m): the grouped product
-        # runs gamma * rows * n OTs of o columns each, which is exactly
-        # what the closed-form cost model prices for an (m, n, o) triple,
-        # so conformance stays byte-exact for both backends.
         return self.tracer.span(
             f"layer{idx}/triplets",
-            m=config.rows,
+            m=config.m,
             n=config.n,
             o=config.o,
             ring_bits=config.ring.bits,
             frag_n_values=[frag.n_values for frag in config.scheme.fragments],
             code_bits=[code_length(frag.n_values) for frag in config.scheme.fragments],
-            groups=config.groups,
-            backend=layer.backend,
             round=round_idx,
         )
 
@@ -473,8 +397,7 @@ class _PartyBase:
         layer = self.meta.layers[idx]
         return self.tracer.span(
             f"layer{idx}/matmul", m=layer.matmul_rows, n=layer.matmul_cols,
-            o=self.batch * layer.batch_multiplier(),
-            groups=layer.matmul_groups, backend=layer.backend, **extra,
+            o=self.batch * layer.batch_multiplier(), **extra,
         )
 
     def _relu_span(self, idx: int):
@@ -511,14 +434,11 @@ class Abnn2Server(_PartyBase):
     def __init__(self, chan: Channel, model: QuantizedModel, batch: int, **kwargs) -> None:
         super().__init__(chan, ModelMeta.from_model(model), batch, **kwargs)
         self.model = model
-        self._weights = [
-            meta.weights(layer.w_int) for layer, meta in zip(model.layers, self.meta.layers)
-        ]
         self._gc = GcSessions(chan, "evaluator", group=self.group, seed=self._seed)
 
     def _engine(self, idx: int, seed: int | None = None) -> SecureMatmulServer:
         return self.matmul_server_cls(
-            self.chan, self._weights[idx], self._layer_config(idx), seed=seed,
+            self.chan, self.model.layers[idx].w_int, self._layer_config(idx), seed=seed,
         )
 
     def _offline_round(self, round_idx: int) -> ServerHalf:
@@ -527,9 +447,9 @@ class Abnn2Server(_PartyBase):
         message frames, each in its layer's span."""
         self._reserve_base_ots(self.matmul_server_cls)
         started = []
-        for idx, layer in enumerate(self.meta.layers):
+        for idx in range(len(self.meta.layers)):
             engine = self._engine(idx, seed=self._layer_seed(idx, round_idx))
-            with self._triplet_span(idx, layer, round_idx) as span:
+            with self._triplet_span(idx, round_idx) as span:
                 started.append((span, engine, engine.start_offline()))
         return ServerHalf([engine.u for engine in self._second_pass(started)])
 
@@ -559,7 +479,7 @@ class Abnn2Server(_PartyBase):
                 for lo, hi in column_blocks(total, chunk):
                     block = layer.lower(ring, share0, lo, hi)
                     y0[:, lo:hi] = engine.online_block(block, lo, hi)
-            y0 = layer.lift(ring, y0, party=0)
+            y0 = layer.lift(y0)
             bias = layer.bias(self.model.layers[idx].bias_int)
             return ring.add(y0, ring.reduce(bias)[:, None])
 
@@ -616,7 +536,7 @@ class Abnn2Client(_PartyBase):
                 r_mat=layer.lower(ring, operand),
                 seed=self._layer_seed(idx, round_idx),
             )
-            with self._triplet_span(idx, layer, round_idx) as span:
+            with self._triplet_span(idx, round_idx) as span:
                 started.append((span, engine, engine.start_offline()))
 
         half = chain_operands(self.meta, self.batch, self.rng, triplet_step)
@@ -650,7 +570,7 @@ class Abnn2Client(_PartyBase):
         last = len(self.meta.layers) - 1
         for idx, layer in enumerate(self.meta.layers):
             with self._matmul_span(idx):
-                y1 = layer.lift(self.rings[idx], materialize(half.v[idx]), party=1)
+                y1 = layer.lift(materialize(half.v[idx]))
             if idx == last:
                 break
             # The ReLU output share was fixed offline; average pooling is

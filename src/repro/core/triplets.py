@@ -98,15 +98,6 @@ class TripletConfig:
 
     Both parties must construct identical configs (the model architecture
     and scheme are public); shapes are (m, n) for W and (n, o) for R.
-
-    ``groups > 1`` runs a *block-diagonal* product over one OT session:
-    W is stacked ``(groups * m, n)``, R stacked ``(groups * n, o)``, and
-    block ``g`` of the output is ``W[g m:(g+1) m] @ R[g n:(g+1) n]`` —
-    the shape the Winograd backend's 16 per-tile-position products take
-    (:mod:`repro.nn.winograd`).  The OT layout is unchanged (flat index
-    still runs over all ``rows * n`` weight elements); only the client's
-    R-row lookup becomes group-aware, and ``groups=1`` reduces to the
-    historical wire format byte-for-byte.
     """
 
     ring: Ring
@@ -115,31 +106,23 @@ class TripletConfig:
     n: int
     o: int
     group: ModpGroup = DEFAULT_GROUP
-    groups: int = 1
 
     def __post_init__(self) -> None:
         if min(self.m, self.n, self.o) < 1:
             raise ConfigError("matrix dimensions must be positive")
-        if self.groups < 1:
-            raise ConfigError("groups must be positive")
-
-    @property
-    def rows(self) -> int:
-        """Stacked output rows: ``groups * m`` (equals ``m`` when ungrouped)."""
-        return self.groups * self.m
 
     @property
     def w_shape(self) -> tuple[int, int]:
-        return (self.rows, self.n)
+        return (self.m, self.n)
 
     @property
     def r_shape(self) -> tuple[int, int]:
-        return (self.groups * self.n, self.o)
+        return (self.n, self.o)
 
     @property
     def out_shape(self) -> tuple[int, int]:
         """Shape of U, V, and the online product share."""
-        return (self.rows, self.o)
+        return (self.m, self.o)
 
     @property
     def radix_groups(self) -> list[tuple[int, list[int]]]:
@@ -163,8 +146,8 @@ class TripletConfig:
 
     @property
     def total_ots(self) -> int:
-        """gamma * rows * n — Table 1's #OT row at every batch width."""
-        return self.scheme.gamma * self.rows * self.n
+        """gamma * m * n — Table 1's #OT row at every batch width."""
+        return self.scheme.gamma * self.m * self.n
 
 
 class BlockedShare:
@@ -257,12 +240,11 @@ class BlockedShare:
         return np.concatenate(self._blocks, axis=1)
 
 
-def _flat_coords(start: int, count: int, n: int, k_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose flat OT indices (i, j, k_pos lexicographic) of one group."""
-    flat = np.arange(start, start + count, dtype=np.int64)
-    i_idx = flat // (n * k_count)
-    rem = flat % (n * k_count)
-    return i_idx, rem // k_count, rem % k_count
+def _flat_coords(start: int, count: int, n: int, k_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(j, k_pos)`` of flat OT indices (i, j, k_pos lexicographic)
+    of one radix group; the row ``i`` does not pick an ``R`` row."""
+    rem = np.arange(start, start + count, dtype=np.int64) % (n * k_count)
+    return rem // k_count, rem % k_count
 
 
 def _add_rows(acc: np.ndarray, values: np.ndarray, start: int, config: TripletConfig, k_count: int) -> None:
@@ -389,11 +371,8 @@ def client_span_send(
         pads = sender.pads_at(rows, first, width, _TRIPLET_DOMAIN)  # (count, N, W)
         del rows
         # vt_k[digit] * R[j, :] for digits 1 .. N-1: (count, N - 1, o).
-        # Group-aware R row: stacked row i belongs to block i // m, whose
-        # operand rows start at (i // m) * n.  Reduces to r[j_idx] when
-        # groups == 1 (i // m is then always 0).
-        i_idx, j_idx, k_pos = _flat_coords(lo, count, config.n, k_count)
-        r_rows = r[(i_idx // config.m) * config.n + j_idx]  # (count, o)
+        j_idx, k_pos = _flat_coords(lo, count, config.n, k_count)
+        r_rows = r[j_idx]  # (count, o)
         products = ring.mul(value_table[k_pos][:, 1:, None], r_rows[:, None, :])
         # Pad 0's low o * l bits are the shares.  Messages 1 .. N-1 are
         # packed, then XORed with their pads' low o * l bits, packed back
@@ -456,7 +435,7 @@ def start_triplets_server(
         group_seed = None if seed is None else seed + n_values
         with channel_span(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
-            m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
+            m=config.m, n=config.n, o=config.o, ring_bits=ring.bits,
         ) as span:
             receiver = Kk13Receiver(chan, n_values, group=config.group, seed=group_seed)
             choices = digits[:, :, k_list].reshape(-1)
@@ -513,11 +492,11 @@ def start_triplets_client(
         group_seed = None if seed is None else seed + n_values
         with channel_span(
             chan, f"radix{n_values}", n_values=n_values, fragments=len(k_list),
-            m=config.rows, n=config.n, o=config.o, ring_bits=ring.bits,
+            m=config.m, n=config.n, o=config.o, ring_bits=ring.bits,
         ) as span:
             sender = Kk13Sender(chan, n_values, group=config.group, seed=group_seed)
             held = extend_span(
-                sender, None, 0, config.rows * config.n * len(k_list),
+                sender, None, 0, config.m * config.n * len(k_list),
                 config.sub_block(n_values),
             )
         groups.append((span, sender, table, n_values, len(k_list), held))

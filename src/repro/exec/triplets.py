@@ -165,7 +165,7 @@ def _shard_sessions(stream, s, config, plan, ot_seed, groups, session_cls):
     spans = []
     for row in groups:
         n_values, k_count = row[:2]
-        lo, hi = plan.span_bounds(config.rows * config.n * k_count, s)
+        lo, hi = plan.span_bounds(config.m * config.n * k_count, s)
         if lo >= hi:
             continue
         session = session_cls(

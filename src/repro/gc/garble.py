@@ -30,7 +30,6 @@ evaluator can open only with the label it holds for that wire.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +44,15 @@ _U64 = np.uint64
 LABEL_WORDS = 2
 _DOMAIN_GC = 7
 
-#: Debug poison for the np.empty label buffers below: with
-#: ``ABNN2_GC_DEBUG=1`` buffers are pre-filled with this word and the
-#: output wires are checked against it after garbling/evaluation, so a
-#: wire the gate loop failed to write is caught instead of silently
-#: garbling garbage.  (A genuine label colliding with the poison on both
-#: words has probability 2^-128 per wire.)
-_POISON_WORD = _U64(0xDEAD_BEEF_DEAD_BEEF)
-
-
-def _debug_poison_enabled() -> bool:
-    return os.environ.get("ABNN2_GC_DEBUG", "") == "1"
-
-
 def _label_buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized label tensor; poisoned when GC debug mode is on.
+    """Uninitialized label tensor.
 
     Every slot is written before it is read (inputs by the rng block,
-    everything else by its gate), so zeroing megabytes per layer was
-    pure overhead.
+    everything else by its gate; :meth:`Circuit.validate` refuses a
+    circuit with an output or row wire no gate writes), so zeroing
+    megabytes per layer was pure overhead.
     """
-    buf = np.empty(shape, dtype=_U64)
-    if _debug_poison_enabled():
-        buf[...] = _POISON_WORD
-    return buf
-
-
-def _check_poison(labels: np.ndarray, what: str) -> None:
-    """Raise if any label row is still the debug poison pattern."""
-    if not _debug_poison_enabled():
-        return
-    if bool((labels == _POISON_WORD).all(axis=-1).any()):
-        raise CryptoError(f"unwritten {what} label: wire never assigned by a gate")
+    return np.empty(shape, dtype=_U64)
 
 
 class _LabelHasher:
@@ -246,7 +222,6 @@ def garble(
             tables[row], tables[row + 1] = _garble_and(label0, offset, gate, g_idx, hasher)
             row += 2
 
-    _check_poison(label0[circuit.outputs], "output")
     return GarbledCircuit(circuit=circuit, n_inst=n_inst, tables=tables, label0=label0, offset=offset)
 
 

@@ -61,8 +61,8 @@ def vgg_cifar(
 
     Conv(3->b) / ReLU / AvgPool2 / Conv(b->2b) / ReLU / Conv(2b->2b) /
     ReLU / Flatten / FC(64) / ReLU / FC(classes).  Every convolution is
-    3x3 stride-1, so the whole stack is winograd-eligible; average
-    pooling (the only pooling) is share-local, no GC.  ``side=32``
+    3x3 stride-1 and lowers with im2col; average pooling (the only
+    pooling) is share-local, no GC.  ``side=32``
     is the CIFAR geometry; any ``side >= 8`` with ``side - 2`` even
     works (valid 3x3 convs shrink the map by 2, the pool halves it).
     """

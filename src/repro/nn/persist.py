@@ -33,7 +33,9 @@ from repro.utils.ring import Ring
 
 #: 3: ``relu_bits`` on every layer, the logits width included, sizing
 #: each layer's ring (format-2 files lack the logits width and, like
-#: format 1, are refused).
+#: format 1, are refused).  Older format-3 files may carry a per-layer
+#: ``"backend"`` key; it is ignored (weights were stored in im2col patch
+#: form under every backend, and every conv layer now lowers with im2col).
 FORMAT_VERSION = 3
 
 
@@ -120,7 +122,6 @@ def save_model(path, model: QuantizedModel) -> None:
                 "truncate_bits": layer.truncate_bits,
                 "conv": _spec_to_dict(layer.conv),
                 "pool": _pool_to_dict(layer.pool),
-                "backend": layer.backend,
                 "relu_bits": layer.relu_bits,
             }
             for layer in model.layers
@@ -162,7 +163,6 @@ def _read_model(path) -> QuantizedModel:
                     truncate_bits=info["truncate_bits"],
                     conv=_spec_from_dict(info["conv"]),
                     pool=_pool_from_dict(info.get("pool")),
-                    backend=info.get("backend", "im2col"),
                     relu_bits=info["relu_bits"],
                 )
             )
@@ -191,7 +191,6 @@ def save_meta(path, meta: ModelMeta) -> None:
                 "truncate_bits": layer.truncate_bits,
                 "conv": _spec_to_dict(layer.conv),
                 "pool": _pool_to_dict(layer.pool),
-                "backend": layer.backend,
                 "relu_bits": layer.relu_bits,
             }
             for layer in meta.layers
@@ -218,7 +217,6 @@ def _read_meta(path) -> ModelMeta:
             truncate_bits=info["truncate_bits"],
             conv=_spec_from_dict(info["conv"]),
             pool=_pool_from_dict(info.get("pool")),
-            backend=info.get("backend", "im2col"),
             relu_bits=info["relu_bits"],
         )
         for info in doc["layers"]

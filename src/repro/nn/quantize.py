@@ -39,19 +39,9 @@ from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
 from repro.nn.lowering import (
     Im2colSpec,
     PoolSpec,
-    conv_bias_vector,
     gather_windows,
     lift_output,
     lower_shares,
-)
-from repro.nn.winograd import (
-    WinogradSpec,
-    check_winograd_headroom,
-    lift_tiles,
-    lift_tiles_value,
-    lower_tiles,
-    lower_tiles_value,
-    transform_weights,
 )
 from repro.nn.model import Sequential
 from repro.quant.fixed_point import FixedPointEncoder
@@ -69,12 +59,6 @@ class QuantizedDense:
     layer (weights ``(out, in)``); an :class:`Im2colSpec` means weights
     are ``(out_channels, patch_len)`` and the secure matmul runs against
     the locally-lowered activation (see :mod:`repro.nn.lowering`).
-
-    ``backend`` selects the conv lowering: ``"im2col"`` (default) or
-    ``"winograd"`` (F(2x2,3x3) tile transforms, eligible for stride-1
-    3x3 convolutions only — :mod:`repro.nn.winograd`).  Weights are
-    stored in im2col patch form either way; the winograd path derives
-    its transformed weight stack on demand.
     """
 
     weights: QuantizedTensor  # ints shaped (out, in) / (oc, patch_len)
@@ -82,25 +66,9 @@ class QuantizedDense:
     truncate_bits: int  # right-shift applied to the accumulator (0 = none)
     conv: Im2colSpec | None = None
     pool: PoolSpec | None = None  # applied after this layer's ReLU
-    backend: str = "im2col"
     #: public bound m with |layer output| < 2^(m-1) (the ReLU input; the
     #: logits on the last layer); None = the ring width
     relu_bits: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("im2col", "winograd"):
-            raise QuantizationError(f"unknown linear backend {self.backend!r}")
-        if self.backend == "winograd":
-            if self.conv is None:
-                raise QuantizationError("winograd backend needs a conv layer")
-            WinogradSpec.from_im2col(self.conv)  # validates eligibility
-
-    @property
-    def wino(self) -> WinogradSpec | None:
-        """Tile geometry when this layer runs the winograd backend."""
-        if self.backend != "winograd":
-            return None
-        return WinogradSpec.from_im2col(self.conv)
 
     @property
     def w_int(self) -> np.ndarray:
@@ -192,31 +160,12 @@ class QuantizedModel:
         """
         acts = self.ring.reduce(x_ring)
         for i, layer in enumerate(self.layers):
-            if layer.backend == "winograd":
-                # Transform-domain conv: the lifted value is exactly
-                # 4 * (W * x), so the plaintext division is an exact
-                # arithmetic shift — this path equals the im2col path
-                # bit-for-bit (given the headroom check).
-                wspec = layer.wino
-                operand = lower_tiles(wspec, acts, self.ring)
-                wt = self.ring.reduce(transform_weights(wspec, layer.w_int))
-                oc, ci = layer.shape[0], wspec.in_channels
-                prod = self.ring.zeros((16 * oc, operand.shape[1]))
-                for g in range(16):
-                    prod[g * oc : (g + 1) * oc] = self.ring.matmul(
-                        wt[g * oc : (g + 1) * oc], operand[g * ci : (g + 1) * ci]
-                    )
-                acts = lift_tiles(wspec, oc, prod, self.ring)
-                acts = self.truncate_exact(acts, 2)  # exact /4 on the value
-                bias = conv_bias_vector(layer.conv, layer.bias_int, oc)
-                acts = self.ring.add(acts, self.ring.reduce(bias)[:, None])
-            else:
-                w_ring = self.ring.reduce(layer.w_int)
-                operand = lower_shares(layer.conv, acts) if layer.conv else acts
-                acts = self.ring.matmul(w_ring, operand)
-                acts = self.ring.add(acts, self.ring.reduce(layer.bias_int)[:, None])
-                if layer.conv:
-                    acts = lift_output(layer.conv, layer.shape[0], acts)
+            w_ring = self.ring.reduce(layer.w_int)
+            operand = lower_shares(layer.conv, acts) if layer.conv else acts
+            acts = self.ring.matmul(w_ring, operand)
+            acts = self.ring.add(acts, self.ring.reduce(layer.bias_int)[:, None])
+            if layer.conv:
+                acts = lift_output(layer.conv, layer.shape[0], acts)
             if i < len(self.layers) - 1:
                 acts = self.truncate_exact(acts, layer.truncate_bits)
                 signed = self.ring.to_signed(acts)
@@ -246,32 +195,11 @@ class QuantizedModel:
         acts = np.asarray(x_float, dtype=np.float64).T * self.encoder.scale
         worst = float(np.abs(acts).max()) if acts.size else 0.0
         for i, layer in enumerate(self.layers):
-            if layer.backend == "winograd":
-                # Track the true transform-domain peaks: the input tiles
-                # (gain <= 4), the 16 grouped accumulators, and the
-                # pre-division 4*conv output.
-                wspec = layer.wino
-                xt = lower_tiles_value(wspec, acts)
-                worst = max(worst, float(np.abs(xt).max()))
-                wt = transform_weights(wspec, layer.w_int).astype(np.float64)
-                oc, ci = layer.shape[0], wspec.in_channels
-                prod = np.empty((16 * oc, xt.shape[1]))
-                for g in range(16):
-                    prod[g * oc : (g + 1) * oc] = (
-                        wt[g * oc : (g + 1) * oc] @ xt[g * ci : (g + 1) * ci]
-                    )
-                worst = max(worst, float(np.abs(prod).max()))
-                lifted = lift_tiles_value(wspec, oc, prod)
-                worst = max(worst, float(np.abs(lifted).max()))
-                bias = conv_bias_vector(layer.conv, layer.bias_int, oc)
-                acts = np.floor(lifted / 4.0) + bias[:, None].astype(np.float64)
-                worst = max(worst, float(np.abs(acts).max()))
-            else:
-                operand = lower_shares(layer.conv, acts) if layer.conv else acts
-                acts = layer.w_int.astype(np.float64) @ operand + layer.bias_int[:, None]
-                worst = max(worst, float(np.abs(acts).max()))
-                if layer.conv:
-                    acts = lift_output(layer.conv, layer.shape[0], acts)
+            operand = lower_shares(layer.conv, acts) if layer.conv else acts
+            acts = layer.w_int.astype(np.float64) @ operand + layer.bias_int[:, None]
+            worst = max(worst, float(np.abs(acts).max()))
+            if layer.conv:
+                acts = lift_output(layer.conv, layer.shape[0], acts)
             if i < len(self.layers) - 1:
                 acts = np.floor(acts / 2.0**layer.truncate_bits)
                 acts = np.maximum(acts, 0.0)
@@ -391,7 +319,6 @@ def quantize_model(
     ring: Ring,
     frac_bits: int = 6,
     input_shape: tuple[int, int, int] | None = None,
-    linear_backend: str = "im2col",
     chunk_cols: int | None = None,
 ) -> QuantizedModel:
     """Quantize every linear layer of ``model`` onto fragment scheme(s).
@@ -403,13 +330,6 @@ def quantize_model(
     resolved.  ReLU is implied between linear layers on the secure path;
     Flatten is a no-op (activations are already flat feature vectors).
 
-    ``linear_backend`` selects the conv lowering: ``"winograd"`` marks
-    every *eligible* convolution (3x3, stride 1) to run the F(2x2,3x3)
-    tile backend; ineligible geometries and Dense layers stay on im2col.
-    Each marked layer must pass the transform-domain ring-headroom check
-    (:func:`repro.nn.winograd.check_winograd_headroom`) or a
-    :class:`~repro.errors.ConfigError` is raised.
-
     ``chunk_cols`` bounds the lowered-operand columns each conv layer's
     secure matmul materializes at once (``None`` = unchunked; see
     :func:`set_chunk_cols` to change it on an existing model).
@@ -419,8 +339,6 @@ def quantize_model(
     (:mod:`repro.quant.headroom`); the secure client refuses inputs
     beyond it.
     """
-    if linear_backend not in ("im2col", "winograd"):
-        raise QuantizationError(f"unknown linear backend {linear_backend!r}")
     linear_layers = _collect_linear_layers(model, input_shape)
     if isinstance(scheme, FragmentScheme):
         schemes = [scheme] * len(linear_layers)
@@ -447,16 +365,6 @@ def quantize_model(
         else:
             truncate_bits = 0
             deferral = accumulator_deferral
-        backend = "im2col"
-        if (
-            linear_backend == "winograd"
-            and spec is not None
-            and WinogradSpec.supports(spec)
-        ):
-            check_winograd_headroom(
-                ring.bits, layer_scheme, spec.in_channels, frac_bits
-            )
-            backend = "winograd"
         quantized.append(
             QuantizedDense(
                 weights=q,
@@ -465,7 +373,6 @@ def quantize_model(
                 conv=spec if spec is None or chunk_cols is None
                 else replace(spec, chunk_cols=chunk_cols),
                 pool=pool,
-                backend=backend,
             )
         )
     widths = relu_widths(

@@ -133,63 +133,15 @@ def abnn2_comm_bits(
     )
 
 
-# --------------------------------------------------------------------- #
-# Winograd F(2x2,3x3) conv backend
-# --------------------------------------------------------------------- #
-def conv_triplet_elements_im2col(
-    c_in: int, c_out: int, out_h: int, out_w: int, batch: int, kernel: int = 3
-) -> int:
-    """Scalar triplet elements (W entries x operand columns) of one conv
-    layer lowered via im2col: ``(c_out) * (c_in k^2) * (out_h out_w b)``."""
-    return c_out * c_in * kernel * kernel * out_h * out_w * batch
-
-
-def conv_triplet_elements_winograd(
-    c_in: int, c_out: int, n_tiles: int, batch: int
-) -> int:
-    """Scalar triplet elements of the same layer on the F(2x2,3x3) tile
-    backend: 16 grouped ``(c_out, c_in) x (c_in, b n_tiles)`` products,
-    i.e. ``16 c_in c_out n_tiles b`` — a 2.25x reduction at stride 1
-    (36 im2col elements per tile vs 16)."""
-    return 16 * c_in * c_out * n_tiles * batch
-
-
 def winograd_reduction_ratio(out_h: int, out_w: int, n_tiles: int, kernel: int = 3) -> float:
-    """im2col/winograd triplet-element ratio (2.25 on even stride-1 maps,
-    where ``n_tiles = out_h * out_w / 4``)."""
+    """im2col/Winograd F(2x2,3x3) triplet-element ratio (2.25 on even
+    stride-1 maps, where ``n_tiles = out_h * out_w / 4``).
+
+    Kept for the frozen end-to-end probe
+    (``benchmarks/e2e/probes.py::nn_probes``) only; no conv layer runs
+    the Winograd lowering (:mod:`repro.nn.winograd`).
+    """
     return (kernel * kernel * out_h * out_w) / (16.0 * n_tiles)
-
-
-def winograd_ot_count(scheme: FragmentScheme, c_in: int, c_out: int) -> int:
-    """OT executions for one winograd conv layer's offline phase.
-
-    The grouped product stacks 16 tile-point blocks of ``(c_out, c_in)``
-    transformed weights, and each transformed entry decomposes under the
-    *transformed-weight* scheme (``repro.quant.headroom.winograd_scheme``
-    of the layer scheme) — so this is :func:`abnn2_ot_count` at
-    ``m = 16 c_out``, ``n = c_in``.  Note the per-OT *gamma* of the
-    widened scheme usually exceeds the raw scheme's, so the OT count can
-    grow even as triplet elements (and the per-OT message payload) shrink 2.25x.
-    """
-    return abnn2_ot_count(scheme, 16 * c_out, c_in)
-
-
-def winograd_comm_bits(
-    scheme: FragmentScheme,
-    c_in: int,
-    c_out: int,
-    n_tiles: int,
-    batch: int,
-    ring_bits: int,
-) -> int:
-    """Offline triplet traffic of one winograd conv layer.
-
-    Exactly :func:`abnn2_comm_bits` at the grouped shape
-    ``m = 16 c_out``, ``n = c_in``, ``o = batch * n_tiles``: the wire
-    protocol is unchanged, only the (public) dimensions and fragment
-    scheme differ, so trace conformance stays byte-exact.
-    """
-    return abnn2_comm_bits(scheme, 16 * c_out, c_in, batch * n_tiles, ring_bits)
 
 
 def share_frame_bits(count: int, ring_bits: int) -> int:
@@ -230,28 +182,24 @@ def _matmul_intermediate_words(m: int, n: int, cols: int) -> int:
     return rows * n * cols
 
 
-def lowered_operand_bytes(
-    n: int, total_cols: int, groups: int = 1, word_bytes: int = WORD_BYTES
-) -> int:
+def lowered_operand_bytes(n: int, total_cols: int, word_bytes: int = WORD_BYTES) -> int:
     """Bytes of one layer's fully-materialized lowered operand.
 
-    The share matrix the linear engines consume is ``(groups * n,
-    total_cols)`` int64 — ``n`` is the per-group operand rows
-    (``patch_len`` for im2col, ``c_in`` per tile point for winograd,
+    The share matrix the linear engines consume is ``(n, total_cols)``
+    int64 — ``n`` is the operand rows (``patch_len`` for im2col,
     ``in_features`` for dense) and ``total_cols`` is ``batch *
-    n_positions`` / ``batch * n_tiles`` / ``batch``.  This is the
-    allocation the chunked path (``Im2colSpec.chunk_cols``) avoids.
+    n_positions`` / ``batch``.  This is the allocation the chunked path
+    (``Im2colSpec.chunk_cols``) avoids.
     """
-    if min(n, groups) < 1 or total_cols < 0:
+    if n < 1 or total_cols < 0:
         raise ConfigError("operand dimensions must be positive")
-    return groups * n * total_cols * word_bytes
+    return n * total_cols * word_bytes
 
 
 def linear_working_set_bytes(
     m: int,
     n: int,
     total_cols: int,
-    groups: int = 1,
     chunk_cols: int | None = None,
     word_bytes: int = WORD_BYTES,
 ) -> int:
@@ -259,30 +207,27 @@ def linear_working_set_bytes(
     one layer, excluding persistent state (weights, the banked ``U``,
     the accumulated output share).
 
-    Unchunked, the pass materializes the whole lowered operand
-    (``groups n`` rows), the product (``groups m`` rows) and the summed
-    output (``groups m`` rows) at full width: ``total_cols * groups *
-    (n + 2m)`` words.  Chunked at ``c = min(chunk_cols, total_cols)``
-    columns, each block holds the lowered block, the product, the sum
-    *and* a copy of the served ``U`` columns (block reads may
-    concatenate across bank blocks): ``c * groups * (n + 3m)`` words.
-    Both forms add the row-chunked expansion transient of
-    ``Ring.matmul`` at the block's column count (the groups run
-    sequentially, so one group's expansion is live at a time).  The
-    ratio to :func:`lowered_operand_bytes` is what the big-model
+    Unchunked, the pass materializes the whole lowered operand (``n``
+    rows), the product (``m`` rows) and the summed output (``m`` rows)
+    at full width: ``total_cols * (n + 2m)`` words.  Chunked at ``c =
+    min(chunk_cols, total_cols)`` columns, each block holds the lowered
+    block, the product, the sum *and* a copy of the served ``U`` columns
+    (block reads may concatenate across bank blocks): ``c * (n + 3m)``
+    words.  Both forms add the row-chunked expansion transient of
+    ``Ring.matmul`` at the block's column count.  The ratio to :func:`lowered_operand_bytes` is what the big-model
     benchmark's RSS gate measures end to end.
     """
-    if min(m, n, groups) < 1 or total_cols < 0:
+    if min(m, n) < 1 or total_cols < 0:
         raise ConfigError("matmul dimensions must be positive")
     if chunk_cols is None or chunk_cols >= total_cols:
         return word_bytes * (
-            total_cols * groups * (n + 2 * m)
+            total_cols * (n + 2 * m)
             + _matmul_intermediate_words(m, n, total_cols)
         )
     if chunk_cols < 1:
         raise ConfigError("chunk_cols must be positive")
     return word_bytes * (
-        chunk_cols * groups * (n + 3 * m)
+        chunk_cols * (n + 3 * m)
         + _matmul_intermediate_words(m, n, chunk_cols)
     )
 

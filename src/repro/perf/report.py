@@ -286,16 +286,12 @@ def memory_rows(trace: dict[str, Any]) -> list[MemoryRow]:
             rows.append(MemoryRow(path, detail, measured, predicted, None, kind, bound))
             previous = predicted
             continue
-        if all(key in attrs for key in ("m", "n", "o", "groups")):
+        if all(key in attrs for key in ("m", "n", "o")):
             m, n, o = attrs["m"], attrs["n"], attrs["o"]
-            groups = attrs["groups"]
             chunk = attrs.get("chunk_cols")
-            predicted = linear_working_set_bytes(m, n, o, groups, chunk)
-            operand = lowered_operand_bytes(n, o, groups)
-            detail = (
-                f"m={m} n={n} o={o} groups={groups} "
-                f"chunk={'-' if chunk is None else chunk}"
-            )
+            predicted = linear_working_set_bytes(m, n, o, chunk)
+            operand = lowered_operand_bytes(n, o)
+            detail = f"m={m} n={n} o={o} chunk={'-' if chunk is None else chunk}"
         rows.append(MemoryRow(path, detail, measured, predicted, operand, kind))
     return rows
 

@@ -1,4 +1,4 @@
-"""Ring-headroom accounting: layer widths and Winograd convolution.
+"""Ring-headroom accounting: the public width of every linear layer.
 
 :func:`relu_widths` is one closed-form pass over a model's integer
 weights that bounds every linear layer's output ``y = W z + b`` from the
@@ -6,26 +6,6 @@ public input domain :data:`INPUT_BOUND`: the width ``m`` with
 ``|y| < 2^(m-1)`` that the GC ReLU needs (:mod:`repro.core.relu`) and
 the ring ``Z_(2^m)`` the layer's triplets and shares can live in.  No
 data pass: the bound is interval arithmetic on that domain.
-
-The F(2x2,3x3) backend (:mod:`repro.nn.winograd`) multiplies in the
-*tile-transform domain*, where both operands grow beyond their quantized
-ranges:
-
-* **Weights** pass through ``G2 g G2^T`` with ``G2 = 2G`` integer; the
-  worst row L1 norm of ``G2 (x) G2`` is ``3 * 3 = 9``, so a scheme whose
-  weights live in ``[lo, hi]`` produces transformed weights bounded by
-  ``9 * max(|lo|, |hi|)``.  The secure dot products therefore run on a
-  *derived* fragment scheme wide enough for that range —
-  :func:`winograd_scheme`.  The derivation is a pure function of the
-  public scheme (never of the actual weights), so using it leaks nothing.
-* **Activations** pass through ``B^T d B`` with row L1 norms <= 2 per
-  1-D pass, i.e. a 2-D tile gain of up to ``4``; and the output
-  transform sums up to ``16`` tile products (with the uniform scale 4
-  the ``G2`` convention introduces).  :func:`check_winograd_headroom`
-  refuses the backend unless the ring leaves
-  ``log2(16 * max_tile_gain) = 6`` slack bits above the layer's
-  plaintext accumulator width — the condition under which the exact
-  share-local division by 4 (and every intermediate) cannot overflow.
 """
 
 from __future__ import annotations
@@ -33,9 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from repro.errors import ConfigError
-from repro.quant.fragments import FragmentScheme
 
 #: The public input domain ``|x| <= INPUT_BOUND`` every model is quantized
 #: for (the zoo's, the datasets' and the benchmark's inputs lie in
@@ -84,60 +61,3 @@ def relu_widths(
         bound = (accumulator >> shift) + (1 if pooled else 0)
     return widths
 
-
-#: Worst-case 2-D input-tile gain: max row L1 of ``B^T (x) B^T`` (2 * 2).
-WINOGRAD_MAX_TILE_GAIN = 4
-
-#: Tile products per output tile in F(2x2,3x3).
-WINOGRAD_TILE_POINTS = 16
-
-#: Worst-case growth of a transformed weight: max row L1 of ``G2 (x) G2``.
-WINOGRAD_WEIGHT_GAIN = 9
-
-#: Slack bits the backend demands: ``ceil(log2(16 * max_tile_gain))``.
-WINOGRAD_SLACK_BITS = math.ceil(math.log2(WINOGRAD_TILE_POINTS * WINOGRAD_MAX_TILE_GAIN))
-
-
-def winograd_scheme(scheme: FragmentScheme) -> FragmentScheme:
-    """The fragment scheme the Winograd tile products decompose over.
-
-    Transformed weights ``G2 g G2^T`` span ``[-9M, 9M]`` for a base
-    scheme with weights in ``[-M, M]``-ish ranges; the derived scheme is
-    the narrowest signed 2-bit-radix decomposition covering that.  Being
-    derived from the (public) base scheme only, both parties compute it
-    independently and identically.
-    """
-    lo, hi = scheme.weight_range
-    bound = WINOGRAD_WEIGHT_GAIN * max(abs(lo), abs(hi))
-    if bound < 1:
-        raise ConfigError(f"scheme {scheme.name!r} has an empty weight range")
-    # Smallest eta' with [-2^(eta'-1), 2^(eta'-1) - 1] covering [-bound, bound].
-    eta = bound.bit_length() + 1
-    widths = (2,) * (eta // 2) + ((1,) if eta % 2 else ())
-    return FragmentScheme.from_bits(widths, signed=True)
-
-
-def check_winograd_headroom(
-    ring_bits: int,
-    scheme: FragmentScheme,
-    in_channels: int,
-    frac_bits: int,
-) -> None:
-    """Refuse the Winograd backend when the ring cannot absorb the gains.
-
-    The accumulator of one tile product sums ``in_channels`` transformed
-    products of an ``eta'``-bit weight with a ``frac_bits``-scaled
-    activation; on top of that the backend needs
-    :data:`WINOGRAD_SLACK_BITS` bits for the input-tile gain, the output
-    transform's 16-term sums, and one sign bit.
-    """
-    wino = winograd_scheme(scheme)
-    accum_bits = wino.eta + frac_bits + math.ceil(math.log2(max(2, in_channels)))
-    needed = accum_bits + WINOGRAD_SLACK_BITS + 1
-    if ring_bits < needed:
-        raise ConfigError(
-            f"winograd backend needs {needed} ring bits for scheme "
-            f"{scheme.name!r} (transformed eta={wino.eta}, frac_bits="
-            f"{frac_bits}, C_in={in_channels}, slack={WINOGRAD_SLACK_BITS}) "
-            f"but the ring has {ring_bits}; use im2col or widen the ring"
-        )

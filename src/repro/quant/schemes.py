@@ -56,16 +56,23 @@ def quantize_symmetric(
 
     The scale is constrained to a power of two (``2**-shift``) so the
     secure pipeline can undo it with an exact shift inside the GC ReLU.
+    A scheme with no positive weight (signed 1-bit: ``[-1, 0]``) is
+    refused: it cannot carry a symmetric grid.
     """
-    w = np.asarray(weights, dtype=np.float64)
     lo, hi = scheme.weight_range
     if lo >= 0:
         raise QuantizationError(
             f"scheme {scheme.name} is unsigned; use quantize_binary instead"
         )
-    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
     # Use the symmetric part of the range so +max and -max both fit.
     bound = min(hi, -lo - 1) if -lo - 1 >= 1 else hi
+    if bound < 1:
+        raise QuantizationError(
+            f"scheme {scheme.name} has no positive weight (range [{lo}, {hi}]); "
+            "use the 'binary' or 'ternary' scheme for 1- or 2-level weights"
+        )
+    w = np.asarray(weights, dtype=np.float64)
+    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
     if max_abs > 0:
         # Largest power of two with round(w * 2^shift) still within bound.
         shift = int(np.floor(np.log2(bound / max_abs)))

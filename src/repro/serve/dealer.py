@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.matmul import grouped_product
 from repro.core.offline import OfflineRound, ServerHalf, chain_operands
 from repro.core.protocol import ModelMeta, layer_triplet_config
 from repro.core.triplets import BlockedShare
@@ -57,14 +56,12 @@ def dealer_offline_round(
 
     def deal_linear(idx, layer, ring, operand):
         config = layer_triplet_config(ring, layer, batch, group=group)
-        w = ring.reduce(layer.weights(model.layers[idx].w_int))
+        w = ring.reduce(model.layers[idx].w_int)
         u_parts: list[np.ndarray] = []
         v_parts: list[np.ndarray] = []
         for lo, hi in column_blocks(config.o, layer.chunk_cols):
-            v_blk = ring.sample(rng, (config.rows, hi - lo))
-            prod = grouped_product(
-                ring, w, layer.lower(ring, operand, lo, hi), config.m, config.n, config.groups
-            )
+            v_blk = ring.sample(rng, (config.m, hi - lo))
+            prod = ring.matmul(w, layer.lower(ring, operand, lo, hi))
             u_parts.append(ring.sub(prod, v_blk))
             v_parts.append(v_blk)
         if len(u_parts) == 1:

@@ -53,10 +53,9 @@ def model_fingerprint(model: QuantizedModel) -> str:
 
     Covers ring width, fixed-point scaling, every layer's ring
     (:meth:`~repro.core.protocol.ModelMeta.layer_ring`), and every
-    layer's scheme, truncation, linear backend, weights, and biases —
-    anything that changes the triplet material or the shares' meaning, so
-    a bank dealt before the per-layer rings is refused.  The backend
-    component is appended only for non-default backends.
+    layer's scheme, truncation, weights, and biases — anything that
+    changes the triplet material or the shares' meaning, so a bank dealt
+    before the per-layer rings is refused.
     """
     meta = ModelMeta.from_model(model)
     rings = ",".join(str(meta.layer_ring(idx).bits) for idx in range(len(meta.layers)))
@@ -64,8 +63,6 @@ def model_fingerprint(model: QuantizedModel) -> str:
     h.update(f"ring={model.ring.bits};frac={model.encoder.frac_bits};rings={rings};".encode())
     for layer in model.layers:
         h.update(f"{layer.scheme.name};t={layer.truncate_bits};".encode())
-        if layer.backend != "im2col":
-            h.update(f"backend={layer.backend};".encode())
         h.update(np.ascontiguousarray(layer.w_int, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(layer.bias_int, dtype=np.int64).tobytes())
     return h.hexdigest()

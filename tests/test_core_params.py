@@ -225,7 +225,7 @@ class TestOneSplitPerLayer:
         meta = ModelMeta.from_model(qmodel)
         batch = 4
         expected = [
-            [f.n_values for f in wire_split(layer.ot_scheme, batch, meta.layer_ring(i).bits).fragments]
+            [f.n_values for f in wire_split(layer.scheme, batch, meta.layer_ring(i).bits).fragments]
             for i, layer in enumerate(meta.layers)
         ]
         assert [2] * 8 in expected  # some layer is re-split at this batch

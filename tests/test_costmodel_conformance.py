@@ -165,168 +165,6 @@ class TestTripletConformance:
             )
 
 
-class TestWinogradConformance:
-    """The grouped winograd triplet draw vs its dedicated closed forms.
-
-    The acceptance bar is *zero slack*: the word-padding band is exactly
-    computable, so traced core bytes must equal ``winograd_comm_bits``
-    plus the derived word-padding constant — no tolerance.
-    """
-
-    @staticmethod
-    def _wino_model():
-        from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
-        from repro.nn.model import Sequential
-        from repro.nn.quantize import quantize_model
-        from repro.quant.fragments import FragmentScheme
-
-        net = Sequential(
-            [
-                Conv2d(1, 2, kernel_size=3, seed=0),
-                ReLU(),
-                Flatten(),
-                Dense(2 * 6 * 6, 3, seed=1),
-            ]
-        )
-        return quantize_model(
-            net,
-            FragmentScheme.ternary(),
-            Ring(32),
-            frac_bits=6,
-            input_shape=(1, 8, 8),
-            linear_backend="winograd",
-        )
-
-    def test_traced_grouped_bytes_match_closed_form(self, test_group, rng):
-        from repro.core.protocol import ModelMeta, layer_triplet_config
-        from repro.nn.winograd import transform_weights
-        from repro.perf.costmodel import winograd_comm_bits
-
-        qm = self._wino_model()
-        meta = ModelMeta.from_model(qm)
-        layer_meta = meta.layers[0]
-        assert layer_meta.backend == "winograd"
-        layer, ring, batch = qm.layers[0], qm.ring, 2
-        oc = layer.w_int.shape[0]
-        config = layer_triplet_config(ring, layer_meta, batch, group=test_group)
-        wspec = layer_meta.wino
-        assert config.groups == 16
-        assert config.rows == 16 * oc
-        assert config.o == batch * wspec.n_tiles
-        w = transform_weights(wspec, layer.w_int)
-        r = ring.sample(rng, config.r_shape)
-        attrs = dict(
-            m=config.rows,
-            n=config.n,
-            o=config.o,
-            ring_bits=ring.bits,
-            frag_n_values=[frag.n_values for frag in config.scheme.fragments],
-            groups=config.groups,
-            backend="winograd",
-        )
-        traces = {}
-
-        def server_fn(chan):
-            tracer = Tracer("server")
-            chan.tracer = tracer
-            with tracer.span("offline/layer0/triplets", **attrs):
-                u = generate_triplets_server(chan, w, config, seed=3)
-            traces["server"] = tracer.to_dict()
-            return u
-
-        def client_fn(chan):
-            tracer = Tracer("client")
-            chan.tracer = tracer
-            with tracer.span("offline/layer0/triplets", **attrs):
-                v = generate_triplets_client(
-                    chan, r, config, np.random.default_rng(4), seed=5
-                )
-            traces["client"] = tracer.to_dict()
-            return v
-
-        result = run_protocol(server_fn, client_fn)
-        # correctness of the block-diagonal product
-        got = ring.add(result.server, result.client)
-        for g in range(16):
-            blk = ring.matmul(
-                ring.reduce(w[g * oc : (g + 1) * oc]),
-                r[g * config.n : (g + 1) * config.n],
-            )
-            assert (got[g * oc : (g + 1) * oc] == blk).all()
-        expected_bits = winograd_comm_bits(
-            config.scheme,
-            wspec.in_channels,
-            oc,
-            wspec.n_tiles,
-            batch,
-            ring.bits,
-        )
-        for party, trace in traces.items():
-            rows = [row for row in conformance_rows(trace) if row.kind == "triplets"]
-            assert len(rows) == 1, party
-            row = rows[0]
-            assert row.predicted_bits == expected_bits
-            assert row.ok is True, (
-                f"{party}: core {row.core_bits} bits vs predicted "
-                f"{row.predicted_bits} ({row.detail})"
-            )
-            # zero-width band: byte-exact, no tolerance
-            assert row.slack_min_bits == row.slack_max_bits
-            assert row.core_bits == row.predicted_bits + row.slack_min_bits
-            assert check_conformance(trace) == []
-
-    def test_element_and_ot_closed_forms(self):
-        from repro.core.protocol import ModelMeta, layer_triplet_config
-        from repro.perf.costmodel import (
-            abnn2_comm_bits,
-            abnn2_ot_count,
-            conv_triplet_elements_im2col,
-            conv_triplet_elements_winograd,
-            winograd_comm_bits,
-            winograd_ot_count,
-            winograd_reduction_ratio,
-        )
-
-        qm = self._wino_model()
-        meta = ModelMeta.from_model(qm)
-        layer_meta = meta.layers[0]
-        wspec, ispec = layer_meta.wino, layer_meta.conv
-        oc, batch = qm.layers[0].w_int.shape[0], 4
-        config = layer_triplet_config(Ring(32), layer_meta, batch)
-        # the drawn triplet elements are exactly the winograd closed form
-        elems_wino = config.rows * config.n * config.o
-        assert elems_wino == conv_triplet_elements_winograd(
-            wspec.in_channels, oc, wspec.n_tiles, batch
-        )
-        elems_im2col = conv_triplet_elements_im2col(
-            ispec.in_channels, oc, ispec.out_h, ispec.out_w, batch
-        )
-        ratio = winograd_reduction_ratio(ispec.out_h, ispec.out_w, wspec.n_tiles)
-        assert elems_im2col / elems_wino == ratio == 2.25
-        # OT and comm closed forms are the grouped-shape abnn2 forms
-        assert winograd_ot_count(config.scheme, wspec.in_channels, oc) == (
-            abnn2_ot_count(config.scheme, config.rows, config.n)
-        )
-        assert winograd_comm_bits(
-            config.scheme, wspec.in_channels, oc, wspec.n_tiles, batch, 32
-        ) == abnn2_comm_bits(
-            config.scheme, 16 * oc, wspec.in_channels, batch * wspec.n_tiles, 32
-        )
-
-    def test_secure_predict_winograd_traces_conform(self, test_group):
-        from repro.core.protocol import secure_predict
-
-        qm = self._wino_model()
-        x = np.random.default_rng(3).uniform(0, 1, size=(2, 64))
-        report = secure_predict(qm, x, group=test_group, seed=11)
-        for trace in (report.server_trace, report.client_trace):
-            assert trace is not None
-            rows = conformance_rows(trace)
-            assert sum(row.kind == "triplets" for row in rows) == len(qm.layers)
-            assert all(row.ok is True for row in rows if row.predicted_bits is not None)
-            assert check_conformance(trace) == []
-
-
 def _traced_relu(ring, y, z1, variant, group, width=None, shift=0):
     rng = np.random.default_rng(5)
     y1 = ring.sample(rng, y.shape)
@@ -495,7 +333,7 @@ class TestSetupConformance:
         c_max = max(
             code_length(frag.n_values)
             for layer in ModelMeta.from_model(qmodel).layers
-            for frag in layer.ot_scheme.fragments
+            for frag in layer.scheme.fragments
         )
         report = secure_predict(qmodel, small_dataset.test_x[:1], group=test_group, seed=3)
         for trace in (report.server_trace, report.client_trace):

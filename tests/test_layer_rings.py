@@ -2,8 +2,7 @@
 
 :meth:`repro.core.protocol.ModelMeta.layer_ring` maps layer ``i`` to
 ``Z_(2^m_i)`` (``m_i`` from :func:`repro.quant.headroom.relu_widths`),
-except a winograd layer and a layer after an average pool, which keep
-the model ring.  Reduction mod ``2^m`` is a ring homomorphism, so the
+except a layer after an average pool, which keeps the model ring.  Reduction mod ``2^m`` is a ring homomorphism, so the
 secure logits still equal ``forward_int``: one-shot and served, dense
 and chunked conv (a pooled model, whose pool rounds share-locally, gives
 the logits it gives in the model ring); and every span is priced at its
@@ -141,14 +140,3 @@ class TestConv:
         narrow_logits = secure_predict(qmodel, x, group=test_group, seed=0).logits_int
         wide_logits = secure_predict(wide, x, group=test_group, seed=0).logits_int
         assert (narrow_logits == wide_logits).all()
-
-    def test_winograd_layers_keep_the_model_ring(self):
-        qmodel = quantize_model(
-            vgg_cifar(base=2, side=12), FragmentScheme.from_bits((2, 2)), Ring(32),
-            input_shape=(3, 12, 12), linear_backend="winograd",
-        )
-        for idx, (layer, bits) in enumerate(zip(qmodel.layers, _rings(qmodel))):
-            if layer.backend == "winograd" or qmodel.layers[idx - 1].pool is not None:
-                assert bits == 32
-            else:
-                assert bits == layer.relu_bits < 32

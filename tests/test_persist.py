@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.protocol import ModelMeta
+from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta
 from repro.errors import ConfigError
 from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
-from repro.nn.model import Sequential
+from repro.net import run_protocol
+from repro.nn.model import Sequential, vgg_cifar
 from repro.nn.persist import (
     load_meta,
     load_model,
@@ -20,6 +21,8 @@ from repro.nn.persist import (
 )
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
+from repro.serve.dealer import dealer_offline_round
+from repro.serve.persist import load_bank, model_fingerprint, save_bank
 from repro.utils.ring import Ring
 
 
@@ -243,3 +246,89 @@ class TestMalformedFiles:
             with pytest.raises(ConfigError, match=re.escape(str(path))) as info:
                 load(path)
             assert "'max' pooling is not supported" in str(info.value)
+
+
+class TestWinogradEraFiles:
+    """Format-3 files written while a Winograd conv backend existed carry
+    a per-layer ``"backend"`` key.  Weights were stored in im2col patch
+    form under every backend, so the key is ignored and the files load
+    as im2col models."""
+
+    def test_backend_key_is_ignored(self, tmp_path, rng, test_group):
+        net = Sequential(
+            [Conv2d(1, 2, kernel_size=3, seed=1), ReLU(), Flatten(), Dense(2 * 36, 4, seed=2)]
+        )
+        qm = quantize_model(
+            net, FragmentScheme.from_bits((2, 2)), Ring(32), frac_bits=6, input_shape=(1, 8, 8)
+        )
+        conv = {"in_channels": 1, "height": 8, "width": 8, "kernel": 3, "stride": 1}
+
+        def layer_doc(layer, backend):
+            return {
+                "scheme": scheme_to_dict(layer.scheme),
+                "truncate_bits": layer.truncate_bits,
+                "conv": conv if layer.conv else None,
+                "pool": None,
+                "backend": backend,
+                "relu_bits": layer.relu_bits,
+            }
+
+        backends = ("winograd", "im2col")
+        manifest = {
+            "format_version": 3, "ring_bits": 32, "frac_bits": 6,
+            "output_deferral": qm.output_deferral,
+            "layers": [
+                dict(layer_doc(layer, b), scale=layer.weights.scale, shift=layer.weights.shift)
+                for layer, b in zip(qm.layers, backends)
+            ],
+        }
+        arrays = {"manifest": np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)}
+        for idx, layer in enumerate(qm.layers):
+            arrays[f"w{idx}"] = layer.w_int
+            arrays[f"b{idx}"] = layer.bias_int
+        bundle = tmp_path / "model.npz"
+        with open(bundle, "wb") as fh:
+            np.savez(fh, **arrays)
+        meta_doc = {
+            "format_version": 3, "ring_bits": 32, "frac_bits": 6,
+            "layers": [
+                dict(layer_doc(layer, b), out_features=layer.out_features,
+                     in_features=layer.in_features)
+                for layer, b in zip(qm.layers, backends)
+            ],
+        }
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(json.dumps(meta_doc, indent=2))
+
+        model, meta = load_model(bundle), load_meta(meta_path)
+        x_ring = model.encoder.encode(rng.uniform(0, 1, size=(2, 64)).T)
+        expected = qm.forward_int(x_ring)
+        assert (model.forward_int(x_ring) == expected).all()
+
+        def server_fn(chan):
+            server = Abnn2Server(chan, model, 2, group=test_group, seed=1)
+            server.offline()
+            server.online()
+
+        def client_fn(chan):
+            client = Abnn2Client(chan, meta, 2, group=test_group, seed=2)
+            client.offline()
+            return client.online(x_ring)
+
+        logits = run_protocol(server_fn, client_fn).client
+        assert (logits == expected).all()
+
+    def test_im2col_bank_keeps_its_fingerprint(self, tmp_path):
+        """The fingerprint had a backend component for Winograd layers
+        only, so a bank saved for an im2col model still loads."""
+        qm = quantize_model(
+            vgg_cifar(base=2, side=12), FragmentScheme.from_bits((2, 2)), Ring(32),
+            input_shape=(3, 12, 12),
+        )
+        # The digest a bank saved for this model before the change records.
+        saved_fp = "8d421faf280108f46da309e2e7216e7df0908670c778875efc65dbcd986967b7"
+        path = tmp_path / "bank.npz"
+        save_bank(path, fingerprint=saved_fp, batch=1, rounds=[dealer_offline_round(qm, 1, seed=3)])
+        rounds, _ = load_bank(path, fingerprint=model_fingerprint(qm), batch=1)
+        assert len(rounds) == 1
+

@@ -134,6 +134,33 @@ class TestQuantizers:
         assert (q.ints == 0).all()
 
 
+class TestSignedOneBitScheme:
+    """Signed 1-bit covers ``[-1, 0]``: no positive weight, so no
+    symmetric grid.  It is refused with a typed error that names the
+    schemes which do carry 1- and 2-level weights."""
+
+    def test_quantize_refuses_before_arithmetic(self, rng):
+        from repro.nn.model import mnist_mlp
+        from repro.nn.quantize import quantize_model
+
+        scheme = FragmentScheme.from_bits((1,))
+        with pytest.raises(QuantizationError, match="'binary' or 'ternary'"):
+            quantize_for_scheme(rng.normal(size=(3, 4)), scheme)
+        with pytest.raises(QuantizationError, match="'binary' or 'ternary'"):
+            quantize_model(mnist_mlp(hidden=4, input_dim=8, classes=2), scheme, Ring(32))
+
+    def test_cli_train_refuses_before_training(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "m.npz"
+        assert main(["train", "--out", str(out), "--scheme", "1(1)", "--epochs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "training" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "'binary'" in err[0] and "'ternary'" in err[0]
+        assert not out.exists()
+
+
 class TestFixedPoint:
     def test_roundtrip(self, ring32):
         enc = FixedPointEncoder(ring32, 8)

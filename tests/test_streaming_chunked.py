@@ -4,7 +4,7 @@ Chunking (``Im2colSpec.chunk_cols``) is a *local* execution strategy:
 columns of the lowered operand are independent and the ring arithmetic
 is exact, so any column partition must produce byte-identical shares,
 values and secure logits.  The sweeps here pin that across chunk sizes
-{1, 7, an exact divisor, > n_positions} x backends {im2col, winograd}.
+{1, 7, an exact divisor, > n_positions}.
 
 Default geometry is reduced (tier-1 budget); set ``ABNN2_SERVE_SOAK=1``
 for the full sweep the CI soak leg runs.
@@ -17,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.matmul import SecureMatmulServer, grouped_product
+from repro.core.matmul import SecureMatmulServer
 from repro.core.protocol import ModelMeta, secure_predict
 from repro.core.triplets import BlockedShare
 from repro.errors import ConfigError
@@ -32,7 +32,6 @@ from repro.nn.lowering import (
 from repro.nn.model import Sequential, vgg_cifar, vgg_imagenet
 from repro.nn.data import synthetic_images
 from repro.nn.quantize import quantize_model, set_chunk_cols
-from repro.nn.winograd import WinogradSpec, lower_tiles, lower_tiles_block
 from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
 from repro.utils.ring import Ring
 
@@ -54,14 +53,13 @@ def _conv_net():
     )
 
 
-def _quantize(backend: str, chunk=None):
+def _quantize(chunk=None):
     return quantize_model(
         _conv_net(),
         TABLE2_SCHEMES["4(2,2)"],
         Ring(32),
         frac_bits=5,
         input_shape=(2, 6, 6),
-        linear_backend=backend,
         chunk_cols=chunk,
     )
 
@@ -93,19 +91,6 @@ class TestBlockLowering:
         total = batch * spec.n_positions
         parts = [
             lower_shares_block(spec, act, lo, hi)
-            for lo, hi in column_blocks(total, chunk)
-        ]
-        assert (np.concatenate(parts, axis=1) == full).all()
-
-    @pytest.mark.parametrize("chunk", [1, 5, 9, 1000])
-    def test_winograd_blocks_equal_full(self, rng, ring32, chunk):
-        spec = WinogradSpec.from_im2col(Im2colSpec(2, 6, 6, 3, 1))
-        batch = 2
-        act = ring32.sample(rng, (2 * 6 * 6, batch))
-        full = lower_tiles(spec, act, ring32)
-        total = batch * spec.n_tiles
-        parts = [
-            lower_tiles_block(spec, act, ring32, lo, hi)
             for lo, hi in column_blocks(total, chunk)
         ]
         assert (np.concatenate(parts, axis=1) == full).all()
@@ -173,7 +158,7 @@ class TestOverflowGuards:
 # engine-level: online_block == online columns
 # --------------------------------------------------------------------- #
 class TestEngineBlocks:
-    def _engine(self, rng, ring, m=3, n=4, o=11, groups=1):
+    def _engine(self, rng, ring, m=3, n=4, o=11):
         from repro.core.triplets import TripletConfig
 
         config = TripletConfig(
@@ -183,11 +168,10 @@ class TestEngineBlocks:
             n=n,
             o=o,
             group=None,
-            groups=groups,
         )
-        w = ring.sample(rng, (groups * m, n))
+        w = ring.sample(rng, (m, n))
         engine = SecureMatmulServer(None, w, config)
-        u = ring.sample(rng, (groups * m, o))
+        u = ring.sample(rng, (m, o))
         engine.preload(u)
         return engine, config, u
 
@@ -201,16 +185,6 @@ class TestEngineBlocks:
                 for lo, hi in column_blocks(config.o, chunk)
             ]
             assert (np.concatenate(parts, axis=1) == full).all()
-
-    def test_online_block_grouped(self, rng, ring32):
-        engine, config, _u = self._engine(rng, ring32, m=2, n=3, o=9, groups=4)
-        z0 = ring32.sample(rng, config.r_shape)
-        full = engine.online(z0)
-        parts = [
-            engine.online_block(z0[:, lo:hi], lo, hi)
-            for lo, hi in column_blocks(config.o, 4)
-        ]
-        assert (np.concatenate(parts, axis=1) == full).all()
 
     def test_online_block_validates(self, rng, ring32):
         engine, config, _u = self._engine(rng, ring32)
@@ -232,14 +206,13 @@ class TestEngineBlocks:
 # protocol-level: secure logits byte-identical across chunkings
 # --------------------------------------------------------------------- #
 class TestSecureEquivalence:
-    @pytest.mark.parametrize("backend", ["im2col", "winograd"])
-    def test_chunked_logits_byte_identical(self, backend, test_group):
+    def test_chunked_logits_byte_identical(self, test_group):
         rng = np.random.default_rng(77)
         x = rng.random((2, 2 * 6 * 6))
         baseline = None
         chunks = CHUNKS + [4, 16] if SOAK else CHUNKS
         for chunk in chunks:
-            model = _quantize(backend, chunk)
+            model = _quantize(chunk)
             report = secure_predict(model, x, group=test_group, seed=21)
             if baseline is None:
                 baseline = report.logits_int
@@ -274,8 +247,7 @@ class TestBigModelZoo:
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert set(np.unique(y)).issubset(set(range(4)))
 
-    @pytest.mark.parametrize("backend", ["im2col", "winograd"])
-    def test_zoo_headroom_and_forward(self, backend):
+    def test_zoo_headroom_and_forward(self):
         side = 16 if not SOAK else 32
         net = vgg_cifar(base=2, side=side)
         x, _y = synthetic_images(2, side=side, seed=3)
@@ -287,13 +259,10 @@ class TestBigModelZoo:
             Ring(32),
             frac_bits=5,
             input_shape=(3, side, side),
-            linear_backend=backend,
             chunk_cols=32,
         )
         conv_layers = [l for l in qm.layers if l.conv is not None]
         assert conv_layers and all(l.conv.chunk_cols == 32 for l in conv_layers)
-        if backend == "winograd":
-            assert any(l.backend == "winograd" for l in qm.layers)
 
     @pytest.mark.skipif(not SOAK, reason="full zoo equivalence needs ABNN2_SERVE_SOAK=1")
     def test_zoo_secure_chunked_equivalence_soak(self, test_group):
@@ -318,7 +287,7 @@ class TestBigModelZoo:
 # --------------------------------------------------------------------- #
 class TestChunkPlumbing:
     def test_set_chunk_cols_shares_weights(self):
-        qm = _quantize("im2col")
+        qm = _quantize()
         qc = set_chunk_cols(qm, 9)
         convs = [l for l in qc.layers if l.conv is not None]
         assert convs and all(l.conv.chunk_cols == 9 for l in convs)
@@ -331,7 +300,7 @@ class TestChunkPlumbing:
     def test_persist_roundtrip_keeps_chunk_cols(self, tmp_path):
         from repro.nn.persist import load_meta, load_model, save_meta, save_model
 
-        qc = _quantize("im2col", chunk=5)
+        qc = _quantize(chunk=5)
         save_model(tmp_path / "m.npz", qc)
         loaded = load_model(tmp_path / "m.npz")
         assert [l.conv.chunk_cols for l in loaded.layers if l.conv] == [5, 5]
@@ -346,7 +315,7 @@ class TestChunkPlumbing:
         from repro.nn.persist import save_meta
         import json
 
-        meta = ModelMeta.from_model(_quantize("im2col"))
+        meta = ModelMeta.from_model(_quantize())
         save_meta(tmp_path / "meta.json", meta)
         doc = json.loads((tmp_path / "meta.json").read_text())
         for info in doc["layers"]:

@@ -138,7 +138,6 @@ class TestRssCounters:
 class TestWorkingSetModel:
     def test_operand_bytes(self):
         assert lowered_operand_bytes(18, 72) == 18 * 72 * WORD_BYTES
-        assert lowered_operand_bytes(4, 10, groups=16) == 16 * 4 * 10 * WORD_BYTES
         with pytest.raises(ConfigError):
             lowered_operand_bytes(0, 10)
 

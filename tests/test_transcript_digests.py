@@ -87,7 +87,6 @@ PINNED = {
     "fig4_b8": ("f53b7764eb5831d6", "a367df650c5183f4"),
     "vgg_cifar_side12": ("f0be1ce09f5986fd", "69000875d3643cc6"),
     "vgg_cifar_side12_chunk7": ("f0be1ce09f5986fd", "69000875d3643cc6"),
-    "vgg_cifar_side12_winograd": ("42bb2821bc55c9f6", "fdccafe4062e677f"),
     "served_bank_keepalive": ("5deb31fbb51d426a", "733247cccc15bc37"),
     "secureml_triplets": ("1813590807647dbd", "2bda67427dfcb0de"),
     "quotient_triplets": ("7eadbebd1c974c7e", "e8f1b0a9cbbd0e36"),
@@ -194,7 +193,6 @@ RUNS = {
     ),
     "vgg_cifar_side12": _vgg_side12,
     "vgg_cifar_side12_chunk7": lambda: _vgg_side12(chunk_cols=7),
-    "vgg_cifar_side12_winograd": lambda: _vgg_side12(linear_backend="winograd"),
     "served_bank_keepalive": _served_bank_digests,
     "secureml_triplets": _secureml_digests,
     "quotient_triplets": _quotient_digests,
