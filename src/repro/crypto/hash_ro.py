@@ -12,7 +12,9 @@
 ``default_ro.mask(rows, out_words, domain)`` hashes each u64 row of
 ``rows`` into ``out_words`` uint64 output words, with ``domain`` giving
 protocol-level separation (e.g. OT instance indices live in the row
-itself; the domain separates sub-protocols).
+itself; the domain separates sub-protocols).  ``default_ro.pads`` is
+``mask`` of the OT extension's rows ``(row_i ^ offset_j) || index_i``,
+hashed without building them.
 """
 
 from __future__ import annotations
@@ -55,11 +57,41 @@ class _SipHashOracle:
         ``(..., out_words)``.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-        if out_words < 1:
-            raise CryptoError(f"out_words must be >= 1, got {out_words}")
-        if not 0 <= domain < 1 << 32:
-            raise CryptoError(f"domain must be in [0, 2**32), got {domain}")
+        _check(out_words, domain)
         return fastro.expand(rows, out_words, domain)
+
+    def pads(
+        self, rows: np.ndarray, offsets: np.ndarray, first: int, out_words: int,
+        domain: int = 0,
+    ) -> np.ndarray:
+        """OT-extension pads: ``(m, n_off, out_words)`` words, entry
+        ``[i, j]`` being ``mask`` of the row ``(rows[i] ^ offsets[j]) ||
+        first + i``, without building those rows.
+
+        ``rows`` is ``(m, words)`` and ``offsets`` ``(n_off, words)``; the
+        OT index ``first + i`` wraps mod ``2**64``.
+        """
+        rows = np.asarray(rows, dtype=np.uint64)
+        offsets = np.asarray(offsets, dtype=np.uint64)
+        _check(out_words, domain)
+        if (
+            rows.ndim != 2 or offsets.ndim != 2 or offsets.shape[1] != rows.shape[1]
+            or offsets.shape[0] < 1
+        ):
+            raise CryptoError(
+                f"pads need (m, words) rows and (n >= 1, words) offsets, got "
+                f"{rows.shape} and {offsets.shape}"
+            )
+        if not 0 <= first < 1 << 64:
+            raise CryptoError(f"first OT index must be in [0, 2**64), got {first}")
+        return fastro.pads(rows, offsets, first, out_words, domain)
+
+
+def _check(out_words: int, domain: int) -> None:
+    if out_words < 1:
+        raise CryptoError(f"out_words must be >= 1, got {out_words}")
+    if not 0 <= domain < 1 << 32:
+        raise CryptoError(f"domain must be in [0, 2**32), got {domain}")
 
 
 #: The one oracle: compiled kernel, numpy reference as its fallback.

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import codes
+from repro.crypto import codes, fastro
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
 from repro.crypto.hash_ro import default_ro
 from repro.crypto.otsetup import channel_setup, session_base_index
@@ -48,22 +48,12 @@ from repro.utils.bits import (
     concat_packed_rows,
     pack_bits_to_words,
     split_packed_rows,
-    transpose_packed,
     unpack_words_to_bits,
 )
 from repro.utils.rng import make_rng
 
 _U64 = np.uint64
 _ALL_ONES = _U64(0xFFFFFFFFFFFFFFFF)
-
-
-def _rows_with_index(packed_rows: np.ndarray, start_index: int) -> np.ndarray:
-    """Append the global OT index as an extra hash-input word per row."""
-    m, width = packed_rows.shape
-    out = np.empty((m, width + 1), dtype=_U64)
-    out[:, :width] = packed_rows
-    out[:, width] = np.arange(m, dtype=_U64) + _U64(start_index)
-    return out
 
 
 class _Kk13Session:
@@ -164,22 +154,12 @@ class Kk13Sender(_Kk13Session):
             q_cols = split_packed_rows(u_blob, self.code_bits, m)
             q_cols &= self._s_colmask
             q_cols ^= self._prg.packed_bits(m)
-            return transpose_packed(q_cols)[:m]
+            return fastro.transpose_packed(q_cols)[:m]
 
     def pads_at(self, q: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
-        """Pads ``(len(q), N, W)`` of the Q rows of OTs ``first, first+1, ...``."""
-        m = q.shape[0]
-        # One preallocated (m, N, c/64 + 1) hash-input tensor: q_i xor
-        # (C(j) & s) written straight into the first c/64 words, OT index
-        # in the last — no concatenate of broadcast temporaries.  One XOR
-        # per codeword beats one broadcast XOR at the N <= 16 the
-        # protocol runs.
-        words = self.code_bits // 64
-        rows = np.empty((m, self.n_values, words + 1), dtype=_U64)
-        for j, coded_s in enumerate(self._coded_s):
-            np.bitwise_xor(q, coded_s, out=rows[:, j, :words])
-        rows[:, :, words] = (np.arange(m, dtype=_U64) + _U64(first))[:, None]
-        return default_ro.mask(rows, width, domain)
+        """Pads ``(len(q), N, W)`` of the Q rows of OTs ``first, first+1, ...``:
+        pad ``j`` of OT ``i`` hashes ``(q_i xor (C(j) & s)) || first + i``."""
+        return default_ro.pads(q, self._coded_s, first, width, domain)
 
     def send_chosen(self, messages: np.ndarray, domain: int = 3) -> None:
         """Chosen-message mode: ``messages`` is ``(m, N, W)`` uint64, and
@@ -211,6 +191,7 @@ class Kk13Receiver(_Kk13Session):
         # precompute, per value, which columns it feeds.
         code_bits = unpack_words_to_bits(self._code_words, self.code_bits)
         self._code_col_idx = [np.nonzero(code_bits[v])[0] for v in range(n_values)]
+        self._zero_offset = np.zeros((1, self._code_words.shape[1]), dtype=_U64)
         self._prg0: BatchPrg | None = None
         self._prg1: BatchPrg | None = None
 
@@ -246,11 +227,12 @@ class Kk13Receiver(_Kk13Session):
                 u[col_idx] ^= pack_bits_to_words((b == v).view(np.uint8))[None, :]
             self.chan.send(concat_packed_rows(u, m))
             del u
-            return transpose_packed(t0)[:m]
+            return fastro.transpose_packed(t0)[:m]
 
     def pads_at(self, t: np.ndarray, first: int, width: int, domain: int) -> np.ndarray:
-        """Pads ``(len(t), W)`` of the T rows of OTs ``first, first+1, ...``."""
-        return default_ro.mask(_rows_with_index(t, first), width, domain)
+        """Pads ``(len(t), W)`` of the T rows of OTs ``first, first+1, ...``:
+        ``H(t_i || first + i)``, the sender's pad at a zero offset."""
+        return default_ro.pads(t, self._zero_offset, first, width, domain)[:, 0]
 
     def recv_chosen(self, choices, width: int, domain: int = 3) -> np.ndarray:
         """Chosen-message mode: recover message ``b_i`` per OT, ``(m, W)``."""

@@ -8,10 +8,12 @@ protocol relies on.  (As with the SipHash oracle, DESIGN.md records this
 as the performance substitution for an AES-CTR PRG.)
 
 :class:`BatchPrg` holds all kappa (or 2*kappa) column seeds of one
-OT-extension session in a single vectorized multi-key Philox4x64-10
-implementation and emits the whole word-packed column block in one call.
-Its byte streams are bit-for-bit identical to a ``list[Prg]`` driven
-column by column: ``Generator.integers(0, 256, dtype=uint8)`` over a
+OT-extension session and emits the whole word-packed column block in one
+call.  Its multi-key Philox4x64-10 runs in the compiled kernel of
+:mod:`repro.crypto.fastro`; the vectorized numpy :func:`_philox_blocks`
+is the reference and the fallback when the kernel cannot be built, with
+the same words.  Its byte streams are bit-for-bit identical to a
+``list[Prg]`` driven column by column: ``Generator.integers(0, 256, dtype=uint8)`` over a
 power-of-two range consumes the Philox output stream as little-endian
 bytes through a 32-bit buffer, and :class:`BatchPrg` replays exactly that
 consumption pattern (including the cached high half-word that survives
@@ -24,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.crypto import fastro
 from repro.errors import CryptoError
 
 _U64 = np.uint64
@@ -77,20 +80,6 @@ class Prg:
         if count % 64:
             out[-1] &= _U64((1 << (count % 64)) - 1)
         return out
-
-    def words(self, count: int) -> np.ndarray:
-        """``count`` pseudorandom uint64 words."""
-        if count < 0:
-            raise CryptoError("word count must be non-negative")
-        return self._gen.integers(0, 1 << 64, size=count, dtype=np.uint64)
-
-    def bytes(self, count: int) -> bytes:
-        return self._gen.integers(0, 256, size=count, dtype=np.uint8).tobytes()
-
-
-def expand_to_bits(seed_bytes: bytes, count: int) -> np.ndarray:
-    """One-shot helper: seed -> ``count`` bits."""
-    return Prg(seed_bytes).bits(count)
 
 
 # --------------------------------------------------------------------- #
@@ -228,6 +217,16 @@ def _philox_blocks_chunked(
     return out
 
 
+def _philox(key0: np.ndarray, key1: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Philox4x64-10 of every key over counters ``first, ...,
+    first + blocks - 1``, ``(K, 4 blocks)``: the compiled kernel when it
+    is loaded, else :func:`_philox_blocks_chunked` (the same words)."""
+    if fastro.kernel_active():
+        return fastro.philox(key0, key1, first, blocks)
+    counters = np.arange(first, first + blocks, dtype=_U64)
+    return _philox_blocks_chunked(key0, key1, counters)
+
+
 class BatchPrg:
     """All column PRGs of an OT-extension session, expanded in one shot.
 
@@ -284,10 +283,7 @@ class BatchPrg:
         ):
             # Aligned fast path (every power-of-two OT batch): the fresh
             # Philox words ARE the packed output — no byte shuffling.
-            counters = np.arange(
-                self._drawn64 // 4 + 1, (self._drawn64 + n64) // 4 + 1, dtype=_U64
-            )
-            out = _philox_blocks_chunked(self._key0, self._key1, counters)
+            out = _philox(self._key0, self._key1, self._drawn64 // 4 + 1, n64 // 4)
             self._drawn64 += n64
             return out
         buf = np.zeros((k, words * 8), dtype=np.uint8)
@@ -301,8 +297,7 @@ class BatchPrg:
         if n64:
             b0 = self._drawn64 // 4
             b1 = (self._drawn64 + n64 - 1) // 4
-            counters = np.arange(b0 + 1, b1 + 2, dtype=_U64)
-            flat = _philox_blocks_chunked(self._key0, self._key1, counters)
+            flat = _philox(self._key0, self._key1, b0 + 1, b1 - b0 + 1)
             off = self._drawn64 - 4 * b0
             u64s = np.ascontiguousarray(flat[:, off : off + n64])
             need = nbytes - pos

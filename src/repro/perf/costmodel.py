@@ -232,6 +232,15 @@ def linear_working_set_bytes(
     )
 
 
+def client_linear_working_set_bytes(m: int, o: int, word_bytes: int = WORD_BYTES) -> int:
+    """Predicted transient peak of the client's online linear step for one
+    layer: its product share is the banked ``V`` (it multiplies nothing),
+    which it lifts back to flat form, ``m * o`` words."""
+    if min(m, o) < 1:
+        raise ConfigError("matmul dimensions must be positive")
+    return word_bytes * m * o
+
+
 # --------------------------------------------------------------------- #
 # memory: the offline triplet working set
 # --------------------------------------------------------------------- #
@@ -244,6 +253,10 @@ TRIPLET_SUB_BLOCK_WORDS = 1 << 19
 #: blob and its encoding, the decoded copy, the Q columns, and the copy
 #: and output of each side's bit transpose.
 _EXTENSION_ROWS = 10
+#: Mirrors :data:`repro.crypto.fastro._PAD_BLOCK_WORDS`: the working set,
+#: in words, of one row block of the OT pads' numpy reference (the path a
+#: host without the compiled kernel hashes on; the kernel holds none).
+PAD_BLOCK_WORDS = 1 << 15
 #: Fixed per-layer allowance: KK13 session state, the base-OT handshake
 #: of the first layer, span and interpreter objects (measured: under
 #: 0.5 MiB on a 3x5 layer).
@@ -283,14 +296,19 @@ def triplet_working_set_bytes(
       ``k`` words per OT;
     * **messages** (pass 2): both parties' rows and every message frame in
       flight (``2 H + M``), plus one chunk at the worst group: the
-      client's hash inputs, pads, shares, products, their masked
-      difference, the packed messages and the packed stream of their pads
-      (``N (4 o + W + k + 2)`` words per OT), its frame and the server's
-      decoded copy (``2 F``), the server's hash inputs, pads, openings and
-      segment sums (``B (5 W + k + 1 + 6 o)`` words).
+      client's pads, shares, products, their masked difference, the
+      packed messages and the packed stream of their pads (``N (4 o + W +
+      1)`` words per OT), its frame and the server's decoded copy
+      (``2 F``), the server's pads, openings and segment sums (``B (5 W +
+      6 o)`` words), and each party's pad-hashing scratch: ``2 min(B h,
+      max(P, h))`` for ``h = n W (k + 12)``, at ``n = N`` pads per OT for
+      the client and ``n = 1`` for the server (:data:`PAD_BLOCK_WORDS`).
 
-    ``W = words(o l)`` and ``F = words(B (N - 1) o l)``.  The layer adds
-    the server's digit and choice vectors (one byte per OT each), both
+    ``W = words(o l)`` and ``F = words(B (N - 1) o l)``.  Neither party
+    builds the hash inputs ``(row ^ offset) || index`` of a chunk: the
+    compiled kernel hashes each as it forms it, and its numpy reference
+    builds a block of at most ``P`` words at a time.  The layer adds the
+    server's digit and choice vectors (one byte per OT each), both
     parties' ``(m, o)`` accumulators and :data:`_SESSION_BYTES`.
     """
     radices = list(frag_n_values)
@@ -305,10 +323,14 @@ def triplet_working_set_bytes(
         held += code_words * total
         frames += _words(total * (nv - 1) * o, ring_bits)
         extension = max(extension, _EXTENSION_ROWS * code_words * block)
-        client = block * nv * (4 * o + width + code_words + 2)
-        server = block * (5 * width + code_words + 1 + 6 * o)
+        client = block * nv * (4 * o + width + 1)
+        server = block * (5 * width + 6 * o)
         frame = _words(block * (nv - 1) * o, ring_bits)
-        chunk_peak = max(chunk_peak, client + 2 * frame + server)
+        hashing = 0
+        for pads in (nv, 1):  # the client's N pads per OT, the server's one
+            per_ot = pads * width * (code_words + 12)
+            hashing += 2 * min(block * per_ot, max(PAD_BLOCK_WORDS, per_ot))
+        chunk_peak = max(chunk_peak, client + 2 * frame + server + hashing)
     worst = max(3 * held + extension, 2 * held + frames + chunk_peak)
     return word_bytes * (4 * m * o + worst) + 2 * m * n * len(radices) + _SESSION_BYTES
 

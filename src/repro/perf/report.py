@@ -40,6 +40,7 @@ from repro.net.netsim import LAN, WAN_QUOTIENT, WAN_SECUREML, NetworkModel
 from repro.perf.costmodel import (
     abnn2_comm_bits_radices,
     base_ot_setup_bits,
+    client_linear_working_set_bytes,
     gc_relu_wire_bits,
     kk13_code_bits,
     linear_working_set_bytes,
@@ -262,9 +263,12 @@ class MemoryRow:
 
 def memory_rows(trace: dict[str, Any]) -> list[MemoryRow]:
     """Every ``matmul`` and ``triplets`` span with its predicted peak
-    working set."""
+    working set.  A ``matmul`` span is priced as the trace's party runs
+    it: the server multiplies (:func:`linear_working_set_bytes`), the
+    client only lifts its ``V`` (:func:`client_linear_working_set_bytes`)."""
     rows: list[MemoryRow] = []
     previous = None  # the last triplets span's closed form
+    client = trace.get("party") == "client"
     for path, span in iter_spans(trace):
         kind = span["name"]
         if kind not in ("matmul", "triplets"):
@@ -286,7 +290,11 @@ def memory_rows(trace: dict[str, Any]) -> list[MemoryRow]:
             rows.append(MemoryRow(path, detail, measured, predicted, None, kind, bound))
             previous = predicted
             continue
-        if all(key in attrs for key in ("m", "n", "o")):
+        if client and all(key in attrs for key in ("m", "o")):
+            m, o = attrs["m"], attrs["o"]
+            predicted = client_linear_working_set_bytes(m, o)
+            detail = f"m={m} o={o} (the client lifts V)"
+        elif all(key in attrs for key in ("m", "n", "o")):
             m, n, o = attrs["m"], attrs["n"], attrs["o"]
             chunk = attrs.get("chunk_cols")
             predicted = linear_working_set_bytes(m, n, o, chunk)

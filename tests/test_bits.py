@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import fastro
 from repro.errors import ConfigError
 from repro.utils.bits import (
     bits_to_int,
@@ -277,3 +278,29 @@ class TestPackedRowCodec:
         blob = concat_packed_rows(packed, n)
         assert blob == pack_bits(bits)
         assert (split_packed_rows(blob, rows, n) == packed).all()
+
+
+class TestKernelTranspose:
+    """The compiled 64x64 tile transpose the OT extension calls
+    (:func:`repro.crypto.fastro.transpose_packed`) returns the words of
+    the numpy :func:`transpose_packed`, and is that function when the
+    kernel is not loaded."""
+
+    @pytest.mark.parametrize("shape", [(64, 1), (128, 3), (192, 2048), (256, 77), (64, 0)])
+    def test_matches_numpy(self, shape, rng):
+        rows = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64, endpoint=False)
+        got = fastro.transpose_packed(rows)
+        assert got.shape == (shape[1] * 64, shape[0] // 64)
+        assert (got == transpose_packed(rows)).all()
+
+    def test_reference_when_unloaded(self, rng, monkeypatch):
+        rows = rng.integers(0, 1 << 64, size=(128, 5), dtype=np.uint64, endpoint=False)
+        want = fastro.transpose_packed(rows)
+        monkeypatch.setattr(fastro, "_kernel", False)
+        assert (fastro.transpose_packed(rows) == want).all()
+
+    def test_same_errors(self):
+        with pytest.raises(ConfigError):
+            fastro.transpose_packed(np.zeros((100, 2), dtype=np.uint64))
+        with pytest.raises(ConfigError):
+            fastro.transpose_packed(np.zeros(64, dtype=np.uint64))

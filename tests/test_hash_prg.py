@@ -6,8 +6,9 @@ import pytest
 from repro import mnist_mlp, quantize_model, secure_predict
 from repro.core.triplets import TripletConfig
 from repro.crypto import fastro
+from repro.crypto import prg as prg_mod
 from repro.crypto.hash_ro import default_ro, hash_bytes
-from repro.crypto.prg import BatchPrg, Prg, expand_to_bits
+from repro.crypto.prg import BatchPrg, Prg, _philox_blocks_chunked
 from repro.errors import CryptoError
 from repro.exec import ShardPlan, parallel_triplets_client, parallel_triplets_server
 from repro.net.channel import make_channel_pair
@@ -127,7 +128,6 @@ class TestPrg:
     def test_deterministic_stream(self):
         seed = bytes(range(16))
         assert (Prg(seed).bits(100) == Prg(seed).bits(100)).all()
-        assert Prg(seed).bytes(32) == Prg(seed).bytes(32)
 
     def test_streams_continue(self):
         seed = bytes(range(16))
@@ -146,18 +146,12 @@ class TestPrg:
         assert set(np.unique(bits)) <= {0, 1}
         assert 300 < bits.sum() < 700  # roughly balanced
 
-    def test_words_count(self):
-        assert Prg(bytes(range(16))).words(17).shape == (17,)
-
     def test_negative_counts_rejected(self):
         prg = Prg(bytes(16))
         with pytest.raises(CryptoError):
             prg.bits(-1)
         with pytest.raises(CryptoError):
-            prg.words(-1)
-
-    def test_expand_helper(self):
-        assert (expand_to_bits(bytes(16), 64) == Prg(bytes(16)).bits(64)).all()
+            prg.packed_bits(-1)
 
     @pytest.mark.parametrize("count", [1, 7, 64, 100, 1000])
     def test_packed_bits_matches_bits(self, count):
@@ -232,3 +226,97 @@ class TestBatchPrg:
     def test_seeds_property(self):
         seeds = _seeds(3)
         assert BatchPrg(seeds).seeds == tuple(seeds)
+
+
+def _keys(k, seed=0):
+    local = np.random.default_rng(seed)
+    return (
+        local.integers(0, 1 << 64, size=k, dtype=np.uint64, endpoint=False),
+        local.integers(0, 1 << 64, size=k, dtype=np.uint64, endpoint=False),
+    )
+
+
+class TestKernelPhiloxMatchesReference:
+    """The compiled Philox4x64-10 is ``_philox_blocks`` word for word, and
+    a ``BatchPrg`` draws the same streams through either."""
+
+    @pytest.mark.parametrize(
+        "first, blocks", [(1, 1), (1, 3), (7, 4096), (1, 4097), (2**40 + 5, 9)]
+    )
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "reference"])
+    def test_counter_ranges(self, first, blocks, kernel, monkeypatch):
+        if not kernel:
+            monkeypatch.setattr(fastro, "_kernel", False)
+        key0, key1 = _keys(5, seed=blocks)
+        counters = np.arange(first, first + blocks, dtype=np.uint64)
+        want = _philox_blocks_chunked(key0, key1, counters)
+        got = prg_mod._philox(key0, key1, first, blocks)
+        assert got.shape == (5, 4 * blocks) and (got == want).all()
+
+    # 96, 42 592 and 93 600 are draws the CNN's layers make; the others
+    # are ragged (count % 64 != 0) or leave a cached high half-word.
+    @pytest.mark.parametrize(
+        "counts",
+        [(96,), (42_592,), (93_600,), (13, 7, 130, 1, 64, 100, 3, 65), (96, 42_592, 93_600, 33)],
+    )
+    def test_batch_prg_draws(self, counts, monkeypatch):
+        seeds = _seeds(6)
+        kernel_prg, reference_prg = BatchPrg(seeds), BatchPrg(seeds)
+        kernel_draws = [kernel_prg.packed_bits(count) for count in counts]
+        monkeypatch.setattr(fastro, "_kernel", False)
+        for count, got in zip(counts, kernel_draws):
+            assert (got == reference_prg.packed_bits(count)).all(), count
+
+
+def _hand_built_pads(rows, offsets, first, width, domain):
+    """``default_ro.mask`` of the rows ``(row_i ^ offset_j) || first + i``."""
+    m, words = rows.shape
+    msg = np.empty((m, offsets.shape[0], words + 1), dtype=np.uint64)
+    msg[:, :, :words] = rows[:, None, :] ^ offsets[None, :, :]
+    msg[:, :, words] = (np.arange(m, dtype=np.uint64) + np.uint64(first % (1 << 64)))[:, None]
+    return default_ro.mask(msg, width, domain)
+
+
+class TestFusedPadsMatchHashInputs:
+    """``default_ro.pads`` hashes exactly the rows the KK13 sender and
+    receiver used to build, through the kernel and the reference."""
+
+    @pytest.mark.parametrize("n_values", [2, 4, 16])
+    @pytest.mark.parametrize("width", [1, 2, 183])
+    def test_sender_offsets(self, n_values, width, oracle, rng):
+        words = {2: 2, 4: 3, 16: 4}[n_values]
+        rows = rng.integers(0, 1 << 64, size=(70, words), dtype=np.uint64, endpoint=False)
+        offsets = rng.integers(0, 1 << 64, size=(n_values, words), dtype=np.uint64, endpoint=False)
+        first = (5 << 32) + 77
+        got = oracle.pads(rows, offsets, first, width, domain=3)
+        assert got.shape == (70, n_values, width)
+        assert (got == _hand_built_pads(rows, offsets, first, width, 3)).all()
+
+    def test_zero_offset_is_the_receiver_pad(self, oracle, rng):
+        rows = rng.integers(0, 1 << 64, size=(9, 3), dtype=np.uint64, endpoint=False)
+        got = oracle.pads(rows, np.zeros((1, 3), dtype=np.uint64), 2**33, 2, 5)[:, 0]
+        index = (np.arange(9, dtype=np.uint64) + np.uint64(2**33))[:, None]
+        assert (got == default_ro.mask(np.hstack([rows, index]), 2, 5)).all()
+
+    def test_many_blocks_and_index_wrap(self, oracle, monkeypatch, rng):
+        # small blocks on both paths; the OT index wraps past 2**64 mid-call
+        monkeypatch.setattr(fastro, "_ROW_BLOCK_WORDS", 24)
+        monkeypatch.setattr(fastro, "_PAD_BLOCK_WORDS", 100)
+        rows = rng.integers(0, 1 << 64, size=(50, 3), dtype=np.uint64, endpoint=False)
+        offsets = rng.integers(0, 1 << 64, size=(4, 3), dtype=np.uint64, endpoint=False)
+        first = (1 << 64) - 20
+        got = oracle.pads(rows, offsets, first, 2, domain=3)
+        assert (got == _hand_built_pads(rows, offsets, first, 2, 3)).all()
+
+    def test_checks(self):
+        rows, offsets = np.zeros((2, 3), dtype=np.uint64), np.zeros((4, 3), dtype=np.uint64)
+        with pytest.raises(CryptoError, match="out_words"):
+            default_ro.pads(rows, offsets, 0, 0)
+        with pytest.raises(CryptoError, match="domain"):
+            default_ro.pads(rows, offsets, 0, 1, domain=2**32)
+        with pytest.raises(CryptoError, match="first"):
+            default_ro.pads(rows, offsets, 1 << 64, 1)
+        with pytest.raises(CryptoError, match="offsets"):
+            default_ro.pads(rows, np.zeros((4, 2), dtype=np.uint64), 0, 1)
+        with pytest.raises(CryptoError, match="offsets"):
+            default_ro.pads(rows, np.zeros((0, 3), dtype=np.uint64), 0, 1)

@@ -197,7 +197,7 @@ class TestKernel:
         (so_path,) = fresh_probe.iterdir()
         (fresh_probe if planted == "directory" else so_path).chmod(0o777)
         fastro._kernel = None
-        with pytest.warns(RuntimeWarning, match="SipHash kernel unavailable"):
+        with pytest.warns(RuntimeWarning, match="compiled kernel unavailable"):
             assert not fastro.kernel_active()
         assert np.array_equal(fastro.expand(rows, 4, 1), want)
 
@@ -231,6 +231,9 @@ class TestKernel:
             fastro.expand(rows, 3, 0)
             assert Tracer().to_dict()["root"]["attrs"]["ro_kernel"] is False
         assert len(caught) == 1
+        message = str(caught[0].message)
+        for fallback in ("hashing", "OT pads", "column PRG", "bit transpose", "pow"):
+            assert fallback in message
         assert np.array_equal(got, prf_expand(rows, 3, 0))
 
     def test_trace_header_names_the_active_path(self):

@@ -20,6 +20,7 @@ import pytest
 
 import repro.core.triplets as triplets_mod
 from repro.cli import main
+from repro.crypto import fastro
 from repro.core.triplets import (
     TripletConfig,
     generate_triplets_client,
@@ -29,9 +30,11 @@ from repro.crypto.codes import code_length
 from repro.errors import ConfigError
 from repro.net import run_protocol
 from repro.perf.costmodel import (
+    PAD_BLOCK_WORDS,
     TRIPLET_SUB_BLOCK_WORDS,
     WORD_BYTES,
     _matmul_intermediate_words,
+    client_linear_working_set_bytes,
     linear_working_set_bytes,
     lowered_operand_bytes,
     triplet_sub_block_ots,
@@ -184,6 +187,7 @@ FIG4_L0 = dict(m=128, n=784, ring_bits=32, frag_n_values=[4, 4, 4, 4])
 class TestTripletWorkingSet:
     def test_mirrors_match_the_protocol(self):
         assert TRIPLET_SUB_BLOCK_WORDS == triplets_mod._SUB_BLOCK_WORDS
+        assert PAD_BLOCK_WORDS == fastro._PAD_BLOCK_WORDS
         for bits in ((1,), (2, 2), (4, 4)):
             scheme = FragmentScheme.from_bits(bits)
             n_values = scheme.fragments[0].n_values
@@ -199,14 +203,16 @@ class TestTripletWorkingSet:
         # elements per OT (12 words).  Pass 2 (both parties' rows, every
         # frame in flight, one chunk of work) is the worst phase, above
         # pass 1 (the rows, every U frame in flight, one chunk's
-        # extension).
+        # extension).  No hash input is held whole: the pads' numpy
+        # reference hashes a bounded block at a time (one per party).
         total, block, code_words, width = 128 * 784 * 4, 16_384, 3, 4
         assert triplet_sub_block_ots(4, 8) == block
         held, frames = code_words * total, 12 * total
         extension = 3 * held + 10 * code_words * block
-        client = block * 4 * (4 * 8 + width + code_words + 2)
-        server = block * (5 * width + code_words + 1 + 6 * 8)
-        messages = 2 * held + frames + client + 2 * block * 12 + server
+        client = block * 4 * (4 * 8 + width + 1)
+        server = block * (5 * width + 6 * 8)
+        hashing = 2 * 2 * PAD_BLOCK_WORDS  # both parties at the block cap
+        messages = 2 * held + frames + client + 2 * block * 12 + server + hashing
         assert extension < messages
         digits = 2 * 128 * 784 * 4  # uint8 digits and choices
         assert triplet_working_set_bytes(o=8, **FIG4_L0) == (
@@ -291,8 +297,8 @@ class TestTripletSpanPeaks:
 
 class TestMemoryReport:
     @staticmethod
-    def _trace(memory: bool, with_attrs: bool = True):
-        tracer = Tracer(memory=memory)
+    def _trace(memory: bool, with_attrs: bool = True, party: str = ""):
+        tracer = Tracer(memory=memory, party=party)
         attrs = {"m": 8, "n": 18, "o": 72, "groups": 1, "chunk_cols": 7}
         if not with_attrs:
             attrs = {}
@@ -313,6 +319,31 @@ class TestMemoryReport:
         )
         assert row.operand_bytes == lowered_operand_bytes(18, 72)
         assert "chunk=7" in row.detail
+
+    def test_client_rows_price_the_lift_of_v(self):
+        # The client multiplies nothing online: its matmul span lifts V.
+        rows = memory_rows(self._trace(memory=True, party="client"))
+        assert rows[0].predicted_bytes == client_linear_working_set_bytes(8, 72)
+        assert rows[0].predicted_bytes == WORD_BYTES * 8 * 72
+        assert rows[0].operand_bytes is None
+        assert "client lifts V" in rows[0].detail
+        server = memory_rows(self._trace(memory=True, party="server"))
+        assert server[0].predicted_bytes == linear_working_set_bytes(8, 18, 72, chunk_cols=7)
+
+    def test_demo_client_trace_prices_its_own_matmul(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(MEMORY_ENV, "1")
+        trace_path = tmp_path / "trace.json"
+        assert main(
+            ["report", "--demo", "--memory", "--check", "--save-trace", str(trace_path),
+             "--hidden", "8", "--batch", "2"]
+        ) == 0
+        doc = json.loads(trace_path.read_text())
+        assert doc["party"] == "client"
+        matmuls = [row for row in memory_rows(doc) if row.kind == "matmul"]
+        assert [row.predicted_bytes for row in matmuls] == [
+            client_linear_working_set_bytes(m, 2) for m in (8, 8, 10)
+        ]
+        assert all(row.measured_bytes <= row.predicted_bytes for row in matmuls)
 
     def test_rows_without_dimensions_or_memory(self):
         rows = memory_rows(self._trace(memory=False, with_attrs=False))
