@@ -2,10 +2,10 @@
 
 Every benchmark runs the *real* protocols in-process and reports, next to
 the raw Python wall time, the projected LAN/WAN times from measured
-traffic and round counts (see ``repro.perf.timing``).  Dimensions default
-to the paper's; batch sweeps are trimmed unless ``REPRO_BENCH_FULL=1``
-because a batch-128 offline phase moves ~1 GB through the in-memory
-channel.
+traffic and round counts (``repro.net.netsim.NetworkModel.estimate_s``).
+Dimensions default to the paper's; batch sweeps are trimmed unless
+``REPRO_BENCH_FULL=1`` because a batch-128 offline phase moves ~1 GB
+through the in-memory channel.
 
 The base OTs use the 256-bit test group: they are a fixed O(kappa) setup
 cost that both the paper and Table 1 ignore, and the group choice does

@@ -35,6 +35,7 @@ from repro.crypto import paillier
 from repro.crypto.group import DEFAULT_GROUP
 from repro.errors import ConfigError, ProtocolError
 from repro.net.channel import Channel
+from repro.net.frames import checked_bytes
 from repro.nn.quantize import QuantizedModel
 from repro.utils.ring import Ring
 from repro.utils.rng import make_rng, randbelow_from_rng
@@ -86,17 +87,24 @@ def _encode_big(values: list[int]) -> bytes:
     return bytes(out)
 
 
-def _decode_big(data: bytes) -> list[int]:
-    count = int.from_bytes(data[:4], "little")
+def _recv_big(chan: Channel, count: int, what: str) -> list[int]:
+    """The peer's :func:`_encode_big` frame of exactly ``count`` ints:
+    anything else (another kind, count or length) raises
+    :class:`ProtocolError`."""
+    data = checked_bytes(chan.recv(), None, what)
+    if len(data) < 4 or int.from_bytes(data[:4], "little") != count:
+        raise ProtocolError(f"{what}: expected {count} big ints")
     out = []
     offset = 4
     for _ in range(count):
         size = int.from_bytes(data[offset : offset + 4], "little")
         offset += 4
+        if offset + size > len(data):
+            raise ProtocolError(f"{what}: truncated")
         out.append(int.from_bytes(data[offset : offset + size], "little"))
         offset += size
     if offset != len(data):
-        raise ProtocolError("trailing bytes in big-int payload")
+        raise ProtocolError(f"{what}: trailing bytes")
     return out
 
 
@@ -113,7 +121,7 @@ def minionn_triplets_client(
     rng = make_rng(seed)
     pk, sk = paillier.keygen(config.key_bits, seed=seed)
     packing = config.packing(pk)
-    chan.send((_encode_big([pk.n]), pk.key_bits))
+    chan.send(_encode_big([pk.n, pk.key_bits]))
 
     chunks = -(-config.o // packing.slots)
     ciphers = []
@@ -123,9 +131,7 @@ def minionn_triplets_client(
             ciphers.append(paillier.encrypt(pk, packing.pack(block.tolist()), rng))
     chan.send(_encode_big(ciphers))
 
-    noisy = _decode_big(chan.recv())
-    if len(noisy) != config.m * chunks:
-        raise ProtocolError("unexpected number of product ciphertexts")
+    noisy = _recv_big(chan, config.m * chunks, "MiniONN product ciphertexts")
     ring = config.ring
     v = ring.zeros((config.m, config.o))
     for i in range(config.m):
@@ -151,14 +157,12 @@ def minionn_triplets_server(
         raise ConfigError(f"expected W of shape {(config.m, config.n)}, got {w.shape}")
     ring = config.ring
     rng = make_rng(seed)
-    n_blob, key_bits = chan.recv()
-    pk = paillier.PaillierPublicKey(n=_decode_big(n_blob)[0], key_bits=key_bits)
+    n, key_bits = _recv_big(chan, 2, "MiniONN public key")
+    pk = paillier.PaillierPublicKey(n=n, key_bits=key_bits)
     packing = config.packing(pk)
 
-    ciphers = _decode_big(chan.recv())
     chunks = -(-config.o // packing.slots)
-    if len(ciphers) != config.n * chunks:
-        raise ProtocolError("unexpected number of operand ciphertexts")
+    ciphers = _recv_big(chan, config.n * chunks, "MiniONN operand ciphertexts")
 
     # Scalars are the weights mod 2^l (signedness folds into the ring).
     w_ring = ring.reduce(w)

@@ -95,7 +95,6 @@ def cmd_serve(args) -> int:
         args.batch,
         capacity=max(args.rounds, 1),
         auto_replenish=args.replenish,
-        seed=args.seed,
     )
     if args.bank and os.path.exists(args.bank):
         loaded = bank.load(args.bank)
@@ -116,11 +115,9 @@ def cmd_serve(args) -> int:
         port=args.port,
         host=args.host,
         max_sessions=args.max_sessions,
-        keep_alive=args.keep_alive,
         relu_variant=args.relu,
         session_timeout_s=args.timeout,
         trace_dir=args.trace_dir,
-        seed=args.seed,
     )
     print(
         f"listening on {server.host}:{server.port} "
@@ -184,7 +181,6 @@ def cmd_predict(args) -> int:
         mode=args.mode,
         relu_variant=args.relu,
         timeout_s=args.timeout,
-        seed=args.seed,
     )
     try:
         print(f"connected (session {client.session_id}, mode={args.mode})...")
@@ -315,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum concurrent client sessions",
     )
     p.add_argument(
-        "--keep-alive", action=argparse.BooleanOptionalAction, default=True,
-        help="let one session run multiple prediction rounds",
-    )
-    p.add_argument(
         "--replenish", action="store_true",
         help="regenerate offline rounds in the background as sessions drain the bank",
     )
@@ -328,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--relu", default="oblivious", choices=("oblivious", "optimized"))
     p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace-dir", help="write one trace JSON per session here")
     p.set_defaults(func=cmd_serve)
 
@@ -351,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--relu", default="oblivious", choices=("oblivious", "optimized"))
     p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace-out", help="write this party's trace JSON after the run")
     p.set_defaults(func=cmd_predict)
 

@@ -509,7 +509,12 @@ class Abnn2Server(_PartyBase):
 
 class Abnn2Client(_PartyBase):
     """The data owner.  Knows the architecture (:class:`ModelMeta`) but
-    never the weights; learns the prediction."""
+    never the weights; learns the prediction.
+
+    ``seed`` fixes the client's randomness, for tests and transcript
+    digests only: two clients under one seed draw the same input mask,
+    so the server learns the difference of their inputs.  Leave it
+    ``None`` for real inputs."""
 
     _party = 1
     #: Hook for baselines that swap the offline triplet generation.

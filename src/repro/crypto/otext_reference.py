@@ -6,12 +6,10 @@ implementation: expand each base-OT seed with ``Prg.bits``, XOR columns
 one at a time, then ``packbits``-transpose the ``(c, m)`` uint8 matrix.
 These subclasses keep that original ``_extend`` alive verbatim, and the
 IKNP ones are the same engine at ``N = 2`` with :mod:`repro.crypto.iknp`'s
-1-out-of-2 forms on top, so that
-
-* the transcript cross-check tests can prove the packed pipeline changes
-  nothing on the wire (same ciphertexts, pads, ``ChannelStats``), and
-* ``benchmarks/bench_otext.py`` can measure the speedup against the real
-  seed algorithm rather than a synthetic stand-in.
+1-out-of-2 forms on top, so that the transcript cross-check tests
+(``tests/test_otext_transcripts.py``) can prove the packed pipeline
+changes nothing on the wire (same ciphertexts, pads, ``ChannelStats``)
+on any batch size, ragged ones included.
 
 They reuse the session's seed derivation (the channel's shared base-OT
 set-up, the secret ``s``, OT index bookkeeping) and rebuild per-column

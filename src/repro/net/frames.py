@@ -26,11 +26,11 @@ def checked_frame(frame, shape: tuple[int, ...], what: str) -> np.ndarray:
     return frame
 
 
-def checked_bytes(frame, length: int, what: str) -> bytes:
-    """A peer's frame of exactly ``length`` bytes: anything else raises
-    :class:`ProtocolError`."""
+def checked_bytes(frame, length: int | None, what: str) -> bytes:
+    """A peer's frame of exactly ``length`` bytes (of any length when
+    ``length`` is None): anything else raises :class:`ProtocolError`."""
     if not isinstance(frame, (bytes, bytearray)):
-        raise ProtocolError(f"{what}: expected {length} bytes, got {type(frame).__name__}")
-    if len(frame) != length:
+        raise ProtocolError(f"{what}: expected bytes, got {type(frame).__name__}")
+    if length is not None and len(frame) != length:
         raise ProtocolError(f"{what}: expected {length} bytes, got {len(frame)}")
     return bytes(frame)

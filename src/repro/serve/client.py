@@ -29,6 +29,10 @@ class PredictionClient:
         with PredictionClient(meta, batch=4, port=srv.port) as client:
             logits, labels = client.predict(x)       # round 1
             logits, labels = client.predict(x2)      # round 2 (keep-alive)
+
+    ``seed`` fixes the client's randomness, for tests only: interactive
+    sessions under one seed draw the same input mask, so the server
+    learns the difference of their inputs.  Leave it ``None`` for real inputs.
     """
 
     def __init__(

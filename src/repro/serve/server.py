@@ -81,7 +81,6 @@ class PredictionServer:
         port: int = 0,
         host: str = "127.0.0.1",
         max_sessions: int = 4,
-        keep_alive: bool = True,
         relu_variant: str = "oblivious",
         session_timeout_s: float = 600.0,
         exhaustion_wait_s: float = 0.0,
@@ -95,7 +94,6 @@ class PredictionServer:
         self.model = model
         self.bank = bank
         self.max_sessions = max_sessions
-        self.keep_alive = keep_alive
         self.relu_variant = relu_variant
         self.session_timeout_s = session_timeout_s
         self.exhaustion_wait_s = exhaustion_wait_s
@@ -218,7 +216,6 @@ class PredictionServer:
                 chan, self.model, self.bank,
                 session_id=record.session_id,
                 relu_variant=self.relu_variant,
-                keep_alive=self.keep_alive,
                 exhaustion_wait_s=self.exhaustion_wait_s,
                 allow_interactive=self.allow_interactive,
                 group=self.group,

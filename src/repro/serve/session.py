@@ -114,8 +114,6 @@ class ServerSession:
         *,
         session_id: int,
         relu_variant: str = "oblivious",
-        keep_alive: bool = True,
-        max_rounds: int | None = None,
         exhaustion_wait_s: float = 0.0,
         allow_interactive: bool = True,
         group: ModpGroup = DEFAULT_GROUP,
@@ -127,8 +125,6 @@ class ServerSession:
         self.bank = bank
         self.session_id = session_id
         self.relu_variant = relu_variant
-        self.keep_alive = keep_alive
-        self.max_rounds = max_rounds
         self.exhaustion_wait_s = exhaustion_wait_s
         self.allow_interactive = allow_interactive
         self.group = group
@@ -187,7 +183,6 @@ class ServerSession:
             relu_variant=self.relu_variant, group=self.group,
             seed=self.seed, tracer=self.tracer,
         )
-        allowed = self.max_rounds if self.keep_alive else 1
         send_ctrl(
             self.chan, ok=True, session=self.session_id, mode=mode,
             protocol=SERVE_PROTOCOL, batch=batch,
@@ -209,14 +204,6 @@ class ServerSession:
                 send_ctrl(self.chan, ok=False, error=f"unknown op {op!r}")
                 result.error = f"unknown op {op!r}"
                 break
-            if allowed is not None and result.predictions >= allowed:
-                send_ctrl(
-                    self.chan, ok=False,
-                    error="session round limit reached (keep-alive disabled)"
-                    if not self.keep_alive
-                    else "session round limit reached",
-                )
-                continue
             if mode == "bank":
                 try:
                     rnd = self.bank.take(timeout_s=self.exhaustion_wait_s)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.minionn import (
     MinionnConfig,
+    _encode_big,
     minionn_predict,
     minionn_triplets_client,
     minionn_triplets_server,
@@ -25,8 +26,9 @@ from repro.core.triplets import (
     generate_triplets_client,
     generate_triplets_server,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.net import run_protocol
+from repro.net.channel import make_channel_pair
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import FragmentScheme
 from repro.utils.ring import Ring
@@ -148,6 +150,27 @@ class TestMinionn:
             lambda ch: minionn_triplets_client(ch, r, config, seed=2),
         )
         assert (ring.add(result.server, result.client) == ring.matmul(ring.reduce(w), r)).all()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [b"abc", 7, (b"\x01", 256), _encode_big([5]), _encode_big([5, 256])[:-1],
+         _encode_big([5, 256]) + b"\x00"],
+    )
+    @pytest.mark.parametrize("side", ["server", "client"])
+    def test_malformed_big_int_frame_refused(self, frame, side, rng):
+        """Either party's first received frame (the public key, the
+        product ciphertexts) fails typed on a malformed peer frame."""
+        ring = Ring(32)
+        config = MinionnConfig(ring=ring, m=2, n=3, o=4, key_bits=256)
+        server_chan, client_chan = make_channel_pair(timeout_s=5.0)
+        if side == "server":
+            client_chan.send(frame)
+            with pytest.raises(ProtocolError, match="MiniONN public key"):
+                minionn_triplets_server(server_chan, np.ones((2, 3), dtype=np.int64), config)
+        else:
+            server_chan.send(frame)
+            with pytest.raises(ProtocolError, match="MiniONN product ciphertexts"):
+                minionn_triplets_client(client_chan, ring.sample(rng, (3, 4)), config, seed=2)
 
     def test_end_to_end_prediction(self, trained_model, small_dataset, test_group):
         qm = quantize_model(

@@ -29,6 +29,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["predict", "--meta", "m", "--port", "1"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--model", "m.npz", "--port", "1"],
+            ["predict", "--meta", "m.json", "--port", "1", "--demo", "1"],
+        ],
+    )
+    def test_serving_commands_refuse_a_seed(self, argv):
+        """A fixed client seed repeats the input mask across runs, so the
+        serving commands take no ``--seed``; only ``train`` does."""
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--seed", "5"])
+
 
 class TestCost:
     def test_prints_ranking(self, capsys):
@@ -164,7 +178,7 @@ class TestServePredict:
         return subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--model", str(model_path),
-                "--port", str(port), "--batch", "2", "--seed", "3",
+                "--port", str(port), "--batch", "2",
                 "--rounds", str(rounds), "--exit-after", str(exit_after), *extra,
             ],
             stdout=subprocess.PIPE,
@@ -173,11 +187,11 @@ class TestServePredict:
         )
 
     @staticmethod
-    def _predict(meta_path, port, seed, *extra):
+    def _predict(meta_path, port, *extra):
         return subprocess.run(
             [
                 sys.executable, "-m", "repro", "predict", "--meta", str(meta_path),
-                "--port", str(port), "--demo", "2", "--seed", str(seed), *extra,
+                "--port", str(port), "--demo", "2", *extra,
             ],
             capture_output=True,
             text=True,
@@ -190,7 +204,7 @@ class TestServePredict:
         port = _free_port()
         server = self._serve(model_path, port, rounds=1, exit_after=1)
         try:
-            client = self._predict(meta_path, port, seed=4)
+            client = self._predict(meta_path, port)
             assert client.returncode == 0, client.stderr
             assert "predictions:" in client.stdout
             server_out, _ = server.communicate(timeout=60)
@@ -210,10 +224,10 @@ class TestServePredict:
         port = _free_port()
         server = self._serve(model_path, port, rounds=2, exit_after=2)
         try:
-            first = self._predict(meta_path, port, seed=4)
+            first = self._predict(meta_path, port)
             assert first.returncode == 0, first.stderr
             assert "predictions:" in first.stdout
-            second = self._predict(meta_path, port, seed=5)
+            second = self._predict(meta_path, port)
             assert second.returncode == 0, second.stderr
             assert "predictions:" in second.stdout
             server_out, _ = server.communicate(timeout=60)

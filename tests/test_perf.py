@@ -1,10 +1,9 @@
-"""Cost models, bench rows, and table formatting."""
+"""Cost models: Table 1 closed forms and the baselines' comm models."""
 
 import pytest
 
 from repro.crypto.codes import code_length
 from repro.errors import ConfigError
-from repro.net.netsim import LAN, WAN_SECUREML
 from repro.perf.costmodel import (
     abnn2_comm_bits,
     abnn2_ot_count,
@@ -15,7 +14,6 @@ from repro.perf.costmodel import (
     secureml_comm_bits,
     secureml_ot_count,
 )
-from repro.perf.timing import BenchRow, format_table, simulate_settings
 from repro.quant.fragments import TABLE2_SCHEMES, FragmentScheme
 
 MB = 1024 * 1024
@@ -147,24 +145,3 @@ class TestMinionnModel:
         with pytest.raises(ConfigError):
             minionn_comm_model_mb(0)
 
-
-class TestBenchRows:
-    def test_projection(self):
-        row = BenchRow("x", compute_s=1.0, payload_bytes=9 * MB, rounds=10)
-        assert row.projected_s(WAN_SECUREML) == pytest.approx(1.0 + 1.0 + 0.72)
-        assert row.comm_mb == pytest.approx(9.0)
-
-    def test_as_dict_contains_models(self):
-        row = BenchRow("x", 0.5, MB, 2, extras={"note": "hi"})
-        d = row.as_dict([LAN, WAN_SECUREML])
-        assert "LAN_s" in d and "WAN-9MBps-72ms_s" in d and d["note"] == "hi"
-
-    def test_format_table_renders(self):
-        rows = [BenchRow("a", 0.1, MB, 1), BenchRow("b", 0.2, 2 * MB, 2)]
-        text = format_table(rows, [LAN], title="demo")
-        assert "demo" in text and "a" in text and "b" in text and "LAN_s" in text
-
-    def test_simulate_settings(self):
-        assert simulate_settings("table2") == [LAN]
-        assert len(simulate_settings("table3")) == 2
-        assert len(simulate_settings("everything")) == 3

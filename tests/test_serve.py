@@ -506,6 +506,29 @@ class TestSessionsInMemory:
         assert box["result"].predictions == 2
         assert session.round_ids == [0, 1]  # no triplet reuse
 
+    def test_malformed_deal_frame_fails_typed(
+        self, qmodel, meta, x2, test_group, monkeypatch
+    ):
+        """A bank-mode deal frame swapped for junk fails the client's round
+        with ProtocolError before it sends a byte of the online phase."""
+        bank = _bank(qmodel, test_group, rounds=1)
+        enc = FixedPointEncoder(qmodel.ring, qmodel.encoder.frac_bits)
+        client_chan, box, thread = _serve_in_memory(bank, qmodel, test_group)
+        session = ClientSession(client_chan, meta, 2, group=test_group, seed=9)
+        recv = client_chan.recv
+
+        def swap_deal(*args, **kwargs):
+            frame = recv(*args, **kwargs)
+            return b"abc" if isinstance(frame, tuple) else frame
+
+        monkeypatch.setattr(client_chan, "recv", swap_deal)
+        sent = client_chan.stats.messages_sent[1]
+        with pytest.raises(ProtocolError, match="offline-material frame"):
+            session.predict_encoded(enc.encode(x2.T))
+        assert client_chan.stats.messages_sent[1] == sent + 1  # the round request only
+        client_chan.close()
+        thread.join(timeout=10)
+
     def test_batch_mismatch_denied_at_hello(self, qmodel, meta, test_group):
         bank = _bank(qmodel, test_group, rounds=1)
         client_chan, box, thread = _serve_in_memory(bank, qmodel, test_group)
